@@ -38,6 +38,9 @@ DEFAULT_ORDER = 64          # Gaussian quadrature nodes per coordinate
 DEFAULT_QMC_LOG2 = 14       # 2**14 scrambled-Sobol points per QMC integral
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 TENSOR_DIM_CAP = 3          # beyond this many integration dims, use QMC
+# V = E[g^2] - mean^2 of a constant model is rounding noise of a few ulps of
+# E[g^2]; a total variance within this many ulps of it admits no indices.
+ZERO_VARIANCE_ULPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +60,8 @@ def all_subsets(n, max_order=None, nonempty=True):
     """All subsets of {1..n} up to ``max_order``, in canonical order."""
     if max_order is None:
         max_order = n
-    out = []
-    for mask in range(0 if not nonempty else 1, 1 << n):
-        z = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        if len(z) <= max_order:
-            out.append(z)
-    out.sort(key=canonical_key)
-    return out
+    return [z for z in _subsets_of(range(1, n + 1))
+            if len(z) <= max_order and (z or not nonempty)]
 
 
 def subset_label(z):
@@ -106,11 +104,22 @@ class VarianceDecomposition:
     def clamped_terms(self):
         return {z: max(v, 0.0) for z, v in self.terms.items()}
 
+    def require_variance(self):
+        """Raise ZeroVarianceError unless V is finite and above rounding noise.
+
+        The test is scale-invariant: V <= c * eps * (V + mean^2), with
+        c = ZERO_VARIANCE_ULPS, since V + mean^2 = E[g^2] is what V was
+        computed from.
+        """
+        v = self.total
+        if not np.isfinite(v) or \
+                v <= ZERO_VARIANCE_ULPS * np.finfo(float).eps * (v + self.mean**2):
+            raise ZeroVarianceError(f"measure {self.measure!r}: total variance "
+                                    f"{v!r} is numerically zero")
+
     def sobol_indices(self):
         """S_z = V_z / V, clamped to [0, 1]."""
-        if not np.isfinite(self.total) or self.total <= 0.0:
-            raise ZeroVarianceError(f"measure {self.measure!r}: total variance "
-                                    f"{self.total!r} admits no indices")
+        self.require_variance()
         return {z: min(max(v / self.total, 0.0), 1.0) for z, v in self.terms.items()}
 
     def first_order(self):
@@ -133,10 +142,6 @@ class VarianceDecomposition:
 
 def first_and_total_indices(vd):
     """Per-input (S_i, ST_i) arrays; raises ZeroVarianceError when V = 0."""
-    scale = max(1.0, vd.mean * vd.mean)
-    if not np.isfinite(vd.total) or vd.total <= 1e-12 * scale:
-        raise ZeroVarianceError(f"measure {vd.measure!r}: total variance "
-                                f"{vd.total!r} is numerically zero")
     return vd.first_order(), vd.total_order()
 
 
@@ -217,8 +222,7 @@ class AnovaEngine:
 
     def _full_grid_values(self):
         if self._G is None:
-            mesh = np.meshgrid(*self.nodes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            pts = _tensor_points(self.nodes)
             self._G = np.asarray(self.model(pts), dtype=float).reshape(self._sizes)
         return self._G
 
@@ -234,12 +238,9 @@ class AnovaEngine:
         n_cont = sum(1 for i in comp
                      if not isinstance(self.measure.components[i - 1], DiscreteUniform))
         if n_cont <= TENSOR_DIM_CAP:
-            axes = [self.nodes[i - 1] for i in comp]
-            wts = [self.weights[i - 1] for i in comp]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            wmesh = np.meshgrid(*wts, indexing="ij")
-            w = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
+            pts = _tensor_points([self.nodes[i - 1] for i in comp])
+            w = np.prod(_tensor_points([self.weights[i - 1] for i in comp]),
+                        axis=-1)
             return pts, w
         self._qmc_used = True
         rng_seed = substream(self.seed, "qmc", subset_label(z)).integers(2**31)
@@ -309,22 +310,17 @@ class AnovaEngine:
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
 
-        Built by the defining recursion; conditional means of sub-subsets are
-        evaluated at the projected points and cached per call.
+        Built by the defining recursion from the conditional means of all
+        subsets of z, each evaluated once at the projected points.
         """
         z = tuple(sorted(z))
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if len(z) == 0:
             return np.full(x.shape[0] if x.size else 1, self.mean())
-        effects = {(): np.full(x.shape[0], self.mean())}
-        for v in sorted(_subsets_of(z), key=canonical_key):
-            if not v:
-                continue
-            cols = [z.index(i) for i in v]
-            w_v = self.conditional_mean(v, x[:, cols])
-            g_v = w_v - sum(effects[u] for u in _subsets_of(v) if u != v)
-            effects[v] = g_v
-        return effects[z]
+        w = {(): np.full(x.shape[0], self.mean())}
+        for v in _subsets_of(z)[1:]:
+            w[v] = self.conditional_mean(v, x[:, [z.index(i) for i in v]])
+        return _mobius(z, w)[z]
 
     # -- grid-based decomposition -------------------------------------------
 
@@ -349,15 +345,17 @@ class AnovaEngine:
                 out = np.tensordot(out, self.weights[ax], axes=([ax], [0]))
             w = out
         else:
-            axes = [self.nodes[i - 1] for i in z]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            pts = _tensor_points([self.nodes[i - 1] for i in z])
             w = self.conditional_mean(z, pts).reshape(self._subgrid_shape(z))
         self._w_cache[z] = w
         return w
 
     def effect_on_subgrid(self, z):
         """g_z on the tensor grid of z's quad nodes (cached)."""
+        # Not routed through _mobius: each lower term lives on its own
+        # subgrid and is subtracted in place, broadcast across the axes of
+        # z \ v.  Summing the lower terms first and subtracting once rounds
+        # differently and moves report values in the last bit.
         z = tuple(z)
         if z in self._g_cache:
             return self._g_cache[z]
@@ -413,9 +411,7 @@ class AnovaEngine:
         if len(z) == 1:
             vals = self.effect(z, grids[0][:, None])
         else:
-            mesh = np.meshgrid(*grids, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            vals = self.effect(z, pts).reshape(npts, npts)
+            vals = self.effect(z, _tensor_points(grids)).reshape(npts, npts)
         return EffectCurve(measure=self.measure.name or "measure",
                            subset=z, grids=grids, values=vals)
 
@@ -440,3 +436,21 @@ def _subsets_of(z):
         out.append(tuple(z[k] for k in range(len(z)) if mask >> k & 1))
     out.sort(key=canonical_key)
     return out
+
+
+def _mobius(z, w):
+    """Moebius inversion over the subsets of z: g_v = w_v - sum_{u < v} g_u.
+
+    ``w`` maps every subset v of z (the empty one included) to its
+    conditional mean w_v; returns every g_v.
+    """
+    g = {}
+    for v in _subsets_of(z):
+        g[v] = w[v] - sum(g[u] for u in _subsets_of(v) if u != v)
+    return g
+
+
+def _tensor_points(axes):
+    """Rows of the tensor grid of the given 1-d axes, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)

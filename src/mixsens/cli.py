@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,6 +37,9 @@ from .report import (mc_qty, qty, quad_qty, write_effect_curve_csv,
 
 ALL_SECTIONS = ("measures", "mixture", "robust", "dimension", "trend", "cores")
 ESTIMATORS = ("quad", "bruteforce", "pickfreeze", "givendata", "reweight")
+# smallest --n each estimator can work with (1 for the rest): pick-freeze
+# needs 16 design rows, given data two bins of five points
+MIN_N = {"pickfreeze": 16, "givendata": 10, "reweight": 10}
 
 
 def build_parser():
@@ -73,22 +75,12 @@ def build_parser():
                     help=f"sections to compute (subset of "
                          f"{', '.join(ALL_SECTIONS)}); default: all that "
                          "apply to the model/estimator")
-    an.add_argument("--workers", type=int, default=1,
-                    help="thread pool size for per-measure work (default 1; "
-                         "results are identical for any value)")
     an.set_defaults(func=cmd_analyze)
     return parser
 
 
 def _warn(msg):
     print(f"warning: {msg}", file=sys.stderr)
-
-
-def _parallel_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +178,7 @@ def _dimension_section(vds):
     }
 
 
-def _mixture_section(engines, mset, vds, outdir, emit_files):
+def _mixture_section(engines, mset, vds, curves, outdir):
     prior = np.asarray(mset.prior)
     md = mixture_variance_decomposition(engines, prior)
     dd = mixture_dimension_distribution(prior, vds)
@@ -214,12 +206,9 @@ def _mixture_section(engines, mset, vds, outdir, emit_files):
     for i in range(1, mset.n + 1):
         defect = mixture_annihilation_defect(engines, prior, (i,))
         section["defects"][f"x{i}"] = quad_qty(defect, mode)
-    files = []
-    if emit_files:
-        for i in range(1, mset.n + 1):
-            curve = mixture_effect_curve(engines, prior, i)
-            path = os.path.join(outdir, f"effect_mixture_x{i}.csv")
-            files.append(write_mixture_curve_csv(curve, path))
+    files = [write_mixture_curve_csv(
+        curve, os.path.join(outdir, f"effect_mixture_x{curve.input}.csv"))
+        for curve in curves]
     return section, files
 
 
@@ -245,15 +234,14 @@ def _robust_section(names, s_matrix, ses, dims):
     return section
 
 
-def _trend_section(engines, mset, outdir, emit_files, prior_given):
+def _trend_section(engines, mset, outdir, mix_curves):
+    """Monotonicity verdicts per measure, and of the mixture curves if any."""
     section = {"per_measure": {}}
     files = []
-    curves = {}
     for eng in engines:
         per = {}
         for i in range(1, mset.n + 1):
             curve = eng.effect_curve((i,))
-            curves[(eng.measure.name, i)] = curve
             verdict = monotonicity_check(curve)
             per[f"x{i}"] = {
                 "verdict": verdict.verdict,
@@ -262,18 +250,15 @@ def _trend_section(engines, mset, outdir, emit_files, prior_given):
                 "max_violation": qty(verdict.max_violation, "quadrature",
                                      verdict.tol),
             }
-            if emit_files:
-                path = os.path.join(
-                    outdir, f"effect_{eng.measure.name}_{subset_label((i,))}.csv")
-                files.append(write_effect_curve_csv(curve, path))
+            path = os.path.join(
+                outdir, f"effect_{eng.measure.name}_{subset_label((i,))}.csv")
+            files.append(write_effect_curve_csv(curve, path))
         section["per_measure"][eng.measure.name] = per
-    if prior_given:
-        prior = np.asarray(mset.prior)
+    if mix_curves is not None:
         mix = {}
-        for i in range(1, mset.n + 1):
-            mcurve = mixture_effect_curve(engines, prior, i)
+        for mcurve in mix_curves:
             verdict = monotonicity_check(mcurve.mixture_values)
-            mix[f"x{i}"] = {
+            mix[f"x{mcurve.input}"] = {
                 "verdict": verdict.verdict,
                 "nondecreasing": verdict.nondecreasing,
                 "nonincreasing": verdict.nonincreasing,
@@ -320,14 +305,25 @@ def _default_sections(kind, estimator, prior_given):
     return sections
 
 
+def _reweighted_estimates(sample, mset, base_name):
+    """Given-data indices under every measure of the set from one sample.
+
+    The sample's own measure (``base_name``) uses it as drawn; every other
+    candidate reweights it by density ratios.
+    """
+    ests = [given_data_indices(sample) if nm == base_name
+            else given_data_indices(reweight(sample, m))
+            for m, nm in zip(mset.measures, mset.names)]
+    return list(mset.names), ests
+
+
 def _measure_estimates(model, mset, estimator, n, seed, outdir):
     """Per-measure MC estimates (and any sample files written)."""
     files = []
     if estimator == "bruteforce":
         loop = max(2, int(np.sqrt(n)))
-        ests = _parallel_map(
-            lambda m: brute_force_first_order(model, m, loop, loop, seed),
-            list(mset.measures), 1)
+        ests = [brute_force_first_order(model, m, loop, loop, seed)
+                for m in mset.measures]
         return list(mset.names), ests, files
     if estimator == "pickfreeze":
         ests = [pick_freeze_indices(model, m, n, seed) for m in mset.measures]
@@ -342,17 +338,9 @@ def _measure_estimates(model, mset, estimator, n, seed, outdir):
         return names, ests, files
     # reweight: one base sample under the first measure, density-ratio
     # weights for every other candidate
-    base = mset.measures[0]
-    sample = generate_sample(model, base, n, seed)
+    sample = generate_sample(model, mset.measures[0], n, seed)
     files.append(write_sample(sample, os.path.join(outdir, f"sample_{mset.names[0]}.csv")))
-    names, ests = [], []
-    for m, nm in zip(mset.measures, mset.names):
-        if m is base:
-            ests.append(given_data_indices(sample))
-        else:
-            ests.append(given_data_indices(reweight(sample, m)))
-        names.append(nm)
-    return names, ests, files
+    return (*_reweighted_estimates(sample, mset, mset.names[0]), files)
 
 
 def _sample_mode_estimates(path, mset, estimator):
@@ -376,17 +364,14 @@ def _sample_mode_estimates(path, mset, estimator):
             f"{path}: base measure {sample.measure_name!r} is not in the "
             "measures file") from None
     sample.measure = base
-    names, ests = [], []
-    for m, nm in zip(mset.measures, mset.names):
-        if nm == sample.measure_name:
-            ests.append(given_data_indices(sample))
-        else:
-            ests.append(given_data_indices(reweight(sample, m)))
-        names.append(nm)
-    return names, ests, sample
+    return (*_reweighted_estimates(sample, mset, sample.measure_name), sample)
 
 
 def cmd_analyze(args):
+    min_n = MIN_N.get(args.estimator, 1)
+    if args.n < min_n:
+        raise ConfigError(f"--n {args.n} is below {min_n}, the smallest "
+                          f"budget estimator {args.estimator!r} accepts")
     kind, source = _resolve_source(args.model)
     mset = load_measure_set(args.measures)
     prior_given = args.prior
@@ -424,8 +409,7 @@ def cmd_analyze(args):
             or args.estimator == "quad"
         if needs_engines:
             engines = component_engines(mset, model, seed=args.seed)
-            vds = _parallel_map(lambda e: e.variance_decomposition(),
-                                engines, args.workers)
+            vds = [eng.variance_decomposition() for eng in engines]
 
     # -- measures ------------------------------------------------------------
     est_names = est_list = None
@@ -461,12 +445,16 @@ def cmd_analyze(args):
             report["dimension"] = _dimension_section(vds)
 
     # -- mixture -------------------------------------------------------------
+    mix_curves = None
     if "mixture" in sections:
         if engines is None:
             _warn("mixture section needs an executable model; skipped")
         else:
+            # tabulated once: the CSVs here, the trend verdicts below
+            mix_curves = [mixture_effect_curve(engines, np.asarray(mset.prior), i)
+                          for i in range(1, mset.n + 1)]
             section, mix_files = _mixture_section(
-                engines, mset, vds, args.out, emit_files=True)
+                engines, mset, vds, mix_curves, args.out)
             report["mixture"] = section
             files += mix_files
 
@@ -491,9 +479,8 @@ def cmd_analyze(args):
         if engines is None:
             _warn("trend section needs an executable model; skipped")
         else:
-            section, trend_files = _trend_section(
-                engines, mset, args.out, emit_files=True,
-                prior_given="mixture" in sections and mset.prior is not None)
+            section, trend_files = _trend_section(engines, mset, args.out,
+                                                  mix_curves)
             report["trend"] = section
             files += trend_files
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from .anova import AnovaEngine, EffectCurve, ZeroVarianceError, _subsets_of
+from .anova import AnovaEngine, EffectCurve, ZeroVarianceError, _tensor_points
 from .measures import ProductMeasure, SupportError, Uniform
 
 
@@ -57,8 +58,7 @@ def dimension_distribution(vd):
     to exactly one.  When the decomposition is complete this also makes
     D_S equal the sum of total-order indices.
     """
-    if not np.isfinite(vd.total) or vd.total <= 0.0:
-        raise ZeroVarianceError(f"measure {vd.measure!r}: zero total variance")
+    vd.require_variance()
     clamped = vd.clamped_terms()
     norm = sum(clamped.values())
     if norm <= 0.0:
@@ -163,23 +163,10 @@ def robust_ranking(s_matrix, ses=None, dims=None):
 
     # tied blocks: connected components of "neither dominates", ordered by
     # their best-case index (greedy top-down)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not dom[i, j] and not dom[j, i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    _, labels = connected_components(~dom & ~dom.T, directed=False)
     comp = {}
     for i in range(n):
-        comp.setdefault(find(i), []).append(i + 1)
+        comp.setdefault(labels[i], []).append(i + 1)
     blocks = sorted(comp.values(),
                     key=lambda blk: (-max(s_hi[i - 1] for i in blk), blk[0]))
 
@@ -300,9 +287,7 @@ def ultramodularity_check(model, box, grid_k=7, tol=None, measure=None):
                 raise ValueError("box outside measure support")
 
     grids = [np.linspace(lo, hi, grid_k) for lo, hi in box]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    g = np.asarray(model(pts), dtype=float).reshape([grid_k] * n)
+    g = np.asarray(model(_tensor_points(grids)), dtype=float).reshape([grid_k] * n)
     if tol is None:
         span = float(np.max(g) - np.min(g))
         tol = 1e-9 * max(1.0, span)
@@ -357,9 +342,10 @@ def mixture_monotonicity_condition(engines, z, npts=17, tol=None):
     For each candidate measure the increment of the conditional mean w_z
     must dominate the summed increments of the lower-order effects,
     for every grid pair x <= x'.  Equivalently (telescoping along axes)
-    H = w_z - sum of proper-subset effects must be nondecreasing along
-    each coordinate; that is what is scanned here, per measure, on a grid
-    shared across measures (the intersection of their plotting ranges).
+    H = w_z - sum of nonempty proper-subset effects must be nondecreasing
+    along each coordinate.  H is g_z plus the constant mean, so g_z is what
+    is scanned here, per measure, on a grid shared across measures (the
+    intersection of their plotting ranges).
     True means every first- and higher-order mixture effect on z built from
     these candidates is nondecreasing on the grid, for any prior.
     """
@@ -373,21 +359,12 @@ def mixture_monotonicity_condition(engines, z, npts=17, tol=None):
     for i in z:
         if not lo[i] < hi[i]:
             raise SupportError(f"coordinate {i}: no common range to grid over")
-    grids = [np.linspace(lo[i], hi[i], npts) for i in z]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    shape = [npts] * len(z)
+    pts = _tensor_points([np.linspace(lo[i], hi[i], npts) for i in z])
 
     per_measure = {}
     worst = 0.0
     for eng in engines:
-        h = eng.conditional_mean(z, pts).astype(float)
-        for v in _subsets_of(z):
-            if v == z or not v:
-                continue
-            cols = [z.index(i) for i in v]
-            h -= eng.effect(v, pts[:, cols])
-        h = h.reshape(shape)
+        h = eng.effect(z, pts).reshape([npts] * len(z))
         viol = 0.0
         for ax in range(len(z)):
             d = np.diff(h, axis=ax)

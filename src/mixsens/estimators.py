@@ -131,9 +131,10 @@ def read_sample(path, measure=None):
                 header[:-1] != [f"x{i}" for i in range(1, len(header))]:
             raise SampleFormatError(f"{path}: header must be x1,..,xn,g "
                                     f"(got {','.join(header)})")
-        rows = []
+        rows, blank = [], []
         for k, row in enumerate(rd):
             if not row:
+                blank.append(k)
                 continue
             if len(row) != len(header):
                 raise SampleFormatError(f"{path}: row {k + 2} has {len(row)} "
@@ -145,6 +146,12 @@ def read_sample(path, measure=None):
     if not rows:
         raise SampleFormatError(f"{path}: no data rows")
     data = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        for b in blank:             # count the skipped blank lines back in
+            k += b <= k
+        raise SampleFormatError(f"{path}: row {k + 2}: non-finite value")
     name, seed = "", None
     try:
         with open(path + ".meta.json", "r", encoding="utf8") as fh:

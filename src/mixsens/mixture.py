@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import AnovaEngine, canonical_key, _subsets_of
+from .anova import AnovaEngine, _mobius, _subsets_of, _tensor_points
 from .measures import DiscreteUniform, Normal
 
 
@@ -107,16 +107,13 @@ def mixture_effect_from_pooled_conditionals(engines, prior, z, x):
     pooled_mean = float(sum(pk * eng.mean() for pk, eng in zip(p, engines)))
     if not z:
         return np.full(x.shape[0], pooled_mean)
-    effects = {(): np.full(x.shape[0], pooled_mean)}
-    for v in sorted(_subsets_of(z), key=canonical_key):
-        if not v:
-            continue
+    w = {(): np.full(x.shape[0], pooled_mean)}
+    for v in _subsets_of(z)[1:]:
         cols = [z.index(i) for i in v]
-        w_v = np.zeros(x.shape[0])
+        w[v] = np.zeros(x.shape[0])
         for pk, eng in zip(p, engines):
-            w_v += pk * eng.conditional_mean(v, x[:, cols])
-        effects[v] = w_v - sum(effects[u] for u in _subsets_of(v) if u != v)
-    return effects[z]
+            w[v] += pk * eng.conditional_mean(v, x[:, cols])
+    return _mobius(z, w)[z]
 
 
 @dataclass
@@ -241,8 +238,7 @@ def mixture_annihilation_defect(engines, prior, z, gated=True, order=96):
                     break
                 rules.append(rule)
             else:
-                mesh = np.meshgrid(*[x for x, _ in rules], indexing="ij")
-                pts = np.stack([m.ravel() for m in mesh], axis=-1)
+                pts = _tensor_points([x for x, _ in rules])
                 g = j_eng.effect(z, pts).reshape([x.size for x, _ in rules])
                 for ax in reversed(range(len(z))):
                     g = np.tensordot(g, rules[ax][1], axes=([ax], [0]))

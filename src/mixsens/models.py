@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .measures import (ConfigError, MeasureSet, Normal, ProductMeasure,
                        Uniform)
@@ -323,26 +324,14 @@ def core_partition(model, mset, tol=1e-9, order=128):
     test uses a tolerance, so closure makes the grouping well defined even
     when borderline pairs disagree by ~tol.
     """
-    sigs = [core_signature(model, m, order) for m in mset.measures]
-    q = len(sigs)
-    parent = list(range(q))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(q):
-        for j in range(i + 1, q):
-            if np.max(np.abs(sigs[i] - sigs[j])) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    sigs = np.array([core_signature(model, m, order) for m in mset.measures])
+    close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=-1) <= tol
+    _, labels = connected_components(close, directed=False)
     groups = {}
-    for i in range(q):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    # filled in index order, so groups are listed by their smallest member
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

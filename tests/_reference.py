@@ -65,8 +65,9 @@ MIX_D_T = 2.04403081906
 
 # Orthogonality defects of the indicator-gated mixture effects, integrated
 # against the mixture marginal (scipy adaptive quadrature over the support
-# intersections; the z=(3,) value also has a one-line analytic reduction,
-# reproduced in main() below).  Dropping the gates changes the numbers.
+# intersections).  Each value also has a second oracle, reproduced in main()
+# below: a one-line analytic reduction for z=(3,) and defect_reduction() for
+# z=(1,) and z=(2,).  Dropping the gates changes the numbers.
 DEFECT = {(1,): 0.291189546544371, (2,): 0.027071852160906,
           (3,): -0.0590151083073195}
 DEFECT_UNGATED_3 = -0.116585015055746
@@ -111,6 +112,51 @@ measures:
   - name: mu3
     components: [{_POS_BOX}, {_POS_BOX}, {_POS_BOX}]
 """
+
+
+def defect_reduction(nodes=64):
+    """DEFECT[(1,)] and DEFECT[(2,)] reduced pair by pair.
+
+    DEFECT[z] is the sum over the nine pairs (expectation measure k, gated
+    effect j) of (1/9) * integral of g_z^j against mu_k over the two supports'
+    intersection.  With g_1^j = (sin x - s1_j) m3_j and g_2^j = a sin^2 x -
+    c2_j:
+
+    * these pairs vanish: j = k by annihilation, (mu1, mu3) because mu1 on
+      [0, pi] is half of mu3, (mu3, mu1) for z=(2,) because sin^2 has period
+      pi, and (mu1, mu2), (mu2, mu1) for z=(1,) because sin is odd;
+    * the uniform k integrate sin and sin^2 in closed form: 2/pi * m3_j under
+      mu3 for z=(1,), and a/2 - c2_mu2 under mu1 and mu3 for z=(2,);
+    * the rest are N(0,1)-weighted integrals of smooth functions over
+      [0, pi] and [-pi, pi], taken by a ``nodes``-point Gauss-Legendre rule.
+    """
+    import numpy as np
+
+    a, b, pi = 7.0, 0.1, math.pi
+    m3_box, m3_gauss = 1 + b * pi ** 4 / 5, 1 + 3 * b     # E t3 under U, N
+    c2_gauss = a * (1 - math.exp(-2)) / 2                   # E t2 under N(0,1)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+
+    def gauss_integral(f, lo, hi):
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+        phi = np.exp(-x * x / 2) / math.sqrt(2 * pi)
+        return float(0.5 * (hi - lo) * np.dot(w, f(x) * phi))
+
+    def one(x):
+        return np.ones_like(x)
+
+    def sin2(x):
+        return np.sin(x) ** 2
+
+    # (mu2, mu3) for z=(1,): (sin x - 2/pi) m3 against N(0,1) on [0, pi]
+    z1 = m3_box * (gauss_integral(np.sin, 0, pi)
+                   - 2 / pi * gauss_integral(one, 0, pi))
+    z1 += 2 / pi * (m3_box + m3_gauss)                     # (mu3, mu1), (mu3, mu2)
+    # (mu2, mu1) on [-pi, pi] and (mu2, mu3) on [0, pi] for z=(2,): a sin^2 - a/2
+    z2 = sum(a * (gauss_integral(sin2, lo, pi) - gauss_integral(one, lo, pi) / 2)
+             for lo in (-pi, 0.0))
+    z2 += 2 * (a / 2 - c2_gauss)                            # (mu1, mu2), (mu3, mu2)
+    return {(1,): z1 / 9, (2,): z2 / 9}
 
 
 def main():
@@ -213,6 +259,8 @@ def main():
                  0, pi, epsabs=1e-15)
     analytic = (b / 9) * (2 / pi) * (i4 - q * (ndtr(pi) - 0.5))
     print(f"  z=(3,) analytic reduction: {fmt(analytic)}")
+    for z, v in defect_reduction().items():
+        print(f"  z={z} Gauss-Legendre reduction: {fmt(v)}")
     ung = (b / 9) * (2 / pi) * (3 - q)   # ungated: E over all of N(0,1)
     print(f"  z=(3,) without gates: {fmt(ung)}")
 

@@ -156,11 +156,22 @@ class TestTruncationAndModes:
         assert vd.terms[(1,)] == pytest.approx(marg.var(), abs=1e-14)
 
     def test_constant_model_has_no_indices(self):
-        measure = ProductMeasure((Uniform(0, 1),))
-        eng = AnovaEngine(lambda x: np.full(len(x), 4.0), measure)
-        vd = eng.variance_decomposition()
-        with pytest.raises(ZeroVarianceError):
-            vd.sobol_indices()
+        unit = ProductMeasure((Uniform(0, 1),))
+        square = ProductMeasure((Uniform(0, 1),) * 2)
+        mu1 = ishigami_measures()["mu1"]
+        # constants: rounding leaves V = 0 or, for 0.7 under mu1, 5.55e-17
+        for g, measure in ((lambda x: np.full(len(x), 4.0), unit),
+                           (lambda x: np.full(len(x), 0.7), mu1)):
+            vd = AnovaEngine(g, measure).variance_decomposition()
+            with pytest.raises(ZeroVarianceError):
+                vd.sobol_indices()
+            with pytest.raises(ZeroVarianceError):
+                first_and_total_indices(vd)
+        # a tiny but genuine variance (V = 4.2e-15) still has indices
+        vd = AnovaEngine(lambda x: 1e-7 * (x[:, 0] + 2 * x[:, 1]),
+                         square).variance_decomposition()
+        s, _ = first_and_total_indices(vd)
+        assert s == pytest.approx([0.2, 0.8], abs=1e-9)
 
 
 class TestSubsetUtilities:
@@ -202,3 +213,31 @@ def test_engine_matches_multilinear_closed_form(c1, c2, w):
             model.exact_term_variance(measure, z), abs=1e-9)
     assert vd.mean == pytest.approx(model.exact_effect(measure, (), None),
                                     abs=1e-10)
+
+
+# -- property: the effects of all subsets add back up to the model -----------
+
+@st.composite
+def multilinear_models(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    factors = tuple(np.polynomial.Polynomial(draw(st.lists(coef, min_size=1,
+                                                           max_size=3)))
+                    for _ in range(n))
+    terms = draw(st.lists(st.sets(st.integers(1, n), max_size=n),
+                          min_size=1, max_size=4))
+    coeffs = draw(st.lists(coef, min_size=len(terms), max_size=len(terms)))
+    comps = tuple(draw(st.sampled_from((Uniform(-1.0, 2.0), Normal(0.5, 0.8))))
+                  for _ in range(n))
+    return CompositeMultilinearModel(factors=factors, terms=terms,
+                                     coeffs=coeffs), ProductMeasure(comps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=multilinear_models(), seed=st.integers(0, 2**32 - 1))
+def test_effects_sum_to_the_model(case, seed):
+    model, measure = case
+    eng = AnovaEngine(model, measure, order=16)
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(8, model.n))
+    total = sum(eng.effect(z, x[:, [i - 1 for i in z]])
+                for z in all_subsets(model.n, nonempty=False))
+    assert np.allclose(total, model(x), rtol=1e-12, atol=1e-10)

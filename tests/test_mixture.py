@@ -118,6 +118,13 @@ class TestAnnihilationDefect:
             got = mixture_annihilation_defect(engines, mset.prior, z)
             assert got == pytest.approx(want, abs=1e-9), z
 
+    def test_reference_values_have_a_second_oracle(self):
+        # calls nothing in mixsens: the frozen z=(1,), (2,) values come from
+        # adaptive quadrature and are checked here against a reduction that
+        # shares none of its code
+        for z, got in ref.defect_reduction().items():
+            assert got == pytest.approx(ref.DEFECT[z], abs=1e-12), z
+
     def test_ungated_variant(self, setup):
         mset, engines = setup
         got = mixture_annihilation_defect(engines, mset.prior, (3,),
