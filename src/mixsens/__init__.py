@@ -37,7 +37,7 @@ from .models import (CompositeMultilinearModel, IshigamiModel, core_partition,
                      core_signature, ishigami_effect, ishigami_measure_set,
                      ishigami_measures, ishigami_mixture_effect,
                      multilinear_from_dict, resolve_model, same_core)
-from .report import (canonical_json, mc_qty, qty, quad_qty, read_report,
+from .report import (canonical_json, mc_qty, qty, quad_qty,
                      write_effect_curve_csv, write_indices_csv,
                      write_mixture_curve_csv, write_report)
 
@@ -62,7 +62,7 @@ __all__ = [
     "mixture_effect_from_pooled_conditionals",
     "mixture_monotonicity_condition", "mixture_variance_decomposition",
     "monotonicity_check", "multilinear_from_dict", "parse_subset_label",
-    "pick_freeze_indices", "qty", "quad_qty", "read_report", "read_sample",
+    "pick_freeze_indices", "qty", "quad_qty", "read_sample",
     "resolve_model", "reweight", "robust_ranking", "same_core", "substream",
     "subset_label", "ultramodularity_check", "weighted_moments",
     "write_effect_curve_csv", "write_indices_csv", "write_mixture_curve_csv",

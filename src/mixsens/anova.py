@@ -145,6 +145,12 @@ def first_and_total_indices(vd):
     return vd.first_order(), vd.total_order()
 
 
+def _combined_mode(vds):
+    """The mode of values derived from several decompositions: "qmc" when
+    any of them used the QMC fallback, "quadrature" otherwise."""
+    return "qmc" if any(vd.mode == "qmc" for vd in vds) else "quadrature"
+
+
 @dataclass
 class EffectCurve:
     """An ANOVA effect tabulated on a plotting grid.
@@ -223,7 +229,7 @@ class AnovaEngine:
     def _full_grid_values(self):
         if self._G is None:
             pts = _tensor_points(self.nodes)
-            self._G = np.asarray(self.model(pts), dtype=float).reshape(self._sizes)
+            self._G = _evaluate(self.model, pts).reshape(self._sizes)
         return self._G
 
     def _complement_rule(self, z):
@@ -280,7 +286,7 @@ class AnovaEngine:
             block[:, :, zi] = xa[:, None, :]
             if ci:
                 block[:, :, ci] = cpts[None, :, :]
-            vals = np.asarray(self.model(block.reshape(-1, self.n)), dtype=float)
+            vals = _evaluate(self.model, block.reshape(-1, self.n))
             out[a:a + xa.shape[0]] = vals.reshape(xa.shape[0], m) @ cw
         return out
 
@@ -293,7 +299,7 @@ class AnovaEngine:
                 self._w_cache[()] = float(g)
             else:
                 pts, w = self._complement_rule(())
-                vals = np.asarray(self.model(pts), dtype=float)
+                vals = _evaluate(self.model, pts)
                 self._w_cache[()] = float(vals @ w)
         return self._w_cache[()]
 
@@ -304,7 +310,7 @@ class AnovaEngine:
                 g2 = g2 @ w
             return float(g2) - self.mean() ** 2
         pts, w = self._complement_rule(())
-        vals = np.asarray(self.model(pts), dtype=float)
+        vals = _evaluate(self.model, pts)
         return float(vals**2 @ w) - self.mean() ** 2
 
     def effect(self, z, x):
@@ -454,3 +460,21 @@ def _tensor_points(axes):
     """Rows of the tensor grid of the given 1-d axes, last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _evaluate(model, x):
+    """The model at points ``x`` (rows) as floats; non-finite output raises.
+
+    Every model call of the package goes through here, so a NaN or an
+    overflow is reported where it arises instead of as a zero variance or a
+    value the report cannot hold.
+    """
+    y = np.asarray(model(x), dtype=float)
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        first = np.reshape(x, (y.size, -1))[bad[0]]
+        raise FloatingPointError(f"model output is non-finite at {bad.size} "
+                                 f"of {y.size} points, first at x = "
+                                 f"{[float(v) for v in first]}")
+    return y

@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .anova import ZeroVarianceError, subset_label
+from .anova import ZeroVarianceError, _combined_mode, subset_label
 from .diagnostics import (dimension_bounds, dimension_distribution,
                           mixture_dimension_distribution, monotonicity_check,
                           robust_ranking)
@@ -32,8 +33,9 @@ from .measures import ConfigError, SupportError, load_measure_set
 from .mixture import (component_engines, mixture_annihilation_defect,
                       mixture_effect_curve, mixture_variance_decomposition)
 from .models import core_partition, core_signature, resolve_model
-from .report import (mc_qty, qty, quad_qty, write_effect_curve_csv,
-                     write_indices_csv, write_mixture_curve_csv, write_report)
+from .report import (SCHEMA_VERSION, mc_qty, qty, quad_qty,
+                     write_effect_curve_csv, write_indices_csv,
+                     write_mixture_curve_csv, write_report)
 
 ALL_SECTIONS = ("measures", "mixture", "robust", "dimension", "trend", "cores")
 ESTIMATORS = ("quad", "bruteforce", "pickfreeze", "givendata", "reweight")
@@ -87,49 +89,51 @@ def _warn(msg):
 # section builders
 # ---------------------------------------------------------------------------
 
+def _per_input(values, cell):
+    """``{"x1": cell(values[0]), "x2": ...}``: one report cell per input."""
+    return {f"x{i}": cell(v) for i, v in enumerate(values, 1)}
+
+
 def _quad_measures_section(vds):
     out = {}
     for vd in vds:
-        entry = {
-            "mean": quad_qty(vd.mean, vd.mode),
-            "variance": quad_qty(vd.total, vd.mode),
-            "residual": quad_qty(vd.residual, vd.mode),
-            "terms": {subset_label(z): quad_qty(v, vd.mode)
-                      for z, v in vd.terms.items()},
-            "sobol": {subset_label(z): quad_qty(v, vd.mode)
+        cell = partial(quad_qty, engine_mode=vd.mode)
+        out[vd.measure] = {
+            "mean": cell(vd.mean),
+            "variance": cell(vd.total),
+            "residual": cell(vd.residual),
+            "terms": {subset_label(z): cell(v) for z, v in vd.terms.items()},
+            "sobol": {subset_label(z): cell(v)
                       for z, v in vd.sobol_indices().items()},
+            "first_order": _per_input(vd.first_order(), cell),
+            "total_order": _per_input(vd.total_order(), cell),
         }
-        s, st = vd.first_order(), vd.total_order()
-        entry["first_order"] = {f"x{i + 1}": quad_qty(s[i], vd.mode)
-                                for i in range(vd.n)}
-        entry["total_order"] = {f"x{i + 1}": quad_qty(st[i], vd.mode)
-                                for i in range(vd.n)}
-        out[vd.measure] = entry
     return out
 
 
-def _estimate_entry(est, n_inputs):
-    reweighted = est.method == "reweighted"
-    entry = {"method": est.method, "n_evals": est.n_evals}
-    cs = est.clamped_s
-    entry["first_order"] = {}
-    for i in range(n_inputs):
-        se = None if est.s_se is None else est.s_se[i]
-        cell = mc_qty(cs[i], se=se, reweighted=reweighted)
-        cell["raw"] = float(est.s[i])
-        if se is not None:
-            cell["se"] = float(se)
-        entry["first_order"][f"x{i + 1}"] = cell
+def _estimate_parts(est):
+    """(kind, raw, clamped, se) for each kind of index an estimate carries."""
+    parts = [("first", est.s, est.clamped_s, est.s_se)]
     if est.st is not None:
-        cst = est.clamped_st
-        entry["total_order"] = {}
-        for i in range(n_inputs):
-            se = None if est.st_se is None else est.st_se[i]
-            cell = mc_qty(cst[i], se=se, reweighted=reweighted)
-            cell["raw"] = float(est.st[i])
-            if se is not None:
-                cell["se"] = float(se)
-            entry["total_order"][f"x{i + 1}"] = cell
+        parts.append(("total", est.st, est.clamped_st, est.st_se))
+    return parts
+
+
+def _estimate_entry(est):
+    reweighted = est.method == "reweighted"
+
+    def cell(item):
+        raw, clamped, se = item
+        out = mc_qty(clamped, se=se, reweighted=reweighted)
+        out["raw"] = float(raw)
+        if se is not None:
+            out["se"] = float(se)
+        return out
+
+    entry = {"method": est.method, "n_evals": est.n_evals}
+    for kind, raw, clamped, se in _estimate_parts(est):
+        ses = [None] * raw.size if se is None else se
+        entry[f"{kind}_order"] = _per_input(zip(raw, clamped, ses), cell)
     return entry
 
 
@@ -137,10 +141,11 @@ def _indices_rows_from_vds(vds):
     rows = []
     for vd in vds:
         s, st = vd.first_order(), vd.total_order()
-        mode = "MC" if vd.mode == "qmc" else "quadrature"
         for i in range(vd.n):
-            rows.append((vd.measure, i + 1, "first", s[i], None, mode))
-            rows.append((vd.measure, i + 1, "total", st[i], None, mode))
+            for kind, v in (("first", s[i]), ("total", st[i])):
+                cell = quad_qty(v, vd.mode)
+                rows.append((vd.measure, i + 1, kind, cell["value"], None,
+                             cell["mode"]))
     return rows
 
 
@@ -148,29 +153,27 @@ def _indices_rows_from_estimates(names, estimates):
     rows = []
     for name, est in zip(names, estimates):
         mode = "reweighted" if est.method == "reweighted" else "MC"
-        cs, cst = est.clamped_s, est.clamped_st
-        for i in range(cs.size):
-            se = None if est.s_se is None else est.s_se[i]
-            rows.append((name, i + 1, "first", cs[i], se, mode))
-        if cst is not None:
-            for i in range(cst.size):
-                se = None if est.st_se is None else est.st_se[i]
-                rows.append((name, i + 1, "total", cst[i], se, mode))
+        for kind, _, clamped, se in _estimate_parts(est):
+            for i, v in enumerate(clamped):
+                rows.append((name, i + 1, kind, v,
+                             None if se is None else se[i], mode))
     return rows
 
 
+def _dimension_entry(dd, mode):
+    return {
+        "d_s": quad_qty(dd.d_s, mode),
+        "d_t": quad_qty(dd.d_t, mode),
+        "mass": {subset_label(z): quad_qty(m, mode)
+                 for z, m in dd.masses.items()},
+    }
+
+
 def _dimension_section(vds):
-    per = {}
-    for vd in vds:
-        dd = dimension_distribution(vd)
-        per[vd.measure] = {
-            "d_s": quad_qty(dd.d_s, vd.mode),
-            "d_t": quad_qty(dd.d_t, vd.mode),
-            "mass": {subset_label(z): quad_qty(m, vd.mode)
-                     for z, m in dd.masses.items()},
-        }
+    per = {vd.measure: _dimension_entry(dimension_distribution(vd), vd.mode)
+           for vd in vds}
     lo_s, hi_s, lo_t, hi_t = dimension_bounds(vds)
-    mode = "qmc" if any(vd.mode == "qmc" for vd in vds) else "quadrature"
+    mode = _combined_mode(vds)
     return {
         "per_measure": per,
         "bounds": {"d_s": [quad_qty(lo_s, mode), quad_qty(hi_s, mode)],
@@ -181,6 +184,8 @@ def _dimension_section(vds):
 def _mixture_section(engines, mset, vds, curves, outdir):
     prior = np.asarray(mset.prior)
     md = mixture_variance_decomposition(engines, prior)
+    defects = [mixture_annihilation_defect(engines, prior, (i,))
+               for i in range(1, mset.n + 1)]
     dd = mixture_dimension_distribution(prior, vds)
     mode = md.mode
     section = {
@@ -195,32 +200,23 @@ def _mixture_section(engines, mset, vds, curves, outdir):
         "between": quad_qty(md.between, mode),
         "total": quad_qty(md.total, mode),
         "structural_share": quad_qty(md.structural_share, mode),
-        "defects": {},
-        "dimension": {
-            "d_s": quad_qty(dd.d_s, mode),
-            "d_t": quad_qty(dd.d_t, mode),
-            "mass": {subset_label(z): quad_qty(m, mode)
-                     for z, m in dd.masses.items()},
-        },
+        "defects": _per_input(defects, partial(quad_qty, engine_mode=mode)),
+        "dimension": _dimension_entry(dd, mode),
     }
-    for i in range(1, mset.n + 1):
-        defect = mixture_annihilation_defect(engines, prior, (i,))
-        section["defects"][f"x{i}"] = quad_qty(defect, mode)
     files = [write_mixture_curve_csv(
         curve, os.path.join(outdir, f"effect_mixture_x{curve.input}.csv"))
         for curve in curves]
     return section, files
 
 
-def _robust_section(names, s_matrix, ses, dims):
+def _robust_section(names, s_matrix, ses, dims, mode="quadrature"):
+    """Robust ranking; without standard errors its cells are tagged as
+    integration-engine values of the given mode."""
     rr = robust_ranking(s_matrix, ses=ses, dims=dims)
-    mode = "quadrature" if ses is None else "MC"
-    tol = 1e-9 if ses is None else 0.05
+    cell = partial(quad_qty, engine_mode=mode) if ses is None else mc_qty
     section = {
-        "s_lo": {f"x{i + 1}": qty(rr.s_lo[i], mode, tol)
-                 for i in range(rr.s_lo.size)},
-        "s_hi": {f"x{i + 1}": qty(rr.s_hi[i], mode, tol)
-                 for i in range(rr.s_hi.size)},
+        "s_lo": _per_input(rr.s_lo, cell),
+        "s_hi": _per_input(rr.s_hi, cell),
         "dominates": [[bool(v) for v in row] for row in rr.dominates],
         "blocks": [list(b) for b in rr.blocks],
         "most_important": rr.most_important,
@@ -229,9 +225,19 @@ def _robust_section(names, s_matrix, ses, dims):
         "measures_considered": list(names),
     }
     if rr.d_s_bounds is not None:
-        section["d_s_bounds"] = [qty(v, mode, tol) for v in rr.d_s_bounds]
-        section["d_t_bounds"] = [qty(v, mode, tol) for v in rr.d_t_bounds]
+        section["d_s_bounds"] = [cell(v) for v in rr.d_s_bounds]
+        section["d_t_bounds"] = [cell(v) for v in rr.d_t_bounds]
     return section
+
+
+def _verdict_entry(values):
+    verdict = monotonicity_check(values)
+    return {
+        "verdict": verdict.verdict,
+        "nondecreasing": verdict.nondecreasing,
+        "nonincreasing": verdict.nonincreasing,
+        "max_violation": qty(verdict.max_violation, "quadrature", verdict.tol),
+    }
 
 
 def _trend_section(engines, mset, outdir, mix_curves):
@@ -242,30 +248,14 @@ def _trend_section(engines, mset, outdir, mix_curves):
         per = {}
         for i in range(1, mset.n + 1):
             curve = eng.effect_curve((i,))
-            verdict = monotonicity_check(curve)
-            per[f"x{i}"] = {
-                "verdict": verdict.verdict,
-                "nondecreasing": verdict.nondecreasing,
-                "nonincreasing": verdict.nonincreasing,
-                "max_violation": qty(verdict.max_violation, "quadrature",
-                                     verdict.tol),
-            }
+            per[f"x{i}"] = _verdict_entry(curve.values)
             path = os.path.join(
                 outdir, f"effect_{eng.measure.name}_{subset_label((i,))}.csv")
             files.append(write_effect_curve_csv(curve, path))
         section["per_measure"][eng.measure.name] = per
-    if mix_curves is not None:
-        mix = {}
-        for mcurve in mix_curves:
-            verdict = monotonicity_check(mcurve.mixture_values)
-            mix[f"x{mcurve.input}"] = {
-                "verdict": verdict.verdict,
-                "nondecreasing": verdict.nondecreasing,
-                "nonincreasing": verdict.nonincreasing,
-                "max_violation": qty(verdict.max_violation, "quadrature",
-                                     verdict.tol),
-            }
-        section["mixture"] = mix
+    if mix_curves is not None:      # tabulated for inputs 1..n in order
+        section["mixture"] = _per_input(
+            [mcurve.mixture_values for mcurve in mix_curves], _verdict_entry)
     return section, files
 
 
@@ -286,22 +276,17 @@ def _cores_section(model, mset):
 
 def _resolve_source(arg):
     """Classify --model: ('model', callable) or ('sample', path)."""
-    if arg == "ishigami" or arg.startswith("ishigami:"):
-        return "model", resolve_model(arg)
     if arg.endswith(".csv"):
         return "sample", arg
     return "model", resolve_model(arg)
 
 
-def _default_sections(kind, estimator, prior_given):
+def _default_sections(kind, estimator):
     if kind == "sample":
-        sections = {"measures", "robust"}
-    else:
-        sections = {"measures", "robust", "trend", "cores"}
-        if estimator == "quad":
-            sections.add("dimension")
-    if prior_given:
-        sections.add("mixture")
+        return {"measures", "robust"}
+    sections = {"measures", "robust", "trend", "cores"}
+    if estimator == "quad":
+        sections.add("dimension")
     return sections
 
 
@@ -350,7 +335,7 @@ def _sample_mode_estimates(path, mset, estimator):
                                 f"measures file declares {mset.n}")
     if estimator == "givendata":
         name = sample.measure_name or "sample"
-        return [name], [given_data_indices(sample)], sample
+        return [name], [given_data_indices(sample)]
     if estimator != "reweight":
         raise ConfigError(f"estimator {estimator!r} needs an executable "
                           "model, not a sample file")
@@ -364,7 +349,7 @@ def _sample_mode_estimates(path, mset, estimator):
             f"{path}: base measure {sample.measure_name!r} is not in the "
             "measures file") from None
     sample.measure = base
-    return (*_reweighted_estimates(sample, mset, sample.measure_name), sample)
+    return _reweighted_estimates(sample, mset, sample.measure_name)
 
 
 def cmd_analyze(args):
@@ -374,11 +359,9 @@ def cmd_analyze(args):
                           f"budget estimator {args.estimator!r} accepts")
     kind, source = _resolve_source(args.model)
     mset = load_measure_set(args.measures)
-    prior_given = args.prior
-    explicit = args.sections is not None
-    sections = set(args.sections) if explicit else \
-        _default_sections(kind, args.estimator, prior_given)
-    if prior_given:
+    sections = set(args.sections) if args.sections is not None else \
+        _default_sections(kind, args.estimator)
+    if args.prior:
         sections.add("mixture")
     if "mixture" in sections and mset.prior is None:
         raise ConfigError("prior required: the mixture section needs a "
@@ -386,7 +369,7 @@ def cmd_analyze(args):
     os.makedirs(args.out, exist_ok=True)
 
     report = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "tool": {"name": "mixsens", "version": __version__},
         "config": {
             "model": args.model,
@@ -420,17 +403,15 @@ def cmd_analyze(args):
                                   "model, not a sample file")
             report["measures"] = _quad_measures_section(vds)
             rows = _indices_rows_from_vds(vds)
-        elif kind == "model":
-            est_names, est_list, sample_files = _measure_estimates(
-                model, mset, args.estimator, args.n, args.seed, args.out)
-            files += sample_files
-            report["measures"] = {nm: _estimate_entry(est, mset.n)
-                                  for nm, est in zip(est_names, est_list)}
-            rows = _indices_rows_from_estimates(est_names, est_list)
         else:
-            est_names, est_list, _ = _sample_mode_estimates(
-                source, mset, args.estimator)
-            report["measures"] = {nm: _estimate_entry(est, mset.n)
+            if kind == "model":
+                est_names, est_list, sample_files = _measure_estimates(
+                    model, mset, args.estimator, args.n, args.seed, args.out)
+                files += sample_files
+            else:
+                est_names, est_list = _sample_mode_estimates(
+                    source, mset, args.estimator)
+            report["measures"] = {nm: _estimate_entry(est)
                                   for nm, est in zip(est_names, est_list)}
             rows = _indices_rows_from_estimates(est_names, est_list)
         files.append(write_indices_csv(
@@ -464,7 +445,8 @@ def cmd_analyze(args):
             s_matrix = np.array([vd.first_order() for vd in vds])
             dims = dimension_bounds(vds)
             report["robust"] = _robust_section(
-                [vd.measure for vd in vds], s_matrix, None, dims)
+                [vd.measure for vd in vds], s_matrix, None, dims,
+                _combined_mode(vds))
         elif est_list is not None:
             s_matrix = np.array([est.clamped_s for est in est_list])
             ses = None

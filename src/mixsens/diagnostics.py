@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .anova import AnovaEngine, EffectCurve, ZeroVarianceError, _tensor_points
+from .anova import (AnovaEngine, EffectCurve, ZeroVarianceError, _evaluate,
+                    _tensor_points)
 from .measures import ProductMeasure, SupportError, Uniform
 
 
@@ -287,7 +288,7 @@ def ultramodularity_check(model, box, grid_k=7, tol=None, measure=None):
                 raise ValueError("box outside measure support")
 
     grids = [np.linspace(lo, hi, grid_k) for lo, hi in box]
-    g = np.asarray(model(_tensor_points(grids)), dtype=float).reshape([grid_k] * n)
+    g = _evaluate(model, _tensor_points(grids)).reshape([grid_k] * n)
     if tol is None:
         span = float(np.max(g) - np.min(g))
         tol = 1e-9 * max(1.0, span)

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anova import _evaluate
 from .measures import substream
+from .report import _write_table
 
 
 class SampleFormatError(ValueError):
@@ -91,7 +93,7 @@ class WeightedSample:
 
 def generate_sample(model, measure, count, seed):
     x = measure.sample(count, seed=seed)
-    y = np.asarray(model(x), dtype=float)
+    y = _evaluate(model, x)
     return EvaluatedSample(x=x, y=y, measure_name=measure.name or "",
                            seed=seed, measure=measure)
 
@@ -99,12 +101,8 @@ def generate_sample(model, measure, count, seed):
 def write_sample(sample, path):
     """CSV with header x1..xn,g plus a JSON sidecar <path>.meta.json."""
     path = str(path)
-    header = [f"x{i}" for i in range(1, sample.n + 1)] + ["g"]
-    with open(path, "w", newline="", encoding="utf8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row, val in zip(sample.x, sample.y):
-            wr.writerow([f"{v:.17g}" for v in row] + [f"{val:.17g}"])
+    _write_table(path, [f"x{i}" for i in range(1, sample.n + 1)] + ["g"],
+                 [sample.x, sample.y])
     meta = {"measure": sample.measure_name, "seed": sample.seed,
             "count": len(sample), "n": sample.n}
     with open(path + ".meta.json", "w", encoding="utf8") as fh:
@@ -218,7 +216,7 @@ def brute_force_first_order(model, measure, n_outer=500, n_inner=500, seed=0):
         xi = measure.components[i].sample(rng, n_outer)
         block = measure.sample(n_outer * n_inner, rng=rng).reshape(n_outer, n_inner, n)
         block[:, :, i] = xi[:, None]
-        vals = np.asarray(model(block.reshape(-1, n)), dtype=float)
+        vals = _evaluate(model, block.reshape(-1, n))
         vals = vals.reshape(n_outer, n_inner)
         m = vals.mean(axis=1)
         within = vals.var(axis=1, ddof=1)
@@ -251,8 +249,8 @@ def pick_freeze_indices(model, measure, n=2**14, seed=0):
     d = measure.n
     a = measure.sample(n, rng=substream(seed, "pickfreeze", measure.name or "measure", "A"))
     b = measure.sample(n, rng=substream(seed, "pickfreeze", measure.name or "measure", "B"))
-    fa = np.asarray(model(a), dtype=float)
-    fb = np.asarray(model(b), dtype=float)
+    fa = _evaluate(model, a)
+    fb = _evaluate(model, b)
     v_hat = np.concatenate([fa, fb]).var(ddof=1)
     if v_hat <= 0:
         raise EstimationError("sample variance is zero; indices undefined")
@@ -263,7 +261,7 @@ def pick_freeze_indices(model, measure, n=2**14, seed=0):
     for i in range(d):
         ab = a.copy()
         ab[:, i] = b[:, i]
-        fab = np.asarray(model(ab), dtype=float)
+        fab = _evaluate(model, ab)
         u = fb * (fab - fa)
         t = 0.5 * (fa - fab) ** 2
         s[i] = u.mean() / v_hat

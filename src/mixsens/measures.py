@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -206,7 +206,9 @@ class DiscreteUniform(UnivariateMeasure):
         return pts, np.full(pts.size, 1.0 / pts.size)
 
 
-_FAMILIES = {"uniform": Uniform, "normal": Normal}
+# config-file families: the class and its parameter names, in constructor
+# (dataclass field) order
+_FAMILIES = {"uniform": (Uniform, ("lo", "hi")), "normal": (Normal, ("mean", "sd"))}
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +480,10 @@ def _component_from_config(entry, where):
                           f"(expected one of {sorted(_FAMILIES)})")
     if not isinstance(params, dict):
         raise ConfigError(f"{where}: params must be a mapping")
-    if family == "uniform":
-        _reject_extras(params, {"lo", "hi"}, where + ".params")
-        try:
-            return Uniform(float(params["lo"]), float(params["hi"]))
-        except KeyError as exc:
-            raise ConfigError(f"{where}.params: missing field {exc}") from None
-    _reject_extras(params, {"mean", "sd"}, where + ".params")
+    cls, names = _FAMILIES[family]
+    _reject_extras(params, names, where + ".params")
     try:
-        return Normal(float(params["mean"]), float(params["sd"]))
+        return cls(*(float(params[nm]) for nm in names))
     except KeyError as exc:
         raise ConfigError(f"{where}.params: missing field {exc}") from None
 
@@ -555,12 +552,11 @@ def measure_set_to_dict(mset):
     for m, name in zip(mset.measures, mset.names):
         comps = []
         for c in m.components:
-            if isinstance(c, Uniform):
-                comps.append({"family": "uniform", "params": {"lo": c.lo, "hi": c.hi}})
-            elif isinstance(c, Normal):
-                comps.append({"family": "normal", "params": {"mean": c.mean_, "sd": c.sd}})
-            else:
+            if c.family not in _FAMILIES:
                 raise ConfigError(f"family {c.family!r} has no config representation")
+            values = (getattr(c, f.name) for f in fields(c))
+            comps.append({"family": c.family,
+                          "params": dict(zip(_FAMILIES[c.family][1], values))})
         out["measures"].append({"name": name, "components": comps})
     if mset.prior is not None:
         out["prior"] = list(mset.prior)

@@ -31,11 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import AnovaEngine, _mobius, _subsets_of, _tensor_points
+from .anova import (DEFAULT_ORDER, AnovaEngine, _combined_mode, _mobius,
+                    _subsets_of, _tensor_points)
 from .measures import DiscreteUniform, Normal
 
 
-def component_engines(mset, model, order=64, seed=0):
+# Gauss-Legendre nodes per coordinate of the support-restricted defect rules
+RESTRICTED_ORDER = 96
+
+
+def component_engines(mset, model, order=DEFAULT_ORDER, seed=0):
     """One AnovaEngine per candidate measure, sharing settings."""
     return [AnovaEngine(model, m, order=order, seed=seed) for m in mset.measures]
 
@@ -67,17 +72,13 @@ def outside_all_supports(engines, z, x):
     return outside
 
 
-def mixture_effect_from_components(engines, prior, z, x, gated=True):
+def mixture_effect_from_components(engines, prior, z, x):
     """The mixture effect as the prior-average of per-measure effects g_z^k.
 
-    By default each component contributes only inside its own support
-    (indicator semantics): a candidate distribution carries no information
-    about points it assigns zero mass.  Points outside *every* support
-    therefore evaluate to 0; ``outside_all_supports`` flags them.
-
-    ``gated=False`` drops the indicators and evaluates each component
-    effect as the globally defined function its integrals produce, which
-    matches the pooled route everywhere.
+    Each component contributes only inside its own support (indicator
+    semantics): a candidate distribution carries no information about
+    points it assigns zero mass.  Points outside *every* support therefore
+    evaluate to 0; ``outside_all_supports`` flags them.
     """
     p = _check(engines, prior)
     z = tuple(sorted(z))
@@ -87,7 +88,7 @@ def mixture_effect_from_components(engines, prior, z, x, gated=True):
         if pk == 0.0:
             continue
         vals = eng.effect(z, x)
-        if gated and z:
+        if z:
             vals = np.where(support_indicator(eng.measure, z, x), vals, 0.0)
         out += pk * vals
     return out
@@ -160,14 +161,14 @@ def mixture_variance_decomposition(engines, prior, max_order=None):
     means = np.array([vd.mean for vd in vds])
     mbar = float(np.dot(p, means))
     between = float(np.dot(p, (means - mbar) ** 2))
-    mode = "qmc" if any(vd.mode == "qmc" for vd in vds) else "quadrature"
+    mode = _combined_mode(vds)
     return MixtureDecomposition(
         names=tuple(vd.measure for vd in vds), prior=tuple(float(v) for v in p),
         terms=terms, residual=residual, between=between, component_means=means,
         mixture_mean=mbar, components=vds, n=vds[0].n, mode=mode)
 
 
-def _restricted_rule(component, box, order=96):
+def _restricted_rule(component, box):
     """Quadrature for E[f(X) 1{a <= X <= b}] with f smooth.
 
     Returns (nodes, weights) with weights absorbing the density (they sum to
@@ -186,7 +187,7 @@ def _restricted_rule(component, box, order=96):
         return pts[keep], np.full(int(keep.sum()), 1.0 / pts.size)
     lo, hi = component.support()
     if a <= lo and b >= hi:
-        return component.quad_nodes(order)
+        return component.quad_nodes(RESTRICTED_ORDER)
     a, b = max(a, lo), min(b, hi)
     if isinstance(component, Normal):
         # clip unbounded ends; the discarded tail mass is ~1e-17
@@ -194,12 +195,12 @@ def _restricted_rule(component, box, order=96):
         b = min(b, component.mean_ + 8.5 * component.sd)
     if not b > a:
         return None
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = np.polynomial.legendre.leggauss(RESTRICTED_ORDER)
     x = 0.5 * (a + b) + 0.5 * (b - a) * t
     return x, 0.5 * (b - a) * w * component.density(x)
 
 
-def mixture_annihilation_defect(engines, prior, z, gated=True, order=96):
+def mixture_annihilation_defect(engines, prior, z, gated=True):
     """Integral of the mixture effect g_z against the mixture's z-marginal.
 
     For a single measure this is identically zero (that is what makes the
@@ -233,7 +234,7 @@ def mixture_annihilation_defect(engines, prior, z, gated=True, order=96):
                 comp = k_eng.measure.components[i - 1]
                 box = j_eng.measure.components[i - 1].support() if gated \
                     else (-np.inf, np.inf)
-                rule = _restricted_rule(comp, box, order)
+                rule = _restricted_rule(comp, box)
                 if rule is None:
                     break
                 rules.append(rule)

@@ -16,10 +16,14 @@ import math
 
 import numpy as np
 
+from .anova import _tensor_points
+
 SCHEMA_VERSION = "1"
 
 QUADRATURE_TOL = 1e-9      # declared accuracy of 64-node tensor quadrature
 QMC_TOL = 1e-4             # declared accuracy of the scrambled-Sobol fallback
+# 17 significant digits print every double so that it parses back bit-exactly
+FLOAT_FMT = "%.17g"
 
 
 def qty(value, mode, tol):
@@ -48,11 +52,12 @@ def mc_qty(value, se=None, reweighted=False, default_tol=0.05):
 # ---------------------------------------------------------------------------
 
 def _fmt_float(v):
-    if math.isnan(v) or math.isinf(v):
-        raise ValueError(f"non-finite value {v!r} cannot enter a report")
-    text = f"{v:.17g}"
+    if not math.isfinite(v):
+        raise ArithmeticError(f"non-finite value {v!r} cannot enter a report")
+    text = FLOAT_FMT % v
     # guarantee the text parses back to exactly the same double
-    assert float(text) == v
+    if float(text) != v:
+        raise ArithmeticError(f"{text} does not parse back to {v!r}")
     return text
 
 
@@ -99,48 +104,34 @@ def write_report(report, path):
     return path
 
 
-def read_report(path):
-    with open(path, "r", encoding="utf8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # CSV plot data
 # ---------------------------------------------------------------------------
 
-def _cell(v):
-    return f"{float(v):.17g}"
+def _write_table(path, header, columns):
+    """CSV of a header row over float columns, CRLF line ends.
+
+    ``columns`` holds 1-d columns or 2-d blocks of them, placed side by side.
+    """
+    with open(path, "w", newline="", encoding="utf8") as fh:
+        csv.writer(fh).writerow(header)
+        np.savetxt(fh, np.column_stack(columns), fmt=FLOAT_FMT, delimiter=",",
+                   newline="\r\n")
+    return path
 
 
 def write_effect_curve_csv(curve, path):
     """One first-order (or pair) effect curve: x[,y],value columns."""
-    with open(path, "w", newline="", encoding="utf8") as fh:
-        wr = csv.writer(fh)
-        if len(curve.grids) == 1:
-            wr.writerow(["x", "value"])
-            for x, v in zip(curve.grids[0], curve.values):
-                wr.writerow([_cell(x), _cell(v)])
-        else:
-            wr.writerow([f"x{i}" for i in curve.subset] + ["value"])
-            g0, g1 = curve.grids
-            for r, x in enumerate(g0):
-                for c, y in enumerate(g1):
-                    wr.writerow([_cell(x), _cell(y), _cell(curve.values[r, c])])
-    return path
+    axes = ["x"] if len(curve.grids) == 1 else [f"x{i}" for i in curve.subset]
+    return _write_table(path, axes + ["value"],
+                        [_tensor_points(curve.grids), curve.values.ravel()])
 
 
 def write_mixture_curve_csv(mcurve, path):
     """Mixture first-order curve: grid, one column per component, mixture."""
-    names = list(mcurve.component_values)
-    with open(path, "w", newline="", encoding="utf8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x"] + names + ["mixture"])
-        for k, x in enumerate(mcurve.grid):
-            row = [_cell(x)]
-            row += [_cell(mcurve.component_values[nm][k]) for nm in names]
-            row.append(_cell(mcurve.mixture_values[k]))
-            wr.writerow(row)
-    return path
+    return _write_table(path, ["x", *mcurve.component_values, "mixture"],
+                        [mcurve.grid, *mcurve.component_values.values(),
+                         mcurve.mixture_values])
 
 
 def write_indices_csv(rows, path):
@@ -149,6 +140,6 @@ def write_indices_csv(rows, path):
         wr = csv.writer(fh)
         wr.writerow(["measure", "input", "index", "value", "se", "mode"])
         for measure, inp, kind, value, se, mode in rows:
-            wr.writerow([measure, inp, kind, _cell(value),
-                         "" if se is None else _cell(se), mode])
+            wr.writerow([measure, inp, kind, FLOAT_FMT % value,
+                         "" if se is None else FLOAT_FMT % se, mode])
     return path

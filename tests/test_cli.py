@@ -2,10 +2,13 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mixsens import cli
+from mixsens.anova import VarianceDecomposition
 from mixsens.cli import main
 from mixsens.estimators import generate_sample, write_sample
 from mixsens.models import IshigamiModel, ishigami_measures
@@ -130,6 +133,38 @@ class TestQuadraturePriorRun:
         cfg = load_report(outdir)["config"]
         assert cfg["measures_file"] == "measures.yaml"
         assert cfg["sections"] == sorted(cfg["sections"])
+
+
+def tagged_cells(node):
+    """Every {"value", "mode", "tol"} leaf under a report section."""
+    if isinstance(node, dict):
+        if "mode" in node:
+            return [node]
+        return [c for v in node.values() for c in tagged_cells(v)]
+    if isinstance(node, list):
+        return [c for v in node for c in tagged_cells(v)]
+    return []
+
+
+def test_qmc_decompositions_tag_every_derived_cell(configs, tmp_path,
+                                                   monkeypatch):
+    # A real QMC fallback needs a 4-input model and about a minute at the
+    # default order, so the engines hand over decompositions that used it.
+    vds = [VarianceDecomposition(measure=nm, total=1.0, mean=0.0,
+                                 terms={(1,): s1, (2,): 0.3, (3,): 0.7 - s1},
+                                 residual=0.0, n=3, mode="qmc")
+           for nm, s1 in (("mu1", 0.1), ("mu2", 0.2), ("mu3", 0.4))]
+    monkeypatch.setattr(cli, "component_engines", lambda mset, model, seed: [
+        SimpleNamespace(variance_decomposition=lambda vd=vd: vd) for vd in vds])
+    code = run(["--model", "ishigami", "--measures", configs["noprior"],
+                "--sections", "measures", "robust", "dimension",
+                "--out", str(tmp_path)])
+    assert code == 0
+    rep = load_report(tmp_path)
+    for section in ("measures", "robust", "dimension"):
+        cells = tagged_cells(rep[section])
+        assert cells and {(c["mode"], c["tol"]) for c in cells} \
+            == {("MC", 1e-4)}, section
 
 
 class TestDeterminism:
@@ -318,6 +353,23 @@ class TestFailureModes:
             assert code == 4
             err = capsys.readouterr().err
             assert "numeric error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("estimator", ["quad", "pickfreeze", "givendata"])
+    def test_non_finite_model_output(self, configs, tmp_path, capsys,
+                                     estimator):
+        # (1e300 x1)(1e300 x2) overflows to inf almost everywhere
+        model = tmp_path / "overflow.yaml"
+        model.write_text("n: 3\nfactors: [[0.0, 1.0e300], [0.0, 1.0e300], "
+                         "[1.0]]\nterms: [[1, 2]]\n")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["--model", str(model), "--measures", configs["noprior"],
+                        "--estimator", estimator, "--n", "64",
+                        "--sections", "measures", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not any(out.iterdir())     # rejected before any file
 
     @pytest.mark.parametrize("estimator,n", [
         ("pickfreeze", 0), ("pickfreeze", 15), ("bruteforce", -5),
