@@ -221,7 +221,6 @@ class AnovaEngine:
             and self.n <= 16
         self._G = None            # model on the full tensor grid, lazily
         self._w_cache = {}        # subset -> conditional mean on its subgrid
-        self._g_cache = {}        # subset -> effect on its subgrid
         self._qmc_used = False
 
     # -- infrastructure ----------------------------------------------------
@@ -264,12 +263,12 @@ class AnovaEngine:
     def conditional_mean(self, z, x):
         """w_z at points ``x`` of shape (N, |z|): E[g(X) | X_z = x_row].
 
-        For the empty subset returns the overall mean as shape-() array.
+        For the empty subset returns the overall mean once per row.
         """
         z = tuple(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if len(z) == 0:
-            return np.full(x.shape[0] if x.size else 1, self.mean())
+            return np.full(x.shape[0], self.mean())
         if x.shape[1] != len(z):
             raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
         comp = [i for i in range(1, self.n + 1) if i not in z]
@@ -290,28 +289,29 @@ class AnovaEngine:
             out[a:a + xa.shape[0]] = vals.reshape(xa.shape[0], m) @ cw
         return out
 
+    def conditional_means(self, z, x):
+        """{v: w_v at the rows of ``x``} for every subset v of z, the empty
+        one included; the columns of ``x`` follow the order of z."""
+        z = tuple(z)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return {v: self.conditional_mean(v, x[:, [z.index(i) for i in v]])
+                for v in _subsets_of(z)}
+
+    def _moment(self, power):
+        """E[g(X)^power], on the full grid when it fits, else by the rule."""
+        if self._full_grid_ok:
+            return float(_contract(self._full_grid_values() ** power,
+                                   self.weights))
+        pts, w = self._complement_rule(())
+        return float(_evaluate(self.model, pts) ** power @ w)
+
     def mean(self):
         if () not in self._w_cache:
-            if self._full_grid_ok:
-                g = self._full_grid_values()
-                for w in reversed(self.weights):
-                    g = g @ w
-                self._w_cache[()] = float(g)
-            else:
-                pts, w = self._complement_rule(())
-                vals = _evaluate(self.model, pts)
-                self._w_cache[()] = float(vals @ w)
+            self._w_cache[()] = self._moment(1)
         return self._w_cache[()]
 
     def total_variance(self):
-        if self._full_grid_ok:
-            g2 = self._full_grid_values() ** 2
-            for w in reversed(self.weights):
-                g2 = g2 @ w
-            return float(g2) - self.mean() ** 2
-        pts, w = self._complement_rule(())
-        vals = _evaluate(self.model, pts)
-        return float(vals**2 @ w) - self.mean() ** 2
+        return self._moment(2) - self.mean() ** 2
 
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
@@ -320,13 +320,7 @@ class AnovaEngine:
         subsets of z, each evaluated once at the projected points.
         """
         z = tuple(sorted(z))
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if len(z) == 0:
-            return np.full(x.shape[0] if x.size else 1, self.mean())
-        w = {(): np.full(x.shape[0], self.mean())}
-        for v in _subsets_of(z)[1:]:
-            w[v] = self.conditional_mean(v, x[:, [z.index(i) for i in v]])
-        return _mobius(z, w)[z]
+        return _mobius(z, self.conditional_means(z, x))[z]
 
     # -- grid-based decomposition -------------------------------------------
 
@@ -341,15 +335,9 @@ class AnovaEngine:
         if len(z) == 0:
             return self.mean()
         if self._full_grid_ok:
-            g = self._full_grid_values()
-            keep = [i - 1 for i in z]
-            out = g
-            # contract the complement axes against their weights, back to front
-            for ax in reversed(range(self.n)):
-                if ax in keep:
-                    continue
-                out = np.tensordot(out, self.weights[ax], axes=([ax], [0]))
-            w = out
+            w = _contract(self._full_grid_values(),
+                          [None if i in z else self.weights[i - 1]
+                           for i in range(1, self.n + 1)])
         else:
             pts = _tensor_points([self.nodes[i - 1] for i in z])
             w = self.conditional_mean(z, pts).reshape(self._subgrid_shape(z))
@@ -357,41 +345,24 @@ class AnovaEngine:
         return w
 
     def effect_on_subgrid(self, z):
-        """g_z on the tensor grid of z's quad nodes (cached)."""
-        # Not routed through _mobius: each lower term lives on its own
-        # subgrid and is subtracted in place, broadcast across the axes of
-        # z \ v.  Summing the lower terms first and subtracting once rounds
-        # differently and moves report values in the last bit.
+        """g_z on the tensor grid of z's quad nodes."""
         z = tuple(z)
-        if z in self._g_cache:
-            return self._g_cache[z]
-        if len(z) == 0:
-            g = self.mean()
-        else:
-            g = np.array(self._w_on_subgrid(z), dtype=float, copy=True)
-            for v in _subsets_of(z):
-                if v == z:
-                    continue
-                gv = self.effect_on_subgrid(v)
-                if not v:
-                    g -= gv
-                else:
-                    # broadcast g_v across the axes of z \ v
-                    shape = [s if i in v else 1
-                             for i, s in zip(z, self._subgrid_shape(z))]
-                    g -= np.asarray(gv).reshape(shape)
-        self._g_cache[z] = g
-        return g
+
+        def lift(u, v, gu):
+            # broadcast g_u across the axes of v \ u
+            return np.reshape(gu, [self._sizes[i - 1] if i in u else 1
+                                   for i in v])
+
+        w = {v: self._w_on_subgrid(v) for v in _subsets_of(z)}
+        return _mobius(z, w, lift)[z]
 
     def term_variance(self, z):
         """V_z = integral of g_z^2 against the subset's marginal measure."""
         z = tuple(z)
         if len(z) == 0:
             return 0.0
-        g2 = self.effect_on_subgrid(z) ** 2
-        for k in reversed(range(len(z))):
-            g2 = np.tensordot(g2, self.weights[z[k] - 1], axes=([k], [0]))
-        return float(g2)
+        return float(_contract(self.effect_on_subgrid(z) ** 2,
+                               [self.weights[i - 1] for i in z]))
 
     def variance_decomposition(self, max_order=None):
         if max_order is None:
@@ -414,10 +385,7 @@ class AnovaEngine:
             raise ValueError("effect curves are for singletons and pairs")
         grids = [np.linspace(*self.measure.components[i - 1].plot_range(), npts)
                  for i in z]
-        if len(z) == 1:
-            vals = self.effect(z, grids[0][:, None])
-        else:
-            vals = self.effect(z, _tensor_points(grids)).reshape(npts, npts)
+        vals = self.effect(z, _tensor_points(grids)).reshape([npts] * len(z))
         return EffectCurve(measure=self.measure.name or "measure",
                            subset=z, grids=grids, values=vals)
 
@@ -428,8 +396,9 @@ class AnovaEngine:
             return 0.0
         g = self.effect_on_subgrid(z)
         worst = 0.0
-        for k, i in enumerate(z):
-            contracted = np.tensordot(g, self.weights[i - 1], axes=([k], [0]))
+        for i in z:
+            contracted = _contract(g, [self.weights[i - 1] if j == i else None
+                                       for j in z])
             worst = max(worst, float(np.max(np.abs(contracted))))
         return worst
 
@@ -444,16 +413,29 @@ def _subsets_of(z):
     return out
 
 
-def _mobius(z, w):
+def _mobius(z, w, lift=lambda u, v, gu: gu):
     """Moebius inversion over the subsets of z: g_v = w_v - sum_{u < v} g_u.
 
     ``w`` maps every subset v of z (the empty one included) to its
-    conditional mean w_v; returns every g_v.
+    conditional mean w_v; returns every g_v.  The lower terms are subtracted
+    one at a time in canonical order, each through ``lift(u, v, g_u)``,
+    which brings g_u to the layout of w_v (values at points need none).
     """
     g = {}
     for v in _subsets_of(z):
-        g[v] = w[v] - sum(g[u] for u in _subsets_of(v) if u != v)
+        g[v] = np.array(w[v], dtype=float)
+        for u in _subsets_of(v)[:-1]:
+            g[v] -= lift(u, v, g[u])
     return g
+
+
+def _contract(values, weights):
+    """Integrate ``values`` along each axis k against ``weights[k]``, last
+    axis first; an axis whose entry is None is kept."""
+    for ax in reversed(range(len(weights))):
+        if weights[ax] is not None:
+            values = np.tensordot(values, weights[ax], axes=([ax], [0]))
+    return values
 
 
 def _tensor_points(axes):

@@ -209,11 +209,9 @@ def _mixture_section(engines, mset, vds, curves, outdir):
     return section, files
 
 
-def _robust_section(names, s_matrix, ses, dims, mode="quadrature"):
-    """Robust ranking; without standard errors its cells are tagged as
-    integration-engine values of the given mode."""
+def _robust_section(names, s_matrix, ses, dims, cell):
+    """Robust ranking; ``cell`` tags its numbers as the indices were made."""
     rr = robust_ranking(s_matrix, ses=ses, dims=dims)
-    cell = partial(quad_qty, engine_mode=mode) if ses is None else mc_qty
     section = {
         "s_lo": _per_input(rr.s_lo, cell),
         "s_hi": _per_input(rr.s_hi, cell),
@@ -446,13 +444,14 @@ def cmd_analyze(args):
             dims = dimension_bounds(vds)
             report["robust"] = _robust_section(
                 [vd.measure for vd in vds], s_matrix, None, dims,
-                _combined_mode(vds))
+                partial(quad_qty, engine_mode=_combined_mode(vds)))
         elif est_list is not None:
             s_matrix = np.array([est.clamped_s for est in est_list])
             ses = None
             if all(est.s_se is not None for est in est_list):
                 ses = np.array([est.s_se for est in est_list])
-            report["robust"] = _robust_section(est_names, s_matrix, ses, None)
+            report["robust"] = _robust_section(est_names, s_matrix, ses, None,
+                                               mc_qty)
         else:
             _warn("robust section needs per-measure indices; skipped")
 

@@ -189,6 +189,16 @@ def robust_ranking(s_matrix, ses=None, dims=None):
 # monotonicity
 # ---------------------------------------------------------------------------
 
+def _max_drop(values):
+    """Largest decrease between neighbours along any axis; 0 when none."""
+    worst = 0.0
+    for ax in range(values.ndim):
+        d = np.diff(values, axis=ax)
+        if d.size:
+            worst = max(worst, float(-d.min()))
+    return worst
+
+
 @dataclass
 class MonotonicityVerdict:
     """Grid-relative monotonicity classification of a tabulated curve."""
@@ -218,14 +228,8 @@ def monotonicity_check(curve, tol=None):
     span = float(np.max(values) - np.min(values))
     if tol is None:
         tol = 1e-6 * span if span > 0 else 1e-12
-    up_viol = 0.0      # violation of "nondecreasing"
-    down_viol = 0.0    # violation of "nonincreasing"
-    for ax in range(values.ndim):
-        d = np.diff(values, axis=ax)
-        if d.size == 0:
-            continue
-        up_viol = max(up_viol, float(-d.min()))
-        down_viol = max(down_viol, float(d.max()))
+    up_viol = _max_drop(values)        # violation of "nondecreasing"
+    down_viol = _max_drop(-values)     # violation of "nonincreasing"
     nondec = up_viol <= tol
     noninc = down_viol <= tol
     if nondec:
@@ -301,13 +305,8 @@ def ultramodularity_check(model, box, grid_k=7, tol=None, measure=None):
         base = tuple(slice(0, grid_k - s) for s in step)
         shifted = tuple(slice(s, grid_k) for s in step)
         diff = g[shifted] - g[base]
-        for ax in range(n):
-            if diff.shape[ax] < 2:
-                continue
-            d2 = np.diff(diff, axis=ax)
-            n_checks += d2.size
-            if d2.size:
-                worst = max(worst, float(-d2.min()))
+        worst = max(worst, _max_drop(diff))
+        n_checks += sum(diff.size // k * (k - 1) for k in diff.shape)
 
     convex = {}
     if n <= 3:
@@ -365,12 +364,7 @@ def mixture_monotonicity_condition(engines, z, npts=17, tol=None):
     per_measure = {}
     worst = 0.0
     for eng in engines:
-        h = eng.effect(z, pts).reshape([npts] * len(z))
-        viol = 0.0
-        for ax in range(len(z)):
-            d = np.diff(h, axis=ax)
-            if d.size:
-                viol = max(viol, float(-d.min()))
+        viol = _max_drop(eng.effect(z, pts).reshape([npts] * len(z)))
         name = eng.measure.name or "measure"
         per_measure[name] = viol
         worst = max(worst, viol)

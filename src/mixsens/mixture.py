@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import (DEFAULT_ORDER, AnovaEngine, _combined_mode, _mobius,
-                    _subsets_of, _tensor_points)
+from .anova import (DEFAULT_ORDER, AnovaEngine, _combined_mode, _contract,
+                    _mobius, _tensor_points)
 from .measures import DiscreteUniform, Normal
 
 
@@ -104,16 +104,8 @@ def mixture_effect_from_pooled_conditionals(engines, prior, z, x):
     """
     p = _check(engines, prior)
     z = tuple(sorted(z))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pooled_mean = float(sum(pk * eng.mean() for pk, eng in zip(p, engines)))
-    if not z:
-        return np.full(x.shape[0], pooled_mean)
-    w = {(): np.full(x.shape[0], pooled_mean)}
-    for v in _subsets_of(z)[1:]:
-        cols = [z.index(i) for i in v]
-        w[v] = np.zeros(x.shape[0])
-        for pk, eng in zip(p, engines):
-            w[v] += pk * eng.conditional_mean(v, x[:, cols])
+    tables = [eng.conditional_means(z, x) for eng in engines]
+    w = {v: sum(pk * t[v] for pk, t in zip(p, tables)) for v in tables[0]}
     return _mobius(z, w)[z]
 
 
@@ -241,9 +233,7 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
             else:
                 pts = _tensor_points([x for x, _ in rules])
                 g = j_eng.effect(z, pts).reshape([x.size for x, _ in rules])
-                for ax in reversed(range(len(z))):
-                    g = np.tensordot(g, rules[ax][1], axes=([ax], [0]))
-                total += pk * pj * float(g)
+                total += pk * pj * float(_contract(g, [w for _, w in rules]))
     return total
 
 
@@ -251,10 +241,11 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
 class MixtureEffectCurve:
     """First-order effect of one input: per-component curves plus mixture.
 
-    The grid spans the union of the components' plotting ranges.  Curves are
-    tabulated via the pooled (globally defined) representation so that, for
-    a monotone model, the mixture curve is monotone across the whole grid
-    rather than jumping at component support boundaries.
+    The grid spans the union of the components' plotting ranges.  The
+    mixture curve is the prior-average of the ungated per-measure effects,
+    which equals the pooled (globally defined) route up to rounding, so
+    that, for a monotone model, it is monotone across the whole grid rather
+    than jumping at component support boundaries.
     """
 
     input: int

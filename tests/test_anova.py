@@ -1,15 +1,17 @@
 """Quadrature ANOVA engine against closed forms and frozen references."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsens.anova import (AnovaEngine, ZeroVarianceError, all_subsets,
-                           first_and_total_indices, parse_subset_label,
-                           subset_label)
+from mixsens import anova
+from mixsens.anova import (AnovaEngine, ZeroVarianceError, _tensor_points,
+                           all_subsets, first_and_total_indices,
+                           parse_subset_label, subset_label)
 from mixsens.measures import (DiscreteUniform, Normal, ProductMeasure,
                               Uniform)
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
@@ -241,3 +243,22 @@ def test_effects_sum_to_the_model(case, seed):
     total = sum(eng.effect(z, x[:, [i - 1 for i in z]])
                 for z in all_subsets(model.n, nonempty=False))
     assert np.allclose(total, model(x), rtol=1e-12, atol=1e-10)
+
+
+# -- property: effects on the quadrature subgrids equal effects at points ----
+
+@settings(max_examples=25, deadline=None)
+@given(case=multilinear_models(), full_grid=st.booleans())
+def test_subgrid_effects_match_point_effects(case, full_grid):
+    model, measure = case
+    # a zero cap sends every subgrid conditional mean to the point kernel
+    with mock.patch.object(anova, "FULL_GRID_CAP",
+                           anova.FULL_GRID_CAP if full_grid else 0):
+        eng = AnovaEngine(model, measure, order=12)
+    assert eng._full_grid_ok == full_grid
+    for z in all_subsets(model.n):
+        got = eng.effect_on_subgrid(z)
+        want = eng.effect(z, _tensor_points([eng.nodes[i - 1] for i in z]))
+        want = want.reshape(got.shape)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, z

@@ -241,6 +241,19 @@ class TestEstimatorModes:
         assert rep["measures"]["mu2"]["first_order"]["x2"]["value"] \
             == pytest.approx(ref.SOBOL["mu2"][(2,)], abs=0.08)
 
+    @pytest.mark.parametrize("estimator", ["givendata", "reweight"])
+    def test_robust_cells_of_estimates_are_mc(self, configs, tmp_path,
+                                              estimator):
+        code = run(["--model", "ishigami", "--measures", configs["noprior"],
+                    "--estimator", estimator, "--n", "64",
+                    "--sections", "measures", "robust",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        robust = load_report(tmp_path)["robust"]
+        cells = tagged_cells([robust["s_lo"], robust["s_hi"]])
+        assert len(cells) == 6
+        assert {(c["mode"], c["tol"]) for c in cells} == {("MC", 0.05)}
+
 
 class TestSampleFileMode:
     @pytest.fixture()

@@ -164,11 +164,15 @@ class TestUltramodularityCheck:
         return lambda x: np.einsum("ni,ij,nj->n", x, a, x)
 
     def test_positive_product_is_ultramodular(self):
-        rep = ultramodularity_check(lambda x: x[:, 0] * x[:, 1] + x[:, 0] ** 2,
-                                    [(0, 1), (0, 1)])
-        assert rep.ultramodular
-        assert rep.n_checks > 0
-        assert rep.effect_convex == {1: True, 2: True}
+        for n, grid_k, n_checks in ((2, 7, 1092), (3, 5, 6450), (4, 3, 2376)):
+            rep = ultramodularity_check(
+                lambda x: x[:, 0] * x[:, 1] + x[:, 0] ** 2, [(0, 1)] * n,
+                grid_k=grid_k)
+            assert rep.ultramodular, n
+            assert rep.n_checks == n_checks, n
+            # first-order effects are checked for convexity up to 3 inputs
+            assert rep.effect_convex == (
+                {i: True for i in range(1, n + 1)} if n <= 3 else None), n
 
     def test_negative_interaction_is_not(self):
         a = np.array([[1.0, -0.4], [-0.4, 1.0]])  # PSD, negative off-diagonal

@@ -43,6 +43,20 @@ class TestTwoRoutes:
                                                         z, x)
             assert np.max(np.abs(a - b)) < 1e-7, z
 
+    def test_empty_subset_gives_one_value_per_row(self, setup):
+        mset, engines = setup
+        x = np.empty((5, 0))
+        eng = engines[0]
+        pooled = sum(pk * e.mean() for pk, e in zip(mset.prior, engines))
+        for got, want in ((eng.effect((), x), eng.mean()),
+                          (eng.conditional_mean((), x), eng.mean()),
+                          (mixture_effect_from_components(
+                              engines, mset.prior, (), x), pooled),
+                          (mixture_effect_from_pooled_conditionals(
+                              engines, mset.prior, (), x), pooled)):
+            assert got.shape == (5,)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_differ_where_a_gate_is_shut(self, setup):
         mset, engines = setup
         x = np.array([[-1.0]])  # mu3 gate shut, its conditional still pooled
