@@ -17,11 +17,22 @@ Integrals use tensorised Gaussian quadrature (exact finite sums for discrete
 coordinates); when an integral would run over more than three continuous
 coordinates at once the engine switches to scrambled-Sobol QMC for that
 integral and labels the result accordingly.
+
+Effects at arbitrary points need w_v there.  When the model's full tensor
+grid fits, every w_v is first contracted onto the subgrid of v's own Gauss
+nodes, and ``AnovaEngine._w_at`` reads it off that table by tensor
+barycentric interpolation (Berrut & Trefethen, SIAM Rev. 46, 2004), gated
+row by row by an error estimate (see ``_Table``).  The direct integral over
+the complement of v, ``conditional_mean``, serves the rows the gate rejects
+or that lie outside a coordinate's support, the empty and the full subset,
+subsets with a discrete coordinate, and every row when the grid does not
+fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -38,6 +49,7 @@ DEFAULT_ORDER = 64          # Gaussian quadrature nodes per coordinate
 DEFAULT_QMC_LOG2 = 14       # 2**14 scrambled-Sobol points per QMC integral
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 TENSOR_DIM_CAP = 3          # beyond this many integration dims, use QMC
+INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
 # V = E[g^2] - mean^2 of a constant model is rounding noise of a few ulps of
 # E[g^2]; a total variance within this many ulps of it admits no indices.
 ZERO_VARIANCE_ULPS = 64
@@ -294,8 +306,42 @@ class AnovaEngine:
         one included; the columns of ``x`` follow the order of z."""
         z = tuple(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return {v: self.conditional_mean(v, x[:, [z.index(i) for i in v]])
+        return {v: self._w_at(v, x[:, [z.index(i) for i in v]])
                 for v in _subsets_of(z)}
+
+    def _w_at(self, v, x):
+        """w_v at the rows of ``x`` (N, |v|), read off v's quadrature table.
+
+        The table is ``_w_on_subgrid(v)``, interpolated by ``_Table``; rows
+        it does not accept, and every row when v is empty or all inputs,
+        when the full grid does not fit or when a coordinate of v is
+        discrete, come from ``conditional_mean``.
+        """
+        v = tuple(v)
+        axes = [self._axes[i - 1] for i in v]
+        if not 0 < len(v) < self.n or not self._full_grid_ok or None in axes:
+            return self.conditional_mean(v, x)
+        if v not in self._tables:
+            self._tables[v] = _Table(self._w_on_subgrid(v), axes,
+                                     [self.weights[i - 1] for i in v])
+        ok, values = self._tables[v](x)
+        out = np.empty(x.shape[0])
+        out[ok] = values
+        if not ok.all():
+            out[~ok] = self.conditional_mean(v, x[~ok])
+        return out
+
+    @cached_property
+    def _axes(self):
+        """Per coordinate, its interpolation data (None when discrete)."""
+        return [None if isinstance(c, DiscreteUniform) else _Axis(c, x, w)
+                for c, x, w in zip(self.measure.components, self.nodes,
+                                   self.weights)]
+
+    @cached_property
+    def _tables(self):
+        """Subset -> its interpolation ``_Table``, filled by ``_w_at``."""
+        return {}
 
     def _moment(self, power):
         """E[g(X)^power], on the full grid when it fits, else by the rule."""
@@ -401,6 +447,126 @@ class AnovaEngine:
                                        for j in z])
             worst = max(worst, float(np.max(np.abs(contracted))))
         return worst
+
+
+class _Axis:
+    """Interpolation on one coordinate's Gauss nodes.
+
+    Holds the barycentric weights of the nodes (1 / prod_k (x_j - x_k),
+    scaled) and the map from values at the nodes to the coefficients of the
+    interpolant in the polynomials orthonormal under the coordinate's
+    measure (Legendre for a uniform, Hermite for a normal).  Gauss
+    quadrature of order s is exact for degree 2s - 1, so that map is the
+    quadrature itself: c_k = sum_j w_j phi_k(x_j) f(x_j).
+    """
+
+    def __init__(self, comp, nodes, weights):
+        s = nodes.size
+        k = np.arange(1, s)
+        if isinstance(comp, Uniform):
+            self.lo, self.hi = comp.lo, comp.hi
+            self.center = 0.5 * (comp.lo + comp.hi)
+            self.half = 0.5 * (comp.hi - comp.lo)
+            self.jacobi = k / np.sqrt(4.0 * k * k - 1.0)
+        else:
+            self.lo, self.hi = -np.inf, np.inf
+            self.center, self.half = comp.mean_, comp.sd
+            self.jacobi = np.sqrt(k)
+        d = nodes[:, None] - nodes[None, :]
+        np.fill_diagonal(d, 1.0)
+        logw = -np.log(np.abs(d)).sum(axis=1)
+        self.bary = np.prod(np.sign(d), axis=1) * np.exp(logw - logw.max())
+        self.nodes = nodes
+        self.to_coeffs = (self.poly(nodes) * weights[:, None]).T
+
+    def poly(self, x):
+        """(N, s): the orthonormal polynomials of degree < s at ``x``."""
+        t = (x - self.center) / self.half
+        out = np.empty((t.size, self.nodes.size))
+        out[:, 0] = 1.0
+        for k, b in enumerate(self.jacobi):     # three-term recurrence
+            out[:, k + 1] = t * out[:, k] / b
+            if k:
+                out[:, k + 1] -= self.jacobi[k - 1] / b * out[:, k - 1]
+        return out
+
+    def basis(self, x):
+        """(N, s): the Lagrange basis of the nodes at ``x``, barycentric form."""
+        d = x[:, None] - self.nodes
+        hit = d == 0.0
+        c = self.bary / np.where(hit, 1.0, d)
+        basis = c / c.sum(axis=1, keepdims=True)
+        on_node = hit.any(axis=1)
+        basis[on_node] = hit[on_node]
+        return basis
+
+
+class _Table:
+    """A conditional mean on its subgrid, interpolated at points with an
+    error gate.
+
+    Values come from tensor barycentric interpolation, one (N, s) basis
+    matrix per axis.  A row is accepted when it lies in every coordinate's
+    support and its estimated error is at most INTERP_TOL times the RMS of
+    the table under the measure.  The estimate adds two parts:
+
+    * truncation: the coefficients of the last quarter of the degrees of
+      each axis, in absolute value, evaluated at the row through the
+      absolute orthonormal polynomials; for a resolved table they are
+      rounding noise, for an unresolved one they are not small;
+    * rounding: Higham's bound for the barycentric formula,
+      (3s + 4) eps (sum_j |l_j(x) f_j| + Lambda(x) |p(x)|), with l_j the
+      Lagrange basis and Lambda = sum_j |l_j| the Lebesgue function
+      (Higham, IMA J. Numer. Anal. 24, 2004).  It grows far out in a
+      normal coordinate, where the nodes thin out.
+    """
+
+    def __init__(self, values, axes, weights):
+        coeffs = values
+        tail = np.zeros(values.shape, dtype=bool)
+        for ax, a in enumerate(axes):
+            coeffs = np.moveaxis(np.tensordot(a.to_coeffs, coeffs,
+                                              axes=([1], [ax])), 0, ax)
+            s = values.shape[ax]
+            shape = [1] * values.ndim
+            shape[ax] = s
+            tail |= (np.arange(s) >= s - max(2, s // 4)).reshape(shape)
+        self.axes = axes
+        self.values = values
+        self.tail = np.where(tail, np.abs(coeffs), 0.0)
+        self.rounding = (3 * max(values.shape) + 4) * np.finfo(float).eps
+        self.scale = float(np.sqrt(_contract(values ** 2, weights)))
+
+    def __call__(self, x):
+        """(accepted, values): a mask over the rows of ``x`` and the
+        interpolated values at the accepted rows."""
+        ok = np.all([(c >= a.lo) & (c <= a.hi) for a, c in zip(self.axes, x.T)],
+                    axis=0)
+        cols = x[ok].T
+        with np.errstate(all="ignore"):     # far-out rows overflow; the gate drops them
+            bases = [a.basis(c) for a, c in zip(self.axes, cols)]
+            values = _tensor_eval(self.values, bases)
+            size = [np.abs(b) for b in bases]
+            lebesgue = np.prod([b.sum(axis=1) for b in size], axis=0)
+            truncation = _tensor_eval(self.tail, [np.abs(a.poly(c))
+                                                  for a, c in zip(self.axes, cols)])
+            rounding = self.rounding * (_tensor_eval(np.abs(self.values), size)
+                                        + lebesgue * np.abs(values))
+            good = truncation + rounding <= INTERP_TOL * self.scale
+        ok[np.flatnonzero(ok)[~good]] = False
+        return ok, values[good]
+
+
+def _tensor_eval(table, mats):
+    """sum_J table[J] * prod_a mats[a][:, J_a] for every row: a tensor
+    table contracted with one (N, s_a) matrix per axis, with no block
+    larger than (N, s)."""
+    if len(mats) == 1:
+        return mats[0] @ table
+    if len(mats) == 2:
+        return np.einsum("nj,nj->n", mats[0] @ table, mats[1])
+    return sum(mats[0][:, j] * _tensor_eval(table[j], mats[1:])
+               for j in range(table.shape[0]))
 
 
 def _subsets_of(z):

@@ -131,6 +131,8 @@ def _estimate_entry(est):
         return out
 
     entry = {"method": est.method, "n_evals": est.n_evals}
+    if est.ess is not None:
+        entry["ess"] = est.ess
     for kind, raw, clamped, se in _estimate_parts(est):
         ses = [None] * raw.size if se is None else se
         entry[f"{kind}_order"] = _per_input(zip(raw, clamped, ses), cell)

@@ -111,6 +111,53 @@ def write_sample(sample, path):
     return path
 
 
+def _bulk_rows(path, ncols):
+    """The data rows of a sample CSV parsed in one pass, or None when the
+    file is not a plain all-finite numeric table of ``ncols`` columns;
+    ``_scan_rows`` then finds and names the faulty row."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")          # an empty body warns
+            data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                              ndmin=2, encoding="utf8")
+    except ValueError:
+        return None
+    if data.shape[0] == 0 or data.shape[1] != ncols or \
+            not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _scan_rows(path, ncols):
+    """The data rows of a sample CSV, read line by line; the first bad row
+    raises a SampleFormatError naming its line in the file."""
+    with open(path, "r", encoding="utf8") as fh:
+        rd = csv.reader(fh)
+        next(rd)                    # the header, checked by the caller
+        rows, blank = [], []
+        for k, row in enumerate(rd):
+            if not row:
+                blank.append(k)
+                continue
+            if len(row) != ncols:
+                raise SampleFormatError(f"{path}: row {k + 2} has {len(row)} "
+                                        f"fields, expected {ncols}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise SampleFormatError(f"{path}: row {k + 2}: {exc}") from None
+    if not rows:
+        raise SampleFormatError(f"{path}: no data rows")
+    data = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        for b in blank:             # count the skipped blank lines back in
+            k += b <= k
+        raise SampleFormatError(f"{path}: row {k + 2}: non-finite value")
+    return data
+
+
 def read_sample(path, measure=None):
     """Read a sample CSV (and its sidecar, if present) back in.
 
@@ -129,27 +176,9 @@ def read_sample(path, measure=None):
                 header[:-1] != [f"x{i}" for i in range(1, len(header))]:
             raise SampleFormatError(f"{path}: header must be x1,..,xn,g "
                                     f"(got {','.join(header)})")
-        rows, blank = [], []
-        for k, row in enumerate(rd):
-            if not row:
-                blank.append(k)
-                continue
-            if len(row) != len(header):
-                raise SampleFormatError(f"{path}: row {k + 2} has {len(row)} "
-                                        f"fields, expected {len(header)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise SampleFormatError(f"{path}: row {k + 2}: {exc}") from None
-    if not rows:
-        raise SampleFormatError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        for b in blank:             # count the skipped blank lines back in
-            k += b <= k
-        raise SampleFormatError(f"{path}: row {k + 2}: non-finite value")
+    data = _bulk_rows(path, len(header))
+    if data is None:
+        data = _scan_rows(path, len(header))
     name, seed = "", None
     try:
         with open(path + ".meta.json", "r", encoding="utf8") as fh:
@@ -177,7 +206,8 @@ class SobolEstimate:
 
     ``s``/``st`` hold the raw estimates (possibly slightly negative or above
     one, as MC noise allows); ``clamped_s``/``clamped_st`` give the views
-    meant for reports, clipped to [0, 1.05].
+    meant for reports, clipped to [0, 1.05].  ``ess`` is the Kish effective
+    sample size of a reweighted sample (None for every other method).
     """
 
     s: np.ndarray
@@ -186,6 +216,7 @@ class SobolEstimate:
     st_se: np.ndarray = None
     method: str = ""
     n_evals: int = 0
+    ess: float = None
 
     @property
     def clamped_s(self):
@@ -328,8 +359,9 @@ def given_data_indices(sample, bins=None):
     """All first-order indices of a sample via given_data_first_order."""
     d = np.atleast_2d(sample.x).shape[1]
     s = np.array([given_data_first_order(sample, i, bins) for i in range(1, d + 1)])
-    method = "reweighted" if isinstance(sample, WeightedSample) else "givendata"
-    return SobolEstimate(s=s, method=method, n_evals=0)
+    if isinstance(sample, WeightedSample):
+        return SobolEstimate(s=s, method="reweighted", ess=sample.ess)
+    return SobolEstimate(s=s, method="givendata")
 
 
 # ---------------------------------------------------------------------------

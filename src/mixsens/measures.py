@@ -100,6 +100,8 @@ class Uniform(UnivariateMeasure):
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConfigError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigError(f"uniform needs a finite width, got [{self.lo}, {self.hi}]")
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -466,6 +468,30 @@ def _reject_extras(mapping, allowed, where):
         raise ConfigError(f"{where}: unknown field(s) {extras}")
 
 
+def _read_number(value, where, integer=False):
+    """A config field as a finite float (an int with ``integer``); any other
+    value raises a ConfigError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if integer:
+        if x != int(x):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        return int(x)
+    return x
+
+
+def _read_list(value, where, nonempty=False):
+    """A config field that must be a list (a non-empty one with ``nonempty``)."""
+    if not isinstance(value, list) or nonempty and not value:
+        raise ConfigError(f"{where}: expected a {'non-empty ' * nonempty}list, "
+                          f"got {value!r}")
+    return value
+
+
 def _component_from_config(entry, where):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: component must be a mapping")
@@ -483,7 +509,8 @@ def _component_from_config(entry, where):
     cls, names = _FAMILIES[family]
     _reject_extras(params, names, where + ".params")
     try:
-        return cls(*(float(params[nm]) for nm in names))
+        return cls(*(_read_number(params[nm], f"{where}.params.{nm}")
+                     for nm in names))
     except KeyError as exc:
         raise ConfigError(f"{where}.params: missing field {exc}") from None
 
@@ -494,7 +521,7 @@ def measure_set_from_dict(doc):
         raise ConfigError("measures config must be a mapping at the top level")
     _reject_extras(doc, {"n", "measures", "prior"}, "top level")
     try:
-        n = int(doc["n"])
+        n = _read_number(doc["n"], "n", integer=True)
         raw_measures = doc["measures"]
     except KeyError as exc:
         raise ConfigError(f"top level: missing field {exc}") from None
@@ -529,7 +556,8 @@ def measure_set_from_dict(doc):
     if prior is not None:
         if not isinstance(prior, list):
             raise ConfigError("'prior' must be a list of weights")
-        prior = tuple(float(v) for v in prior)
+        prior = tuple(_read_number(v, f"prior[{k}]")
+                      for k, v in enumerate(prior))
     return MeasureSet(tuple(measures), prior=prior)
 
 

@@ -261,10 +261,11 @@ def mixture_effect_curve(engines, prior, i, npts=129):
     hi = max(r[1] for r in ranges)
     grid = np.linspace(lo, hi, npts)
     comp = {}
-    for eng in engines:
-        comp[eng.measure.name or "measure"] = eng.effect((i,), grid[:, None])
     mix = np.zeros(npts)
-    for pk, name in zip(p, comp):
-        mix += pk * comp[name]
+    for k, (pk, eng) in enumerate(zip(p, engines)):
+        vals = eng.effect((i,), grid[:, None])
+        # keyed like MeasureSet.names, so unnamed measures stay apart
+        comp[eng.measure.name or f"m{k}"] = vals
+        mix += pk * vals
     return MixtureEffectCurve(input=i, grid=grid, component_values=comp,
                               mixture_values=mix)

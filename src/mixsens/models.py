@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .measures import (ConfigError, MeasureSet, Normal, ProductMeasure,
-                       Uniform)
+                       Uniform, _read_list, _read_number)
 
 __all__ = [
     "IshigamiModel", "ishigami_measures", "ishigami_measure_set",
@@ -273,20 +273,30 @@ def multilinear_from_dict(doc):
     extras = sorted(set(doc) - {"n", "factors", "terms", "coeffs"})
     if extras:
         raise ConfigError(f"model config: unknown field(s) {extras}")
+    where = "model config"
     try:
-        n = int(doc["n"])
+        n = _read_number(doc["n"], f"{where}: n", integer=True)
         raw_factors = doc["factors"]
-        raw_terms = doc["terms"]
+        raw_terms = _read_list(doc["terms"], f"{where}: terms")
     except KeyError as exc:
-        raise ConfigError(f"model config: missing field {exc}") from None
+        raise ConfigError(f"{where}: missing field {exc}") from None
     if not isinstance(raw_factors, list) or len(raw_factors) != n:
-        raise ConfigError(f"model config: expected {n} factor coefficient lists")
-    factors = tuple(np.polynomial.Polynomial([float(v) for v in coeffs])
-                    for coeffs in raw_factors)
-    terms = tuple(tuple(int(i) for i in u) for u in raw_terms)
+        raise ConfigError(f"{where}: expected {n} factor coefficient lists")
+    factors = []
+    for i, raw in enumerate(raw_factors):
+        at = f"{where}: factors[{i}]"
+        factors.append(np.polynomial.Polynomial(
+            [_read_number(v, f"{at}[{j}]")
+             for j, v in enumerate(_read_list(raw, at, nonempty=True))]))
+    terms = tuple(tuple(_read_number(i, f"{where}: terms[{k}]", integer=True)
+                        for i in _read_list(u, f"{where}: terms[{k}]"))
+                  for k, u in enumerate(raw_terms))
     coeffs = doc.get("coeffs")
-    return CompositeMultilinearModel(factors=factors, terms=terms,
-                                     coeffs=None if coeffs is None else tuple(coeffs))
+    if coeffs is not None:
+        coeffs = tuple(_read_number(c, f"{where}: coeffs[{k}]")
+                       for k, c in enumerate(_read_list(coeffs, f"{where}: coeffs")))
+    return CompositeMultilinearModel(factors=tuple(factors), terms=terms,
+                                     coeffs=coeffs)
 
 
 def _multilinear_view(model):

@@ -262,3 +262,88 @@ def test_subgrid_effects_match_point_effects(case, full_grid):
         want = want.reshape(got.shape)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, z
+
+
+# -- conditional means at points, read off the quadrature tables -------------
+
+def _direct_gap(eng, v, x):
+    """max |_w_at - conditional_mean| over the rows of x, relative to the
+    largest direct value."""
+    got, want = eng._w_at(v, x), eng.conditional_mean(v, x)
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))),
+                                                   1e-300)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=multilinear_models(), order=st.sampled_from((8, 16, 32)),
+       seed=st.integers(0, 2**32 - 1))
+def test_table_means_match_direct_means(case, order, seed):
+    model, measure = case
+    eng = AnovaEngine(model, measure, order=order)
+    # rows over the bulk of every coordinate, some outside a uniform support
+    x = np.random.default_rng(seed).uniform(-2.0, 3.0, size=(40, model.n))
+    for v in all_subsets(model.n):
+        assert _direct_gap(eng, v, x[:, [i - 1 for i in v]]) <= 1e-9, v
+
+
+class TestTableGate:
+    """Rows the tables do not resolve take the direct path."""
+
+    def test_far_normal_tails_go_direct(self):
+        eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu2"])
+        corners = np.array([[a, b] for a in (-8.5, 8.5) for b in (-8.5, 8.5)])
+        inner = np.random.default_rng(1).uniform(-4.0, 4.0, size=(50, 2))
+        x = np.vstack([corners, inner])
+        assert _direct_gap(eng, (1, 2), x) <= 1e-9
+        ok, _ = eng._tables[(1, 2)](x)
+        assert not ok[:4].any() and ok[4:].all()
+        # interpolated anyway, the corners would miss the target
+        table = eng._tables[(1, 2)]
+        raw = anova._tensor_eval(table.values,
+                                 [a.basis(c) for a, c in zip(table.axes,
+                                                             corners.T)])
+        want = eng.conditional_mean((1, 2), corners)
+        assert np.max(np.abs(raw - want)) > 1e-9 * np.max(np.abs(want))
+
+    def test_unresolved_table_goes_direct(self):
+        # 7 sin^2 x2 under N(0, 1) needs more than 32 Hermite nodes
+        eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu2"],
+                          order=32)
+        x = np.linspace(-4.0, 4.0, 41)[:, None]
+        assert _direct_gap(eng, (2,), x) <= 1e-9
+        ok, _ = eng._tables[(2,)](x)
+        assert not ok.any()
+        eng._w_at((1,), x)          # sin x1 is resolved at the same order
+        assert eng._tables[(1,)](x)[0].all()
+
+    def test_three_axis_tables(self):
+        model = CompositeMultilinearModel(
+            factors=tuple(np.polynomial.Polynomial(c) for c in
+                          ([0.3, 1.0, -0.5], [1.0, 0.2], [0.0, 1.0, 1.0],
+                           [2.0, -1.0])),
+            terms=((1, 2, 3), (2, 4), (1, 3, 4), (3,)))
+        measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                                  Uniform(0.0, 1.0), Normal(0.0, 1.0)))
+        eng = AnovaEngine(model, measure, order=10)
+        x = np.random.default_rng(4).uniform(-0.5, 1.0, size=(30, 4))
+        for v in all_subsets(4, max_order=3):
+            assert _direct_gap(eng, v, x[:, [i - 1 for i in v]]) <= 1e-9, v
+        assert (1, 3, 4) in eng._tables
+
+    def test_direct_path_is_bit_identical_where_no_table_applies(self):
+        def g(x):
+            return np.sin(x[..., 0]) * x[..., 1] + x[..., 1] ** 2
+
+        x = np.array([[0.0, 0.2], [1.0, -0.7], [2.0, 0.4]])
+        discrete = ProductMeasure((DiscreteUniform((0.0, 1.0, 2.0)),
+                                   Uniform(-1.0, 1.0)))
+        with mock.patch.object(anova, "FULL_GRID_CAP", 0):
+            capped = AnovaEngine(g, ProductMeasure((Uniform(0, 2),
+                                                    Normal(0.0, 1.0))))
+        for eng, subsets in ((AnovaEngine(g, discrete), [(1,)]),
+                             (capped, [(1,), (2,)])):
+            for v in subsets + [(), (1, 2)]:
+                xv = x[:, [i - 1 for i in v]]
+                assert np.array_equal(eng._w_at(v, xv),
+                                      eng.conditional_mean(v, xv)), v
+            assert not eng._tables

@@ -10,7 +10,8 @@ import pytest
 from mixsens import cli
 from mixsens.anova import VarianceDecomposition
 from mixsens.cli import main
-from mixsens.estimators import generate_sample, write_sample
+from mixsens.estimators import (generate_sample, read_sample, reweight,
+                                 write_sample)
 from mixsens.models import IshigamiModel, ishigami_measures
 
 import _reference as ref
@@ -241,6 +242,22 @@ class TestEstimatorModes:
         assert rep["measures"]["mu2"]["first_order"]["x2"]["value"] \
             == pytest.approx(ref.SOBOL["mu2"][(2,)], abs=0.08)
 
+    def test_reweighted_entries_carry_the_kish_ess(self, configs, tmp_path):
+        argv = ["--model", "ishigami", "--measures", configs["noprior"],
+                "--estimator", "reweight", "--n", "512", "--sections",
+                "measures"]
+        assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert run(argv + ["--out", str(tmp_path / "b")]) == 0
+        text = (tmp_path / "a" / "report.json").read_bytes()
+        assert text == (tmp_path / "b" / "report.json").read_bytes()
+        measures = json.loads(text)["measures"]
+        assert "ess" not in measures["mu1"]       # the base sample, as drawn
+        reg = ishigami_measures()
+        base = read_sample(tmp_path / "a" / "sample_mu1.csv", reg["mu1"])
+        for name in ("mu2", "mu3"):
+            assert measures[name]["ess"] == reweight(base, reg[name]).ess
+            assert 0 < measures[name]["ess"] <= 512
+
     @pytest.mark.parametrize("estimator", ["givendata", "reweight"])
     def test_robust_cells_of_estimates_are_mc(self, configs, tmp_path,
                                               estimator):
@@ -396,6 +413,41 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())    # rejected before any work
+
+    @pytest.mark.parametrize("measures,model", [
+        pytest.param(MEASURES_YAML.replace("lo: 0.0", "lo: abc", 1), None,
+                     id="lo-abc"),
+        pytest.param(MEASURES_YAML.replace("n: 3", "n: abc"), None, id="n-abc"),
+        pytest.param(MEASURES_YAML.replace("n: 3", "n: [1]"), None,
+                     id="n-list"),
+        pytest.param(MEASURES_YAML + "prior: [x]\n", None, id="prior-x"),
+        pytest.param(MEASURES_YAML.replace("mean: 0.0", "mean: .inf", 1), None,
+                     id="normal-mean-inf"),
+        pytest.param(MEASURES_YAML.replace(PI_LO_HI, "{family: uniform, params: "
+                                           "{lo: -1e308, hi: 1e308}}", 1),
+                     None, id="uniform-width-overflows"),
+        pytest.param(MEASURES_YAML, "n: 3\nfactors: [[1.0, a], [1.0], [1.0]]\n"
+                     "terms: [[1]]\n", id="factor-coefficient-a"),
+        pytest.param(MEASURES_YAML, "n: 3\nfactors: [[1.0], [1.0], [1.0]]\n"
+                     "terms: [[1], [2]]\ncoeffs: [a, b]\n", id="coeffs-ab"),
+        pytest.param(MEASURES_YAML, "n: 3\nfactors: [[1.0], [1.0], [1.0]]\n"
+                     "terms: 5\n", id="terms-5"),
+    ])
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
+                                                measures, model):
+        path = tmp_path / "measures.yaml"
+        path.write_text(measures)
+        model_arg = "ishigami"
+        if model is not None:
+            model_arg = str(tmp_path / "model.yaml")
+            (tmp_path / "model.yaml").write_text(model)
+        out = tmp_path / "o"
+        code = run(["--model", model_arg, "--measures", str(path),
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unknown_section_is_a_usage_error(self, configs, tmp_path):
         with pytest.raises(SystemExit) as exc:

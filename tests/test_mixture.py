@@ -179,6 +179,24 @@ class TestEffectCurves:
         assert np.allclose(curve.mixture_values,
                            curve.component_values["mu2"], atol=1e-12)
 
+    def test_unnamed_measures_keep_their_own_curves(self):
+        from mixsens.measures import MeasureSet
+        mset = MeasureSet(measures=(
+            ProductMeasure((Uniform(0, 1), Uniform(0, 1))),
+            ProductMeasure((Uniform(0, 2), Uniform(0, 2)))), prior=(0.5, 0.5))
+
+        def model(x):
+            return x[..., 0] ** 2 + x[..., 1]
+
+        engines = component_engines(mset, model, order=16)
+        curve = mixture_effect_curve(engines, mset.prior, 1, npts=5)
+        assert tuple(curve.component_values) == mset.names == ("m0", "m1")
+        pooled = mixture_effect_from_pooled_conditionals(
+            engines, mset.prior, (1,), curve.grid[:, None])
+        assert np.allclose(curve.mixture_values, pooled, atol=1e-12)
+        assert np.allclose(pooled, [-5 / 6, -7 / 12, 1 / 6, 17 / 12, 19 / 6],
+                           atol=1e-12)
+
 
 # -- property: both routes agree on intersections for multilinear models ------
 
