@@ -18,6 +18,15 @@ coordinates); when an integral would run over more than three continuous
 coordinates at once the engine switches to scrambled-Sobol QMC for that
 integral and labels the result accordingly.
 
+Variance terms need each w_z on the subgrid of z's own Gauss nodes.  When
+the model's full tensor grid fits (``FULL_GRID_CAP``) it is evaluated once
+and every w_z is a contraction of it.  When it does not,
+``AnovaEngine._fill_subgrid_tables`` still sweeps it only once, in boxes of
+at most ``BLOCK_POINTS`` points, and contracts each box into every table
+whose complement takes the tensor rule; only tables whose complement needs
+QMC are integrated point by point.  The mean and the total variance share
+one evaluation of their rule.
+
 Effects at arbitrary points need w_v there.  When the model's full tensor
 grid fits, every w_v is first contracted onto the subgrid of v's own Gauss
 nodes, and ``AnovaEngine._w_at`` reads it off that table by tensor
@@ -31,6 +40,7 @@ fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +58,7 @@ class ZeroVarianceError(ArithmeticError):
 DEFAULT_ORDER = 64          # Gaussian quadrature nodes per coordinate
 DEFAULT_QMC_LOG2 = 14       # 2**14 scrambled-Sobol points per QMC integral
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
+BLOCK_POINTS = 2**21        # most points a grid sweep hands the model at once
 TENSOR_DIM_CAP = 3          # beyond this many integration dims, use QMC
 INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
 # V = E[g^2] - mean^2 of a constant model is rounding noise of a few ulps of
@@ -252,9 +263,7 @@ class AnovaEngine:
         comp = [i for i in range(1, self.n + 1) if i not in z]
         if not comp:
             return np.zeros((1, 0)), np.ones(1)
-        n_cont = sum(1 for i in comp
-                     if not isinstance(self.measure.components[i - 1], DiscreteUniform))
-        if n_cont <= TENSOR_DIM_CAP:
+        if self._tensor_complement(z):
             pts = _tensor_points([self.nodes[i - 1] for i in comp])
             w = np.prod(_tensor_points([self.weights[i - 1] for i in comp]),
                         axis=-1)
@@ -265,6 +274,13 @@ class AnovaEngine:
         u = sob.random_base2(self.qmc_log2)
         pts = _qmc_transform([self.measure.components[i - 1] for i in comp], u)
         return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
+
+    def _tensor_complement(self, z):
+        """Whether the integral over the complement of z uses the tensor
+        rule: at most TENSOR_DIM_CAP continuous coordinates."""
+        return sum(1 for i, c in enumerate(self.measure.components, 1)
+                   if i not in z and not isinstance(c, DiscreteUniform)) \
+            <= TENSOR_DIM_CAP
 
     @property
     def mode(self):
@@ -288,7 +304,7 @@ class AnovaEngine:
         m = cpts.shape[0]
         out = np.empty(x.shape[0])
         # chunk the query points so the (chunk, m, n) block stays modest
-        chunk = max(1, int(2**21 // max(m, 1)))
+        chunk = max(1, BLOCK_POINTS // max(m, 1))
         zi = [i - 1 for i in z]
         ci = [i - 1 for i in comp]
         for a in range(0, x.shape[0], chunk):
@@ -348,8 +364,15 @@ class AnovaEngine:
         if self._full_grid_ok:
             return float(_contract(self._full_grid_values() ** power,
                                    self.weights))
+        values, w = self._rule_values
+        return float(values ** power @ w)
+
+    @cached_property
+    def _rule_values(self):
+        """(model values, weights) of the rule over all inputs, evaluated
+        once for every moment."""
         pts, w = self._complement_rule(())
-        return float(_evaluate(self.model, pts) ** power @ w)
+        return _evaluate(self.model, pts), w
 
     def mean(self):
         if () not in self._w_cache:
@@ -376,19 +399,45 @@ class AnovaEngine:
     def _w_on_subgrid(self, z):
         """Conditional mean w_z on the tensor grid of z's own quad nodes."""
         z = tuple(z)
-        if z in self._w_cache:
-            return self._w_cache[z]
         if len(z) == 0:
             return self.mean()
-        if self._full_grid_ok:
-            w = _contract(self._full_grid_values(),
-                          [None if i in z else self.weights[i - 1]
-                           for i in range(1, self.n + 1)])
-        else:
-            pts = _tensor_points([self.nodes[i - 1] for i in z])
-            w = self.conditional_mean(z, pts).reshape(self._subgrid_shape(z))
-        self._w_cache[z] = w
-        return w
+        if z not in self._w_cache:
+            if self._full_grid_ok:
+                self._w_cache[z] = _contract(
+                    self._full_grid_values(),
+                    [None if i in z else self.weights[i - 1]
+                     for i in range(1, self.n + 1)])
+            elif self._tensor_complement(z):
+                self._fill_subgrid_tables([z])
+            else:
+                pts = _tensor_points([self.nodes[i - 1] for i in z])
+                self._w_cache[z] = self.conditional_mean(z, pts).reshape(
+                    self._subgrid_shape(z))
+        return self._w_cache[z]
+
+    def _fill_subgrid_tables(self, subsets):
+        """Put w_z on its subgrid into ``_w_cache`` for every one of the
+        nonempty ``subsets`` not there yet whose complement uses the tensor
+        rule, from one sweep over the full tensor grid.
+
+        The sweep evaluates each box of ``_grid_boxes`` once and contracts
+        it into every table: the complement axes against the weights of the
+        box's nodes, added up over the boxes, and the axes of z kept at the
+        box's place in the table.
+        """
+        tables = {z: np.zeros(self._subgrid_shape(z)) for z in subsets
+                  if z not in self._w_cache and self._tensor_complement(z)}
+        if not tables:
+            return
+        for box in _grid_boxes(self._sizes):
+            nodes = [x[s] for x, s in zip(self.nodes, box)]
+            values = _evaluate(self.model, _tensor_points(nodes)).reshape(
+                [x.size for x in nodes])
+            for z, w in tables.items():
+                w[tuple(box[i - 1] for i in z)] += _contract(
+                    values, [None if i in z else self.weights[i - 1][box[i - 1]]
+                             for i in range(1, self.n + 1)])
+        self._w_cache.update(tables)
 
     def effect_on_subgrid(self, z):
         """g_z on the tensor grid of z's quad nodes."""
@@ -413,9 +462,10 @@ class AnovaEngine:
     def variance_decomposition(self, max_order=None):
         if max_order is None:
             max_order = self.n if self.n <= 4 else 2
-        terms = {}
-        for z in all_subsets(self.n, max_order):
-            terms[z] = self.term_variance(z)
+        subsets = all_subsets(self.n, max_order)
+        if not self._full_grid_ok:
+            self._fill_subgrid_tables(subsets)
+        terms = {z: self.term_variance(z) for z in subsets}
         total = self.total_variance()
         residual = total - sum(terms.values()) if max_order < self.n else 0.0
         return VarianceDecomposition(measure=self.measure.name or "measure",
@@ -604,10 +654,32 @@ def _contract(values, weights):
     return values
 
 
+def _grid_boxes(sizes):
+    """Boxes, one slice per axis, that tile the tensor grid of ``sizes`` in
+    C order with at most BLOCK_POINTS points each: whole trailing axes, a
+    run of nodes on the axis before them and one node on each axis before
+    that."""
+    k = next(k for k in range(1, len(sizes) + 1)
+             if math.prod(sizes[k:]) <= BLOCK_POINTS)
+    run = BLOCK_POINTS // math.prod(sizes[k:])
+    for head in np.ndindex(*sizes[:k - 1]):
+        for a in range(0, sizes[k - 1], run):
+            yield tuple(slice(i, i + 1) for i in head) + (slice(a, a + run),) \
+                + (slice(None),) * (len(sizes) - k)
+
+
 def _tensor_points(axes):
-    """Rows of the tensor grid of the given 1-d axes, last axis fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    """Rows of the tensor grid of the given 1-d axes, last axis fastest.
+
+    Each axis is broadcast straight into its column, so the only array as
+    large as the grid is the result.
+    """
+    axes = [np.asarray(a) for a in axes]
+    out = np.empty([a.size for a in axes] + [len(axes)],
+                   dtype=np.result_type(*axes))
+    for j, a in enumerate(axes):
+        out[..., j] = a.reshape([-1 if k == j else 1 for k in range(len(axes))])
+    return out.reshape(-1, len(axes))
 
 
 def _evaluate(model, x):

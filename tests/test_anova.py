@@ -220,8 +220,8 @@ def test_engine_matches_multilinear_closed_form(c1, c2, w):
 # -- property: the effects of all subsets add back up to the model -----------
 
 @st.composite
-def multilinear_models(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
+def multilinear_models(draw, inputs=st.integers(min_value=1, max_value=3)):
+    n = draw(inputs)
     factors = tuple(np.polynomial.Polynomial(draw(st.lists(coef, min_size=1,
                                                            max_size=3)))
                     for _ in range(n))
@@ -262,6 +262,79 @@ def test_subgrid_effects_match_point_effects(case, full_grid):
         want = want.reshape(got.shape)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, z
+
+
+# -- subgrid tables from one sweep over a grid that does not fit --------------
+
+class _Batches:
+    """A model that records how many points each call hands it."""
+
+    def __init__(self, model):
+        self.model, self.sizes = model, []
+
+    def __call__(self, x):
+        self.sizes.append(len(x))
+        return self.model(x)
+
+
+def _capped_engine(model, measure, **kw):
+    with mock.patch.object(anova, "FULL_GRID_CAP", 0):
+        eng = AnovaEngine(model, measure, **kw)
+    assert not eng._full_grid_ok
+    return eng
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=multilinear_models(inputs=st.just(4)), order=st.integers(2, 4),
+       discrete=st.booleans(), block=st.integers(1, 300))
+def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
+                                                        block):
+    model, measure = case
+    if discrete:        # unequal axis sizes
+        measure = ProductMeasure(measure.components[:3]
+                                 + (DiscreteUniform((-1.0, 0.5, 2.0)),))
+    eng = _capped_engine(model, measure, order=order)
+    with mock.patch.object(anova, "BLOCK_POINTS", block):
+        eng._fill_subgrid_tables(all_subsets(4))
+    for z in all_subsets(4):
+        want = eng.conditional_mean(z, _tensor_points(
+            [eng.nodes[i - 1] for i in z])).reshape(eng._subgrid_shape(z))
+        gap = np.max(np.abs(eng._w_cache[z] - want))
+        assert gap <= 1e-12 * np.max(np.abs(want)), z
+
+
+def test_decomposition_sweeps_the_grid_once():
+    model = _Batches(CompositeMultilinearModel(
+        factors=tuple(np.polynomial.Polynomial(c) for c in
+                      ([0.3, 1.0, -0.5], [1.0, 0.2], [0.0, 1.0, 1.0],
+                       [2.0, -1.0])),
+        terms=((1, 2), (2, 4), (1, 3, 4), (3,))))
+    measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                              Uniform(0.0, 1.0), Normal(0.0, 1.0)))
+    eng = _capped_engine(model, measure, order=6, qmc_log2=8)
+    vd = eng.variance_decomposition(max_order=2)
+    assert vd.mode == "qmc"
+    # the grid once for all ten tables, the Sobol points once for both moments
+    assert sum(model.sizes) == math.prod(eng._sizes) + 2**8
+    for z in all_subsets(4, max_order=2):
+        assert vd.terms[z] == pytest.approx(
+            model.model.exact_term_variance(measure, z), abs=1e-3), z
+
+
+def test_model_calls_stay_within_the_block():
+    model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3])
+    measure = ProductMeasure((Uniform(0.0, 1.0),) * 4)
+    eng = _capped_engine(model, measure, order=8, qmc_log2=8)
+    x = np.random.default_rng(2).uniform(size=(500, 2))
+    with mock.patch.object(anova, "BLOCK_POINTS", 1000):
+        eng.variance_decomposition(max_order=2)
+        for z in ((1,), (1, 2)):
+            eng.effect(z, x[:, :len(z)])
+    # the 8^4 grid in boxes of 8^3; effects at points, one row times 8^3
+    # complement nodes (singletons) or 15 rows times 8^2 (pairs); the 2^8
+    # Sobol points
+    assert max(model.sizes) <= 1000
+    assert {512, 960, 256} <= set(model.sizes)
 
 
 # -- conditional means at points, read off the quadrature tables -------------
