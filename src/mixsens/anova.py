@@ -16,7 +16,10 @@ the entire point of this package: change the measure and every term changes.
 Integrals use tensorised Gaussian quadrature (exact finite sums for discrete
 coordinates); when an integral would run over more than three continuous
 coordinates at once the engine switches to scrambled-Sobol QMC for that
-integral and labels the result accordingly.
+integral and labels the result accordingly.  The Sobol rule comes from
+``scipy.stats``, whose import takes most of a second, so it is imported only
+when an engine with more than ``TENSOR_DIM_CAP`` continuous coordinates is
+built (only such an engine can reach the rule), not when the package is.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes.  When
 the model's full tensor grid fits (``FULL_GRID_CAP``) it is evaluated once
@@ -25,7 +28,8 @@ and every w_z is a contraction of it.  When it does not,
 at most ``BLOCK_POINTS`` points, and contracts each box into every table
 whose complement takes the tensor rule; only tables whose complement needs
 QMC are integrated point by point.  The mean and the total variance share
-one evaluation of their rule.
+one evaluation of their rule; when that rule is the tensor rule, they are
+taken from the same sweep.
 
 Effects at arbitrary points need w_v there.  When the model's full tensor
 grid fits, every w_v is first contracted onto the subgrid of v's own Gauss
@@ -46,7 +50,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .measures import DiscreteUniform, Normal, ProductMeasure, Uniform, substream
 
@@ -192,6 +195,14 @@ class EffectCurve:
 # the engine
 # ---------------------------------------------------------------------------
 
+def _qmc():
+    """``scipy.stats.qmc``, imported on first use: importing scipy.stats
+    takes most of a second, and only an engine that can reach the Sobol
+    rule needs it."""
+    from scipy.stats import qmc
+    return qmc
+
+
 def _qmc_transform(components, u):
     """Map uniform(0,1) QMC points to the given univariate measures."""
     out = np.empty_like(u)
@@ -244,7 +255,10 @@ class AnovaEngine:
             and self.n <= 16
         self._G = None            # model on the full tensor grid, lazily
         self._w_cache = {}        # subset -> conditional mean on its subgrid
+        self._grid_moments = None  # (E[g], E[g^2]) from a grid sweep, lazily
         self._qmc_used = False
+        if not self._tensor_complement(()):
+            _qmc()                # set-up, not the first integral, pays the import
 
     # -- infrastructure ----------------------------------------------------
 
@@ -270,7 +284,7 @@ class AnovaEngine:
             return pts, w
         self._qmc_used = True
         rng_seed = substream(self.seed, "qmc", subset_label(z)).integers(2**31)
-        sob = qmc.Sobol(d=len(comp), scramble=True, seed=int(rng_seed))
+        sob = _qmc().Sobol(d=len(comp), scramble=True, seed=int(rng_seed))
         u = sob.random_base2(self.qmc_log2)
         pts = _qmc_transform([self.measure.components[i - 1] for i in comp], u)
         return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
@@ -360,17 +374,23 @@ class AnovaEngine:
         return {}
 
     def _moment(self, power):
-        """E[g(X)^power], on the full grid when it fits, else by the rule."""
+        """E[g(X)^power]: on the full grid when it fits, else from the grid
+        sweep when the rule over all inputs is the tensor rule, else by
+        that (QMC) rule."""
         if self._full_grid_ok:
             return float(_contract(self._full_grid_values() ** power,
                                    self.weights))
+        if self._tensor_complement(()):
+            if self._grid_moments is None:
+                self._fill_subgrid_tables([])
+            return self._grid_moments[power - 1]
         values, w = self._rule_values
         return float(values ** power @ w)
 
     @cached_property
     def _rule_values(self):
-        """(model values, weights) of the rule over all inputs, evaluated
-        once for every moment."""
+        """(model values, weights) of the QMC rule over all inputs,
+        evaluated once for every moment."""
         pts, w = self._complement_rule(())
         return _evaluate(self.model, pts), w
 
@@ -418,26 +438,35 @@ class AnovaEngine:
     def _fill_subgrid_tables(self, subsets):
         """Put w_z on its subgrid into ``_w_cache`` for every one of the
         nonempty ``subsets`` not there yet whose complement uses the tensor
-        rule, from one sweep over the full tensor grid.
+        rule, from one sweep over the full tensor grid.  When the rule over
+        all inputs is the tensor rule too, the same sweep gives E[g] and
+        E[g^2] (``_grid_moments``), unless an earlier sweep did.
 
-        The sweep evaluates each box of ``_grid_boxes`` once and contracts
+        The sweep evaluates each box of ``_box_points`` once and contracts
         it into every table: the complement axes against the weights of the
         box's nodes, added up over the boxes, and the axes of z kept at the
         box's place in the table.
         """
         tables = {z: np.zeros(self._subgrid_shape(z)) for z in subsets
                   if z not in self._w_cache and self._tensor_complement(z)}
-        if not tables:
+        moments = self._grid_moments is None and self._tensor_complement(())
+        if not tables and not moments:
             return
-        for box in _grid_boxes(self._sizes):
-            nodes = [x[s] for x, s in zip(self.nodes, box)]
-            values = _evaluate(self.model, _tensor_points(nodes)).reshape(
-                [x.size for x in nodes])
+        sums = [0.0, 0.0]
+        for box, pts in _box_points(self.nodes):
+            weights = [wk[s] for wk, s in zip(self.weights, box)]
+            values = _evaluate(self.model, pts).reshape(
+                [wk.size for wk in weights])
             for z, w in tables.items():
                 w[tuple(box[i - 1] for i in z)] += _contract(
-                    values, [None if i in z else self.weights[i - 1][box[i - 1]]
+                    values, [None if i in z else weights[i - 1]
                              for i in range(1, self.n + 1)])
+            if moments:
+                sums[0] += float(_contract(values, weights))
+                sums[1] += float(_contract(values ** 2, weights))
         self._w_cache.update(tables)
+        if moments:
+            self._grid_moments = tuple(sums)
 
     def effect_on_subgrid(self, z):
         """g_z on the tensor grid of z's quad nodes."""
@@ -666,6 +695,32 @@ def _grid_boxes(sizes):
         for a in range(0, sizes[k - 1], run):
             yield tuple(slice(i, i + 1) for i in head) + (slice(a, a + run),) \
                 + (slice(None),) * (len(sizes) - k)
+
+
+def _box_points(axes):
+    """(box, points) for every box of ``_grid_boxes`` over the tensor grid
+    of ``axes``: the box's rows in C order, as ``_tensor_points`` builds
+    them.
+
+    The rows live in one buffer, sized by the first box and overwritten by
+    each next one; only the columns whose slice changed are rewritten (the
+    whole trailing axes are written once), and a shorter box is a view of
+    the buffer's head.
+    """
+    buf, prev = None, None
+    for box in _grid_boxes([a.size for a in axes]):
+        nodes = [a[s] for a, s in zip(axes, box)]
+        shape = [x.size for x in nodes]
+        rows = math.prod(shape)
+        if buf is None:             # the first box is the largest
+            buf = np.empty((rows, len(axes)))
+        pts = buf[:rows].reshape(shape + [len(axes)])
+        for j, x in enumerate(nodes):
+            if prev is None or box[j] != prev[j]:
+                pts[..., j] = x.reshape([-1 if k == j else 1
+                                         for k in range(len(axes))])
+        prev = box
+        yield box, pts.reshape(-1, len(axes))
 
 
 def _tensor_points(axes):

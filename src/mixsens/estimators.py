@@ -13,6 +13,12 @@ Four routes, in decreasing order of access to the model:
 
 All estimators take seeds, not generators, so results are reproducible and
 independent of call order.
+
+Given-data estimates over one sample sort each input's column once: the
+stable order is cached on the sample (``EvaluatedSample.orders``), and
+``reweight`` hands the same cache to every reweighted copy, so the estimates
+under all candidate measures share one sort per input.  The bins are then
+contiguous slices of the sorted values.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +49,19 @@ class EstimationError(ArithmeticError):
 
 @dataclass
 class EvaluatedSample:
-    """Model evaluations y = g(x) at iid draws x from one measure."""
+    """Model evaluations y = g(x) at iid draws x from one measure.
+
+    ``orders`` maps an input (1-based) to the stable argsort of its column,
+    filled on first use by ``given_data_first_order``; ``x`` is not to be
+    changed once it is.
+    """
 
     x: np.ndarray
     y: np.ndarray
     measure_name: str = ""
     seed: int = None
     measure: object = None          # the ProductMeasure, when known
+    orders: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -67,13 +79,18 @@ class EvaluatedSample:
 
 @dataclass
 class WeightedSample:
-    """An evaluated sample plus importance weights targeting another measure."""
+    """An evaluated sample plus importance weights targeting another measure.
+
+    ``orders`` is the column-order cache of the sample ``x`` came from
+    (see ``EvaluatedSample``), shared by ``reweight`` with every target.
+    """
 
     x: np.ndarray
     y: np.ndarray
     weights: np.ndarray
     base_name: str = ""
     target_name: str = ""
+    orders: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).ravel()
@@ -344,13 +361,20 @@ def given_data_first_order(sample, i, bins=None):
     if np.min(col) == np.max(col):
         raise EstimationError(f"degenerate binning: input {i} takes a "
                               "single value")
-    order = np.argsort(col, kind="stable")
+    if i not in sample.orders:
+        sample.orders[i] = np.argsort(col, kind="stable")
+    order = sample.orders[i]
+    ys, ws = y[order], w[order]
+    # the bins of np.array_split: the first npts % bins hold one point more
+    size, extra = divmod(npts, bins)
     between = 0.0
-    for idx in np.array_split(order, bins):
-        wb = w[idx].sum()
+    for k in range(bins):
+        a = k * size + min(k, extra)
+        b = a + size + (k < extra)
+        wb = ws[a:b].sum()
         if wb <= 0:
             continue
-        mb = np.dot(w[idx], y[idx]) / wb
+        mb = np.dot(ws[a:b], ys[a:b]) / wb
         between += wb * (mb - ybar) ** 2
     return float(between / wsum / v_hat)
 
@@ -392,7 +416,7 @@ def reweight(sample, target, ess_floor=DEFAULT_ESS_FLOOR):
                               "mass on the sampled region")
     ws = WeightedSample(x=sample.x, y=sample.y, weights=w,
                         base_name=sample.measure_name,
-                        target_name=target.name or "")
+                        target_name=target.name or "", orders=sample.orders)
     if ws.ess < ess_floor:
         warnings.warn(f"effective sample size {ws.ess:.1f} below {ess_floor:g}; "
                       f"reweighted estimates toward {ws.target_name!r} are "

@@ -24,6 +24,7 @@ QUADRATURE_TOL = 1e-9      # declared accuracy of 64-node tensor quadrature
 QMC_TOL = 1e-4             # declared accuracy of the scrambled-Sobol fallback
 # 17 significant digits print every double so that it parses back bit-exactly
 FLOAT_FMT = "%.17g"
+WRITE_ROWS = 4096          # CSV rows formatted per write
 
 
 def qty(value, mode, tol):
@@ -112,11 +113,17 @@ def _write_table(path, header, columns):
     """CSV of a header row over float columns, CRLF line ends.
 
     ``columns`` holds 1-d columns or 2-d blocks of them, placed side by side.
+    The body is the text ``np.savetxt(fh, table, fmt=FLOAT_FMT,
+    delimiter=",", newline="\\r\\n")`` writes, formatted ``WRITE_ROWS`` rows
+    at a time by one ``%`` over a repeated row template.
     """
+    table = np.column_stack(columns)
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf8") as fh:
         csv.writer(fh).writerow(header)
-        np.savetxt(fh, np.column_stack(columns), fmt=FLOAT_FMT, delimiter=",",
-                   newline="\r\n")
+        for a in range(0, table.shape[0], WRITE_ROWS):
+            block = table[a:a + WRITE_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
     return path
 
 

@@ -1,11 +1,14 @@
 """Quadrature ANOVA engine against closed forms and frozen references."""
 
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixsens import anova
@@ -284,9 +287,23 @@ def _capped_engine(model, measure, **kw):
     return eng
 
 
+# every value of this model's tables is subnormal (about 1e-317), where a
+# double holds fewer than 12 digits: the two summation orders differ by a
+# few of the smallest subnormals, so the bound has an absolute floor at the
+# smallest normal double
+SUBNORMAL_TABLES = (
+    CompositeMultilinearModel(
+        factors=tuple(np.polynomial.Polynomial(c) for c in
+                      ([0.0, 1.25285494e-272], [0.0, 1.0], [0.0, 1.0],
+                       [0.0, 1.0])),
+        terms=({1, 2},), coeffs=(1.4e-45,)),
+    ProductMeasure((Uniform(-1.0, 2.0),) * 4))
+
+
 @settings(max_examples=25, deadline=None)
 @given(case=multilinear_models(inputs=st.just(4)), order=st.integers(2, 4),
        discrete=st.booleans(), block=st.integers(1, 300))
+@example(case=SUBNORMAL_TABLES, order=2, discrete=False, block=1)
 def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
                                                         block):
     model, measure = case
@@ -300,7 +317,8 @@ def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
         want = eng.conditional_mean(z, _tensor_points(
             [eng.nodes[i - 1] for i in z])).reshape(eng._subgrid_shape(z))
         gap = np.max(np.abs(eng._w_cache[z] - want))
-        assert gap <= 1e-12 * np.max(np.abs(want)), z
+        assert gap <= max(1e-12 * np.max(np.abs(want)),
+                          np.finfo(float).tiny), z
 
 
 def test_decomposition_sweeps_the_grid_once():
@@ -335,6 +353,55 @@ def test_model_calls_stay_within_the_block():
     # Sobol points
     assert max(model.sizes) <= 1000
     assert {512, 960, 256} <= set(model.sizes)
+
+
+def test_tensor_moments_come_from_the_same_sweep():
+    # three continuous inputs: the rule over all of them is the tensor rule
+    model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2)
+    measure = ProductMeasure((Uniform(0.0, 1.0), Normal(0.5, 0.8),
+                              Uniform(-1.0, 2.0)))
+    eng = _capped_engine(model, measure, order=7)
+    with mock.patch.object(anova, "BLOCK_POINTS", 20):
+        vd = eng.variance_decomposition()
+    assert sum(model.sizes) == 7 ** 3
+    assert max(model.sizes) <= 20
+    assert vd.mode == "quadrature"
+    full = AnovaEngine(model.model, measure, order=7).variance_decomposition()
+    assert vd.mean == pytest.approx(full.mean, rel=1e-13)
+    assert vd.total == pytest.approx(full.total, rel=1e-13)
+    for z, v in full.terms.items():
+        assert vd.terms[z] == pytest.approx(v, rel=1e-12, abs=1e-15), z
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       block=st.integers(1, 100))
+def test_box_points_are_the_tensor_points_of_each_box(sizes, block):
+    axes = [np.arange(s) + 10.0 * k for k, s in enumerate(sizes)]
+    with mock.patch.object(anova, "BLOCK_POINTS", block):
+        boxes = [(box, pts.copy()) for box, pts in anova._box_points(axes)]
+        assert [box for box, _ in boxes] == list(anova._grid_boxes(sizes))
+    for box, pts in boxes:
+        assert np.array_equal(pts, _tensor_points(
+            [a[s] for a, s in zip(axes, box)]))
+
+
+def test_scipy_stats_is_imported_only_for_engines_that_can_need_qmc():
+    code = "\n".join([
+        "import sys",
+        "import mixsens.cli",
+        "from mixsens.anova import AnovaEngine",
+        "from mixsens.measures import Normal, ProductMeasure",
+        "assert 'scipy.stats' not in sys.modules",
+        "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 3))",
+        "assert 'scipy.stats' not in sys.modules",
+        "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 4))",
+        "assert 'scipy.stats' in sys.modules"])
+    src = os.path.dirname(os.path.dirname(anova.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 # -- conditional means at points, read off the quadrature tables -------------

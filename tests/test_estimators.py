@@ -1,10 +1,14 @@
 """Sampling estimators: sanity on known models, error paths, file round trips."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixsens import estimators
 from mixsens.estimators import (EstimationError, EvaluatedSample,
                                 SampleFormatError, SobolEstimate,
                                 WeightedSample, brute_force_first_order,
@@ -128,6 +132,74 @@ class TestReweighting:
         manual = max(2, min(int(math.sqrt(ws.ess)), len(ws.y) // 5))
         assert given_data_first_order(ws, 2) \
             == given_data_first_order(ws, 2, bins=manual)
+
+
+def _array_split_first_order(sample, i, bins=None):
+    """given_data_first_order with its own sort and one fancy index per
+    np.array_split bin: the reference the sliced bins must equal bit for
+    bit."""
+    weighted = isinstance(sample, WeightedSample)
+    w = sample.weights if weighted else np.ones(len(sample.y))
+    y = sample.y
+    if bins is None:
+        n_eff = sample.ess if weighted else len(y)
+        bins = max(2, min(int(np.sqrt(n_eff)), len(y) // 5))
+    wsum = w.sum()
+    ybar = np.dot(w, y) / wsum
+    v_hat = np.dot(w, (y - ybar) ** 2) / wsum
+    between = 0.0
+    for idx in np.array_split(np.argsort(sample.x[:, i - 1], kind="stable"),
+                              bins):
+        wb = w[idx].sum()
+        if wb <= 0:
+            continue
+        mb = np.dot(w[idx], y[idx]) / wb
+        between += wb * (mb - ybar) ** 2
+    return float(between / wsum / v_hat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(npts=st.integers(10, 400), seed=st.integers(0, 2**32 - 1),
+       ties=st.booleans(), weighted=st.booleans(), explicit=st.booleans(),
+       data=st.data())
+def test_sliced_bins_equal_the_array_split_bins(npts, seed, ties, weighted,
+                                                explicit, data):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((npts, 2))
+    if ties:        # few distinct values: equal keys keep their input order
+        x[:, 0] = rng.integers(0, 3, npts)
+        x[:2, 0] = (0.0, 2.0)
+    sample = EvaluatedSample(x=x, y=np.sin(x[:, 0]) + rng.standard_normal(npts))
+    if weighted:    # some zero weights, so some bins may carry no mass
+        w = rng.exponential(size=npts) * (rng.random(npts) < 0.8)
+        w[0] = 1.0
+        sample = WeightedSample(x=sample.x, y=sample.y, weights=w)
+    bins = data.draw(st.integers(2, npts // 5)) if explicit else None
+    for i in (1, 2):
+        assert given_data_first_order(sample, i, bins) \
+            == _array_split_first_order(sample, i, bins)
+
+
+@pytest.mark.filterwarnings("ignore:effective sample size")
+def test_reweighting_sorts_each_column_once():
+    reg = ishigami_measures()
+    sample = generate_sample(IshigamiModel(), reg["mu1"], 1000, seed=6)
+    sorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    with mock.patch.object(estimators.np, "argsort", counted):
+        ests = [given_data_indices(sample)] + [
+            given_data_indices(reweight(sample, reg[nm]))
+            for nm in ("mu2", "mu3", "mu4", "mu5")]
+    assert len(sorts) == 3
+    for est, nm in zip(ests, ("mu1", "mu2", "mu3", "mu4", "mu5")):
+        ws = sample if nm == "mu1" else reweight(sample, reg[nm])
+        assert est.s.tolist() == [_array_split_first_order(ws, i)
+                                  for i in (1, 2, 3)]
 
 
 class TestValidationAndErrors:

@@ -3,11 +3,13 @@
 import csv
 
 import numpy as np
+import pytest
 
 from mixsens.anova import AnovaEngine
 from mixsens.mixture import MixtureEffectCurve
 from mixsens.models import IshigamiModel, ishigami_measures
-from mixsens.report import write_effect_curve_csv, write_mixture_curve_csv
+from mixsens.report import (FLOAT_FMT, WRITE_ROWS, _write_table,
+                            write_effect_curve_csv, write_mixture_curve_csv)
 
 
 def read_csv(path):
@@ -44,3 +46,25 @@ def test_pair_effect_curve_rows_run_over_the_tensor_grid(tmp_path):
     expected = np.array([[x, y, curve.values[r, c]]
                          for r, x in enumerate(g1) for c, y in enumerate(g3)])
     assert table.tobytes() == expected.tobytes()
+
+
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 2.2250738585072014e-308,
+                        1.0, -3.0, 1e16, 123456789.0, 0.1, np.pi])
+
+
+@pytest.mark.parametrize("rows", [1, 2, WRITE_ROWS - 1, WRITE_ROWS,
+                                  WRITE_ROWS + 1, 2 * WRITE_ROWS + 1])
+def test_table_body_is_the_text_savetxt_writes(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    values = np.where(rng.random((rows, 3)) < 0.5,
+                      rng.choice(EDGE_VALUES, size=(rows, 3)),
+                      rng.standard_normal((rows, 3)))
+    values[0, :] = EDGE_VALUES[:3]
+    columns = [values[:, 0], values[:, 1:], np.arange(rows, dtype=float)]
+    path = _write_table(tmp_path / "t.csv", ["a", "b c", "d", "e"], columns)
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf8") as fh:
+        fh.write("a,b c,d,e\r\n")
+        np.savetxt(fh, np.column_stack(columns), fmt=FLOAT_FMT,
+                   delimiter=",", newline="\r\n")
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
