@@ -21,19 +21,20 @@ integral and labels the result accordingly.  The Sobol rule comes from
 when an engine with more than ``TENSOR_DIM_CAP`` continuous coordinates is
 built (only such an engine can reach the rule), not when the package is.
 
-Variance terms need each w_z on the subgrid of z's own Gauss nodes.  When
-the model's full tensor grid fits (``FULL_GRID_CAP``) it is evaluated once
-and every w_z is a contraction of it.  When it does not,
-``AnovaEngine._fill_subgrid_tables`` still sweeps it only once, in boxes of
-at most ``BLOCK_POINTS`` points, and contracts each box into every table
-whose complement takes the tensor rule; only tables whose complement needs
-QMC are integrated point by point.  The mean and the total variance share
-one evaluation of their rule; when that rule is the tensor rule, they are
-taken from the same sweep.
+Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
+``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
+of the mean and the total variance.  It sweeps the model's full tensor grid
+once, in boxes of at most ``BLOCK_POINTS`` points.  When the grid fits
+(``FULL_GRID_CAP``) the sweep keeps it whole and every table is a
+contraction of it; when it does not, each box is contracted into every
+requested table whose complement takes the tensor rule, and only tables
+whose complement needs QMC are integrated point by point.  Any request for
+tables costs at most one sweep.  The mean and the total variance share one
+evaluation of their rule; they are taken from the sweep when the grid fits
+or when that rule is the tensor rule.
 
 Effects at arbitrary points need w_v there.  When the model's full tensor
-grid fits, every w_v is first contracted onto the subgrid of v's own Gauss
-nodes, and ``AnovaEngine._w_at`` reads it off that table by tensor
+grid fits, ``AnovaEngine._w_at`` reads w_v off v's subgrid table by tensor
 barycentric interpolation (Berrut & Trefethen, SIAM Rev. 46, 2004), gated
 row by row by an error estimate (see ``_Table``).  The direct integral over
 the complement of v, ``conditional_mean``, serves the rows the gate rejects
@@ -253,20 +254,13 @@ class AnovaEngine:
         self._sizes = [x.size for x in self.nodes]
         self._full_grid_ok = int(np.prod([float(s) for s in self._sizes])) <= FULL_GRID_CAP \
             and self.n <= 16
-        self._G = None            # model on the full tensor grid, lazily
         self._w_cache = {}        # subset -> conditional mean on its subgrid
-        self._grid_moments = None  # (E[g], E[g^2]) from a grid sweep, lazily
+        self._moments = None      # (E[g], E[g^2]), lazily
         self._qmc_used = False
         if not self._tensor_complement(()):
             _qmc()                # set-up, not the first integral, pays the import
 
     # -- infrastructure ----------------------------------------------------
-
-    def _full_grid_values(self):
-        if self._G is None:
-            pts = _tensor_points(self.nodes)
-            self._G = _evaluate(self.model, pts).reshape(self._sizes)
-        return self._G
 
     def _complement_rule(self, z):
         """Integration rule over the complement of z: (points, weights).
@@ -373,34 +367,12 @@ class AnovaEngine:
         """Subset -> its interpolation ``_Table``, filled by ``_w_at``."""
         return {}
 
-    def _moment(self, power):
-        """E[g(X)^power]: on the full grid when it fits, else from the grid
-        sweep when the rule over all inputs is the tensor rule, else by
-        that (QMC) rule."""
-        if self._full_grid_ok:
-            return float(_contract(self._full_grid_values() ** power,
-                                   self.weights))
-        if self._tensor_complement(()):
-            if self._grid_moments is None:
-                self._fill_subgrid_tables([])
-            return self._grid_moments[power - 1]
-        values, w = self._rule_values
-        return float(values ** power @ w)
-
-    @cached_property
-    def _rule_values(self):
-        """(model values, weights) of the QMC rule over all inputs,
-        evaluated once for every moment."""
-        pts, w = self._complement_rule(())
-        return _evaluate(self.model, pts), w
-
     def mean(self):
-        if () not in self._w_cache:
-            self._w_cache[()] = self._moment(1)
-        return self._w_cache[()]
+        return self._w_on_subgrid(())
 
     def total_variance(self):
-        return self._moment(2) - self.mean() ** 2
+        mean = self.mean()
+        return self._moments[1] - mean ** 2
 
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
@@ -417,56 +389,71 @@ class AnovaEngine:
         return tuple(self._sizes[i - 1] for i in z)
 
     def _w_on_subgrid(self, z):
-        """Conditional mean w_z on the tensor grid of z's own quad nodes."""
+        """Conditional mean w_z on the tensor grid of z's own quad nodes
+        (the mean for the empty z)."""
         z = tuple(z)
-        if len(z) == 0:
-            return self.mean()
-        if z not in self._w_cache:
+        return self._fill_subgrid_tables([z])[z]
+
+    def _fill_subgrid_tables(self, subsets):
+        """{z: w_z on its subgrid} for every one of ``subsets`` (the mean for
+        the empty one), each table computed once and kept in ``_w_cache``;
+        on return ``_moments`` holds (E[g], E[g^2]).  The one place the
+        engine integrates the model over its tensor grid.
+
+        One sweep evaluates each box of ``_box_points`` once.  When the full
+        grid fits, the sweep keeps it whole, as the table of all inputs, and
+        every table is contracted from it, then and later, with no further
+        model call.  Otherwise each box is contracted into every requested
+        table whose complement takes the tensor rule: the complement axes
+        against the weights of the box's nodes, added up over the boxes, and
+        the axes of z kept at the box's place in the table.  A table whose
+        complement takes QMC comes from ``conditional_mean`` at its
+        subgrid's nodes.  The moments come from the sweep when the grid is
+        the rule over all inputs (it fits, or that rule is the tensor rule),
+        and otherwise from one evaluation of that (QMC) rule.
+        """
+        everything = tuple(range(1, self.n + 1))
+        todo = [z for z in subsets if z and z not in self._w_cache]
+        if self._full_grid_ok:
+            swept = [] if everything in self._w_cache else [everything]
+        else:
+            swept = [z for z in todo if self._tensor_complement(z)]
+        moments = self._moments is None and \
+            (self._full_grid_ok or self._tensor_complement(()))
+        if swept or moments:
+            tables = {z: np.zeros(self._subgrid_shape(z)) for z in swept}
+            sums = [0.0, 0.0]
+            for box, pts in _box_points(self.nodes):
+                weights = [wk[s] for wk, s in zip(self.weights, box)]
+                values = _evaluate(self.model, pts).reshape(
+                    [wk.size for wk in weights])
+                for z, w in tables.items():
+                    w[tuple(box[i - 1] for i in z)] += _contract(
+                        values, [None if i in z else weights[i - 1]
+                                 for i in range(1, self.n + 1)])
+                if moments:
+                    sums[0] += float(_contract(values, weights))
+                    sums[1] += float(_contract(values ** 2, weights))
+            self._w_cache.update(tables)
+            if moments:
+                self._moments = tuple(sums)
+        for z in todo:
+            if z in self._w_cache:
+                continue
             if self._full_grid_ok:
                 self._w_cache[z] = _contract(
-                    self._full_grid_values(),
+                    self._w_cache[everything],
                     [None if i in z else self.weights[i - 1]
                      for i in range(1, self.n + 1)])
-            elif self._tensor_complement(z):
-                self._fill_subgrid_tables([z])
             else:
                 pts = _tensor_points([self.nodes[i - 1] for i in z])
                 self._w_cache[z] = self.conditional_mean(z, pts).reshape(
                     self._subgrid_shape(z))
-        return self._w_cache[z]
-
-    def _fill_subgrid_tables(self, subsets):
-        """Put w_z on its subgrid into ``_w_cache`` for every one of the
-        nonempty ``subsets`` not there yet whose complement uses the tensor
-        rule, from one sweep over the full tensor grid.  When the rule over
-        all inputs is the tensor rule too, the same sweep gives E[g] and
-        E[g^2] (``_grid_moments``), unless an earlier sweep did.
-
-        The sweep evaluates each box of ``_box_points`` once and contracts
-        it into every table: the complement axes against the weights of the
-        box's nodes, added up over the boxes, and the axes of z kept at the
-        box's place in the table.
-        """
-        tables = {z: np.zeros(self._subgrid_shape(z)) for z in subsets
-                  if z not in self._w_cache and self._tensor_complement(z)}
-        moments = self._grid_moments is None and self._tensor_complement(())
-        if not tables and not moments:
-            return
-        sums = [0.0, 0.0]
-        for box, pts in _box_points(self.nodes):
-            weights = [wk[s] for wk, s in zip(self.weights, box)]
-            values = _evaluate(self.model, pts).reshape(
-                [wk.size for wk in weights])
-            for z, w in tables.items():
-                w[tuple(box[i - 1] for i in z)] += _contract(
-                    values, [None if i in z else weights[i - 1]
-                             for i in range(1, self.n + 1)])
-            if moments:
-                sums[0] += float(_contract(values, weights))
-                sums[1] += float(_contract(values ** 2, weights))
-        self._w_cache.update(tables)
-        if moments:
-            self._grid_moments = tuple(sums)
+        if self._moments is None:
+            pts, w = self._complement_rule(())
+            values = _evaluate(self.model, pts)
+            self._moments = (float(values @ w), float(values ** 2 @ w))
+        return {z: self._w_cache[z] if z else self._moments[0] for z in subsets}
 
     def effect_on_subgrid(self, z):
         """g_z on the tensor grid of z's quad nodes."""
@@ -477,8 +464,7 @@ class AnovaEngine:
             return np.reshape(gu, [self._sizes[i - 1] if i in u else 1
                                    for i in v])
 
-        w = {v: self._w_on_subgrid(v) for v in _subsets_of(z)}
-        return _mobius(z, w, lift)[z]
+        return _mobius(z, self._fill_subgrid_tables(_subsets_of(z)), lift)[z]
 
     def term_variance(self, z):
         """V_z = integral of g_z^2 against the subset's marginal measure."""
@@ -492,8 +478,7 @@ class AnovaEngine:
         if max_order is None:
             max_order = self.n if self.n <= 4 else 2
         subsets = all_subsets(self.n, max_order)
-        if not self._full_grid_ok:
-            self._fill_subgrid_tables(subsets)
+        self._fill_subgrid_tables(subsets)
         terms = {z: self.term_variance(z) for z in subsets}
         total = self.total_variance()
         residual = total - sum(terms.values()) if max_order < self.n else 0.0

@@ -253,12 +253,6 @@ class ProductMeasure:
             ok &= (x[..., i] >= lo) & (x[..., i] <= hi)
         return ok
 
-    def mean(self):
-        return np.array([c.mean() for c in self.components])
-
-    def support(self):
-        return [c.support() for c in self.components]
-
     def sample(self, count, seed=None, rng=None):
         """Draw ``count`` iid points, shape (count, n).
 
@@ -319,9 +313,6 @@ class MeasureSet:
 
     def __len__(self):
         return len(self.measures)
-
-    def __getitem__(self, k):
-        return self.measures[k]
 
     def by_name(self, name):
         for m, nm in zip(self.measures, self.names):

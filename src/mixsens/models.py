@@ -363,9 +363,10 @@ def resolve_model(name_or_path):
                 if not item:
                     continue
                 key, _, val = item.partition("=")
-                if key.strip() not in ("a", "b"):
-                    raise ConfigError(f"unknown ishigami parameter {key.strip()!r}")
-                kwargs[key.strip()] = float(val)
+                key = key.strip()
+                if key not in ("a", "b"):
+                    raise ConfigError(f"unknown ishigami parameter {key!r}")
+                kwargs[key] = _read_number(val, f"ishigami parameter {key}")
         return IshigamiModel(**kwargs)
     try:
         with open(name_or_path, "r", encoding="utf8") as fh:

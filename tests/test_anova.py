@@ -299,11 +299,22 @@ SUBNORMAL_TABLES = (
         terms=({1, 2},), coeffs=(1.4e-45,)),
     ProductMeasure((Uniform(-1.0, 2.0),) * 4))
 
+# tables (2,), (3,) and (4,) of this model are zero in exact arithmetic, so
+# both sides are rounding noise of an O(1) model (about 5e-17, 1.4e-17 apart)
+# and only a floor tied to the model's scale can bound their gap
+CANCELLING_TABLES = (
+    CompositeMultilinearModel(
+        factors=tuple(np.polynomial.Polynomial(c) for c in
+                      ([1.0, -1.0], [0.5], [-1.0], [1.5])),
+        terms=({2, 4}, {1, 2}, {3}, {4}), coeffs=(1.0, 1.0, 1.0, 0.0)),
+    ProductMeasure((Normal(0.5, 0.8),) + (Uniform(-1.0, 2.0),) * 3))
+
 
 @settings(max_examples=25, deadline=None)
 @given(case=multilinear_models(inputs=st.just(4)), order=st.integers(2, 4),
        discrete=st.booleans(), block=st.integers(1, 300))
 @example(case=SUBNORMAL_TABLES, order=2, discrete=False, block=1)
+@example(case=CANCELLING_TABLES, order=2, discrete=False, block=1)
 def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
                                                         block):
     model, measure = case
@@ -313,11 +324,16 @@ def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
     eng = _capped_engine(model, measure, order=order)
     with mock.patch.object(anova, "BLOCK_POINTS", block):
         eng._fill_subgrid_tables(all_subsets(4))
+    # each side sums m complement nodes of values at most max|g| in size, so
+    # a table that cancels to zero differs by rounding of m eps max|g|
+    scale = np.max(np.abs(model(_tensor_points(eng.nodes))))
     for z in all_subsets(4):
         want = eng.conditional_mean(z, _tensor_points(
             [eng.nodes[i - 1] for i in z])).reshape(eng._subgrid_shape(z))
         gap = np.max(np.abs(eng._w_cache[z] - want))
+        m = math.prod(eng._sizes) // math.prod(eng._subgrid_shape(z))
         assert gap <= max(1e-12 * np.max(np.abs(want)),
+                          m * np.finfo(float).eps * scale,
                           np.finfo(float).tiny), z
 
 
@@ -353,6 +369,53 @@ def test_model_calls_stay_within_the_block():
     # Sobol points
     assert max(model.sizes) <= 1000
     assert {512, 960, 256} <= set(model.sizes)
+    # a grid that fits goes to the model in the same boxes, here of 12^2
+    model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2)
+    eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 3),
+                      order=12)
+    assert eng._full_grid_ok
+    with mock.patch.object(anova, "BLOCK_POINTS", 200):
+        eng.variance_decomposition()
+        assert model.sizes == [144] * 12
+        eng.effect((1, 2), x)
+    assert max(model.sizes) <= 200
+
+
+@pytest.mark.parametrize("ask", [lambda eng: eng.annihilation_defect((1, 2)),
+                                 lambda eng: eng.term_variance((1, 2, 3))],
+                         ids=["annihilation_defect", "term_variance"])
+def test_a_subset_lattice_costs_one_sweep(ask):
+    model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3] ** 2)
+    eng = _capped_engine(model, ProductMeasure((Uniform(0.0, 1.0),) * 4),
+                         order=8, qmc_log2=8)
+    ask(eng)
+    # every table of the lattice from one sweep of the 8^4 grid, the mean
+    # from the 2^8 Sobol points
+    assert sum(model.sizes) == 8 ** 4 + 2 ** 8
+
+
+def test_tables_whose_complement_takes_qmc():
+    # five inputs: each singleton's complement has four continuous
+    # coordinates (QMC), each pair's three (the sweep)
+    model = _Batches(CompositeMultilinearModel(
+        factors=tuple(np.polynomial.Polynomial(c) for c in
+                      ([0.3, 1.0, -0.5], [1.0, 0.2], [0.0, 1.0, 1.0],
+                       [2.0, -1.0], [0.5, 0.5])),
+        terms=((1, 2), (2, 4), (1, 3, 4), (3,), (5,), (4, 5))))
+    measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                              Uniform(0.0, 1.0), Normal(0.0, 1.0),
+                              Uniform(-1.0, 1.0)))
+    order, log2 = 4, 12
+    eng = _capped_engine(model, measure, order=order, qmc_log2=log2)
+    vd = eng.variance_decomposition(max_order=2)
+    assert vd.mode == "qmc"
+    # the grid once; per singleton, its Sobol rule at each of its nodes; the
+    # Sobol rule over all inputs once for both moments
+    assert sum(model.sizes) == order ** 5 + 5 * order * 2 ** log2 + 2 ** log2
+    # the singleton means carry the QMC error: 5e-4 at most here (seed 0)
+    for z in all_subsets(5, max_order=2):
+        assert vd.terms[z] == pytest.approx(
+            model.model.exact_term_variance(measure, z), abs=1e-3), z
 
 
 def test_tensor_moments_come_from_the_same_sweep():

@@ -449,6 +449,19 @@ class TestFailureModes:
         assert "config error" in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("model", ["ishigami:a=abc", "ishigami:a",
+                                       "ishigami:a=inf", "ishigami:a=nan"])
+    def test_bad_ishigami_parameter_is_a_config_error(self, configs, tmp_path,
+                                                      capsys, model):
+        out = tmp_path / "o"
+        code = run(["--model", model, "--measures", configs["noprior"],
+                    "--sections", "measures", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert "ishigami parameter a" in err
+        assert not out.exists()
+
     def test_unknown_section_is_a_usage_error(self, configs, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["--model", "ishigami", "--measures", configs["noprior"],
