@@ -17,9 +17,10 @@ Integrals use tensorised Gaussian quadrature (exact finite sums for discrete
 coordinates); when an integral would run over more than three continuous
 coordinates at once the engine switches to scrambled-Sobol QMC for that
 integral and labels the result accordingly.  The Sobol rule comes from
-``scipy.stats``, whose import takes most of a second, so it is imported only
-when an engine with more than ``TENSOR_DIM_CAP`` continuous coordinates is
-built (only such an engine can reach the rule), not when the package is.
+``scipy.stats`` and its normal transform from ``scipy.special.ndtri``; their
+import takes most of a second, so they are imported only when an engine with
+more than ``TENSOR_DIM_CAP`` continuous coordinates is built (only such an
+engine can reach the rule).  Importing the package loads no scipy module.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .measures import DiscreteUniform, Normal, ProductMeasure, Uniform, substream
 
@@ -206,6 +206,7 @@ def _qmc():
 
 def _qmc_transform(components, u):
     """Map uniform(0,1) QMC points to the given univariate measures."""
+    from scipy.special import ndtri   # loaded with scipy.stats by _qmc()
     out = np.empty_like(u)
     for j, c in enumerate(components):
         col = u[:, j]

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .anova import (AnovaEngine, EffectCurve, ZeroVarianceError, _evaluate,
                     _tensor_points)
 from .measures import ProductMeasure, SupportError, Uniform
+from .models import _connected_groups
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +164,8 @@ def robust_ranking(s_matrix, ses=None, dims=None):
 
     # tied blocks: connected components of "neither dominates", ordered by
     # their best-case index (greedy top-down)
-    _, labels = connected_components(~dom & ~dom.T, directed=False)
-    comp = {}
-    for i in range(n):
-        comp.setdefault(labels[i], []).append(i + 1)
-    blocks = sorted(comp.values(),
+    comp = [[i + 1 for i in g] for g in _connected_groups(~dom & ~dom.T)]
+    blocks = sorted(comp,
                     key=lambda blk: (-max(s_hi[i - 1] for i in blk), blk[0]))
 
     most = next((i + 1 for i in range(n)

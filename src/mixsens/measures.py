@@ -5,6 +5,13 @@ parameterised by a product measure on the input box, or by a finite *set*
 of candidate product measures, optionally weighted by a prior.  This module
 supplies those objects plus the config-file loader and the seeding helpers
 that keep every stochastic code path reproducible.
+
+Quadrature starts from the standard Gauss-Legendre and Gauss-Hermite rules.
+Each is an eigenproblem (Golub & Welsch, Math. Comp. 23, 1969), and a run
+over a measure set asks for the same few (family, order) pairs many times,
+so ``_gauss_rule`` computes each pair once and hands every caller the same
+read-only arrays; each measure maps them to its own support.  Importing this
+module loads no scipy: ``Normal.cdf`` imports ``ndtr`` when it is called.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 import yaml
-from scipy.special import ndtr
 
 
 class ConfigError(ValueError):
@@ -50,6 +57,22 @@ def substream(seed, *tags):
 # ---------------------------------------------------------------------------
 # univariate families
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32, typed=True)
+def _gauss_rule(family, order):
+    """Nodes and weights of the standard Gauss rule with ``order`` nodes:
+    ``"legendre"`` on [-1, 1] with unit weight, ``"hermite"`` for the weight
+    exp(-t^2).  Computed once per (family, order); the arrays are read-only
+    because every caller shares them.  Typed, so a float order still fails
+    as it does uncached instead of hitting the entry of its integer."""
+    if family == "legendre":
+        t, w = np.polynomial.legendre.leggauss(order)
+    else:
+        t, w = np.polynomial.hermite.hermgauss(order)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
 
 class UnivariateMeasure:
     """Interface for one input coordinate's distribution."""
@@ -122,7 +145,7 @@ class Uniform(UnivariateMeasure):
         return rng.uniform(self.lo, self.hi, size=size)
 
     def quad_nodes(self, order=64):
-        t, w = np.polynomial.legendre.leggauss(order)
+        t, w = _gauss_rule("legendre", order)
         x = 0.5 * (self.hi - self.lo) * t + 0.5 * (self.hi + self.lo)
         return x, w / 2.0
 
@@ -144,6 +167,7 @@ class Normal(UnivariateMeasure):
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
+        from scipy.special import ndtr   # scipy.special is slow to import
         x = np.asarray(x, dtype=float)
         return ndtr((x - self.mean_) / self.sd)
 
@@ -157,7 +181,7 @@ class Normal(UnivariateMeasure):
         return rng.normal(self.mean_, self.sd, size=size)
 
     def quad_nodes(self, order=64):
-        t, w = np.polynomial.hermite.hermgauss(order)
+        t, w = _gauss_rule("hermite", order)
         x = self.mean_ + self.sd * math.sqrt(2.0) * t
         return x, w / math.sqrt(math.pi)
 

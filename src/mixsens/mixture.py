@@ -33,7 +33,7 @@ import numpy as np
 
 from .anova import (DEFAULT_ORDER, AnovaEngine, _combined_mode, _contract,
                     _mobius, _tensor_points)
-from .measures import DiscreteUniform, Normal
+from .measures import DiscreteUniform, Normal, _gauss_rule
 
 
 # Gauss-Legendre nodes per coordinate of the support-restricted defect rules
@@ -187,7 +187,7 @@ def _restricted_rule(component, box):
         b = min(b, component.mean_ + 8.5 * component.sd)
     if not b > a:
         return None
-    t, w = np.polynomial.legendre.leggauss(RESTRICTED_ORDER)
+    t, w = _gauss_rule("legendre", RESTRICTED_ORDER)
     x = 0.5 * (a + b) + 0.5 * (b - a) * t
     return x, 0.5 * (b - a) * w * component.density(x)
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .measures import (ConfigError, MeasureSet, Normal, ProductMeasure,
                        Uniform, _read_list, _read_number)
@@ -336,12 +335,21 @@ def core_partition(model, mset, tol=1e-9, order=128):
     """
     sigs = np.array([core_signature(model, m, order) for m in mset.measures])
     close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=-1) <= tol
-    _, labels = connected_components(close, directed=False)
-    groups = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-    # filled in index order, so groups are listed by their smallest member
-    return list(groups.values())
+    return _connected_groups(close)
+
+
+def _connected_groups(adj):
+    """Connected components of the undirected graph with boolean adjacency
+    matrix ``adj`` (an edge either way joins two nodes), for graphs of a few
+    nodes: lists of node indices, each ascending, listed by their smallest
+    member.  Squaring the reflexive adjacency until it stops growing gives
+    the transitive closure, whose row i is the component of node i."""
+    reach = np.asarray(adj, dtype=bool)
+    reach = reach | reach.T | np.eye(len(reach), dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    return sorted(map(list, {tuple(np.flatnonzero(row).tolist())
+                             for row in reach}))
 
 
 # ---------------------------------------------------------------------------

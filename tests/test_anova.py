@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mixsens import anova
@@ -465,6 +465,68 @@ def test_scipy_stats_is_imported_only_for_engines_that_can_need_qmc():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
+    cfg = tmp_path / "measures.yaml"
+    cfg.write_text(ref.MEASURES_YAML)
+    code = "\n".join([
+        "import sys",
+        "def scipy():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "import mixsens",
+        "assert not scipy(), scipy()",
+        "import mixsens.cli",
+        "assert not scipy(), scipy()",
+        "from mixsens.anova import AnovaEngine",
+        "from mixsens.measures import Normal, ProductMeasure",
+        "normals = ProductMeasure((Normal(0.0, 1.0),) * 3)",
+        "vd = AnovaEngine(lambda x: x.sum(axis=-1), normals, order=8)"
+        ".variance_decomposition()",
+        "assert abs(vd.total - 3.0) < 1e-12 and vd.mode == 'quadrature'",
+        "assert not scipy(), scipy()",
+        f"assert mixsens.cli.main(['analyze', '--model', 'ishigami', "
+        f"'--measures', {str(cfg)!r}, '--prior', "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0",
+        "assert not scipy(), scipy()",
+        # the paths that need scipy still load it and work
+        "assert Normal(0.0, 1.0).cdf(0.0) == 0.5",
+        "eng = AnovaEngine(lambda x: x.sum(axis=-1) + 1.0,",
+        "                  ProductMeasure((Normal(0.0, 1.0),) * 4), qmc_log2=10)",
+        "assert abs(eng.mean() - 1.0) < 1e-2 and eng.mode == 'qmc'",
+        "assert 'scipy.special' in sys.modules"])
+    src = os.path.dirname(os.path.dirname(anova.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+# -- metamorphic: an affine map of the model ---------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(case=multilinear_models(),
+       a=st.floats(0.1, 10.0).flatmap(lambda m: st.sampled_from((m, -m))),
+       beta=st.floats(-10.0, 10.0))
+def test_affine_model_keeps_indices_and_scales_variances(case, a, beta):
+    model, measure = case
+    vd = AnovaEngine(model, measure, order=16).variance_decomposition()
+    try:
+        s = vd.sobol_indices()
+    except ZeroVarianceError:
+        assume(False)
+    # the shift is on the model's own scale, so it does not swamp g
+    b = beta * abs(a) * math.sqrt(vd.total)
+    vd2 = AnovaEngine(lambda x: a * model(x) + b, measure,
+                      order=16).variance_decomposition()
+    s2 = vd2.sobol_indices()
+    # V and the V_z come from uncentred moments and conditional means, so
+    # they lose the digits of E[g^2] / V (1 for a centred model); the bound
+    # is 1e-12 times that condition number, the larger of the two models'
+    cond = max((d.total + d.mean ** 2) / d.total for d in (vd, vd2))
+    for z, v in vd.terms.items():
+        assert abs(vd2.terms[z] - a * a * v) <= 1e-12 * cond * a * a * vd.total, z
+        assert abs(s2[z] - s[z]) <= 1e-12 * cond, z
 
 
 # -- conditional means at points, read off the quadrature tables -------------

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mixsens import cli
+from mixsens import cli, measures
 from mixsens.anova import VarianceDecomposition
 from mixsens.cli import main
 from mixsens.estimators import (generate_sample, read_sample, reweight,
@@ -190,6 +190,29 @@ class TestDeterminism:
             assert code == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
+    # the canonical run asks for 54 rules: expansions (order 64), core
+    # signatures (128) and restricted defect rules (96), 6 of them distinct
+    cfg = tmp_path / "measures.yaml"
+    cfg.write_text(ref.MEASURES_YAML)
+    computed = []
+    for module, name in ((np.polynomial.legendre, "leggauss"),
+                         (np.polynomial.hermite, "hermgauss")):
+        def counted(order, rule=getattr(module, name), name=name):
+            computed.append((name, order))
+            return rule(order)
+        monkeypatch.setattr(module, name, counted)
+    measures._gauss_rule.cache_clear()
+    try:
+        assert main(["analyze", "--model", "ishigami", "--measures", str(cfg),
+                     "--prior", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        measures._gauss_rule.cache_clear()
+    assert sorted(computed) == [(name, order)
+                                for name in ("hermgauss", "leggauss")
+                                for order in (64, 96, 128)]
 
 
 class TestEstimatorModes:

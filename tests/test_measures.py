@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from mixsens.measures import (ConfigError, DiscreteUniform, MeasureSet,
                               MixtureMeasure, Normal, ProductMeasure,
-                              SupportError, Uniform, load_measure_set,
-                              log_pool, measure_set_from_dict,
-                              measure_set_to_dict, substream)
+                              SupportError, Uniform, _gauss_rule,
+                              load_measure_set, log_pool,
+                              measure_set_from_dict, measure_set_to_dict,
+                              substream)
 
 PI = math.pi
 
@@ -73,6 +74,31 @@ class TestUnivariateFamilies:
             d.density(0.5)
         with pytest.raises(ConfigError):
             DiscreteUniform((1.0, 1.0))
+
+
+class TestGaussRuleCache:
+    """Each (family, order) rule is computed once and shared read-only."""
+
+    @pytest.mark.parametrize("family", ["legendre", "hermite"])
+    def test_cached_arrays_are_read_only(self, family):
+        t, w = _gauss_rule(family, 8)
+        assert _gauss_rule(family, 8)[0] is t
+        for arr in (t, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("order", [8, 64, 96, 128])
+    def test_nodes_are_the_uncached_formula_bit_for_bit(self, order):
+        u, nm = Uniform(-1.0, 2.0), Normal(0.5, 0.8)
+        t, w = np.polynomial.legendre.leggauss(order)
+        want_u = (1.5 * t + 0.5, w / 2.0)
+        t, w = np.polynomial.hermite.hermgauss(order)
+        want_n = (0.5 + 0.8 * math.sqrt(2.0) * t, w / math.sqrt(math.pi))
+        for measure, want in ((u, want_u), (nm, want_n)):
+            for _ in range(2):           # the first call may fill the cache
+                got = measure.quad_nodes(order)
+                assert [a.tobytes() for a in got] == \
+                    [a.tobytes() for a in want], (measure, order)
 
 
 class TestProductMeasure:

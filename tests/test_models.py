@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mixsens.measures import ConfigError, ProductMeasure, Uniform
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
-                            core_partition, core_signature, ishigami_effect,
+                            _connected_groups, core_partition, core_signature, ishigami_effect,
                             ishigami_measure_set, ishigami_measures,
                             ishigami_mixture_effect, multilinear_from_dict,
                             resolve_model, same_core)
@@ -180,6 +180,18 @@ class TestCores:
         model = IshigamiModel()
         mset = ishigami_measure_set(("mu1", "mu2", "mu3", "mu4", "mu5"))
         assert core_partition(model, mset) == [[0, 3, 4], [1], [2]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(adj=st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda bits: np.array(bits).reshape(n, n))))
+    def test_connected_groups_are_the_scipy_components(self, adj):
+        from scipy.sparse.csgraph import connected_components
+        adj = adj | adj.T
+        k, labels = connected_components(adj, directed=False)
+        want = [np.flatnonzero(labels == c).tolist() for c in range(k)]
+        # each group ascending, groups listed by their smallest member
+        assert _connected_groups(adj) == sorted(want)
 
     def test_shared_core_means_equal_effects_on_common_support(self):
         model = IshigamiModel()
