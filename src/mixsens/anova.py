@@ -14,13 +14,16 @@ sensitivity indices.  All of it depends on the chosen input measure, which is
 the entire point of this package: change the measure and every term changes.
 
 Integrals use tensorised Gaussian quadrature (exact finite sums for discrete
-coordinates); when an integral would run over more than three continuous
-coordinates at once the engine switches to scrambled-Sobol QMC for that
-integral and labels the result accordingly.  The Sobol rule comes from
-``scipy.stats`` and its normal transform from ``scipy.special.ndtri``; their
-import takes most of a second, so they are imported only when an engine with
-more than ``TENSOR_DIM_CAP`` continuous coordinates is built (only such an
-engine can reach the rule).  Importing the package loads no scipy module.
+coordinates); an integral over more than ``TENSOR_DIM_CAP`` continuous
+coordinates at once takes scrambled-Sobol QMC instead, and results that
+used it are labelled accordingly.  Each integral's rule is fixed when the
+engine is built (its integration plan), never by the order of the calls.
+The Sobol rule comes from ``scipy.stats`` and its normal transform from
+``scipy.special.ndtri``; their import takes most of a second, so they are
+imported only when an engine's plan holds a QMC integral, that is when the
+complement of some single input has more than ``TENSOR_DIM_CAP`` continuous
+coordinates.  Importing the package, or building an engine of four
+continuous inputs, loads no scipy module.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
@@ -29,10 +32,15 @@ once, in boxes of at most ``BLOCK_POINTS`` points.  When the grid fits
 (``FULL_GRID_CAP``) the sweep keeps it whole and every table is a
 contraction of it; when it does not, each box is contracted into every
 requested table whose complement takes the tensor rule, and only tables
-whose complement needs QMC are integrated point by point.  Any request for
-tables costs at most one sweep.  The mean and the total variance share one
-evaluation of their rule; they are taken from the sweep when the grid fits
-or when that rule is the tensor rule.
+whose complement takes QMC are integrated point by point.  Any request for
+tables costs at most one sweep.  The mean and the total variance (the
+moments) share one evaluation of their rule.  The plan gives them the tensor
+rule, taken from the sweep, when the grid fits or when some singleton
+table's complement takes the tensor rule: every variance decomposition then
+pays for the sweep anyway, so the moments come from the same rule as the
+terms and sum with them to the total.  A mean-only call on such an engine
+costs one sweep.  Otherwise (five or more continuous inputs on a grid that
+does not fit) the moments take the QMC rule over all inputs.
 
 Effects at arbitrary points need w_v there.  When the model's full tensor
 grid fits, ``AnovaEngine._w_at`` reads w_v off v's subgrid table by tensor
@@ -136,11 +144,13 @@ class VarianceDecomposition:
 
         The test is scale-invariant: V <= c * eps * (V + mean^2), with
         c = ZERO_VARIANCE_ULPS, since V + mean^2 = E[g^2] is what V was
-        computed from.
+        computed from.  A subnormal E[g^2] has lost its digits, and c * eps
+        times it underflows to zero, so it counts as zero itself.
         """
         v = self.total
-        if not np.isfinite(v) or \
-                v <= ZERO_VARIANCE_ULPS * np.finfo(float).eps * (v + self.mean**2):
+        second = v + self.mean ** 2
+        if not np.isfinite(v) or second < np.finfo(float).tiny or \
+                v <= ZERO_VARIANCE_ULPS * np.finfo(float).eps * second:
             raise ZeroVarianceError(f"measure {self.measure!r}: total variance "
                                     f"{v!r} is numerically zero")
 
@@ -237,6 +247,16 @@ class AnovaEngine:
     qmc_log2, seed : int
         Size (log2) and seed of the scrambled-Sobol rule used whenever an
         integral runs over more than three continuous coordinates.
+
+    The integration plan is fixed here.  A table w_z takes the tensor rule
+    when the grid fits or z's complement has at most ``TENSOR_DIM_CAP``
+    continuous coordinates, and QMC otherwise (``_takes_qmc``); a
+    conditional mean at points takes the tensor rule exactly when z's
+    complement is that small.  The moments take the sweep when the grid fits
+    or some singleton table takes the tensor rule, and QMC otherwise.
+    ``mode`` is "qmc" when the plan holds any QMC integral; a
+    ``VarianceDecomposition`` is tagged "qmc" when one of the integrals it
+    used takes QMC.
     """
 
     def __init__(self, model, measure, order=DEFAULT_ORDER,
@@ -257,8 +277,11 @@ class AnovaEngine:
             and self.n <= 16
         self._w_cache = {}        # subset -> conditional mean on its subgrid
         self._moments = None      # (E[g], E[g^2]), lazily
-        self._qmc_used = False
-        if not self._tensor_complement(()):
+        # the integration plan (see the class docstring)
+        tensor = [self._tensor_complement((i,)) for i in range(1, self.n + 1)]
+        self._swept_moments = self._full_grid_ok or any(tensor)
+        self.mode = "quadrature" if all(tensor) else "qmc"
+        if self.mode == "qmc":
             _qmc()                # set-up, not the first integral, pays the import
 
     # -- infrastructure ----------------------------------------------------
@@ -277,7 +300,6 @@ class AnovaEngine:
             w = np.prod(_tensor_points([self.weights[i - 1] for i in comp]),
                         axis=-1)
             return pts, w
-        self._qmc_used = True
         rng_seed = substream(self.seed, "qmc", subset_label(z)).integers(2**31)
         sob = _qmc().Sobol(d=len(comp), scramble=True, seed=int(rng_seed))
         u = sob.random_base2(self.qmc_log2)
@@ -291,9 +313,12 @@ class AnovaEngine:
                    if i not in z and not isinstance(c, DiscreteUniform)) \
             <= TENSOR_DIM_CAP
 
-    @property
-    def mode(self):
-        return "qmc" if self._qmc_used else "quadrature"
+    def _takes_qmc(self, z):
+        """Whether the plan integrates w_z on its subgrid (the moments for
+        the empty z) by QMC."""
+        if not z:
+            return not self._swept_moments
+        return not self._full_grid_ok and not self._tensor_complement(z)
 
     # -- conditional means and effects at arbitrary points -------------------
 
@@ -409,18 +434,17 @@ class AnovaEngine:
         against the weights of the box's nodes, added up over the boxes, and
         the axes of z kept at the box's place in the table.  A table whose
         complement takes QMC comes from ``conditional_mean`` at its
-        subgrid's nodes.  The moments come from the sweep when the grid is
-        the rule over all inputs (it fits, or that rule is the tensor rule),
-        and otherwise from one evaluation of that (QMC) rule.
+        subgrid's nodes.  The moments come from the sweep, or from one
+        evaluation of the QMC rule over all inputs, as the plan says
+        (``_takes_qmc(())``); a sweep only they need fills no table.
         """
         everything = tuple(range(1, self.n + 1))
         todo = [z for z in subsets if z and z not in self._w_cache]
         if self._full_grid_ok:
             swept = [] if everything in self._w_cache else [everything]
         else:
-            swept = [z for z in todo if self._tensor_complement(z)]
-        moments = self._moments is None and \
-            (self._full_grid_ok or self._tensor_complement(()))
+            swept = [z for z in todo if not self._takes_qmc(z)]
+        moments = self._moments is None and not self._takes_qmc(())
         if swept or moments:
             tables = {z: np.zeros(self._subgrid_shape(z)) for z in swept}
             sums = [0.0, 0.0]
@@ -483,9 +507,11 @@ class AnovaEngine:
         terms = {z: self.term_variance(z) for z in subsets}
         total = self.total_variance()
         residual = total - sum(terms.values()) if max_order < self.n else 0.0
+        qmc = any(self._takes_qmc(z) for z in [()] + subsets)
         return VarianceDecomposition(measure=self.measure.name or "measure",
                                      total=total, mean=self.mean(), terms=terms,
-                                     residual=residual, n=self.n, mode=self.mode)
+                                     residual=residual, n=self.n,
+                                     mode="qmc" if qmc else "quadrature")
 
     # -- plotting-oriented output -------------------------------------------
 

@@ -207,8 +207,11 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
         sum_{k,j} p_k p_j E_{mu^k_z}[ 1{supp_j,z} g_z^j ],
 
     each integrable by a smooth rule over the box intersection of the two
-    supports.  ``gated`` selects which mixture-effect semantics is
-    integrated; the default matches :func:`mixture_effect_from_components`.
+    supports.  The k = j term is the engine's own annihilation integral (the
+    gate is one on its own support), read off its subgrid effect with its
+    own weights, with no model call once its tables exist.  ``gated``
+    selects which mixture-effect semantics is integrated; the default
+    matches :func:`mixture_effect_from_components`.
     """
     p = _check(engines, prior)
     z = tuple(sorted(z))
@@ -220,6 +223,11 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
             continue
         for pj, j_eng in zip(p, engines):        # effect term and its gate
             if pj == 0.0:
+                continue
+            if j_eng is k_eng:
+                total += pk * pj * float(_contract(
+                    k_eng.effect_on_subgrid(z),
+                    [k_eng.weights[i - 1] for i in z]))
                 continue
             rules = []
             for i in z:

@@ -118,14 +118,17 @@ class TestTruncationAndModes:
         assert vd.residual == pytest.approx(ref.TERMS["mu1"][(1, 3)], abs=1e-8)
 
     def test_four_dim_model_switches_to_qmc(self):
-        measure = ProductMeasure(tuple(Uniform(0, 1) for _ in range(4)))
+        # five inputs: each singleton's complement has four continuous
+        # coordinates, so each singleton table takes QMC, and with no
+        # singleton table on the sweep so do the moments
+        measure = ProductMeasure(tuple(Uniform(0, 1) for _ in range(5)))
 
         def g(x):
             return x[:, 0] + x[:, 1] * x[:, 2] + x[:, 3] ** 2
 
         eng = AnovaEngine(g, measure, qmc_log2=12, seed=5)
-        vd = eng.variance_decomposition(max_order=2)
-        assert eng.mode == "qmc"  # the 4-dim overall mean needed sampling
+        vd = eng.variance_decomposition(max_order=1)
+        assert eng.mode == "qmc" and vd.mode == "qmc"
         # V = 1/12 + Var(X2 X3) + Var(X4^2) = 1/12 + 7/144 + 4/45
         total = 1 / 12 + 7 / 144 + 4 / 45
         assert vd.total == pytest.approx(total, rel=2e-3)
@@ -133,7 +136,7 @@ class TestTruncationAndModes:
                                                          abs=5e-3)
 
     def test_qmc_is_seed_deterministic(self):
-        measure = ProductMeasure(tuple(Uniform(0, 1) for _ in range(4)))
+        measure = ProductMeasure(tuple(Uniform(0, 1) for _ in range(5)))
 
         def g(x):
             return x.sum(axis=1)
@@ -345,11 +348,11 @@ def test_decomposition_sweeps_the_grid_once():
         terms=((1, 2), (2, 4), (1, 3, 4), (3,))))
     measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
                               Uniform(0.0, 1.0), Normal(0.0, 1.0)))
-    eng = _capped_engine(model, measure, order=6, qmc_log2=8)
+    eng = _capped_engine(model, measure, order=6)
     vd = eng.variance_decomposition(max_order=2)
-    assert vd.mode == "qmc"
-    # the grid once for all ten tables, the Sobol points once for both moments
-    assert sum(model.sizes) == math.prod(eng._sizes) + 2**8
+    assert vd.mode == "quadrature"
+    # the grid once for all ten tables and both moments
+    assert sum(model.sizes) == math.prod(eng._sizes)
     for z in all_subsets(4, max_order=2):
         assert vd.terms[z] == pytest.approx(
             model.model.exact_term_variance(measure, z), abs=1e-3), z
@@ -358,17 +361,17 @@ def test_decomposition_sweeps_the_grid_once():
 def test_model_calls_stay_within_the_block():
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3])
     measure = ProductMeasure((Uniform(0.0, 1.0),) * 4)
-    eng = _capped_engine(model, measure, order=8, qmc_log2=8)
+    eng = _capped_engine(model, measure, order=8)
     x = np.random.default_rng(2).uniform(size=(500, 2))
     with mock.patch.object(anova, "BLOCK_POINTS", 1000):
         eng.variance_decomposition(max_order=2)
         for z in ((1,), (1, 2)):
             eng.effect(z, x[:, :len(z)])
-    # the 8^4 grid in boxes of 8^3; effects at points, one row times 8^3
-    # complement nodes (singletons) or 15 rows times 8^2 (pairs); the 2^8
-    # Sobol points
+    # the 8^4 grid in boxes of 8^3, the moments included; effects at points,
+    # one row times 8^3 complement nodes (singletons) or 15 rows times 8^2
+    # (pairs, the last 5 rows in a call of their own); no Sobol points
     assert max(model.sizes) <= 1000
-    assert {512, 960, 256} <= set(model.sizes)
+    assert set(model.sizes) == {512, 960, 320}
     # a grid that fits goes to the model in the same boxes, here of 12^2
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2)
     eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 3),
@@ -387,11 +390,10 @@ def test_model_calls_stay_within_the_block():
 def test_a_subset_lattice_costs_one_sweep(ask):
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3] ** 2)
     eng = _capped_engine(model, ProductMeasure((Uniform(0.0, 1.0),) * 4),
-                         order=8, qmc_log2=8)
+                         order=8)
     ask(eng)
-    # every table of the lattice from one sweep of the 8^4 grid, the mean
-    # from the 2^8 Sobol points
-    assert sum(model.sizes) == 8 ** 4 + 2 ** 8
+    # every table of the lattice and the mean from one sweep of the 8^4 grid
+    assert sum(model.sizes) == 8 ** 4
 
 
 def test_tables_whose_complement_takes_qmc():
@@ -409,8 +411,9 @@ def test_tables_whose_complement_takes_qmc():
     eng = _capped_engine(model, measure, order=order, qmc_log2=log2)
     vd = eng.variance_decomposition(max_order=2)
     assert vd.mode == "qmc"
-    # the grid once; per singleton, its Sobol rule at each of its nodes; the
-    # Sobol rule over all inputs once for both moments
+    # the grid once; per singleton, its Sobol rule at each of its nodes; no
+    # singleton table takes the sweep, so the plan gives the moments the
+    # Sobol rule over all inputs, once for both
     assert sum(model.sizes) == order ** 5 + 5 * order * 2 ** log2 + 2 ** log2
     # the singleton means carry the QMC error: 5e-4 at most here (seed 0)
     for z in all_subsets(5, max_order=2):
@@ -436,6 +439,56 @@ def test_tensor_moments_come_from_the_same_sweep():
         assert vd.terms[z] == pytest.approx(v, rel=1e-12, abs=1e-15), z
 
 
+# -- the integration plan, fixed when the engine is built ---------------------
+
+# g = x3^2 (x1 + x4) + x2 (1 + x1 x4), written out for speed, and its
+# closed form
+PLAN_ORACLE = CompositeMultilinearModel(
+    factors=tuple(np.polynomial.Polynomial(c) for c in
+                  ([0.0, 1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0])),
+    terms=((1, 3), (2,), (3, 4), (1, 2, 4)))
+PLAN_MEASURE = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                               Uniform(0.0, 1.0), Normal(0.0, 1.0)))
+
+
+def _plan_model(x):
+    x1, x2, x3, x4 = x.T
+    return x3 * x3 * (x1 + x4) + x2 * (1.0 + x1 * x4)
+
+
+def test_four_input_moments_come_from_the_sweep_at_default_settings():
+    eng = AnovaEngine(_plan_model, PLAN_MEASURE)
+    assert not eng._full_grid_ok        # 64^4 nodes: swept in boxes
+    vd = eng.variance_decomposition(max_order=2)
+    assert vd.mode == eng.mode == "quadrature"
+    exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
+             for z in all_subsets(4)}
+    total = sum(exact.values())
+    kept = sum(exact[z] for z in all_subsets(4, max_order=2))
+    assert abs(vd.total - total) <= 1e-12 * total
+    assert abs(vd.residual - (total - kept)) <= 1e-12 * total
+    assert abs(sum(vd.sobol_indices().values()) - kept / total) <= 1e-12
+
+
+def test_the_moments_do_not_depend_on_the_order_of_the_calls():
+    seen = []
+    for mean_first in (True, False):
+        model = _Batches(_plan_model)
+        eng = _capped_engine(model, PLAN_MEASURE, order=8)
+        if mean_first:
+            mean = eng.mean()
+            # a mean-only call costs one sweep of the 8^4 grid
+            assert sum(model.sizes) == 8 ** 4
+        vd = eng.variance_decomposition(max_order=2)
+        if not mean_first:
+            mean = eng.mean()
+        assert vd.mode == "quadrature"
+        seen.append((mean, vd.mean, vd.total))
+    assert seen[0] == seen[1]
+    want = PLAN_ORACLE.exact_effect(PLAN_MEASURE, (), None)
+    assert abs(seen[0][0] - want) <= 1e-12 * abs(want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
        block=st.integers(1, 100))
@@ -449,6 +502,15 @@ def test_box_points_are_the_tensor_points_of_each_box(sizes, block):
             [a[s] for a, s in zip(axes, box)]))
 
 
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(anova.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_scipy_stats_is_imported_only_for_engines_that_can_need_qmc():
     code = "\n".join([
         "import sys",
@@ -459,12 +521,10 @@ def test_scipy_stats_is_imported_only_for_engines_that_can_need_qmc():
         "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 3))",
         "assert 'scipy.stats' not in sys.modules",
         "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 4))",
+        "assert 'scipy.stats' not in sys.modules",
+        "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 5))",
         "assert 'scipy.stats' in sys.modules"])
-    src = os.path.dirname(os.path.dirname(anova.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    _run_python(code)
 
 
 def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
@@ -492,22 +552,50 @@ def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
         # the paths that need scipy still load it and work
         "assert Normal(0.0, 1.0).cdf(0.0) == 0.5",
         "eng = AnovaEngine(lambda x: x.sum(axis=-1) + 1.0,",
-        "                  ProductMeasure((Normal(0.0, 1.0),) * 4), qmc_log2=10)",
+        "                  ProductMeasure((Normal(0.0, 1.0),) * 5), qmc_log2=10)",
         "assert abs(eng.mean() - 1.0) < 1e-2 and eng.mode == 'qmc'",
         "assert 'scipy.special' in sys.modules"])
-    src = os.path.dirname(os.path.dirname(anova.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    _run_python(code)
+
+
+def test_a_four_normal_decomposition_loads_no_scipy():
+    # whether the 8^4 grid fits or not, no integral of the plan takes QMC
+    _run_python("\n".join([
+        "import sys",
+        "from unittest import mock",
+        "from mixsens import anova",
+        "from mixsens.measures import Normal, ProductMeasure",
+        "normals = ProductMeasure((Normal(0.0, 1.0),) * 4)",
+        "for cap in (anova.FULL_GRID_CAP, 0):",
+        "    with mock.patch.object(anova, 'FULL_GRID_CAP', cap):",
+        "        eng = anova.AnovaEngine(lambda x: x.sum(axis=-1), normals,",
+        "                                order=8)",
+        "    assert eng._full_grid_ok == bool(cap)",
+        "    vd = eng.variance_decomposition(max_order=2)",
+        "    assert abs(vd.total - 4.0) < 1e-12 and vd.mode == 'quadrature'",
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert not scipy, scipy"]))
 
 
 # -- metamorphic: an affine map of the model ---------------------------------
+
+def _tiny_model(coeff, power, n):
+    """coeff * x_n^power on n Uniform(-1, 2) inputs: E[g^2] is subnormal."""
+    factors = (np.polynomial.Polynomial([1.0]),) * (n - 1) \
+        + (np.polynomial.Polynomial([0.0] * power + [1.0]),)
+    return (CompositeMultilinearModel(factors=factors, terms=({n},),
+                                      coeffs=(coeff,)),
+            ProductMeasure((Uniform(-1.0, 2.0),) * n))
+
 
 @settings(max_examples=25, deadline=None)
 @given(case=multilinear_models(),
        a=st.floats(0.1, 10.0).flatmap(lambda m: st.sampled_from((m, -m))),
        beta=st.floats(-10.0, 10.0))
+# models whose E[g^2] is subnormal have no variance to split
+@example(case=_tiny_model(8.53e-159, 1, 2), a=0.5, beta=0.0)
+@example(case=_tiny_model(8.53e-159, 0, 1), a=0.5, beta=0.0)
+@example(case=_tiny_model(1.68e-159, 1, 1), a=2.0, beta=0.0)
 def test_affine_model_keeps_indices_and_scales_variances(case, a, beta):
     model, measure = case
     vd = AnovaEngine(model, measure, order=16).variance_decomposition()
