@@ -106,14 +106,6 @@ def subset_label(z):
     return "".join(f"x{i}" for i in z)
 
 
-def parse_subset_label(label):
-    if label == "const":
-        return ()
-    if not label.startswith("x"):
-        raise ValueError(f"bad subset label {label!r}")
-    return tuple(int(tok) for tok in label[1:].split("x"))
-
-
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
@@ -175,11 +167,6 @@ class VarianceDecomposition:
             for i in z:
                 st[i - 1] += v
         return st
-
-
-def first_and_total_indices(vd):
-    """Per-input (S_i, ST_i) arrays; raises ZeroVarianceError when V = 0."""
-    return vd.first_order(), vd.total_order()
 
 
 def _combined_mode(vds):

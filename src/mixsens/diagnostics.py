@@ -22,7 +22,7 @@ import numpy as np
 
 from .anova import (AnovaEngine, EffectCurve, ZeroVarianceError, _evaluate,
                     _tensor_points)
-from .measures import ProductMeasure, SupportError, Uniform
+from .measures import ProductMeasure, SupportError, Uniform, measure_name
 from .models import _connected_groups
 
 
@@ -207,14 +207,14 @@ class MonotonicityVerdict:
     tol: float
 
 
-def monotonicity_check(curve, tol=None):
+def monotonicity_check(curve):
     """Classify a tabulated effect curve by its consecutive differences.
 
     ``curve`` is an EffectCurve or a plain array of values on a sorted grid;
     for two-dimensional effects, differences are scanned along each axis
-    (consistent with the componentwise partial order).  The default
-    tolerance is 1e-6 of the curve's value range, which makes verdicts
-    grid-relative: they certify the tabulation, not the continuum.  A
+    (consistent with the componentwise partial order).  The tolerance is
+    1e-6 of the curve's value range (1e-12 when it is flat), which makes
+    verdicts grid-relative: they certify the tabulation, not the continuum.  A
     constant curve is both nondecreasing and nonincreasing.
     """
     values = curve.values if isinstance(curve, EffectCurve) else np.asarray(curve, dtype=float)
@@ -223,8 +223,7 @@ def monotonicity_check(curve, tol=None):
     if values.ndim > 1 and min(values.shape) < 2:
         raise ValueError("need at least 2 grid points per axis")
     span = float(np.max(values) - np.min(values))
-    if tol is None:
-        tol = 1e-6 * span if span > 0 else 1e-12
+    tol = 1e-6 * span if span > 0 else 1e-12
     up_viol = _max_drop(values)        # violation of "nondecreasing"
     down_viol = _max_drop(-values)     # violation of "nonincreasing"
     nondec = up_viol <= tol
@@ -255,7 +254,7 @@ class UltramodularityReport:
     effect_convex: dict = None     # per input: first-order effect convex?
 
 
-def ultramodularity_check(model, box, grid_k=7, tol=None, measure=None):
+def ultramodularity_check(model, box, grid_k=7, measure=None):
     """Brute-force test of increasing increments on a tensor grid.
 
     The defining property — g(x + d) - g(x) nondecreasing in x for every
@@ -263,7 +262,8 @@ def ultramodularity_check(model, box, grid_k=7, tol=None, measure=None):
     difference field is formed by slicing and scanned for monotonicity
     along every axis (which covers all pairs x1 <= x2 by telescoping).
     Work grows like n * k^(2n) comparisons, hence the caps grid_k <= 9 and
-    n <= 4; larger requests are rejected.
+    n <= 4; larger requests are rejected.  Increments may fall by up to
+    1e-9 of max(1, range of g on the grid), which absorbs rounding.
 
     As a corollary check, the first-order effects of ``measure`` (uniform
     on the box when omitted) are tested for discrete convexity — they
@@ -290,9 +290,7 @@ def ultramodularity_check(model, box, grid_k=7, tol=None, measure=None):
 
     grids = [np.linspace(lo, hi, grid_k) for lo, hi in box]
     g = _evaluate(model, _tensor_points(grids)).reshape([grid_k] * n)
-    if tol is None:
-        span = float(np.max(g) - np.min(g))
-        tol = 1e-9 * max(1.0, span)
+    tol = 1e-9 * max(1.0, float(np.max(g) - np.min(g)))
 
     worst = 0.0
     n_checks = 0
@@ -322,6 +320,10 @@ def ultramodularity_check(model, box, grid_k=7, tol=None, measure=None):
 # mixture monotonicity condition
 # ---------------------------------------------------------------------------
 
+CONDITION_NPTS = 17       # grid points per axis of the delta condition
+CONDITION_TOL = 1e-9      # largest drop of g_z counted as rounding
+
+
 @dataclass
 class MixtureMonotonicityReport:
     holds: bool
@@ -333,7 +335,7 @@ class MixtureMonotonicityReport:
         return self.holds
 
 
-def mixture_monotonicity_condition(engines, z, npts=17, tol=None):
+def mixture_monotonicity_condition(engines, z):
     """Delta condition certifying monotone higher-order mixture effects.
 
     For each candidate measure the increment of the conditional mean w_z
@@ -341,8 +343,9 @@ def mixture_monotonicity_condition(engines, z, npts=17, tol=None):
     for every grid pair x <= x'.  Equivalently (telescoping along axes)
     H = w_z - sum of nonempty proper-subset effects must be nondecreasing
     along each coordinate.  H is g_z plus the constant mean, so g_z is what
-    is scanned here, per measure, on a grid shared across measures (the
-    intersection of their plotting ranges).
+    is scanned here, per measure, on a grid of ``CONDITION_NPTS`` points
+    per axis shared across measures (the intersection of their plotting
+    ranges); drops up to ``CONDITION_TOL`` count as rounding.
     True means every first- and higher-order mixture effect on z built from
     these candidates is nondecreasing on the grid, for any prior.
     """
@@ -356,16 +359,14 @@ def mixture_monotonicity_condition(engines, z, npts=17, tol=None):
     for i in z:
         if not lo[i] < hi[i]:
             raise SupportError(f"coordinate {i}: no common range to grid over")
-    pts = _tensor_points([np.linspace(lo[i], hi[i], npts) for i in z])
+    pts = _tensor_points([np.linspace(lo[i], hi[i], CONDITION_NPTS) for i in z])
 
     per_measure = {}
     worst = 0.0
-    for eng in engines:
-        viol = _max_drop(eng.effect(z, pts).reshape([npts] * len(z)))
-        name = eng.measure.name or "measure"
-        per_measure[name] = viol
+    for k, eng in enumerate(engines):
+        viol = _max_drop(eng.effect(z, pts).reshape([CONDITION_NPTS] * len(z)))
+        per_measure[measure_name(eng.measure, k)] = viol
         worst = max(worst, viol)
-    if tol is None:
-        tol = 1e-9
-    return MixtureMonotonicityReport(holds=worst <= tol, max_violation=worst,
-                                     per_measure=per_measure, tol=float(tol))
+    return MixtureMonotonicityReport(holds=worst <= CONDITION_TOL,
+                                     max_violation=worst,
+                                     per_measure=per_measure, tol=CONDITION_TOL)

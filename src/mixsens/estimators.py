@@ -350,11 +350,7 @@ def given_data_first_order(sample, i, bins=None):
     if npts / bins < 5:
         raise ValueError(f"{bins} bins for {npts} points leaves fewer than "
                          "5 points per bin")
-    wsum = w.sum()
-    if wsum <= 0:
-        raise EstimationError("weights sum to zero")
-    ybar = np.dot(w, y) / wsum
-    v_hat = np.dot(w, (y - ybar) ** 2) / wsum
+    ybar, v_hat = weighted_moments(y, w)
     if v_hat <= 0:
         raise EstimationError("sample variance is zero; indices undefined")
     col = x[:, i - 1]
@@ -376,7 +372,7 @@ def given_data_first_order(sample, i, bins=None):
             continue
         mb = np.dot(ws[a:b], ys[a:b]) / wb
         between += wb * (mb - ybar) ** 2
-    return float(between / wsum / v_hat)
+    return float(between / w.sum() / v_hat)
 
 
 def given_data_indices(sample, bins=None):
@@ -392,16 +388,16 @@ def given_data_indices(sample, bins=None):
 # reweighting
 # ---------------------------------------------------------------------------
 
-DEFAULT_ESS_FLOOR = 50.0
+ESS_FLOOR = 50.0
 
 
-def reweight(sample, target, ess_floor=DEFAULT_ESS_FLOOR):
+def reweight(sample, target):
     """Importance weights turning a sample under one measure into estimates
     under ``target``: w = f_target(x) / f_base(x), self-normalised downstream.
 
     Raises when the base measure is unknown or assigns zero density to an
     observed point; warns when the effective sample size falls below
-    ``ess_floor`` (estimates are then dominated by a handful of points).
+    ``ESS_FLOOR`` (estimates are then dominated by a handful of points).
     """
     if sample.measure is None:
         raise EstimationError("reweighting needs the sample's base measure; "
@@ -417,8 +413,8 @@ def reweight(sample, target, ess_floor=DEFAULT_ESS_FLOOR):
     ws = WeightedSample(x=sample.x, y=sample.y, weights=w,
                         base_name=sample.measure_name,
                         target_name=target.name or "", orders=sample.orders)
-    if ws.ess < ess_floor:
-        warnings.warn(f"effective sample size {ws.ess:.1f} below {ess_floor:g}; "
+    if ws.ess < ESS_FLOOR:
+        warnings.warn(f"effective sample size {ws.ess:.1f} below {ESS_FLOOR:g}; "
                       f"reweighted estimates toward {ws.target_name!r} are "
                       "unreliable", stacklevel=2)
     return ws

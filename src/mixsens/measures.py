@@ -1,4 +1,4 @@
-"""Input probability measures: product measures, measure sets, mixtures.
+"""Input probability measures: product measures and sets of them.
 
 Everything downstream (ANOVA decompositions, estimators, diagnostics) is
 parameterised by a product measure on the input box, or by a finite *set*
@@ -10,15 +10,15 @@ Quadrature starts from the standard Gauss-Legendre and Gauss-Hermite rules.
 Each is an eigenproblem (Golub & Welsch, Math. Comp. 23, 1969), and a run
 over a measure set asks for the same few (family, order) pairs many times,
 so ``_gauss_rule`` computes each pair once and hands every caller the same
-read-only arrays; each measure maps them to its own support.  Importing this
-module loads no scipy: ``Normal.cdf`` imports ``ndtr`` when it is called.
+read-only arrays; each measure maps them to its own support.  This module
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -82,9 +82,6 @@ class UnivariateMeasure:
     def density(self, x):
         raise NotImplementedError
 
-    def cdf(self, x):
-        raise NotImplementedError
-
     def mean(self):
         raise NotImplementedError
 
@@ -131,10 +128,6 @@ class Uniform(UnivariateMeasure):
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
     def mean(self):
         return 0.5 * (self.lo + self.hi)
 
@@ -165,11 +158,6 @@ class Normal(UnivariateMeasure):
         x = np.asarray(x, dtype=float)
         z = (x - self.mean_) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-
-    def cdf(self, x):
-        from scipy.special import ndtr   # scipy.special is slow to import
-        x = np.asarray(x, dtype=float)
-        return ndtr((x - self.mean_) / self.sd)
 
     def mean(self):
         return self.mean_
@@ -212,11 +200,6 @@ class DiscreteUniform(UnivariateMeasure):
 
     def density(self, x):
         raise NotImplementedError("discrete measure has no Lebesgue density")
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        pts = np.asarray(self.points)
-        return (x[..., None] >= pts).mean(axis=-1)
 
     def mean(self):
         return float(np.mean(self.points))
@@ -269,14 +252,6 @@ class ProductMeasure:
             out = out * c.density(x[..., i])
         return out
 
-    def in_support(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ok = np.ones(x.shape[:-1], dtype=bool)
-        for i, c in enumerate(self.components):
-            lo, hi = c.support()
-            ok &= (x[..., i] >= lo) & (x[..., i] <= hi)
-        return ok
-
     def sample(self, count, seed=None, rng=None):
         """Draw ``count`` iid points, shape (count, n).
 
@@ -293,6 +268,12 @@ class ProductMeasure:
     def quad_nodes(self, order=64):
         """Per-coordinate (nodes, weights) pairs for tensorised quadrature."""
         return [c.quad_nodes(order) for c in self.components]
+
+
+def measure_name(measure, k):
+    """The name of the ``k``-th measure of a set (0-based): its own, or
+    ``m<k>`` when it has none, so unnamed members stay apart."""
+    return measure.name or f"m{k}"
 
 
 @dataclass(frozen=True)
@@ -333,7 +314,7 @@ class MeasureSet:
 
     @property
     def names(self):
-        return tuple(m.name or f"m{k}" for k, m in enumerate(self.measures))
+        return tuple(measure_name(m, k) for k, m in enumerate(self.measures))
 
     def __len__(self):
         return len(self.measures)
@@ -349,128 +330,6 @@ class MeasureSet:
             raise ConfigError("this operation needs a prior over the measure set "
                               "(add a 'prior' entry to the measures file)")
         return np.asarray(self.prior)
-
-
-@dataclass(frozen=True)
-class MixtureMeasure:
-    """The prior-averaged measure: first draw a candidate, then draw X from it.
-
-    Its coordinates are conditionally independent given the candidate but
-    dependent unconditionally; ``covariance`` quantifies that.
-    """
-
-    mset: MeasureSet
-
-    def __post_init__(self):
-        self.mset.require_prior()
-
-    @property
-    def n(self):
-        return self.mset.n
-
-    @property
-    def prior(self):
-        return np.asarray(self.mset.prior)
-
-    def density(self, x):
-        p = self.prior
-        return sum(pk * m.density(x) for pk, m in zip(p, self.mset.measures))
-
-    def marginal_density(self, keep, x):
-        """Joint density of the coordinates in ``keep`` (1-based), at ``x``.
-
-        ``x`` has shape (..., len(keep)).  Because mixing happens at the level
-        of the whole vector, the marginal is the mixture of the component
-        marginals, *not* a product of univariate mixtures.
-        """
-        keep = tuple(keep)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[:-1])
-        for pk, m in zip(self.prior, self.mset.measures):
-            part = np.ones(x.shape[:-1])
-            for j, i in enumerate(keep):
-                part = part * m.components[i - 1].density(x[..., j])
-            out += pk * part
-        return out
-
-    def mean(self, i):
-        p = self.prior
-        return float(sum(pk * m.components[i - 1].mean() for pk, m in zip(p, self.mset.measures)))
-
-    def covariance(self, i, j):
-        """Cov(X_i, X_j) for i != j; nonzero mixing means make inputs dependent."""
-        if i == j:
-            raise ValueError("use per-component variances for the diagonal")
-        p = self.prior
-        ei = np.array([m.components[i - 1].mean() for m in self.mset.measures])
-        ej = np.array([m.components[j - 1].mean() for m in self.mset.measures])
-        return float(np.dot(p, ei * ej) - np.dot(p, ei) * np.dot(p, ej))
-
-    def sample(self, count, seed=None, rng=None):
-        """Two-stage draw: candidate index by the prior, then X from it."""
-        if (seed is None) == (rng is None):
-            raise ValueError("pass exactly one of seed or rng")
-        if rng is None:
-            rng = substream(seed, "sample", "mixture")
-        which = rng.choice(len(self.mset), size=count, p=self.prior)
-        out = np.empty((count, self.n))
-        for k, m in enumerate(self.mset.measures):
-            rows = np.nonzero(which == k)[0]
-            if rows.size:
-                out[rows] = m.sample(rows.size, rng=rng)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# logarithmic pooling
-# ---------------------------------------------------------------------------
-
-def log_pool(mset, weights=None):
-    """Geometric (log-linear) pooling of the candidate measures.
-
-    The pooled density is proportional to ``prod_k f_k^{w_k}``.  For product
-    measures this factorises coordinate-wise; two families stay closed under
-    it and are supported here:
-
-    * all-uniform coordinates pool to the uniform on the support
-      intersection (error if that intersection is empty);
-    * all-normal coordinates pool to a normal with precision-weighted mean
-      and summed precision.
-
-    Mixing families in one coordinate has no closed form and raises.
-    """
-    ms = mset.measures
-    if weights is None:
-        w = np.asarray(mset.require_prior())
-    else:
-        w = np.asarray([float(v) for v in weights])
-        if w.size != len(ms):
-            raise ConfigError("one pooling weight per measure required")
-        if np.any(w <= 0):
-            raise ConfigError("pooling weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ConfigError(f"pooling weights sum to {w.sum()!r}, expected 1")
-    w = w / w.sum()
-
-    pooled = []
-    for i in range(mset.n):
-        comps = [m.components[i] for m in ms]
-        fams = {type(c) for c in comps}
-        if fams == {Uniform}:
-            lo = max(c.lo for c in comps)
-            hi = min(c.hi for c in comps)
-            if not lo < hi:
-                raise SupportError(f"coordinate {i + 1}: uniform supports do not overlap")
-            pooled.append(Uniform(lo, hi))
-        elif fams == {Normal}:
-            prec = np.array([wk / c.sd**2 for wk, c in zip(w, comps)])
-            tau = prec.sum()
-            mu = float(np.dot(prec, [c.mean_ for c in comps]) / tau)
-            pooled.append(Normal(mu, 1.0 / math.sqrt(tau)))
-        else:
-            raise SupportError(f"coordinate {i + 1}: log pooling across different "
-                               "families has no closed form here")
-    return ProductMeasure(tuple(pooled), name="log_pool")
 
 
 # ---------------------------------------------------------------------------
@@ -588,19 +447,3 @@ def load_measure_set(path):
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-
-def measure_set_to_dict(mset):
-    """Inverse of measure_set_from_dict, for round-trip tests and provenance."""
-    out = {"n": mset.n, "measures": []}
-    for m, name in zip(mset.measures, mset.names):
-        comps = []
-        for c in m.components:
-            if c.family not in _FAMILIES:
-                raise ConfigError(f"family {c.family!r} has no config representation")
-            values = (getattr(c, f.name) for f in fields(c))
-            comps.append({"family": c.family,
-                          "params": dict(zip(_FAMILIES[c.family][1], values))})
-        out["measures"].append({"name": name, "components": comps})
-    if mset.prior is not None:
-        out["prior"] = list(mset.prior)
-    return out

@@ -33,7 +33,7 @@ import numpy as np
 
 from .anova import (DEFAULT_ORDER, AnovaEngine, _combined_mode, _contract,
                     _mobius, _tensor_points)
-from .measures import DiscreteUniform, Normal, _gauss_rule
+from .measures import DiscreteUniform, Normal, _gauss_rule, measure_name
 
 
 # Gauss-Legendre nodes per coordinate of the support-restricted defect rules
@@ -62,23 +62,13 @@ def support_indicator(measure, z, x):
     return inside
 
 
-def outside_all_supports(engines, z, x):
-    """Rows of ``x`` that no candidate measure covers (mixture effect is 0 there)."""
-    z = tuple(sorted(z))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    outside = np.ones(x.shape[0], dtype=bool)
-    for eng in engines:
-        outside &= ~support_indicator(eng.measure, z, x)
-    return outside
-
-
 def mixture_effect_from_components(engines, prior, z, x):
     """The mixture effect as the prior-average of per-measure effects g_z^k.
 
     Each component contributes only inside its own support (indicator
     semantics): a candidate distribution carries no information about
     points it assigns zero mass.  Points outside *every* support therefore
-    evaluate to 0; ``outside_all_supports`` flags them.
+    evaluate to 0.
     """
     p = _check(engines, prior)
     z = tuple(sorted(z))
@@ -154,8 +144,9 @@ def mixture_variance_decomposition(engines, prior, max_order=None):
     mbar = float(np.dot(p, means))
     between = float(np.dot(p, (means - mbar) ** 2))
     mode = _combined_mode(vds)
+    names = tuple(measure_name(eng.measure, k) for k, eng in enumerate(engines))
     return MixtureDecomposition(
-        names=tuple(vd.measure for vd in vds), prior=tuple(float(v) for v in p),
+        names=names, prior=tuple(float(v) for v in p),
         terms=terms, residual=residual, between=between, component_means=means,
         mixture_mean=mbar, components=vds, n=vds[0].n, mode=mode)
 
@@ -272,8 +263,7 @@ def mixture_effect_curve(engines, prior, i, npts=129):
     mix = np.zeros(npts)
     for k, (pk, eng) in enumerate(zip(p, engines)):
         vals = eng.effect((i,), grid[:, None])
-        # keyed like MeasureSet.names, so unnamed measures stay apart
-        comp[eng.measure.name or f"m{k}"] = vals
+        comp[measure_name(eng.measure, k)] = vals
         mix += pk * vals
     return MixtureEffectCurve(input=i, grid=grid, component_values=comp,
                               mixture_values=mix)

@@ -30,7 +30,7 @@ __all__ = [
     "IshigamiModel", "ishigami_measures", "ishigami_measure_set",
     "ishigami_effect", "ishigami_mixture_effect",
     "CompositeMultilinearModel", "multilinear_from_dict",
-    "core_signature", "same_core", "core_partition", "resolve_model",
+    "core_signature", "core_partition", "resolve_model",
 ]
 
 
@@ -307,7 +307,11 @@ def _multilinear_view(model):
                     "(or one exposing as_multilinear())")
 
 
-def core_signature(model, measure, order=128):
+CORE_ORDER = 128      # Gauss nodes per factor mean of a core signature
+CORE_TOL = 1e-9       # largest signature difference of a shared core
+
+
+def core_signature(model, measure):
     """The vector of factor means E[t_i] under ``measure``.
 
     This is the only way the measure enters the model's decomposition, so it
@@ -315,26 +319,20 @@ def core_signature(model, measure, order=128):
     terms and indices.
     """
     mm = _multilinear_view(model)
-    return np.array([c.expect(t, order)
+    return np.array([c.expect(t, CORE_ORDER)
                      for t, c in zip(mm.factors, measure.components)])
 
 
-def same_core(model, measure_a, measure_b, tol=1e-9, order=128):
-    """Whether two measures induce the same decomposition of ``model``."""
-    sa = core_signature(model, measure_a, order)
-    sb = core_signature(model, measure_b, order)
-    return bool(np.max(np.abs(sa - sb)) <= tol)
-
-
-def core_partition(model, mset, tol=1e-9, order=128):
+def core_partition(model, mset):
     """Group the measures of a set by shared core (transitive closure).
 
-    Returns a list of lists of measure indices.  The pairwise "same core"
-    test uses a tolerance, so closure makes the grouping well defined even
-    when borderline pairs disagree by ~tol.
+    Returns a list of lists of measure indices.  Two measures share a core
+    when their signatures differ by at most ``CORE_TOL`` in every factor;
+    closure makes the grouping well defined even when borderline pairs
+    disagree by about that much.
     """
-    sigs = np.array([core_signature(model, m, order) for m in mset.measures])
-    close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=-1) <= tol
+    sigs = np.array([core_signature(model, m) for m in mset.measures])
+    close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=-1) <= CORE_TOL
     return _connected_groups(close)
 
 

@@ -22,6 +22,7 @@ SCHEMA_VERSION = "1"
 
 QUADRATURE_TOL = 1e-9      # declared accuracy of 64-node tensor quadrature
 QMC_TOL = 1e-4             # declared accuracy of the scrambled-Sobol fallback
+MC_TOL = 0.05              # declared accuracy of an MC estimate without a standard error
 # 17 significant digits print every double so that it parses back bit-exactly
 FLOAT_FMT = "%.17g"
 WRITE_ROWS = 4096          # CSV rows formatted per write
@@ -41,10 +42,10 @@ def quad_qty(value, engine_mode="quadrature"):
     return qty(value, "quadrature", QUADRATURE_TOL)
 
 
-def mc_qty(value, se=None, reweighted=False, default_tol=0.05):
+def mc_qty(value, se=None, reweighted=False):
     """Tag an MC estimate; tolerance is 2 standard errors when known."""
     mode = "reweighted" if reweighted else "MC"
-    tol = default_tol if se is None else 2.0 * float(se)
+    tol = MC_TOL if se is None else 2.0 * float(se)
     return qty(value, mode, tol)
 
 

@@ -114,6 +114,24 @@ measures:
 """
 
 
+def two_stage_sample(mset, count, seed):
+    """``count`` draws from the prior-averaged measure of ``mset``: first a
+    candidate by the prior, then X from it.  Raises ConfigError without a
+    prior."""
+    import numpy as np
+    from mixsens.measures import substream
+
+    prior = mset.require_prior()
+    rng = substream(seed, "sample", "mixture")
+    which = rng.choice(len(mset), size=count, p=prior)
+    out = np.empty((count, mset.n))
+    for k, m in enumerate(mset.measures):
+        rows = np.flatnonzero(which == k)
+        if rows.size:
+            out[rows] = m.sample(rows.size, rng=rng)
+    return out
+
+
 def defect_reduction(nodes=64):
     """DEFECT[(1,)] and DEFECT[(2,)] reduced pair by pair.
 

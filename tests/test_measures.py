@@ -1,19 +1,20 @@
-"""Measure objects, mixtures, pooling and the config-file schema."""
+"""Measure objects, the two-stage mixture draw and the config-file schema."""
 
 import math
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mixsens.measures import (ConfigError, DiscreteUniform, MeasureSet,
-                              MixtureMeasure, Normal, ProductMeasure,
-                              SupportError, Uniform, _gauss_rule,
-                              load_measure_set, log_pool,
-                              measure_set_from_dict, measure_set_to_dict,
+                              Normal, ProductMeasure, Uniform, _gauss_rule,
+                              load_measure_set, measure_set_from_dict,
                               substream)
+from mixsens.mixture import support_indicator
+
+from _reference import two_stage_sample
 
 PI = math.pi
 
@@ -36,7 +37,6 @@ class TestUnivariateFamilies:
         assert u.support() == (-1.0, 3.0)
         assert u.density(0.0) == pytest.approx(0.25)
         assert u.density(5.0) == 0.0
-        assert u.cdf(-1.0) == 0.0 and u.cdf(3.0) == 1.0
 
     def test_uniform_rejects_empty_interval(self):
         with pytest.raises(ConfigError):
@@ -45,7 +45,6 @@ class TestUnivariateFamilies:
     def test_normal_basics(self):
         nm = Normal(1.0, 2.0)
         assert nm.mean() == 1.0
-        assert nm.cdf(1.0) == pytest.approx(0.5)
         # peak density 1/(sd*sqrt(2 pi))
         assert nm.density(1.0) == pytest.approx(1.0 / (2.0 * math.sqrt(2 * PI)))
         with pytest.raises(ConfigError):
@@ -126,7 +125,7 @@ class TestProductMeasure:
 
     def test_in_support(self):
         m = product(Uniform(0.0, 1.0), Uniform(0.0, 1.0))
-        flags = m.in_support(np.array([[0.5, 0.5], [1.5, 0.5]]))
+        flags = support_indicator(m, (1, 2), np.array([[0.5, 0.5], [1.5, 0.5]]))
         assert flags.tolist() == [True, False]
 
 
@@ -159,67 +158,17 @@ class TestMeasureSet:
 
 
 class TestMixtureMeasure:
+    """The two-stage draw of the prior-averaged measure."""
+
     def test_requires_prior(self):
         with pytest.raises(ConfigError):
-            MixtureMeasure(three_measure_set(prior=None))
-
-    def test_density_is_prior_average(self):
-        ms = three_measure_set()
-        mix = MixtureMeasure(ms)
-        x = np.array([[0.3, 0.7, 1.1], [-2.0, 0.1, 0.2]])
-        want = sum(p * m.density(x) for p, m in zip(ms.prior, ms.measures))
-        assert np.allclose(mix.density(x), want)
-
-    def test_marginal_density_golden_value(self):
-        # x3-marginal at 0: average of 1/(2 pi), phi(0), 1/pi
-        mix = MixtureMeasure(three_measure_set())
-        got = mix.marginal_density((3,), np.array([[0.0]]))[0]
-        assert got == pytest.approx(0.292135703226, abs=1e-10)
-
-    def test_mixing_couples_coordinates(self):
-        # component means differ between candidates, so Cov(X1, X2) > 0
-        mix = MixtureMeasure(three_measure_set())
-        assert mix.covariance(1, 2) == pytest.approx(PI**2 / 18, abs=1e-12)
-        with pytest.raises(ValueError):
-            mix.covariance(2, 2)
+            two_stage_sample(three_measure_set(prior=None), 10, seed=3)
 
     def test_two_stage_sampling_tracks_the_prior(self):
-        mix = MixtureMeasure(three_measure_set(prior=(0.0, 0.0, 1.0)))
-        pts = mix.sample(500, seed=3)
+        pts = two_stage_sample(three_measure_set(prior=(0.0, 0.0, 1.0)), 500,
+                               seed=3)
         # all mass on mu3 = U(0, pi)^3
         assert pts.min() >= 0.0 and pts.max() <= PI
-
-
-class TestLogPool:
-    def test_uniforms_pool_to_intersection(self):
-        ms = MeasureSet((product(Uniform(-1.0, 2.0)), product(Uniform(0.0, 3.0))),
-                        prior=(0.5, 0.5))
-        pooled = log_pool(ms)
-        assert pooled.components[0] == Uniform(0.0, 2.0)
-
-    def test_disjoint_uniforms_raise(self):
-        ms = MeasureSet((product(Uniform(0.0, 1.0)), product(Uniform(2.0, 3.0))),
-                        prior=(0.5, 0.5))
-        with pytest.raises(SupportError):
-            log_pool(ms)
-
-    def test_normals_pool_precision_weighted(self):
-        ms = MeasureSet((product(Normal(0.0, 1.0)), product(Normal(2.0, 1.0))),
-                        prior=(0.5, 0.5))
-        c = log_pool(ms).components[0]
-        assert c.mean_ == pytest.approx(1.0)
-        assert c.sd == pytest.approx(1.0)  # summed precision 0.5+0.5
-
-    def test_unequal_weights_shift_the_pool(self):
-        ms = MeasureSet((product(Normal(0.0, 1.0)), product(Normal(2.0, 1.0))))
-        c = log_pool(ms, weights=(0.75, 0.25)).components[0]
-        assert c.mean_ == pytest.approx(0.5)
-
-    def test_mixed_families_have_no_closed_form(self):
-        ms = MeasureSet((product(Uniform(0.0, 1.0)), product(Normal(0.0, 1.0))),
-                        prior=(0.5, 0.5))
-        with pytest.raises(SupportError):
-            log_pool(ms)
 
 
 class TestConfigSchema:
@@ -240,8 +189,16 @@ class TestConfigSchema:
         }
 
     def test_round_trip(self):
-        ms = measure_set_from_dict(self.doc())
-        assert measure_set_to_dict(ms) == self.doc()
+        doc = self.doc()
+        ms = measure_set_from_dict(doc)
+        assert ms.n == doc["n"] and ms.prior == tuple(doc["prior"])
+        assert ms.names == tuple(m["name"] for m in doc["measures"])
+        for m, entry in zip(ms.measures, doc["measures"]):
+            assert len(m.components) == len(entry["components"])
+            for c, e in zip(m.components, entry["components"]):
+                p = e["params"]
+                assert c == (Uniform(p["lo"], p["hi"]) if e["family"] == "uniform"
+                             else Normal(p["mean"], p["sd"]))
 
     def test_unknown_fields_rejected_everywhere(self):
         for mutate in (
@@ -316,22 +273,6 @@ finite = st.floats(min_value=-10, max_value=10,
        x=st.floats(min_value=-30, max_value=30))
 def test_uniform_cdf_density_consistency(lo, width, x):
     u = Uniform(lo, lo + width)
-    assert 0.0 <= u.cdf(x) <= 1.0
     inside = lo <= x <= lo + width
     assert (u.density(x) > 0) == inside
 
-
-@settings(max_examples=30)
-@given(w1=st.floats(min_value=0.05, max_value=0.95),
-       pts=st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=8))
-def test_mixture_density_lies_between_component_densities(w1, pts):
-    ms = MeasureSet((product(*(Normal(0.0, 1.0),) * 3, name="a"),
-                     product(*(Normal(0.5, 2.0),) * 3, name="b")),
-                    prior=(w1, 1.0 - w1))
-    mix = MixtureMeasure(ms)
-    x = np.asarray(pts, dtype=float)
-    da = ms.measures[0].density(x)
-    db = ms.measures[1].density(x)
-    dm = mix.density(x)
-    assert np.all(dm >= np.minimum(da, db) - 1e-15)
-    assert np.all(dm <= np.maximum(da, db) + 1e-15)

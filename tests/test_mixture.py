@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsens.anova import all_subsets
-from mixsens.measures import MixtureMeasure, ProductMeasure, Uniform
+from mixsens.diagnostics import mixture_monotonicity_condition
+from mixsens.measures import MeasureSet, ProductMeasure, Uniform
 from mixsens.mixture import (component_engines, mixture_annihilation_defect,
                              mixture_effect_curve,
                              mixture_effect_from_components,
                              mixture_effect_from_pooled_conditionals,
-                             mixture_variance_decomposition,
-                             outside_all_supports)
+                             mixture_variance_decomposition)
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
                             ishigami_measure_set, ishigami_mixture_effect)
 
@@ -78,9 +78,7 @@ class TestTwoRoutes:
         # mu2 is normal and covers everything, so use the bounded pair
         mset = ishigami_measure_set(("mu1", "mu3"), prior=(0.5, 0.5))
         engines = component_engines(mset, IshigamiModel())
-        x = np.array([[9.0], [0.5]])
-        mask = outside_all_supports(engines, (1,), x)
-        assert mask.tolist() == [True, False]
+        x = np.array([[9.0], [0.5]])        # outside both supports, inside both
         vals = mixture_effect_from_components(engines, mset.prior, (1,), x)
         assert vals[0] == 0.0
 
@@ -119,8 +117,7 @@ class TestVarianceSplit:
         # V[G] computed directly from the mixture measure via sampling
         mset, engines = setup
         dec = mixture_variance_decomposition(engines, mset.prior)
-        mix = MixtureMeasure(mset)
-        x = mix.sample(200_000, seed=1)
+        x = ref.two_stage_sample(mset, 200_000, seed=1)
         y = IshigamiModel()(x)
         assert dec.total == pytest.approx(y.var(), rel=0.02)
 
@@ -160,6 +157,19 @@ class TestAnnihilationDefect:
             < 1e-10
 
 
+def _unnamed_pair():
+    """Two unnamed measures, Uniform(0, 1)^2 and Uniform(0, 2)^2, with their
+    engines for g = x1^2 + x2."""
+    mset = MeasureSet(measures=(
+        ProductMeasure((Uniform(0, 1), Uniform(0, 1))),
+        ProductMeasure((Uniform(0, 2), Uniform(0, 2)))), prior=(0.5, 0.5))
+
+    def model(x):
+        return x[..., 0] ** 2 + x[..., 1]
+
+    return mset, component_engines(mset, model, order=16)
+
+
 class TestEffectCurves:
     def test_curve_layout_and_values(self, setup):
         mset, engines = setup
@@ -180,15 +190,7 @@ class TestEffectCurves:
                            curve.component_values["mu2"], atol=1e-12)
 
     def test_unnamed_measures_keep_their_own_curves(self):
-        from mixsens.measures import MeasureSet
-        mset = MeasureSet(measures=(
-            ProductMeasure((Uniform(0, 1), Uniform(0, 1))),
-            ProductMeasure((Uniform(0, 2), Uniform(0, 2)))), prior=(0.5, 0.5))
-
-        def model(x):
-            return x[..., 0] ** 2 + x[..., 1]
-
-        engines = component_engines(mset, model, order=16)
+        mset, engines = _unnamed_pair()
         curve = mixture_effect_curve(engines, mset.prior, 1, npts=5)
         assert tuple(curve.component_values) == mset.names == ("m0", "m1")
         pooled = mixture_effect_from_pooled_conditionals(
@@ -196,6 +198,15 @@ class TestEffectCurves:
         assert np.allclose(curve.mixture_values, pooled, atol=1e-12)
         assert np.allclose(pooled, [-5 / 6, -7 / 12, 1 / 6, 17 / 12, 19 / 6],
                            atol=1e-12)
+
+    def test_unnamed_measures_keep_their_own_names(self):
+        # the split and the delta condition key the members as the set does
+        mset, engines = _unnamed_pair()
+        dec = mixture_variance_decomposition(engines, mset.prior)
+        assert dec.names == mset.names == ("m0", "m1")
+        cond = mixture_monotonicity_condition(engines, (1,))
+        assert tuple(cond.per_measure) == mset.names
+        assert cond.holds
 
 
 # -- property: both routes agree on intersections for multilinear models ------
@@ -213,7 +224,6 @@ def test_routes_agree_for_random_multilinear_models(c1, c2, w):
         factors=(np.polynomial.Polynomial(c1), np.polynomial.Polynomial(c2)),
         terms=((1,), (1, 2)),
         coeffs=w)
-    from mixsens.measures import MeasureSet
     mset = MeasureSet(
         measures=(ProductMeasure((Uniform(-1, 1), Uniform(-1, 1)), name="wide"),
                   ProductMeasure((Uniform(0, 1), Uniform(-1, 0)),
