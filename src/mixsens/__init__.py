@@ -18,11 +18,10 @@ from .diagnostics import (DimensionDistribution, MonotonicityVerdict,
                           mixture_monotonicity_condition, monotonicity_check,
                           robust_ranking, ultramodularity_check)
 from .estimators import (EstimationError, EvaluatedSample, SampleFormatError,
-                         SobolEstimate, WeightedSample,
-                         brute_force_first_order, generate_sample,
-                         given_data_first_order, given_data_indices,
-                         pick_freeze_indices, read_sample, reweight,
-                         weighted_moments, write_sample)
+                         SobolEstimate, brute_force_first_order,
+                         generate_sample, given_data_first_order,
+                         given_data_indices, pick_freeze_indices, read_sample,
+                         reweight, weighted_moments, write_sample)
 from .measures import (ConfigError, DiscreteUniform, MeasureSet, Normal,
                        ProductMeasure, SupportError, Uniform, load_measure_set,
                        measure_set_from_dict, substream)
@@ -46,7 +45,7 @@ __all__ = [
     "MixtureDecomposition", "MixtureEffectCurve", "MonotonicityVerdict",
     "Normal", "ProductMeasure", "RobustReport", "SampleFormatError",
     "SobolEstimate", "SupportError", "UltramodularityReport", "Uniform",
-    "VarianceDecomposition", "WeightedSample", "ZeroVarianceError",
+    "VarianceDecomposition", "ZeroVarianceError",
     "all_subsets", "brute_force_first_order", "canonical_json",
     "component_engines", "core_partition", "core_signature",
     "dimension_bounds", "dimension_distribution", "generate_sample",

@@ -211,9 +211,10 @@ def _mixture_section(engines, mset, vds, curves, outdir):
     return section, files
 
 
-def _robust_section(names, s_matrix, ses, dims, cell):
-    """Robust ranking; ``cell`` tags its numbers as the indices were made."""
-    rr = robust_ranking(s_matrix, ses=ses, dims=dims)
+def _robust_section(names, s_matrix, ses, cell, vds=None):
+    """Robust ranking; ``cell`` tags its numbers as the indices were made.
+    Quadrature decompositions ``vds`` add the dimension bounds."""
+    rr = robust_ranking(s_matrix, ses=ses)
     section = {
         "s_lo": _per_input(rr.s_lo, cell),
         "s_hi": _per_input(rr.s_hi, cell),
@@ -224,9 +225,10 @@ def _robust_section(names, s_matrix, ses, dims, cell):
         "estimated_mode": rr.estimated,
         "measures_considered": list(names),
     }
-    if rr.d_s_bounds is not None:
-        section["d_s_bounds"] = [cell(v) for v in rr.d_s_bounds]
-        section["d_t_bounds"] = [cell(v) for v in rr.d_t_bounds]
+    if vds is not None:
+        lo_s, hi_s, lo_t, hi_t = dimension_bounds(vds)
+        section["d_s_bounds"] = [cell(lo_s), cell(hi_s)]
+        section["d_t_bounds"] = [cell(lo_t), cell(hi_t)]
     return section
 
 
@@ -304,22 +306,19 @@ def _reweighted_estimates(sample, mset, base_name):
 
 def _measure_estimates(model, mset, estimator, n, seed, outdir):
     """Per-measure MC estimates (and any sample files written)."""
-    files = []
-    if estimator == "bruteforce":
+    names, ests, files = list(mset.names), [], []
+    if estimator in ("bruteforce", "pickfreeze"):
         loop = max(2, int(np.sqrt(n)))
-        ests = [brute_force_first_order(model, m, loop, loop, seed)
-                for m in mset.measures]
-        return list(mset.names), ests, files
-    if estimator == "pickfreeze":
-        ests = [pick_freeze_indices(model, m, n, seed) for m in mset.measures]
-        return list(mset.names), ests, files
+        for m in mset.measures:
+            ests.append(brute_force_first_order(model, m, loop, loop, seed)
+                        if estimator == "bruteforce"
+                        else pick_freeze_indices(model, m, n, seed))
+        return names, ests, files
     if estimator == "givendata":
-        names, ests = [], []
-        for m, nm in zip(mset.measures, mset.names):
+        for m, nm in zip(mset.measures, names):
             sample = generate_sample(model, m, n, seed)
             files.append(write_sample(sample, os.path.join(outdir, f"sample_{nm}.csv")))
             ests.append(given_data_indices(sample))
-            names.append(nm)
         return names, ests, files
     # reweight: one base sample under the first measure, density-ratio
     # weights for every other candidate
@@ -336,9 +335,6 @@ def _sample_mode_estimates(path, mset, estimator):
     if estimator == "givendata":
         name = sample.measure_name or "sample"
         return [name], [given_data_indices(sample)]
-    if estimator != "reweight":
-        raise ConfigError(f"estimator {estimator!r} needs an executable "
-                          "model, not a sample file")
     if not sample.measure_name:
         raise SampleFormatError(f"{path}: reweighting needs the sidecar's "
                                 "measure tag to identify the base measure")
@@ -384,29 +380,33 @@ def cmd_analyze(args):
     }
     files = []
 
-    engines = None
-    vds = None
-    if kind == "model":
-        model = source
-        needs_engines = bool({"mixture", "dimension", "trend"} & sections) \
-            or args.estimator == "quad"
-        if needs_engines:
-            engines = component_engines(mset, model, seed=args.seed)
-            vds = [eng.variance_decomposition() for eng in engines]
+    engines = vds = None
+    if kind == "sample":
+        # one gate: a sample file gives estimates from given data, nothing
+        # that needs the model itself
+        if "measures" in sections and \
+                args.estimator not in ("givendata", "reweight"):
+            raise ConfigError(f"estimator {args.estimator!r} needs an "
+                              "executable model, not a sample file")
+        for name in ("dimension", "mixture", "trend", "cores"):
+            if name in sections:
+                _warn(f"{name} section needs an executable model; skipped")
+                sections.discard(name)
+    elif {"mixture", "dimension", "trend"} & sections or \
+            args.estimator == "quad":
+        engines = component_engines(mset, source, seed=args.seed)
+        vds = [eng.variance_decomposition() for eng in engines]
 
     # -- measures ------------------------------------------------------------
     est_names = est_list = None
     if "measures" in sections:
         if args.estimator == "quad":
-            if kind == "sample":
-                raise ConfigError("estimator 'quad' needs an executable "
-                                  "model, not a sample file")
             report["measures"] = _quad_measures_section(vds)
             rows = _indices_rows_from_vds(vds)
         else:
             if kind == "model":
                 est_names, est_list, sample_files = _measure_estimates(
-                    model, mset, args.estimator, args.n, args.seed, args.out)
+                    source, mset, args.estimator, args.n, args.seed, args.out)
                 files += sample_files
             else:
                 est_names, est_list = _sample_mode_estimates(
@@ -419,63 +419,49 @@ def cmd_analyze(args):
 
     # -- dimension -----------------------------------------------------------
     if "dimension" in sections:
-        if vds is None:
-            _warn("dimension section needs full quadrature decompositions; "
-                  "skipped")
-        else:
-            report["dimension"] = _dimension_section(vds)
+        report["dimension"] = _dimension_section(vds)
 
     # -- mixture -------------------------------------------------------------
     mix_curves = None
     if "mixture" in sections:
-        if engines is None:
-            _warn("mixture section needs an executable model; skipped")
-        else:
-            # tabulated once: the CSVs here, the trend verdicts below
-            mix_curves = [mixture_effect_curve(engines, np.asarray(mset.prior), i)
-                          for i in range(1, mset.n + 1)]
-            section, mix_files = _mixture_section(
-                engines, mset, vds, mix_curves, args.out)
-            report["mixture"] = section
-            files += mix_files
+        # tabulated once: the CSVs here, the trend verdicts below
+        mix_curves = [mixture_effect_curve(engines, np.asarray(mset.prior), i)
+                      for i in range(1, mset.n + 1)]
+        section, mix_files = _mixture_section(
+            engines, mset, vds, mix_curves, args.out)
+        report["mixture"] = section
+        files += mix_files
 
     # -- robust --------------------------------------------------------------
     if "robust" in sections:
         if args.estimator == "quad" and vds is not None:
             s_matrix = np.array([vd.first_order() for vd in vds])
-            dims = dimension_bounds(vds)
             report["robust"] = _robust_section(
-                [vd.measure for vd in vds], s_matrix, None, dims,
-                partial(quad_qty, engine_mode=_combined_mode(vds)))
+                [vd.measure for vd in vds], s_matrix, None,
+                partial(quad_qty, engine_mode=_combined_mode(vds)), vds)
         elif est_list is not None:
             s_matrix = np.array([est.clamped_s for est in est_list])
             ses = None
             if all(est.s_se is not None for est in est_list):
                 ses = np.array([est.s_se for est in est_list])
-            report["robust"] = _robust_section(est_names, s_matrix, ses, None,
+            report["robust"] = _robust_section(est_names, s_matrix, ses,
                                                mc_qty)
         else:
             _warn("robust section needs per-measure indices; skipped")
 
     # -- trend ---------------------------------------------------------------
     if "trend" in sections:
-        if engines is None:
-            _warn("trend section needs an executable model; skipped")
-        else:
-            section, trend_files = _trend_section(engines, mset, args.out,
-                                                  mix_curves)
-            report["trend"] = section
-            files += trend_files
+        section, trend_files = _trend_section(engines, mset, args.out,
+                                              mix_curves)
+        report["trend"] = section
+        files += trend_files
 
     # -- cores ---------------------------------------------------------------
     if "cores" in sections:
-        if kind != "model":
-            _warn("cores section needs an executable model; skipped")
-        else:
-            try:
-                report["cores"] = _cores_section(model, mset)
-            except TypeError as exc:
-                _warn(f"cores section skipped: {exc}")
+        try:
+            report["cores"] = _cores_section(source, mset)
+        except TypeError as exc:
+            _warn(f"cores section skipped: {exc}")
 
     report_path = write_report(report, os.path.join(args.out, "report.json"))
     files.append(report_path)

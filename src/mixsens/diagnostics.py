@@ -125,11 +125,9 @@ class RobustReport:
     most_important: int = None
     least_important: int = None
     estimated: bool = False
-    d_s_bounds: tuple = None
-    d_t_bounds: tuple = None
 
 
-def robust_ranking(s_matrix, ses=None, dims=None):
+def robust_ranking(s_matrix, ses=None):
     """Rank inputs so the order holds under every measure in the set.
 
     ``s_matrix`` has shape (measures, inputs) of first-order indices.
@@ -138,9 +136,6 @@ def robust_ranking(s_matrix, ses=None, dims=None):
     given, dominance additionally requires the gap to exceed twice the
     combined standard errors of the extremal estimates — a noise guard, so
     sampling error cannot manufacture a robust conclusion.
-
-    ``dims`` optionally carries (inf D_S, sup D_S, inf D_T, sup D_T) for
-    the report.
     """
     s = np.atleast_2d(np.asarray(s_matrix, dtype=float))
     q, n = s.shape
@@ -172,14 +167,9 @@ def robust_ranking(s_matrix, ses=None, dims=None):
                  if all(dom[i, j] for j in range(n) if j != i)), None)
     least = next((j + 1 for j in range(n)
                   if all(dom[i, j] for i in range(n) if i != j)), None)
-    d_s_bounds = d_t_bounds = None
-    if dims is not None:
-        d_s_bounds = (dims[0], dims[1])
-        d_t_bounds = (dims[2], dims[3])
     return RobustReport(s_lo=s_lo, s_hi=s_hi, dominates=dom, blocks=blocks,
                         most_important=most, least_important=least,
-                        estimated=ses is not None,
-                        d_s_bounds=d_s_bounds, d_t_bounds=d_t_bounds)
+                        estimated=ses is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,14 @@ class EstimationError(ArithmeticError):
 
 @dataclass
 class EvaluatedSample:
-    """Model evaluations y = g(x) at iid draws x from one measure.
+    """Model evaluations y = g(x) at iid draws x from one measure, optionally
+    with importance weights that turn it into a sample under another.
 
-    ``orders`` maps an input (1-based) to the stable argsort of its column,
-    filled on first use by ``given_data_first_order``; ``x`` is not to be
-    changed once it is.
+    ``reweight`` returns a copy with ``weights`` set, ``measure_name`` naming
+    the target and ``measure`` None.  ``orders`` maps an input (1-based) to
+    the stable argsort of its column, filled on first use by
+    ``given_data_first_order`` and shared by every reweighted copy; ``x`` is
+    not to be changed once it is.
     """
 
     x: np.ndarray
@@ -61,6 +64,7 @@ class EvaluatedSample:
     measure_name: str = ""
     seed: int = None
     measure: object = None          # the ProductMeasure, when known
+    weights: np.ndarray = None
     orders: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,6 +72,12 @@ class EvaluatedSample:
         self.y = np.asarray(self.y, dtype=float).ravel()
         if self.x.shape[0] != self.y.size:
             raise SampleFormatError(f"{self.x.shape[0]} points but {self.y.size} values")
+        if self.weights is not None:
+            self.weights = np.asarray(self.weights, dtype=float).ravel()
+            if self.weights.size != self.y.size:
+                raise SampleFormatError("one weight per evaluation required")
+            if np.any(self.weights < 0):
+                raise EstimationError("negative importance weight")
 
     @property
     def n(self):
@@ -76,32 +86,11 @@ class EvaluatedSample:
     def __len__(self):
         return self.y.size
 
-
-@dataclass
-class WeightedSample:
-    """An evaluated sample plus importance weights targeting another measure.
-
-    ``orders`` is the column-order cache of the sample ``x`` came from
-    (see ``EvaluatedSample``), shared by ``reweight`` with every target.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-    base_name: str = ""
-    target_name: str = ""
-    orders: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.weights.size != np.asarray(self.y).size:
-            raise SampleFormatError("one weight per evaluation required")
-        if np.any(self.weights < 0):
-            raise EstimationError("negative importance weight")
-
     @property
     def ess(self):
-        """Kish effective sample size (sum w)^2 / sum w^2."""
+        """Kish effective sample size (sum w)^2 / sum w^2; N unweighted."""
+        if self.weights is None:
+            return len(self)
         s = self.weights.sum()
         if s <= 0:
             return 0.0
@@ -175,11 +164,11 @@ def _scan_rows(path, ncols):
     return data
 
 
-def read_sample(path, measure=None):
+def read_sample(path):
     """Read a sample CSV (and its sidecar, if present) back in.
 
-    ``measure`` optionally attaches the actual measure object, which is
-    required later for reweighting.
+    Reweighting needs the measure object itself; assign it to the result's
+    ``measure``.
     """
     path = str(path)
     with open(path, "r", encoding="utf8") as fh:
@@ -207,7 +196,7 @@ def read_sample(path, measure=None):
     except (OSError, json.JSONDecodeError) as exc:
         raise SampleFormatError(f"{path}.meta.json: {exc}") from None
     return EvaluatedSample(x=data[:, :-1], y=data[:, -1], measure_name=name,
-                           seed=seed, measure=measure)
+                           seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +322,14 @@ def given_data_first_order(sample, i, bins=None):
     there the default is floor(sqrt(ESS)) (skewed weights inflate the
     between-bin noise exactly as a smaller sample would).
     """
-    if isinstance(sample, WeightedSample):
-        x, y, w = sample.x, sample.y, sample.weights
-        n_eff = sample.ess
-    else:
-        x, y, w = sample.x, sample.y, np.ones(len(sample.y))
-        n_eff = len(sample.y)
-    x = np.atleast_2d(x)
+    x, y, w = sample.x, sample.y, sample.weights
+    if w is None:
+        w = np.ones(len(y))
     npts = x.shape[0]
     if not 1 <= i <= x.shape[1]:
         raise ValueError(f"input index {i} out of range 1..{x.shape[1]}")
     if bins is None:
-        bins = max(2, min(int(np.sqrt(n_eff)), npts // 5))
+        bins = max(2, min(int(np.sqrt(sample.ess)), npts // 5))
     if bins < 2:
         raise ValueError("need at least 2 bins")
     if npts / bins < 5:
@@ -377,9 +362,9 @@ def given_data_first_order(sample, i, bins=None):
 
 def given_data_indices(sample, bins=None):
     """All first-order indices of a sample via given_data_first_order."""
-    d = np.atleast_2d(sample.x).shape[1]
-    s = np.array([given_data_first_order(sample, i, bins) for i in range(1, d + 1)])
-    if isinstance(sample, WeightedSample):
+    s = np.array([given_data_first_order(sample, i, bins)
+                  for i in range(1, sample.n + 1)])
+    if sample.weights is not None:
         return SobolEstimate(s=s, method="reweighted", ess=sample.ess)
     return SobolEstimate(s=s, method="givendata")
 
@@ -392,8 +377,9 @@ ESS_FLOOR = 50.0
 
 
 def reweight(sample, target):
-    """Importance weights turning a sample under one measure into estimates
-    under ``target``: w = f_target(x) / f_base(x), self-normalised downstream.
+    """The sample as one under ``target``: a copy (same x, y and ``orders``)
+    carrying the importance weights w = f_target(x) / f_base(x), which the
+    estimators self-normalise.
 
     Raises when the base measure is unknown or assigns zero density to an
     observed point; warns when the effective sample size falls below
@@ -401,7 +387,7 @@ def reweight(sample, target):
     """
     if sample.measure is None:
         raise EstimationError("reweighting needs the sample's base measure; "
-                              "attach one via read_sample(..., measure=...)")
+                              "set sample.measure first")
     base = sample.measure.density(sample.x)
     if np.any(base <= 0):
         raise EstimationError("base measure has zero density at an observed "
@@ -410,12 +396,11 @@ def reweight(sample, target):
     if w.sum() <= 0:
         raise EstimationError(f"target {target.name or 'measure'!r} puts no "
                               "mass on the sampled region")
-    ws = WeightedSample(x=sample.x, y=sample.y, weights=w,
-                        base_name=sample.measure_name,
-                        target_name=target.name or "", orders=sample.orders)
+    ws = EvaluatedSample(x=sample.x, y=sample.y, measure_name=target.name or "",
+                         weights=w, orders=sample.orders)
     if ws.ess < ESS_FLOOR:
         warnings.warn(f"effective sample size {ws.ess:.1f} below {ESS_FLOOR:g}; "
-                      f"reweighted estimates toward {ws.target_name!r} are "
+                      f"reweighted estimates toward {ws.measure_name!r} are "
                       "unreliable", stacklevel=2)
     return ws
 

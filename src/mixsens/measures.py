@@ -77,12 +77,7 @@ def _gauss_rule(family, order):
 class UnivariateMeasure:
     """Interface for one input coordinate's distribution."""
 
-    family = "abstract"
-
     def density(self, x):
-        raise NotImplementedError
-
-    def mean(self):
         raise NotImplementedError
 
     def support(self):
@@ -115,8 +110,6 @@ class Uniform(UnivariateMeasure):
     lo: float
     hi: float
 
-    family = "uniform"
-
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConfigError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
@@ -127,9 +120,6 @@ class Uniform(UnivariateMeasure):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
-    def mean(self):
-        return 0.5 * (self.lo + self.hi)
 
     def support(self):
         return (self.lo, self.hi)
@@ -148,8 +138,6 @@ class Normal(UnivariateMeasure):
     mean_: float
     sd: float
 
-    family = "normal"
-
     def __post_init__(self):
         if not self.sd > 0:
             raise ConfigError(f"normal needs sd > 0, got {self.sd}")
@@ -158,9 +146,6 @@ class Normal(UnivariateMeasure):
         x = np.asarray(x, dtype=float)
         z = (x - self.mean_) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-
-    def mean(self):
-        return self.mean_
 
     def support(self):
         return (-math.inf, math.inf)
@@ -188,8 +173,6 @@ class DiscreteUniform(UnivariateMeasure):
 
     points: tuple
 
-    family = "discrete"
-
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
         if len(pts) < 1:
@@ -200,9 +183,6 @@ class DiscreteUniform(UnivariateMeasure):
 
     def density(self, x):
         raise NotImplementedError("discrete measure has no Lebesgue density")
-
-    def mean(self):
-        return float(np.mean(self.points))
 
     def support(self):
         return (min(self.points), max(self.points))
@@ -416,6 +396,8 @@ def measure_set_from_dict(doc):
             comps = entry["components"]
         except KeyError as exc:
             raise ConfigError(f"{where}: missing field {exc}") from None
+        if not name:
+            raise ConfigError(f"{where}: empty measure name")
         if name in seen:
             raise ConfigError(f"{where}: duplicate measure name {name!r}")
         seen.add(name)

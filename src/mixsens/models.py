@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (ConfigError, MeasureSet, Normal, ProductMeasure,
-                       Uniform, _read_list, _read_number)
+                       Uniform, _read_list, _read_number, _reject_extras)
 
 __all__ = [
     "IshigamiModel", "ishigami_measures", "ishigami_measure_set",
@@ -269,10 +269,8 @@ def multilinear_from_dict(doc):
     """
     if not isinstance(doc, dict):
         raise ConfigError("model config must be a mapping")
-    extras = sorted(set(doc) - {"n", "factors", "terms", "coeffs"})
-    if extras:
-        raise ConfigError(f"model config: unknown field(s) {extras}")
     where = "model config"
+    _reject_extras(doc, {"n", "factors", "terms", "coeffs"}, where)
     try:
         n = _read_number(doc["n"], f"{where}: n", integer=True)
         raw_factors = doc["factors"]

@@ -112,6 +112,8 @@ class TestQuadraturePriorRun:
         assert rob["most_important"] == 2
         assert rob["least_important"] is None
         assert rob["blocks"] == [[2], [1, 3]]
+        for key in ("d_s", "d_t"):
+            assert rob[f"{key}_bounds"] == dim["bounds"][key]
 
     def test_trend_and_cores(self, outdir):
         rep = load_report(outdir)
@@ -149,8 +151,9 @@ def tagged_cells(node):
 
 def test_qmc_decompositions_tag_every_derived_cell(configs, tmp_path,
                                                    monkeypatch):
-    # A real QMC fallback needs a 4-input model and about a minute at the
-    # default order, so the engines hand over decompositions that used it.
+    # A real QMC fallback needs five continuous inputs (a 4-input engine
+    # integrates on the tensor grid), so the engines hand over
+    # decompositions that used it.
     vds = [VarianceDecomposition(measure=nm, total=1.0, mean=0.0,
                                  terms={(1,): s1, (2,): 0.3, (3,): 0.7 - s1},
                                  residual=0.0, n=3, mode="qmc")
@@ -277,7 +280,8 @@ class TestEstimatorModes:
         measures = json.loads(text)["measures"]
         assert "ess" not in measures["mu1"]       # the base sample, as drawn
         reg = ishigami_measures()
-        base = read_sample(tmp_path / "a" / "sample_mu1.csv", reg["mu1"])
+        base = read_sample(tmp_path / "a" / "sample_mu1.csv")
+        base.measure = reg["mu1"]
         for name in ("mu2", "mu3"):
             assert measures[name]["ess"] == reweight(base, reg[name]).ess
             assert 0 < measures[name]["ess"] <= 512
@@ -456,6 +460,8 @@ class TestFailureModes:
                      "terms: [[1], [2]]\ncoeffs: [a, b]\n", id="coeffs-ab"),
         pytest.param(MEASURES_YAML, "n: 3\nfactors: [[1.0], [1.0], [1.0]]\n"
                      "terms: 5\n", id="terms-5"),
+        pytest.param(MEASURES_YAML.replace("name: mu2", 'name: ""'), None,
+                     id="empty-measure-name"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
                                                 measures, model):

@@ -113,12 +113,6 @@ class TestRobustRanking:
         assert guarded.blocks == [[1, 2]]
         assert guarded.estimated
 
-    def test_dims_pass_through(self):
-        rep = robust_ranking(np.array([[0.9, 0.1]]),
-                             dims=(1.0, 1.2, 1.5, 2.0))
-        assert rep.d_s_bounds == (1.0, 1.2)
-        assert rep.d_t_bounds == (1.5, 2.0)
-
     def test_se_shape_guard(self):
         with pytest.raises(ValueError):
             robust_ranking(np.array([[0.5, 0.3]]), ses=np.array([[0.1]]))

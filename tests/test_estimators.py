@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mixsens import estimators
 from mixsens.estimators import (EstimationError, EvaluatedSample,
                                 SampleFormatError, SobolEstimate,
-                                WeightedSample, brute_force_first_order,
+                                brute_force_first_order,
                                 generate_sample, given_data_first_order,
                                 given_data_indices, pick_freeze_indices,
                                 read_sample, reweight, weighted_moments,
@@ -106,7 +106,10 @@ class TestReweighting:
         sample = generate_sample(IshigamiModel(), reg["mu1"], 512, seed=3)
         ws = reweight(sample, reg["mu1"])
         assert np.all(ws.weights == 1.0)
-        assert ws.ess == 512.0
+        assert ws.ess == 512.0 and sample.ess == 512
+        # one sample type: the copy names its target and shares the sorts
+        assert sample.weights is None and ws.measure is None
+        assert ws.measure_name == "mu1" and ws.orders is sample.orders
         assert given_data_first_order(ws, 1) \
             == given_data_first_order(sample, 1)
 
@@ -138,7 +141,7 @@ def _array_split_first_order(sample, i, bins=None):
     """given_data_first_order with its own sort and one fancy index per
     np.array_split bin: the reference the sliced bins must equal bit for
     bit."""
-    weighted = isinstance(sample, WeightedSample)
+    weighted = sample.weights is not None
     w = sample.weights if weighted else np.ones(len(sample.y))
     y = sample.y
     if bins is None:
@@ -173,7 +176,7 @@ def test_sliced_bins_equal_the_array_split_bins(npts, seed, ties, weighted,
     if weighted:    # some zero weights, so some bins may carry no mass
         w = rng.exponential(size=npts) * (rng.random(npts) < 0.8)
         w[0] = 1.0
-        sample = WeightedSample(x=sample.x, y=sample.y, weights=w)
+        sample = EvaluatedSample(x=sample.x, y=sample.y, weights=w)
     bins = data.draw(st.integers(2, npts // 5)) if explicit else None
     for i in (1, 2):
         assert given_data_first_order(sample, i, bins) \
@@ -207,13 +210,13 @@ class TestValidationAndErrors:
         with pytest.raises(SampleFormatError):
             EvaluatedSample(x=np.zeros((5, 2)), y=np.zeros(4))
         with pytest.raises(SampleFormatError):
-            WeightedSample(x=np.zeros((5, 2)), y=np.zeros(5),
-                           weights=np.zeros(4))
+            EvaluatedSample(x=np.zeros((5, 2)), y=np.zeros(5),
+                            weights=np.zeros(4))
 
     def test_negative_weights(self):
         with pytest.raises(EstimationError):
-            WeightedSample(x=np.zeros((3, 1)), y=np.zeros(3),
-                           weights=np.array([1.0, -0.5, 1.0]))
+            EvaluatedSample(x=np.zeros((3, 1)), y=np.zeros(3),
+                            weights=np.array([1.0, -0.5, 1.0]))
 
     def test_constant_output_has_no_indices(self):
         sample = EvaluatedSample(x=np.random.default_rng(0).random((100, 2)),

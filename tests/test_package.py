@@ -2,6 +2,8 @@
 exported name resolves while the removed ones stay gone."""
 
 import contextlib
+import importlib
+import importlib.util
 import inspect
 import io
 import pathlib
@@ -10,12 +12,13 @@ import re
 import mixsens
 from mixsens import diagnostics, estimators, measures, models, report
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # names that no CLI path, workload or paper result used, and were removed
 REMOVED = ("MixtureMeasure", "log_pool", "first_and_total_indices",
            "parse_subset_label", "measure_set_to_dict", "same_core",
-           "outside_all_supports")
+           "outside_all_supports", "WeightedSample")
 
 
 def test_readme_quickstart_runs_as_written():
@@ -35,12 +38,16 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
         for name in REMOVED:
             assert name not in module.__all__, (module.__name__, name)
             assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(estimators, "WeightedSample")
     for cls in (measures.Uniform, measures.Normal, measures.DiscreteUniform):
-        assert not hasattr(cls, "cdf"), cls
+        for attr in ("cdf", "mean", "family"):
+            assert not hasattr(cls, attr), (cls, attr)
     assert not hasattr(measures.ProductMeasure, "in_support")
-    # options that no caller set are module constants now
+    # options that no caller set are gone or module constants now
     for fn, params in ((report.mc_qty, ("value", "se", "reweighted")),
                        (estimators.reweight, ("sample", "target")),
+                       (estimators.read_sample, ("path",)),
+                       (diagnostics.robust_ranking, ("s_matrix", "ses")),
                        (models.core_signature, ("model", "measure")),
                        (models.core_partition, ("model", "mset")),
                        (diagnostics.monotonicity_check, ("curve",)),
@@ -49,3 +56,19 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
                        (diagnostics.ultramodularity_check,
                         ("model", "box", "grid_k", "measure"))):
         assert tuple(inspect.signature(fn).parameters) == params, fn
+
+
+def test_every_named_bench_span_resolves():
+    # the benchmark tracer wraps these by name and skips a missing one, so a
+    # renamed or deleted target would read zero instead of failing
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.NAMED_SPANS
+    for span, mod_name, path in tracing.NAMED_SPANS:
+        owner = importlib.import_module(f"mixsens.{mod_name}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), (span, mod_name, path)
