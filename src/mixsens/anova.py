@@ -68,7 +68,7 @@ class ZeroVarianceError(ArithmeticError):
 
 
 DEFAULT_ORDER = 64          # Gaussian quadrature nodes per coordinate
-DEFAULT_QMC_LOG2 = 14       # 2**14 scrambled-Sobol points per QMC integral
+QMC_LOG2 = 14               # 2**14 scrambled-Sobol points per QMC integral
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**21        # most points a grid sweep hands the model at once
 TENSOR_DIM_CAP = 3          # beyond this many integration dims, use QMC
@@ -231,9 +231,9 @@ class AnovaEngine:
         Input distribution the decomposition is taken against.
     order : int
         Gaussian nodes per continuous coordinate.
-    qmc_log2, seed : int
-        Size (log2) and seed of the scrambled-Sobol rule used whenever an
-        integral runs over more than three continuous coordinates.
+    seed : int
+        Seed of the scrambled-Sobol rule (``QMC_LOG2`` points) used whenever
+        an integral runs over more than three continuous coordinates.
 
     The integration plan is fixed here.  A table w_z takes the tensor rule
     when the grid fits or z's complement has at most ``TENSOR_DIM_CAP``
@@ -246,14 +246,12 @@ class AnovaEngine:
     used takes QMC.
     """
 
-    def __init__(self, model, measure, order=DEFAULT_ORDER,
-                 qmc_log2=DEFAULT_QMC_LOG2, seed=0):
+    def __init__(self, model, measure, order=DEFAULT_ORDER, seed=0):
         if not isinstance(measure, ProductMeasure):
             raise TypeError("AnovaEngine needs a ProductMeasure")
         self.model = model
         self.measure = measure
         self.order = int(order)
-        self.qmc_log2 = int(qmc_log2)
         self.seed = int(seed)
         self.n = measure.n
         nodes = measure.quad_nodes(order)
@@ -289,7 +287,7 @@ class AnovaEngine:
             return pts, w
         rng_seed = substream(self.seed, "qmc", subset_label(z)).integers(2**31)
         sob = _qmc().Sobol(d=len(comp), scramble=True, seed=int(rng_seed))
-        u = sob.random_base2(self.qmc_log2)
+        u = sob.random_base2(QMC_LOG2)
         pts = _qmc_transform([self.measure.components[i - 1] for i in comp], u)
         return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
 

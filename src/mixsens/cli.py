@@ -292,60 +292,55 @@ def _default_sections(kind, estimator):
     return sections
 
 
-def _reweighted_estimates(sample, mset, base_name):
-    """Given-data indices under every measure of the set from one sample.
+def _estimates(kind, source, mset, args):
+    """Per-measure MC estimates ``(names, estimates, files)`` from a sample
+    file or from the model; any sample drawn is written to ``args.out``."""
+    names, estimator, files = list(mset.names), args.estimator, []
+    if kind == "sample":
+        sample = read_sample(source)
+        if sample.n != mset.n:
+            raise SampleFormatError(f"{source}: sample has {sample.n} inputs, "
+                                    f"measures file declares {mset.n}")
+        if len(sample) < MIN_N[estimator]:
+            raise SampleFormatError(
+                f"{source}: sample has {len(sample)} rows, below "
+                f"{MIN_N[estimator]}, the fewest estimator {estimator!r} "
+                "accepts")
+        if estimator == "givendata":
+            return [sample.measure_name or "sample"], \
+                [given_data_indices(sample)], files
+        if not sample.measure_name:
+            raise SampleFormatError(f"{source}: reweighting needs the "
+                                    "sidecar's measure tag to identify the "
+                                    "base measure")
+        try:
+            sample.measure = mset.by_name(sample.measure_name)
+        except KeyError:
+            raise SampleFormatError(
+                f"{source}: base measure {sample.measure_name!r} is not in "
+                "the measures file") from None
+    elif estimator in ("bruteforce", "pickfreeze"):
+        loop = max(2, int(np.sqrt(args.n)))
+        return names, [brute_force_first_order(source, m, loop, loop, args.seed)
+                       if estimator == "bruteforce"
+                       else pick_freeze_indices(source, m, args.n, args.seed)
+                       for m in mset.measures], files
+    else:
+        def drawn(m, nm):
+            sample = generate_sample(source, m, args.n, args.seed)
+            files.append(write_sample(
+                sample, os.path.join(args.out, f"sample_{nm}.csv")))
+            return sample
 
-    The sample's own measure (``base_name``) uses it as drawn; every other
-    candidate reweights it by density ratios.
-    """
-    ests = [given_data_indices(sample) if nm == base_name
-            else given_data_indices(reweight(sample, m))
-            for m, nm in zip(mset.measures, mset.names)]
-    return list(mset.names), ests
-
-
-def _measure_estimates(model, mset, estimator, n, seed, outdir):
-    """Per-measure MC estimates (and any sample files written)."""
-    names, ests, files = list(mset.names), [], []
-    if estimator in ("bruteforce", "pickfreeze"):
-        loop = max(2, int(np.sqrt(n)))
-        for m in mset.measures:
-            ests.append(brute_force_first_order(model, m, loop, loop, seed)
-                        if estimator == "bruteforce"
-                        else pick_freeze_indices(model, m, n, seed))
-        return names, ests, files
-    if estimator == "givendata":
-        for m, nm in zip(mset.measures, names):
-            sample = generate_sample(model, m, n, seed)
-            files.append(write_sample(sample, os.path.join(outdir, f"sample_{nm}.csv")))
-            ests.append(given_data_indices(sample))
-        return names, ests, files
-    # reweight: one base sample under the first measure, density-ratio
-    # weights for every other candidate
-    sample = generate_sample(model, mset.measures[0], n, seed)
-    files.append(write_sample(sample, os.path.join(outdir, f"sample_{mset.names[0]}.csv")))
-    return (*_reweighted_estimates(sample, mset, mset.names[0]), files)
-
-
-def _sample_mode_estimates(path, mset, estimator):
-    sample = read_sample(path)
-    if sample.n != mset.n:
-        raise SampleFormatError(f"{path}: sample has {sample.n} inputs, "
-                                f"measures file declares {mset.n}")
-    if estimator == "givendata":
-        name = sample.measure_name or "sample"
-        return [name], [given_data_indices(sample)]
-    if not sample.measure_name:
-        raise SampleFormatError(f"{path}: reweighting needs the sidecar's "
-                                "measure tag to identify the base measure")
-    try:
-        base = mset.by_name(sample.measure_name)
-    except KeyError:
-        raise SampleFormatError(
-            f"{path}: base measure {sample.measure_name!r} is not in the "
-            "measures file") from None
-    sample.measure = base
-    return _reweighted_estimates(sample, mset, sample.measure_name)
+        if estimator == "givendata":    # one sample per measure
+            return names, [given_data_indices(drawn(m, nm))
+                           for m, nm in zip(mset.measures, names)], files
+        sample = drawn(mset.measures[0], names[0])
+    # reweight: the sample's own measure uses it as drawn, every other
+    # candidate by density-ratio weights
+    return names, [given_data_indices(sample if nm == sample.measure_name
+                                      else reweight(sample, m))
+                   for m, nm in zip(mset.measures, names)], files
 
 
 def cmd_analyze(args):
@@ -381,11 +376,11 @@ def cmd_analyze(args):
     files = []
 
     engines = vds = None
+    indexed = {"measures", "robust"} & sections     # the per-measure indices
     if kind == "sample":
         # one gate: a sample file gives estimates from given data, nothing
         # that needs the model itself
-        if "measures" in sections and \
-                args.estimator not in ("givendata", "reweight"):
+        if indexed and args.estimator not in ("givendata", "reweight"):
             raise ConfigError(f"estimator {args.estimator!r} needs an "
                               "executable model, not a sample file")
         for name in ("dimension", "mixture", "trend", "cores"):
@@ -399,18 +394,14 @@ def cmd_analyze(args):
 
     # -- measures ------------------------------------------------------------
     est_names = est_list = None
+    if indexed and args.estimator != "quad":
+        est_names, est_list, est_files = _estimates(kind, source, mset, args)
+        files += est_files
     if "measures" in sections:
-        if args.estimator == "quad":
+        if est_list is None:
             report["measures"] = _quad_measures_section(vds)
             rows = _indices_rows_from_vds(vds)
         else:
-            if kind == "model":
-                est_names, est_list, sample_files = _measure_estimates(
-                    source, mset, args.estimator, args.n, args.seed, args.out)
-                files += sample_files
-            else:
-                est_names, est_list = _sample_mode_estimates(
-                    source, mset, args.estimator)
             report["measures"] = {nm: _estimate_entry(est)
                                   for nm, est in zip(est_names, est_list)}
             rows = _indices_rows_from_estimates(est_names, est_list)
@@ -434,20 +425,18 @@ def cmd_analyze(args):
 
     # -- robust --------------------------------------------------------------
     if "robust" in sections:
-        if args.estimator == "quad" and vds is not None:
+        if est_list is None:
             s_matrix = np.array([vd.first_order() for vd in vds])
             report["robust"] = _robust_section(
                 [vd.measure for vd in vds], s_matrix, None,
                 partial(quad_qty, engine_mode=_combined_mode(vds)), vds)
-        elif est_list is not None:
+        else:
             s_matrix = np.array([est.clamped_s for est in est_list])
             ses = None
             if all(est.s_se is not None for est in est_list):
                 ses = np.array([est.s_se for est in est_list])
             report["robust"] = _robust_section(est_names, s_matrix, ses,
                                                mc_qty)
-        else:
-            _warn("robust section needs per-measure indices; skipped")
 
     # -- trend ---------------------------------------------------------------
     if "trend" in sections:

@@ -185,18 +185,20 @@ def read_sample(path):
     data = _bulk_rows(path, len(header))
     if data is None:
         data = _scan_rows(path, len(header))
-    name, seed = "", None
     try:
         with open(path + ".meta.json", "r", encoding="utf8") as fh:
             meta = json.load(fh)
-        name = meta.get("measure", "")
-        seed = meta.get("seed")
     except FileNotFoundError:
-        pass
+        meta = {}
     except (OSError, json.JSONDecodeError) as exc:
         raise SampleFormatError(f"{path}.meta.json: {exc}") from None
-    return EvaluatedSample(x=data[:, :-1], y=data[:, -1], measure_name=name,
-                           seed=seed)
+    if not isinstance(meta, dict) or \
+            not isinstance(meta.get("measure", ""), str):
+        raise SampleFormatError(f"{path}.meta.json: must be a JSON object "
+                                "whose 'measure', if present, is a string")
+    return EvaluatedSample(x=data[:, :-1], y=data[:, -1],
+                           measure_name=meta.get("measure", ""),
+                           seed=meta.get("seed"))
 
 
 # ---------------------------------------------------------------------------

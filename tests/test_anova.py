@@ -116,7 +116,7 @@ class TestTruncationAndModes:
         assert set(vd.terms) == {(1,), (2,), (3,)}
         assert vd.residual == pytest.approx(ref.TERMS["mu1"][(1, 3)], abs=1e-8)
 
-    def test_four_dim_model_switches_to_qmc(self):
+    def test_five_input_model_switches_to_qmc(self):
         # five inputs: each singleton's complement has four continuous
         # coordinates, so each singleton table takes QMC, and with no
         # singleton table on the sweep so do the moments
@@ -125,8 +125,9 @@ class TestTruncationAndModes:
         def g(x):
             return x[:, 0] + x[:, 1] * x[:, 2] + x[:, 3] ** 2
 
-        eng = AnovaEngine(g, measure, qmc_log2=12, seed=5)
-        vd = eng.variance_decomposition(max_order=1)
+        eng = AnovaEngine(g, measure, seed=5)
+        with mock.patch.object(anova, "QMC_LOG2", 12):
+            vd = eng.variance_decomposition(max_order=1)
         assert eng.mode == "qmc" and vd.mode == "qmc"
         # V = 1/12 + Var(X2 X3) + Var(X4^2) = 1/12 + 7/144 + 4/45
         total = 1 / 12 + 7 / 144 + 4 / 45
@@ -140,10 +141,11 @@ class TestTruncationAndModes:
         def g(x):
             return x.sum(axis=1)
 
-        a = AnovaEngine(g, measure, qmc_log2=10, seed=9)
-        b = AnovaEngine(g, measure, qmc_log2=10, seed=9)
-        assert a.variance_decomposition(max_order=1).terms \
-            == b.variance_decomposition(max_order=1).terms
+        a = AnovaEngine(g, measure, seed=9)
+        b = AnovaEngine(g, measure, seed=9)
+        with mock.patch.object(anova, "QMC_LOG2", 10):
+            assert a.variance_decomposition(max_order=1).terms \
+                == b.variance_decomposition(max_order=1).terms
 
     def test_discrete_grid_is_exact(self):
         measure = ProductMeasure((DiscreteUniform((0.0, 1.0, 2.0)),
@@ -410,8 +412,9 @@ def test_tables_whose_complement_takes_qmc():
                               Uniform(0.0, 1.0), Normal(0.0, 1.0),
                               Uniform(-1.0, 1.0)))
     order, log2 = 4, 12
-    eng = _capped_engine(model, measure, order=order, qmc_log2=log2)
-    vd = eng.variance_decomposition(max_order=2)
+    eng = _capped_engine(model, measure, order=order)
+    with mock.patch.object(anova, "QMC_LOG2", log2):
+        vd = eng.variance_decomposition(max_order=2)
     assert vd.mode == "qmc"
     # the grid once; per singleton, its Sobol rule at each of its nodes; no
     # singleton table takes the sweep, so the plan gives the moments the
@@ -540,6 +543,8 @@ def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
         "assert not scipy(), scipy()",
         "import mixsens.cli",
         "assert not scipy(), scipy()",
+        "from unittest import mock",
+        "from mixsens import anova",
         "from mixsens.anova import AnovaEngine",
         "from mixsens.measures import Normal, ProductMeasure",
         "normals = ProductMeasure((Normal(0.0, 1.0),) * 3)",
@@ -553,8 +558,9 @@ def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
         "assert not scipy(), scipy()",
         # the path that needs scipy still loads it and works
         "eng = AnovaEngine(lambda x: x.sum(axis=-1) + 1.0,",
-        "                  ProductMeasure((Normal(0.0, 1.0),) * 5), qmc_log2=10)",
-        "assert abs(eng.mean() - 1.0) < 1e-2 and eng.mode == 'qmc'",
+        "                  ProductMeasure((Normal(0.0, 1.0),) * 5))",
+        "with mock.patch.object(anova, 'QMC_LOG2', 10):",
+        "    assert abs(eng.mean() - 1.0) < 1e-2 and eng.mode == 'qmc'",
         "assert 'scipy.special' in sys.modules"])
     _run_python(code)
 

@@ -300,6 +300,40 @@ class TestEstimatorModes:
         assert {(c["mode"], c["tol"]) for c in cells} == {("MC", 0.05)}
 
 
+@pytest.mark.parametrize("estimator,from_file", [
+    pytest.param("pickfreeze", False, id="pickfreeze-model"),
+    pytest.param("bruteforce", False, id="bruteforce-model"),
+    pytest.param("givendata", False, id="givendata-model"),
+    pytest.param("reweight", False, id="reweight-model"),
+    pytest.param("givendata", True, id="givendata-file"),
+    pytest.param("reweight", True, id="reweight-file")])
+def test_robust_alone_matches_robust_with_measures(configs, tmp_path,
+                                                   estimator, from_file):
+    # the robust section reads the same per-measure estimates whether or not
+    # the measures section is asked for, and the same samples back them
+    model = "ishigami"
+    if from_file:
+        model = str(tmp_path / "runs.csv")
+        write_sample(generate_sample(IshigamiModel(), ishigami_measures()["mu1"],
+                                     1024, seed=ref.SEED_GIVEN_DATA), model)
+    reports, samples = [], []
+    for tag, sections in (("alone", ["robust"]),
+                          ("both", ["measures", "robust"])):
+        out = tmp_path / tag
+        code = run(["--model", model, "--measures", configs["noprior"],
+                    "--estimator", estimator, "--n", "1024", "--seed", "3",
+                    "--sections", *sections, "--out", str(out)])
+        assert code == 0
+        reports.append(load_report(out))
+        samples.append({p.name: p.read_bytes()
+                        for p in sorted(out.glob("sample_*"))})
+    assert "measures" not in reports[0]
+    assert reports[0]["robust"] == reports[1]["robust"]
+    assert samples[0] == samples[1]
+    assert bool(samples[0]) == (estimator in ("givendata", "reweight")
+                                and not from_file)
+
+
 class TestSampleFileMode:
     @pytest.fixture()
     def sample_csv(self, tmp_path):
@@ -351,6 +385,14 @@ class TestSampleFileMode:
         assert code == 2
         assert "executable model" in capsys.readouterr().err
 
+    def test_quad_estimator_rejects_sample_input_for_robust(
+            self, configs, sample_csv, tmp_path, capsys):
+        code = run(["--model", sample_csv, "--measures", configs["noprior"],
+                    "--sections", "robust", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "executable model" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_inapplicable_sections_warn_but_run(self, configs, sample_csv,
                                                 tmp_path, capsys):
         out = tmp_path / "o"
@@ -388,6 +430,30 @@ class TestFailureModes:
             assert code == 3
             err = capsys.readouterr().err
             assert where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("meta,rows,estimator,where", [
+        pytest.param("[1, 2]", 64, "givendata", "meta.json",
+                     id="sidecar-list"),
+        pytest.param('{"measure": 5}', 64, "givendata", "meta.json",
+                     id="sidecar-measure-number"),
+        pytest.param('{"measure": ["mu1"]}', 64, "givendata", "meta.json",
+                     id="sidecar-measure-list"),
+        pytest.param('{"measure": "mu1"}', 5, "givendata", "5 rows, below 10",
+                     id="five-rows-givendata"),
+        pytest.param('{"measure": "mu1"}', 5, "reweight", "5 rows, below 10",
+                     id="five-rows-reweight")])
+    def test_malformed_sample_is_a_data_error(self, configs, tmp_path, capsys,
+                                              meta, rows, estimator, where):
+        path = tmp_path / "sample_mu1.csv"
+        write_sample(generate_sample(IshigamiModel(),
+                                     ishigami_measures()["mu1"], rows, seed=1),
+                     path)
+        (tmp_path / "sample_mu1.csv.meta.json").write_text(meta)
+        code = run(["--model", str(path), "--measures", configs["noprior"],
+                    "--estimator", estimator, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and where in err and "Traceback" not in err
 
     def test_dimension_mismatch(self, configs, tmp_path):
         bad = tmp_path / "narrow.csv"

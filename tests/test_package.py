@@ -10,7 +10,8 @@ import pathlib
 import re
 
 import mixsens
-from mixsens import diagnostics, estimators, measures, models, report
+from mixsens import (anova, diagnostics, estimators, measures, models,
+                     report)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -44,7 +45,9 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
             assert not hasattr(cls, attr), (cls, attr)
     assert not hasattr(measures.ProductMeasure, "in_support")
     # options that no caller set are gone or module constants now
-    for fn, params in ((report.mc_qty, ("value", "se", "reweighted")),
+    for fn, params in ((anova.AnovaEngine,
+                        ("model", "measure", "order", "seed")),
+                       (report.mc_qty, ("value", "se", "reweighted")),
                        (estimators.reweight, ("sample", "target")),
                        (estimators.read_sample, ("path",)),
                        (diagnostics.robust_ranking, ("s_matrix", "ses")),
