@@ -25,6 +25,19 @@ complement of some single input has more than ``TENSOR_DIM_CAP`` continuous
 coordinates.  Importing the package, or building an engine of four
 continuous inputs, loads no scipy module.
 
+An engine's ``order`` is the most Gauss nodes per continuous coordinate.
+When the full tensor grid at ``order`` does not fit (``FULL_GRID_CAP``), the
+engine fixes at build a ladder of the orders of ``LADDER`` below ``order``
+whose grid fits, if there are two or more.  Its first integral of any kind
+runs the ladder (``AnovaEngine._settle``): each rung decomposes the model
+off its full grid (the whole subset lattice up to four inputs), and the
+order settles at the first rung whose mean, total and terms moved by at
+most ``INTERP_TOL`` (relative to sqrt(V) and V) from the rung below.  Gauss
+rules converge geometrically on smooth models, so that change bounds the
+error of the rung below.  A settled engine is a full-grid engine at that
+order; with no such rung it keeps ``order`` and its grid that does not fit.
+A smooth 4-input model costs 16^4 + 24^4 (+ 32^4) evaluations, not 64^4.
+
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
 of the mean and the total variance.  It sweeps the model's full tensor grid
@@ -39,8 +52,11 @@ rule, taken from the sweep, when the grid fits or when some singleton
 table's complement takes the tensor rule: every variance decomposition then
 pays for the sweep anyway, so the moments come from the same rule as the
 terms and sum with them to the total.  A mean-only call on such an engine
-costs one sweep.  Otherwise (five or more continuous inputs on a grid that
-does not fit) the moments take the QMC rule over all inputs.
+costs one sweep, and on a grid that does not fit that sweep also fills every
+table of at most two inputs that takes the tensor rule, so a decomposition
+of that order after it costs none.  Otherwise (five or more continuous
+inputs on a grid that does not fit) the moments take the QMC rule over all
+inputs.
 
 Effects at arbitrary points need w_v there.  When the model's full tensor
 grid fits, ``AnovaEngine._w_at`` reads w_v off v's subgrid table by tensor
@@ -67,7 +83,8 @@ class ZeroVarianceError(ArithmeticError):
     """Total variance is (numerically) zero, so indices are undefined."""
 
 
-DEFAULT_ORDER = 64          # Gaussian quadrature nodes per coordinate
+DEFAULT_ORDER = 64          # most Gaussian quadrature nodes per coordinate
+LADDER = (16, 24, 32)       # orders tried when the grid at ``order`` does not fit
 QMC_LOG2 = 14               # 2**14 scrambled-Sobol points per QMC integral
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**21        # most points a grid sweep hands the model at once
@@ -230,12 +247,16 @@ class AnovaEngine:
     measure : ProductMeasure
         Input distribution the decomposition is taken against.
     order : int
-        Gaussian nodes per continuous coordinate.
+        The most Gaussian nodes per continuous coordinate.  When the full
+        grid at ``order`` does not fit, the first integral may settle on a
+        lower order (``_settle``); ``order``, ``nodes`` and ``weights`` then
+        say what was used.
     seed : int
         Seed of the scrambled-Sobol rule (``QMC_LOG2`` points) used whenever
         an integral runs over more than three continuous coordinates.
 
-    The integration plan is fixed here.  A table w_z takes the tensor rule
+    The integration plan and the ladder of orders are fixed here; the
+    ladder runs on the first integral.  A table w_z takes the tensor rule
     when the grid fits or z's complement has at most ``TENSOR_DIM_CAP``
     continuous coordinates, and QMC otherwise (``_takes_qmc``); a
     conditional mean at points takes the tensor rule exactly when z's
@@ -251,23 +272,71 @@ class AnovaEngine:
             raise TypeError("AnovaEngine needs a ProductMeasure")
         self.model = model
         self.measure = measure
-        self.order = int(order)
         self.seed = int(seed)
         self.n = measure.n
-        nodes = measure.quad_nodes(order)
-        self.nodes = [np.asarray(x) for x, _ in nodes]
-        self.weights = [np.asarray(w) for _, w in nodes]
-        self._sizes = [x.size for x in self.nodes]
-        self._full_grid_ok = int(np.prod([float(s) for s in self._sizes])) <= FULL_GRID_CAP \
-            and self.n <= 16
-        self._w_cache = {}        # subset -> conditional mean on its subgrid
-        self._moments = None      # (E[g], E[g^2]), lazily
+        self._use_order(int(order))
+        # the ladder: the rungs below ``order`` whose grid fits, when at
+        # least two do and the grid at ``order`` does not; run by _settle
+        rungs = [] if self._full_grid_ok else \
+            [r for r in LADDER if r < self.order
+             and _fits([x.size for x, _ in measure.quad_nodes(r)])]
+        self._ladder = rungs if len(rungs) > 1 else []
         # the integration plan (see the class docstring)
         tensor = [self._tensor_complement((i,)) for i in range(1, self.n + 1)]
-        self._swept_moments = self._full_grid_ok or any(tensor)
+        self._swept_moments = any(tensor)
         self.mode = "quadrature" if all(tensor) else "qmc"
         if self.mode == "qmc":
             _qmc()                # set-up, not the first integral, pays the import
+
+    def _use_order(self, order, full_grid_ok=None):
+        """Take the Gauss rule of ``order``, with no table or moment yet.
+
+        ``full_grid_ok`` None tests its grid against ``FULL_GRID_CAP``; the
+        ladder passes what was fixed at build.
+        """
+        self.order = order
+        nodes = self.measure.quad_nodes(order)
+        self.nodes = [np.asarray(x) for x, _ in nodes]
+        self.weights = [np.asarray(w) for _, w in nodes]
+        self._sizes = [x.size for x in self.nodes]
+        self._full_grid_ok = _fits(self._sizes) if full_grid_ok is None \
+            else full_grid_ok
+        self._w_cache = {}        # subset -> conditional mean on its subgrid
+        self._moments = None      # (E[g], E[g^2]), lazily
+
+    def _settle(self):
+        """Run the ladder, once, before the engine's first integral.
+
+        Each rung decomposes the model off its full grid, to the default
+        ``max_order`` of ``variance_decomposition``: the whole subset lattice
+        up to four inputs; beyond, where the lattice grows as 2^n, the terms
+        of at most two inputs and the total.  The engine keeps the first
+        rung where, against the rung below, the mean moved by at most
+        ``INTERP_TOL`` times sqrt(V), and V and every V_z by at most
+        ``INTERP_TOL`` times V; Gauss rules converge geometrically on smooth
+        models, so that change bounds the error of the rung below.  With no
+        such rung, or when a rung raises, it goes back to ``order`` and its
+        grid that does not fit.
+        """
+        ladder, self._ladder = self._ladder, []
+        if not ladder:
+            return
+        order, last = self.order, None
+        try:
+            for rung in ladder:
+                self._use_order(rung, True)
+                vd = self.variance_decomposition()
+                terms = np.array([vd.total, *vd.terms.values()])
+                if last is not None and abs(vd.mean - last[0]) \
+                        <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
+                        and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total):
+                    return
+                last = vd.mean, terms
+        except BaseException:       # a failed rung leaves the engine as built
+            self._ladder = ladder
+            self._use_order(order, False)
+            raise
+        self._use_order(order, False)
 
     # -- infrastructure ----------------------------------------------------
 
@@ -302,7 +371,7 @@ class AnovaEngine:
         """Whether the plan integrates w_z on its subgrid (the moments for
         the empty z) by QMC."""
         if not z:
-            return not self._swept_moments
+            return not (self._full_grid_ok or self._swept_moments)
         return not self._full_grid_ok and not self._tensor_complement(z)
 
     # -- conditional means and effects at arbitrary points -------------------
@@ -312,6 +381,7 @@ class AnovaEngine:
 
         For the empty subset returns the overall mean once per row.
         """
+        self._settle()
         z = tuple(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if len(z) == 0:
@@ -352,6 +422,7 @@ class AnovaEngine:
         when the full grid does not fit or when a coordinate of v is
         discrete, come from ``conditional_mean``.
         """
+        self._settle()
         v = tuple(v)
         axes = [self._axes[i - 1] for i in v]
         if not 0 < len(v) < self.n or not self._full_grid_ok or None in axes:
@@ -421,15 +492,22 @@ class AnovaEngine:
         complement takes QMC comes from ``conditional_mean`` at its
         subgrid's nodes.  The moments come from the sweep, or from one
         evaluation of the QMC rule over all inputs, as the plan says
-        (``_takes_qmc(())``); a sweep only they need fills no table.
+        (``_takes_qmc(())``).  A sweep that takes the moments on a grid that
+        does not fit also fills every table of at most two inputs that takes
+        the tensor rule, so a later decomposition of that order costs no
+        second sweep.
         """
+        self._settle()
         everything = tuple(range(1, self.n + 1))
         todo = [z for z in subsets if z and z not in self._w_cache]
+        moments = self._moments is None and not self._takes_qmc(())
         if self._full_grid_ok:
             swept = [] if everything in self._w_cache else [everything]
         else:
-            swept = [z for z in todo if not self._takes_qmc(z)]
-        moments = self._moments is None and not self._takes_qmc(())
+            wanted = todo + all_subsets(self.n, 2) if moments else todo
+            swept = list(dict.fromkeys(
+                z for z in wanted
+                if z not in self._w_cache and not self._takes_qmc(z)))
         if swept or moments:
             tables = {z: np.zeros(self._subgrid_shape(z)) for z in swept}
             sums = [0.0, 0.0]
@@ -669,6 +747,11 @@ def _mobius(z, w, lift=lambda u, v, gu: gu):
         for u in _subsets_of(v)[:-1]:
             g[v] -= lift(u, v, g[u])
     return g
+
+
+def _fits(sizes):
+    """Whether the full tensor grid of axes of these sizes fits."""
+    return math.prod(sizes) <= FULL_GRID_CAP and len(sizes) <= 16
 
 
 def _contract(values, weights):

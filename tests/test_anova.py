@@ -462,9 +462,14 @@ def _plan_model(x):
 
 
 def test_four_input_moments_come_from_the_sweep_at_default_settings():
-    eng = AnovaEngine(_plan_model, PLAN_MEASURE)
-    assert not eng._full_grid_ok        # 64^4 nodes: swept in boxes
+    # the 64^4 grid does not fit, so the first integral settles the order:
+    # the degree-3 model is exact at 16 nodes, so 24 moves nothing
+    model = _Batches(_plan_model)
+    eng = AnovaEngine(model, PLAN_MEASURE)
+    assert eng.order == 64 and not eng._full_grid_ok
     vd = eng.variance_decomposition(max_order=2)
+    assert eng.order == 24 and eng._full_grid_ok
+    assert sum(model.sizes) == 16 ** 4 + 24 ** 4
     assert vd.mode == eng.mode == "quadrature"
     exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
              for z in all_subsets(4)}
@@ -482,16 +487,97 @@ def test_the_moments_do_not_depend_on_the_order_of_the_calls():
         eng = _capped_engine(model, PLAN_MEASURE, order=8)
         if mean_first:
             mean = eng.mean()
-            # a mean-only call costs one sweep of the 8^4 grid
-            assert sum(model.sizes) == 8 ** 4
         vd = eng.variance_decomposition(max_order=2)
         if not mean_first:
             mean = eng.mean()
+        # one sweep of the 8^4 grid either way: a sweep for the moments
+        # also fills every table of at most two inputs
+        assert sum(model.sizes) == 8 ** 4
         assert vd.mode == "quadrature"
-        seen.append((mean, vd.mean, vd.total))
+        seen.append((mean, vd.mean, vd.total, vd.terms))
     assert seen[0] == seen[1]
     want = PLAN_ORACLE.exact_effect(PLAN_MEASURE, (), None)
     assert abs(seen[0][0] - want) <= 1e-12 * abs(want)
+
+
+# -- the ladder: the order of a grid that does not fit ------------------------
+
+# sin x1 (1 + 0.1 x3^4) + 7 sin^2 x2 + (1 + 0.1 x3^4) cos x4 under N(0, 1)^4
+DECOMP_ORACLE = CompositeMultilinearModel(
+    factors=(np.sin, lambda t: 7.0 * np.sin(t) ** 2,
+             lambda t: 1.0 + 0.1 * t ** 4, np.cos),
+    terms=((1, 3), (2,), (3, 4)))
+NORMAL4 = ProductMeasure((Normal(0.0, 1.0),) * 4)
+
+
+def test_a_smooth_model_settles_where_the_ladder_stops_moving():
+    model = _Batches(DECOMP_ORACLE)
+    eng = AnovaEngine(model, NORMAL4)
+    vd = eng.variance_decomposition()
+    assert eng.order == 32 and len(eng.nodes[0]) == len(eng.weights[3]) == 32
+    assert sum(model.sizes) == 16 ** 4 + 24 ** 4 + 32 ** 4
+    for z in all_subsets(4):
+        assert abs(vd.terms[z] - DECOMP_ORACLE.exact_term_variance(NORMAL4, z)) \
+            <= 1e-12, z
+    assert abs(vd.total - sum(DECOMP_ORACLE.exact_term_variance(NORMAL4, z)
+                              for z in all_subsets(4))) <= 1e-12
+
+
+def _every_result(eng):
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 4))
+    vd = eng.variance_decomposition(max_order=2)
+    return [eng.order, eng.mean(), eng.total_variance(), vd.total,
+            vd.residual, *vd.terms.values(),
+            *(eng.effect(z, x[:, :len(z)]) for z in ((1,), (2, 4), (1, 2, 3))),
+            eng.conditional_mean((3,), x[:, :1]),
+            eng.effect_curve((1, 2), npts=9).values]
+
+
+@pytest.mark.parametrize("first", [
+    lambda eng: eng.mean(),
+    lambda eng: eng.effect((2, 3), np.array([[0.1, 0.7]])),
+    lambda eng: eng.conditional_mean((1, 2, 4), np.array([[0.2, 0.3, 1.5]])),
+    lambda eng: eng.variance_decomposition()],
+    ids=["mean", "effect", "conditional_mean", "variance_decomposition"])
+def test_the_settled_order_does_not_depend_on_the_first_call(first):
+    want = _every_result(AnovaEngine(_plan_model, PLAN_MEASURE))
+    eng = AnovaEngine(_plan_model, PLAN_MEASURE)
+    first(eng)
+    got = _every_result(eng)
+    assert got[0] == want[0] == 24
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("a,b", [(-3.7, 0.25), (1e-3, 5e-3), (250.0, -40.0)])
+def test_an_affine_map_of_the_model_settles_at_the_same_order(a, b):
+    # the test is relative to V and sqrt(V), and the mean takes b's shift
+    eng = AnovaEngine(lambda x: a * DECOMP_ORACLE(x) + b, NORMAL4)
+    eng.mean()
+    assert eng.order == 32
+
+
+def test_a_model_the_ladder_cannot_settle_keeps_its_order():
+    model = _Batches(lambda x: np.sin(40.0 * x[:, 0]) + x[:, 1] * x[:, 2] * x[:, 3])
+    measure = ProductMeasure((Uniform(0.0, 1.0),) * 4)
+    with mock.patch.object(anova, "FULL_GRID_CAP", 24 ** 4):
+        eng = AnovaEngine(model, measure, order=32)
+    vd = eng.variance_decomposition(max_order=2)
+    # 16 and 24 disagree, so the 32^4 grid is swept in boxes, as it would be
+    # with no rung that fits
+    assert eng.order == 32 and not eng._full_grid_ok
+    assert sum(model.sizes) == 16 ** 4 + 24 ** 4 + 32 ** 4
+    capped = _capped_engine(model.model, measure, order=32)
+    assert capped.variance_decomposition(max_order=2) == vd
+
+
+def test_a_rung_that_raises_leaves_the_engine_as_built():
+    eng = AnovaEngine(lambda x: np.where(x[:, 0] > 0.5, np.inf, 0.0), NORMAL4)
+    for _ in range(2):      # the second call runs the ladder again
+        with pytest.raises(FloatingPointError):
+            eng.mean()
+        assert eng.order == 64 and eng._ladder == [16, 24, 32]
+        assert not eng._full_grid_ok and not eng._w_cache
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from mixsens import cli, measures
-from mixsens.anova import VarianceDecomposition
+from mixsens.anova import VarianceDecomposition, all_subsets, subset_label
 from mixsens.cli import main
 from mixsens.estimators import (generate_sample, read_sample, reweight,
                                  write_sample)
-from mixsens.models import IshigamiModel, ishigami_measures
+from mixsens.measures import load_measure_set
+from mixsens.models import IshigamiModel, ishigami_measures, resolve_model
 
 import _reference as ref
 
@@ -169,6 +170,57 @@ def test_qmc_decompositions_tag_every_derived_cell(configs, tmp_path,
         cells = tagged_cells(rep[section])
         assert cells and {(c["mode"], c["tol"]) for c in cells} \
             == {("MC", 1e-4)}, section
+
+
+MULTILINEAR4_YAML = """\
+n: 4
+factors: [[0.5, 1.0], [0.0, 1.0, 0.5], [1.0, -0.3], [0.2, 0.0, 1.0]]
+terms: [[1, 2], [2, 3], [1, 3, 4], [4]]
+coeffs: [1.0, 0.7, 1.3, 0.4]
+"""
+
+TWO_MEASURES4_YAML = """\
+n: 4
+measures:
+  - name: flat
+    components:
+      - {family: uniform, params: {lo: -1.0, hi: 2.0}}
+      - {family: uniform, params: {lo: 0.0, hi: 1.0}}
+      - {family: uniform, params: {lo: -1.0, hi: 1.0}}
+      - {family: uniform, params: {lo: 0.0, hi: 2.0}}
+  - name: bell
+    components:
+      - {family: normal, params: {mean: 0.5, sd: 0.8}}
+      - {family: normal, params: {mean: 0.5, sd: 0.3}}
+      - {family: normal, params: {mean: 0.0, sd: 0.5}}
+      - {family: normal, params: {mean: 1.0, sd: 0.5}}
+prior: [0.4, 0.6]
+"""
+
+
+def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
+    # the engines' 64^4 grids do not fit: each settles its order on the
+    # ladder, and its effects at points are read off its tables
+    (tmp_path / "model.yaml").write_text(MULTILINEAR4_YAML)
+    (tmp_path / "measures.yaml").write_text(TWO_MEASURES4_YAML)
+    out = tmp_path / "out"
+    assert run(["--model", str(tmp_path / "model.yaml"), "--measures",
+                str(tmp_path / "measures.yaml"), "--prior",
+                "--out", str(out)]) == 0
+    rep = load_report(out)
+    model = resolve_model(str(tmp_path / "model.yaml"))
+    mset = load_measure_set(str(tmp_path / "measures.yaml"))
+    for name, measure in zip(mset.names, mset.measures):
+        exact = {z: model.exact_term_variance(measure, z)
+                 for z in all_subsets(4)}
+        total = sum(exact.values())
+        cells = rep["measures"][name]
+        assert cells["variance"]["value"] == pytest.approx(total, abs=1e-9)
+        for z, v in exact.items():
+            label = subset_label(z)
+            assert cells["terms"][label]["value"] == pytest.approx(v, abs=1e-9)
+            assert cells["sobol"][label]["value"] \
+                == pytest.approx(v / total, abs=1e-9)
 
 
 class TestDeterminism:

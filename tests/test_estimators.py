@@ -183,6 +183,20 @@ def test_sliced_bins_equal_the_array_split_bins(npts, seed, ties, weighted,
             == _array_split_first_order(sample, i, bins)
 
 
+@settings(max_examples=60, deadline=None)
+@given(distinct=st.booleans(), data=st.data())
+def test_cached_order_is_the_stable_argsort(distinct, data):
+    # ties, and -0.0 against 0.0, need the stable sort; distinct keys do not
+    col = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3)),
+        min_size=10, max_size=300, unique=distinct)))
+    col[:2] = (-2e7, 2e7)       # never a single value
+    sample = EvaluatedSample(x=np.column_stack([col, np.zeros(col.size)]),
+                             y=np.arange(col.size) % 3)
+    given_data_first_order(sample, 1, bins=2)
+    assert np.array_equal(sample.orders[1], np.argsort(col, kind="stable"))
+
+
 @pytest.mark.filterwarnings("ignore:effective sample size")
 def test_reweighting_sorts_each_column_once():
     reg = ishigami_measures()
