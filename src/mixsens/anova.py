@@ -26,17 +26,20 @@ coordinates.  Importing the package, or building an engine of four
 continuous inputs, loads no scipy module.
 
 An engine's ``order`` is the most Gauss nodes per continuous coordinate.
-When the full tensor grid at ``order`` does not fit (``FULL_GRID_CAP``), the
-engine fixes at build a ladder of the orders of ``LADDER`` below ``order``
-whose grid fits, if there are two or more.  Its first integral of any kind
-runs the ladder (``AnovaEngine._settle``): each rung decomposes the model
-off its full grid (the whole subset lattice up to four inputs), and the
-order settles at the first rung whose mean, total and terms moved by at
-most ``INTERP_TOL`` (relative to sqrt(V) and V) from the rung below.  Gauss
+The engine fixes at build a ladder of the orders of ``LADDER`` below
+``order`` whose grid fits (``FULL_GRID_CAP``), if there are two or more and
+some coordinate is continuous.  Its first integral of any kind runs the
+ladder (``AnovaEngine._settle``): each rung decomposes the model off its
+full grid (the whole subset lattice up to four inputs), and the order
+settles at the first rung whose mean, total and terms moved by at most
+``INTERP_TOL`` (relative to sqrt(V) and V) from the rung below.  Gauss
 rules converge geometrically on smooth models, so that change bounds the
-error of the rung below.  A settled engine is a full-grid engine at that
-order; with no such rung it keeps ``order`` and its grid that does not fit.
-A smooth 4-input model costs 16^4 + 24^4 (+ 32^4) evaluations, not 64^4.
+error of the rung below.  When the grid at ``order`` fits, effects at points
+are read off the tables (below), so a rung must also resolve every table it
+would read (``_Table.resolved``).  A settled engine is a full-grid engine
+at that order; with no such rung it keeps ``order`` and the fit it was
+built with.  A smooth 4-input model costs 16^4 + 24^4 (+ 32^4) evaluations,
+not 64^4; the Ishigami model settles at 24, 32 or 48 nodes, by its measure.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
@@ -84,7 +87,7 @@ class ZeroVarianceError(ArithmeticError):
 
 
 DEFAULT_ORDER = 64          # most Gaussian quadrature nodes per coordinate
-LADDER = (16, 24, 32)       # orders tried when the grid at ``order`` does not fit
+LADDER = (16, 24, 32, 48)   # orders an engine tries below ``order`` (_settle)
 QMC_LOG2 = 14               # 2**14 scrambled-Sobol points per QMC integral
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**21        # most points a grid sweep hands the model at once
@@ -247,21 +250,22 @@ class AnovaEngine:
     measure : ProductMeasure
         Input distribution the decomposition is taken against.
     order : int
-        The most Gaussian nodes per continuous coordinate.  When the full
-        grid at ``order`` does not fit, the first integral may settle on a
-        lower order (``_settle``); ``order``, ``nodes`` and ``weights`` then
-        say what was used.
+        The most Gaussian nodes per continuous coordinate.  The first
+        integral may settle on a lower order (``_settle``); ``order``,
+        ``nodes`` and ``weights`` then say what was used.
     seed : int
         Seed of the scrambled-Sobol rule (``QMC_LOG2`` points) used whenever
         an integral runs over more than three continuous coordinates.
 
     The integration plan and the ladder of orders are fixed here; the
-    ladder runs on the first integral.  A table w_z takes the tensor rule
-    when the grid fits or z's complement has at most ``TENSOR_DIM_CAP``
-    continuous coordinates, and QMC otherwise (``_takes_qmc``); a
-    conditional mean at points takes the tensor rule exactly when z's
-    complement is that small.  The moments take the sweep when the grid fits
-    or some singleton table takes the tensor rule, and QMC otherwise.
+    ladder runs on the first integral, and an engine that no rung settles
+    keeps the order and the grid fit it was built with.  A table w_z takes
+    the tensor rule when the grid fits or z's complement has at most
+    ``TENSOR_DIM_CAP`` continuous coordinates, and QMC otherwise
+    (``_takes_qmc``); a conditional mean at points takes the tensor rule
+    exactly when z's complement is that small.  The moments take the sweep
+    when the grid fits or some singleton table takes the tensor rule, and
+    QMC otherwise.
     ``mode`` is "qmc" when the plan holds any QMC integral; a
     ``VarianceDecomposition`` is tagged "qmc" when one of the integrals it
     used takes QMC.
@@ -276,11 +280,14 @@ class AnovaEngine:
         self.n = measure.n
         self._use_order(int(order))
         # the ladder: the rungs below ``order`` whose grid fits, when at
-        # least two do and the grid at ``order`` does not; run by _settle
-        rungs = [] if self._full_grid_ok else \
-            [r for r in LADDER if r < self.order
-             and _fits([x.size for x, _ in measure.quad_nodes(r)])]
-        self._ladder = rungs if len(rungs) > 1 else []
+        # least two do and some coordinate is continuous; run by _settle.
+        # A rung's grid is counted, not built: r nodes on a continuous
+        # coordinate, its own points on a discrete one.
+        continuous = [not isinstance(c, DiscreteUniform)
+                      for c in measure.components]
+        rungs = [r for r in LADDER if r < self.order and _fits(
+            [r if c else x.size for c, x in zip(continuous, self.nodes)])]
+        self._ladder = rungs if len(rungs) > 1 and any(continuous) else []
         # the integration plan (see the class docstring)
         tensor = [self._tensor_complement((i,)) for i in range(1, self.n + 1)]
         self._swept_moments = any(tensor)
@@ -303,6 +310,8 @@ class AnovaEngine:
             else full_grid_ok
         self._w_cache = {}        # subset -> conditional mean on its subgrid
         self._moments = None      # (E[g], E[g^2]), lazily
+        self._tables = {}         # subset -> its interpolation _Table (_w_at)
+        vars(self).pop("_axes", None)   # the cached axes hold the old nodes
 
     def _settle(self):
         """Run the ladder, once, before the engine's first integral.
@@ -314,29 +323,35 @@ class AnovaEngine:
         rung where, against the rung below, the mean moved by at most
         ``INTERP_TOL`` times sqrt(V), and V and every V_z by at most
         ``INTERP_TOL`` times V; Gauss rules converge geometrically on smooth
-        models, so that change bounds the error of the rung below.  With no
-        such rung, or when a rung raises, it goes back to ``order`` and its
-        grid that does not fit.
+        models, so that change bounds the error of the rung below.  On an
+        engine whose grid fits at ``order``, where ``_w_at`` reads effects
+        off the tables, the rung must also resolve every table of its
+        lattice that ``_w_at`` can read (``_Table.resolved``), so that a
+        lower order does not send the rows of an unresolved table to the
+        direct integral.  With no such rung, or when a rung raises, it goes
+        back to ``order`` and the fit fixed at build.
         """
         ladder, self._ladder = self._ladder, []
         if not ladder:
             return
-        order, last = self.order, None
+        order, full, last = self.order, self._full_grid_ok, None
         try:
             for rung in ladder:
                 self._use_order(rung, True)
                 vd = self.variance_decomposition()
                 terms = np.array([vd.total, *vd.terms.values()])
-                if last is not None and abs(vd.mean - last[0]) \
-                        <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
-                        and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total):
+                still = last is not None and abs(vd.mean - last[0]) \
+                    <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
+                    and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total)
+                if still and (not full or all(self._table(z).resolved for z in
+                                              vd.terms if self._reads_table(z))):
                     return
                 last = vd.mean, terms
         except BaseException:       # a failed rung leaves the engine as built
             self._ladder = ladder
-            self._use_order(order, False)
+            self._use_order(order, full)
             raise
-        self._use_order(order, False)
+        self._use_order(order, full)
 
     # -- infrastructure ----------------------------------------------------
 
@@ -424,12 +439,10 @@ class AnovaEngine:
         """
         self._settle()
         v = tuple(v)
-        axes = [self._axes[i - 1] for i in v]
-        if not 0 < len(v) < self.n or not self._full_grid_ok or None in axes:
+        if not self._full_grid_ok or not self._reads_table(v):
             return self.conditional_mean(v, x)
         if v not in self._tables:
-            self._tables[v] = _Table(self._w_on_subgrid(v), axes,
-                                     [self.weights[i - 1] for i in v])
+            self._tables[v] = self._table(v)
         ok, values = self._tables[v](x)
         out = np.empty(x.shape[0])
         out[ok] = values
@@ -437,17 +450,22 @@ class AnovaEngine:
             out[~ok] = self.conditional_mean(v, x[~ok])
         return out
 
+    def _reads_table(self, v):
+        """Whether v has a table to read when the grid fits: it is neither
+        empty nor all inputs, and no coordinate of it is discrete."""
+        return 0 < len(v) < self.n and None not in [self._axes[i - 1] for i in v]
+
+    def _table(self, v):
+        """The interpolation ``_Table`` of ``_w_on_subgrid(v)``."""
+        return _Table(self._w_on_subgrid(v), [self._axes[i - 1] for i in v],
+                      [self.weights[i - 1] for i in v])
+
     @cached_property
     def _axes(self):
         """Per coordinate, its interpolation data (None when discrete)."""
         return [None if isinstance(c, DiscreteUniform) else _Axis(c, x, w)
                 for c, x, w in zip(self.measure.components, self.nodes,
                                    self.weights)]
-
-    @cached_property
-    def _tables(self):
-        """Subset -> its interpolation ``_Table``, filled by ``_w_at``."""
-        return {}
 
     def mean(self):
         return self._w_on_subgrid(())
@@ -690,6 +708,14 @@ class _Table:
         self.tail = np.where(tail, np.abs(coeffs), 0.0)
         self.rounding = (3 * max(values.shape) + 4) * np.finfo(float).eps
         self.scale = float(np.sqrt(_contract(values ** 2, weights)))
+
+    @property
+    def resolved(self):
+        """Whether the tail coefficients sum to at most INTERP_TOL times the
+        table's RMS: the gate's truncation estimate with every polynomial at
+        unit size.  A series judged resolved by its tail, as in Aurentz &
+        Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017."""
+        return float(self.tail.sum()) <= INTERP_TOL * self.scale
 
     def __call__(self, x):
         """(accepted, values): a mask over the rows of ``x`` and the

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -282,9 +283,12 @@ def multilinear_from_dict(doc):
     factors = []
     for i, raw in enumerate(raw_factors):
         at = f"{where}: factors[{i}]"
-        factors.append(np.polynomial.Polynomial(
+        # the coefficients straight into polyval: a Polynomial would first
+        # map each argument through its identity domain, one more pass
+        factors.append(partial(np.polynomial.polynomial.polyval, c=np.array(
             [_read_number(v, f"{at}[{j}]")
-             for j, v in enumerate(_read_list(raw, at, nonempty=True))]))
+             for j, v in enumerate(_read_list(raw, at, nonempty=True))],
+            dtype=float)))
     terms = tuple(tuple(_read_number(i, f"{where}: terms[{k}]", integer=True)
                         for i in _read_list(u, f"{where}: terms[{k}]"))
                   for k, u in enumerate(raw_terms))

@@ -580,6 +580,99 @@ def test_a_rung_that_raises_leaves_the_engine_as_built():
         assert not eng._full_grid_ok and not eng._w_cache
 
 
+# -- the ladder on a grid that fits: where the tables are resolved -----------
+
+@pytest.mark.parametrize("name,settled", [("mu1", 32), ("mu2", 48),
+                                          ("mu3", 24)])
+def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
+                                                                  settled):
+    # the terms alone settle at 24, 32 and 24, but there the x2 tables of
+    # mu1 and mu2 (7 sin^2 x2) still carry tails
+    model = _Batches(IshigamiModel())
+    eng = AnovaEngine(model, ishigami_measures()[name])
+    assert eng._ladder == [16, 24, 32, 48] and eng._full_grid_ok
+    eng.mean()
+    assert eng.order == settled and eng._full_grid_ok
+    assert sum(model.sizes) == sum(r ** 3 for r in (16, 24, 32, 48)
+                                   if r <= settled)
+    assert all(eng._table(z).resolved for z in all_subsets(3, 2))
+
+
+def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
+    def g(x):
+        return np.sin(40.0 * x[:, 0]) + x[:, 1] * x[:, 2]
+
+    measure = ProductMeasure((Uniform(0.0, 1.0),) * 3)
+    eng = AnovaEngine(g, measure)
+    with mock.patch.object(anova, "LADDER", ()):
+        plain = AnovaEngine(g, measure)
+    assert plain._ladder == []
+    vd = eng.variance_decomposition()
+    # no rung settles, so the engine reads its tables at 64, where it was
+    # built, as one with no ladder does
+    assert eng.order == 64 and eng._full_grid_ok
+    assert vd == plain.variance_decomposition()
+    x = np.random.default_rng(6).uniform(-0.2, 1.2, size=(50, 3))
+    for z in all_subsets(3):
+        cols = [i - 1 for i in z]
+        assert np.array_equal(eng.effect(z, x[:, cols]),
+                              plain.effect(z, x[:, cols])), z
+    assert eng._tables and eng._tables.keys() == plain._tables.keys()
+
+
+@pytest.mark.parametrize("name", MEASURES)
+def test_settled_tables_accept_every_row_order_64_accepts(name):
+    # the seeded points of acceptance c03; a rung that settled on its terms
+    # alone (mu1 at 24, mu2 at 32) sends every x2 row to the direct integral
+    measure = ishigami_measures()[name]
+    eng = AnovaEngine(IshigamiModel(), measure)
+    eng.mean()
+    with mock.patch.object(anova, "LADDER", ()):
+        full = AnovaEngine(IshigamiModel(), measure)
+    pts = np.random.default_rng(2024).uniform(0.0, PI, size=(1000, 3))
+    for z in all_subsets(3, max_order=2):
+        x = pts[:, [i - 1 for i in z]]
+        accepted, _ = eng._table(z)(x)
+        wanted, _ = full._table(z)(x)
+        assert wanted.any() and np.all(accepted[wanted]), z
+
+
+def _permuted(model, measure, perm):
+    """The model and measure with input k + 1 the old input perm[k] + 1."""
+    back = np.argsort(perm)
+    return (lambda y: model(y[:, back]),
+            ProductMeasure(tuple(measure.components[p] for p in perm)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(perm=st.permutations(range(3)),
+       comps=st.lists(st.sampled_from((Uniform(-PI, PI), Uniform(0.0, PI),
+                                       Normal(0.0, 1.0), Normal(0.5, 0.7))),
+                      min_size=3, max_size=3))
+def test_permuting_the_inputs_permutes_every_term(perm, comps):
+    measure = ProductMeasure(tuple(comps))
+    base = AnovaEngine(IshigamiModel(), measure)
+    want = base.variance_decomposition()
+    eng = AnovaEngine(*_permuted(IshigamiModel(), measure, perm))
+    got = eng.variance_decomposition()
+    assert eng.order == base.order
+    assert abs(got.total - want.total) <= 1e-12 * want.total
+    for z, v in got.terms.items():
+        old = tuple(sorted(perm[i - 1] + 1 for i in z))
+        assert abs(v - want.terms[old]) <= 1e-12 * want.total, z
+
+
+def test_permuting_four_inputs_keeps_the_settled_order():
+    # a grid that does not fit settles on its terms alone
+    eng = AnovaEngine(*_permuted(DECOMP_ORACLE, NORMAL4, (3, 1, 0, 2)))
+    vd = eng.variance_decomposition()
+    assert eng.order == 32
+    for z, v in vd.terms.items():
+        old = tuple(sorted((3, 1, 0, 2)[i - 1] + 1 for i in z))
+        assert abs(v - DECOMP_ORACLE.exact_term_variance(NORMAL4, old)) \
+            <= 1e-12, z
+
+
 @settings(max_examples=25, deadline=None)
 @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
        block=st.integers(1, 100))

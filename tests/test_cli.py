@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mixsens import cli, measures
+from mixsens import anova, cli, measures
 from mixsens.anova import VarianceDecomposition, all_subsets, subset_label
 from mixsens.cli import main
 from mixsens.estimators import (generate_sample, read_sample, reweight,
@@ -223,6 +223,27 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
                 == pytest.approx(v / total, abs=1e-9)
 
 
+def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
+        tmp_path, monkeypatch):
+    # each engine sweeps the rungs it climbs (mu1 to 32, mu2 to 48, mu3 to
+    # 24): 229,888 points; the mixture-curve rows outside a measure's
+    # support or far in a normal tail take the direct integral at the
+    # settled order: 220,800
+    cfg = tmp_path / "measures.yaml"
+    cfg.write_text(ref.MEASURES_YAML)
+    points = []
+    evaluate = anova._evaluate
+
+    def counted(model, x):
+        points.append(len(x))
+        return evaluate(model, x)
+
+    monkeypatch.setattr(anova, "_evaluate", counted)
+    assert main(["analyze", "--model", "ishigami", "--measures", str(cfg),
+                 "--prior", "--out", str(tmp_path / "out")]) == 0
+    assert sum(points) == 450_688
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical_across_workers(self, configs,
                                                        tmp_path):
@@ -248,9 +269,11 @@ class TestDeterminism:
 
 
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
-    # expansions (order 64), core signatures (128) and restricted defect
-    # rules (96); the k = j defect terms are read off the engines' own
-    # tables, so the one normal measure needs no Hermite rule of order 96
+    # the rungs each engine's ladder climbs (uniform mu1 to 32 and mu3 to
+    # 24, normal mu2 to 48), the order 64 it was built at, core signatures
+    # (128) and restricted defect rules (96); the k = j defect terms are read
+    # off the engines' own tables, so the one normal measure needs no
+    # Hermite rule of order 96
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     computed = []
@@ -266,9 +289,12 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                      "--prior", "--out", str(tmp_path / "out")]) == 0
     finally:
         measures._gauss_rule.cache_clear()
-    assert sorted(computed) == [("hermgauss", 64), ("hermgauss", 128),
-                                ("leggauss", 64), ("leggauss", 96),
-                                ("leggauss", 128)]
+    assert sorted(computed) == [("hermgauss", 16), ("hermgauss", 24),
+                                ("hermgauss", 32), ("hermgauss", 48),
+                                ("hermgauss", 64), ("hermgauss", 128),
+                                ("leggauss", 16), ("leggauss", 24),
+                                ("leggauss", 32), ("leggauss", 64),
+                                ("leggauss", 96), ("leggauss", 128)]
 
 
 class TestEstimatorModes:

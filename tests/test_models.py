@@ -218,6 +218,23 @@ class TestModelConfig:
         x = np.array([[2.0, 1.0]])
         assert model(x)[0] == pytest.approx(2.0 + 0.5 * 2.0 * 3.0)
 
+    def test_config_factors_match_polynomials_bit_for_bit(self):
+        # the factors evaluate their coefficients with polyval and skip the
+        # identity domain map of np.polynomial.Polynomial
+        import yaml
+        from test_cli import MULTILINEAR4_YAML
+
+        doc = yaml.safe_load(MULTILINEAR4_YAML)
+        model = multilinear_from_dict(doc)
+        old = CompositeMultilinearModel(
+            factors=tuple(np.polynomial.Polynomial(c) for c in doc["factors"]),
+            terms=doc["terms"], coeffs=doc["coeffs"])
+        x = np.random.default_rng(5).normal(0.5, 2.0, size=(4000, 4))
+        x[:7] = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e5])[:, None]
+        for t, p, col in zip(model.factors, old.factors, x.T):
+            assert np.array_equal(t(col).view(np.int64), p(col).view(np.int64))
+        assert np.array_equal(model(x).view(np.int64), old(x).view(np.int64))
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             multilinear_from_dict({"n": 1, "factors": [[0, 1]],
