@@ -36,10 +36,12 @@ settles at the first rung whose mean, total and terms moved by at most
 rules converge geometrically on smooth models, so that change bounds the
 error of the rung below.  When the grid at ``order`` fits, effects at points
 are read off the tables (below), so a rung must also resolve every table it
-would read (``_Table.resolved``).  A settled engine is a full-grid engine
-at that order; with no such rung it keeps ``order`` and the fit it was
-built with.  A smooth 4-input model costs 16^4 + 24^4 (+ 32^4) evaluations,
-not 64^4; the Ishigami model settles at 24, 32 or 48 nodes, by its measure.
+would read (``_Table.resolved``).  An axis the first rung resolves is
+capped at the fewest nodes that keep it resolved (``AnovaEngine._caps``).
+A settled engine is a full-grid engine at that order; with no such rung it
+keeps ``order`` on every axis and the fit it was built with.  A smooth
+4-input model quartic in x3 costs 16^4 + (24^3 + 32^3) * 7 evaluations, not
+64^4; the Ishigami model settles at 24, 32 or 48 nodes, with 7 on x3.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
@@ -251,8 +253,9 @@ class AnovaEngine:
         Input distribution the decomposition is taken against.
     order : int
         The most Gaussian nodes per continuous coordinate.  The first
-        integral may settle on a lower order (``_settle``); ``order``,
-        ``nodes`` and ``weights`` then say what was used.
+        integral may settle on a lower order (``_settle``), some axes on
+        fewer nodes still; ``order`` is then the settled rung, and ``nodes``
+        and ``weights`` say what each axis used.
     seed : int
         Seed of the scrambled-Sobol rule (``QMC_LOG2`` points) used whenever
         an integral runs over more than three continuous coordinates.
@@ -295,14 +298,16 @@ class AnovaEngine:
         if self.mode == "qmc":
             _qmc()                # set-up, not the first integral, pays the import
 
-    def _use_order(self, order, full_grid_ok=None):
+    def _use_order(self, order, full_grid_ok=None, caps=None):
         """Take the Gauss rule of ``order``, with no table or moment yet.
 
+        ``caps`` (from ``_caps``) holds each coordinate's most nodes.
         ``full_grid_ok`` None tests its grid against ``FULL_GRID_CAP``; the
         ladder passes what was fixed at build.
         """
         self.order = order
-        nodes = self.measure.quad_nodes(order)
+        nodes = [c.quad_nodes(min(order, k)) for c, k in
+                 zip(self.measure.components, caps or [order] * self.n)]
         self.nodes = [np.asarray(x) for x, _ in nodes]
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
@@ -328,17 +333,19 @@ class AnovaEngine:
         off the tables, the rung must also resolve every table of its
         lattice that ``_w_at`` can read (``_Table.resolved``), so that a
         lower order does not send the rows of an unresolved table to the
-        direct integral.  With no such rung, or when a rung raises, it goes
-        back to ``order`` and the fit fixed at build.
+        direct integral.  The axes the first rung resolves keep their
+        ``_caps`` from then on.  With no such rung, or when a rung raises,
+        it goes back to ``order``, uncapped, and the fit fixed at build.
         """
         ladder, self._ladder = self._ladder, []
         if not ladder:
             return
-        order, full, last = self.order, self._full_grid_ok, None
+        order, full, last, caps = self.order, self._full_grid_ok, None, None
         try:
             for rung in ladder:
-                self._use_order(rung, True)
+                self._use_order(rung, True, caps)
                 vd = self.variance_decomposition()
+                caps = caps or self._caps()
                 terms = np.array([vd.total, *vd.terms.values()])
                 still = last is not None and abs(vd.mean - last[0]) \
                     <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
@@ -352,6 +359,29 @@ class AnovaEngine:
             self._use_order(order, full)
             raise
         self._use_order(order, full)
+
+    def _caps(self):
+        """Per coordinate, the most nodes the rest of the ladder gives it.
+
+        Along a continuous axis, g's orthonormal-polynomial coefficients on
+        the first rung's full grid, each the largest over the other axes,
+        are resolved when those from the ``_tail`` on sum to at most
+        ``INTERP_TOL`` times the RMS of w_i (the least RMS of a table that
+        holds the axis).  The axis is then capped at the fewest nodes whose
+        tail starts above the last degree from which they sum to more.
+        """
+        grid = self._w_cache[tuple(range(1, self.n + 1))]
+        caps = [math.inf] * self.n
+        for i, a in enumerate(self._axes):
+            if a is not None:
+                s, w = self._sizes[i], self._w_cache[(i + 1,)]
+                tol = INTERP_TOL * math.sqrt(float(w ** 2 @ self.weights[i]))
+                c = np.abs(np.tensordot(a.to_coeffs, grid, axes=([1], [i])))
+                rest = np.cumsum(c.reshape(s, -1).max(axis=1)[::-1])[::-1]
+                d = max(np.flatnonzero(rest > tol), default=-1)
+                if d < _tail(s):
+                    caps[i] = next(k for k in range(1, s + 1) if _tail(k) > d)
+        return caps
 
     # -- infrastructure ----------------------------------------------------
 
@@ -699,10 +729,9 @@ class _Table:
         for ax, a in enumerate(axes):
             coeffs = np.moveaxis(np.tensordot(a.to_coeffs, coeffs,
                                               axes=([1], [ax])), 0, ax)
-            s = values.shape[ax]
-            shape = [1] * values.ndim
-            shape[ax] = s
-            tail |= (np.arange(s) >= s - max(2, s // 4)).reshape(shape)
+            degree = np.arange(values.shape[ax])
+            tail |= (degree >= _tail(degree.size)).reshape(
+                [-1 if k == ax else 1 for k in range(values.ndim)])
         self.axes = axes
         self.values = values
         self.tail = np.where(tail, np.abs(coeffs), 0.0)
@@ -735,6 +764,11 @@ class _Table:
             good = truncation + rounding <= INTERP_TOL * self.scale
         ok[np.flatnonzero(ok)[~good]] = False
         return ok, values[good]
+
+
+def _tail(s):
+    """First degree of the coefficient tail of s nodes (last quarter, >= 2)."""
+    return s - max(2, s // 4)
 
 
 def _tensor_eval(table, mats):

@@ -245,10 +245,6 @@ class ProductMeasure:
         cols = [c.sample(rng, count) for c in self.components]
         return np.column_stack(cols)
 
-    def quad_nodes(self, order=64):
-        """Per-coordinate (nodes, weights) pairs for tensorised quadrature."""
-        return [c.quad_nodes(order) for c in self.components]
-
 
 def measure_name(measure, k):
     """The name of the ``k``-th measure of a set (0-based): its own, or

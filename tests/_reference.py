@@ -177,20 +177,14 @@ def defect_reduction(nodes=64):
     return {(1,): z1 / 9, (2,): z2 / 9}
 
 
-def main():
-    """Regenerate every constant above from scratch and print it."""
-    import numpy as np
-    from scipy.integrate import quad
-    from scipy.special import ndtr
-
-    a, b = 7.0, 0.1
-    pi = math.pi
-
-    # factor moments per measure: tuples (s1, c2, m3) and variances
+def factor_stats():
+    """Per measure, the closed-form factor moments s1, c2, m3 and the
+    variances v1, v2, v3 of sin X1, a sin^2 X2 and 1 + b X3^4."""
+    a, b, pi = 7.0, 0.1, math.pi
     e_sin2_n = (1 - math.exp(-2)) / 2          # E sin^2 under N(0,1)
     e_sin4_n = 3 / 8 - 0.5 * math.exp(-2) + math.exp(-8) / 8
     q = pi ** 4 / 5                            # E X^4 under U(-pi,pi), U(0,pi)
-    stats = {
+    return {
         "mu1": dict(s1=0.0, c2=a / 2, m3=1 + b * q,
                     v1=0.5, v2=a * a * (3 / 8 - 0.25),
                     v3=b * b * (pi ** 8 / 9 - q * q)),
@@ -202,18 +196,37 @@ def main():
                     v3=b * b * (pi ** 8 / 9 - q * q)),
     }
 
+
+def exact_decomposition(name):
+    """(mean, total, {z: V_z}) of the model under measure ``name``, in
+    closed form from ``factor_stats``; every other V_z is zero."""
+    st_ = factor_stats()[name]
+    s1, c2, m3 = st_["s1"], st_["c2"], st_["m3"]
+    v1, v2, v3 = st_["v1"], st_["v2"], st_["v3"]
+    terms = {(1,): v1 * m3 * m3, (2,): v2, (3,): s1 * s1 * v3,
+             (1, 3): v1 * v3}
+    total = (v1 + s1 * s1) * (v3 + m3 * m3) - s1 * s1 * m3 * m3 + v2
+    return c2 + s1 * m3, total, terms
+
+
+def main():
+    """Regenerate every constant above from scratch and print it."""
+    import numpy as np
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    a, b = 7.0, 0.1
+    pi = math.pi
+    q = pi ** 4 / 5                            # E X^4 under U(-pi,pi), U(0,pi)
+    stats = factor_stats()
+
     def fmt(x):
         return f"{x:.12g}"
 
     print("# per-measure tables")
     masses, d_s_list, d_t_list, means, totals = {}, [], [], [], []
-    for name, st_ in stats.items():
-        s1, c2, m3 = st_["s1"], st_["c2"], st_["m3"]
-        v1, v2, v3 = st_["v1"], st_["v2"], st_["v3"]
-        terms = {(1,): v1 * m3 * m3, (2,): v2, (3,): s1 * s1 * v3,
-                 (1, 3): v1 * v3}
-        mean = c2 + s1 * m3
-        total = (v1 + s1 * s1) * (v3 + m3 * m3) - s1 * s1 * m3 * m3 + v2
+    for name in stats:
+        mean, total, terms = exact_decomposition(name)
         sob = {z: v / total for z, v in terms.items()}
         d_s = sum(len(z) * s for z, s in sob.items())
         d_t = sum(max(z) * s for z, s in sob.items())
@@ -231,9 +244,7 @@ def main():
     p = np.full(3, 1 / 3)
     names = list(stats)
     def vterm(nm, z):
-        s = stats[nm]
-        return {(1,): s["v1"] * s["m3"] ** 2, (2,): s["v2"],
-                (3,): s["s1"] ** 2 * s["v3"], (1, 3): s["v1"] * s["v3"]}[z]
+        return exact_decomposition(nm)[2][z]
 
     bz = {z: float(sum(p[k] * vterm(nm, z) for k, nm in enumerate(names)))
           for z in [(1,), (2,), (3,), (1, 3)]}

@@ -463,13 +463,15 @@ def _plan_model(x):
 
 def test_four_input_moments_come_from_the_sweep_at_default_settings():
     # the 64^4 grid does not fit, so the first integral settles the order:
-    # the degree-3 model is exact at 16 nodes, so 24 moves nothing
+    # the degree-3 model is exact at 16 nodes, so 24 moves nothing; 16 also
+    # resolves every axis (degree 1, and 2 in x3), so 24 takes 4 or 5 nodes
     model = _Batches(_plan_model)
     eng = AnovaEngine(model, PLAN_MEASURE)
     assert eng.order == 64 and not eng._full_grid_ok
     vd = eng.variance_decomposition(max_order=2)
     assert eng.order == 24 and eng._full_grid_ok
-    assert sum(model.sizes) == 16 ** 4 + 24 ** 4
+    assert [x.size for x in eng.nodes] == [4, 4, 5, 4]
+    assert sum(model.sizes) == 16 ** 4 + 4 * 4 * 5 * 4 == 65_856
     assert vd.mode == eng.mode == "quadrature"
     exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
              for z in all_subsets(4)}
@@ -514,8 +516,10 @@ def test_a_smooth_model_settles_where_the_ladder_stops_moving():
     model = _Batches(DECOMP_ORACLE)
     eng = AnovaEngine(model, NORMAL4)
     vd = eng.variance_decomposition()
+    # x3 enters as 1 + 0.1 x3^4, which 16 nodes resolve: 7 nodes from 24 on
     assert eng.order == 32 and len(eng.nodes[0]) == len(eng.weights[3]) == 32
-    assert sum(model.sizes) == 16 ** 4 + 24 ** 4 + 32 ** 4
+    assert [x.size for x in eng.nodes] == [32, 32, 7, 32]
+    assert sum(model.sizes) == 16 ** 4 + 24 ** 3 * 7 + 32 ** 3 * 7 == 391_680
     for z in all_subsets(4):
         assert abs(vd.terms[z] - DECOMP_ORACLE.exact_term_variance(NORMAL4, z)) \
             <= 1e-12, z
@@ -563,10 +567,12 @@ def test_a_model_the_ladder_cannot_settle_keeps_its_order():
     with mock.patch.object(anova, "FULL_GRID_CAP", 24 ** 4):
         eng = AnovaEngine(model, measure, order=32)
     vd = eng.variance_decomposition(max_order=2)
-    # 16 and 24 disagree, so the 32^4 grid is swept in boxes, as it would be
-    # with no rung that fits
+    # 16 and 24 (4 nodes on the linear x2, x3, x4) disagree, so the 32^4
+    # grid, with no cap, is swept in boxes, as it would be with no rung that
+    # fits
     assert eng.order == 32 and not eng._full_grid_ok
-    assert sum(model.sizes) == 16 ** 4 + 24 ** 4 + 32 ** 4
+    assert [x.size for x in eng.nodes] == [32] * 4
+    assert sum(model.sizes) == 16 ** 4 + 24 * 4 ** 3 + 32 ** 4 == 1_115_648
     capped = _capped_engine(model.model, measure, order=32)
     assert capped.variance_decomposition(max_order=2) == vd
 
@@ -582,19 +588,29 @@ def test_a_rung_that_raises_leaves_the_engine_as_built():
 
 # -- the ladder on a grid that fits: where the tables are resolved -----------
 
+# each axis's nodes once settled, and the points of the rungs climbed: 16^3,
+# then x3 at 7 nodes (and mu3's x1 at 14) from 24 on
+ISHIGAMI_SETTLED = {
+    "mu1": ([32, 32, 7], 15_296),       # 16^3 + (24^2 + 32^2) * 7
+    "mu2": ([48, 48, 7], 31_424),       # 16^3 + (24^2 + 32^2 + 48^2) * 7
+    "mu3": ([14, 24, 7], 6_448)}        # 16^3 + 14 * 24 * 7
+
+
 @pytest.mark.parametrize("name,settled", [("mu1", 32), ("mu2", 48),
                                           ("mu3", 24)])
 def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
                                                                   settled):
     # the terms alone settle at 24, 32 and 24, but there the x2 tables of
-    # mu1 and mu2 (7 sin^2 x2) still carry tails
+    # mu1 and mu2 (7 sin^2 x2) still carry tails; 16 nodes resolve x3
+    # (1 + 0.1 x3^4) everywhere and x1 (sin x1) on mu3's [0, pi]
     model = _Batches(IshigamiModel())
     eng = AnovaEngine(model, ishigami_measures()[name])
     assert eng._ladder == [16, 24, 32, 48] and eng._full_grid_ok
     eng.mean()
     assert eng.order == settled and eng._full_grid_ok
-    assert sum(model.sizes) == sum(r ** 3 for r in (16, 24, 32, 48)
-                                   if r <= settled)
+    sizes, evals = ISHIGAMI_SETTLED[name]
+    assert [x.size for x in eng.nodes] == sizes
+    assert sum(model.sizes) == evals
     assert all(eng._table(z).resolved for z in all_subsets(3, 2))
 
 
@@ -671,6 +687,58 @@ def test_permuting_four_inputs_keeps_the_settled_order():
         old = tuple(sorted((3, 1, 0, 2)[i - 1] + 1 for i in z))
         assert abs(v - DECOMP_ORACLE.exact_term_variance(NORMAL4, old)) \
             <= 1e-12, z
+
+
+@pytest.mark.parametrize("perm", [(3, 1, 0, 2), (2, 0, 3, 1), (1, 2, 3, 0)])
+def test_permuting_four_inputs_permutes_the_node_counts(perm):
+    # the caps read each axis off the first rung, whatever its place
+    base = AnovaEngine(DECOMP_ORACLE, NORMAL4)
+    want = base.variance_decomposition()
+    eng = AnovaEngine(*_permuted(DECOMP_ORACLE, NORMAL4, perm))
+    got = eng.variance_decomposition()
+    assert [x.size for x in eng.nodes] == [base.nodes[p].size for p in perm]
+    for z, v in got.terms.items():
+        old = tuple(sorted(perm[i - 1] + 1 for i in z))
+        assert abs(v - want.terms[old]) <= 1e-13 * want.total, z
+
+
+# -- per-axis orders: an axis the first rung resolves stops climbing ----------
+
+# the fewest nodes whose coefficient tail (the last quarter of the degrees,
+# at least two) starts above degree d
+CAPPED_NODES = {1: 4, 2: 5, 3: 6, 4: 7, 5: 8, 6: 9}
+
+
+@pytest.mark.parametrize("comp", [Uniform(-1.0, 2.0), Normal(0.5, 0.8)],
+                         ids=["uniform", "normal"])
+@pytest.mark.parametrize("d", sorted(CAPPED_NODES))
+def test_a_polynomial_axis_takes_the_nodes_its_degree_needs(d, comp):
+    # g = p(x1) cos x2 + sin x3 with p = 1 + t + ... + t^d: x2 and x3 climb
+    # the ladder, x1 stops at the fewest nodes whose tables stay resolved
+    model = CompositeMultilinearModel(
+        factors=(np.polynomial.Polynomial(np.ones(d + 1)), np.cos, np.sin),
+        terms=((1, 2), (3,)))
+    measure = ProductMeasure((comp, Normal(0.0, 1.0), Uniform(-1.0, 2.0)))
+    eng = AnovaEngine(model, measure)
+    vd = eng.variance_decomposition()
+    assert eng.order == 32 and eng.nodes[0].size == CAPPED_NODES[d]
+    assert eng.nodes[1].size == 32
+    for z in all_subsets(3):
+        assert abs(vd.terms[z] - model.exact_term_variance(measure, z)) \
+            <= 1e-12 * vd.total, z
+
+
+def test_a_smooth_axis_is_capped_by_its_coefficient_tail():
+    # sin x1 on mu3's [0, pi] is no polynomial, but 16 nodes see its
+    # coefficients fall below the tolerance past degree 10: x1 takes 14
+    eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu3"])
+    vd = eng.variance_decomposition()
+    assert eng.order == 24 and [x.size for x in eng.nodes] == [14, 24, 7]
+    mean, total, terms = ref.exact_decomposition("mu3")
+    assert abs(vd.mean - mean) <= 1e-12 * mean
+    assert abs(vd.total - total) <= 1e-12 * total
+    for z in all_subsets(3):
+        assert abs(vd.terms[z] - terms.get(z, 0.0)) <= 1e-12 * total, z
 
 
 @settings(max_examples=25, deadline=None)

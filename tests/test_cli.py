@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -226,22 +227,27 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
 def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
         tmp_path, monkeypatch):
     # each engine sweeps the rungs it climbs (mu1 to 32, mu2 to 48, mu3 to
-    # 24): 229,888 points; the mixture-curve rows outside a measure's
-    # support or far in a normal tail take the direct integral at the
-    # settled order: 220,800
+    # 24, x3 at 7 nodes from 24 on and mu3's x1 at 14): 53,168 points; the
+    # mixture-curve rows outside a measure's support or far in a normal
+    # tail take the direct integral at the settled nodes: 88,172
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = []
     evaluate = anova._evaluate
 
     def counted(model, x):
-        points.append(len(x))
+        points.append((sys._getframe(1).f_code.co_name, len(x)))
         return evaluate(model, x)
 
     monkeypatch.setattr(anova, "_evaluate", counted)
     assert main(["analyze", "--model", "ishigami", "--measures", str(cfg),
                  "--prior", "--out", str(tmp_path / "out")]) == 0
-    assert sum(points) == 450_688
+    by_caller = {}
+    for caller, size in points:
+        by_caller[caller] = by_caller.get(caller, 0) + size
+    assert by_caller == {"_fill_subgrid_tables": 53_168,
+                         "conditional_mean": 88_172}
+    assert sum(by_caller.values()) == 141_340
 
 
 class TestDeterminism:
@@ -270,7 +276,9 @@ class TestDeterminism:
 
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # the rungs each engine's ladder climbs (uniform mu1 to 32 and mu3 to
-    # 24, normal mu2 to 48), the order 64 it was built at, core signatures
+    # 24, normal mu2 to 48), the caps of the axes the first rung resolves
+    # (x3 at 7 on all three, mu3's x1 at 14), the order 64 it was built at,
+    # core signatures
     # (128) and restricted defect rules (96); the k = j defect terms are read
     # off the engines' own tables, so the one normal measure needs no
     # Hermite rule of order 96
@@ -289,12 +297,14 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                      "--prior", "--out", str(tmp_path / "out")]) == 0
     finally:
         measures._gauss_rule.cache_clear()
-    assert sorted(computed) == [("hermgauss", 16), ("hermgauss", 24),
-                                ("hermgauss", 32), ("hermgauss", 48),
-                                ("hermgauss", 64), ("hermgauss", 128),
-                                ("leggauss", 16), ("leggauss", 24),
-                                ("leggauss", 32), ("leggauss", 64),
-                                ("leggauss", 96), ("leggauss", 128)]
+    assert sorted(computed) == [("hermgauss", 7), ("hermgauss", 16),
+                                ("hermgauss", 24), ("hermgauss", 32),
+                                ("hermgauss", 48), ("hermgauss", 64),
+                                ("hermgauss", 128), ("leggauss", 7),
+                                ("leggauss", 14), ("leggauss", 16),
+                                ("leggauss", 24), ("leggauss", 32),
+                                ("leggauss", 64), ("leggauss", 96),
+                                ("leggauss", 128)]
 
 
 class TestEstimatorModes:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsens.anova import all_subsets
+from mixsens.anova import AnovaEngine, all_subsets
 from mixsens.diagnostics import mixture_monotonicity_condition
 from mixsens.measures import MeasureSet, ProductMeasure, Uniform
 from mixsens.mixture import (component_engines, mixture_annihilation_defect,
@@ -155,6 +155,21 @@ class TestAnnihilationDefect:
         engines = component_engines(mset, IshigamiModel())
         assert abs(mixture_annihilation_defect(engines, mset.prior, (1,))) \
             < 1e-10
+
+
+def test_a_one_hot_prior_reproduces_its_measure():
+    mset = ishigami_measure_set(prior=(1.0, 0.0, 0.0))
+    engines = component_engines(mset, IshigamiModel())
+    mix = mixture_variance_decomposition(engines, mset.prior)
+    vd = AnovaEngine(IshigamiModel(), mset.measures[0]).variance_decomposition()
+    # B_z = V_z and no spread of the means, bit for bit
+    assert mix.components[0] == vd
+    assert mix.terms == vd.terms and mix.residual == vd.residual
+    assert mix.between == 0.0 and mix.mixture_mean == vd.mean
+    for z in all_subsets(3):
+        for gated in (True, False):
+            assert abs(mixture_annihilation_defect(engines, mset.prior, z,
+                                                   gated)) <= 1e-12, z
 
 
 def _unnamed_pair():
