@@ -70,7 +70,10 @@ row by row by an error estimate (see ``_Table``).  The direct integral over
 the complement of v, ``conditional_mean``, serves the rows the gate rejects
 or that lie outside a coordinate's support, the empty and the full subset,
 subsets with a discrete coordinate, and every row when the grid does not
-fit.
+fit.  Each subset keeps its last call to ``_w_at``: the rows' shape and
+bytes and the w_v returned, at most N (|v| + 1) doubles, so the same rows
+asked again (by the other mixture route, or by a subset that holds v) cost
+no table read and no model call.  ``_use_order`` empties it.
 """
 
 from __future__ import annotations
@@ -316,6 +319,7 @@ class AnovaEngine:
         self._w_cache = {}        # subset -> conditional mean on its subgrid
         self._moments = None      # (E[g], E[g^2]), lazily
         self._tables = {}         # subset -> its interpolation _Table (_w_at)
+        self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
         vars(self).pop("_axes", None)   # the cached axes hold the old nodes
 
     def _settle(self):
@@ -456,6 +460,8 @@ class AnovaEngine:
         one included; the columns of ``x`` follow the order of z."""
         z = tuple(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != len(z):
+            raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
         return {v: self._w_at(v, x[:, [z.index(i) for i in v]])
                 for v in _subsets_of(z)}
 
@@ -466,19 +472,32 @@ class AnovaEngine:
         it does not accept, and every row when v is empty or all inputs,
         when the full grid does not fit or when a coordinate of v is
         discrete, come from ``conditional_mean``.
+
+        Each subset keeps its last call: the key ``(x.shape, x.tobytes())``
+        (the shape, since an (N, 0) array has no bytes for any N) and the
+        w_v it returned.  A call with the same key returns a copy of those
+        values, with no table read and no model call.  The memo holds at
+        most N (|v| + 1) doubles per subset and is emptied, with the
+        tables, by ``_use_order``.
         """
         self._settle()
         v = tuple(v)
+        key = x.shape, x.tobytes()
+        last = self._w_last.get(v)
+        if last is not None and last[0] == key:
+            return last[1].copy()
         if not self._full_grid_ok or not self._reads_table(v):
-            return self.conditional_mean(v, x)
-        if v not in self._tables:
-            self._tables[v] = self._table(v)
-        ok, values = self._tables[v](x)
-        out = np.empty(x.shape[0])
-        out[ok] = values
-        if not ok.all():
-            out[~ok] = self.conditional_mean(v, x[~ok])
-        return out
+            out = self.conditional_mean(v, x)
+        else:
+            if v not in self._tables:
+                self._tables[v] = self._table(v)
+            ok, values = self._tables[v](x)
+            out = np.empty(x.shape[0])
+            out[ok] = values
+            if not ok.all():
+                out[~ok] = self.conditional_mean(v, x[~ok])
+        self._w_last[v] = key, out
+        return out.copy()
 
     def _reads_table(self, v):
         """Whether v has a table to read when the grid fits: it is neither

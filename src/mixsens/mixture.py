@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import (DEFAULT_ORDER, AnovaEngine, _combined_mode, _contract,
-                    _mobius, _tensor_points)
+                    _mobius, _subsets_of, _tensor_points)
 from .measures import DiscreteUniform, Normal, _gauss_rule, measure_name
 
 
@@ -90,12 +90,18 @@ def mixture_effect_from_pooled_conditionals(engines, prior, z, x):
     Pools ``w_v = sum_k p_k w_v^k`` — the conditional expectation of the
     model under the two-stage mixture — and applies the ANOVA recursion to
     the pooled quantities.  Globally defined; agrees exactly with the
-    component route on the intersection of the supports.
+    component route on the intersection of the supports.  A candidate of
+    prior weight 0 is not evaluated, as in the component route.
     """
     p = _check(engines, prior)
     z = tuple(sorted(z))
-    tables = [eng.conditional_means(z, x) for eng in engines]
-    w = {v: sum(pk * t[v] for pk, t in zip(p, tables)) for v in tables[0]}
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    w = {v: np.zeros(x.shape[0]) for v in _subsets_of(z)}
+    for pk, eng in zip(p, engines):
+        if pk == 0.0:
+            continue
+        for v, t in eng.conditional_means(z, x).items():
+            w[v] += pk * t
     return _mobius(z, w)[z]
 
 

@@ -101,6 +101,14 @@ class TestEffects:
         got = eng.conditional_mean((1,), x)
         assert np.allclose(got, eng.mean() + eng.effect((1,), x), atol=1e-12)
 
+    @pytest.mark.parametrize("z, cols", [((1,), 3), ((1, 2), 1)])
+    def test_points_need_one_column_per_input(self, engines, z, cols):
+        x = np.zeros((4, cols))
+        for call in (engines["mu1"].effect, engines["mu1"].conditional_means):
+            with pytest.raises(ValueError,
+                               match=rf"points have {cols} columns for subset"):
+                call(z, x)
+
     def test_effect_curves_use_plotting_grids(self, engines):
         curve = engines["mu3"].effect_curve((1,), npts=65)
         assert curve.measure == "mu3"
@@ -959,3 +967,40 @@ class TestTableGate:
                 assert np.array_equal(eng._w_at(v, xv),
                                       eng.conditional_mean(v, xv)), v
             assert not eng._tables
+
+
+class TestLastCallMemo:
+    """``_w_at`` computes w_v at a set of rows once per subset."""
+
+    def test_a_new_row_count_is_a_new_call(self):
+        eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu1"])
+        x = np.random.default_rng(5).uniform(-PI, PI, size=(1000, 2))
+        for n in (96, 1000, 96):
+            got = eng.conditional_means((1, 2), x[:n])
+            assert set(got) == {(), (1,), (2,), (1, 2)}
+            assert all(w.shape == (n,) for w in got.values())
+            # an (n, 0) array has the same (empty) bytes for every n
+            assert eng.conditional_means((), x[:n, :0])[()].shape == (n,)
+
+    def test_writing_into_a_result_does_not_change_the_next(self):
+        eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu2"])
+        x = np.random.default_rng(6).uniform(-2.0, 2.0, size=(50, 3))
+        want = eng.conditional_means((1, 2, 3), x)
+        kept = {v: w.copy() for v, w in want.items()}
+        for _ in range(2):
+            got = eng.conditional_means((1, 2, 3), x)
+            for v, w in got.items():
+                assert np.array_equal(w, kept[v]), v
+                w[:] = np.nan
+        for w in want.values():
+            w += 1.0
+        for v, w in eng.conditional_means((1, 2, 3), x).items():
+            assert np.array_equal(w, kept[v]), v
+
+    def test_a_new_order_empties_the_memo(self):
+        eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu3"])
+        x = np.random.default_rng(7).uniform(0.0, PI, size=(20, 2))
+        eng.conditional_means((1, 3), x)
+        assert set(eng._w_last) == {(), (1,), (3,), (1, 3)}
+        eng._use_order(eng.order)
+        assert not eng._w_last

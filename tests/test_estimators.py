@@ -113,6 +113,16 @@ class TestReweighting:
         assert given_data_first_order(ws, 1) \
             == given_data_first_order(sample, 1)
 
+    @pytest.mark.parametrize("name", ["mu1", "mu2", "mu3"])
+    def test_reweighting_to_the_base_reproduces_given_data_exactly(self, name):
+        measure = ishigami_measures()[name]
+        sample = generate_sample(IshigamiModel(), measure, 2048, seed=8)
+        ws = reweight(sample, measure)
+        assert np.all(ws.weights == 1.0) and ws.ess == 2048
+        got, want = given_data_indices(ws), given_data_indices(sample)
+        assert got.method == "reweighted" and want.method == "givendata"
+        assert np.array_equal(got.s, want.s)
+
     def test_low_ess_warns(self):
         reg = ishigami_measures()
         sample = generate_sample(IshigamiModel(), reg["mu1"], 100, seed=4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsens import anova
 from mixsens.anova import AnovaEngine, all_subsets
 from mixsens.diagnostics import mixture_monotonicity_condition
 from mixsens.measures import MeasureSet, ProductMeasure, Uniform
@@ -170,6 +171,84 @@ def test_a_one_hot_prior_reproduces_its_measure():
         for gated in (True, False):
             assert abs(mixture_annihilation_defect(engines, mset.prior, z,
                                                    gated)) <= 1e-12, z
+
+
+def test_the_pooled_route_skips_a_candidate_of_zero_weight():
+    mset = ishigami_measure_set(prior=(1.0, 0.0, 0.0))
+    engines = component_engines(mset, IshigamiModel())
+    x = np.random.default_rng(3).uniform(0.0, PI, size=(50, 3))
+    for z in all_subsets(3):
+        xz = x[:, [i - 1 for i in z]]
+        got = mixture_effect_from_pooled_conditionals(engines, mset.prior, z,
+                                                      xz)
+        assert np.array_equal(got, engines[0].effect(z, xz)), z
+    # no integral ran on the other two: their ladders have not run
+    assert all(eng._ladder for eng in engines[1:])
+
+
+def test_a_model_non_finite_only_under_a_zero_weight_candidate():
+    def model(x):
+        return np.where(x[..., 0] > 1.5, np.nan,
+                        x[..., 0] + x[..., 0] * x[..., 1])
+
+    mset = MeasureSet(measures=(
+        ProductMeasure((Uniform(-1, 1), Uniform(-1, 1)), name="here"),
+        ProductMeasure((Uniform(2, 3), Uniform(-1, 1)), name="there")),
+        prior=(1.0, 0.0))
+    engines = component_engines(mset, model, order=16)
+    x = np.linspace(-0.9, 0.9, 7)[:, None]
+    a = mixture_effect_from_components(engines, mset.prior, (1,), x)
+    b = mixture_effect_from_pooled_conditionals(engines, mset.prior, (1,), x)
+    assert np.array_equal(a, b)
+    with pytest.raises(FloatingPointError):
+        engines[1].effect((1,), x)
+
+
+# -- each conditional mean at a set of points is computed once ---------------
+
+def _c03_points():
+    return np.random.default_rng(2024).uniform(0.0, PI, size=(1000, 3))
+
+
+def test_repeated_calls_on_shared_engines_match_fresh_engines():
+    mset = ishigami_measure_set(prior=ref.PRIOR)
+    shared = component_engines(mset, IshigamiModel())
+    pts = _c03_points()
+    for z in all_subsets(3):
+        x = pts[:, [i - 1 for i in z]]
+        # each value on engines that have answered nothing yet
+        want = [mixture_effect_from_components(
+                    component_engines(mset, IshigamiModel()), mset.prior, z, x),
+                mixture_effect_from_pooled_conditionals(
+                    component_engines(mset, IshigamiModel()), mset.prior, z, x),
+                *[AnovaEngine(IshigamiModel(), m).effect(z, x)
+                  for m in mset.measures]]
+        for _ in range(2):
+            got = [mixture_effect_from_components(shared, mset.prior, z, x),
+                   mixture_effect_from_pooled_conditionals(shared, mset.prior,
+                                                           z, x),
+                   *[eng.effect(z, x) for eng in shared]]
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), z
+
+
+def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
+    mset = ishigami_measure_set(prior=ref.PRIOR)
+    engines = component_engines(mset, IshigamiModel())
+    for eng in engines:              # the ladders' sweeps, not counted below
+        eng.variance_decomposition()
+    rows = []
+    evaluate = anova._evaluate
+    monkeypatch.setattr(anova, "_evaluate", lambda model, x: (
+        rows.append(np.shape(x)[0]), evaluate(model, x))[1])
+    pts = _c03_points()
+    for z in all_subsets(3):
+        x = pts[:, [i - 1 for i in z]]
+        mixture_effect_from_components(engines, mset.prior, z, x)
+        mixture_effect_from_pooled_conditionals(engines, mset.prior, z, x)
+    # every table row is accepted, so the only model calls are the full
+    # subset's rows: 1000 per engine, once across both routes
+    assert rows == [1000] * 3
 
 
 def _unnamed_pair():
