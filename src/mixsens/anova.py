@@ -36,12 +36,16 @@ settles at the first rung whose mean, total and terms moved by at most
 rules converge geometrically on smooth models, so that change bounds the
 error of the rung below.  When the grid at ``order`` fits, effects at points
 are read off the tables (below), so a rung must also resolve every table it
-would read (``_Table.resolved``).  An axis the first rung resolves is
-capped at the fewest nodes that keep it resolved (``AnovaEngine._caps``).
-A settled engine is a full-grid engine at that order; with no such rung it
+would read (``_Table.resolved``).  After every rung, an axis that rung
+resolves is capped at the fewest nodes that keep it resolved
+(``AnovaEngine._caps``), and keeps the smallest cap it was given: an axis
+stops climbing once it no longer changes the result, the dimension-adaptive
+rule of Gerstner & Griebel (Computing 71, 2003).  A settled engine is a
+full-grid engine at that order, with its rung's caps; with no such rung it
 keeps ``order`` on every axis and the fit it was built with.  A smooth
 4-input model quartic in x3 costs 16^4 + (24^3 + 32^3) * 7 evaluations, not
-64^4; the Ishigami model settles at 24, 32 or 48 nodes, with 7 on x3.
+64^4; the Ishigami model settles at 24, 32 or 48 nodes, with 7 on x3 and
+14, 21 or 29 on x1.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
@@ -337,19 +341,21 @@ class AnovaEngine:
         off the tables, the rung must also resolve every table of its
         lattice that ``_w_at`` can read (``_Table.resolved``), so that a
         lower order does not send the rows of an unresolved table to the
-        direct integral.  The axes the first rung resolves keep their
-        ``_caps`` from then on.  With no such rung, or when a rung raises,
-        it goes back to ``order``, uncapped, and the fit fixed at build.
+        direct integral.  After each rung every axis takes the smaller of
+        its cap so far and the rung's ``_caps``, so a cap never grows; the
+        next rung, the settled engine and its direct complement rules use
+        those caps.  With no such rung, or when a rung raises, it goes back
+        to ``order``, uncapped, and the fit fixed at build.
         """
         ladder, self._ladder = self._ladder, []
         if not ladder:
             return
-        order, full, last, caps = self.order, self._full_grid_ok, None, None
+        order, full, last = self.order, self._full_grid_ok, None
+        caps = [math.inf] * self.n
         try:
             for rung in ladder:
                 self._use_order(rung, True, caps)
                 vd = self.variance_decomposition()
-                caps = caps or self._caps()
                 terms = np.array([vd.total, *vd.terms.values()])
                 still = last is not None and abs(vd.mean - last[0]) \
                     <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
@@ -358,6 +364,7 @@ class AnovaEngine:
                                               vd.terms if self._reads_table(z))):
                     return
                 last = vd.mean, terms
+                caps = [min(a, b) for a, b in zip(caps, self._caps())]
         except BaseException:       # a failed rung leaves the engine as built
             self._ladder = ladder
             self._use_order(order, full)
@@ -365,14 +372,20 @@ class AnovaEngine:
         self._use_order(order, full)
 
     def _caps(self):
-        """Per coordinate, the most nodes the rest of the ladder gives it.
+        """Per coordinate, the most nodes this rung's full grid says it needs
+        (inf on a discrete axis and on one the grid leaves unresolved).
 
         Along a continuous axis, g's orthonormal-polynomial coefficients on
-        the first rung's full grid, each the largest over the other axes,
-        are resolved when those from the ``_tail`` on sum to at most
-        ``INTERP_TOL`` times the RMS of w_i (the least RMS of a table that
-        holds the axis).  The axis is then capped at the fewest nodes whose
-        tail starts above the last degree from which they sum to more.
+        the grid, each the largest over the other axes, are resolved when
+        those from the ``_tail`` on sum to at most ``INTERP_TOL`` times the
+        RMS of w_i (the least RMS of a table that holds the axis).  The axis
+        is then capped at the fewest nodes whose tail starts above the last
+        degree from which they sum to more.  The row gate of ``_Table``
+        weighs each tail coefficient by |phi_k(x)|, which on a normal axis
+        reaches 10-50 at 3-4 sd, so there each coefficient is first weighed
+        by the largest |phi_k| over the axis's plot range (mean +- 4 sd, on
+        the 129 rows of a default effect curve).  On a uniform axis
+        |phi_k| <= sqrt(2k + 1), and the coefficients are summed as they are.
         """
         grid = self._w_cache[tuple(range(1, self.n + 1))]
         caps = [math.inf] * self.n
@@ -381,7 +394,12 @@ class AnovaEngine:
                 s, w = self._sizes[i], self._w_cache[(i + 1,)]
                 tol = INTERP_TOL * math.sqrt(float(w ** 2 @ self.weights[i]))
                 c = np.abs(np.tensordot(a.to_coeffs, grid, axes=([1], [i])))
-                rest = np.cumsum(c.reshape(s, -1).max(axis=1)[::-1])[::-1]
+                c = c.reshape(s, -1).max(axis=1)
+                comp = self.measure.components[i]
+                if isinstance(comp, Normal):    # the row gate's |phi_k(x)|
+                    c *= np.abs(a.poly(np.linspace(*comp.plot_range(),
+                                                   129))).max(axis=0)
+                rest = np.cumsum(c[::-1])[::-1]
                 d = max(np.flatnonzero(rest > tol), default=-1)
                 if d < _tail(s):
                     caps[i] = next(k for k in range(1, s + 1) if _tail(k) > d)
@@ -457,13 +475,14 @@ class AnovaEngine:
 
     def conditional_means(self, z, x):
         """{v: w_v at the rows of ``x``} for every subset v of z, the empty
-        one included; the columns of ``x`` follow the order of z."""
+        one included, each v sorted; the columns of ``x`` follow the order
+        of z, which need not be sorted."""
         z = tuple(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(z):
             raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
         return {v: self._w_at(v, x[:, [z.index(i) for i in v]])
-                for v in _subsets_of(z)}
+                for v in _subsets_of(sorted(z))}
 
     def _w_at(self, v, x):
         """w_v at the rows of ``x`` (N, |v|), read off v's quadrature table.
@@ -527,10 +546,12 @@ class AnovaEngine:
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
 
         Built by the defining recursion from the conditional means of all
-        subsets of z, each evaluated once at the projected points.
+        subsets of z, each evaluated once at the projected points.  The
+        columns of ``x`` follow the order of z, as in ``conditional_means``.
         """
-        z = tuple(sorted(z))
-        return _mobius(z, self.conditional_means(z, x))[z]
+        z = tuple(z)
+        key = tuple(sorted(z))
+        return _mobius(key, self.conditional_means(z, x))[key]
 
     # -- grid-based decomposition -------------------------------------------
 

@@ -68,10 +68,11 @@ def mixture_effect_from_components(engines, prior, z, x):
     Each component contributes only inside its own support (indicator
     semantics): a candidate distribution carries no information about
     points it assigns zero mass.  Points outside *every* support therefore
-    evaluate to 0.
+    evaluate to 0.  The columns of ``x`` follow the order of z, in this
+    route and the pooled one.
     """
     p = _check(engines, prior)
-    z = tuple(sorted(z))
+    z = tuple(z)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.zeros(x.shape[0])
     for pk, eng in zip(p, engines):
@@ -94,15 +95,16 @@ def mixture_effect_from_pooled_conditionals(engines, prior, z, x):
     prior weight 0 is not evaluated, as in the component route.
     """
     p = _check(engines, prior)
-    z = tuple(sorted(z))
+    z = tuple(z)
+    key = tuple(sorted(z))
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    w = {v: np.zeros(x.shape[0]) for v in _subsets_of(z)}
+    w = {v: np.zeros(x.shape[0]) for v in _subsets_of(key)}
     for pk, eng in zip(p, engines):
         if pk == 0.0:
             continue
         for v, t in eng.conditional_means(z, x).items():
             w[v] += pk * t
-    return _mobius(z, w)[z]
+    return _mobius(key, w)[key]
 
 
 @dataclass

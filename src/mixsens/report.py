@@ -20,7 +20,7 @@ from .anova import _tensor_points
 
 SCHEMA_VERSION = "1"
 
-QUADRATURE_TOL = 1e-9      # declared accuracy of 64-node tensor quadrature
+QUADRATURE_TOL = 1e-9      # declared accuracy of the settled tensor quadrature
 QMC_TOL = 1e-4             # declared accuracy of the scrambled-Sobol fallback
 MC_TOL = 0.05              # declared accuracy of an MC estimate without a standard error
 # 17 significant digits print every double so that it parses back bit-exactly

@@ -597,10 +597,11 @@ def test_a_rung_that_raises_leaves_the_engine_as_built():
 # -- the ladder on a grid that fits: where the tables are resolved -----------
 
 # each axis's nodes once settled, and the points of the rungs climbed: 16^3,
-# then x3 at 7 nodes (and mu3's x1 at 14) from 24 on
+# then x3 at 7 nodes (and mu3's x1 at 14) from 24 on, mu1's x1 at 21 from 32
+# on and mu2's x1 at 29 from 48 on
 ISHIGAMI_SETTLED = {
-    "mu1": ([32, 32, 7], 15_296),       # 16^3 + (24^2 + 32^2) * 7
-    "mu2": ([48, 48, 7], 31_424),       # 16^3 + (24^2 + 32^2 + 48^2) * 7
+    "mu1": ([21, 32, 7], 12_832),       # 16^3 + (24^2 + 21 * 32) * 7
+    "mu2": ([29, 48, 7], 25_040),       # 16^3 + (24^2 + 32^2 + 29 * 48) * 7
     "mu3": ([14, 24, 7], 6_448)}        # 16^3 + 14 * 24 * 7
 
 
@@ -661,6 +662,55 @@ def test_settled_tables_accept_every_row_order_64_accepts(name):
         assert wanted.any() and np.all(accepted[wanted]), z
 
 
+@pytest.mark.parametrize("name", MEASURES)
+def test_settled_tables_accept_every_plot_row_order_64_accepts(name):
+    # the rows of each singleton's effect curve, out to 4 sd on a normal
+    # axis, where the gate weighs a tail coefficient by |phi_k(x)| of 10-50
+    measure = ishigami_measures()[name]
+    eng = AnovaEngine(IshigamiModel(), measure)
+    eng.mean()
+    with mock.patch.object(anova, "LADDER", ()):
+        full = AnovaEngine(IshigamiModel(), measure)
+    for i, comp in enumerate(measure.components, 1):
+        x = np.linspace(*comp.plot_range(), 129)[:, None]
+        accepted, _ = eng._table((i,))(x)
+        wanted, _ = full._table((i,))(x)
+        assert wanted.any() and np.all(accepted[wanted]), i
+
+
+def _smooth3(x):
+    return np.exp(0.5 * x[:, 0]) * np.cos(x[:, 1]) + x[:, 2] ** 3 * np.sin(x[:, 0])
+
+
+@pytest.mark.parametrize("model,comps", [
+    (IshigamiModel(), ishigami_measures()["mu1"].components),
+    (IshigamiModel(), ishigami_measures()["mu2"].components),
+    # no rung settles; x2 is capped at 15 on the first rung, and at 15
+    # nodes its own tail reads unresolved on the third: 48 keeps the 15
+    (_smooth3, (Normal(0.0, 1.0), Uniform(0.0, PI), Uniform(-PI, PI))),
+    # settles at 48, with x2 capped at 25 on the third rung
+    (_smooth3, (Normal(1.0, 2.0), Uniform(-PI, PI), Uniform(0.0, PI)))],
+    ids=["mu1", "mu2", "smooth-unsettled", "smooth"])
+def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
+    rungs = []
+    use = AnovaEngine._use_order
+
+    def spy(self, order, full_grid_ok=None, caps=None):
+        if order in anova.LADDER:
+            rungs.append(caps)
+        return use(self, order, full_grid_ok, caps)
+
+    eng = AnovaEngine(model, ProductMeasure(tuple(comps)))
+    with mock.patch.object(AnovaEngine, "_use_order", spy):
+        eng.mean()
+    assert len(rungs) >= 3
+    for lower, upper in zip(rungs, rungs[1:]):
+        assert all(b <= a for a, b in zip(lower, upper)), (lower, upper)
+    # a settled engine keeps the caps of its rung; the fallback drops them
+    assert [x.size for x in eng.nodes] == [min(eng.order, c) for c in (
+        rungs[-1] if eng.order in anova.LADDER else [math.inf] * 3)]
+
+
 def _permuted(model, measure, perm):
     """The model and measure with input k + 1 the old input perm[k] + 1."""
     back = np.argsort(perm)
@@ -699,7 +749,7 @@ def test_permuting_four_inputs_keeps_the_settled_order():
 
 @pytest.mark.parametrize("perm", [(3, 1, 0, 2), (2, 0, 3, 1), (1, 2, 3, 0)])
 def test_permuting_four_inputs_permutes_the_node_counts(perm):
-    # the caps read each axis off the first rung, whatever its place
+    # the caps read each axis off every rung, whatever its place
     base = AnovaEngine(DECOMP_ORACLE, NORMAL4)
     want = base.variance_decomposition()
     eng = AnovaEngine(*_permuted(DECOMP_ORACLE, NORMAL4, perm))
@@ -710,7 +760,7 @@ def test_permuting_four_inputs_permutes_the_node_counts(perm):
         assert abs(v - want.terms[old]) <= 1e-13 * want.total, z
 
 
-# -- per-axis orders: an axis the first rung resolves stops climbing ----------
+# -- per-axis orders: an axis a rung resolves stops climbing ------------------
 
 # the fewest nodes whose coefficient tail (the last quarter of the degrees,
 # at least two) starts above degree d

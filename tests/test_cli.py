@@ -227,9 +227,10 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
 def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
         tmp_path, monkeypatch):
     # each engine sweeps the rungs it climbs (mu1 to 32, mu2 to 48, mu3 to
-    # 24, x3 at 7 nodes from 24 on and mu3's x1 at 14): 53,168 points; the
-    # mixture-curve rows outside a measure's support or far in a normal
-    # tail take the direct integral at the settled nodes: 88,172
+    # 24, x3 at 7 nodes from 24 on, mu3's x1 at 14, mu1's x1 at 21 from 32
+    # and mu2's at 29 from 48): 44,320 points; the mixture-curve rows
+    # outside a measure's support or far in a normal tail take the direct
+    # integral at the settled nodes: 76,160
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = []
@@ -245,9 +246,9 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     by_caller = {}
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
-    assert by_caller == {"_fill_subgrid_tables": 53_168,
-                         "conditional_mean": 88_172}
-    assert sum(by_caller.values()) == 141_340
+    assert by_caller == {"_fill_subgrid_tables": 44_320,
+                         "conditional_mean": 76_160}
+    assert sum(by_caller.values()) == 120_480
 
 
 class TestDeterminism:
@@ -276,8 +277,9 @@ class TestDeterminism:
 
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # the rungs each engine's ladder climbs (uniform mu1 to 32 and mu3 to
-    # 24, normal mu2 to 48), the caps of the axes the first rung resolves
-    # (x3 at 7 on all three, mu3's x1 at 14), the order 64 it was built at,
+    # 24, normal mu2 to 48), the caps of the axes a rung resolves (x3 at 7
+    # on all three, mu3's x1 at 14, mu1's at 21, mu2's at 29), the order 64
+    # it was built at,
     # core signatures
     # (128) and restricted defect rules (96); the k = j defect terms are read
     # off the engines' own tables, so the one normal measure needs no
@@ -298,10 +300,11 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     finally:
         measures._gauss_rule.cache_clear()
     assert sorted(computed) == [("hermgauss", 7), ("hermgauss", 16),
-                                ("hermgauss", 24), ("hermgauss", 32),
-                                ("hermgauss", 48), ("hermgauss", 64),
-                                ("hermgauss", 128), ("leggauss", 7),
-                                ("leggauss", 14), ("leggauss", 16),
+                                ("hermgauss", 24), ("hermgauss", 29),
+                                ("hermgauss", 32), ("hermgauss", 48),
+                                ("hermgauss", 64), ("hermgauss", 128),
+                                ("leggauss", 7), ("leggauss", 14),
+                                ("leggauss", 16), ("leggauss", 21),
                                 ("leggauss", 24), ("leggauss", 32),
                                 ("leggauss", 64), ("leggauss", 96),
                                 ("leggauss", 128)]

@@ -251,6 +251,31 @@ def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
     assert rows == [1000] * 3
 
 
+@settings(max_examples=20, deadline=None)
+@given(z=st.sampled_from([z for z in all_subsets(3) if len(z) > 1]).flatmap(
+           st.permutations),
+       seed=st.integers(0, 2**32 - 1))
+def test_an_unsorted_subset_reads_the_columns_in_its_own_order(setup, z,
+                                                               seed):
+    # column j of the points holds input z[j]; rows out to +-4 reach past
+    # mu1's and mu3's supports and far into mu2's tails
+    mset, engines = setup
+    key = tuple(sorted(z))
+    x = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(8, len(key)))
+    xz = x[:, [key.index(i) for i in z]]
+    for eng in engines:
+        want = eng.conditional_means(key, x)
+        got = eng.conditional_means(z, xz)
+        assert got.keys() == want.keys()
+        for v in want:
+            assert np.array_equal(got[v], want[v]), (z, v)
+        assert np.array_equal(eng.effect(z, xz), eng.effect(key, x)), z
+    for route in (mixture_effect_from_components,
+                  mixture_effect_from_pooled_conditionals):
+        assert np.array_equal(route(engines, mset.prior, z, xz),
+                              route(engines, mset.prior, key, x)), z
+
+
 def _unnamed_pair():
     """Two unnamed measures, Uniform(0, 1)^2 and Uniform(0, 2)^2, with their
     engines for g = x1^2 + x2."""
