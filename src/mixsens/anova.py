@@ -74,10 +74,14 @@ row by row by an error estimate (see ``_Table``).  The direct integral over
 the complement of v, ``conditional_mean``, serves the rows the gate rejects
 or that lie outside a coordinate's support, the empty and the full subset,
 subsets with a discrete coordinate, and every row when the grid does not
-fit.  Each subset keeps its last call to ``_w_at``: the rows' shape and
-bytes and the w_v returned, at most N (|v| + 1) doubles, so the same rows
-asked again (by the other mixture route, or by a subset that holds v) cost
-no table read and no model call.  ``_use_order`` empties it.
+fit.  On a settled engine a tensor complement takes half the nodes of the
+cap its rung gives each axis it resolves, checked row by row against a
+second rule one node lower; a row on which the two disagree takes the
+settled nodes (``_direct_rules``).  Each subset keeps its last call to
+``_w_at``: the rows' shape and bytes and the w_v returned, at most
+N (|v| + 1) doubles, so the same rows asked again (by the other mixture
+route, or by a subset that holds v) cost no table read and no model call.
+``_use_order`` empties it.
 """
 
 from __future__ import annotations
@@ -324,6 +328,7 @@ class AnovaEngine:
         self._moments = None      # (E[g], E[g^2]), lazily
         self._tables = {}         # subset -> its interpolation _Table (_w_at)
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
+        self._halves = None       # per axis, h nodes or None (_direct_rules)
         vars(self).pop("_axes", None)   # the cached axes hold the old nodes
 
     def _settle(self):
@@ -344,8 +349,10 @@ class AnovaEngine:
         direct integral.  After each rung every axis takes the smaller of
         its cap so far and the rung's ``_caps``, so a cap never grows; the
         next rung, the settled engine and its direct complement rules use
-        those caps.  With no such rung, or when a rung raises, it goes back
-        to ``order``, uncapped, and the fit fixed at build.
+        those caps.  The settled rung's own ``_caps`` set the lower rules of
+        the direct integrals (``_halves``, see ``_direct_rules``).  With no
+        such rung, or when a rung raises, it goes back to ``order``,
+        uncapped, with no lower rules, and the fit fixed at build.
         """
         ladder, self._ladder = self._ladder, []
         if not ladder:
@@ -362,6 +369,9 @@ class AnovaEngine:
                     and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total)
                 if still and (not full or all(self._table(z).resolved for z in
                                               vd.terms if self._reads_table(z))):
+                    self._halves = [math.ceil(c / 2) if c < math.inf and s > 1
+                                    else None
+                                    for c, s in zip(self._caps(), self._sizes)]
                     return
                 last = vd.mean, terms
                 caps = [min(a, b) for a, b in zip(caps, self._caps())]
@@ -417,10 +427,8 @@ class AnovaEngine:
         if not comp:
             return np.zeros((1, 0)), np.ones(1)
         if self._tensor_complement(z):
-            pts = _tensor_points([self.nodes[i - 1] for i in comp])
-            w = np.prod(_tensor_points([self.weights[i - 1] for i in comp]),
-                        axis=-1)
-            return pts, w
+            return _tensor_rule([(self.nodes[i - 1], self.weights[i - 1])
+                                 for i in comp])
         rng_seed = substream(self.seed, "qmc", subset_label(z)).integers(2**31)
         sob = _qmc().Sobol(d=len(comp), scramble=True, seed=int(rng_seed))
         u = sob.random_base2(QMC_LOG2)
@@ -446,7 +454,9 @@ class AnovaEngine:
     def conditional_mean(self, z, x):
         """w_z at points ``x`` of shape (N, |z|): E[g(X) | X_z = x_row].
 
-        For the empty subset returns the overall mean once per row.
+        For the empty subset returns the overall mean once per row.  The
+        integral over the complement of z takes the rules of
+        ``_direct_rules`` in turn: a row keeps the first value it accepts.
         """
         self._settle()
         z = tuple(z)
@@ -455,23 +465,69 @@ class AnovaEngine:
             return np.full(x.shape[0], self.mean())
         if x.shape[1] != len(z):
             raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
-        comp = [i for i in range(1, self.n + 1) if i not in z]
-        cpts, cw = self._complement_rule(z)
-        m = cpts.shape[0]
-        out = np.empty(x.shape[0])
-        # chunk the query points so the (chunk, m, n) block stays modest
-        chunk = max(1, BLOCK_POINTS // max(m, 1))
         zi = [i - 1 for i in z]
-        ci = [i - 1 for i in comp]
-        for a in range(0, x.shape[0], chunk):
-            xa = x[a:a + chunk]
-            block = np.empty((xa.shape[0], m, self.n))
-            block[:, :, zi] = xa[:, None, :]
-            if ci:
-                block[:, :, ci] = cpts[None, :, :]
-            vals = _evaluate(self.model, block.reshape(-1, self.n))
-            out[a:a + xa.shape[0]] = vals.reshape(xa.shape[0], m) @ cw
+        ci = [i - 1 for i in range(1, self.n + 1) if i not in z]
+        out = np.empty(x.shape[0])
+        rows = np.arange(x.shape[0])
+        for cpts, cw, tol in self._direct_rules(z):
+            if not rows.size:
+                break
+            m = cpts.shape[0]
+            vals = np.empty((rows.size,) + cw.shape[1:])
+            # chunk the query points so the (chunk, m, n) block stays modest
+            chunk = max(1, BLOCK_POINTS // max(m, 1))
+            for a in range(0, rows.size, chunk):
+                xa = x[rows[a:a + chunk]]
+                block = np.empty((xa.shape[0], m, self.n))
+                block[:, :, zi] = xa[:, None, :]
+                if ci:
+                    block[:, :, ci] = cpts[None, :, :]
+                vals[a:a + xa.shape[0]] = _evaluate(
+                    self.model, block.reshape(-1, self.n)).reshape(
+                        xa.shape[0], m) @ cw
+            if tol is None:
+                out[rows] = vals
+                break
+            agree = np.abs(vals[:, 0] - vals[:, 1]) <= tol
+            out[rows[agree]] = vals[agree, 0]
+            rows = rows[~agree]
         return out
+
+    def _direct_rules(self, z):
+        """The rules of ``conditional_mean`` over the complement of z, each
+        (points, weights, tol), lazily.
+
+        The last is ``_complement_rule`` (weights (m,), tol None): every
+        row it sees keeps its value.  Before it, on a settled engine whose
+        complement of z takes the tensor rule, comes a pair of lower rules
+        side by side (weights (m, 2), one column each): each axis of more
+        than one node that ``_caps`` resolved at the settled rung, at cap c,
+        takes h = ceil(c / 2) nodes in the first and max(h - 1, 1) in the
+        second, and every other axis its settled nodes.  A Gauss rule of h
+        nodes is exact to degree 2h - 1, so it integrates all that c nodes
+        interpolate; a row keeps the h-node value when the two agree within
+        ``INTERP_TOL`` times the RMS of z's subgrid table, the row gate's
+        standard, and goes on to the settled rule otherwise.
+        """
+        comp = [i for i in range(1, self.n + 1) if i not in z]
+        halves = [self._halves[i - 1] for i in comp] \
+            if self._halves and self._tensor_complement(z) else []
+        if any(halves):
+            def rule(counts):       # k nodes on a halved axis, settled elsewhere
+                return _tensor_rule([
+                    self.measure.components[i - 1].quad_nodes(k) if k else
+                    (self.nodes[i - 1], self.weights[i - 1])
+                    for i, k in zip(comp, counts)])
+
+            (hi, whi), (lo, wlo) = rule(halves), rule(
+                [h and max(h - 1, 1) for h in halves])
+            weights = np.zeros((whi.size + wlo.size, 2))
+            weights[:whi.size, 0], weights[whi.size:, 1] = whi, wlo
+            v = tuple(sorted(z))
+            rms = math.sqrt(float(_contract(self._w_on_subgrid(v) ** 2,
+                                            [self.weights[i - 1] for i in v])))
+            yield np.vstack([hi, lo]), weights, INTERP_TOL * rms
+        yield *self._complement_rule(z), None
 
     def conditional_means(self, z, x):
         """{v: w_v at the rows of ``x``} for every subset v of z, the empty
@@ -915,6 +971,12 @@ def _tensor_points(axes):
     for j, a in enumerate(axes):
         out[..., j] = a.reshape([-1 if k == j else 1 for k in range(len(axes))])
     return out.reshape(-1, len(axes))
+
+
+def _tensor_rule(rules):
+    """The tensor product of 1-d (nodes, weights) rules: (points, weights)."""
+    pts = _tensor_points([x for x, _ in rules])
+    return pts, np.prod(_tensor_points([w for _, w in rules]), axis=-1)
 
 
 def _evaluate(model, x):

@@ -90,6 +90,15 @@ def ishigami_measure_set(names=("mu1", "mu2", "mu3"), prior=None):
     return MeasureSet(ms, prior=prior)
 
 
+def _sorted_columns(z, x):
+    """z sorted, and the columns of ``x`` (given in the order of z) in the
+    same order; a 1-d ``x`` is one column."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        x = x[:, np.argsort(z)]
+    return tuple(sorted(z)), x
+
+
 def _ishigami_moments(measure, a, b, order=64):
     """The three scalar moments that determine the whole decomposition.
 
@@ -115,13 +124,13 @@ def ishigami_effect(measure, z, x, a=7.0, b=0.1, order=64):
         g_{13}  = b * (sin x1 - s1) * (x3^4 - q3)
 
     and every other subset vanishes identically.  ``x`` has shape (N,) for
-    singletons or (N, 2) for the pair {1, 3}.
+    singletons or (N, |z|), its columns in the order of z, which need not be
+    sorted.
     """
-    z = tuple(sorted(z))
     s1, c2, q3 = _ishigami_moments(measure, a, b, order)
-    if z == ():
+    if not z:
         return c2 + s1 * (1.0 + b * q3)
-    x = np.asarray(x, dtype=float)
+    z, x = _sorted_columns(z, x)
     if len(z) == 1 and x.ndim == 2 and x.shape[1] == 1:
         x = x[:, 0]
     if z == (1,):
@@ -149,11 +158,10 @@ def ishigami_mixture_effect(mset, z, x, a=7.0, b=0.1, order=64):
     covers the evaluation point.  ``x`` shaped as in :func:`ishigami_effect`.
     """
     p = mset.require_prior()
-    z = tuple(sorted(z))
-    if z == ():
-        return float(sum(pk * ishigami_effect(m, z, None, a, b, order)
+    if not z:
+        return float(sum(pk * ishigami_effect(m, (), None, a, b, order)
                          for pk, m in zip(p, mset.measures)))
-    x = np.asarray(x, dtype=float)
+    z, x = _sorted_columns(z, x)
     cols = x if x.ndim == 2 else x[:, None]
     out = np.zeros(cols.shape[0])
     for pk, m in zip(p, mset.measures):
@@ -234,9 +242,10 @@ class CompositeMultilinearModel:
                        * sum_{u contains z} c_u * prod_{i in u \\ z} m_i,
 
         with the convention that the empty product is 1; subsets z not
-        contained in any term get an identically zero effect.
+        contained in any term get an identically zero effect.  The columns
+        of ``x`` follow the order of z, which need not be sorted.
         """
-        z = tuple(sorted(z))
+        z = tuple(z)
         m, _ = self.factor_stats(measure, order)
         coef = sum(c * math.prod(m[i - 1] for i in u if i not in z)
                    for c, u in zip(self.coeffs, self.terms)

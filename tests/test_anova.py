@@ -1054,3 +1054,116 @@ class TestLastCallMemo:
         assert set(eng._w_last) == {(), (1,), (3,), (1, 3)}
         eng._use_order(eng.order)
         assert not eng._w_last
+
+
+# -- direct conditional means of a settled engine: a pair of lower rules ------
+
+def _coupled(x):
+    return np.exp(0.5 * x[:, 0]) * np.cos(x[:, 1]) + np.cos(x[:, 0] * x[:, 2])
+
+
+def _reference_mean(model, measure, v, x, order=160):
+    """(w_v, E|g| given X_v) at the rows of x by a tensor Gauss rule of
+    ``order`` nodes on every coordinate of v's complement."""
+    comp = [i for i in range(1, measure.n + 1) if i not in v]
+    rules = [measure.components[i - 1].quad_nodes(order) for i in comp]
+    pts = _tensor_points([r[0] for r in rules])
+    w = np.prod(_tensor_points([r[1] for r in rules]), axis=-1)
+    block = np.empty((x.shape[0], pts.shape[0], measure.n))
+    block[:, :, [i - 1 for i in v]] = x[:, None, :]
+    block[:, :, [i - 1 for i in comp]] = pts[None]
+    g = model(block.reshape(-1, measure.n)).reshape(x.shape[0], -1)
+    return g @ w, np.abs(g) @ w
+
+
+def _table_rms(eng, v):
+    w = eng._w_on_subgrid(v)
+    return math.sqrt(float(anova._contract(w ** 2, [eng.weights[i - 1]
+                                                    for i in v])))
+
+
+MIXED = (Uniform(-1.0, 2.0), Normal(0.5, 0.8), Uniform(0.0, PI),
+         Normal(0.5, 0.7))
+
+
+@st.composite
+def coupled_models(draw):
+    comps = tuple(draw(st.sampled_from(MIXED)) for _ in range(3))
+    return _coupled, ProductMeasure(comps)
+
+
+@pytest.mark.parametrize("cases", [multilinear_models(), coupled_models()],
+                         ids=["multilinear", "coupled"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_direct_means_of_a_settled_engine_match_a_reference_rule(cases, data):
+    # every row from 2 units below to 2 units above each plot range, inside
+    # and outside a uniform support, against 160 nodes a coordinate; the
+    # allowance of 1e-12 of the row's absolute integral is for rounding,
+    # where w_v cancels to far below the model's own size, and the floor at
+    # the smallest normal double for a subnormal model, whose squares (and
+    # so its table's RMS) underflow
+    model, measure = data.draw(cases)
+    eng = AnovaEngine(model, measure)
+    eng.mean()
+    assume(eng._halves is not None)
+    for v in all_subsets(measure.n):
+        if len(v) == measure.n:
+            continue
+        x = _tensor_points([np.linspace(lo - 2.0, hi + 2.0, 9) for lo, hi in
+                            (measure.components[i - 1].plot_range() for i in v)])
+        want, size = _reference_mean(model, measure, v, x)
+        gap = np.abs(eng.conditional_mean(v, x) - want)
+        assert np.all(gap <= anova.INTERP_TOL * _table_rms(eng, v)
+                      + 1e-12 * size + np.finfo(float).tiny), v
+
+
+COUPLED_MEASURE = ProductMeasure((Uniform(0.0, PI), Normal(0.5, 0.7),
+                                  Uniform(-PI, PI)))
+
+
+def test_a_row_the_lower_rules_disagree_on_takes_the_settled_nodes():
+    # 2 units past x1's support cos(x1 x3) oscillates faster in x3 than on
+    # the grid, and the h-node rule alone misses the reference
+    eng = AnovaEngine(_coupled, COUPLED_MEASURE)
+    eng.mean()
+    assert eng.order in anova.LADDER and eng._halves is not None
+    near, far = np.array([[PI + 0.5]]), np.array([[PI + 2.0]])
+    (pts, weights, tol), _ = eng._direct_rules((1,))
+    tol_rms = anova.INTERP_TOL * _table_rms(eng, (1,))
+    assert tol == tol_rms
+    pair = {}
+    for name, x in (("near", near), ("far", far)):
+        block = np.column_stack([np.full(len(pts), x[0, 0]), pts])
+        pair[name] = _coupled(block) @ weights
+    assert abs(pair["near"][0] - pair["near"][1]) <= tol
+    assert abs(pair["far"][0] - pair["far"][1]) > tol
+    want, _ = _reference_mean(_coupled, COUPLED_MEASURE, (1,), far)
+    assert abs(pair["far"][0] - want[0]) > tol
+    settled = AnovaEngine(_coupled, COUPLED_MEASURE)
+    settled.mean()
+    settled._halves = None          # every row at the settled nodes
+    got = eng.conditional_mean((1,), np.vstack([near, far]))
+    assert got[0] == pytest.approx(pair["near"][0], rel=1e-15)
+    assert np.array_equal(got[1:], settled.conditional_mean((1,), far))
+    assert abs(got[1] - want[0]) <= tol
+
+
+def test_a_direct_row_costs_the_pair_of_lower_rules():
+    # mu1 settles at 32 with nodes (21, 32, 7); at that rung x1 is capped
+    # at 21 and x2 at 28, so a row of x3 outside [-pi, pi] takes 11 x 14
+    # plus 10 x 13 points, where the settled nodes take 21 x 32 = 672
+    model = _Batches(IshigamiModel())
+    eng = AnovaEngine(model, ishigami_measures()["mu1"])
+    eng.mean()
+    assert [x.size for x in eng.nodes] == [21, 32, 7]
+    assert eng._halves == [11, 14, 4]
+    x = np.array([[-4.0], [3.5], [4.0]])
+    model.sizes.clear()
+    got = eng.conditional_mean((3,), x)
+    assert sum(model.sizes) == 3 * (11 * 14 + 10 * 13) == 3 * 284
+    eng._halves = None
+    model.sizes.clear()
+    want = eng.conditional_mean((3,), x)
+    assert sum(model.sizes) == 3 * 21 * 32 == 3 * 672
+    assert np.all(np.abs(got - want) <= anova.INTERP_TOL * _table_rms(eng, (3,)))

@@ -229,8 +229,10 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     # each engine sweeps the rungs it climbs (mu1 to 32, mu2 to 48, mu3 to
     # 24, x3 at 7 nodes from 24 on, mu3's x1 at 14, mu1's x1 at 21 from 32
     # and mu2's at 29 from 48): 44,320 points; the mixture-curve rows
-    # outside a measure's support or far in a normal tail take the direct
-    # integral at the settled nodes: 76,160
+    # outside a uniform measure's support take the direct integral by the
+    # pair of lower rules, ceil(cap / 2) and one node fewer on each axis the
+    # settled rung resolves, and agree there, so none takes the settled
+    # nodes: 31,170
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = []
@@ -247,8 +249,8 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
     assert by_caller == {"_fill_subgrid_tables": 44_320,
-                         "conditional_mean": 76_160}
-    assert sum(by_caller.values()) == 120_480
+                         "conditional_mean": 31_170}
+    assert sum(by_caller.values()) == 75_490
 
 
 class TestDeterminism:
@@ -278,8 +280,10 @@ class TestDeterminism:
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # the rungs each engine's ladder climbs (uniform mu1 to 32 and mu3 to
     # 24, normal mu2 to 48), the caps of the axes a rung resolves (x3 at 7
-    # on all three, mu3's x1 at 14, mu1's at 21, mu2's at 29), the order 64
-    # it was built at,
+    # on all three, mu3's x1 at 14, mu1's at 21, mu2's at 29), the pairs of
+    # lower rules of the direct curve rows (uniform 3, 4, 6, 9, 10, 11 and
+    # 13: half of mu1's and mu3's caps at the settled rung, and one fewer),
+    # the order 64 it was built at,
     # core signatures
     # (128) and restricted defect rules (96); the k = j defect terms are read
     # off the engines' own tables, so the one normal measure needs no
@@ -303,11 +307,16 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                                 ("hermgauss", 24), ("hermgauss", 29),
                                 ("hermgauss", 32), ("hermgauss", 48),
                                 ("hermgauss", 64), ("hermgauss", 128),
-                                ("leggauss", 7), ("leggauss", 14),
+                                ("leggauss", 3), ("leggauss", 4),
+                                ("leggauss", 6), ("leggauss", 7),
+                                ("leggauss", 9), ("leggauss", 10),
+                                ("leggauss", 11), ("leggauss", 13),
+                                ("leggauss", 14),
                                 ("leggauss", 16), ("leggauss", 21),
                                 ("leggauss", 24), ("leggauss", 32),
                                 ("leggauss", 64), ("leggauss", 96),
                                 ("leggauss", 128)]
+    assert len(computed) <= measures._gauss_rule.cache_info().maxsize
 
 
 class TestEstimatorModes:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsens.measures import ConfigError, ProductMeasure, Uniform
+from mixsens.anova import all_subsets
+from mixsens.measures import ConfigError, Normal, ProductMeasure, Uniform
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
                             _connected_groups, core_partition, core_signature, ishigami_effect,
                             ishigami_measure_set, ishigami_measures,
@@ -280,3 +281,35 @@ def test_multilinear_effects_sum_to_the_model(c1, c2, w, seed):
         + model.exact_effect(measure, (2,), pts[:, [1]]) \
         + model.exact_effect(measure, (1, 2), pts)
     assert np.allclose(total, model(pts), atol=1e-10)
+
+
+# -- property: the oracles read the columns of x in the order of z -----------
+
+COUPLED_TRIPLE = CompositeMultilinearModel(
+    factors=(np.sin, lambda t: 1.0 + t ** 2, np.exp),
+    terms=((1, 2, 3), (1, 3), (2,)), coeffs=(1.0, -0.7, 0.4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(z=st.sampled_from([z for z in all_subsets(3) if len(z) > 1]).flatmap(
+           st.permutations),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_oracles_read_the_columns_in_the_order_of_z(z, seed):
+    # column j of the points holds input z[j]; rows out to +-4 reach past
+    # mu1's and mu3's supports, so the mixture's gates see them too
+    key = tuple(sorted(z))
+    x = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(8, len(key)))
+    xz = x[:, [key.index(i) for i in z]]
+    reg = ishigami_measures()
+    for name in ("mu1", "mu2", "mu3"):
+        assert np.array_equal(ishigami_effect(reg[name], z, xz),
+                              ishigami_effect(reg[name], key, x)), name
+    mset = ishigami_measure_set(prior=ref.PRIOR)
+    assert np.array_equal(ishigami_mixture_effect(mset, z, xz),
+                          ishigami_mixture_effect(mset, key, x))
+    measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                              Uniform(0.0, PI)))
+    got = COUPLED_TRIPLE.exact_effect(measure, z, xz)
+    want = COUPLED_TRIPLE.exact_effect(measure, key, x)
+    # the factors multiply in the order of z: a few ulps apart
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
