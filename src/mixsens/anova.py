@@ -13,71 +13,49 @@ orthogonal, so the model variance splits into per-subset pieces
 sensitivity indices.  All of it depends on the chosen input measure, which is
 the entire point of this package: change the measure and every term changes.
 
-Integrals use tensorised Gaussian quadrature (exact finite sums for discrete
-coordinates); an integral over more than ``TENSOR_DIM_CAP`` continuous
-coordinates at once takes scrambled-Sobol QMC instead, and results that
-used it are labelled accordingly.  Each integral's rule is fixed when the
-engine is built (its integration plan), never by the order of the calls.
-The Sobol rule comes from ``scipy.stats`` and its normal transform from
-``scipy.special.ndtri``; their import takes most of a second, so they are
-imported only when an engine's plan holds a QMC integral, that is when the
-complement of some single input has more than ``TENSOR_DIM_CAP`` continuous
-coordinates.  Importing the package, or building an engine of four
-continuous inputs, loads no scipy module.
-
-An engine's ``order`` is the most Gauss nodes per continuous coordinate.
-The engine fixes at build a ladder of the orders of ``LADDER`` below
-``order`` whose grid fits (``FULL_GRID_CAP``), if there are two or more and
-some coordinate is continuous.  Its first integral of any kind runs the
-ladder (``AnovaEngine._settle``): each rung decomposes the model off its
-full grid (the whole subset lattice up to four inputs), and the order
-settles at the first rung whose mean, total and terms moved by at most
-``INTERP_TOL`` (relative to sqrt(V) and V) from the rung below.  Gauss
-rules converge geometrically on smooth models, so that change bounds the
-error of the rung below.  When the grid at ``order`` fits, effects at points
-are read off the tables (below), so a rung must also resolve every table it
-would read (``_Table.resolved``).  After every rung, an axis that rung
-resolves is capped at the fewest nodes that keep it resolved
-(``AnovaEngine._caps``), and keeps the smallest cap it was given: an axis
-stops climbing once it no longer changes the result, the dimension-adaptive
-rule of Gerstner & Griebel (Computing 71, 2003).  A settled engine is a
-full-grid engine at that order, with its rung's caps; with no such rung it
-keeps ``order`` on every axis and the fit it was built with.  A smooth
-4-input model quartic in x3 costs 16^4 + (24^3 + 32^3) * 7 evaluations, not
-64^4; the Ishigami model settles at 24, 32 or 48 nodes, with 7 on x3 and
-14, 21 or 29 on x1.
+Every integral is a tensor Gauss rule (an exact finite sum on a discrete
+coordinate) over a grid of at most ``FULL_GRID_CAP`` points.  An engine's
+``order`` is the most Gauss nodes per continuous coordinate.  Its first
+integral of any kind climbs a ladder of orders (``LADDER``,
+``AnovaEngine._settle``): from 16 nodes, or from the largest lower rung
+whose grid fits when 16 does not, up to the last rung below ``order``.
+Each rung decomposes the model off its full grid (the whole subset lattice
+up to four inputs), and the order settles at the first rung whose mean,
+total and terms moved by at most ``INTERP_TOL`` (relative to sqrt(V) and V)
+from the rung below.  Gauss rules converge geometrically on smooth models,
+so that change bounds the error of the rung below.  When the grid at
+``order`` fits, a rung must also resolve every table that effects at points
+would read off it (``_Table.resolved``).
+After every rung, an axis that rung resolves is capped at the fewest nodes
+that keep it resolved (``AnovaEngine._caps``), and keeps the smallest cap it
+was given: an axis stops climbing once it no longer changes the result, the
+dimension-adaptive rule of Gerstner & Griebel (Computing 71, 2003).  A rung
+whose grid does not fit under the caps so far ends the climb.  A settled
+engine is an engine at that order, with its rung's caps.  With no such rung
+it keeps ``order`` on every axis when that grid fits, ``order`` under the
+caps when that fits, and the last rung it climbed otherwise; an engine for
+which neither ``order`` nor any rung fits raises ``ConfigError`` when it is
+built.  A smooth 4-input model quartic in x3 costs 16^4 + (24^3 + 32^3) * 7
+evaluations, not 64^4; the Ishigami model settles at 24, 32 or 48 nodes,
+with 7 on x3 and 14, 21 or 29 on x1.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
-of the mean and the total variance.  It sweeps the model's full tensor grid
-once, in boxes of at most ``BLOCK_POINTS`` points.  When the grid fits
-(``FULL_GRID_CAP``) the sweep keeps it whole and every table is a
-contraction of it; when it does not, each box is contracted into every
-requested table whose complement takes the tensor rule, and only tables
-whose complement takes QMC are integrated point by point.  Any request for
-tables costs at most one sweep.  The mean and the total variance (the
-moments) share one evaluation of their rule.  The plan gives them the tensor
-rule, taken from the sweep, when the grid fits or when some singleton
-table's complement takes the tensor rule: every variance decomposition then
-pays for the sweep anyway, so the moments come from the same rule as the
-terms and sum with them to the total.  A mean-only call on such an engine
-costs one sweep, and on a grid that does not fit that sweep also fills every
-table of at most two inputs that takes the tensor rule, so a decomposition
-of that order after it costs none.  Otherwise (five or more continuous
-inputs on a grid that does not fit) the moments take the QMC rule over all
-inputs.
+of the mean and the total variance.  It evaluates the full grid once, in
+boxes of at most ``BLOCK_POINTS`` points, keeps it whole and contracts every
+table from it; the mean and the total variance are summed over the same
+boxes, so they sum with the terms to the total.
 
-Effects at arbitrary points need w_v there.  When the model's full tensor
-grid fits, ``AnovaEngine._w_at`` reads w_v off v's subgrid table by tensor
-barycentric interpolation (Berrut & Trefethen, SIAM Rev. 46, 2004), gated
-row by row by an error estimate (see ``_Table``).  The direct integral over
-the complement of v, ``conditional_mean``, serves the rows the gate rejects
-or that lie outside a coordinate's support, the empty and the full subset,
-subsets with a discrete coordinate, and every row when the grid does not
-fit.  On a settled engine a tensor complement takes half the nodes of the
-cap its rung gives each axis it resolves, checked row by row against a
-second rule one node lower; a row on which the two disagree takes the
-settled nodes (``_direct_rules``).  Each subset keeps its last call to
+Effects at arbitrary points need w_v there.  ``AnovaEngine._w_at`` reads w_v
+off v's subgrid table by tensor barycentric interpolation (Berrut &
+Trefethen, SIAM Rev. 46, 2004), gated row by row by an error estimate (see
+``_Table``).  The direct integral over the complement of v,
+``conditional_mean``, serves the rows the gate rejects or that lie outside
+a coordinate's support, the empty and the full subset, and subsets with a
+discrete coordinate.  On a settled engine the complement takes half the
+nodes of the cap its rung gives each axis it resolves, checked row by row
+against a second rule one node lower; a row on which the two disagree takes
+the settled nodes (``_direct_rules``).  Each subset keeps its last call to
 ``_w_at``: the rows' shape and bytes and the w_v returned, at most
 N (|v| + 1) doubles, so the same rows asked again (by the other mixture
 route, or by a subset that holds v) cost no table read and no model call.
@@ -92,7 +70,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import DiscreteUniform, Normal, ProductMeasure, Uniform, substream
+from .measures import (ConfigError, DiscreteUniform, Normal, ProductMeasure,
+                       Uniform)
 
 
 class ZeroVarianceError(ArithmeticError):
@@ -100,11 +79,11 @@ class ZeroVarianceError(ArithmeticError):
 
 
 DEFAULT_ORDER = 64          # most Gaussian quadrature nodes per coordinate
-LADDER = (16, 24, 32, 48)   # orders an engine tries below ``order`` (_settle)
-QMC_LOG2 = 14               # 2**14 scrambled-Sobol points per QMC integral
+# orders an engine tries below ``order`` (_settle); those below 16 only when
+# the grid of 16 does not fit
+LADDER = (6, 8, 12, 16, 24, 32, 48)
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**21        # most points a grid sweep hands the model at once
-TENSOR_DIM_CAP = 3          # beyond this many integration dims, use QMC
 INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
 # V = E[g^2] - mean^2 of a constant model is rounding noise of a few ulps of
 # E[g^2]; a total variance within this many ulps of it admits no indices.
@@ -159,7 +138,7 @@ class VarianceDecomposition:
     terms: dict
     residual: float
     n: int
-    mode: str = "quadrature"
+    mode: str = "quadrature"    # always; kept for callers that read it
 
     def clamped_terms(self):
         return {z: max(v, 0.0) for z, v in self.terms.items()}
@@ -202,12 +181,6 @@ class VarianceDecomposition:
         return st
 
 
-def _combined_mode(vds):
-    """The mode of values derived from several decompositions: "qmc" when
-    any of them used the QMC fallback, "quadrature" otherwise."""
-    return "qmc" if any(vd.mode == "qmc" for vd in vds) else "quadrature"
-
-
 @dataclass
 class EffectCurve:
     """An ANOVA effect tabulated on a plotting grid.
@@ -226,33 +199,6 @@ class EffectCurve:
 # the engine
 # ---------------------------------------------------------------------------
 
-def _qmc():
-    """``scipy.stats.qmc``, imported on first use: importing scipy.stats
-    takes most of a second, and only an engine that can reach the Sobol
-    rule needs it."""
-    from scipy.stats import qmc
-    return qmc
-
-
-def _qmc_transform(components, u):
-    """Map uniform(0,1) QMC points to the given univariate measures."""
-    from scipy.special import ndtri   # loaded with scipy.stats by _qmc()
-    out = np.empty_like(u)
-    for j, c in enumerate(components):
-        col = u[:, j]
-        if isinstance(c, Uniform):
-            out[:, j] = c.lo + (c.hi - c.lo) * col
-        elif isinstance(c, Normal):
-            out[:, j] = c.mean_ + c.sd * ndtri(np.clip(col, 1e-15, 1.0 - 1e-15))
-        elif isinstance(c, DiscreteUniform):
-            pts = np.asarray(c.points)
-            idx = np.minimum((col * pts.size).astype(int), pts.size - 1)
-            out[:, j] = pts[idx]
-        else:  # pragma: no cover - family set is closed
-            raise TypeError(f"no QMC transform for {type(c).__name__}")
-    return out
-
-
 class AnovaEngine:
     """Computes conditional means, effects and variance terms for one measure.
 
@@ -265,24 +211,15 @@ class AnovaEngine:
     order : int
         The most Gaussian nodes per continuous coordinate.  The first
         integral may settle on a lower order (``_settle``), some axes on
-        fewer nodes still; ``order`` is then the settled rung, and ``nodes``
-        and ``weights`` say what each axis used.
+        fewer nodes still; ``order`` is then the order the engine kept, and
+        ``nodes`` and ``weights`` say what each axis used.
     seed : int
-        Seed of the scrambled-Sobol rule (``QMC_LOG2`` points) used whenever
-        an integral runs over more than three continuous coordinates.
+        Not used, since every integral is a tensor Gauss rule; kept for the
+        callers that still pass it.
 
-    The integration plan and the ladder of orders are fixed here; the
-    ladder runs on the first integral, and an engine that no rung settles
-    keeps the order and the grid fit it was built with.  A table w_z takes
-    the tensor rule when the grid fits or z's complement has at most
-    ``TENSOR_DIM_CAP`` continuous coordinates, and QMC otherwise
-    (``_takes_qmc``); a conditional mean at points takes the tensor rule
-    exactly when z's complement is that small.  The moments take the sweep
-    when the grid fits or some singleton table takes the tensor rule, and
-    QMC otherwise.
-    ``mode`` is "qmc" when the plan holds any QMC integral; a
-    ``VarianceDecomposition`` is tagged "qmc" when one of the integrals it
-    used takes QMC.
+    The ladder of orders is fixed here and climbed on the first integral.
+    An engine for which neither the grid of ``order`` nor that of any rung
+    fits in ``FULL_GRID_CAP`` points raises ``ConfigError`` here.
     """
 
     def __init__(self, model, measure, order=DEFAULT_ORDER, seed=0):
@@ -290,31 +227,30 @@ class AnovaEngine:
             raise TypeError("AnovaEngine needs a ProductMeasure")
         self.model = model
         self.measure = measure
-        self.seed = int(seed)
         self.n = measure.n
         self._use_order(int(order))
-        # the ladder: the rungs below ``order`` whose grid fits, when at
-        # least two do and some coordinate is continuous; run by _settle.
-        # A rung's grid is counted, not built: r nodes on a continuous
-        # coordinate, its own points on a discrete one.
-        continuous = [not isinstance(c, DiscreteUniform)
-                      for c in measure.components]
-        rungs = [r for r in LADDER if r < self.order and _fits(
-            [r if c else x.size for c, x in zip(continuous, self.nodes)])]
-        self._ladder = rungs if len(rungs) > 1 and any(continuous) else []
-        # the integration plan (see the class docstring)
-        tensor = [self._tensor_complement((i,)) for i in range(1, self.n + 1)]
-        self._swept_moments = any(tensor)
-        self.mode = "quadrature" if all(tensor) else "qmc"
-        if self.mode == "qmc":
-            _qmc()                # set-up, not the first integral, pays the import
+        self._fits_order = _fits(self._sizes)
+        # the ladder, climbed by _settle: the rungs below ``order`` from 16
+        # on, or from the largest rung that fits when 16 does not; kept when
+        # at least two are left or the grid of ``order`` does not fit, and
+        # some coordinate is continuous
+        first = max([r for r in LADDER if r <= 16 and _fits(self._grid(r))],
+                    default=math.inf)
+        rungs = [r for r in LADDER if first <= r < self.order]
+        continuous = any(not isinstance(c, DiscreteUniform)
+                         for c in measure.components)
+        self._ladder = rungs if continuous and (
+            len(rungs) > 1 or not self._fits_order) else []
+        if not (self._fits_order or self._ladder):
+            raise ConfigError(
+                f"no tensor grid of the {self.n} inputs fits in "
+                f"{FULL_GRID_CAP} points, at order {self.order} or at any "
+                f"order from {LADDER[0]}")
 
-    def _use_order(self, order, full_grid_ok=None, caps=None):
+    def _use_order(self, order, caps=None):
         """Take the Gauss rule of ``order``, with no table or moment yet.
 
         ``caps`` (from ``_caps``) holds each coordinate's most nodes.
-        ``full_grid_ok`` None tests its grid against ``FULL_GRID_CAP``; the
-        ladder passes what was fixed at build.
         """
         self.order = order
         nodes = [c.quad_nodes(min(order, k)) for c, k in
@@ -322,8 +258,6 @@ class AnovaEngine:
         self.nodes = [np.asarray(x) for x, _ in nodes]
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
-        self._full_grid_ok = _fits(self._sizes) if full_grid_ok is None \
-            else full_grid_ok
         self._w_cache = {}        # subset -> conditional mean on its subgrid
         self._moments = None      # (E[g], E[g^2]), lazily
         self._tables = {}         # subset -> its interpolation _Table (_w_at)
@@ -331,8 +265,16 @@ class AnovaEngine:
         self._halves = None       # per axis, h nodes or None (_direct_rules)
         vars(self).pop("_axes", None)   # the cached axes hold the old nodes
 
+    def _grid(self, order, caps=None):
+        """The axis sizes of the grid of ``order`` under ``caps``, counted,
+        not built: min(order, cap) nodes on a continuous coordinate, its own
+        points on a discrete one."""
+        return [x.size if isinstance(c, DiscreteUniform) else min(order, k)
+                for c, x, k in zip(self.measure.components, self.nodes,
+                                   caps or [order] * self.n)]
+
     def _settle(self):
-        """Run the ladder, once, before the engine's first integral.
+        """Climb the ladder, once, before the engine's first integral.
 
         Each rung decomposes the model off its full grid, to the default
         ``max_order`` of ``variance_decomposition``: the whole subset lattice
@@ -342,33 +284,41 @@ class AnovaEngine:
         ``INTERP_TOL`` times sqrt(V), and V and every V_z by at most
         ``INTERP_TOL`` times V; Gauss rules converge geometrically on smooth
         models, so that change bounds the error of the rung below.  On an
-        engine whose grid fits at ``order``, where ``_w_at`` reads effects
-        off the tables, the rung must also resolve every table of its
-        lattice that ``_w_at`` can read (``_Table.resolved``), so that a
-        lower order does not send the rows of an unresolved table to the
-        direct integral.  After each rung every axis takes the smaller of
-        its cap so far and the rung's ``_caps``, so a cap never grows; the
-        next rung, the settled engine and its direct complement rules use
-        those caps.  The settled rung's own ``_caps`` set the lower rules of
-        the direct integrals (``_halves``, see ``_direct_rules``).  With no
-        such rung, or when a rung raises, it goes back to ``order``,
-        uncapped, with no lower rules, and the fit fixed at build.
+        engine whose grid fits at ``order``, the rung must also resolve every
+        table of its lattice that ``_w_at`` can read (``_Table.resolved``),
+        so that a lower order does not send the rows of an unresolved table
+        to the direct integral.  Only there: on an engine whose grid at
+        ``order`` does not fit, the test would take a smooth 4-input model
+        from 32 nodes to 48, and the row gate already sends the rows of an
+        unresolved table to the direct integral.  After each rung every axis takes the
+        smaller of its cap so far and the rung's ``_caps``, so a cap never
+        grows; the next rung, the settled engine and its direct complement
+        rules use those caps, and the climb stops at a rung whose grid does
+        not fit under them.  The settled rung's own ``_caps`` set the lower
+        rules of the direct integrals (``_halves``, see ``_direct_rules``).
+        With no such rung the engine keeps, with no lower rules, ``order``
+        uncapped when that grid fits, ``order`` under the caps when that
+        fits, and otherwise the last rung it climbed.  When a rung raises,
+        the engine goes back to ``order`` as built.
         """
         ladder, self._ladder = self._ladder, []
         if not ladder:
             return
-        order, full, last = self.order, self._full_grid_ok, None
+        order, last = self.order, None
         caps = [math.inf] * self.n
         try:
             for rung in ladder:
-                self._use_order(rung, True, caps)
+                if not _fits(self._grid(rung, caps)):
+                    break
+                self._use_order(rung, caps)
                 vd = self.variance_decomposition()
                 terms = np.array([vd.total, *vd.terms.values()])
                 still = last is not None and abs(vd.mean - last[0]) \
                     <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
                     and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total)
-                if still and (not full or all(self._table(z).resolved for z in
-                                              vd.terms if self._reads_table(z))):
+                if still and (not self._fits_order or all(
+                        self._table(z).resolved for z in vd.terms
+                        if self._reads_table(z))):
                     self._halves = [math.ceil(c / 2) if c < math.inf and s > 1
                                     else None
                                     for c, s in zip(self._caps(), self._sizes)]
@@ -377,9 +327,12 @@ class AnovaEngine:
                 caps = [min(a, b) for a, b in zip(caps, self._caps())]
         except BaseException:       # a failed rung leaves the engine as built
             self._ladder = ladder
-            self._use_order(order, full)
+            self._use_order(order)
             raise
-        self._use_order(order, full)
+        if self._fits_order:
+            self._use_order(order)
+        elif _fits(self._grid(order, caps)):
+            self._use_order(order, caps)
 
     def _caps(self):
         """Per coordinate, the most nodes this rung's full grid says it needs
@@ -418,36 +371,12 @@ class AnovaEngine:
     # -- infrastructure ----------------------------------------------------
 
     def _complement_rule(self, z):
-        """Integration rule over the complement of z: (points, weights).
-
-        Tensor product when few enough coordinates, scrambled Sobol QMC
-        otherwise (weights then uniform).
-        """
+        """The tensor rule over the complement of z: (points, weights)."""
         comp = [i for i in range(1, self.n + 1) if i not in z]
         if not comp:
             return np.zeros((1, 0)), np.ones(1)
-        if self._tensor_complement(z):
-            return _tensor_rule([(self.nodes[i - 1], self.weights[i - 1])
-                                 for i in comp])
-        rng_seed = substream(self.seed, "qmc", subset_label(z)).integers(2**31)
-        sob = _qmc().Sobol(d=len(comp), scramble=True, seed=int(rng_seed))
-        u = sob.random_base2(QMC_LOG2)
-        pts = _qmc_transform([self.measure.components[i - 1] for i in comp], u)
-        return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
-
-    def _tensor_complement(self, z):
-        """Whether the integral over the complement of z uses the tensor
-        rule: at most TENSOR_DIM_CAP continuous coordinates."""
-        return sum(1 for i, c in enumerate(self.measure.components, 1)
-                   if i not in z and not isinstance(c, DiscreteUniform)) \
-            <= TENSOR_DIM_CAP
-
-    def _takes_qmc(self, z):
-        """Whether the plan integrates w_z on its subgrid (the moments for
-        the empty z) by QMC."""
-        if not z:
-            return not (self._full_grid_ok or self._swept_moments)
-        return not self._full_grid_ok and not self._tensor_complement(z)
+        return _tensor_rule([(self.nodes[i - 1], self.weights[i - 1])
+                             for i in comp])
 
     # -- conditional means and effects at arbitrary points -------------------
 
@@ -498,9 +427,8 @@ class AnovaEngine:
         (points, weights, tol), lazily.
 
         The last is ``_complement_rule`` (weights (m,), tol None): every
-        row it sees keeps its value.  Before it, on a settled engine whose
-        complement of z takes the tensor rule, comes a pair of lower rules
-        side by side (weights (m, 2), one column each): each axis of more
+        row it sees keeps its value.  Before it, on a settled engine, comes
+        a pair of lower rules side by side (weights (m, 2), one column each): each axis of more
         than one node that ``_caps`` resolved at the settled rung, at cap c,
         takes h = ceil(c / 2) nodes in the first and max(h - 1, 1) in the
         second, and every other axis its settled nodes.  A Gauss rule of h
@@ -510,8 +438,7 @@ class AnovaEngine:
         standard, and goes on to the settled rule otherwise.
         """
         comp = [i for i in range(1, self.n + 1) if i not in z]
-        halves = [self._halves[i - 1] for i in comp] \
-            if self._halves and self._tensor_complement(z) else []
+        halves = [self._halves[i - 1] for i in comp] if self._halves else []
         if any(halves):
             def rule(counts):       # k nodes on a halved axis, settled elsewhere
                 return _tensor_rule([
@@ -544,9 +471,8 @@ class AnovaEngine:
         """w_v at the rows of ``x`` (N, |v|), read off v's quadrature table.
 
         The table is ``_w_on_subgrid(v)``, interpolated by ``_Table``; rows
-        it does not accept, and every row when v is empty or all inputs,
-        when the full grid does not fit or when a coordinate of v is
-        discrete, come from ``conditional_mean``.
+        it does not accept, and every row when v is empty or all inputs or
+        when a coordinate of v is discrete, come from ``conditional_mean``.
 
         Each subset keeps its last call: the key ``(x.shape, x.tobytes())``
         (the shape, since an (N, 0) array has no bytes for any N) and the
@@ -561,7 +487,7 @@ class AnovaEngine:
         last = self._w_last.get(v)
         if last is not None and last[0] == key:
             return last[1].copy()
-        if not self._full_grid_ok or not self._reads_table(v):
+        if not self._reads_table(v):
             out = self.conditional_mean(v, x)
         else:
             if v not in self._tables:
@@ -575,8 +501,8 @@ class AnovaEngine:
         return out.copy()
 
     def _reads_table(self, v):
-        """Whether v has a table to read when the grid fits: it is neither
-        empty nor all inputs, and no coordinate of it is discrete."""
+        """Whether v has a table to read: it is neither empty nor all
+        inputs, and no coordinate of it is discrete."""
         return 0 < len(v) < self.n and None not in [self._axes[i - 1] for i in v]
 
     def _table(self, v):
@@ -611,9 +537,6 @@ class AnovaEngine:
 
     # -- grid-based decomposition -------------------------------------------
 
-    def _subgrid_shape(self, z):
-        return tuple(self._sizes[i - 1] for i in z)
-
     def _w_on_subgrid(self, z):
         """Conditional mean w_z on the tensor grid of z's own quad nodes
         (the mean for the empty z)."""
@@ -626,65 +549,31 @@ class AnovaEngine:
         on return ``_moments`` holds (E[g], E[g^2]).  The one place the
         engine integrates the model over its tensor grid.
 
-        One sweep evaluates each box of ``_box_points`` once.  When the full
-        grid fits, the sweep keeps it whole, as the table of all inputs, and
-        every table is contracted from it, then and later, with no further
-        model call.  Otherwise each box is contracted into every requested
-        table whose complement takes the tensor rule: the complement axes
-        against the weights of the box's nodes, added up over the boxes, and
-        the axes of z kept at the box's place in the table.  A table whose
-        complement takes QMC comes from ``conditional_mean`` at its
-        subgrid's nodes.  The moments come from the sweep, or from one
-        evaluation of the QMC rule over all inputs, as the plan says
-        (``_takes_qmc(())``).  A sweep that takes the moments on a grid that
-        does not fit also fills every table of at most two inputs that takes
-        the tensor rule, so a later decomposition of that order costs no
-        second sweep.
+        The first call evaluates the full grid once, box by box
+        (``_box_points``), keeps it whole as the table of all inputs and sums
+        the moments over the boxes.  Every table is contracted from it, then
+        and later, with no further model call.
         """
         self._settle()
         everything = tuple(range(1, self.n + 1))
-        todo = [z for z in subsets if z and z not in self._w_cache]
-        moments = self._moments is None and not self._takes_qmc(())
-        if self._full_grid_ok:
-            swept = [] if everything in self._w_cache else [everything]
-        else:
-            wanted = todo + all_subsets(self.n, 2) if moments else todo
-            swept = list(dict.fromkeys(
-                z for z in wanted
-                if z not in self._w_cache and not self._takes_qmc(z)))
-        if swept or moments:
-            tables = {z: np.zeros(self._subgrid_shape(z)) for z in swept}
+        if everything not in self._w_cache:
+            grid = np.zeros(self._sizes)
             sums = [0.0, 0.0]
             for box, pts in _box_points(self.nodes):
                 weights = [wk[s] for wk, s in zip(self.weights, box)]
                 values = _evaluate(self.model, pts).reshape(
                     [wk.size for wk in weights])
-                for z, w in tables.items():
-                    w[tuple(box[i - 1] for i in z)] += _contract(
-                        values, [None if i in z else weights[i - 1]
-                                 for i in range(1, self.n + 1)])
-                if moments:
-                    sums[0] += float(_contract(values, weights))
-                    sums[1] += float(_contract(values ** 2, weights))
-            self._w_cache.update(tables)
-            if moments:
-                self._moments = tuple(sums)
-        for z in todo:
-            if z in self._w_cache:
-                continue
-            if self._full_grid_ok:
+                grid[box] += values
+                sums[0] += float(_contract(values, weights))
+                sums[1] += float(_contract(values ** 2, weights))
+            self._w_cache[everything] = grid
+            self._moments = tuple(sums)
+        for z in subsets:
+            if z and z not in self._w_cache:
                 self._w_cache[z] = _contract(
                     self._w_cache[everything],
                     [None if i in z else self.weights[i - 1]
                      for i in range(1, self.n + 1)])
-            else:
-                pts = _tensor_points([self.nodes[i - 1] for i in z])
-                self._w_cache[z] = self.conditional_mean(z, pts).reshape(
-                    self._subgrid_shape(z))
-        if self._moments is None:
-            pts, w = self._complement_rule(())
-            values = _evaluate(self.model, pts)
-            self._moments = (float(values @ w), float(values ** 2 @ w))
         return {z: self._w_cache[z] if z else self._moments[0] for z in subsets}
 
     def effect_on_subgrid(self, z):
@@ -714,11 +603,9 @@ class AnovaEngine:
         terms = {z: self.term_variance(z) for z in subsets}
         total = self.total_variance()
         residual = total - sum(terms.values()) if max_order < self.n else 0.0
-        qmc = any(self._takes_qmc(z) for z in [()] + subsets)
         return VarianceDecomposition(measure=self.measure.name or "measure",
                                      total=total, mean=self.mean(), terms=terms,
-                                     residual=residual, n=self.n,
-                                     mode="qmc" if qmc else "quadrature")
+                                     residual=residual, n=self.n)
 
     # -- plotting-oriented output -------------------------------------------
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .anova import ZeroVarianceError, _combined_mode, subset_label
+from .anova import ZeroVarianceError, subset_label
 from .diagnostics import (dimension_bounds, dimension_distribution,
                           mixture_dimension_distribution, monotonicity_check,
                           robust_ranking)
@@ -97,16 +96,16 @@ def _per_input(values, cell):
 def _quad_measures_section(vds):
     out = {}
     for vd in vds:
-        cell = partial(quad_qty, engine_mode=vd.mode)
         out[vd.measure] = {
-            "mean": cell(vd.mean),
-            "variance": cell(vd.total),
-            "residual": cell(vd.residual),
-            "terms": {subset_label(z): cell(v) for z, v in vd.terms.items()},
-            "sobol": {subset_label(z): cell(v)
+            "mean": quad_qty(vd.mean),
+            "variance": quad_qty(vd.total),
+            "residual": quad_qty(vd.residual),
+            "terms": {subset_label(z): quad_qty(v)
+                      for z, v in vd.terms.items()},
+            "sobol": {subset_label(z): quad_qty(v)
                       for z, v in vd.sobol_indices().items()},
-            "first_order": _per_input(vd.first_order(), cell),
-            "total_order": _per_input(vd.total_order(), cell),
+            "first_order": _per_input(vd.first_order(), quad_qty),
+            "total_order": _per_input(vd.total_order(), quad_qty),
         }
     return out
 
@@ -145,9 +144,8 @@ def _indices_rows_from_vds(vds):
         s, st = vd.first_order(), vd.total_order()
         for i in range(vd.n):
             for kind, v in (("first", s[i]), ("total", st[i])):
-                cell = quad_qty(v, vd.mode)
-                rows.append((vd.measure, i + 1, kind, cell["value"], None,
-                             cell["mode"]))
+                rows.append((vd.measure, i + 1, kind, float(v), None,
+                             "quadrature"))
     return rows
 
 
@@ -162,24 +160,22 @@ def _indices_rows_from_estimates(names, estimates):
     return rows
 
 
-def _dimension_entry(dd, mode):
+def _dimension_entry(dd):
     return {
-        "d_s": quad_qty(dd.d_s, mode),
-        "d_t": quad_qty(dd.d_t, mode),
-        "mass": {subset_label(z): quad_qty(m, mode)
-                 for z, m in dd.masses.items()},
+        "d_s": quad_qty(dd.d_s),
+        "d_t": quad_qty(dd.d_t),
+        "mass": {subset_label(z): quad_qty(m) for z, m in dd.masses.items()},
     }
 
 
 def _dimension_section(vds):
-    per = {vd.measure: _dimension_entry(dimension_distribution(vd), vd.mode)
+    per = {vd.measure: _dimension_entry(dimension_distribution(vd))
            for vd in vds}
     lo_s, hi_s, lo_t, hi_t = dimension_bounds(vds)
-    mode = _combined_mode(vds)
     return {
         "per_measure": per,
-        "bounds": {"d_s": [quad_qty(lo_s, mode), quad_qty(hi_s, mode)],
-                   "d_t": [quad_qty(lo_t, mode), quad_qty(hi_t, mode)]},
+        "bounds": {"d_s": [quad_qty(lo_s), quad_qty(hi_s)],
+                   "d_t": [quad_qty(lo_t), quad_qty(hi_t)]},
     }
 
 
@@ -189,21 +185,19 @@ def _mixture_section(engines, mset, vds, curves, outdir):
     defects = [mixture_annihilation_defect(engines, prior, (i,))
                for i in range(1, mset.n + 1)]
     dd = mixture_dimension_distribution(prior, vds)
-    mode = md.mode
     section = {
         "prior": [float(p) for p in prior],
-        "mean": quad_qty(md.mixture_mean, mode),
-        "component_means": {nm: quad_qty(m, mode)
+        "mean": quad_qty(md.mixture_mean),
+        "component_means": {nm: quad_qty(m)
                             for nm, m in zip(md.names, md.component_means)},
-        "terms": {subset_label(z): quad_qty(v, mode)
-                  for z, v in md.terms.items()},
-        "residual": quad_qty(md.residual, mode),
-        "structural": quad_qty(md.structural, mode),
-        "between": quad_qty(md.between, mode),
-        "total": quad_qty(md.total, mode),
-        "structural_share": quad_qty(md.structural_share, mode),
-        "defects": _per_input(defects, partial(quad_qty, engine_mode=mode)),
-        "dimension": _dimension_entry(dd, mode),
+        "terms": {subset_label(z): quad_qty(v) for z, v in md.terms.items()},
+        "residual": quad_qty(md.residual),
+        "structural": quad_qty(md.structural),
+        "between": quad_qty(md.between),
+        "total": quad_qty(md.total),
+        "structural_share": quad_qty(md.structural_share),
+        "defects": _per_input(defects, quad_qty),
+        "dimension": _dimension_entry(dd),
     }
     files = [write_mixture_curve_csv(
         curve, os.path.join(outdir, f"effect_mixture_x{curve.input}.csv"))
@@ -389,7 +383,7 @@ def cmd_analyze(args):
                 sections.discard(name)
     elif {"mixture", "dimension", "trend"} & sections or \
             args.estimator == "quad":
-        engines = component_engines(mset, source, seed=args.seed)
+        engines = component_engines(mset, source)
         vds = [eng.variance_decomposition() for eng in engines]
 
     # -- measures ------------------------------------------------------------
@@ -428,8 +422,7 @@ def cmd_analyze(args):
         if est_list is None:
             s_matrix = np.array([vd.first_order() for vd in vds])
             report["robust"] = _robust_section(
-                [vd.measure for vd in vds], s_matrix, None,
-                partial(quad_qty, engine_mode=_combined_mode(vds)), vds)
+                [vd.measure for vd in vds], s_matrix, None, quad_qty, vds)
         else:
             s_matrix = np.array([est.clamped_s for est in est_list])
             ses = None

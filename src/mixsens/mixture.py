@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import (DEFAULT_ORDER, AnovaEngine, _combined_mode, _contract,
-                    _mobius, _subsets_of, _tensor_points)
+from .anova import (DEFAULT_ORDER, AnovaEngine, _contract, _mobius,
+                    _subsets_of, _tensor_points)
 from .measures import DiscreteUniform, Normal, _gauss_rule, measure_name
 
 
@@ -40,9 +40,9 @@ from .measures import DiscreteUniform, Normal, _gauss_rule, measure_name
 RESTRICTED_ORDER = 96
 
 
-def component_engines(mset, model, order=DEFAULT_ORDER, seed=0):
+def component_engines(mset, model, order=DEFAULT_ORDER):
     """One AnovaEngine per candidate measure, sharing settings."""
-    return [AnovaEngine(model, m, order=order, seed=seed) for m in mset.measures]
+    return [AnovaEngine(model, m, order=order) for m in mset.measures]
 
 
 def _check(engines, prior):
@@ -126,7 +126,6 @@ class MixtureDecomposition:
     mixture_mean: float
     components: list
     n: int
-    mode: str = "quadrature"
 
     @property
     def structural(self):
@@ -151,12 +150,11 @@ def mixture_variance_decomposition(engines, prior, max_order=None):
     means = np.array([vd.mean for vd in vds])
     mbar = float(np.dot(p, means))
     between = float(np.dot(p, (means - mbar) ** 2))
-    mode = _combined_mode(vds)
     names = tuple(measure_name(eng.measure, k) for k, eng in enumerate(engines))
     return MixtureDecomposition(
         names=names, prior=tuple(float(v) for v in p),
         terms=terms, residual=residual, between=between, component_means=means,
-        mixture_mean=mbar, components=vds, n=vds[0].n, mode=mode)
+        mixture_mean=mbar, components=vds, n=vds[0].n)
 
 
 def _restricted_rule(component, box):

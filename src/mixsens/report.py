@@ -21,7 +21,6 @@ from .anova import _tensor_points
 SCHEMA_VERSION = "1"
 
 QUADRATURE_TOL = 1e-9      # declared accuracy of the settled tensor quadrature
-QMC_TOL = 1e-4             # declared accuracy of the scrambled-Sobol fallback
 MC_TOL = 0.05              # declared accuracy of an MC estimate without a standard error
 # 17 significant digits print every double so that it parses back bit-exactly
 FLOAT_FMT = "%.17g"
@@ -35,10 +34,10 @@ def qty(value, mode, tol):
     return {"value": float(value), "mode": mode, "tol": float(tol)}
 
 
-def quad_qty(value, engine_mode="quadrature"):
-    """Tag a value from the integration engine, honouring a QMC fallback."""
-    if engine_mode == "qmc":
-        return qty(value, "MC", QMC_TOL)
+def quad_qty(value, engine_mode=None):
+    """Tag a value from the integration engine.  ``engine_mode`` is not used,
+    since every engine integrates by quadrature; kept for callers that pass
+    a decomposition's ``mode``."""
     return qty(value, "quadrature", QUADRATURE_TOL)
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from mixsens import anova
 from mixsens.anova import (AnovaEngine, ZeroVarianceError, _tensor_points,
                            all_subsets, subset_label)
-from mixsens.measures import (DiscreteUniform, Normal, ProductMeasure,
-                              Uniform)
+from mixsens.measures import (ConfigError, DiscreteUniform, Normal,
+                              ProductMeasure, Uniform)
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
                             ishigami_effect, ishigami_measures)
 
@@ -123,37 +123,6 @@ class TestTruncationAndModes:
         vd = engines["mu1"].variance_decomposition(max_order=1)
         assert set(vd.terms) == {(1,), (2,), (3,)}
         assert vd.residual == pytest.approx(ref.TERMS["mu1"][(1, 3)], abs=1e-8)
-
-    def test_five_input_model_switches_to_qmc(self):
-        # five inputs: each singleton's complement has four continuous
-        # coordinates, so each singleton table takes QMC, and with no
-        # singleton table on the sweep so do the moments
-        measure = ProductMeasure(tuple(Uniform(0, 1) for _ in range(5)))
-
-        def g(x):
-            return x[:, 0] + x[:, 1] * x[:, 2] + x[:, 3] ** 2
-
-        eng = AnovaEngine(g, measure, seed=5)
-        with mock.patch.object(anova, "QMC_LOG2", 12):
-            vd = eng.variance_decomposition(max_order=1)
-        assert eng.mode == "qmc" and vd.mode == "qmc"
-        # V = 1/12 + Var(X2 X3) + Var(X4^2) = 1/12 + 7/144 + 4/45
-        total = 1 / 12 + 7 / 144 + 4 / 45
-        assert vd.total == pytest.approx(total, rel=2e-3)
-        assert vd.sobol_indices()[(1,)] == pytest.approx((1 / 12) / total,
-                                                         abs=5e-3)
-
-    def test_qmc_is_seed_deterministic(self):
-        measure = ProductMeasure(tuple(Uniform(0, 1) for _ in range(5)))
-
-        def g(x):
-            return x.sum(axis=1)
-
-        a = AnovaEngine(g, measure, seed=9)
-        b = AnovaEngine(g, measure, seed=9)
-        with mock.patch.object(anova, "QMC_LOG2", 10):
-            assert a.variance_decomposition(max_order=1).terms \
-                == b.variance_decomposition(max_order=1).terms
 
     def test_discrete_grid_is_exact(self):
         measure = ProductMeasure((DiscreteUniform((0.0, 1.0, 2.0)),
@@ -266,14 +235,10 @@ def test_effects_sum_to_the_model(case, seed):
 # -- property: effects on the quadrature subgrids equal effects at points ----
 
 @settings(max_examples=25, deadline=None)
-@given(case=multilinear_models(), full_grid=st.booleans())
-def test_subgrid_effects_match_point_effects(case, full_grid):
+@given(case=multilinear_models())
+def test_subgrid_effects_match_point_effects(case):
     model, measure = case
-    # a zero cap sends every subgrid conditional mean to the point kernel
-    with mock.patch.object(anova, "FULL_GRID_CAP",
-                           anova.FULL_GRID_CAP if full_grid else 0):
-        eng = AnovaEngine(model, measure, order=12)
-    assert eng._full_grid_ok == full_grid
+    eng = AnovaEngine(model, measure, order=12)
     for z in all_subsets(model.n):
         got = eng.effect_on_subgrid(z)
         want = eng.effect(z, _tensor_points([eng.nodes[i - 1] for i in z]))
@@ -282,7 +247,7 @@ def test_subgrid_effects_match_point_effects(case, full_grid):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, z
 
 
-# -- subgrid tables from one sweep over a grid that does not fit --------------
+# -- subgrid tables from one sweep of the full grid in boxes -----------------
 
 class _Batches:
     """A model that records how many points each call hands it."""
@@ -293,13 +258,6 @@ class _Batches:
     def __call__(self, x):
         self.sizes.append(len(x))
         return self.model(x)
-
-
-def _capped_engine(model, measure, **kw):
-    with mock.patch.object(anova, "FULL_GRID_CAP", 0):
-        eng = AnovaEngine(model, measure, **kw)
-    assert not eng._full_grid_ok
-    return eng
 
 
 # every value of this model's tables is subnormal (about 1e-317), where a
@@ -336,7 +294,7 @@ def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
     if discrete:        # unequal axis sizes
         measure = ProductMeasure(measure.components[:3]
                                  + (DiscreteUniform((-1.0, 0.5, 2.0)),))
-    eng = _capped_engine(model, measure, order=order)
+    eng = AnovaEngine(model, measure, order=order)
     with mock.patch.object(anova, "BLOCK_POINTS", block):
         eng._fill_subgrid_tables(all_subsets(4))
     # each side sums m complement nodes of values at most max|g| in size, so
@@ -344,9 +302,9 @@ def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
     scale = np.max(np.abs(model(_tensor_points(eng.nodes))))
     for z in all_subsets(4):
         want = eng.conditional_mean(z, _tensor_points(
-            [eng.nodes[i - 1] for i in z])).reshape(eng._subgrid_shape(z))
+            [eng.nodes[i - 1] for i in z])).reshape(eng._w_cache[z].shape)
         gap = np.max(np.abs(eng._w_cache[z] - want))
-        m = math.prod(eng._sizes) // math.prod(eng._subgrid_shape(z))
+        m = math.prod(eng._sizes) // eng._w_cache[z].size
         assert gap <= max(1e-12 * np.max(np.abs(want)),
                           m * np.finfo(float).eps * scale,
                           np.finfo(float).tiny), z
@@ -360,11 +318,13 @@ def test_decomposition_sweeps_the_grid_once():
         terms=((1, 2), (2, 4), (1, 3, 4), (3,))))
     measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
                               Uniform(0.0, 1.0), Normal(0.0, 1.0)))
-    eng = _capped_engine(model, measure, order=6)
-    vd = eng.variance_decomposition(max_order=2)
-    assert vd.mode == "quadrature"
-    # the grid once for all ten tables and both moments
+    eng = AnovaEngine(model, measure, order=6)
+    with mock.patch.object(anova, "BLOCK_POINTS", 100):
+        vd = eng.variance_decomposition(max_order=2)
+    # the grid once, in boxes of 72 points, for all ten tables and both
+    # moments
     assert sum(model.sizes) == math.prod(eng._sizes)
+    assert set(model.sizes) == {72}
     for z in all_subsets(4, max_order=2):
         assert vd.terms[z] == pytest.approx(
             model.model.exact_term_variance(measure, z), abs=1e-3), z
@@ -373,22 +333,21 @@ def test_decomposition_sweeps_the_grid_once():
 def test_model_calls_stay_within_the_block():
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3])
     measure = ProductMeasure((Uniform(0.0, 1.0),) * 4)
-    eng = _capped_engine(model, measure, order=8)
+    eng = AnovaEngine(model, measure, order=8)
     x = np.random.default_rng(2).uniform(size=(500, 2))
     with mock.patch.object(anova, "BLOCK_POINTS", 1000):
         eng.variance_decomposition(max_order=2)
         for z in ((1,), (1, 2)):
-            eng.effect(z, x[:, :len(z)])
-    # the 8^4 grid in boxes of 8^3, the moments included; effects at points,
-    # one row times 8^3 complement nodes (singletons) or 15 rows times 8^2
-    # (pairs, the last 5 rows in a call of their own); no Sobol points
+            eng.conditional_mean(z, x[:, :len(z)])
+    # the 8^4 grid in boxes of 8^3, the moments included; the direct means
+    # at points, one row times 8^3 complement nodes (singletons) or 15 rows
+    # times 8^2 (pairs, the last 5 rows in a call of their own)
     assert max(model.sizes) <= 1000
     assert set(model.sizes) == {512, 960, 320}
-    # a grid that fits goes to the model in the same boxes, here of 12^2
+    # the same on three inputs, in boxes of 12^2, and effects at points
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2)
     eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 3),
                       order=12)
-    assert eng._full_grid_ok
     with mock.patch.object(anova, "BLOCK_POINTS", 200):
         eng.variance_decomposition()
         assert model.sizes == [144] * 12
@@ -401,50 +360,23 @@ def test_model_calls_stay_within_the_block():
                          ids=["annihilation_defect", "term_variance"])
 def test_a_subset_lattice_costs_one_sweep(ask):
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3] ** 2)
-    eng = _capped_engine(model, ProductMeasure((Uniform(0.0, 1.0),) * 4),
-                         order=8)
-    ask(eng)
+    eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 4), order=8)
+    with mock.patch.object(anova, "BLOCK_POINTS", 1000):
+        ask(eng)
     # every table of the lattice and the mean from one sweep of the 8^4 grid
-    assert sum(model.sizes) == 8 ** 4
-
-
-def test_tables_whose_complement_takes_qmc():
-    # five inputs: each singleton's complement has four continuous
-    # coordinates (QMC), each pair's three (the sweep)
-    model = _Batches(CompositeMultilinearModel(
-        factors=tuple(np.polynomial.Polynomial(c) for c in
-                      ([0.3, 1.0, -0.5], [1.0, 0.2], [0.0, 1.0, 1.0],
-                       [2.0, -1.0], [0.5, 0.5])),
-        terms=((1, 2), (2, 4), (1, 3, 4), (3,), (5,), (4, 5))))
-    measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
-                              Uniform(0.0, 1.0), Normal(0.0, 1.0),
-                              Uniform(-1.0, 1.0)))
-    order, log2 = 4, 12
-    eng = _capped_engine(model, measure, order=order)
-    with mock.patch.object(anova, "QMC_LOG2", log2):
-        vd = eng.variance_decomposition(max_order=2)
-    assert vd.mode == "qmc"
-    # the grid once; per singleton, its Sobol rule at each of its nodes; no
-    # singleton table takes the sweep, so the plan gives the moments the
-    # Sobol rule over all inputs, once for both
-    assert sum(model.sizes) == order ** 5 + 5 * order * 2 ** log2 + 2 ** log2
-    # the singleton means carry the QMC error: 5e-4 at most here (seed 0)
-    for z in all_subsets(5, max_order=2):
-        assert vd.terms[z] == pytest.approx(
-            model.model.exact_term_variance(measure, z), abs=1e-3), z
+    assert sum(model.sizes) == 8 ** 4 and max(model.sizes) <= 1000
 
 
 def test_tensor_moments_come_from_the_same_sweep():
-    # three continuous inputs: the rule over all of them is the tensor rule
+    # the moments summed over boxes of at most 20 points, against one box
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2)
     measure = ProductMeasure((Uniform(0.0, 1.0), Normal(0.5, 0.8),
                               Uniform(-1.0, 2.0)))
-    eng = _capped_engine(model, measure, order=7)
+    eng = AnovaEngine(model, measure, order=7)
     with mock.patch.object(anova, "BLOCK_POINTS", 20):
         vd = eng.variance_decomposition()
     assert sum(model.sizes) == 7 ** 3
     assert max(model.sizes) <= 20
-    assert vd.mode == "quadrature"
     full = AnovaEngine(model.model, measure, order=7).variance_decomposition()
     assert vd.mean == pytest.approx(full.mean, rel=1e-13)
     assert vd.total == pytest.approx(full.total, rel=1e-13)
@@ -475,12 +407,11 @@ def test_four_input_moments_come_from_the_sweep_at_default_settings():
     # resolves every axis (degree 1, and 2 in x3), so 24 takes 4 or 5 nodes
     model = _Batches(_plan_model)
     eng = AnovaEngine(model, PLAN_MEASURE)
-    assert eng.order == 64 and not eng._full_grid_ok
+    assert eng.order == 64 and eng._ladder == [16, 24, 32, 48]
     vd = eng.variance_decomposition(max_order=2)
-    assert eng.order == 24 and eng._full_grid_ok
+    assert eng.order == 24
     assert [x.size for x in eng.nodes] == [4, 4, 5, 4]
     assert sum(model.sizes) == 16 ** 4 + 4 * 4 * 5 * 4 == 65_856
-    assert vd.mode == eng.mode == "quadrature"
     exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
              for z in all_subsets(4)}
     total = sum(exact.values())
@@ -494,16 +425,15 @@ def test_the_moments_do_not_depend_on_the_order_of_the_calls():
     seen = []
     for mean_first in (True, False):
         model = _Batches(_plan_model)
-        eng = _capped_engine(model, PLAN_MEASURE, order=8)
+        eng = AnovaEngine(model, PLAN_MEASURE, order=8)
         if mean_first:
             mean = eng.mean()
         vd = eng.variance_decomposition(max_order=2)
         if not mean_first:
             mean = eng.mean()
-        # one sweep of the 8^4 grid either way: a sweep for the moments
-        # also fills every table of at most two inputs
+        # one sweep of the 8^4 grid either way: the sweep for the moments
+        # keeps the grid, and every table is contracted from it
         assert sum(model.sizes) == 8 ** 4
-        assert vd.mode == "quadrature"
         seen.append((mean, vd.mean, vd.total, vd.terms))
     assert seen[0] == seen[1]
     want = PLAN_ORACLE.exact_effect(PLAN_MEASURE, (), None)
@@ -575,14 +505,19 @@ def test_a_model_the_ladder_cannot_settle_keeps_its_order():
     with mock.patch.object(anova, "FULL_GRID_CAP", 24 ** 4):
         eng = AnovaEngine(model, measure, order=32)
     vd = eng.variance_decomposition(max_order=2)
-    # 16 and 24 (4 nodes on the linear x2, x3, x4) disagree, so the 32^4
-    # grid, with no cap, is swept in boxes, as it would be with no rung that
-    # fits
-    assert eng.order == 32 and not eng._full_grid_ok
-    assert [x.size for x in eng.nodes] == [32] * 4
-    assert sum(model.sizes) == 16 ** 4 + 24 * 4 ** 3 + 32 ** 4 == 1_115_648
-    capped = _capped_engine(model.model, measure, order=32)
-    assert capped.variance_decomposition(max_order=2) == vd
+    # 16 and 24 (4 nodes on the linear x2, x3, x4) disagree; the 32^4 grid
+    # did not fit when the engine was built, so it keeps 32 under the caps
+    assert eng.order == 32
+    assert [x.size for x in eng.nodes] == [32, 4, 4, 4]
+    assert sum(model.sizes) == 16 ** 4 + 24 * 4 ** 3 + 32 * 4 ** 3 == 69_120
+    # the same as the whole 32^4 grid, which the linear axes do not need
+    with mock.patch.object(anova, "LADDER", ()):
+        whole = AnovaEngine(model.model, measure, order=32)
+    want = whole.variance_decomposition(max_order=2)
+    for got, value in ((vd.mean, want.mean), (vd.total, want.total),
+                       (vd.residual, want.residual),
+                       *((vd.terms[z], want.terms[z]) for z in want.terms)):
+        assert abs(got - value) <= 1e-15
 
 
 def test_a_rung_that_raises_leaves_the_engine_as_built():
@@ -590,8 +525,94 @@ def test_a_rung_that_raises_leaves_the_engine_as_built():
     for _ in range(2):      # the second call runs the ladder again
         with pytest.raises(FloatingPointError):
             eng.mean()
-        assert eng.order == 64 and eng._ladder == [16, 24, 32]
-        assert not eng._full_grid_ok and not eng._w_cache
+        assert eng.order == 64 and eng._ladder == [16, 24, 32, 48]
+        assert [x.size for x in eng.nodes] == [64] * 4 and not eng._w_cache
+
+
+# -- five to nine inputs: every engine ends on a grid that fits ---------------
+
+# each factor a polynomial of degree 2 at most
+MULTILINEAR5 = CompositeMultilinearModel(
+    factors=tuple(np.polynomial.Polynomial(c) for c in
+                  ([0.3, 1.0, -0.5], [1.0, 0.2], [0.0, 1.0, 1.0],
+                   [2.0, -1.0], [0.5, 0.5])),
+    terms=((1, 2), (2, 4), (1, 3, 4), (3,), (5,), (4, 5)))
+MIXED5 = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                         Uniform(0.0, 1.0), Normal(0.0, 1.0),
+                         Uniform(-1.0, 1.0)))
+
+
+def test_a_five_input_model_ends_on_a_grid_that_fits():
+    # 64^5 does not fit and 16^5 does; 16 nodes resolve every axis
+    model = _Batches(MULTILINEAR5)
+    eng = AnovaEngine(model, MIXED5)
+    vd = eng.variance_decomposition()
+    assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
+    assert sum(model.sizes) == 16 ** 5 + math.prod(eng._sizes)
+    exact = {z: MULTILINEAR5.exact_term_variance(MIXED5, z)
+             for z in all_subsets(5)}
+    for z in all_subsets(5, max_order=2):
+        assert abs(vd.terms[z] - exact[z]) <= 1e-12, z
+    assert abs(vd.total - sum(exact.values())) <= 1e-12
+
+
+def _five_normal(x):
+    x1, x2, x3, x4, x5 = x.T
+    return x1 + 0.5 * x2 ** 2 + np.sin(x1) * x2 + 0.3 * x3 ** 4 \
+        + 0.2 * x1 * x3 * x4 + 0.5 * np.sin(x5) * x4
+
+
+def test_five_normal_inputs_settle_on_the_ladder():
+    # the 16^5 grid, then 24 nodes under the caps that 16 gave the
+    # polynomial axes x2, x3 and x4
+    model = _Batches(_five_normal)
+    eng = AnovaEngine(model, ProductMeasure((Normal(0.0, 1.0),) * 5))
+    vd = eng.variance_decomposition()
+    assert eng.order == 24 and eng._halves is not None
+    assert [x.size for x in eng.nodes] == [24, 5, 7, 4, 24]
+    assert sum(model.sizes) == 16 ** 5 + 24 * 5 * 7 * 4 * 24 == 1_129_216
+    # the 16^5 and 20^5 grids agree on the total to ten digits
+    assert abs(vd.total - 10.72041545) <= 1e-8
+
+
+# normal and uniform inputs in turn; sin, cos and exp on x1, x5 and x8
+MULTILINEAR8 = CompositeMultilinearModel(
+    factors=(np.sin, np.polynomial.Polynomial([0.0, 1.0]),
+             np.polynomial.Polynomial([1.0, 0.0, 1.0]),
+             np.polynomial.Polynomial([0.5, -1.0]), np.cos,
+             np.polynomial.Polynomial([0.0, 1.0]),
+             np.polynomial.Polynomial([2.0, 1.0]), np.exp),
+    terms=((1, 2), (3, 4), (5,), (6, 7), (8,), (2, 8)))
+MIXED8 = ProductMeasure(tuple(Normal(0.5, 0.8) if i % 2 else Uniform(-1.0, 2.0)
+                              for i in range(1, 9)))
+
+
+def test_an_eight_input_engine_ends_on_a_grid_that_fits():
+    # 16^8 does not fit and 6^8 does, so the climb starts at 6; from 8 on
+    # the polynomial axes take 4 or 5 nodes, and 16 does not fit under
+    # those caps: no rung settles, and the engine keeps 12, the last rung
+    # it climbed, since 64 does not fit under the caps either.  Boxes of
+    # 2^16 points keep the test's memory small.
+    model = _Batches(MULTILINEAR8)
+    with mock.patch.object(anova, "BLOCK_POINTS", 2 ** 16):
+        eng = AnovaEngine(model, MIXED8)
+        assert eng._ladder == [6, 8, 12, 16, 24, 32, 48]
+        vd = eng.variance_decomposition()
+    assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
+    assert eng.order == 12 and eng._halves is None
+    assert [x.size for x in eng.nodes] == [12, 4, 5, 4, 12, 4, 4, 12]
+    assert max(model.sizes) <= 2 ** 16
+    # 12 Gauss nodes leave sin, cos and exp about 1e-11 off
+    for z in all_subsets(8, max_order=2):
+        assert abs(vd.terms[z] - MULTILINEAR8.exact_term_variance(MIXED8, z)) \
+            <= 1e-10, z
+
+
+def test_nine_continuous_inputs_have_no_grid_that_fits():
+    # 64^9 and 6^9 points both exceed the cap
+    with pytest.raises(ConfigError, match="no tensor grid"):
+        AnovaEngine(lambda x: x.sum(axis=-1),
+                    ProductMeasure((Uniform(0.0, 1.0),) * 9))
 
 
 # -- the ladder on a grid that fits: where the tables are resolved -----------
@@ -614,9 +635,9 @@ def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
     # (1 + 0.1 x3^4) everywhere and x1 (sin x1) on mu3's [0, pi]
     model = _Batches(IshigamiModel())
     eng = AnovaEngine(model, ishigami_measures()[name])
-    assert eng._ladder == [16, 24, 32, 48] and eng._full_grid_ok
+    assert eng._ladder == [16, 24, 32, 48]
     eng.mean()
-    assert eng.order == settled and eng._full_grid_ok
+    assert eng.order == settled
     sizes, evals = ISHIGAMI_SETTLED[name]
     assert [x.size for x in eng.nodes] == sizes
     assert sum(model.sizes) == evals
@@ -635,7 +656,7 @@ def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
     vd = eng.variance_decomposition()
     # no rung settles, so the engine reads its tables at 64, where it was
     # built, as one with no ladder does
-    assert eng.order == 64 and eng._full_grid_ok
+    assert eng.order == 64
     assert vd == plain.variance_decomposition()
     x = np.random.default_rng(6).uniform(-0.2, 1.2, size=(50, 3))
     for z in all_subsets(3):
@@ -695,10 +716,10 @@ def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
     rungs = []
     use = AnovaEngine._use_order
 
-    def spy(self, order, full_grid_ok=None, caps=None):
+    def spy(self, order, caps=None):
         if order in anova.LADDER:
             rungs.append(caps)
-        return use(self, order, full_grid_ok, caps)
+        return use(self, order, caps)
 
     eng = AnovaEngine(model, ProductMeasure(tuple(comps)))
     with mock.patch.object(AnovaEngine, "_use_order", spy):
@@ -821,22 +842,6 @@ def _run_python(code):
     assert run.returncode == 0, run.stderr
 
 
-def test_scipy_stats_is_imported_only_for_engines_that_can_need_qmc():
-    code = "\n".join([
-        "import sys",
-        "import mixsens.cli",
-        "from mixsens.anova import AnovaEngine",
-        "from mixsens.measures import Normal, ProductMeasure",
-        "assert 'scipy.stats' not in sys.modules",
-        "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 3))",
-        "assert 'scipy.stats' not in sys.modules",
-        "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 4))",
-        "assert 'scipy.stats' not in sys.modules",
-        "AnovaEngine(sum, ProductMeasure((Normal(0.0, 1.0),) * 5))",
-        "assert 'scipy.stats' in sys.modules"])
-    _run_python(code)
-
-
 def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
@@ -848,43 +853,37 @@ def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
         "assert not scipy(), scipy()",
         "import mixsens.cli",
         "assert not scipy(), scipy()",
-        "from unittest import mock",
-        "from mixsens import anova",
         "from mixsens.anova import AnovaEngine",
         "from mixsens.measures import Normal, ProductMeasure",
         "normals = ProductMeasure((Normal(0.0, 1.0),) * 3)",
         "vd = AnovaEngine(lambda x: x.sum(axis=-1), normals, order=8)"
         ".variance_decomposition()",
-        "assert abs(vd.total - 3.0) < 1e-12 and vd.mode == 'quadrature'",
+        "assert abs(vd.total - 3.0) < 1e-12",
         "assert not scipy(), scipy()",
         f"assert mixsens.cli.main(['analyze', '--model', 'ishigami', "
         f"'--measures', {str(cfg)!r}, '--prior', "
         f"'--out', {str(tmp_path / 'out')!r}]) == 0",
         "assert not scipy(), scipy()",
-        # the path that needs scipy still loads it and works
+        # five inputs, on the ladder's grid
         "eng = AnovaEngine(lambda x: x.sum(axis=-1) + 1.0,",
         "                  ProductMeasure((Normal(0.0, 1.0),) * 5))",
-        "with mock.patch.object(anova, 'QMC_LOG2', 10):",
-        "    assert abs(eng.mean() - 1.0) < 1e-2 and eng.mode == 'qmc'",
-        "assert 'scipy.special' in sys.modules"])
+        "vd = eng.variance_decomposition()",
+        "assert abs(vd.mean - 1.0) < 1e-12 and abs(vd.total - 5.0) < 1e-12",
+        "assert not scipy(), scipy()"])
     _run_python(code)
 
 
 def test_a_four_normal_decomposition_loads_no_scipy():
-    # whether the 8^4 grid fits or not, no integral of the plan takes QMC
     _run_python("\n".join([
         "import sys",
-        "from unittest import mock",
         "from mixsens import anova",
         "from mixsens.measures import Normal, ProductMeasure",
         "normals = ProductMeasure((Normal(0.0, 1.0),) * 4)",
-        "for cap in (anova.FULL_GRID_CAP, 0):",
-        "    with mock.patch.object(anova, 'FULL_GRID_CAP', cap):",
-        "        eng = anova.AnovaEngine(lambda x: x.sum(axis=-1), normals,",
-        "                                order=8)",
-        "    assert eng._full_grid_ok == bool(cap)",
+        "for order in (8, anova.DEFAULT_ORDER):",
+        "    eng = anova.AnovaEngine(lambda x: x.sum(axis=-1), normals,",
+        "                            order=order)",
         "    vd = eng.variance_decomposition(max_order=2)",
-        "    assert abs(vd.total - 4.0) < 1e-12 and vd.mode == 'quadrature'",
+        "    assert abs(vd.total - 4.0) < 1e-12",
         "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
         "assert not scipy, scipy"]))
 
@@ -1007,16 +1006,12 @@ class TestTableGate:
         x = np.array([[0.0, 0.2], [1.0, -0.7], [2.0, 0.4]])
         discrete = ProductMeasure((DiscreteUniform((0.0, 1.0, 2.0)),
                                    Uniform(-1.0, 1.0)))
-        with mock.patch.object(anova, "FULL_GRID_CAP", 0):
-            capped = AnovaEngine(g, ProductMeasure((Uniform(0, 2),
-                                                    Normal(0.0, 1.0))))
-        for eng, subsets in ((AnovaEngine(g, discrete), [(1,)]),
-                             (capped, [(1,), (2,)])):
-            for v in subsets + [(), (1, 2)]:
-                xv = x[:, [i - 1 for i in v]]
-                assert np.array_equal(eng._w_at(v, xv),
-                                      eng.conditional_mean(v, xv)), v
-            assert not eng._tables
+        eng = AnovaEngine(g, discrete)
+        for v in [(1,), (), (1, 2)]:
+            xv = x[:, [i - 1 for i in v]]
+            assert np.array_equal(eng._w_at(v, xv),
+                                  eng.conditional_mean(v, xv)), v
+        assert not eng._tables
 
 
 class TestLastCallMemo:

@@ -151,16 +151,15 @@ def tagged_cells(node):
     return []
 
 
-def test_qmc_decompositions_tag_every_derived_cell(configs, tmp_path,
-                                                   monkeypatch):
-    # A real QMC fallback needs five continuous inputs (a 4-input engine
-    # integrates on the tensor grid), so the engines hand over
-    # decompositions that used it.
+def test_quadrature_decompositions_tag_every_derived_cell(configs, tmp_path,
+                                                         monkeypatch):
+    # every integral of an engine is a tensor Gauss rule, so every cell
+    # derived from its decompositions carries the quadrature tag
     vds = [VarianceDecomposition(measure=nm, total=1.0, mean=0.0,
                                  terms={(1,): s1, (2,): 0.3, (3,): 0.7 - s1},
-                                 residual=0.0, n=3, mode="qmc")
+                                 residual=0.0, n=3)
            for nm, s1 in (("mu1", 0.1), ("mu2", 0.2), ("mu3", 0.4))]
-    monkeypatch.setattr(cli, "component_engines", lambda mset, model, seed: [
+    monkeypatch.setattr(cli, "component_engines", lambda mset, model: [
         SimpleNamespace(variance_decomposition=lambda vd=vd: vd) for vd in vds])
     code = run(["--model", "ishigami", "--measures", configs["noprior"],
                 "--sections", "measures", "robust", "dimension",
@@ -170,7 +169,7 @@ def test_qmc_decompositions_tag_every_derived_cell(configs, tmp_path,
     for section in ("measures", "robust", "dimension"):
         cells = tagged_cells(rep[section])
         assert cells and {(c["mode"], c["tol"]) for c in cells} \
-            == {("MC", 1e-4)}, section
+            == {("quadrature", 1e-9)}, section
 
 
 MULTILINEAR4_YAML = """\
@@ -199,6 +198,56 @@ prior: [0.4, 0.6]
 """
 
 
+# the 4-input model with a fifth input in the term 0.5 (0.2 + x4^2) x5
+MULTILINEAR5_YAML = """\
+n: 5
+factors: [[0.5, 1.0], [0.0, 1.0, 0.5], [1.0, -0.3], [0.2, 0.0, 1.0], [0.0, 1.0]]
+terms: [[1, 2], [2, 3], [1, 3, 4], [4], [4, 5]]
+coeffs: [1.0, 0.7, 1.3, 0.4, 0.5]
+"""
+
+FIVE_MEASURES5_YAML = """\
+n: 5
+measures:
+  - name: flat
+    components:
+      - {family: uniform, params: {lo: -1.0, hi: 2.0}}
+      - {family: uniform, params: {lo: 0.0, hi: 1.0}}
+      - {family: uniform, params: {lo: -1.0, hi: 1.0}}
+      - {family: uniform, params: {lo: 0.0, hi: 2.0}}
+      - {family: uniform, params: {lo: -1.0, hi: 1.0}}
+  - name: bell
+    components:
+      - {family: normal, params: {mean: 0.5, sd: 0.8}}
+      - {family: normal, params: {mean: 0.5, sd: 0.3}}
+      - {family: normal, params: {mean: 0.0, sd: 0.5}}
+      - {family: normal, params: {mean: 1.0, sd: 0.5}}
+      - {family: normal, params: {mean: 0.0, sd: 1.0}}
+  - name: left
+    components:
+      - {family: uniform, params: {lo: -1.0, hi: 0.5}}
+      - {family: normal, params: {mean: 0.2, sd: 0.3}}
+      - {family: uniform, params: {lo: -1.0, hi: 0.0}}
+      - {family: normal, params: {mean: 0.5, sd: 0.5}}
+      - {family: uniform, params: {lo: 0.0, hi: 1.0}}
+  - name: right
+    components:
+      - {family: normal, params: {mean: 1.0, sd: 0.5}}
+      - {family: uniform, params: {lo: 0.5, hi: 1.0}}
+      - {family: normal, params: {mean: 0.5, sd: 0.3}}
+      - {family: uniform, params: {lo: 1.0, hi: 2.0}}
+      - {family: normal, params: {mean: 0.5, sd: 0.5}}
+  - name: wide
+    components:
+      - {family: uniform, params: {lo: -2.0, hi: 3.0}}
+      - {family: uniform, params: {lo: -1.0, hi: 2.0}}
+      - {family: normal, params: {mean: 0.0, sd: 1.0}}
+      - {family: uniform, params: {lo: -1.0, hi: 3.0}}
+      - {family: normal, params: {mean: 0.0, sd: 2.0}}
+prior: [0.3, 0.2, 0.2, 0.2, 0.1]
+"""
+
+
 def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
     # the engines' 64^4 grids do not fit: each settles its order on the
     # ladder, and its effects at points are read off its tables
@@ -222,6 +271,33 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
             assert cells["terms"][label]["value"] == pytest.approx(v, abs=1e-9)
             assert cells["sobol"][label]["value"] \
                 == pytest.approx(v / total, abs=1e-9)
+
+
+def test_a_five_input_prior_run_matches_the_closed_form(tmp_path):
+    # the engines' 64^5 grids do not fit; each climbs the ladder from 16
+    (tmp_path / "model.yaml").write_text(MULTILINEAR5_YAML)
+    (tmp_path / "measures.yaml").write_text(FIVE_MEASURES5_YAML)
+    out = tmp_path / "out"
+    assert run(["--model", str(tmp_path / "model.yaml"), "--measures",
+                str(tmp_path / "measures.yaml"), "--prior",
+                "--out", str(out)]) == 0
+    rep = load_report(out)
+    model = resolve_model(str(tmp_path / "model.yaml"))
+    mset = load_measure_set(str(tmp_path / "measures.yaml"))
+    for name, measure in zip(mset.names, mset.measures):
+        exact = {z: model.exact_term_variance(measure, z)
+                 for z in all_subsets(5)}
+        total = sum(exact.values())
+        cells = rep["measures"][name]
+        assert cells["variance"]["value"] == pytest.approx(total, abs=1e-9)
+        # beyond four inputs a decomposition stops at pairs
+        kept = all_subsets(5, max_order=2)
+        assert set(cells["terms"]) == {subset_label(z) for z in kept}
+        for z in kept:
+            assert cells["terms"][subset_label(z)]["value"] \
+                == pytest.approx(exact[z], abs=1e-9), (name, z)
+        assert cells["residual"]["value"] == pytest.approx(
+            total - sum(exact[z] for z in kept), abs=1e-9)
 
 
 def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
@@ -577,6 +653,24 @@ class TestFailureModes:
             assert code == 4
             err = capsys.readouterr().err
             assert "numeric error" in err and "Traceback" not in err
+
+    def test_no_grid_that_fits_is_a_config_error(self, tmp_path, capsys):
+        # nine continuous inputs: neither 64^9 nor 6^9 points fit
+        unit = "{family: uniform, params: {lo: 0.0, hi: 1.0}}"
+        (tmp_path / "measures.yaml").write_text(
+            "n: 9\nmeasures:\n  - name: unit\n    components:\n"
+            + f"      - {unit}\n" * 9)
+        (tmp_path / "model.yaml").write_text(
+            "n: 9\nfactors: " + str([[0.0, 1.0]] * 9)
+            + "\nterms: " + str([[i] for i in range(1, 10)]) + "\n")
+        out = tmp_path / "o"
+        code = run(["--model", str(tmp_path / "model.yaml"), "--measures",
+                    str(tmp_path / "measures.yaml"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "no tensor grid" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("estimator", ["quad", "pickfreeze", "givendata"])
     def test_non_finite_model_output(self, configs, tmp_path, capsys,
