@@ -83,7 +83,7 @@ DEFAULT_ORDER = 64          # most Gaussian quadrature nodes per coordinate
 # the grid of 16 does not fit
 LADDER = (6, 8, 12, 16, 24, 32, 48)
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
-BLOCK_POINTS = 2**21        # most points a grid sweep hands the model at once
+BLOCK_POINTS = 2**16        # most points a grid sweep hands the model at once
 INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
 # V = E[g^2] - mean^2 of a constant model is rounding noise of a few ulps of
 # E[g^2]; a total variance within this many ulps of it admits no indices.

@@ -19,12 +19,23 @@ stable order is cached on the sample (``EvaluatedSample.orders``), and
 ``reweight`` hands the same cache to every reweighted copy, so the estimates
 under all candidate measures share one sort per input.  The bins are then
 contiguous slices of the sorted values.
+
+A sample of N points on n inputs is N(n + 1) doubles, and the sample path
+holds little else: the cached orders, as int32 while N < 2^31, and about
+three columns of N doubles at a time.  Those are the weights and the two
+columns gathered into an input's order (unit weights are not gathered),
+or, in ``reweight``, the base density, the target density and one factor
+of it.  ``ProductMeasure.sample`` fills one (N, n) array column by column
+and ``write_sample`` stacks one block of rows at a time, so neither holds
+a second copy of the sample.  ``read_sample`` parses the file into one
+(N, n + 1) table whose first n columns are x; y is a copy of the last.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,9 +65,9 @@ class EvaluatedSample:
 
     ``reweight`` returns a copy with ``weights`` set, ``measure_name`` naming
     the target and ``measure`` None.  ``orders`` maps an input (1-based) to
-    the stable argsort of its column, filled on first use by
-    ``given_data_first_order`` and shared by every reweighted copy; ``x`` is
-    not to be changed once it is.
+    the stable argsort of its column (int32 while N < 2^31), filled on first
+    use by ``given_data_first_order`` and shared by every reweighted copy;
+    ``x`` is not to be changed once it is.
     """
 
     x: np.ndarray
@@ -136,32 +147,28 @@ def _bulk_rows(path, ncols):
 
 def _scan_rows(path, ncols):
     """The data rows of a sample CSV, read line by line; the first bad row
-    raises a SampleFormatError naming its line in the file."""
+    raises a SampleFormatError naming its line in the file, before any row
+    after it is read."""
     with open(path, "r", encoding="utf8") as fh:
         rd = csv.reader(fh)
         next(rd)                    # the header, checked by the caller
-        rows, blank = [], []
+        rows = []
         for k, row in enumerate(rd):
             if not row:
-                blank.append(k)
                 continue
             if len(row) != ncols:
                 raise SampleFormatError(f"{path}: row {k + 2} has {len(row)} "
                                         f"fields, expected {ncols}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise SampleFormatError(f"{path}: row {k + 2}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise SampleFormatError(f"{path}: row {k + 2}: non-finite value")
+            rows.append(values)
     if not rows:
         raise SampleFormatError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        for b in blank:             # count the skipped blank lines back in
-            k += b <= k
-        raise SampleFormatError(f"{path}: row {k + 2}: non-finite value")
-    return data
+    return np.asarray(rows)
 
 
 def read_sample(path):
@@ -351,9 +358,11 @@ def given_data_first_order(sample, i, bins=None):
         keys = col[order]
         if not np.all(keys[1:] > keys[:-1]):
             order = np.argsort(col, kind="stable")
-        sample.orders[i] = order
+        del keys
+        sample.orders[i] = order.astype(np.int32) if npts < 2**31 else order
     order = sample.orders[i]
-    ys, ws = y[order], w[order]
+    # unit weights are the same in any order, so only real ones are gathered
+    ys, ws = y[order], (w if sample.weights is None else w[order])
     # the bins of np.array_split: the first npts % bins hold one point more
     size, extra = divmod(npts, bins)
     between = 0.0
@@ -400,7 +409,8 @@ def reweight(sample, target):
     if np.any(base <= 0):
         raise EstimationError("base measure has zero density at an observed "
                               "point; importance weights are undefined")
-    w = target.density(sample.x) / base
+    w = target.density(sample.x)
+    w /= base
     if w.sum() <= 0:
         raise EstimationError(f"target {target.name or 'measure'!r} puts no "
                               "mass on the sampled region")

@@ -143,9 +143,16 @@ class Normal(UnivariateMeasure):
             raise ConfigError(f"normal needs sd > 0, got {self.sd}")
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean_) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        # one buffer for z, -z^2/2 and the density; (z * z) * -0.5 has the
+        # bits of (-0.5 * z) * z wherever its exp is not exactly 1 or 0
+        z = np.array(x, dtype=float)
+        z -= self.mean_
+        z /= self.sd
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+        z /= self.sd * math.sqrt(2.0 * math.pi)
+        return z[()]                # a scalar for a scalar x
 
     def support(self):
         return (-math.inf, math.inf)
@@ -229,7 +236,7 @@ class ProductMeasure:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.ones(x.shape[:-1])
         for i, c in enumerate(self.components):
-            out = out * c.density(x[..., i])
+            out *= c.density(x[..., i])
         return out
 
     def sample(self, count, seed=None, rng=None):
@@ -242,8 +249,10 @@ class ProductMeasure:
             raise ValueError("pass exactly one of seed or rng")
         if rng is None:
             rng = substream(seed, "sample", self.name or "measure")
-        cols = [c.sample(rng, count) for c in self.components]
-        return np.column_stack(cols)
+        out = np.empty((count, self.n))
+        for i, c in enumerate(self.components):
+            out[:, i] = c.sample(rng, count)
+        return out
 
 
 def measure_name(measure, k):

@@ -113,16 +113,21 @@ def _write_table(path, header, columns):
     """CSV of a header row over float columns, CRLF line ends.
 
     ``columns`` holds 1-d columns or 2-d blocks of them, placed side by side.
-    The body is the text ``np.savetxt(fh, table, fmt=FLOAT_FMT,
-    delimiter=",", newline="\\r\\n")`` writes, formatted ``WRITE_ROWS`` rows
-    at a time by one ``%`` over a repeated row template.
+    The body is the text ``np.savetxt(fh, np.column_stack(columns),
+    fmt=FLOAT_FMT, delimiter=",", newline="\\r\\n")`` writes, formatted
+    ``WRITE_ROWS`` rows at a time by one ``%`` over a repeated row template;
+    only one block of the table is ever stacked.
     """
-    table = np.column_stack(columns)
-    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\r\n"
+    columns = [np.asarray(c) for c in columns]
+    rows = columns[0].shape[0]
+    if any(c.shape[0] != rows for c in columns):
+        raise ValueError("columns of a table must have the same length")
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    row = ",".join([FLOAT_FMT] * width) + "\r\n"
     with open(path, "w", newline="", encoding="utf8") as fh:
         csv.writer(fh).writerow(header)
-        for a in range(0, table.shape[0], WRITE_ROWS):
-            block = table[a:a + WRITE_ROWS]
+        for a in range(0, rows, WRITE_ROWS):
+            block = np.column_stack([c[a:a + WRITE_ROWS] for c in columns])
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
     return path
 

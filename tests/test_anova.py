@@ -591,17 +591,16 @@ def test_an_eight_input_engine_ends_on_a_grid_that_fits():
     # 16^8 does not fit and 6^8 does, so the climb starts at 6; from 8 on
     # the polynomial axes take 4 or 5 nodes, and 16 does not fit under
     # those caps: no rung settles, and the engine keeps 12, the last rung
-    # it climbed, since 64 does not fit under the caps either.  Boxes of
-    # 2^16 points keep the test's memory small.
+    # it climbed, since 64 does not fit under the caps either.  The default
+    # boxes of 2^16 points keep its memory small.
     model = _Batches(MULTILINEAR8)
-    with mock.patch.object(anova, "BLOCK_POINTS", 2 ** 16):
-        eng = AnovaEngine(model, MIXED8)
-        assert eng._ladder == [6, 8, 12, 16, 24, 32, 48]
-        vd = eng.variance_decomposition()
+    eng = AnovaEngine(model, MIXED8)
+    assert eng._ladder == [6, 8, 12, 16, 24, 32, 48]
+    vd = eng.variance_decomposition()
     assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
     assert eng.order == 12 and eng._halves is None
     assert [x.size for x in eng.nodes] == [12, 4, 5, 4, 12, 4, 4, 12]
-    assert max(model.sizes) <= 2 ** 16
+    assert max(model.sizes) <= anova.BLOCK_POINTS == 2 ** 16
     # 12 Gauss nodes leave sin, cos and exp about 1e-11 off
     for z in all_subsets(8, max_order=2):
         assert abs(vd.terms[z] - MULTILINEAR8.exact_term_variance(MIXED8, z)) \

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -461,6 +462,30 @@ class TestEstimatorModes:
         for name in ("mu2", "mu3"):
             assert measures[name]["ess"] == reweight(base, reg[name]).ess
             assert 0 < measures[name]["ess"] <= 512
+
+    def test_the_reweight_loop_holds_little_beyond_the_sample(self, configs,
+                                                              monkeypatch):
+        # one 2^16-row sample under mu1, reweighted to mu2 and mu3: beyond
+        # its own x and y the loop holds the int32 orders and about three
+        # columns at a time, 1.16 times the sample (the parent's copies made
+        # it 2.0; float64 orders alone, or a density that allocates a column
+        # per factor, 1.4 to 1.5).  The file write is left out; its memory
+        # is one block (test_report.py).
+        monkeypatch.setattr(cli, "write_sample", lambda sample, path: path)
+        mset = load_measure_set(configs["noprior"])
+        args = SimpleNamespace(estimator="reweight", n=1024, seed=3, out="")
+        cli._estimates("model", IshigamiModel(), mset, args)   # first use
+        args.n = 2**16
+        tracemalloc.start()
+        try:
+            _, ests, _ = cli._estimates("model", IshigamiModel(), mset, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.method for e in ests] == ["givendata", "reweighted",
+                                            "reweighted"]
+        sample = 2**16 * (3 + 1) * 8
+        assert peak - sample <= 1.25 * sample
 
     @pytest.mark.parametrize("estimator", ["givendata", "reweight"])
     def test_robust_cells_of_estimates_are_mc(self, configs, tmp_path,

@@ -309,6 +309,35 @@ class TestSampleFiles:
         with pytest.raises(SampleFormatError, match=message):
             read_sample(path)
 
+    def test_a_non_finite_row_after_blank_lines_names_its_line(self, tmp_path):
+        # lines 3 and 4 are blank; line 5 is the first bad row, before the
+        # short one on line 7
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,g\n1.0,2.0\n\n\n3.0,nan\n4.0,5.0\n6.0\n")
+        with pytest.raises(SampleFormatError,
+                           match=r"row 5: non-finite value$"):
+            read_sample(path)
+
+    def test_an_inf_early_in_a_long_file_stops_the_scan_there(self, tmp_path):
+        path = tmp_path / "long.csv"
+        rows = ["0.25,0.5,1.0"] * 2**16
+        rows[1] = "0.25,inf,1.0"
+        path.write_text("x1,x2,g\n" + "\n".join(rows) + "\n")
+        read = []
+        reader = estimators.csv.reader
+
+        def counted(fh):
+            for row in reader(fh):
+                read.append(row)
+                yield row
+
+        with mock.patch.object(estimators.csv, "reader", counted), \
+                pytest.raises(SampleFormatError,
+                              match=r"row 3: non-finite value$"):
+            read_sample(path)
+        # the header is read twice (read_sample's check and the scan)
+        assert len(read) == 1 + 1 + 2
+
 
 class TestDeterminism:
     def test_same_seed_same_sample(self):

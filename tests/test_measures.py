@@ -123,6 +123,44 @@ class TestProductMeasure:
         with pytest.raises(ValueError):
             m.sample(10, seed=1, rng=np.random.default_rng(0))
 
+    def test_sample_is_the_column_stack_of_the_component_draws(self):
+        m = product(Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                    DiscreteUniform((0.0, 1.5, 3.0)), name="mixed")
+        rng = substream(5, "sample", "mixed")
+        want = np.column_stack([c.sample(rng, 1000) for c in m.components])
+        rng = np.random.default_rng(9)
+        want_rng = np.column_stack([c.sample(rng, 1000) for c in m.components])
+        for got, ref in ((m.sample(1000, seed=5), want),
+                         (m.sample(1000, rng=np.random.default_rng(9)),
+                          want_rng)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_densities_are_bit_identical_to_the_closed_form(self):
+        def normal(c, x):
+            z = (np.asarray(x, dtype=float) - c.mean_) / c.sd
+            return np.exp(-0.5 * z * z) / (c.sd * math.sqrt(2.0 * math.pi))
+
+        nm = Normal(0.5, 0.8)
+        # z near 0, z^2 subnormal, exp underflowing, z^2 overflowing
+        edge = [0.5, 0.5 + 1e-170, 0.5 - 3e-155, 40.0, -1e200, 1e155]
+        x1 = np.concatenate([edge, np.random.default_rng(2).normal(0, 3, 200)])
+        for x in (0.3, -7.0, x1, x1.reshape(-1, 2)):
+            got, want = nm.density(x), normal(nm, x)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        m = product(Uniform(-1.0, 2.0), nm, Normal(-2.0, 3.0))
+        xs = x1[:198].reshape(-1, 3)
+        want = np.ones(len(xs))
+        for i, c in enumerate(m.components):
+            want = want * (normal(c, xs[:, i]) if isinstance(c, Normal)
+                           else c.density(xs[:, i]))
+        assert m.density(xs).tobytes() == want.tobytes()
+        assert m.density(xs[0]).tobytes() == want[:1].tobytes()
+        one = product(nm)
+        assert one.density(0.3).tobytes() == np.array([normal(nm, 0.3)]).tobytes()
+
     def test_in_support(self):
         m = product(Uniform(0.0, 1.0), Uniform(0.0, 1.0))
         flags = support_indicator(m, (1, 2), np.array([[0.5, 0.5], [1.5, 0.5]]))

@@ -1,6 +1,7 @@
 """CSV plot-data writers: header quoting, line ends, bit-exact values."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,3 +69,21 @@ def test_table_body_is_the_text_savetxt_writes(tmp_path, rows):
         np.savetxt(fh, np.column_stack(columns), fmt=FLOAT_FMT,
                    delimiter=",", newline="\r\n")
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_table_is_stacked_one_block_at_a_time(tmp_path):
+    # the peak of writing 16 blocks is that of writing one, not a copy of
+    # the whole table (2 MB here) on top of it
+    def peak(rows):
+        rng = np.random.default_rng(rows)
+        columns = [rng.standard_normal((rows, 3)), rng.standard_normal(rows)]
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "t.csv", ["a", "b", "c", "d"], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(WRITE_ROWS)            # any first-use allocation happens here
+    one, table = peak(WRITE_ROWS), 16 * WRITE_ROWS * 4 * 8
+    assert peak(16 * WRITE_ROWS) <= one + table // 4
