@@ -40,11 +40,12 @@ evaluations, not 64^4; the Ishigami model settles at 24, 32 or 48 nodes,
 with 7 on x3 and 14, 21 or 29 on x1.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
-``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables and
-of the mean and the total variance.  It evaluates the full grid once, in
-boxes of at most ``BLOCK_POINTS`` points, keeps it whole and contracts every
-table from it; the mean and the total variance are summed over the same
-boxes, so they sum with the terms to the total.
+``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables.  It
+evaluates the full grid once, in boxes of at most ``BLOCK_POINTS`` points,
+and keeps it whole.  Every integral of the decomposition is contracted from
+that one kept grid: each table, the mean (the table of the empty subset) and
+the total variance (from the grid's squares), so the mean, the total and
+every term are the same whatever the size of the boxes.
 
 Effects at arbitrary points need w_v there.  ``AnovaEngine._w_at`` reads w_v
 off v's subgrid table by tensor barycentric interpolation (Berrut &
@@ -248,7 +249,7 @@ class AnovaEngine:
                 f"order from {LADDER[0]}")
 
     def _use_order(self, order, caps=None):
-        """Take the Gauss rule of ``order``, with no table or moment yet.
+        """Take the Gauss rule of ``order``, with no table yet.
 
         ``caps`` (from ``_caps``) holds each coordinate's most nodes.
         """
@@ -259,7 +260,6 @@ class AnovaEngine:
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
         self._w_cache = {}        # subset -> conditional mean on its subgrid
-        self._moments = None      # (E[g], E[g^2]), lazily
         self._tables = {}         # subset -> its interpolation _Table (_w_at)
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
         self._halves = None       # per axis, h nodes or None (_direct_rules)
@@ -521,8 +521,8 @@ class AnovaEngine:
         return self._w_on_subgrid(())
 
     def total_variance(self):
-        mean = self.mean()
-        return self._moments[1] - mean ** 2
+        grid = self._w_on_subgrid(tuple(range(1, self.n + 1)))
+        return float(_contract(grid ** 2, self.weights)) - self.mean() ** 2
 
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
@@ -545,36 +545,31 @@ class AnovaEngine:
 
     def _fill_subgrid_tables(self, subsets):
         """{z: w_z on its subgrid} for every one of ``subsets`` (the mean for
-        the empty one), each table computed once and kept in ``_w_cache``;
-        on return ``_moments`` holds (E[g], E[g^2]).  The one place the
-        engine integrates the model over its tensor grid.
+        the empty one), each table computed once and kept in ``_w_cache``.
+        The one place the engine integrates the model over its tensor grid.
 
         The first call evaluates the full grid once, box by box
-        (``_box_points``), keeps it whole as the table of all inputs and sums
-        the moments over the boxes.  Every table is contracted from it, then
-        and later, with no further model call.
+        (``_grid_boxes``, each box's rows from ``_tensor_points``), and keeps
+        it whole as the table of all inputs.  Every table, the mean among
+        them, is contracted from it, then and later, with no further model
+        call, so no result depends on the size of the boxes.
         """
         self._settle()
         everything = tuple(range(1, self.n + 1))
         if everything not in self._w_cache:
-            grid = np.zeros(self._sizes)
-            sums = [0.0, 0.0]
-            for box, pts in _box_points(self.nodes):
-                weights = [wk[s] for wk, s in zip(self.weights, box)]
-                values = _evaluate(self.model, pts).reshape(
-                    [wk.size for wk in weights])
-                grid[box] += values
-                sums[0] += float(_contract(values, weights))
-                sums[1] += float(_contract(values ** 2, weights))
+            grid = np.empty(self._sizes)
+            for box in _grid_boxes(self._sizes):
+                nodes = [x[s] for x, s in zip(self.nodes, box)]
+                grid[box] = _evaluate(self.model, _tensor_points(nodes)).reshape(
+                    [x.size for x in nodes])
             self._w_cache[everything] = grid
-            self._moments = tuple(sums)
         for z in subsets:
-            if z and z not in self._w_cache:
-                self._w_cache[z] = _contract(
-                    self._w_cache[everything],
-                    [None if i in z else self.weights[i - 1]
-                     for i in range(1, self.n + 1)])
-        return {z: self._w_cache[z] if z else self._moments[0] for z in subsets}
+            if z not in self._w_cache:
+                w = _contract(self._w_cache[everything],
+                              [None if i in z else self.weights[i - 1]
+                               for i in range(1, self.n + 1)])
+                self._w_cache[z] = w if z else float(w)
+        return {z: self._w_cache[z] for z in subsets}
 
     def effect_on_subgrid(self, z):
         """g_z on the tensor grid of z's quad nodes."""
@@ -818,32 +813,6 @@ def _grid_boxes(sizes):
         for a in range(0, sizes[k - 1], run):
             yield tuple(slice(i, i + 1) for i in head) + (slice(a, a + run),) \
                 + (slice(None),) * (len(sizes) - k)
-
-
-def _box_points(axes):
-    """(box, points) for every box of ``_grid_boxes`` over the tensor grid
-    of ``axes``: the box's rows in C order, as ``_tensor_points`` builds
-    them.
-
-    The rows live in one buffer, sized by the first box and overwritten by
-    each next one; only the columns whose slice changed are rewritten (the
-    whole trailing axes are written once), and a shorter box is a view of
-    the buffer's head.
-    """
-    buf, prev = None, None
-    for box in _grid_boxes([a.size for a in axes]):
-        nodes = [a[s] for a, s in zip(axes, box)]
-        shape = [x.size for x in nodes]
-        rows = math.prod(shape)
-        if buf is None:             # the first box is the largest
-            buf = np.empty((rows, len(axes)))
-        pts = buf[:rows].reshape(shape + [len(axes)])
-        for j, x in enumerate(nodes):
-            if prev is None or box[j] != prev[j]:
-                pts[..., j] = x.reshape([-1 if k == j else 1
-                                         for k in range(len(axes))])
-        prev = box
-        yield box, pts.reshape(-1, len(axes))
 
 
 def _tensor_points(axes):

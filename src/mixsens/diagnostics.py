@@ -208,7 +208,7 @@ def monotonicity_check(curve):
     constant curve is both nondecreasing and nonincreasing.
     """
     values = curve.values if isinstance(curve, EffectCurve) else np.asarray(curve, dtype=float)
-    if values.ndim == 1 and values.size < 2:
+    if values.ndim <= 1 and values.size < 2:
         raise ValueError("need at least 2 grid points")
     if values.ndim > 1 and min(values.shape) < 2:
         raise ValueError("need at least 2 grid points per axis")
@@ -256,7 +256,8 @@ def ultramodularity_check(model, box, grid_k=7, measure=None):
     1e-9 of max(1, range of g on the grid), which absorbs rounding.
 
     As a corollary check, the first-order effects of ``measure`` (uniform
-    on the box when omitted) are tested for discrete convexity — they
+    on the box when omitted; one coordinate per box interval, whose support
+    holds it, when given) are tested for discrete convexity — they
     must be convex whenever the model is ultramodular.
     """
     box = [tuple(map(float, b)) for b in box]
@@ -272,6 +273,8 @@ def ultramodularity_check(model, box, grid_k=7, measure=None):
     if measure is None:
         measure = ProductMeasure(tuple(Uniform(lo, hi) for lo, hi in box),
                                  name="box")
+    elif measure.n != n:
+        raise ValueError(f"measure has {measure.n} inputs, box has {n}")
     else:
         for (lo, hi), comp in zip(box, measure.components):
             slo, shi = comp.support()

@@ -368,7 +368,9 @@ def test_a_subset_lattice_costs_one_sweep(ask):
 
 
 def test_tensor_moments_come_from_the_same_sweep():
-    # the moments summed over boxes of at most 20 points, against one box
+    # every integral is contracted from the one kept grid, so boxes of at
+    # most 20 points give the mean, the total and every term bit for bit as
+    # one box of the default size does
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] ** 2)
     measure = ProductMeasure((Uniform(0.0, 1.0), Normal(0.5, 0.8),
                               Uniform(-1.0, 2.0)))
@@ -378,10 +380,9 @@ def test_tensor_moments_come_from_the_same_sweep():
     assert sum(model.sizes) == 7 ** 3
     assert max(model.sizes) <= 20
     full = AnovaEngine(model.model, measure, order=7).variance_decomposition()
-    assert vd.mean == pytest.approx(full.mean, rel=1e-13)
-    assert vd.total == pytest.approx(full.total, rel=1e-13)
-    for z, v in full.terms.items():
-        assert vd.terms[z] == pytest.approx(v, rel=1e-12, abs=1e-15), z
+    assert vd.mean == full.mean
+    assert vd.total == full.total
+    assert vd.terms == full.terms
 
 
 # -- the integration plan, fixed when the engine is built ---------------------
@@ -817,19 +818,6 @@ def test_a_smooth_axis_is_capped_by_its_coefficient_tail():
     assert abs(vd.total - total) <= 1e-12 * total
     for z in all_subsets(3):
         assert abs(vd.terms[z] - terms.get(z, 0.0)) <= 1e-12 * total, z
-
-
-@settings(max_examples=25, deadline=None)
-@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
-       block=st.integers(1, 100))
-def test_box_points_are_the_tensor_points_of_each_box(sizes, block):
-    axes = [np.arange(s) + 10.0 * k for k, s in enumerate(sizes)]
-    with mock.patch.object(anova, "BLOCK_POINTS", block):
-        boxes = [(box, pts.copy()) for box, pts in anova._box_points(axes)]
-        assert [box for box, _ in boxes] == list(anova._grid_boxes(sizes))
-    for box, pts in boxes:
-        assert np.array_equal(pts, _tensor_points(
-            [a[s] for a, s in zip(axes, box)]))
 
 
 def _run_python(code):

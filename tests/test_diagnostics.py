@@ -148,6 +148,8 @@ class TestMonotonicityCheck:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             monotonicity_check([1.0])
+        with pytest.raises(ValueError, match="at least 2 grid points"):
+            monotonicity_check(np.float64(3.0))
         with pytest.raises(ValueError):
             monotonicity_check(np.ones((1, 5)))
 
@@ -184,6 +186,9 @@ class TestUltramodularityCheck:
         with pytest.raises(ValueError):
             ultramodularity_check(lambda x: x[:, 0], [(0, 2)],
                                   measure=ProductMeasure((Uniform(0, 1),)))
+        with pytest.raises(ValueError, match="3 inputs, box has 2"):
+            ultramodularity_check(lambda x: x[:, 0], [(0, 1)] * 2,
+                                  measure=ProductMeasure((Uniform(0, 1),) * 3))
 
 
 class TestMixtureMonotonicityCondition:
