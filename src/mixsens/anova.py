@@ -46,6 +46,11 @@ and keeps it whole.  Every integral of the decomposition is contracted from
 that one kept grid: each table, the mean (the table of the empty subset) and
 the total variance (from the grid's squares), so the mean, the total and
 every term are the same whatever the size of the boxes.
+``variance_decomposition`` inverts the whole subset lattice in one pass of
+``_mobius``, so each g_z is built once.  The engine keeps its decomposition
+per ``max_order``, the settled rung's among them, and returns that same
+object to every later call, so callers must not change it; ``_use_order``
+drops them.
 
 Effects at arbitrary points need w_v there.  ``AnovaEngine._w_at`` reads w_v
 off v's subgrid table by tensor barycentric interpolation (Berrut &
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,7 +113,7 @@ def all_subsets(n, max_order=None, nonempty=True):
     """All subsets of {1..n} up to ``max_order``, in canonical order."""
     if max_order is None:
         max_order = n
-    return [z for z in _subsets_of(range(1, n + 1))
+    return [z for z in _subsets_of(tuple(range(1, n + 1)))
             if len(z) <= max_order and (z or not nonempty)]
 
 
@@ -263,6 +268,7 @@ class AnovaEngine:
         self._tables = {}         # subset -> its interpolation _Table (_w_at)
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
         self._halves = None       # per axis, h nodes or None (_direct_rules)
+        self._decompositions = {}  # max_order -> its VarianceDecomposition
         vars(self).pop("_axes", None)   # the cached axes hold the old nodes
 
     def _grid(self, order, caps=None):
@@ -295,7 +301,8 @@ class AnovaEngine:
         grows; the next rung, the settled engine and its direct complement
         rules use those caps, and the climb stops at a rung whose grid does
         not fit under them.  The settled rung's own ``_caps`` set the lower
-        rules of the direct integrals (``_halves``, see ``_direct_rules``).
+        rules of the direct integrals (``_halves``, see ``_direct_rules``),
+        and its decomposition is the one ``variance_decomposition`` keeps.
         With no such rung the engine keeps, with no lower rules, ``order``
         uncapped when that grid fits, ``order`` under the caps when that
         fits, and otherwise the last rung it climbed.  When a rung raises,
@@ -465,7 +472,7 @@ class AnovaEngine:
         if x.shape[1] != len(z):
             raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
         return {v: self._w_at(v, x[:, [z.index(i) for i in v]])
-                for v in _subsets_of(sorted(z))}
+                for v in _subsets_of(tuple(sorted(z)))}
 
     def _w_at(self, v, x):
         """w_v at the rows of ``x`` (N, |v|), read off v's quadrature table.
@@ -533,7 +540,7 @@ class AnovaEngine:
         """
         z = tuple(z)
         key = tuple(sorted(z))
-        return _mobius(key, self.conditional_means(z, x))[key]
+        return _mobius(_subsets_of(key), self.conditional_means(z, x))[key]
 
     # -- grid-based decomposition -------------------------------------------
 
@@ -574,13 +581,13 @@ class AnovaEngine:
     def effect_on_subgrid(self, z):
         """g_z on the tensor grid of z's quad nodes."""
         z = tuple(z)
+        subsets = _subsets_of(z)
+        return _mobius(subsets, self._fill_subgrid_tables(subsets),
+                       self._lift)[z]
 
-        def lift(u, v, gu):
-            # broadcast g_u across the axes of v \ u
-            return np.reshape(gu, [self._sizes[i - 1] if i in u else 1
-                                   for i in v])
-
-        return _mobius(z, self._fill_subgrid_tables(_subsets_of(z)), lift)[z]
+    def _lift(self, u, v, gu):
+        """g_u in the layout of g_v: size 1 on each input of v not in u."""
+        return np.reshape(gu, [self._sizes[i - 1] if i in u else 1 for i in v])
 
     def term_variance(self, z):
         """V_z = integral of g_z^2 against the subset's marginal measure."""
@@ -591,16 +598,36 @@ class AnovaEngine:
                                [self.weights[i - 1] for i in z]))
 
     def variance_decomposition(self, max_order=None):
+        """The mean, the total and every V_z of at most ``max_order`` inputs
+        (default: all of them up to four inputs, and at most two beyond).
+
+        One Moebius pass over the whole subset lattice gives every g_z on its
+        subgrid, so each lower g_v is built once, not once per superset.  The
+        engine computes its decomposition once per ``max_order`` and hands
+        every later call the same object, the settled rung's among them
+        (``_settle``); a caller must not change it.  ``_use_order`` drops
+        them.
+        """
+        self._settle()
         if max_order is None:
             max_order = self.n if self.n <= 4 else 2
-        subsets = all_subsets(self.n, max_order)
-        self._fill_subgrid_tables(subsets)
-        terms = {z: self.term_variance(z) for z in subsets}
+        vd = self._decompositions.get(max_order)
+        if vd is not None:
+            return vd
+        subsets = [()] + all_subsets(self.n, max_order)
+        g = _mobius(subsets, self._fill_subgrid_tables(subsets), self._lift)
+        # each g_z goes once integrated, so the largest is squared alone and
+        # none is left when the total squares the grid
+        terms = {z: float(_contract(g.pop(z) ** 2,
+                                    [self.weights[i - 1] for i in z]))
+                 for z in subsets[1:]}
         total = self.total_variance()
         residual = total - sum(terms.values()) if max_order < self.n else 0.0
-        return VarianceDecomposition(measure=self.measure.name or "measure",
-                                     total=total, mean=self.mean(), terms=terms,
-                                     residual=residual, n=self.n)
+        vd = VarianceDecomposition(measure=self.measure.name or "measure",
+                                   total=total, mean=self.mean(), terms=terms,
+                                   residual=residual, n=self.n)
+        self._decompositions[max_order] = vd
+        return vd
 
     # -- plotting-oriented output -------------------------------------------
 
@@ -761,26 +788,29 @@ def _tensor_eval(table, mats):
                for j in range(table.shape[0]))
 
 
+@lru_cache(maxsize=None)
 def _subsets_of(z):
-    """All subsets of tuple z (including empty and z itself), canonical order."""
-    z = tuple(z)
-    out = []
-    for mask in range(1 << len(z)):
-        out.append(tuple(z[k] for k in range(len(z)) if mask >> k & 1))
-    out.sort(key=canonical_key)
-    return out
+    """All subsets of tuple z (including empty and z itself), canonical order.
+
+    Computed once per tuple and shared, so the result is a tuple.
+    """
+    return tuple(sorted((tuple(z[k] for k in range(len(z)) if mask >> k & 1)
+                         for mask in range(1 << len(z))), key=canonical_key))
 
 
-def _mobius(z, w, lift=lambda u, v, gu: gu):
-    """Moebius inversion over the subsets of z: g_v = w_v - sum_{u < v} g_u.
+def _mobius(subsets, w, lift=lambda u, v, gu: gu):
+    """Moebius inversion over ``subsets``: g_v = w_v - sum_{u < v} g_u.
 
-    ``w`` maps every subset v of z (the empty one included) to its
-    conditional mean w_v; returns every g_v.  The lower terms are subtracted
-    one at a time in canonical order, each through ``lift(u, v, g_u)``,
-    which brings g_u to the layout of w_v (values at points need none).
+    ``subsets`` is a downward-closed family (every subset of a member is a
+    member, the empty one included) in canonical order, and ``w`` maps each
+    member v to its conditional mean w_v; returns every g_v.  Each g_v is
+    built once, however many members hold v.  The lower terms are
+    subtracted one at a time in canonical order, each through
+    ``lift(u, v, g_u)``, which brings g_u to the layout of w_v (values at
+    points need none).
     """
     g = {}
-    for v in _subsets_of(z):
+    for v in subsets:
         g[v] = np.array(w[v], dtype=float)
         for u in _subsets_of(v)[:-1]:
             g[v] -= lift(u, v, g[u])

@@ -31,7 +31,7 @@ from .estimators import (EstimationError, SampleFormatError,
 from .measures import ConfigError, SupportError, load_measure_set
 from .mixture import (component_engines, mixture_annihilation_defect,
                       mixture_effect_curve, mixture_variance_decomposition)
-from .models import core_partition, core_signature, resolve_model
+from .models import core_groups, core_signature, resolve_model
 from .report import (SCHEMA_VERSION, mc_qty, qty, quad_qty,
                      write_effect_curve_csv, write_indices_csv,
                      write_mixture_curve_csv, write_report)
@@ -256,13 +256,12 @@ def _trend_section(engines, mset, outdir, mix_curves):
 
 
 def _cores_section(model, mset):
-    groups = core_partition(model, mset)
+    sigs = [core_signature(model, m) for m in mset.measures]
     names = mset.names
     return {
-        "groups": [[names[k] for k in grp] for grp in groups],
-        "signatures": {names[k]: [quad_qty(v) for v in
-                                  core_signature(model, mset.measures[k])]
-                       for k in range(len(mset))},
+        "groups": [[names[k] for k in grp] for grp in core_groups(sigs)],
+        "signatures": {nm: [quad_qty(v) for v in sig]
+                       for nm, sig in zip(names, sigs)},
     }
 
 

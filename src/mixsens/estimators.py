@@ -331,12 +331,27 @@ def given_data_first_order(sample, i, bins=None):
     there the default is floor(sqrt(ESS)) (skewed weights inflate the
     between-bin noise exactly as a smaller sample would).
     """
+    if not 1 <= i <= sample.n:
+        raise ValueError(f"input index {i} out of range 1..{sample.n}")
+    return _binned_first_order(sample, [i], bins)[0]
+
+
+def given_data_indices(sample, bins=None):
+    """All first-order indices of a sample, as given_data_first_order."""
+    s = np.array(_binned_first_order(sample, range(1, sample.n + 1), bins))
+    if sample.weights is not None:
+        return SobolEstimate(s=s, method="reweighted", ess=sample.ess)
+    return SobolEstimate(s=s, method="givendata")
+
+
+def _binned_first_order(sample, inputs, bins):
+    """[S_i for i in ``inputs``] by ``given_data_first_order``'s estimator.
+
+    The weighted moments of y, the bins and, for an unweighted sample, the
+    unit weights do not depend on the input, so they are made once.
+    """
     x, y, w = sample.x, sample.y, sample.weights
-    if w is None:
-        w = np.ones(len(y))
     npts = x.shape[0]
-    if not 1 <= i <= x.shape[1]:
-        raise ValueError(f"input index {i} out of range 1..{x.shape[1]}")
     if bins is None:
         bins = max(2, min(int(np.sqrt(sample.ess)), npts // 5))
     if bins < 2:
@@ -344,46 +359,46 @@ def given_data_first_order(sample, i, bins=None):
     if npts / bins < 5:
         raise ValueError(f"{bins} bins for {npts} points leaves fewer than "
                          "5 points per bin")
-    ybar, v_hat = weighted_moments(y, w)
+    ybar, v_hat = weighted_moments(y, np.ones(npts) if w is None else w)
     if v_hat <= 0:
         raise EstimationError("sample variance is zero; indices undefined")
-    col = x[:, i - 1]
-    if np.min(col) == np.max(col):
-        raise EstimationError(f"degenerate binning: input {i} takes a "
-                              "single value")
-    if i not in sample.orders:
-        # the default sort is several times faster than the stable one, and
-        # with no equal keys its permutation is the unique, hence stable, one
-        order = np.argsort(col)
-        keys = col[order]
-        if not np.all(keys[1:] > keys[:-1]):
-            order = np.argsort(col, kind="stable")
-        del keys
-        sample.orders[i] = order.astype(np.int32) if npts < 2**31 else order
-    order = sample.orders[i]
-    # unit weights are the same in any order, so only real ones are gathered
-    ys, ws = y[order], (w if sample.weights is None else w[order])
+    mass = npts if w is None else w.sum()
     # the bins of np.array_split: the first npts % bins hold one point more
     size, extra = divmod(npts, bins)
-    between = 0.0
-    for k in range(bins):
-        a = k * size + min(k, extra)
-        b = a + size + (k < extra)
-        wb = ws[a:b].sum()
-        if wb <= 0:
-            continue
-        mb = np.dot(ws[a:b], ys[a:b]) / wb
-        between += wb * (mb - ybar) ** 2
-    return float(between / w.sum() / v_hat)
+    # an unweighted bin's weights: the first b - a of one bin's unit vector
+    unit = np.ones(size + 1) if w is None else None
 
+    def first_order(i):     # its gathered columns go when it returns
+        col = x[:, i - 1]
+        if np.min(col) == np.max(col):
+            raise EstimationError(f"degenerate binning: input {i} takes a "
+                                  "single value")
+        if i not in sample.orders:
+            # the default sort is several times faster than the stable one,
+            # and with no equal keys its permutation is the unique, hence
+            # stable, one
+            order = np.argsort(col)
+            keys = col[order]
+            if not np.all(keys[1:] > keys[:-1]):
+                order = np.argsort(col, kind="stable")
+            del keys
+            sample.orders[i] = order.astype(np.int32) if npts < 2**31 else order
+        order = sample.orders[i]
+        ys = y[order]
+        ws = None if w is None else w[order]
+        between = 0.0
+        for k in range(bins):
+            a = k * size + min(k, extra)
+            b = a + size + (k < extra)
+            wk = unit[:b - a] if w is None else ws[a:b]
+            wb = wk.sum()
+            if wb <= 0:
+                continue
+            mb = np.dot(wk, ys[a:b]) / wb
+            between += wb * (mb - ybar) ** 2
+        return float(between / mass / v_hat)
 
-def given_data_indices(sample, bins=None):
-    """All first-order indices of a sample via given_data_first_order."""
-    s = np.array([given_data_first_order(sample, i, bins)
-                  for i in range(1, sample.n + 1)])
-    if sample.weights is not None:
-        return SobolEstimate(s=s, method="reweighted", ess=sample.ess)
-    return SobolEstimate(s=s, method="givendata")
+    return [first_order(i) for i in inputs]
 
 
 # ---------------------------------------------------------------------------

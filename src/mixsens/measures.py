@@ -422,13 +422,22 @@ def measure_set_from_dict(doc):
     return MeasureSet(tuple(measures), prior=prior)
 
 
+def _load_yaml(fh, where):
+    """The YAML (or JSON) document of the open file ``fh``, read by
+    libyaml's safe loader when PyYAML has it and by the pure-Python one
+    otherwise: the same documents, several times faster.  A file that does
+    not parse is a ConfigError naming ``where``."""
+    try:
+        return yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                            yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: not parseable: {exc}") from None
+
+
 def load_measure_set(path):
     """Parse a measures config file (YAML/JSON) into a MeasureSet."""
     with open(path, "r", encoding="utf8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not parseable: {exc}") from None
+        doc = _load_yaml(fh, path)
     try:
         return measure_set_from_dict(doc)
     except ConfigError as exc:

@@ -98,13 +98,14 @@ def mixture_effect_from_pooled_conditionals(engines, prior, z, x):
     z = tuple(z)
     key = tuple(sorted(z))
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    w = {v: np.zeros(x.shape[0]) for v in _subsets_of(key)}
+    subsets = _subsets_of(key)
+    w = {v: np.zeros(x.shape[0]) for v in subsets}
     for pk, eng in zip(p, engines):
         if pk == 0.0:
             continue
         for v, t in eng.conditional_means(z, x).items():
             w[v] += pk * t
-    return _mobius(key, w)[key]
+    return _mobius(subsets, w)[key]
 
 
 @dataclass

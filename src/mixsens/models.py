@@ -25,13 +25,14 @@ from functools import partial
 import numpy as np
 
 from .measures import (ConfigError, MeasureSet, Normal, ProductMeasure,
-                       Uniform, _read_list, _read_number, _reject_extras)
+                       Uniform, _load_yaml, _read_list, _read_number,
+                       _reject_extras)
 
 __all__ = [
     "IshigamiModel", "ishigami_measures", "ishigami_measure_set",
     "ishigami_effect", "ishigami_mixture_effect",
     "CompositeMultilinearModel", "multilinear_from_dict",
-    "core_signature", "core_partition", "resolve_model",
+    "core_signature", "core_partition", "core_groups", "resolve_model",
 ]
 
 
@@ -342,7 +343,13 @@ def core_partition(model, mset):
     closure makes the grouping well defined even when borderline pairs
     disagree by about that much.
     """
-    sigs = np.array([core_signature(model, m) for m in mset.measures])
+    return core_groups([core_signature(model, m) for m in mset.measures])
+
+
+def core_groups(signatures):
+    """``core_partition`` of measures whose ``core_signature`` values are
+    given, one per measure, in the set's order."""
+    sigs = np.array(signatures)
     close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=-1) <= CORE_TOL
     return _connected_groups(close)
 
@@ -371,8 +378,6 @@ def resolve_model(name_or_path):
     ``ishigami`` (optionally ``ishigami:a=...,b=...``) is built in; anything
     else is read as a composite-multilinear model config file.
     """
-    import yaml
-
     if name_or_path == "ishigami" or name_or_path.startswith("ishigami:"):
         kwargs = {}
         if ":" in name_or_path:
@@ -387,12 +392,10 @@ def resolve_model(name_or_path):
         return IshigamiModel(**kwargs)
     try:
         with open(name_or_path, "r", encoding="utf8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = _load_yaml(fh, f"model file {name_or_path!r}")
     except OSError as exc:
         raise ConfigError(f"model {name_or_path!r}: not a built-in name and "
                           f"not a readable config file ({exc})") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"model file {name_or_path!r}: not parseable: {exc}") from None
     try:
         return multilinear_from_dict(doc)
     except ConfigError as exc:

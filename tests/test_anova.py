@@ -16,6 +16,7 @@ from mixsens.anova import (AnovaEngine, ZeroVarianceError, _tensor_points,
                            all_subsets, subset_label)
 from mixsens.measures import (ConfigError, DiscreteUniform, Normal,
                               ProductMeasure, Uniform)
+from mixsens.mixture import mixture_variance_decomposition
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
                             ishigami_effect, ishigami_measures)
 
@@ -245,6 +246,58 @@ def test_subgrid_effects_match_point_effects(case):
         want = want.reshape(got.shape)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, z
+
+
+# -- one decomposition per engine and max_order -------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n,max_order", [(3, None), (4, 2)])
+def test_one_lattice_pass_gives_every_term_of_its_own_pass(n, max_order, data):
+    # the decomposition inverts the whole lattice at once; term_variance
+    # inverts the subsets of one z: the same subtractions in the same order
+    model, measure = data.draw(multilinear_models(inputs=st.just(n)))
+    eng = AnovaEngine(model, measure, order=16)
+    vd = eng.variance_decomposition(max_order)
+    assert list(vd.terms) == all_subsets(n, max_order)
+    for z, v in vd.terms.items():
+        assert v == eng.term_variance(z), z
+
+
+def _settled(name):
+    """An Ishigami engine after its climb, and the settled rung's own
+    decomposition."""
+    eng = AnovaEngine(IshigamiModel(), ishigami_measures()[name])
+    made, decompose = [], AnovaEngine.variance_decomposition
+
+    def spy(self, max_order=None):
+        made.append(decompose(self, max_order))
+        return made[-1]
+
+    with mock.patch.object(AnovaEngine, "variance_decomposition", spy):
+        eng.mean()
+    assert len(made) >= 2 and eng.order < anova.DEFAULT_ORDER
+    return eng, made[-1]
+
+
+def test_a_settled_engine_keeps_its_rungs_decomposition():
+    (e1, vd1), (e3, vd3) = _settled("mu1"), _settled("mu3")
+    with mock.patch.object(anova, "_contract",
+                           side_effect=AssertionError("contracted again")):
+        assert e1.variance_decomposition() is vd1
+        assert e3.variance_decomposition(3) is vd3
+        md = mixture_variance_decomposition([e1, e3], [0.5, 0.5])
+    assert md.components[0] is vd1 and md.components[1] is vd3
+
+
+def test_a_new_order_drops_the_kept_decomposition():
+    eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu2"], order=16)
+    vd = eng.variance_decomposition()
+    assert eng.variance_decomposition() is vd
+    eng._use_order(16)
+    assert not eng._decompositions
+    again = eng.variance_decomposition()
+    assert again is not vd and again == vd
 
 
 # -- subgrid tables from one sweep of the full grid in boxes -----------------

@@ -8,13 +8,15 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mixsens.cli import main
 from mixsens.measures import (ConfigError, DiscreteUniform, MeasureSet,
                               Normal, ProductMeasure, Uniform, _gauss_rule,
                               load_measure_set, measure_set_from_dict,
                               substream)
 from mixsens.mixture import support_indicator
+from mixsens.models import resolve_model
 
-from _reference import two_stage_sample
+from _reference import MEASURES_YAML, two_stage_sample
 
 PI = math.pi
 
@@ -289,6 +291,36 @@ class TestConfigSchema:
         path.write_text("n: 1\nmeasures: []\n")
         with pytest.raises(ConfigError, match="bad.yaml"):
             load_measure_set(path)
+
+
+def test_config_files_parse_the_same_without_libyaml(tmp_path, monkeypatch,
+                                                      capsys):
+    # libyaml's loader when PyYAML has it, the pure-Python one otherwise
+    measures = tmp_path / "measures.yaml"
+    measures.write_text(MEASURES_YAML)
+    model = tmp_path / "model.yaml"
+    model.write_text("n: 3\nfactors: [[1.0, 2.0], [0.5, 0.0, 1.5], [-1.0]]\n"
+                     "terms: [[1], [2, 3], []]\ncoeffs: [1.0, 0.25, 3.0]\n")
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(16, 3))
+    want, want_y = load_measure_set(measures), resolve_model(str(model))(x)
+    load, loaders = yaml.load, []
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_measure_set(measures) == want
+    assert np.array_equal(resolve_model(str(model))(x), want_y)
+    assert loaders == [yaml.SafeLoader] * 2
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(MEASURES_YAML.replace("n: 3", "n: [3"))
+    assert main(["analyze", "--model", "ishigami", "--measures", str(broken),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "not parseable" in err
+    assert loaders == [yaml.SafeLoader] * 3
 
 
 def test_substream_determinism_and_separation():
