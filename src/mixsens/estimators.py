@@ -27,8 +27,13 @@ columns gathered into an input's order (unit weights are not gathered),
 or, in ``reweight``, the base density, the target density and one factor
 of it.  ``ProductMeasure.sample`` fills one (N, n) array column by column
 and ``write_sample`` stacks one block of rows at a time, so neither holds
-a second copy of the sample.  ``read_sample`` parses the file into one
-(N, n + 1) table whose first n columns are x; y is a copy of the last.
+a second copy of the sample.  ``read_sample`` copies the parsed rows into
+a contiguous (N, n) x and a contiguous (N,) y, one part at a time, so the
+sample it returns holds N(n + 1) doubles and nothing more; while it reads,
+this process also holds the rows of its own range.  A long file is written
+and read in one range of rows per usable CPU, each range but the first in
+a forked process (``report._forked``), with the same bytes and values as
+in one process.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,7 +49,7 @@ import numpy as np
 
 from .anova import _evaluate
 from .measures import substream
-from .report import _write_table
+from .report import _forked, _parts, _write_table
 
 
 class SampleFormatError(ValueError):
@@ -128,21 +134,83 @@ def write_sample(sample, path):
     return path
 
 
-def _bulk_rows(path, ncols):
-    """The data rows of a sample CSV parsed in one pass, or None when the
-    file is not a plain all-finite numeric table of ``ncols`` columns;
-    ``_scan_rows`` then finds and names the faulty row."""
+FIELD_BYTES = 16   # bytes per field assumed in sizing ranges; %.17g writes 18-25
+
+
+def _range_rows(path, start, stop, skip, ncols):
+    """The rows of the lines of ``path`` from byte ``start`` (a line start)
+    up to byte ``stop``, after the first ``skip`` lines, parsed in one pass;
+    None when they do not form an all-finite numeric table of ``ncols``
+    columns (no rows form an empty one)."""
+    def lines(fh):
+        pos = start
+        fh.seek(start)
+        for line in fh:
+            if pos >= stop:
+                return
+            yield line
+            pos += len(line)
+
     try:
-        with warnings.catch_warnings():
+        with open(path, "rb") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")          # an empty body warns
-            data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                              ndmin=2, encoding="utf8")
+            data = np.loadtxt(lines(fh), delimiter=",", skiprows=skip,
+                              comments=None, ndmin=2, encoding="utf8")
     except ValueError:
         return None
-    if data.shape[0] == 0 or data.shape[1] != ncols or \
-            not np.isfinite(data).all():
+    if data.shape[0] == 0:
+        return np.empty((0, ncols))
+    if data.shape[1] != ncols or not np.isfinite(data).all():
         return None
     return data
+
+
+def _bulk_rows(path, ncols):
+    """x and y of the data rows of a sample CSV, each contiguous, or None
+    when the file is not a plain all-finite numeric table of ``ncols``
+    columns; ``_scan_rows`` then finds and names the faulty row.
+
+    A long file is cut at line starts into ``_parts`` byte ranges: this
+    process parses the first while a forked child parses each other one and
+    sends back its row count and rows, and the parts are copied into x and
+    y in order.
+    """
+    size = os.path.getsize(path)
+    parts = _parts(size // (FIELD_BYTES * ncols))
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for k in range(1, parts):
+            fh.seek(size * k // parts)
+            fh.readline()
+            cuts.append(fh.tell())
+    cuts.append(size)
+
+    def job(a, b):              # nothing when the range is not a table
+        rows = _range_rows(path, a, b, 0, ncols)
+        return [] if rows is None else [len(rows).to_bytes(8, "little"), rows]
+
+    with _forked(job, cuts) as pipes:
+        first = _range_rows(path, 0, cuts[1], 1, ncols)
+        heads = [pipe.read(8) for pipe in pipes]
+        if first is None or any(len(h) < 8 for h in heads):
+            return None
+        counts = [int.from_bytes(h, "little") for h in heads]
+        total = len(first) + sum(counts)
+        if total == 0:
+            return None
+        x, y = np.empty((total, ncols - 1)), np.empty(total)
+        a = len(first)
+        x[:a], y[:a] = first[:, :-1], first[:, -1]
+        del first
+        for pipe, count in zip(pipes, counts):
+            raw = pipe.read(count * ncols * 8)
+            if len(raw) < count * ncols * 8:
+                return None     # its child died, which _forked raises
+            part = np.frombuffer(raw, dtype=float).reshape(count, ncols)
+            x[a:a + count], y[a:a + count] = part[:, :-1], part[:, -1]
+            a += count
+            del raw, part
+    return x, y
 
 
 def _scan_rows(path, ncols):
@@ -189,9 +257,11 @@ def read_sample(path):
                 header[:-1] != [f"x{i}" for i in range(1, len(header))]:
             raise SampleFormatError(f"{path}: header must be x1,..,xn,g "
                                     f"(got {','.join(header)})")
-    data = _bulk_rows(path, len(header))
-    if data is None:
+    rows = _bulk_rows(path, len(header))
+    if rows is None:
         data = _scan_rows(path, len(header))
+        rows = data[:, :-1].copy(), data[:, -1].copy()
+    x, y = rows
     try:
         with open(path + ".meta.json", "r", encoding="utf8") as fh:
             meta = json.load(fh)
@@ -203,8 +273,14 @@ def read_sample(path):
             not isinstance(meta.get("measure", ""), str):
         raise SampleFormatError(f"{path}.meta.json: must be a JSON object "
                                 "whose 'measure', if present, is a string")
-    return EvaluatedSample(x=data[:, :-1], y=data[:, -1],
-                           measure_name=meta.get("measure", ""),
+    for key, have, what in (("count", len(y), "rows"),
+                            ("n", x.shape[1], "inputs")):
+        want = meta.get(key)
+        if isinstance(want, int) and not isinstance(want, bool) and \
+                want != have:
+            raise SampleFormatError(f"{path}: {have} {what}, but its sidecar "
+                                    f"says {key} {want}")
+    return EvaluatedSample(x=x, y=y, measure_name=meta.get("measure", ""),
                            seed=meta.get("seed"))
 
 

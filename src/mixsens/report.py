@@ -10,9 +10,16 @@ byte-identical files and golden tests can diff them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
 import json
 import math
+import os
+import shutil
+import signal
+import threading
 
 import numpy as np
 
@@ -25,6 +32,7 @@ MC_TOL = 0.05              # declared accuracy of an MC estimate without a stand
 # 17 significant digits print every double so that it parses back bit-exactly
 FLOAT_FMT = "%.17g"
 WRITE_ROWS = 4096          # CSV rows formatted per write
+PART_ROWS = 2**16          # fewest rows of a table worth a process of their own
 
 
 def qty(value, mode, tol):
@@ -109,6 +117,83 @@ def write_report(report, path):
 # CSV plot data
 # ---------------------------------------------------------------------------
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parts(rows):
+    """Into how many contiguous ranges to split a table of about ``rows``
+    rows: one per usable CPU, each of at least ``PART_ROWS`` rows, and one
+    where this process cannot fork safely (no ``os.fork``, or other Python
+    threads running)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), rows // PART_ROWS))
+
+
+def _run_child(job, fd, pipes):
+    """In a forked child: run ``job``, write the byte strings it returns to
+    ``fd``, exit.  Exit status 0 only when all were written; ``os._exit``
+    skips the parent's exit handlers and unflushed buffers."""
+    status = 1
+    try:
+        for pipe in pipes:          # read ends inherited from the parent
+            pipe.close()
+        chunks = job()
+        with open(fd, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked(job, cuts):
+    """Run ``job(cuts[k], cuts[k + 1])`` for each range but the first in a
+    forked child process while the body runs in this one, and yield one
+    binary stream per child, in order.
+
+    ``job`` returns byte strings (or objects with a C-contiguous buffer),
+    which its child sends down its stream once ``job`` has returned; it
+    must make no BLAS call, since a BLAS thread pool does not survive a
+    fork.  When the body ends, every stream is read to its end and every
+    child reaped, and a child that did not exit cleanly raises OSError;
+    when the body raises, the children are killed and reaped first.
+    """
+    pids, pipes = [], []
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(functools.partial(job, a, b), w, pipes)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        yield pipes
+        for pipe in pipes:
+            while pipe.read(1 << 20):
+                pass
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    if any(codes):
+        raise OSError(f"a process writing or reading part of a table ended "
+                      f"with exit status {max(codes, key=abs)}")
+
+
 def _write_table(path, header, columns):
     """CSV of a header row over float columns, CRLF line ends.
 
@@ -116,7 +201,10 @@ def _write_table(path, header, columns):
     The body is the text ``np.savetxt(fh, np.column_stack(columns),
     fmt=FLOAT_FMT, delimiter=",", newline="\\r\\n")`` writes, formatted
     ``WRITE_ROWS`` rows at a time by one ``%`` over a repeated row template;
-    only one block of the table is ever stacked.
+    only one block of the table is ever stacked.  A long table is split into
+    ``_parts`` contiguous row ranges: this process formats and writes the
+    first while a forked child formats each other one, whose text is then
+    copied to the file in row order.
     """
     columns = [np.asarray(c) for c in columns]
     rows = columns[0].shape[0]
@@ -124,11 +212,25 @@ def _write_table(path, header, columns):
         raise ValueError("columns of a table must have the same length")
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
     row = ",".join([FLOAT_FMT] * width) + "\r\n"
-    with open(path, "w", newline="", encoding="utf8") as fh:
-        csv.writer(fh).writerow(header)
-        for a in range(0, rows, WRITE_ROWS):
-            block = np.column_stack([c[a:a + WRITE_ROWS] for c in columns])
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+    def body(a, b):             # the text of rows a..b-1, block by block
+        for s in range(a, b, WRITE_ROWS):
+            block = np.column_stack([c[s:min(b, s + WRITE_ROWS)]
+                                     for c in columns])
+            yield (row * block.shape[0] % tuple(block.ravel().tolist())
+                   ).encode()
+
+    parts = _parts(rows)
+    cuts = [rows * k // parts for k in range(parts + 1)]
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with _forked(lambda a, b: list(body(a, b)), cuts) as pipes, \
+            open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
+        for text in body(0, cuts[1]):
+            fh.write(text)
+        for pipe in pipes:
+            shutil.copyfileobj(pipe, fh)
     return path
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mixsens import anova, cli, measures
+from mixsens import anova, cli, measures, report
 from mixsens.anova import VarianceDecomposition, all_subsets, subset_label
 from mixsens.cli import main
 from mixsens.estimators import (generate_sample, read_sample, reweight,
@@ -639,6 +640,9 @@ class TestFailureModes:
                      id="sidecar-measure-number"),
         pytest.param('{"measure": ["mu1"]}', 64, "givendata", "meta.json",
                      id="sidecar-measure-list"),
+        pytest.param('{"measure": "mu1", "count": 64, "n": 2}', 64,
+                     "givendata", "3 inputs, but its sidecar says n 2",
+                     id="sidecar-n-2"),
         pytest.param('{"measure": "mu1"}', 5, "givendata", "5 rows, below 10",
                      id="five-rows-givendata"),
         pytest.param('{"measure": "mu1"}', 5, "reweight", "5 rows, below 10",
@@ -655,6 +659,39 @@ class TestFailureModes:
         assert code == 3
         err = capsys.readouterr().err
         assert "data error" in err and where in err and "Traceback" not in err
+
+    def test_a_truncated_sample_is_a_data_error(self, configs, tmp_path,
+                                                capsys):
+        # its sidecar still says 1024 rows; the first 500 are left
+        path = tmp_path / "sample_mu1.csv"
+        write_sample(generate_sample(IshigamiModel(),
+                                     ishigami_measures()["mu1"], 1024, seed=1),
+                     path)
+        path.write_bytes(b"".join(path.read_bytes().splitlines(True)[:501]))
+        code = run(["--model", str(path), "--measures", configs["noprior"],
+                    "--estimator", "reweight", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert "500 rows, but its sidecar says count 1024" in err
+
+    def test_a_range_process_that_dies_is_a_data_error(self, configs,
+                                                       tmp_path, capsys,
+                                                       split_tables,
+                                                       monkeypatch):
+        path = tmp_path / "sample_mu1.csv"
+        write_sample(generate_sample(IshigamiModel(),
+                                     ishigami_measures()["mu1"], 64, seed=1),
+                     path)
+        split_tables(2)
+        monkeypatch.setattr(report, "_run_child",
+                            lambda job, fd, pipes: os._exit(5))
+        code = run(["--model", str(path), "--measures", configs["noprior"],
+                    "--estimator", "givendata", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "exit status 5" in err
+        assert "Traceback" not in err
 
     def test_dimension_mismatch(self, configs, tmp_path):
         bad = tmp_path / "narrow.csv"

@@ -1,6 +1,8 @@
 """Sampling estimators: sanity on known models, error paths, file round trips."""
 
 import math
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -337,6 +339,120 @@ class TestSampleFiles:
             read_sample(path)
         # the header is read twice (read_sample's check and the scan)
         assert len(read) == 1 + 1 + 2
+
+
+    def test_a_sidecar_without_count_or_n_still_reads(self, tmp_path):
+        sample = generate_sample(IshigamiModel(), ishigami_measures()["mu3"],
+                                 64, seed=ref.SEED_GIVEN_DATA)
+        path = tmp_path / "run.csv"
+        write_sample(sample, path)
+        (tmp_path / "run.csv.meta.json").write_text(
+            '{"measure": "mu3", "seed": 5}')
+        back = read_sample(path)
+        assert np.array_equal(back.x, sample.x)
+        assert np.array_equal(back.y, sample.y)
+        assert (back.measure_name, back.seed) == ("mu3", 5)
+
+    @staticmethod
+    def padded(lines, newline, fits):
+        """The bytes of a sample file of ``lines`` whose header ends in the
+        fewest spaces (which the reader strips) for which ``fits`` holds."""
+        for pad in range(256):
+            raw = ("x1,x2,g" + " " * pad + newline
+                   + newline.join(lines)).encode()
+            if fits(raw):
+                return raw
+        raise AssertionError("no padding fits")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", ["no-final-newline", "blank-at-a-split",
+                                      "crlf-across-a-split"])
+    def test_a_file_read_in_ranges_is_the_table_loadtxt_reads(
+            self, tmp_path, split_tables, monkeypatch, case, cpus):
+        lines = [f"{k}.25,{k % 7}.5,{k}e-3" for k in range(90)]
+
+        def cut(raw):           # where the first range after this one starts
+            return raw.index(b"\n", len(raw) // cpus) + 1
+
+        if case == "no-final-newline":
+            raw = self.padded(lines, "\n", lambda raw: True)
+        elif case == "blank-at-a-split":
+            lines = [ln for k, ln in enumerate(lines)
+                     for ln in ([ln, ""] if k % 5 == 4 else [ln])]
+            raw = self.padded(lines + [""], "\n",
+                              lambda raw: raw[cut(raw)] == ord("\n"))
+        else:
+            raw = self.padded(lines + [""], "\r\n",
+                              lambda raw: raw[len(raw) // cpus - 1:][:2]
+                              == b"\r\n")
+        path = tmp_path / "s.csv"
+        path.write_bytes(raw)
+        want = np.loadtxt(path, delimiter=",", skiprows=1)
+        forks = split_tables(cpus)
+        monkeypatch.setattr(estimators, "_scan_rows", None)  # not needed
+        sample = read_sample(path)
+        assert len(forks) == cpus - 1
+        assert np.array_equal(sample.x, want[:, :-1])
+        assert np.array_equal(sample.y, want[:, -1])
+        assert sample.x.flags.c_contiguous and sample.y.flags.c_contiguous
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_nan_in_a_child_range_names_its_line(self, tmp_path,
+                                                   split_tables, cpus):
+        rows = [f"{k}.5,{k}" for k in range(60)]
+        rows[50] = "50.5,nan"           # line 52, in the last range
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,g\n" + "\n".join(rows) + "\n")
+        with pytest.raises(SampleFormatError) as whole:
+            read_sample(path)
+        forks = split_tables(cpus)
+        with pytest.raises(SampleFormatError) as split:
+            read_sample(path)
+        assert len(forks) == cpus - 1
+        assert str(whole.value).endswith("row 52: non-finite value")
+        assert str(split.value) == str(whole.value)
+
+    def test_a_failed_read_reaps_the_range_processes(self, tmp_path,
+                                                     split_tables,
+                                                     monkeypatch):
+        path = tmp_path / "s.csv"
+        write_sample(generate_sample(IshigamiModel(),
+                                     ishigami_measures()["mu1"], 64, seed=1),
+                     path)
+        forks = split_tables(3)
+        parse, parent = estimators._range_rows, os.getpid()
+
+        def broken(*args):      # fails in this process, not in a child
+            if os.getpid() == parent:
+                raise MemoryError
+            return parse(*args)
+
+        monkeypatch.setattr(estimators, "_range_rows", broken)
+        with pytest.raises(MemoryError):
+            read_sample(path)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_read_back_sample_holds_its_x_and_y_alone(self, tmp_path,
+                                                        split_tables, cpus):
+        # N(n + 1) doubles: no dead copy of the g column beside y
+        rows = 2**15
+        path = tmp_path / "s.csv"
+        write_sample(generate_sample(IshigamiModel(),
+                                     ishigami_measures()["mu1"], rows,
+                                     seed=1), path)
+        split_tables(cpus)
+        read_sample(path)                   # any first-use allocation
+        tracemalloc.start()
+        try:
+            sample = read_sample(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sample.x.shape == (rows, 3)
+        assert held <= rows * (3 + 1) * 8 + 2**16
 
 
 class TestDeterminism:

@@ -1,11 +1,14 @@
 """CSV plot-data writers: header quoting, line ends, bit-exact values."""
 
 import csv
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mixsens import report
 from mixsens.anova import AnovaEngine
 from mixsens.mixture import MixtureEffectCurve
 from mixsens.models import IshigamiModel, ishigami_measures
@@ -54,9 +57,11 @@ EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                         1.0, -3.0, 1e16, 123456789.0, 0.1, np.pi])
 
 
-@pytest.mark.parametrize("rows", [1, 2, WRITE_ROWS - 1, WRITE_ROWS,
-                                  WRITE_ROWS + 1, 2 * WRITE_ROWS + 1])
-def test_table_body_is_the_text_savetxt_writes(tmp_path, rows):
+TABLE_ROWS = [1, 2, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1,
+              2 * WRITE_ROWS + 1]
+
+
+def assert_savetxt_text(tmp_path, rows):
     rng = np.random.default_rng(rows)
     values = np.where(rng.random((rows, 3)) < 0.5,
                       rng.choice(EDGE_VALUES, size=(rows, 3)),
@@ -69,6 +74,51 @@ def test_table_body_is_the_text_savetxt_writes(tmp_path, rows):
         np.savetxt(fh, np.column_stack(columns), fmt=FLOAT_FMT,
                    delimiter=",", newline="\r\n")
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", TABLE_ROWS)
+def test_table_body_is_the_text_savetxt_writes(tmp_path, rows):
+    assert_savetxt_text(tmp_path, rows)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("rows", TABLE_ROWS)
+def test_a_table_split_across_processes_is_the_text_savetxt_writes(
+        tmp_path, split_tables, rows, cpus):
+    # each range but the first is formatted by a forked child; the range
+    # ends fall inside and on the bounds of the WRITE_ROWS blocks
+    forks = split_tables(cpus)
+    assert_savetxt_text(tmp_path, rows)
+    assert len(forks) == min(cpus, rows) - 1
+    with pytest.raises(ChildProcessError):      # every child reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_write_reaps_the_range_processes(tmp_path, split_tables,
+                                                  monkeypatch):
+    def full(src, dst):
+        raise OSError("no space left on device")
+
+    forks = split_tables(3)
+    monkeypatch.setattr(report.shutil, "copyfileobj", full)
+    with pytest.raises(OSError, match="no space"):
+        _write_table(tmp_path / "t.csv", ["a", "b"],
+                     [np.arange(9.0), np.ones(9)])
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("death, status", [
+    (lambda: os._exit(7), "7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
+def test_a_range_process_that_dies_raises_oserror(tmp_path, split_tables,
+                                                   monkeypatch, death, status):
+    split_tables(2)
+    monkeypatch.setattr(report, "_run_child", lambda job, fd, pipes: death())
+    with pytest.raises(OSError, match=f"exit status {status}$"):
+        _write_table(tmp_path / "t.csv", ["a", "b"],
+                     [np.arange(9.0), np.ones(9)])
 
 
 def test_a_table_is_stacked_one_block_at_a_time(tmp_path):
