@@ -21,11 +21,16 @@ under all candidate measures share one sort per input.  The bins are then
 contiguous slices of the sorted values.
 
 A sample of N points on n inputs is N(n + 1) doubles, and the sample path
-holds little else: the cached orders, as int32 while N < 2^31, and about
-three columns of N doubles at a time.  Those are the weights and the two
-columns gathered into an input's order (unit weights are not gathered),
-or, in ``reweight``, the base density, the target density and one factor
-of it.  ``ProductMeasure.sample`` fills one (N, n) array column by column
+holds little else: the cached orders, as int32 while N < 2^31, the weights
+(ones for an unweighted sample) and, in ``weighted_moments``, one column
+(y - m)^2.  Every other temporary of N values is taken one block of rows
+at a time, a block being the rows whose x holds ``anova.BLOCK_POINTS``
+values: ``reweight`` divides a block's target density by its base
+density straight into the weight column, and the given-data bins gather y
+and w into an input's order for the whole bins of about one block at a
+time (unit weights are not gathered); each bin's sums see the same values
+in the same order as over whole columns, so every estimate keeps its
+bits.  ``ProductMeasure.sample`` fills one (N, n) array column by column
 and ``write_sample`` stacks one block of rows at a time, so neither holds
 a second copy of the sample.  ``read_sample`` copies the parsed rows into
 a contiguous (N, n) x and a contiguous (N,) y, one part at a time, so the
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anova import _evaluate
+from .anova import BLOCK_POINTS, _evaluate
 from .measures import substream
 from .report import _forked, _parts, _write_table
 
@@ -216,8 +221,9 @@ def _bulk_rows(path, ncols):
 def _scan_rows(path, ncols):
     """The data rows of a sample CSV, read line by line; the first bad row
     raises a SampleFormatError naming its line in the file, before any row
-    after it is read."""
-    with open(path, "r", encoding="utf8") as fh:
+    after it is read.  A byte that is not UTF-8 reads as U+FFFD, which no
+    number holds."""
+    with open(path, "r", encoding="utf8", errors="replace") as fh:
         rd = csv.reader(fh)
         next(rd)                    # the header, checked by the caller
         rows = []
@@ -246,7 +252,7 @@ def read_sample(path):
     ``measure``.
     """
     path = str(path)
-    with open(path, "r", encoding="utf8") as fh:
+    with open(path, "r", encoding="utf8", errors="replace") as fh:
         rd = csv.reader(fh)
         try:
             header = next(rd)
@@ -267,7 +273,7 @@ def read_sample(path):
             meta = json.load(fh)
     except FileNotFoundError:
         meta = {}
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # JSON or UTF-8 decoding
         raise SampleFormatError(f"{path}.meta.json: {exc}") from None
     if not isinstance(meta, dict) or \
             not isinstance(meta.get("measure", ""), str):
@@ -282,6 +288,12 @@ def read_sample(path):
                                     f"says {key} {want}")
     return EvaluatedSample(x=x, y=y, measure_name=meta.get("measure", ""),
                            seed=meta.get("seed"))
+
+
+def _block_rows(sample):
+    """Rows of ``sample`` whose x holds about ``BLOCK_POINTS`` values: the
+    block in which the estimators take their column-sized temporaries."""
+    return max(1, BLOCK_POINTS // sample.n)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +455,10 @@ def _binned_first_order(sample, inputs, bins):
     size, extra = divmod(npts, bins)
     # an unweighted bin's weights: the first b - a of one bin's unit vector
     unit = np.ones(size + 1) if w is None else None
+    per_block = max(1, _block_rows(sample) // (size + 1))
+
+    def edge(k):            # where bin k starts in an input's order
+        return k * size + min(k, extra)
 
     def first_order(i):     # its gathered columns go when it returns
         col = x[:, i - 1]
@@ -460,18 +476,22 @@ def _binned_first_order(sample, inputs, bins):
             del keys
             sample.orders[i] = order.astype(np.int32) if npts < 2**31 else order
         order = sample.orders[i]
-        ys = y[order]
-        ws = None if w is None else w[order]
         between = 0.0
-        for k in range(bins):
-            a = k * size + min(k, extra)
-            b = a + size + (k < extra)
-            wk = unit[:b - a] if w is None else ws[a:b]
-            wb = wk.sum()
-            if wb <= 0:
-                continue
-            mb = np.dot(wk, ys[a:b]) / wb
-            between += wb * (mb - ybar) ** 2
+        for k0 in range(0, bins, per_block):
+            # y and w in the input's order over the whole bins k0..k1-1,
+            # about one block of rows
+            k1 = min(k0 + per_block, bins)
+            idx = order[edge(k0):edge(k1)]
+            ys = y[idx]
+            ws = None if w is None else w[idx]
+            for k in range(k0, k1):
+                a, b = edge(k) - edge(k0), edge(k + 1) - edge(k0)
+                wk = unit[:b - a] if w is None else ws[a:b]
+                wb = wk.sum()
+                if wb <= 0:
+                    continue
+                mb = np.dot(wk, ys[a:b]) / wb
+                between += wb * (mb - ybar) ** 2
         return float(between / mass / v_hat)
 
     return [first_order(i) for i in inputs]
@@ -496,12 +516,15 @@ def reweight(sample, target):
     if sample.measure is None:
         raise EstimationError("reweighting needs the sample's base measure; "
                               "set sample.measure first")
-    base = sample.measure.density(sample.x)
-    if np.any(base <= 0):
-        raise EstimationError("base measure has zero density at an observed "
-                              "point; importance weights are undefined")
-    w = target.density(sample.x)
-    w /= base
+    x, step = sample.x, _block_rows(sample)
+    w = np.empty(len(x))
+    for a in range(0, len(x), step):
+        base = sample.measure.density(x[a:a + step])
+        if np.any(base <= 0):
+            raise EstimationError("base measure has zero density at an "
+                                  "observed point; importance weights are "
+                                  "undefined")
+        np.divide(target.density(x[a:a + step]), base, out=w[a:a + step])
     if w.sum() <= 0:
         raise EstimationError(f"target {target.name or 'measure'!r} puts no "
                               "mass on the sampled region")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import yaml
 
 
 class ConfigError(ValueError):
@@ -426,7 +425,10 @@ def _load_yaml(fh, where):
     """The YAML (or JSON) document of the open file ``fh``, read by
     libyaml's safe loader when PyYAML has it and by the pure-Python one
     otherwise: the same documents, several times faster.  A file that does
-    not parse is a ConfigError naming ``where``."""
+    not parse is a ConfigError naming ``where``.  PyYAML is imported here,
+    so a caller that reads no config file does not load it."""
+    import yaml
+
     try:
         return yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
                                             yaml.SafeLoader))

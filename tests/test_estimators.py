@@ -139,6 +139,24 @@ class TestReweighting:
         with pytest.raises(EstimationError):
             reweight(sample, wide)
 
+    @pytest.mark.parametrize("npts,block", [(2**16, None), (1000, 64)])
+    def test_weights_taken_in_blocks_are_the_whole_density_ratio(self, npts,
+                                                                block):
+        reg = ishigami_measures()
+        sample = generate_sample(IshigamiModel(), reg["mu1"], npts, seed=7)
+        with mock.patch.object(estimators, "BLOCK_POINTS",
+                               block or estimators.BLOCK_POINTS):
+            assert npts > 2 * estimators._block_rows(sample)
+            for name in ("mu1", "mu2", "mu3"):
+                want = reg[name].density(sample.x) / reg["mu1"].density(sample.x)
+                assert np.array_equal(reweight(sample, reg[name]).weights, want)
+            # a point outside the base's support, in the last block
+            x = sample.x.copy()
+            x[-1, 0] = 10.0
+            off = EvaluatedSample(x=x, y=sample.y, measure=reg["mu1"])
+            with pytest.raises(EstimationError, match="zero density"):
+                reweight(off, reg["mu2"])
+
     def test_weighted_default_bins_follow_the_ess(self):
         reg = ishigami_measures()
         sample = generate_sample(IshigamiModel(), reg["mu1"], 4096, seed=5)
@@ -176,9 +194,9 @@ def _array_split_first_order(sample, i, bins=None):
 @settings(max_examples=40, deadline=None)
 @given(npts=st.integers(10, 400), seed=st.integers(0, 2**32 - 1),
        ties=st.booleans(), weighted=st.booleans(), explicit=st.booleans(),
-       data=st.data())
+       block=st.one_of(st.none(), st.integers(1, 120)), data=st.data())
 def test_sliced_bins_equal_the_array_split_bins(npts, seed, ties, weighted,
-                                                explicit, data):
+                                                explicit, block, data):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((npts, 2))
     if ties:        # few distinct values: equal keys keep their input order
@@ -190,9 +208,12 @@ def test_sliced_bins_equal_the_array_split_bins(npts, seed, ties, weighted,
         w[0] = 1.0
         sample = EvaluatedSample(x=sample.x, y=sample.y, weights=w)
     bins = data.draw(st.integers(2, npts // 5)) if explicit else None
-    for i in (1, 2):
-        assert given_data_first_order(sample, i, bins) \
-            == _array_split_first_order(sample, i, bins)
+    # a small block takes the gathered columns one bin, or a few, at a time
+    with mock.patch.object(estimators, "BLOCK_POINTS",
+                           estimators.BLOCK_POINTS if block is None else block):
+        for i in (1, 2):
+            assert given_data_first_order(sample, i, bins) \
+                == _array_split_first_order(sample, i, bins)
 
 
 @settings(max_examples=60, deadline=None)

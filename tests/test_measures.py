@@ -1,6 +1,9 @@
 """Measure objects, the two-stage mixture draw and the config-file schema."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mixsens
 from mixsens.cli import main
 from mixsens.measures import (ConfigError, DiscreteUniform, MeasureSet,
                               Normal, ProductMeasure, Uniform, _gauss_rule,
@@ -321,6 +325,29 @@ def test_config_files_parse_the_same_without_libyaml(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and "not parseable" in err
     assert loaders == [yaml.SafeLoader] * 3
+
+
+def test_pyyaml_loads_only_with_a_config_file(tmp_path):
+    # a library caller that reads no config file does not import PyYAML
+    cfg = tmp_path / "measures.yaml"
+    cfg.write_text(MEASURES_YAML)
+    code = "\n".join([
+        "import sys",
+        "import mixsens",
+        "from mixsens.anova import AnovaEngine",
+        "from mixsens.measures import Normal, ProductMeasure, load_measure_set",
+        "normals = ProductMeasure((Normal(0.0, 1.0),) * 3)",
+        "vd = AnovaEngine(lambda x: x.sum(axis=-1), normals, order=8)"
+        ".variance_decomposition()",
+        "assert abs(vd.total - 3.0) < 1e-12",
+        "assert 'yaml' not in sys.modules",
+        f"assert load_measure_set({str(cfg)!r}).names == ('mu1', 'mu2', 'mu3')",
+        "assert 'yaml' in sys.modules"])
+    src = os.path.dirname(os.path.dirname(mixsens.__file__))
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_substream_determinism_and_separation():
