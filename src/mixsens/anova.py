@@ -55,13 +55,16 @@ drops them.
 Effects at arbitrary points need w_v there.  ``AnovaEngine._w_at`` reads w_v
 off v's subgrid table by tensor barycentric interpolation (Berrut &
 Trefethen, SIAM Rev. 46, 2004), gated row by row by an error estimate (see
-``_Table``).  The direct integral over the complement of v,
-``conditional_mean``, serves the rows the gate rejects or that lie outside
-a coordinate's support, the empty and the full subset, and subsets with a
-discrete coordinate.  On a settled engine the complement takes half the
-nodes of the cap its rung gives each axis it resolves, checked row by row
-against a second rule one node lower; a row on which the two disagree takes
-the settled nodes (``_direct_rules``).  Each subset keeps its last call to
+``_Table``, each built once by ``_table``).  The direct integral over the
+complement of v, ``conditional_mean``, serves the rows the gate rejects or
+that lie outside a coordinate's support, the empty and the full subset, and
+subsets with a discrete coordinate.  Every complement rule comes from
+``_direct_rules``: on a settled engine the complement takes half the nodes
+of the cap its rung gives each axis it resolves, checked row by row against
+a second rule one node lower; a row on which the two disagree takes the
+settled nodes.  Rows times rule points, and the rows of the full subset, go
+to the model in the boxes of ``_grid_boxes``, so no model call of an engine
+holds more than ``BLOCK_POINTS`` points.  Each subset keeps its last call to
 ``_w_at``: the rows' shape and bytes and the w_v returned, at most
 N (|v| + 1) doubles, so the same rows asked again (by the other mixture
 route, or by a subset that holds v) cost no table read and no model call.
@@ -89,7 +92,8 @@ DEFAULT_ORDER = 64          # most Gaussian quadrature nodes per coordinate
 # the grid of 16 does not fit
 LADDER = (6, 8, 12, 16, 24, 32, 48)
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
-BLOCK_POINTS = 2**16        # most points a grid sweep hands the model at once
+BLOCK_POINTS = 2**16        # most points an engine hands the model at once
+PLOT_ROWS = 129             # rows per axis of a default effect curve
 INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
 # V = E[g^2] - mean^2 of a constant model is rounding noise of a few ulps of
 # E[g^2]; a total variance within this many ulps of it admits no indices.
@@ -144,7 +148,7 @@ class VarianceDecomposition:
     terms: dict
     residual: float
     n: int
-    mode: str = "quadrature"    # always; kept for callers that read it
+    mode = "quadrature"     # always; kept for callers that read it
 
     def clamped_terms(self):
         return {z: max(v, 0.0) for z, v in self.terms.items()}
@@ -259,13 +263,13 @@ class AnovaEngine:
         ``caps`` (from ``_caps``) holds each coordinate's most nodes.
         """
         self.order = order
-        nodes = [c.quad_nodes(min(order, k)) for c, k in
-                 zip(self.measure.components, caps or [order] * self.n)]
+        nodes = [c.quad_nodes(k) for c, k in
+                 zip(self.measure.components, self._grid(order, caps))]
         self.nodes = [np.asarray(x) for x, _ in nodes]
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
         self._w_cache = {}        # subset -> conditional mean on its subgrid
-        self._tables = {}         # subset -> its interpolation _Table (_w_at)
+        self._tables = {}         # subset -> its interpolation _Table (_table)
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
         self._halves = None       # per axis, h nodes or None (_direct_rules)
         self._decompositions = {}  # max_order -> its VarianceDecomposition
@@ -275,9 +279,8 @@ class AnovaEngine:
         """The axis sizes of the grid of ``order`` under ``caps``, counted,
         not built: min(order, cap) nodes on a continuous coordinate, its own
         points on a discrete one."""
-        return [x.size if isinstance(c, DiscreteUniform) else min(order, k)
-                for c, x, k in zip(self.measure.components, self.nodes,
-                                   caps or [order] * self.n)]
+        return [len(c.points) if isinstance(c, DiscreteUniform) else min(order, k)
+                for c, k in zip(self.measure.components, caps or [order] * self.n)]
 
     def _settle(self):
         """Climb the ladder, once, before the engine's first integral.
@@ -354,7 +357,7 @@ class AnovaEngine:
         weighs each tail coefficient by |phi_k(x)|, which on a normal axis
         reaches 10-50 at 3-4 sd, so there each coefficient is first weighed
         by the largest |phi_k| over the axis's plot range (mean +- 4 sd, on
-        the 129 rows of a default effect curve).  On a uniform axis
+        the ``PLOT_ROWS`` rows of a default effect curve).  On a uniform axis
         |phi_k| <= sqrt(2k + 1), and the coefficients are summed as they are.
         """
         grid = self._w_cache[tuple(range(1, self.n + 1))]
@@ -368,31 +371,23 @@ class AnovaEngine:
                 comp = self.measure.components[i]
                 if isinstance(comp, Normal):    # the row gate's |phi_k(x)|
                     c *= np.abs(a.poly(np.linspace(*comp.plot_range(),
-                                                   129))).max(axis=0)
+                                                   PLOT_ROWS))).max(axis=0)
                 rest = np.cumsum(c[::-1])[::-1]
                 d = max(np.flatnonzero(rest > tol), default=-1)
                 if d < _tail(s):
                     caps[i] = next(k for k in range(1, s + 1) if _tail(k) > d)
         return caps
 
-    # -- infrastructure ----------------------------------------------------
-
-    def _complement_rule(self, z):
-        """The tensor rule over the complement of z: (points, weights)."""
-        comp = [i for i in range(1, self.n + 1) if i not in z]
-        if not comp:
-            return np.zeros((1, 0)), np.ones(1)
-        return _tensor_rule([(self.nodes[i - 1], self.weights[i - 1])
-                             for i in comp])
-
     # -- conditional means and effects at arbitrary points -------------------
 
     def conditional_mean(self, z, x):
         """w_z at points ``x`` of shape (N, |z|): E[g(X) | X_z = x_row].
 
-        For the empty subset returns the overall mean once per row.  The
-        integral over the complement of z takes the rules of
-        ``_direct_rules`` in turn: a row keeps the first value it accepts.
+        The empty subset gives the mean, all inputs the model at the rows
+        (columns in input order), and any other z the integral over its
+        complement by the rules of ``_direct_rules`` in turn: a row keeps
+        the first value it accepts.  Each model call takes one box of rows
+        times rule points from ``_grid_boxes``, at most ``BLOCK_POINTS``.
         """
         self._settle()
         z = tuple(z)
@@ -401,26 +396,27 @@ class AnovaEngine:
             return np.full(x.shape[0], self.mean())
         if x.shape[1] != len(z):
             raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
+        out = np.empty(x.shape[0])
+        if len(z) == self.n:
+            x = x[:, np.argsort(z)]
+            for r, in _grid_boxes([x.shape[0]]):
+                out[r] = _evaluate(self.model, x[r])
+            return out
         zi = [i - 1 for i in z]
         ci = [i - 1 for i in range(1, self.n + 1) if i not in z]
-        out = np.empty(x.shape[0])
         rows = np.arange(x.shape[0])
         for cpts, cw, tol in self._direct_rules(z):
             if not rows.size:
                 break
-            m = cpts.shape[0]
             vals = np.empty((rows.size,) + cw.shape[1:])
-            # chunk the query points so the (chunk, m, n) block stays modest
-            chunk = max(1, BLOCK_POINTS // max(m, 1))
-            for a in range(0, rows.size, chunk):
-                xa = x[rows[a:a + chunk]]
-                block = np.empty((xa.shape[0], m, self.n))
-                block[:, :, zi] = xa[:, None, :]
-                if ci:
-                    block[:, :, ci] = cpts[None, :, :]
-                vals[a:a + xa.shape[0]] = _evaluate(
-                    self.model, block.reshape(-1, self.n)).reshape(
-                        xa.shape[0], m) @ cw
+            for r, p in _grid_boxes([rows.size, cpts.shape[0]]):
+                block = np.empty((rows[r].size, cpts[p].shape[0], self.n))
+                block[:, :, zi] = x[rows[r], None, :]
+                block[:, :, ci] = cpts[p]
+                part = _evaluate(self.model, block.reshape(-1, self.n)).reshape(
+                    block.shape[:2]) @ cw[p]
+                # a rule longer than a box: one row, its boxes summed in turn
+                vals[r] = vals[r] + part if p.start else part
             if tol is None:
                 out[rows] = vals
                 break
@@ -431,28 +427,30 @@ class AnovaEngine:
 
     def _direct_rules(self, z):
         """The rules of ``conditional_mean`` over the complement of z, each
-        (points, weights, tol), lazily.
+        (points, weights, tol), lazily, every one a tensor ``rule``.
 
-        The last is ``_complement_rule`` (weights (m,), tol None): every
-        row it sees keeps its value.  Before it, on a settled engine, comes
-        a pair of lower rules side by side (weights (m, 2), one column each): each axis of more
-        than one node that ``_caps`` resolved at the settled rung, at cap c,
-        takes h = ceil(c / 2) nodes in the first and max(h - 1, 1) in the
-        second, and every other axis its settled nodes.  A Gauss rule of h
+        The last is the settled rule, each axis at its settled nodes
+        (weights (m,), tol None): every row it sees keeps its value.  Before
+        it, on a settled engine, comes a pair of lower rules side by side
+        (weights (m, 2), one column each): each axis of more than one node
+        that ``_caps`` resolved at the settled rung, at cap c, takes
+        h = ceil(c / 2) nodes in the first and max(h - 1, 1) in the second,
+        and every other axis its settled nodes.  A Gauss rule of h
         nodes is exact to degree 2h - 1, so it integrates all that c nodes
         interpolate; a row keeps the h-node value when the two agree within
         ``INTERP_TOL`` times the RMS of z's subgrid table, the row gate's
         standard, and goes on to the settled rule otherwise.
         """
         comp = [i for i in range(1, self.n + 1) if i not in z]
-        halves = [self._halves[i - 1] for i in comp] if self._halves else []
-        if any(halves):
-            def rule(counts):       # k nodes on a halved axis, settled elsewhere
-                return _tensor_rule([
-                    self.measure.components[i - 1].quad_nodes(k) if k else
-                    (self.nodes[i - 1], self.weights[i - 1])
-                    for i, k in zip(comp, counts)])
+        halves = [self._halves[i - 1] if self._halves else None for i in comp]
 
+        def rule(counts):       # k nodes on a halved axis, settled elsewhere
+            return _tensor_rule([
+                self.measure.components[i - 1].quad_nodes(k) if k else
+                (self.nodes[i - 1], self.weights[i - 1])
+                for i, k in zip(comp, counts)])
+
+        if any(halves):
             (hi, whi), (lo, wlo) = rule(halves), rule(
                 [h and max(h - 1, 1) for h in halves])
             weights = np.zeros((whi.size + wlo.size, 2))
@@ -461,7 +459,7 @@ class AnovaEngine:
             rms = math.sqrt(float(_contract(self._w_on_subgrid(v) ** 2,
                                             [self.weights[i - 1] for i in v])))
             yield np.vstack([hi, lo]), weights, INTERP_TOL * rms
-        yield *self._complement_rule(z), None
+        yield *rule([None] * len(comp)), None
 
     def conditional_means(self, z, x):
         """{v: w_v at the rows of ``x``} for every subset v of z, the empty
@@ -497,9 +495,7 @@ class AnovaEngine:
         if not self._reads_table(v):
             out = self.conditional_mean(v, x)
         else:
-            if v not in self._tables:
-                self._tables[v] = self._table(v)
-            ok, values = self._tables[v](x)
+            ok, values = self._table(v)(x)
             out = np.empty(x.shape[0])
             out[ok] = values
             if not ok.all():
@@ -513,9 +509,13 @@ class AnovaEngine:
         return 0 < len(v) < self.n and None not in [self._axes[i - 1] for i in v]
 
     def _table(self, v):
-        """The interpolation ``_Table`` of ``_w_on_subgrid(v)``."""
-        return _Table(self._w_on_subgrid(v), [self._axes[i - 1] for i in v],
-                      [self.weights[i - 1] for i in v])
+        """The interpolation ``_Table`` of ``_w_on_subgrid(v)``, built once
+        and kept in ``_tables`` until ``_use_order`` empties it."""
+        if v not in self._tables:
+            self._tables[v] = _Table(self._w_on_subgrid(v),
+                                     [self._axes[i - 1] for i in v],
+                                     [self.weights[i - 1] for i in v])
+        return self._tables[v]
 
     @cached_property
     def _axes(self):
@@ -631,7 +631,7 @@ class AnovaEngine:
 
     # -- plotting-oriented output -------------------------------------------
 
-    def effect_curve(self, z, npts=129):
+    def effect_curve(self, z, npts=PLOT_ROWS):
         """g_z tabulated on an even grid over the measure's plotting range."""
         z = tuple(sorted(z))
         if not 1 <= len(z) <= 2:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import (DEFAULT_ORDER, AnovaEngine, _contract, _mobius,
-                    _subsets_of, _tensor_points)
+from .anova import (DEFAULT_ORDER, PLOT_ROWS, AnovaEngine, _contract,
+                    _mobius, _subsets_of, _tensor_points)
 from .measures import DiscreteUniform, Normal, _gauss_rule, measure_name
 
 
@@ -50,6 +50,12 @@ def _check(engines, prior):
     if p.size != len(engines):
         raise ValueError("one prior weight per engine required")
     return p
+
+
+def _weighted(engines, prior):
+    """The checked (weight, engine) pairs of nonzero prior weight, in order."""
+    return [(pk, eng) for pk, eng in zip(_check(engines, prior), engines)
+            if pk != 0.0]
 
 
 def support_indicator(measure, z, x):
@@ -71,13 +77,10 @@ def mixture_effect_from_components(engines, prior, z, x):
     evaluate to 0.  The columns of ``x`` follow the order of z, in this
     route and the pooled one.
     """
-    p = _check(engines, prior)
     z = tuple(z)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.zeros(x.shape[0])
-    for pk, eng in zip(p, engines):
-        if pk == 0.0:
-            continue
+    for pk, eng in _weighted(engines, prior):
         vals = eng.effect(z, x)
         if z:
             vals = np.where(support_indicator(eng.measure, z, x), vals, 0.0)
@@ -94,15 +97,12 @@ def mixture_effect_from_pooled_conditionals(engines, prior, z, x):
     component route on the intersection of the supports.  A candidate of
     prior weight 0 is not evaluated, as in the component route.
     """
-    p = _check(engines, prior)
     z = tuple(z)
     key = tuple(sorted(z))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     subsets = _subsets_of(key)
     w = {v: np.zeros(x.shape[0]) for v in subsets}
-    for pk, eng in zip(p, engines):
-        if pk == 0.0:
-            continue
+    for pk, eng in _weighted(engines, prior):
         for v, t in eng.conditional_means(z, x).items():
             w[v] += pk * t
     return _mobius(subsets, w)[key]
@@ -211,17 +211,13 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
     selects which mixture-effect semantics is integrated; the default
     matches :func:`mixture_effect_from_components`.
     """
-    p = _check(engines, prior)
+    pairs = _weighted(engines, prior)
     z = tuple(sorted(z))
     if not z:
         return 0.0
     total = 0.0
-    for pk, k_eng in zip(p, engines):            # expectation measure
-        if pk == 0.0:
-            continue
-        for pj, j_eng in zip(p, engines):        # effect term and its gate
-            if pj == 0.0:
-                continue
+    for pk, k_eng in pairs:                      # expectation measure
+        for pj, j_eng in pairs:                  # effect term and its gate
             if j_eng is k_eng:
                 total += pk * pj * float(_contract(
                     k_eng.effect_on_subgrid(z),
@@ -260,7 +256,7 @@ class MixtureEffectCurve:
     mixture_values: np.ndarray
 
 
-def mixture_effect_curve(engines, prior, i, npts=129):
+def mixture_effect_curve(engines, prior, i, npts=PLOT_ROWS):
     p = _check(engines, prior)
     ranges = [eng.measure.components[i - 1].plot_range() for eng in engines]
     lo = min(r[0] for r in ranges)

@@ -406,6 +406,48 @@ def test_model_calls_stay_within_the_block():
         assert model.sizes == [144] * 12
         eng.effect((1, 2), x)
     assert max(model.sizes) <= 200
+    # a complement rule larger than the block: a singleton of four inputs
+    # at order 8 integrates over 8^3 = 512 points, taken in runs of at most
+    # 100 per row and summed; the full subset's rows go in boxes of 100
+    model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3])
+    eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 4),
+                      order=8)
+    x = np.random.default_rng(3).uniform(size=(250, 4))
+    ask = [((2,), x[:7, :1]), ((1, 3), x[:9, :2]), ((4, 1, 3, 2), x)]
+    whole = [eng.conditional_mean(z, xz) for z, xz in ask]
+    evals, model.sizes = sum(model.sizes), []
+    with mock.patch.object(anova, "BLOCK_POINTS", 100):
+        blocked = [eng.conditional_mean(z, xz) for z, xz in ask]
+    assert max(model.sizes) <= 100
+    assert sum(model.sizes) == evals == 7 * 512 + 9 * 64 + 250
+    for (z, xz), a, b in zip(ask, whole, blocked):
+        ci = [i for i in range(4) if i + 1 not in z]
+        pts, w = anova._tensor_rule([(eng.nodes[i], eng.weights[i])
+                                     for i in ci]) if ci else (None, [1.0])
+        block = np.empty((len(xz), len(w), 4))
+        block[:, :, [i - 1 for i in z]] = xz[:, None, :]
+        block[:, :, ci] = pts
+        direct = model.model(block.reshape(-1, 4)).reshape(len(xz), -1) @ w
+        assert np.allclose(b, direct, rtol=1e-14, atol=1e-15), z
+        assert np.allclose(a, b, rtol=1e-14, atol=1e-15), z
+    assert whole[2].tobytes() == blocked[2].tobytes()
+
+
+def test_the_full_subset_is_the_model_at_the_rows():
+    # x's columns follow a shuffled z; the rows go to the model in input
+    # order, and every bit comes back, a -0.0 included
+    def g(x):
+        return x[:, 0] * np.exp(x[:, 1]) * (1.0 + x[:, 2] ** 2) - x[:, 3]
+
+    eng = AnovaEngine(g, ProductMeasure((Uniform(-1.0, 1.0), Normal(0.0, 1.0),
+                                         Uniform(0.0, 2.0), Normal(1.0, 0.5))),
+                      order=8)
+    pts = np.random.default_rng(5).normal(size=(40, 4))
+    pts[0] = [-0.0, 0.3, 1.0, 0.0]           # g = -0.0 - 0.0 = -0.0
+    z = (3, 1, 4, 2)
+    got = eng.conditional_mean(z, pts[:, [i - 1 for i in z]])
+    assert np.signbit(got[0]) and got[0] == 0.0
+    assert got.tobytes() == g(pts).tobytes()
 
 
 @pytest.mark.parametrize("ask", [lambda eng: eng.annihilation_defect((1, 2)),
@@ -695,6 +737,28 @@ def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
     assert [x.size for x in eng.nodes] == sizes
     assert sum(model.sizes) == evals
     assert all(eng._table(z).resolved for z in all_subsets(3, 2))
+
+
+def test_a_settled_engine_builds_each_table_once():
+    # the tables _settle checks at the settled rung are the ones _w_at reads
+    built = []
+
+    class Counted(anova._Table):
+        def __init__(self, values, axes, weights):
+            built.append(values)
+            super().__init__(values, axes, weights)
+
+    eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu1"])
+    x = np.random.default_rng(8).uniform(-PI, PI, size=(60, 3))
+    with mock.patch.object(anova, "_Table", Counted):
+        eng.variance_decomposition()
+        assert eng.order == 32
+        for z in all_subsets(3, 2):
+            eng.effect(z, x[:, [i - 1 for i in z]])
+        eng.effect_curve((1, 2))
+    assert set(eng._tables) == set(all_subsets(3, 2))
+    for v in eng._tables:
+        assert sum(t is eng._w_cache[v] for t in built) == 1, v
 
 
 def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
@@ -1047,11 +1111,14 @@ class TestTableGate:
         discrete = ProductMeasure((DiscreteUniform((0.0, 1.0, 2.0)),
                                    Uniform(-1.0, 1.0)))
         eng = AnovaEngine(g, discrete)
-        for v in [(1,), (), (1, 2)]:
+        asked = [(1,), (), (1, 2)]
+        for v in asked:
             xv = x[:, [i - 1 for i in v]]
             assert np.array_equal(eng._w_at(v, xv),
                                   eng.conditional_mean(v, xv)), v
-        assert not eng._tables
+        # the settle check keeps the table of x2; none of the subsets asked
+        # has one
+        assert not eng._tables.keys() & set(asked)
 
 
 class TestLastCallMemo:
