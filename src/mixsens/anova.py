@@ -44,8 +44,9 @@ Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 evaluates the full grid once, in boxes of at most ``BLOCK_POINTS`` points,
 and keeps it whole.  Every integral of the decomposition is contracted from
 that one kept grid: each table, the mean (the table of the empty subset) and
-the total variance (from the grid's squares), so the mean, the total and
-every term are the same whatever the size of the boxes.
+the total variance (from the grid's squared deviations from the mean), so
+the mean, the total and every term are the same whatever the size of the
+boxes.
 ``variance_decomposition`` inverts the whole subset lattice in one pass of
 ``_mobius``, so each g_z is built once.  The engine keeps its decomposition
 per ``max_order``, the settled rung's among them, and returns that same
@@ -95,23 +96,14 @@ FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**16        # most points an engine hands the model at once
 PLOT_ROWS = 129             # rows per axis of a default effect curve
 INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
-# V = E[g^2] - mean^2 of a constant model is rounding noise of a few ulps of
-# E[g^2]; a total variance within this many ulps of it admits no indices.
+# a total variance within this many ulps of E[g^2] = V + mean^2 admits no
+# indices (VarianceDecomposition.require_variance)
 ZERO_VARIANCE_ULPS = 64
 
 
 # ---------------------------------------------------------------------------
 # subset bookkeeping (inputs are 1-based everywhere in the public API)
 # ---------------------------------------------------------------------------
-
-def subset_mask(z):
-    return sum(1 << (i - 1) for i in z)
-
-
-def canonical_key(z):
-    """Sort key: by cardinality, then by bitmask value."""
-    return (len(z), subset_mask(z))
-
 
 def all_subsets(n, max_order=None, nonempty=True):
     """All subsets of {1..n} up to ``max_order``, in canonical order."""
@@ -157,9 +149,10 @@ class VarianceDecomposition:
         """Raise ZeroVarianceError unless V is finite and above rounding noise.
 
         The test is scale-invariant: V <= c * eps * (V + mean^2), with
-        c = ZERO_VARIANCE_ULPS, since V + mean^2 = E[g^2] is what V was
-        computed from.  A subnormal E[g^2] has lost its digits, and c * eps
-        times it underflows to zero, so it counts as zero itself.
+        c = ZERO_VARIANCE_ULPS.  V is centred, but each V_z comes from
+        conditional means that hold the mean, so its rounding is a few ulps
+        of E[g^2] = V + mean^2.  A subnormal E[g^2] has lost its digits, and
+        c * eps times it underflows to zero, so it counts as zero itself.
         """
         v = self.total
         second = v + self.mean ** 2
@@ -527,10 +520,6 @@ class AnovaEngine:
     def mean(self):
         return self._w_on_subgrid(())
 
-    def total_variance(self):
-        grid = self._w_on_subgrid(tuple(range(1, self.n + 1)))
-        return float(_contract(grid ** 2, self.weights)) - self.mean() ** 2
-
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
 
@@ -589,17 +578,11 @@ class AnovaEngine:
         """g_u in the layout of g_v: size 1 on each input of v not in u."""
         return np.reshape(gu, [self._sizes[i - 1] if i in u else 1 for i in v])
 
-    def term_variance(self, z):
-        """V_z = integral of g_z^2 against the subset's marginal measure."""
-        z = tuple(z)
-        if len(z) == 0:
-            return 0.0
-        return float(_contract(self.effect_on_subgrid(z) ** 2,
-                               [self.weights[i - 1] for i in z]))
-
     def variance_decomposition(self, max_order=None):
         """The mean, the total and every V_z of at most ``max_order`` inputs
         (default: all of them up to four inputs, and at most two beyond).
+        The one producer of V, the integral of (g - mean)^2 over the kept
+        grid: centred, a large mean costs V no digits.
 
         One Moebius pass over the whole subset lattice gives every g_z on its
         subgrid, so each lower g_v is built once, not once per superset.  The
@@ -617,11 +600,12 @@ class AnovaEngine:
         subsets = [()] + all_subsets(self.n, max_order)
         g = _mobius(subsets, self._fill_subgrid_tables(subsets), self._lift)
         # each g_z goes once integrated, so the largest is squared alone and
-        # none is left when the total squares the grid
+        # none is left when the total squares the grid's deviations, in place
         terms = {z: float(_contract(g.pop(z) ** 2,
                                     [self.weights[i - 1] for i in z]))
                  for z in subsets[1:]}
-        total = self.total_variance()
+        dev = self._w_on_subgrid(tuple(range(1, self.n + 1))) - self.mean()
+        total = float(_contract(np.square(dev, out=dev), self.weights))
         residual = total - sum(terms.values()) if max_order < self.n else 0.0
         vd = VarianceDecomposition(measure=self.measure.name or "measure",
                                    total=total, mean=self.mean(), terms=terms,
@@ -790,12 +774,14 @@ def _tensor_eval(table, mats):
 
 @lru_cache(maxsize=None)
 def _subsets_of(z):
-    """All subsets of tuple z (including empty and z itself), canonical order.
+    """All subsets of tuple z (including empty and z itself), canonical order:
+    by size, then by the bitmask of their inputs.
 
     Computed once per tuple and shared, so the result is a tuple.
     """
     return tuple(sorted((tuple(z[k] for k in range(len(z)) if mask >> k & 1)
-                         for mask in range(1 << len(z))), key=canonical_key))
+                         for mask in range(1 << len(z))),
+                        key=lambda v: (len(v), sum(1 << i for i in v))))
 
 
 def _mobius(subsets, w, lift=lambda u, v, gu: gu):

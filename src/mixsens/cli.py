@@ -350,6 +350,17 @@ def cmd_analyze(args):
     if "mixture" in sections and mset.prior is None:
         raise ConfigError("prior required: the mixture section needs a "
                           "'prior' entry in the measures file")
+    indexed = {"measures", "robust"} & sections     # the per-measure indices
+    if kind == "sample":
+        # one gate: a sample file gives estimates from given data, nothing
+        # that needs the model itself; before the config lists the sections
+        if indexed and args.estimator not in ("givendata", "reweight"):
+            raise ConfigError(f"estimator {args.estimator!r} needs an "
+                              "executable model, not a sample file")
+        for name in ("dimension", "mixture", "trend", "cores"):
+            if name in sections:
+                _warn(f"{name} section needs an executable model; skipped")
+                sections.discard(name)
     os.makedirs(args.out, exist_ok=True)
 
     report = {
@@ -369,19 +380,8 @@ def cmd_analyze(args):
     files = []
 
     engines = vds = None
-    indexed = {"measures", "robust"} & sections     # the per-measure indices
-    if kind == "sample":
-        # one gate: a sample file gives estimates from given data, nothing
-        # that needs the model itself
-        if indexed and args.estimator not in ("givendata", "reweight"):
-            raise ConfigError(f"estimator {args.estimator!r} needs an "
-                              "executable model, not a sample file")
-        for name in ("dimension", "mixture", "trend", "cores"):
-            if name in sections:
-                _warn(f"{name} section needs an executable model; skipped")
-                sections.discard(name)
-    elif {"mixture", "dimension", "trend"} & sections or \
-            args.estimator == "quad":
+    if kind != "sample" and ({"mixture", "dimension", "trend"} & sections or
+                             args.estimator == "quad"):
         engines = component_engines(mset, source)
         vds = [eng.variance_decomposition() for eng in engines]
 

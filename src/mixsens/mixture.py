@@ -205,9 +205,9 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
         sum_{k,j} p_k p_j E_{mu^k_z}[ 1{supp_j,z} g_z^j ],
 
     each integrable by a smooth rule over the box intersection of the two
-    supports.  The k = j term is the engine's own annihilation integral (the
-    gate is one on its own support), read off its subgrid effect with its
-    own weights, with no model call once its tables exist.  ``gated``
+    supports.  A k = j term is skipped: it is the integral of g_z^k against
+    its own marginal (the gate is one on its own support), zero by
+    annihilation, so a single measure gives exactly 0.0.  ``gated``
     selects which mixture-effect semantics is integrated; the default
     matches :func:`mixture_effect_from_components`.
     """
@@ -219,9 +219,6 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
     for pk, k_eng in pairs:                      # expectation measure
         for pj, j_eng in pairs:                  # effect term and its gate
             if j_eng is k_eng:
-                total += pk * pj * float(_contract(
-                    k_eng.effect_on_subgrid(z),
-                    [k_eng.weights[i - 1] for i in z]))
                 continue
             rules = []
             for i in z:

@@ -38,7 +38,8 @@ class TestIshigamiDecomposition:
     def test_mean_and_total(self, engines, name):
         eng = engines[name]
         assert eng.mean() == pytest.approx(ref.MEAN[name], abs=1e-9)
-        assert eng.total_variance() == pytest.approx(ref.TOTAL[name], abs=1e-8)
+        assert eng.variance_decomposition().total == pytest.approx(
+            ref.TOTAL[name], abs=1e-8)
 
     @pytest.mark.parametrize("name", MEASURES)
     def test_term_variances(self, engines, name):
@@ -254,14 +255,12 @@ def test_subgrid_effects_match_point_effects(case):
 @given(data=st.data())
 @pytest.mark.parametrize("n,max_order", [(3, None), (4, 2)])
 def test_one_lattice_pass_gives_every_term_of_its_own_pass(n, max_order, data):
-    # the decomposition inverts the whole lattice at once; term_variance
-    # inverts the subsets of one z: the same subtractions in the same order
+    # the decomposition inverts the whole lattice at once and keeps every
+    # term it built, in canonical order
     model, measure = data.draw(multilinear_models(inputs=st.just(n)))
     eng = AnovaEngine(model, measure, order=16)
     vd = eng.variance_decomposition(max_order)
     assert list(vd.terms) == all_subsets(n, max_order)
-    for z, v in vd.terms.items():
-        assert v == eng.term_variance(z), z
 
 
 def _settled(name):
@@ -451,8 +450,8 @@ def test_the_full_subset_is_the_model_at_the_rows():
 
 
 @pytest.mark.parametrize("ask", [lambda eng: eng.annihilation_defect((1, 2)),
-                                 lambda eng: eng.term_variance((1, 2, 3))],
-                         ids=["annihilation_defect", "term_variance"])
+                                 lambda eng: eng.variance_decomposition()],
+                         ids=["annihilation_defect", "variance_decomposition"])
 def test_a_subset_lattice_costs_one_sweep(ask):
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3] ** 2)
     eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 4), order=8)
@@ -564,7 +563,7 @@ def test_a_smooth_model_settles_where_the_ladder_stops_moving():
 def _every_result(eng):
     x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 4))
     vd = eng.variance_decomposition(max_order=2)
-    return [eng.order, eng.mean(), eng.total_variance(), vd.total,
+    return [eng.order, eng.mean(), eng.variance_decomposition().total, vd.total,
             vd.residual, *vd.terms.values(),
             *(eng.effect(z, x[:, :len(z)]) for z in ((1,), (2, 4), (1, 2, 3))),
             eng.conditional_mean((3,), x[:, :1]),
@@ -1014,6 +1013,15 @@ def _tiny_model(coeff, power, n):
 @example(case=_tiny_model(1.68e-159, 1, 1), a=2.0, beta=0.0)
 # V = 7.5e-307 is normal, but a^2 V under a = 0.1 is subnormal
 @example(case=_tiny_model(1e-153, 1, 1), a=0.1, beta=0.0)
+# g = 0.875 + 9.5e-8 x3^2: V = 1.0829e-14 lies just under the zero-variance
+# gate, so g and g + b are both refused; a total rounded at the scale of
+# E[g^2] falls on either side of it
+@example(case=(CompositeMultilinearModel(
+    factors=(np.polynomial.Polynomial([-1.1920929e-07]),
+             np.polynomial.Polynomial([0.0]),
+             np.polynomial.Polynomial([0.0, 0.0, 0.53125])),
+    terms=((), (), (), (1, 3)), coeffs=(0.0, 0.0, 0.875, -1.5)),
+    ProductMeasure((Uniform(-1.0, 2.0),) * 3)), a=1.0, beta=1.0)
 def test_affine_model_keeps_indices_and_scales_variances(case, a, beta):
     model, measure = case
     vd = AnovaEngine(model, measure, order=16).variance_decomposition()
@@ -1028,13 +1036,29 @@ def test_affine_model_keeps_indices_and_scales_variances(case, a, beta):
     vd2 = AnovaEngine(lambda x: a * model(x) + b, measure,
                       order=16).variance_decomposition()
     s2 = vd2.sobol_indices()
-    # V and the V_z come from uncentred moments and conditional means, so
+    # V is centred, but the V_z come from uncentred conditional means, so
     # they lose the digits of E[g^2] / V (1 for a centred model); the bound
     # is 1e-12 times that condition number, the larger of the two models'
     cond = max((d.total + d.mean ** 2) / d.total for d in (vd, vd2))
     for z, v in vd.terms.items():
         assert abs(vd2.terms[z] - a * a * v) <= 1e-12 * cond * a * a * vd.total, z
         assert abs(s2[z] - s[z]) <= 1e-12 * cond, z
+
+
+def test_the_total_keeps_its_digits_under_a_large_mean():
+    # mean -2.02 against V = 1.9e-8: a total taken as E[g^2] - mean^2 loses
+    # 8 of V's digits; centred, it keeps all but rounding
+    model = CompositeMultilinearModel(
+        factors=(np.polynomial.Polynomial([-0.49945981]),
+                 np.polynomial.Polynomial([1e-4, 1e-12]),
+                 np.polynomial.Polynomial([-0.86854202, 1.14158557,
+                                           1.10796981])),
+        terms=((), (1,), (2, 3), (2, 3)), coeffs=(-1.383, 1.279, 1.449, -0.781))
+    measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                              Uniform(-1.0, 2.0)))
+    vd = AnovaEngine(model, measure, order=16).variance_decomposition()
+    exact = sum(model.exact_term_variance(measure, z) for z in all_subsets(3))
+    assert abs(vd.total - exact) <= 1e-13 * exact
 
 
 # -- conditional means at points, read off the quadrature tables -------------

@@ -607,6 +607,18 @@ class TestSampleFileMode:
         assert "cores" in capsys.readouterr().err
         assert "cores" not in load_report(out)
 
+    def test_the_config_lists_only_the_sections_run(self, configs, sample_csv,
+                                                   tmp_path):
+        # the gate drops mixture, trend and cores before the config is built
+        out = tmp_path / "o"
+        code = run(["--model", sample_csv, "--measures", configs["prior"],
+                    "--estimator", "givendata", "--sections", "measures",
+                    "trend", "cores", "--prior", "--out", str(out)])
+        assert code == 0
+        rep = load_report(out)
+        sections = sorted(set(rep) - {"schema_version", "tool", "config"})
+        assert rep["config"]["sections"] == sections == ["measures"]
+
 
 class TestFailureModes:
     def test_mixture_without_prior_is_a_config_error(self, configs, tmp_path,

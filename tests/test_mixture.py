@@ -157,6 +157,13 @@ class TestAnnihilationDefect:
         assert abs(mixture_annihilation_defect(engines, mset.prior, (1,))) \
             < 1e-10
 
+    def test_one_measure_defects_exactly_zero(self, setup):
+        # its only pair is k = j, zero by annihilation, so it is not integrated
+        _, engines = setup
+        for eng in engines:
+            for z in ((1,), (2,), (3,), (1, 3)):
+                assert mixture_annihilation_defect([eng], [1.0], z) == 0.0, z
+
 
 def test_a_one_hot_prior_reproduces_its_measure():
     mset = ishigami_measure_set(prior=(1.0, 0.0, 0.0))
