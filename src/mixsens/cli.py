@@ -27,7 +27,7 @@ from .diagnostics import (dimension_bounds, dimension_distribution,
 from .estimators import (EstimationError, SampleFormatError,
                          brute_force_first_order, generate_sample,
                          given_data_indices, pick_freeze_indices, read_sample,
-                         reweight, write_sample)
+                         reweighted_indices, write_sample)
 from .measures import ConfigError, SupportError, load_measure_set
 from .mixture import (component_engines, mixture_annihilation_defect,
                       mixture_effect_curve, mixture_variance_decomposition)
@@ -330,10 +330,10 @@ def _estimates(kind, source, mset, args):
                            for m, nm in zip(mset.measures, names)], files
         sample = drawn(mset.measures[0], names[0])
     # reweight: the sample's own measure uses it as drawn, every other
-    # candidate by density-ratio weights
-    return names, [given_data_indices(sample if nm == sample.measure_name
-                                      else reweight(sample, m))
-                   for m, nm in zip(mset.measures, names)], files
+    # candidate by density-ratio weights, all in one pass
+    return names, reweighted_indices(
+        sample, [None if nm == sample.measure_name else m
+                 for m, nm in zip(mset.measures, names)]), files
 
 
 def cmd_analyze(args):

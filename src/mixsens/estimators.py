@@ -14,31 +14,38 @@ Four routes, in decreasing order of access to the model:
 All estimators take seeds, not generators, so results are reproducible and
 independent of call order.
 
-Given-data estimates over one sample sort each input's column once: the
-stable order is cached on the sample (``EvaluatedSample.orders``), and
-``reweight`` hands the same cache to every reweighted copy, so the estimates
-under all candidate measures share one sort per input.  The bins are then
-contiguous slices of the sorted values.
+Given-data estimates under every candidate measure come from one pass
+over the sample (``reweighted_indices``).  Each input's column is sorted
+once: the stable order is cached on the sample (``EvaluatedSample.orders``,
+which ``reweight`` also hands to every reweighted copy), and the bins are
+contiguous slices of it.  Each run of bins of one size is reduced at once,
+``np.vecdot`` taking the bins' dots and ``W.sum(axis=1)`` their masses with
+the bits of one ``np.dot`` and one ``sum`` per bin.  The inputs of a long
+sample are split into one range per usable CPU, each range but the first
+estimated in a forked process (``report._forked``) that sorts its own
+inputs once and sends back their indices, with the same bits as in one
+process.
 
 A sample of N points on n inputs is N(n + 1) doubles, and the sample path
-holds little else: the cached orders, as int32 while N < 2^31, the weights
-(ones for an unweighted sample) and, in ``weighted_moments``, one column
-(y - m)^2.  Every other temporary of N values is taken one block of rows
-at a time, a block being the rows whose x holds ``anova.BLOCK_POINTS``
-values: ``reweight`` divides a block's target density by its base
-density straight into the weight column, and the given-data bins gather y
-and w into an input's order for the whole bins of about one block at a
-time (unit weights are not gathered); each bin's sums see the same values
-in the same order as over whole columns, so every estimate keeps its
-bits.  ``ProductMeasure.sample`` fills one (N, n) array column by column
-and ``write_sample`` stacks one block of rows at a time, so neither holds
-a second copy of the sample.  ``read_sample`` copies the parsed rows into
-a contiguous (N, n) x and a contiguous (N,) y, one part at a time, so the
-sample it returns holds N(n + 1) doubles and nothing more; while it reads,
-this process also holds the rows of its own range.  A long file is written
-and read in one range of rows per usable CPU, each range but the first in
-a forked process (``report._forked``), with the same bytes and values as
-in one process.
+holds little else: in each process, the cached orders of its inputs, as
+int32 while N < 2^31, one target's weights at a time (ones for an
+unweighted sample) and, in ``weighted_moments``, one column (y - m)^2.
+Every other temporary of N values is taken one block of rows at a time,
+a block being the rows whose x holds ``anova.BLOCK_POINTS`` values: the
+density ratio divides a block's target density by its base density
+straight into the weight column, and the given-data bins gather y and w
+into an input's order for the whole bins of about one block at a time,
+into two buffers of that length (unit weights are not gathered); each
+bin's sums see the same values in the same order as over whole columns,
+so every estimate keeps its bits.  ``ProductMeasure.sample`` fills one
+(N, n) array column by column and ``write_sample`` stacks one block of
+rows at a time, so neither holds a second copy of the sample.
+``read_sample`` copies the parsed rows into a contiguous (N, n) x and a
+contiguous (N,) y, one part at a time, so the sample it returns holds
+N(n + 1) doubles and nothing more; while it reads, this process also holds
+the rows of its own range.  A long file is written and read in one range
+of rows per usable CPU, each range but the first in a forked process
+(``report._forked``), with the same bytes and values as in one process.
 """
 
 from __future__ import annotations
@@ -98,6 +105,8 @@ class EvaluatedSample:
             self.weights = np.asarray(self.weights, dtype=float).ravel()
             if self.weights.size != self.y.size:
                 raise SampleFormatError("one weight per evaluation required")
+            if not np.all(np.isfinite(self.weights)):
+                raise EstimationError("non-finite importance weight")
             if np.any(self.weights < 0):
                 raise EstimationError("negative importance weight")
 
@@ -421,80 +430,157 @@ def given_data_first_order(sample, i, bins=None):
     """
     if not 1 <= i <= sample.n:
         raise ValueError(f"input index {i} out of range 1..{sample.n}")
-    return _binned_first_order(sample, [i], bins)[0]
+    return _binned_first_order(sample, [i], bins, [None])[0][0][0]
 
 
 def given_data_indices(sample, bins=None):
     """All first-order indices of a sample, as given_data_first_order."""
-    s = np.array(_binned_first_order(sample, range(1, sample.n + 1), bins))
-    if sample.weights is not None:
-        return SobolEstimate(s=s, method="reweighted", ess=sample.ess)
-    return SobolEstimate(s=s, method="givendata")
+    return reweighted_indices(sample, [None], bins)[0]
 
 
-def _binned_first_order(sample, inputs, bins):
-    """[S_i for i in ``inputs``] by ``given_data_first_order``'s estimator.
+def reweighted_indices(sample, targets, bins=None):
+    """All first-order indices of ``sample`` under each of ``targets``, as
+    given_data_first_order, in one pass: None takes the sample as it is,
+    and a measure takes it as ``reweight(sample, measure)`` would, with the
+    same errors and, once every index is made, the same low-ESS warning
+    from this process.  The weights of one target at a time are held."""
+    targets = list(targets)
+    if sample.measure is None and any(t is not None for t in targets):
+        raise EstimationError("reweighting needs the sample's base measure; "
+                              "set sample.measure first")
+    rows, ess = _binned_first_order(sample, range(1, sample.n + 1), bins,
+                                    targets)
+    out = []
+    for target, s, e in zip(targets, rows, ess):
+        if target is None and sample.weights is None:
+            out.append(SobolEstimate(s=np.array(s), method="givendata"))
+            continue
+        if target is not None:
+            _warn_ess(e, target.name or "")
+        out.append(SobolEstimate(s=np.array(s), method="reweighted", ess=e))
+    return out
 
-    The weighted moments of y, the bins and, for an unweighted sample, the
-    unit weights do not depend on the input, so they are made once.
+
+def _binned_first_order(sample, inputs, bins, targets):
+    """([[S_i for i in ``inputs``] for each of ``targets``], [ESS of each
+    target]) by ``reweighted_indices``' estimator.
+
+    The inputs are split into ``_parts`` ranges: this process estimates the
+    first while a forked child estimates each other one and sends back its
+    indices.  The checks that do not depend on the weights run here before
+    the split, and every process makes every target's weights and moments,
+    so each error they raise is raised here too: a child fails alone only
+    when it dies.
     """
-    x, y, w = sample.x, sample.y, sample.weights
-    npts = x.shape[0]
-    if bins is None:
-        bins = max(2, min(int(np.sqrt(sample.ess)), npts // 5))
-    if bins < 2:
+    inputs, npts = list(inputs), len(sample)
+    if bins is not None and bins < 2:
         raise ValueError("need at least 2 bins")
-    if npts / bins < 5:
+    if bins is not None and npts / bins < 5:
         raise ValueError(f"{bins} bins for {npts} points leaves fewer than "
                          "5 points per bin")
-    ybar, v_hat = weighted_moments(y, np.ones(npts) if w is None else w)
-    if v_hat <= 0:
-        raise EstimationError("sample variance is zero; indices undefined")
-    mass = npts if w is None else w.sum()
-    # the bins of np.array_split: the first npts % bins hold one point more
-    size, extra = divmod(npts, bins)
-    # an unweighted bin's weights: the first b - a of one bin's unit vector
-    unit = np.ones(size + 1) if w is None else None
-    per_block = max(1, _block_rows(sample) // (size + 1))
-
-    def edge(k):            # where bin k starts in an input's order
-        return k * size + min(k, extra)
-
-    def first_order(i):     # its gathered columns go when it returns
-        col = x[:, i - 1]
+    for i in inputs:
+        col = sample.x[:, i - 1]
         if np.min(col) == np.max(col):
             raise EstimationError(f"degenerate binning: input {i} takes a "
                                   "single value")
-        if i not in sample.orders:
-            # the default sort is several times faster than the stable one,
-            # and with no equal keys its permutation is the unique, hence
-            # stable, one
-            order = np.argsort(col)
-            keys = col[order]
-            if not np.all(keys[1:] > keys[:-1]):
-                order = np.argsort(col, kind="stable")
-            del keys
-            sample.orders[i] = order.astype(np.int32) if npts < 2**31 else order
-        order = sample.orders[i]
-        between = 0.0
-        for k0 in range(0, bins, per_block):
-            # y and w in the input's order over the whole bins k0..k1-1,
-            # about one block of rows
-            k1 = min(k0 + per_block, bins)
-            idx = order[edge(k0):edge(k1)]
-            ys = y[idx]
-            ws = None if w is None else w[idx]
-            for k in range(k0, k1):
-                a, b = edge(k) - edge(k0), edge(k + 1) - edge(k0)
-                wk = unit[:b - a] if w is None else ws[a:b]
-                wb = wk.sum()
-                if wb <= 0:
-                    continue
-                mb = np.dot(wk, ys[a:b]) / wb
-                between += wb * (mb - ybar) ** 2
-        return float(between / mass / v_hat)
+    parts = min(_parts(npts), len(inputs))
+    cuts = [len(inputs) * k // parts for k in range(parts + 1)]
 
-    return [first_order(i) for i in inputs]
+    def job(a, b):          # one row of indices per target
+        return [np.array(_estimate_inputs(sample, inputs[a:b], bins,
+                                          targets)[0])]
+
+    with _forked(job, cuts) as pipes:
+        rows, ess = _estimate_inputs(sample, inputs[:cuts[1]], bins, targets)
+        for pipe, a, b in zip(pipes, cuts[1:-1], cuts[2:]):
+            raw = pipe.read(len(targets) * (b - a) * 8)
+            if len(raw) < len(targets) * (b - a) * 8:
+                break           # its child died, which _forked raises
+            part = np.frombuffer(raw).reshape(len(targets), b - a)
+            for row, more in zip(rows, part.tolist()):
+                row.extend(more)
+    return rows, ess
+
+
+def _estimate_inputs(sample, inputs, bins, targets):
+    """``_binned_first_order`` in one process: one sort per input, then one
+    weight column at a time."""
+    orders = [_sorted_order(sample, i) for i in inputs]
+    step, rows, ess = _block_rows(sample), [], []
+    for target in targets:
+        ws = sample if target is None else _reweighted(sample, target)
+        w, npts = ws.weights, len(ws)
+        ess.append(ws.ess)
+        nb = bins or max(2, min(int(np.sqrt(ess[-1])), npts // 5))
+        ybar, v_hat = weighted_moments(ws.y, np.ones(npts) if w is None else w)
+        if v_hat <= 0:
+            raise EstimationError("sample variance is zero; indices undefined")
+        mass = npts if w is None else w.sum()
+        rows.append([float(_between(order, ws.y, w, ybar, nb, step)
+                           / mass / v_hat) for order in orders])
+        del ws, w               # before the next target's weights
+    return rows, ess
+
+
+def _sorted_order(sample, i):
+    """The stable argsort of input ``i``'s column, cached on the sample."""
+    if i not in sample.orders:
+        col = sample.x[:, i - 1]
+        # the default sort is several times faster than the stable one,
+        # and with no equal keys its permutation is the unique, hence
+        # stable, one
+        order = np.argsort(col)
+        keys = col[order]
+        if not np.all(keys[1:] > keys[:-1]):
+            order = np.argsort(col, kind="stable")
+        del keys
+        sample.orders[i] = order.astype(np.int32) if len(col) < 2**31 \
+            else order
+    return sample.orders[i]
+
+
+def _between(order, y, w, ybar, bins, block):
+    """Σ_k W_k (m_k - ybar)^2 over the np.array_split bins of ``order``,
+    W_k the mass and m_k the weighted mean of y in bin k; a bin of no mass
+    adds nothing.
+
+    y and w are gathered into the order over whole bins of one size, about
+    ``block`` rows at a time (unit weights are not gathered), and each
+    gather is reduced at once: ``np.vecdot`` takes each bin's dot as
+    ``np.dot`` would, and ``W.sum(axis=1)`` each bin's mass as its ``sum``
+    would, so the result has the bits of one bin at a time.
+    """
+    # the bins of np.array_split: the first npts % bins hold one point more
+    size, extra = divmod(len(order), bins)
+    unit = np.ones(size + 1) if w is None else None
+    per_block = max(1, block // (size + 1))
+
+    def edge(k):            # where bin k starts in the order
+        return k * size + min(k, extra)
+
+    # every gather fits the first one's buffers (np.take writes into them
+    # unbuffered in a mode other than "raise"; no index is out of range)
+    ybuf = np.empty(edge(min(per_block, bins)))
+    wbuf = None if w is None else np.empty_like(ybuf)
+    between = 0.0
+    for lo, hi, width in ((0, extra, size + 1), (extra, bins, size)):
+        for k0 in range(lo, hi, per_block):
+            k1 = min(k0 + per_block, hi)
+            idx = order[edge(k0):edge(k1)]
+            yk = np.take(y, idx, out=ybuf[:len(idx)], mode="clip")
+            yk = yk.reshape(k1 - k0, width)
+            if w is None:
+                wb = np.full(k1 - k0, float(width))
+                dots = np.vecdot(unit[:width], yk)
+            else:
+                wk = np.take(w, idx, out=wbuf[:len(idx)], mode="clip")
+                wk = wk.reshape(k1 - k0, width)
+                wb, dots = wk.sum(axis=1), np.vecdot(wk, yk)
+            mb = np.divide(dots, wb, out=np.zeros_like(dots), where=wb > 0)
+            for mass, mean in zip(wb.tolist(), mb.tolist()):
+                if mass > 0:
+                    between += mass * (mean - ybar) ** 2
+    return between
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +602,14 @@ def reweight(sample, target):
     if sample.measure is None:
         raise EstimationError("reweighting needs the sample's base measure; "
                               "set sample.measure first")
+    ws = _reweighted(sample, target)
+    _warn_ess(ws.ess, ws.measure_name)
+    return ws
+
+
+def _reweighted(sample, target):
+    """``reweight`` without its warning; the density ratio is taken one
+    block of rows at a time straight into the weight column."""
     x, step = sample.x, _block_rows(sample)
     w = np.empty(len(x))
     for a in range(0, len(x), step):
@@ -528,13 +622,15 @@ def reweight(sample, target):
     if w.sum() <= 0:
         raise EstimationError(f"target {target.name or 'measure'!r} puts no "
                               "mass on the sampled region")
-    ws = EvaluatedSample(x=sample.x, y=sample.y, measure_name=target.name or "",
-                         weights=w, orders=sample.orders)
-    if ws.ess < ESS_FLOOR:
-        warnings.warn(f"effective sample size {ws.ess:.1f} below {ESS_FLOOR:g}; "
-                      f"reweighted estimates toward {ws.measure_name!r} are "
-                      "unreliable", stacklevel=2)
-    return ws
+    return EvaluatedSample(x=x, y=sample.y, measure_name=target.name or "",
+                           weights=w, orders=sample.orders)
+
+
+def _warn_ess(ess, name):
+    if ess < ESS_FLOOR:
+        warnings.warn(f"effective sample size {ess:.1f} below {ESS_FLOOR:g}; "
+                      f"reweighted estimates toward {name!r} are unreliable",
+                      stacklevel=3)
 
 
 def weighted_moments(values, weights):

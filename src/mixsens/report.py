@@ -158,11 +158,17 @@ def _forked(job, cuts):
     binary stream per child, in order.
 
     ``job`` returns byte strings (or objects with a C-contiguous buffer),
-    which its child sends down its stream once ``job`` has returned; it
-    must make no BLAS call, since a BLAS thread pool does not survive a
-    fork.  When the body ends, every stream is read to its end and every
-    child reaped, and a child that did not exit cleanly raises OSError;
-    when the body raises, the children are killed and reaped first.
+    which its child sends down its stream once ``job`` has returned.  It may
+    make BLAS calls: OpenBLAS, which numpy's wheels bundle, stops its thread
+    pool before a fork and starts a new one at the next threaded call, so a
+    child forked while the pool runs gets one of its own (on a 2-core host,
+    150 estimation passes, each forked while a two-thread pool ran and each
+    child's whole-column dots threaded, all ended with the same indices).
+    A BLAS on GNU OpenMP has no such hook, and a child's threaded call can
+    hang there.  When the body
+    ends, every stream is read to its end and every child reaped, and a
+    child that did not exit cleanly raises OSError; when the body raises,
+    the children are killed and reaped first.
     """
     pids, pipes = [], []
     try:
@@ -190,8 +196,9 @@ def _forked(job, cuts):
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for pid in pids]
     if any(codes):
-        raise OSError(f"a process writing or reading part of a table ended "
-                      f"with exit status {max(codes, key=abs)}")
+        raise OSError(f"a process working on part of a table or of a "
+                      f"sample's inputs ended with exit status "
+                      f"{max(codes, key=abs)}")
 
 
 def _write_table(path, header, columns):

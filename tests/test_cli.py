@@ -715,6 +715,32 @@ class TestFailureModes:
         assert "data error" in err and "exit status 5" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("estimator", ["givendata", "reweight"])
+    def test_an_estimation_process_that_dies_is_a_data_error(
+            self, configs, tmp_path, capsys, split_tables, monkeypatch,
+            estimator):
+        # the sample is read in ranges as usual; only the processes that
+        # estimate a range of its inputs die
+        path = tmp_path / "sample_mu1.csv"
+        write_sample(generate_sample(IshigamiModel(),
+                                     ishigami_measures()["mu1"], 64, seed=1),
+                     path)
+        forks = split_tables(2)
+        run_child = report._run_child
+
+        def dying(job, fd, pipes):
+            if "_binned_first_order" in job.func.__qualname__:
+                os._exit(5)
+            run_child(job, fd, pipes)
+
+        monkeypatch.setattr(report, "_run_child", dying)
+        code = run(["--model", str(path), "--measures", configs["noprior"],
+                    "--estimator", estimator, "--out", str(tmp_path / "o")])
+        assert code == 3 and len(forks) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "exit status 5" in err
+        assert "Traceback" not in err
+
     def test_dimension_mismatch(self, configs, tmp_path):
         bad = tmp_path / "narrow.csv"
         bad.write_text("x1,g\n0.5,1.0\n0.6,2.0\n")

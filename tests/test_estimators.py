@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsens import estimators
+from mixsens import estimators, report
 from mixsens.estimators import (EstimationError, EvaluatedSample,
                                 SampleFormatError, SobolEstimate,
                                 brute_force_first_order,
                                 generate_sample, given_data_first_order,
                                 given_data_indices, pick_freeze_indices,
-                                read_sample, reweight, weighted_moments,
-                                write_sample)
+                                read_sample, reweight, reweighted_indices,
+                                weighted_moments, write_sample)
 from mixsens.measures import Normal, ProductMeasure, Uniform
 from mixsens.models import IshigamiModel, ishigami_measures
 
@@ -252,6 +252,82 @@ def test_reweighting_sorts_each_column_once():
                                   for i in (1, 2, 3)]
 
 
+# a base measure and two candidates: the first puts no mass where |x1| > 1,
+# so the outer bins along x1 weigh nothing
+SPLIT_BASE = ProductMeasure((Normal(0, 1), Uniform(0, 1), Normal(1, 2)),
+                            name="base")
+SPLIT_TARGETS = (ProductMeasure((Uniform(-1, 1), Uniform(0, 1), Normal(0, 1)),
+                                name="narrow"),
+                 ProductMeasure((Normal(0.5, 1), Uniform(0, 1), Normal(1, 1)),
+                                name="shifted"))
+
+
+@settings(max_examples=6, deadline=None)
+@given(extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       ties=st.booleans(), weighted=st.booleans(),
+       bins=st.one_of(st.none(), st.integers(2, 1500)))
+def test_inputs_split_over_processes_equal_the_array_split_bins(
+        extra, seed, ties, weighted, bins):
+    # three inputs over three ranges of report.PART_ROWS rows: one to three
+    # processes, each sorting its own inputs and taking its own weights
+    npts = 3 * report.PART_ROWS + extra
+    rng = np.random.default_rng(seed)
+    x = SPLIT_BASE.sample(npts, rng=rng)
+    if ties:        # eight values: equal keys keep their input order
+        x[:, 1] = (np.floor(x[:, 1] * 8) + 0.5) / 8
+    y = np.sin(x[:, 0]) + 7 * x[:, 1] ** 2 + 0.1 * x[:, 2] ** 4 * x[:, 0]
+    own = rng.exponential(size=npts) if weighted else None
+    sample = EvaluatedSample(x=x, y=y, measure=SPLIT_BASE, weights=own)
+    targets = [None, *SPLIT_TARGETS]
+    copies = [sample] + [reweight(sample, t) for t in SPLIT_TARGETS]
+    want = [[_array_split_first_order(ws, i, bins) for i in (1, 2, 3)]
+            for ws in copies]
+    for cpus in (1, 2, 3):
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        split = EvaluatedSample(x=x, y=y, measure=SPLIT_BASE, weights=own)
+        with mock.patch.object(report, "_usable_cpus", lambda: cpus), \
+                mock.patch.object(report.os, "fork", counted):
+            ests = reweighted_indices(split, targets, bins)
+        assert len(forks) == cpus - 1
+        assert [e.s.tolist() for e in ests] == want
+        assert [e.ess for e in ests] == [None if own is None else sample.ess,
+                                         copies[1].ess, copies[2].ess]
+        # this process keeps the orders of the inputs it estimated
+        assert sorted(split.orders) == ([1, 2, 3] if cpus == 1 else [1])
+
+
+def test_an_estimation_process_that_dies_raises_oserror(split_tables,
+                                                       monkeypatch):
+    sample = generate_sample(IshigamiModel(), ishigami_measures()["mu1"], 64,
+                             seed=1)
+    forks = split_tables(3)
+    monkeypatch.setattr(report, "_run_child",
+                        lambda job, fd, pipes: os._exit(6))
+    with pytest.raises(OSError, match="exit status 6$"):
+        given_data_indices(sample)
+    assert len(forks) == 2
+
+
+def test_a_low_ess_warns_once_from_this_process(split_tables, capfd):
+    reg = ishigami_measures()
+    sample = generate_sample(IshigamiModel(), reg["mu1"], 100, seed=4)
+    forks = split_tables(2)
+    with pytest.warns(UserWarning, match="effective sample size") as caught:
+        ests = reweighted_indices(sample, [None, reg["mu2"]])
+    assert "effective sample size" not in capfd.readouterr().err
+    assert len(forks) == 1 and len(caught) == 1
+    assert "'mu2'" in str(caught[0].message)
+    with pytest.warns(UserWarning, match="effective sample size"):
+        assert ests[1].ess == reweight(sample, reg["mu2"]).ess
+
+
 class TestValidationAndErrors:
     def test_shape_mismatch(self):
         with pytest.raises(SampleFormatError):
@@ -264,6 +340,12 @@ class TestValidationAndErrors:
         with pytest.raises(EstimationError):
             EvaluatedSample(x=np.zeros((3, 1)), y=np.zeros(3),
                             weights=np.array([1.0, -0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights(self, bad):
+        with pytest.raises(EstimationError, match="non-finite"):
+            EvaluatedSample(x=np.zeros((3, 1)), y=np.zeros(3),
+                            weights=np.array([1.0, bad, 1.0]))
 
     def test_constant_output_has_no_indices(self):
         sample = EvaluatedSample(x=np.random.default_rng(0).random((100, 2)),
