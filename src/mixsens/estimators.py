@@ -18,13 +18,11 @@ Given-data estimates under every candidate measure come from one pass
 over the sample (``reweighted_indices``).  Each input's column is sorted
 once: the stable order is cached on the sample (``EvaluatedSample.orders``,
 which ``reweight`` also hands to every reweighted copy), and the bins are
-contiguous slices of it.  Each run of bins of one size is reduced at once,
-``np.vecdot`` taking the bins' dots and ``W.sum(axis=1)`` their masses with
-the bits of one ``np.dot`` and one ``sum`` per bin.  The inputs of a long
-sample are split into one range per usable CPU, each range but the first
-estimated in a forked process (``report._forked``) that sorts its own
-inputs once and sends back their indices, with the same bits as in one
-process.
+contiguous slices of it.  Where numpy's BLAS survives a fork
+(``report._parts(rows, blas=True)``), the inputs of a long sample are split
+into one range per usable CPU, each range but the first estimated in a
+forked process (``report._forked``) that sorts its own inputs once and
+sends back their indices, with the same bits as in one process.
 
 A sample of N points on n inputs is N(n + 1) doubles, and the sample path
 holds little else: in each process, the cached orders of its inputs, as
@@ -34,12 +32,12 @@ Every other temporary of N values is taken one block of rows at a time,
 a block being the rows whose x holds ``anova.BLOCK_POINTS`` values: the
 density ratio divides a block's target density by its base density
 straight into the weight column, and the given-data bins gather y and w
-into an input's order for the whole bins of about one block at a time,
-into two buffers of that length (unit weights are not gathered); each
-bin's sums see the same values in the same order as over whole columns,
-so every estimate keeps its bits.  ``ProductMeasure.sample`` fills one
-(N, n) array column by column and ``write_sample`` stacks one block of
-rows at a time, so neither holds a second copy of the sample.
+into an input's order for the whole bins of about one block at a time
+(unit weights are not gathered); each bin's sums see the same values in
+the same order as over whole columns, so every estimate keeps its bits.
+``ProductMeasure.sample`` fills one (N, n) array column by column and
+``write_sample`` stacks one block of rows at a time, so neither holds a
+second copy of the sample.
 ``read_sample`` copies the parsed rows into a contiguous (N, n) x and a
 contiguous (N,) y, one part at a time, so the sample it returns holds
 N(n + 1) doubles and nothing more; while it reads, this process also holds
@@ -445,9 +443,6 @@ def reweighted_indices(sample, targets, bins=None):
     same errors and, once every index is made, the same low-ESS warning
     from this process.  The weights of one target at a time are held."""
     targets = list(targets)
-    if sample.measure is None and any(t is not None for t in targets):
-        raise EstimationError("reweighting needs the sample's base measure; "
-                              "set sample.measure first")
     rows, ess = _binned_first_order(sample, range(1, sample.n + 1), bins,
                                     targets)
     out = []
@@ -465,25 +460,26 @@ def _binned_first_order(sample, inputs, bins, targets):
     """([[S_i for i in ``inputs``] for each of ``targets``], [ESS of each
     target]) by ``reweighted_indices``' estimator.
 
-    The inputs are split into ``_parts`` ranges: this process estimates the
-    first while a forked child estimates each other one and sends back its
-    indices.  The checks that do not depend on the weights run here before
-    the split, and every process makes every target's weights and moments,
-    so each error they raise is raised here too: a child fails alone only
-    when it dies.
+    The inputs are split into ``_parts(rows, blas=True)`` ranges: this
+    process estimates the first while a forked child estimates each other
+    one and sends back its indices.  The checks that do not depend on the
+    weights run here before the split, and every process makes every
+    target's weights and moments, so each error they raise is raised here
+    too: a child fails alone only when it dies.
     """
     inputs, npts = list(inputs), len(sample)
     if bins is not None and bins < 2:
         raise ValueError("need at least 2 bins")
-    if bins is not None and npts / bins < 5:
-        raise ValueError(f"{bins} bins for {npts} points leaves fewer than "
-                         "5 points per bin")
+    # the default count is at most npts // 5, and 2 below 10 points
+    if npts / (bins or 2) < 5:
+        raise ValueError(f"{bins or 2} bins for {npts} points leaves fewer "
+                         "than 5 points per bin")
     for i in inputs:
         col = sample.x[:, i - 1]
         if np.min(col) == np.max(col):
             raise EstimationError(f"degenerate binning: input {i} takes a "
                                   "single value")
-    parts = min(_parts(npts), len(inputs))
+    parts = min(_parts(npts, blas=True), len(inputs))
     cuts = [len(inputs) * k // parts for k in range(parts + 1)]
 
     def job(a, b):          # one row of indices per target
@@ -544,42 +540,34 @@ def _between(order, y, w, ybar, bins, block):
     W_k the mass and m_k the weighted mean of y in bin k; a bin of no mass
     adds nothing.
 
-    y and w are gathered into the order over whole bins of one size, about
-    ``block`` rows at a time (unit weights are not gathered), and each
-    gather is reduced at once: ``np.vecdot`` takes each bin's dot as
-    ``np.dot`` would, and ``W.sum(axis=1)`` each bin's mass as its ``sum``
-    would, so the result has the bits of one bin at a time.
+    y and w are gathered into the order for the whole bins of about
+    ``block`` rows at a time (unit weights are not gathered); each bin's
+    ``np.dot`` and ``sum`` see the same values in the same order as over
+    whole columns.
     """
     # the bins of np.array_split: the first npts % bins hold one point more
     size, extra = divmod(len(order), bins)
+    # an unweighted bin's weights: the first b - a of one bin's unit vector
     unit = np.ones(size + 1) if w is None else None
     per_block = max(1, block // (size + 1))
 
     def edge(k):            # where bin k starts in the order
         return k * size + min(k, extra)
 
-    # every gather fits the first one's buffers (np.take writes into them
-    # unbuffered in a mode other than "raise"; no index is out of range)
-    ybuf = np.empty(edge(min(per_block, bins)))
-    wbuf = None if w is None else np.empty_like(ybuf)
     between = 0.0
-    for lo, hi, width in ((0, extra, size + 1), (extra, bins, size)):
-        for k0 in range(lo, hi, per_block):
-            k1 = min(k0 + per_block, hi)
-            idx = order[edge(k0):edge(k1)]
-            yk = np.take(y, idx, out=ybuf[:len(idx)], mode="clip")
-            yk = yk.reshape(k1 - k0, width)
-            if w is None:
-                wb = np.full(k1 - k0, float(width))
-                dots = np.vecdot(unit[:width], yk)
-            else:
-                wk = np.take(w, idx, out=wbuf[:len(idx)], mode="clip")
-                wk = wk.reshape(k1 - k0, width)
-                wb, dots = wk.sum(axis=1), np.vecdot(wk, yk)
-            mb = np.divide(dots, wb, out=np.zeros_like(dots), where=wb > 0)
-            for mass, mean in zip(wb.tolist(), mb.tolist()):
-                if mass > 0:
-                    between += mass * (mean - ybar) ** 2
+    for k0 in range(0, bins, per_block):
+        k1 = min(k0 + per_block, bins)
+        idx = order[edge(k0):edge(k1)]
+        ys = y[idx]
+        ws = None if w is None else w[idx]
+        for k in range(k0, k1):
+            a, b = edge(k) - edge(k0), edge(k + 1) - edge(k0)
+            wk = unit[:b - a] if w is None else ws[a:b]
+            wb = wk.sum()
+            if wb <= 0:
+                continue
+            mb = np.dot(wk, ys[a:b]) / wb
+            between += wb * (mb - ybar) ** 2
     return between
 
 
@@ -599,9 +587,6 @@ def reweight(sample, target):
     observed point; warns when the effective sample size falls below
     ``ESS_FLOOR`` (estimates are then dominated by a handful of points).
     """
-    if sample.measure is None:
-        raise EstimationError("reweighting needs the sample's base measure; "
-                              "set sample.measure first")
     ws = _reweighted(sample, target)
     _warn_ess(ws.ess, ws.measure_name)
     return ws
@@ -610,6 +595,9 @@ def reweight(sample, target):
 def _reweighted(sample, target):
     """``reweight`` without its warning; the density ratio is taken one
     block of rows at a time straight into the weight column."""
+    if sample.measure is None:
+        raise EstimationError("reweighting needs the sample's base measure; "
+                              "set sample.measure first")
     x, step = sample.x, _block_rows(sample)
     w = np.empty(len(x))
     for a in range(0, len(x), step):

@@ -124,12 +124,29 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _parts(rows):
+def _blas_survives_fork():
+    """Whether numpy's BLAS is known to work in a forked child: OpenBLAS on
+    its own threads, as numpy's wheels bundle it, which stops its thread
+    pool before a fork.  An OpenBLAS built on OpenMP, or a BLAS that numpy's
+    build record does not name (every numpy before 1.26), may not."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        config = blas.get("openblas configuration") or ""
+        return ("openblas" in blas["name"] and config.startswith("OpenBLAS")
+                and "OPENMP" not in config.upper())
+    except (AttributeError, KeyError, TypeError):
+        return False
+
+
+def _parts(rows, blas=False):
     """Into how many contiguous ranges to split a table of about ``rows``
     rows: one per usable CPU, each of at least ``PART_ROWS`` rows, and one
-    where this process cannot fork safely (no ``os.fork``, or other Python
-    threads running)."""
+    where this process cannot fork safely (no ``os.fork``, other Python
+    threads running, or, for a job that makes BLAS calls, a BLAS not known
+    to survive a fork)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if blas and not _blas_survives_fork():
         return 1
     return max(1, min(_usable_cpus(), rows // PART_ROWS))
 
@@ -158,17 +175,18 @@ def _forked(job, cuts):
     binary stream per child, in order.
 
     ``job`` returns byte strings (or objects with a C-contiguous buffer),
-    which its child sends down its stream once ``job`` has returned.  It may
-    make BLAS calls: OpenBLAS, which numpy's wheels bundle, stops its thread
-    pool before a fork and starts a new one at the next threaded call, so a
-    child forked while the pool runs gets one of its own (on a 2-core host,
-    150 estimation passes, each forked while a two-thread pool ran and each
-    child's whole-column dots threaded, all ended with the same indices).
-    A BLAS on GNU OpenMP has no such hook, and a child's threaded call can
-    hang there.  When the body
-    ends, every stream is read to its end and every child reaped, and a
-    child that did not exit cleanly raises OSError; when the body raises,
-    the children are killed and reaped first.
+    which its child sends down its stream once ``job`` has returned.  A
+    ``job`` that makes BLAS calls is split only where ``_parts(rows,
+    blas=True)`` says so: OpenBLAS on its own threads stops its pool before
+    a fork and starts a new one at the next threaded call, so a child forked
+    while the pool runs gets one of its own (on a 2-core host, 150
+    estimation passes, each forked while a two-thread pool ran and each
+    child's whole-column dots threaded, all ended with the same indices);
+    a BLAS on GNU OpenMP has no such hook, and a child's threaded call can
+    hang there.  When the body ends, every stream is read to its end and
+    every child reaped, and a child that did not exit cleanly raises
+    OSError; when the body raises, the children are killed and reaped
+    first.
     """
     pids, pipes = [], []
     try:

@@ -315,6 +315,38 @@ def test_an_estimation_process_that_dies_raises_oserror(split_tables,
     assert len(forks) == 2
 
 
+OPENBLAS_PTHREADS = {"name": "scipy-openblas", "openblas configuration":
+                     "OpenBLAS 0.3.27 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+                     "Haswell MAX_THREADS=64"}
+
+
+@pytest.mark.parametrize("blas, parts", [
+    (OPENBLAS_PTHREADS, 3),
+    ({"name": "openblas", "openblas configuration":
+      "OpenBLAS 0.3.21 USE_OPENMP DYNAMIC_ARCH NO_AFFINITY Zen"}, 1),
+    ({"name": "openblas", "openblas configuration": "unknown"}, 1),
+    ({"name": "mkl-sdl"}, 1),
+    ({}, 1),
+    (None, 1)])
+def test_the_inputs_split_only_where_blas_survives_a_fork(
+        split_tables, monkeypatch, blas, parts):
+    # numpy's build record names its BLAS; a numpy before 1.26 has none
+    sample = generate_sample(IshigamiModel(), ishigami_measures()["mu1"], 64,
+                             seed=1)
+    want = given_data_indices(sample).s.tolist()
+    forks = split_tables(3)
+    if blas is None:
+        monkeypatch.delattr(np.__config__, "CONFIG", raising=False)
+    else:
+        monkeypatch.setattr(np.__config__, "CONFIG",
+                            {"Build Dependencies": {"blas": blas}},
+                            raising=False)
+    assert report._parts(64) == 3 and report._parts(64, blas=True) == parts
+    fresh = EvaluatedSample(x=sample.x, y=sample.y)
+    assert given_data_indices(fresh).s.tolist() == want
+    assert len(forks) == parts - 1
+
+
 def test_a_low_ess_warns_once_from_this_process(split_tables, capfd):
     reg = ishigami_measures()
     sample = generate_sample(IshigamiModel(), reg["mu1"], 100, seed=4)
@@ -368,6 +400,14 @@ class TestValidationAndErrors:
             given_data_first_order(sample, 1, bins=1)
         with pytest.raises(ValueError, match="fewer than"):
             given_data_first_order(sample, 1, bins=50)
+        # the default bin count is 2 below 10 points
+        short = generate_sample(additive, GAUSS2, 9, seed=0)
+        with pytest.raises(ValueError, match="2 bins for 9 points"):
+            given_data_indices(short)
+        with pytest.raises(ValueError, match="2 bins for 9 points"):
+            given_data_first_order(short, 1)
+        assert given_data_indices(generate_sample(additive, GAUSS2, 10,
+                                                  seed=0)).s.shape == (2,)
         with pytest.raises(ValueError):
             pick_freeze_indices(additive, GAUSS2, n=8)
         with pytest.raises(ValueError):
