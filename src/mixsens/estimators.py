@@ -18,11 +18,13 @@ Given-data estimates under every candidate measure come from one pass
 over the sample (``reweighted_indices``).  Each input's column is sorted
 once: the stable order is cached on the sample (``EvaluatedSample.orders``,
 which ``reweight`` also hands to every reweighted copy), and the bins are
-contiguous slices of it.  Where numpy's BLAS survives a fork
-(``report._parts(rows, blas=True)``), the inputs of a long sample are split
-into one range per usable CPU, each range but the first estimated in a
-forked process (``report._forked``) that sorts its own inputs once and
-sends back their indices, with the same bits as in one process.
+contiguous slices of it.  The inputs of a long sample are split into one
+range per usable CPU (``report._parts``), each range but the first
+estimated in a forked process (``report._forked``) that sorts its own
+inputs once and sends back their indices, with the same bits as in one
+process.  Every sum of the pass is a numpy reduction (``np.sum``,
+``np.add.reduceat``), never a BLAS call, so the estimates do not depend
+on the BLAS, its thread count or the fork.
 
 A sample of N points on n inputs is N(n + 1) doubles, and the sample path
 holds little else: in each process, the cached orders of its inputs, as
@@ -33,8 +35,9 @@ a block being the rows whose x holds ``anova.BLOCK_POINTS`` values: the
 density ratio divides a block's target density by its base density
 straight into the weight column, and the given-data bins gather y and w
 into an input's order for the whole bins of about one block at a time
-(unit weights are not gathered); each bin's sums see the same values in
-the same order as over whole columns, so every estimate keeps its bits.
+(unit weights are not gathered); each bin's sums are ``np.add.reduceat``
+segments, which have the same bits wherever they sit, so every estimate
+keeps its bits whatever the block.
 ``ProductMeasure.sample`` fills one (N, n) array column by column and
 ``write_sample`` stacks one block of rows at a time, so neither holds a
 second copy of the sample.
@@ -123,7 +126,7 @@ class EvaluatedSample:
         s = self.weights.sum()
         if s <= 0:
             return 0.0
-        return float(s * s / np.dot(self.weights, self.weights))
+        return float(s * s / np.square(self.weights).sum())
 
 
 def generate_sample(model, measure, count, seed):
@@ -460,9 +463,9 @@ def _binned_first_order(sample, inputs, bins, targets):
     """([[S_i for i in ``inputs``] for each of ``targets``], [ESS of each
     target]) by ``reweighted_indices``' estimator.
 
-    The inputs are split into ``_parts(rows, blas=True)`` ranges: this
-    process estimates the first while a forked child estimates each other
-    one and sends back its indices.  The checks that do not depend on the
+    The inputs are split into ``_parts(rows)`` ranges: this process
+    estimates the first while a forked child estimates each other one and
+    sends back its indices.  The checks that do not depend on the
     weights run here before the split, and every process makes every
     target's weights and moments, so each error they raise is raised here
     too: a child fails alone only when it dies.
@@ -479,7 +482,7 @@ def _binned_first_order(sample, inputs, bins, targets):
         if np.min(col) == np.max(col):
             raise EstimationError(f"degenerate binning: input {i} takes a "
                                   "single value")
-    parts = min(_parts(npts, blas=True), len(inputs))
+    parts = min(_parts(npts), len(inputs))
     cuts = [len(inputs) * k // parts for k in range(parts + 1)]
 
     def job(a, b):          # one row of indices per target
@@ -538,37 +541,35 @@ def _sorted_order(sample, i):
 def _between(order, y, w, ybar, bins, block):
     """Σ_k W_k (m_k - ybar)^2 over the np.array_split bins of ``order``,
     W_k the mass and m_k the weighted mean of y in bin k; a bin of no mass
-    adds nothing.
+    adds a zero term.
 
     y and w are gathered into the order for the whole bins of about
-    ``block`` rows at a time (unit weights are not gathered); each bin's
-    ``np.dot`` and ``sum`` see the same values in the same order as over
-    whole columns.
+    ``block`` rows at a time (unit weights are not gathered).  Each bin's
+    mass and weighted sum is one ``np.add.reduceat`` segment, whose bits do
+    not depend on where the segment sits, and the terms of all bins are
+    summed at the end, so the result does not depend on ``block``.
     """
     # the bins of np.array_split: the first npts % bins hold one point more
     size, extra = divmod(len(order), bins)
-    # an unweighted bin's weights: the first b - a of one bin's unit vector
-    unit = np.ones(size + 1) if w is None else None
+    edges = np.arange(bins + 1) * size + np.minimum(np.arange(bins + 1), extra)
     per_block = max(1, block // (size + 1))
-
-    def edge(k):            # where bin k starts in the order
-        return k * size + min(k, extra)
-
-    between = 0.0
+    terms = np.zeros(bins)
     for k0 in range(0, bins, per_block):
         k1 = min(k0 + per_block, bins)
-        idx = order[edge(k0):edge(k1)]
+        idx = order[edges[k0]:edges[k1]]
+        starts = edges[k0:k1] - edges[k0]
         ys = y[idx]
-        ws = None if w is None else w[idx]
-        for k in range(k0, k1):
-            a, b = edge(k) - edge(k0), edge(k + 1) - edge(k0)
-            wk = unit[:b - a] if w is None else ws[a:b]
-            wb = wk.sum()
-            if wb <= 0:
-                continue
-            mb = np.dot(wk, ys[a:b]) / wb
-            between += wb * (mb - ybar) ** 2
-    return between
+        if w is None:
+            mass = np.diff(edges[k0:k1 + 1])
+        else:
+            ws = w[idx]
+            mass = np.add.reduceat(ws, starts)
+            ys *= ws
+        sums = np.add.reduceat(ys, starts)
+        full = mass > 0
+        d = sums[full] / mass[full] - ybar
+        terms[k0:k1][full] = mass[full] * (d * d)
+    return terms.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +599,10 @@ def _reweighted(sample, target):
     if sample.measure is None:
         raise EstimationError("reweighting needs the sample's base measure; "
                               "set sample.measure first")
+    for what, measure in (("base", sample.measure), ("target", target)):
+        if measure.n != sample.n:
+            raise ValueError(f"the sample has {sample.n} inputs, but its "
+                             f"{what} measure has {measure.n}")
     x, step = sample.x, _block_rows(sample)
     w = np.empty(len(x))
     for a in range(0, len(x), step):
@@ -626,8 +631,10 @@ def weighted_moments(values, weights):
     moments when all weights coincide."""
     w = np.asarray(weights, dtype=float)
     y = np.asarray(values, dtype=float)
+    if w.shape != y.shape:
+        raise ValueError(f"{w.size} weights for {y.size} values")
     s = w.sum()
     if s <= 0:
         raise EstimationError("weights sum to zero")
-    m = np.dot(w, y) / s
-    return float(m), float(np.dot(w, (y - m) ** 2) / s)
+    m = (w * y).sum() / s
+    return float(m), float((w * (y - m) ** 2).sum() / s)

@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -178,17 +181,20 @@ def _array_split_first_order(sample, i, bins=None):
         n_eff = sample.ess if weighted else len(y)
         bins = max(2, min(int(np.sqrt(n_eff)), len(y) // 5))
     wsum = w.sum()
-    ybar = np.dot(w, y) / wsum
-    v_hat = np.dot(w, (y - ybar) ** 2) / wsum
-    between = 0.0
+    ybar = (w * y).sum() / wsum
+    v_hat = (w * (y - ybar) ** 2).sum() / wsum
+    terms = []
     for idx in np.array_split(np.argsort(sample.x[:, i - 1], kind="stable"),
                               bins):
-        wb = w[idx].sum()
+        # a reduceat segment has the same bits wherever it sits, but not
+        # those of np.sum over the same values
+        wb = np.add.reduceat(w[idx], [0])[0]
         if wb <= 0:
+            terms.append(0.0)
             continue
-        mb = np.dot(w[idx], y[idx]) / wb
-        between += wb * (mb - ybar) ** 2
-    return float(between / wsum / v_hat)
+        d = np.add.reduceat(w[idx] * y[idx], [0])[0] / wb - ybar
+        terms.append(wb * (d * d))
+    return float(np.sum(terms) / wsum / v_hat)
 
 
 @settings(max_examples=40, deadline=None)
@@ -320,17 +326,17 @@ OPENBLAS_PTHREADS = {"name": "scipy-openblas", "openblas configuration":
                      "Haswell MAX_THREADS=64"}
 
 
-@pytest.mark.parametrize("blas, parts", [
-    (OPENBLAS_PTHREADS, 3),
-    ({"name": "openblas", "openblas configuration":
-      "OpenBLAS 0.3.21 USE_OPENMP DYNAMIC_ARCH NO_AFFINITY Zen"}, 1),
-    ({"name": "openblas", "openblas configuration": "unknown"}, 1),
-    ({"name": "mkl-sdl"}, 1),
-    ({}, 1),
-    (None, 1)])
-def test_the_inputs_split_only_where_blas_survives_a_fork(
-        split_tables, monkeypatch, blas, parts):
-    # numpy's build record names its BLAS; a numpy before 1.26 has none
+@pytest.mark.parametrize("blas", [
+    OPENBLAS_PTHREADS,
+    {"name": "openblas", "openblas configuration":
+     "OpenBLAS 0.3.21 USE_OPENMP DYNAMIC_ARCH NO_AFFINITY Zen"},
+    {"name": "openblas", "openblas configuration": "unknown"},
+    {"name": "mkl-sdl"},
+    {},
+    None])
+def test_the_inputs_split_under_any_blas(split_tables, monkeypatch, blas):
+    # the estimates make no BLAS call, so numpy's build record (none before
+    # numpy 1.26) does not decide the split
     sample = generate_sample(IshigamiModel(), ishigami_measures()["mu1"], 64,
                              seed=1)
     want = given_data_indices(sample).s.tolist()
@@ -341,10 +347,55 @@ def test_the_inputs_split_only_where_blas_survives_a_fork(
         monkeypatch.setattr(np.__config__, "CONFIG",
                             {"Build Dependencies": {"blas": blas}},
                             raising=False)
-    assert report._parts(64) == 3 and report._parts(64, blas=True) == parts
+    assert report._parts(64) == 3
     fresh = EvaluatedSample(x=sample.x, y=sample.y)
     assert given_data_indices(fresh).s.tolist() == want
-    assert len(forks) == parts - 1
+    assert len(forks) == 2
+
+
+def test_no_input_is_split_while_another_thread_runs(split_tables):
+    sample = generate_sample(IshigamiModel(), ishigami_measures()["mu1"], 64,
+                             seed=1)
+    want = given_data_indices(sample).s.tolist()
+    forks = split_tables(3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        fresh = EvaluatedSample(x=sample.x, y=sample.y)
+        assert given_data_indices(fresh).s.tolist() == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks == []
+
+
+THREADS_SCRIPT = """
+from mixsens.estimators import (generate_sample, given_data_indices,
+                                reweighted_indices)
+from mixsens.models import IshigamiModel, ishigami_measures
+reg = ishigami_measures()
+sample = generate_sample(IshigamiModel(), reg["mu1"], 2**15, seed=1)
+ests = reweighted_indices(sample, [None, reg["mu2"]])
+ests.append(given_data_indices(sample, bins=2))
+for est in ests:
+    print(*[float(v).hex() for v in est.s], est.ess and float(est.ess).hex())
+"""
+
+
+def test_the_indices_do_not_depend_on_the_blas_threads():
+    # OpenBLAS splits a dot of more than 10,000 values over its threads:
+    # each column of a 2^15-row sample, and each of 2 bins, is that long
+    src = os.path.dirname(os.path.dirname(estimators.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert out[0].count("\n") == 3 and out[0] == out[1]
 
 
 def test_a_low_ess_warns_once_from_this_process(split_tables, capfd):
@@ -412,6 +463,24 @@ class TestValidationAndErrors:
             pick_freeze_indices(additive, GAUSS2, n=8)
         with pytest.raises(ValueError):
             brute_force_first_order(additive, GAUSS2, n_outer=1)
+
+    def test_weights_of_another_length(self):
+        with pytest.raises(ValueError, match="1 weights for 5 values"):
+            weighted_moments(np.arange(5.0), [1.0])
+
+    def test_measures_of_another_input_count(self):
+        reg = ishigami_measures()
+        sample = generate_sample(IshigamiModel(), reg["mu1"], 64, seed=1)
+        two = ProductMeasure((Normal(0, 1), Normal(0, 1)), name="two")
+        with pytest.raises(ValueError, match="3 inputs, but its target "
+                                             "measure has 2"):
+            reweight(sample, two)
+        with pytest.raises(ValueError, match="target measure has 2"):
+            reweighted_indices(sample, [None, two])
+        sample.measure = two
+        with pytest.raises(ValueError, match="3 inputs, but its base "
+                                             "measure has 2"):
+            reweight(sample, reg["mu2"])
 
     def test_clamping(self):
         est = SobolEstimate(s=np.array([-0.01, 1.2]),
