@@ -21,8 +21,7 @@ from .estimators import (EstimationError, EvaluatedSample, SampleFormatError,
                          SobolEstimate, brute_force_first_order,
                          generate_sample, given_data_first_order,
                          given_data_indices, pick_freeze_indices, read_sample,
-                         reweight, reweighted_indices, weighted_moments,
-                         write_sample)
+                         reweighted_indices, weighted_moments, write_sample)
 from .measures import (ConfigError, DiscreteUniform, MeasureSet, Normal,
                        ProductMeasure, SupportError, Uniform, load_measure_set,
                        measure_set_from_dict, substream)
@@ -58,7 +57,7 @@ __all__ = [
     "mixture_effect_from_pooled_conditionals",
     "mixture_monotonicity_condition", "mixture_variance_decomposition",
     "monotonicity_check", "multilinear_from_dict", "pick_freeze_indices",
-    "qty", "quad_qty", "read_sample", "resolve_model", "reweight",
+    "qty", "quad_qty", "read_sample", "resolve_model",
     "reweighted_indices", "robust_ranking", "substream", "subset_label",
     "ultramodularity_check", "weighted_moments", "write_effect_curve_csv",
     "write_indices_csv", "write_mixture_curve_csv", "write_report",

@@ -16,20 +16,19 @@ independent of call order.
 
 Given-data estimates under every candidate measure come from one pass
 over the sample (``reweighted_indices``).  Each input's column is sorted
-once: the stable order is cached on the sample (``EvaluatedSample.orders``,
-which ``reweight`` also hands to every reweighted copy), and the bins are
-contiguous slices of it.  The inputs of a long sample are split into one
-range per usable CPU (``report._parts``), each range but the first
-estimated in a forked process (``report._forked``) that sorts its own
-inputs once and sends back their indices, with the same bits as in one
-process.  Every sum of the pass is a numpy reduction (``np.sum``,
-``np.add.reduceat``), never a BLAS call, so the estimates do not depend
-on the BLAS, its thread count or the fork.
+once per pass, and the bins are contiguous slices of its order.  The
+inputs of a long sample are split into one range per usable CPU
+(``report._parts``), each range but the first estimated in a forked
+process (``report._forked``) that sorts its own inputs once and sends
+back their indices, with the same bits as in one process.  Every sum of
+the pass is a numpy reduction (``np.sum``, ``np.add.reduceat``), never a
+BLAS call, so the estimates do not depend on the BLAS, its thread count
+or the fork.
 
 A sample of N points on n inputs is N(n + 1) doubles, and the sample path
-holds little else: in each process, the cached orders of its inputs, as
-int32 while N < 2^31, one target's weights at a time (ones for an
-unweighted sample) and, in ``weighted_moments``, one column (y - m)^2.
+holds little else: in each process, the orders of its inputs, as int32
+while N < 2^31, one target's weights at a time (ones for the sample as
+drawn) and, in ``weighted_moments``, one column (y - m)^2.
 Every other temporary of N values is taken one block of rows at a time,
 a block being the rows whose x holds ``anova.BLOCK_POINTS`` values: the
 density ratio divides a block's target density by its base density
@@ -56,7 +55,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,37 +78,21 @@ class EstimationError(ArithmeticError):
 
 @dataclass
 class EvaluatedSample:
-    """Model evaluations y = g(x) at iid draws x from one measure, optionally
-    with importance weights that turn it into a sample under another.
-
-    ``reweight`` returns a copy with ``weights`` set, ``measure_name`` naming
-    the target and ``measure`` None.  ``orders`` maps an input (1-based) to
-    the stable argsort of its column (int32 while N < 2^31), filled on first
-    use by ``given_data_first_order`` and shared by every reweighted copy;
-    ``x`` is not to be changed once it is.
-    """
+    """Model evaluations y = g(x) at iid draws x from one measure, named
+    ``measure_name``; ``measure`` is that measure itself, when known, which
+    ``reweighted_indices`` needs to weigh the sample toward another."""
 
     x: np.ndarray
     y: np.ndarray
     measure_name: str = ""
     seed: int = None
     measure: object = None          # the ProductMeasure, when known
-    weights: np.ndarray = None
-    orders: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.y = np.asarray(self.y, dtype=float).ravel()
         if self.x.shape[0] != self.y.size:
             raise SampleFormatError(f"{self.x.shape[0]} points but {self.y.size} values")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float).ravel()
-            if self.weights.size != self.y.size:
-                raise SampleFormatError("one weight per evaluation required")
-            if not np.all(np.isfinite(self.weights)):
-                raise EstimationError("non-finite importance weight")
-            if np.any(self.weights < 0):
-                raise EstimationError("negative importance weight")
 
     @property
     def n(self):
@@ -117,16 +100,6 @@ class EvaluatedSample:
 
     def __len__(self):
         return self.y.size
-
-    @property
-    def ess(self):
-        """Kish effective sample size (sum w)^2 / sum w^2; N unweighted."""
-        if self.weights is None:
-            return len(self)
-        s = self.weights.sum()
-        if s <= 0:
-            return 0.0
-        return float(s * s / np.square(self.weights).sum())
 
 
 def generate_sample(model, measure, count, seed):
@@ -420,14 +393,9 @@ def given_data_first_order(sample, i, bins=None):
     """First-order index of input ``i`` (1-based) from an existing sample.
 
     Points are sorted along the input and split into near-equal-count
-    quantile bins; S_i is the (weighted) between-bin variance of the bin
-    means over the (weighted) total variance.  Works for plain and weighted
-    samples; with all weights equal it reduces to the ordinary estimator.
-
-    Default bin count is floor(sqrt(N)) — the usual bias/variance balance.
-    For a weighted sample the balance acts on the effective sample size, so
-    there the default is floor(sqrt(ESS)) (skewed weights inflate the
-    between-bin noise exactly as a smaller sample would).
+    quantile bins; S_i is the between-bin variance of the bin means over
+    the total variance.  Default bin count is floor(sqrt(N)) — the usual
+    bias/variance balance.
     """
     if not 1 <= i <= sample.n:
         raise ValueError(f"input index {i} out of range 1..{sample.n}")
@@ -440,28 +408,29 @@ def given_data_indices(sample, bins=None):
 
 
 def reweighted_indices(sample, targets, bins=None):
-    """All first-order indices of ``sample`` under each of ``targets``, as
-    given_data_first_order, in one pass: None takes the sample as it is,
-    and a measure takes it as ``reweight(sample, measure)`` would, with the
-    same errors and, once every index is made, the same low-ESS warning
-    from this process.  The weights of one target at a time are held."""
+    """All first-order indices of ``sample`` under each of ``targets``, in
+    one pass.  None takes the sample as drawn (``givendata``, as
+    given_data_first_order).  A measure weighs it by w = f_target(x) /
+    f_base(x), the base being ``sample.measure`` (``reweighted``, with the
+    Kish ESS of w): bin masses and moments are sums of w, and the default
+    bin count is floor(sqrt(ESS)), as skewed weights inflate the between-bin
+    noise exactly as a smaller sample would.  Once every index is made,
+    this process warns of each ESS below ``ESS_FLOOR``."""
     targets = list(targets)
     rows, ess = _binned_first_order(sample, range(1, sample.n + 1), bins,
                                     targets)
     out = []
     for target, s, e in zip(targets, rows, ess):
-        if target is None and sample.weights is None:
-            out.append(SobolEstimate(s=np.array(s), method="givendata"))
-            continue
         if target is not None:
             _warn_ess(e, target.name or "")
-        out.append(SobolEstimate(s=np.array(s), method="reweighted", ess=e))
+        out.append(SobolEstimate(s=np.array(s), ess=e, method="givendata"
+                                 if target is None else "reweighted"))
     return out
 
 
 def _binned_first_order(sample, inputs, bins, targets):
     """([[S_i for i in ``inputs``] for each of ``targets``], [ESS of each
-    target]) by ``reweighted_indices``' estimator.
+    target, None for None]) by ``reweighted_indices``' estimator.
 
     The inputs are split into ``_parts(rows)`` ranges: this process
     estimates the first while a forked child estimates each other one and
@@ -502,40 +471,36 @@ def _binned_first_order(sample, inputs, bins, targets):
 
 
 def _estimate_inputs(sample, inputs, bins, targets):
-    """``_binned_first_order`` in one process: one sort per input, then one
-    weight column at a time."""
-    orders = [_sorted_order(sample, i) for i in inputs]
-    step, rows, ess = _block_rows(sample), [], []
+    """``_binned_first_order`` in one process: one sort per input, its
+    order held for the pass, then one weight column at a time."""
+    orders = [_sorted_order(sample.x[:, i - 1]) for i in inputs]
+    y, npts, step = sample.y, len(sample), _block_rows(sample)
+    rows, ess = [], []
     for target in targets:
-        ws = sample if target is None else _reweighted(sample, target)
-        w, npts = ws.weights, len(ws)
-        ess.append(ws.ess)
-        nb = bins or max(2, min(int(np.sqrt(ess[-1])), npts // 5))
-        ybar, v_hat = weighted_moments(ws.y, np.ones(npts) if w is None else w)
+        w = None if target is None else _reweighted(sample, target)
+        n_eff = npts if w is None else _kish(w)
+        ess.append(None if w is None else n_eff)
+        nb = bins or max(2, min(int(np.sqrt(n_eff)), npts // 5))
+        ybar, v_hat = weighted_moments(y, np.ones(npts) if w is None else w)
         if v_hat <= 0:
             raise EstimationError("sample variance is zero; indices undefined")
         mass = npts if w is None else w.sum()
-        rows.append([float(_between(order, ws.y, w, ybar, nb, step)
+        rows.append([float(_between(order, y, w, ybar, nb, step)
                            / mass / v_hat) for order in orders])
-        del ws, w               # before the next target's weights
+        del w                   # before the next target's weights
     return rows, ess
 
 
-def _sorted_order(sample, i):
-    """The stable argsort of input ``i``'s column, cached on the sample."""
-    if i not in sample.orders:
-        col = sample.x[:, i - 1]
-        # the default sort is several times faster than the stable one,
-        # and with no equal keys its permutation is the unique, hence
-        # stable, one
-        order = np.argsort(col)
-        keys = col[order]
-        if not np.all(keys[1:] > keys[:-1]):
-            order = np.argsort(col, kind="stable")
-        del keys
-        sample.orders[i] = order.astype(np.int32) if len(col) < 2**31 \
-            else order
-    return sample.orders[i]
+def _sorted_order(col):
+    """The stable argsort of ``col``, int32 while it is shorter than 2^31."""
+    # the default sort is several times faster than the stable one, and
+    # with no equal keys its permutation is the unique, hence stable, one
+    order = np.argsort(col)
+    keys = col[order]
+    if not np.all(keys[1:] > keys[:-1]):
+        order = np.argsort(col, kind="stable")
+    del keys
+    return order.astype(np.int32) if len(col) < 2**31 else order
 
 
 def _between(order, y, w, ybar, bins, block):
@@ -579,23 +544,12 @@ def _between(order, y, w, ybar, bins, block):
 ESS_FLOOR = 50.0
 
 
-def reweight(sample, target):
-    """The sample as one under ``target``: a copy (same x, y and ``orders``)
-    carrying the importance weights w = f_target(x) / f_base(x), which the
-    estimators self-normalise.
-
-    Raises when the base measure is unknown or assigns zero density to an
-    observed point; warns when the effective sample size falls below
-    ``ESS_FLOOR`` (estimates are then dominated by a handful of points).
-    """
-    ws = _reweighted(sample, target)
-    _warn_ess(ws.ess, ws.measure_name)
-    return ws
-
-
 def _reweighted(sample, target):
-    """``reweight`` without its warning; the density ratio is taken one
-    block of rows at a time straight into the weight column."""
+    """The importance weights f_target(x) / f_base(x) of ``sample``, taken
+    one block of rows at a time straight into the weight column.  Raises
+    when the base measure is unknown, either measure has another input
+    count than the sample, the base has zero density at an observed point,
+    a weight is not finite, or the weights sum to zero."""
     if sample.measure is None:
         raise EstimationError("reweighting needs the sample's base measure; "
                               "set sample.measure first")
@@ -612,11 +566,22 @@ def _reweighted(sample, target):
                                   "observed point; importance weights are "
                                   "undefined")
         np.divide(target.density(x[a:a + step]), base, out=w[a:a + step])
+    if not np.all(np.isfinite(w)):
+        raise EstimationError("non-finite importance weight")
     if w.sum() <= 0:
         raise EstimationError(f"target {target.name or 'measure'!r} puts no "
                               "mass on the sampled region")
-    return EvaluatedSample(x=x, y=sample.y, measure_name=target.name or "",
-                           weights=w, orders=sample.orders)
+    return w
+
+
+def _kish(w):
+    """The Kish effective sample size (Σw)² / Σw² of weights ``w``; taken
+    on w / max(w), the same ratio, where the squares leave the float
+    range."""
+    with np.errstate(all="ignore"):
+        s = w.sum()
+        ess = s * s / np.square(w).sum()
+    return float(ess) if np.isfinite(ess) else _kish(w / w.max())
 
 
 def _warn_ess(ess, name):

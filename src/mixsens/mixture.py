@@ -190,7 +190,7 @@ def _restricted_rule(component, box):
     return x, 0.5 * (b - a) * w * component.density(x)
 
 
-def mixture_annihilation_defect(engines, prior, z, gated=True):
+def mixture_annihilation_defect(engines, prior, z):
     """Integral of the mixture effect g_z against the mixture's z-marginal.
 
     For a single measure this is identically zero (that is what makes the
@@ -199,17 +199,16 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
     decomposition.
 
     The mixture marginal is the prior-average of component marginals and the
-    (gated) mixture effect is the prior-average of indicator-masked component
-    effects, so the defect splits into pair terms
+    mixture effect (:func:`mixture_effect_from_components`) is the
+    prior-average of indicator-masked component effects, so the defect
+    splits into pair terms
 
         sum_{k,j} p_k p_j E_{mu^k_z}[ 1{supp_j,z} g_z^j ],
 
     each integrable by a smooth rule over the box intersection of the two
     supports.  A k = j term is skipped: it is the integral of g_z^k against
     its own marginal (the gate is one on its own support), zero by
-    annihilation, so a single measure gives exactly 0.0.  ``gated``
-    selects which mixture-effect semantics is integrated; the default
-    matches :func:`mixture_effect_from_components`.
+    annihilation, so a single measure gives exactly 0.0.
     """
     pairs = _weighted(engines, prior)
     z = tuple(sorted(z))
@@ -222,10 +221,8 @@ def mixture_annihilation_defect(engines, prior, z, gated=True):
                 continue
             rules = []
             for i in z:
-                comp = k_eng.measure.components[i - 1]
-                box = j_eng.measure.components[i - 1].support() if gated \
-                    else (-np.inf, np.inf)
-                rule = _restricted_rule(comp, box)
+                box = j_eng.measure.components[i - 1].support()
+                rule = _restricted_rule(k_eng.measure.components[i - 1], box)
                 if rule is None:
                     break
                 rules.append(rule)

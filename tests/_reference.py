@@ -70,7 +70,6 @@ MIX_D_T = 2.04403081906
 # z=(1,) and z=(2,).  Dropping the gates changes the numbers.
 DEFECT = {(1,): 0.291189546544371, (2,): 0.027071852160906,
           (3,): -0.0590151083073195}
-DEFECT_UNGATED_3 = -0.116585015055746
 
 # -- factor-moment signatures (E t1, E t2, E t3) ------------------------------
 
@@ -290,8 +289,6 @@ def main():
     print(f"  z=(3,) analytic reduction: {fmt(analytic)}")
     for z, v in defect_reduction().items():
         print(f"  z={z} Gauss-Legendre reduction: {fmt(v)}")
-    ung = (b / 9) * (2 / pi) * (3 - q)   # ungated: E over all of N(0,1)
-    print(f"  z=(3,) without gates: {fmt(ung)}")
 
 
 if __name__ == "__main__":

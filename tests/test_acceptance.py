@@ -20,7 +20,8 @@ from mixsens.cli import main as cli_main
 from mixsens.diagnostics import (dimension_distribution,
                                  mixture_dimension_distribution,
                                  monotonicity_check, ultramodularity_check)
-from mixsens.estimators import (generate_sample, given_data_indices, reweight)
+from mixsens.estimators import (generate_sample, given_data_indices,
+                                reweighted_indices)
 from mixsens.measures import (DiscreteUniform, MeasureSet, ProductMeasure,
                               Uniform)
 from mixsens.mixture import (component_engines, mixture_annihilation_defect,
@@ -211,7 +212,7 @@ def test_c04_reweighting_demo(capsys):
     base = given_data_indices(sample).s
     for i, want in enumerate((0.33, 0.45, 0.00)):
         _check(failures, base[i], want, 0.02, f"S_x{i + 1} from the sample")
-    shifted = given_data_indices(reweight(sample, mset.measures[1])).s
+    shifted = reweighted_indices(sample, [mset.measures[1]])[0].s
     for i, want in enumerate((0.11, 0.83, 0.01)):
         _check(failures, shifted[i], want, 0.03,
                f"S_x{i + 1} after reweighting")

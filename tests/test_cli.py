@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from mixsens import anova, cli, measures, report
 from mixsens.anova import VarianceDecomposition, all_subsets, subset_label
 from mixsens.cli import main
-from mixsens.estimators import (generate_sample, read_sample, reweight,
-                                 write_sample)
+from mixsens.estimators import (EvaluatedSample, generate_sample,
+                                 read_sample, write_sample)
 from mixsens.measures import load_measure_set
 from mixsens.models import IshigamiModel, ishigami_measures, resolve_model
 
@@ -461,7 +462,8 @@ class TestEstimatorModes:
         base = read_sample(tmp_path / "a" / "sample_mu1.csv")
         base.measure = reg["mu1"]
         for name in ("mu2", "mu3"):
-            assert measures[name]["ess"] == reweight(base, reg[name]).ess
+            w = reg[name].density(base.x) / reg["mu1"].density(base.x)
+            assert measures[name]["ess"] == w.sum() ** 2 / (w ** 2).sum()
             assert 0 < measures[name]["ess"] <= 512
 
     def test_the_reweight_loop_holds_little_beyond_the_sample(self, configs,
@@ -681,6 +683,40 @@ class TestFailureModes:
         assert code == 3
         err = capsys.readouterr().err
         assert "data error" in err and where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("x1,code", [(30.0, 0), (38.0, 4)])
+    def test_a_weight_beyond_the_float_range_ends_in_no_traceback(
+            self, tmp_path, capsys, x1, code):
+        # base N(0, 1) x U(0, 1), target U(-40, 40) x U(0, 1): the density
+        # ratio at x1 = 30 is about 8e193, whose square overflows; at
+        # x1 = 38 the ratio itself does
+        (tmp_path / "m.yaml").write_text(
+            f"n: 2\nmeasures:\n  - name: base\n    components:\n"
+            f"      - {GAUSS}\n      - {{family: uniform, params: "
+            "{lo: 0.0, hi: 1.0}}\n  - name: wide\n    components:\n"
+            "      - {family: uniform, params: {lo: -40.0, hi: 40.0}}\n"
+            "      - {family: uniform, params: {lo: 0.0, hi: 1.0}}\n")
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.standard_normal(200), rng.random(200)])
+        x[7, 0] = x1
+        path = write_sample(EvaluatedSample(x=x, y=x[:, 0] + x[:, 1] ** 2,
+                                            measure_name="base"),
+                            tmp_path / "s.csv")
+        with np.errstate(over="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run(["--model", path, "--measures", str(tmp_path / "m.yaml"),
+                       "--estimator", "reweight", "--out",
+                       str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert got == code and "Traceback" not in err
+        if code:
+            assert "numeric error: non-finite importance weight" in err
+        else:
+            assert len(caught) == 1 and str(caught[0].message).startswith(
+                "effective sample size 1.0 below 50")
+            assert load_report(tmp_path / "o")["measures"]["wide"]["ess"] \
+                == 1.0
 
     def test_a_truncated_sample_is_a_data_error(self, configs, tmp_path,
                                                 capsys):

@@ -137,12 +137,6 @@ class TestAnnihilationDefect:
         for z, got in ref.defect_reduction().items():
             assert got == pytest.approx(ref.DEFECT[z], abs=1e-12), z
 
-    def test_ungated_variant(self, setup):
-        mset, engines = setup
-        got = mixture_annihilation_defect(engines, mset.prior, (3,),
-                                          gated=False)
-        assert got == pytest.approx(ref.DEFECT_UNGATED_3, abs=1e-9)
-
     def test_defects_vanish_for_identical_components(self):
         mset = ishigami_measure_set(("mu1", "mu1", "mu1"),
                                     prior=(0.2, 0.3, 0.5))
@@ -175,9 +169,8 @@ def test_a_one_hot_prior_reproduces_its_measure():
     assert mix.terms == vd.terms and mix.residual == vd.residual
     assert mix.between == 0.0 and mix.mixture_mean == vd.mean
     for z in all_subsets(3):
-        for gated in (True, False):
-            assert abs(mixture_annihilation_defect(engines, mset.prior, z,
-                                                   gated)) <= 1e-12, z
+        assert abs(mixture_annihilation_defect(engines, mset.prior, z)) \
+            <= 1e-12, z
 
 
 def test_the_pooled_route_skips_a_candidate_of_zero_weight():

@@ -2,6 +2,7 @@
 exported name resolves while the removed ones stay gone."""
 
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -10,8 +11,8 @@ import pathlib
 import re
 
 import mixsens
-from mixsens import (anova, diagnostics, estimators, measures, models,
-                     report)
+from mixsens import (anova, diagnostics, estimators, measures, mixture,
+                     models, report)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -19,7 +20,7 @@ README = ROOT / "README.md"
 # names that no CLI path, workload or paper result used, and were removed
 REMOVED = ("MixtureMeasure", "log_pool", "first_and_total_indices",
            "parse_subset_label", "measure_set_to_dict", "same_core",
-           "outside_all_supports", "WeightedSample")
+           "outside_all_supports", "WeightedSample", "reweight")
 
 
 def test_readme_quickstart_runs_as_written():
@@ -39,7 +40,13 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
         for name in REMOVED:
             assert name not in module.__all__, (module.__name__, name)
             assert not hasattr(module, name), (module.__name__, name)
-    assert not hasattr(estimators, "WeightedSample")
+    for name in ("WeightedSample", "reweight"):
+        assert not hasattr(estimators, name), name
+    # a sample is its points and values: no weights, cached sorts or ESS
+    assert [f.name for f in dataclasses.fields(estimators.EvaluatedSample)] \
+        == ["x", "y", "measure_name", "seed", "measure"]
+    for attr in ("weights", "orders", "ess"):
+        assert not hasattr(estimators.EvaluatedSample, attr), attr
     for cls in (measures.Uniform, measures.Normal, measures.DiscreteUniform):
         for attr in ("cdf", "mean", "family"):
             assert not hasattr(cls, attr), (cls, attr)
@@ -48,7 +55,10 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     for fn, params in ((anova.AnovaEngine,
                         ("model", "measure", "order", "seed")),
                        (report.mc_qty, ("value", "se", "reweighted")),
-                       (estimators.reweight, ("sample", "target")),
+                       (estimators.reweighted_indices,
+                        ("sample", "targets", "bins")),
+                       (mixture.mixture_annihilation_defect,
+                        ("engines", "prior", "z")),
                        (estimators.read_sample, ("path",)),
                        (diagnostics.robust_ranking, ("s_matrix", "ses")),
                        (models.core_signature, ("model", "measure")),
