@@ -80,15 +80,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .measures import (ConfigError, DiscreteUniform, Normal, ProductMeasure,
-                       Uniform)
+from .measures import (DEFAULT_ORDER, ConfigError, DiscreteUniform, Normal,
+                       ProductMeasure, Uniform)
 
 
 class ZeroVarianceError(ArithmeticError):
     """Total variance is (numerically) zero, so indices are undefined."""
 
 
-DEFAULT_ORDER = 64          # most Gaussian quadrature nodes per coordinate
 # orders an engine tries below ``order`` (_settle); those below 16 only when
 # the grid of 16 does not fit
 LADDER = (6, 8, 12, 16, 24, 32, 48)

@@ -149,13 +149,9 @@ def robust_ranking(s_matrix, ses=None):
             raise ValueError("ses must match the index matrix shape")
         se_lo = ses[lo_idx, np.arange(n)]
         se_hi = ses[hi_idx, np.arange(n)]
-    dom = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gap = 0.0 if ses is None else 2.0 * (se_lo[i] + se_hi[j])
-            dom[i, j] = s_lo[i] > s_hi[j] + gap
+    gap = 0.0 if ses is None else 2.0 * (se_lo[:, None] + se_hi[None, :])
+    dom = s_lo[:, None] > s_hi[None, :] + gap
+    np.fill_diagonal(dom, False)
 
     # tied blocks: connected components of "neither dominates", ordered by
     # their best-case index (greedy top-down)
@@ -163,10 +159,8 @@ def robust_ranking(s_matrix, ses=None):
     blocks = sorted(comp,
                     key=lambda blk: (-max(s_hi[i - 1] for i in blk), blk[0]))
 
-    most = next((i + 1 for i in range(n)
-                 if all(dom[i, j] for j in range(n) if j != i)), None)
-    least = next((j + 1 for j in range(n)
-                  if all(dom[i, j] for i in range(n) if i != j)), None)
+    most, least = (next((int(i) + 1 for i in np.flatnonzero(c == n - 1)), None)
+                   for c in (dom.sum(axis=1), dom.sum(axis=0)))
     return RobustReport(s_lo=s_lo, s_hi=s_hi, dominates=dom, blocks=blocks,
                         most_important=most, least_important=least,
                         estimated=ses is not None)
@@ -257,8 +251,9 @@ def ultramodularity_check(model, box, grid_k=7, measure=None):
 
     As a corollary check, the first-order effects of ``measure`` (uniform
     on the box when omitted; one coordinate per box interval, whose support
-    holds it, when given) are tested for discrete convexity — they
-    must be convex whenever the model is ultramodular.
+    holds it, when given; its engine at the default order) are tested for
+    discrete convexity: they must be convex whenever the model is
+    ultramodular.
     """
     box = [tuple(map(float, b)) for b in box]
     n = len(box)
@@ -298,7 +293,7 @@ def ultramodularity_check(model, box, grid_k=7, measure=None):
 
     convex = {}
     if n <= 3:
-        eng = AnovaEngine(model, measure, order=32)
+        eng = AnovaEngine(model, measure)
         for i in range(1, n + 1):
             vals = eng.effect((i,), grids[i - 1][:, None])
             second = np.diff(vals, 2)

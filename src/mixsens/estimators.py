@@ -472,7 +472,8 @@ def _binned_first_order(sample, inputs, bins, targets):
 
 def _estimate_inputs(sample, inputs, bins, targets):
     """``_binned_first_order`` in one process: one sort per input, its
-    order held for the pass, then one weight column at a time."""
+    order held for the pass, then one weight column at a time.  A target
+    whose moments of g overflow raises here, before any bin is summed."""
     orders = [_sorted_order(sample.x[:, i - 1]) for i in inputs]
     y, npts, step = sample.y, len(sample), _block_rows(sample)
     rows, ess = [], []
@@ -481,7 +482,15 @@ def _estimate_inputs(sample, inputs, bins, targets):
         n_eff = npts if w is None else _kish(w)
         ess.append(None if w is None else n_eff)
         nb = bins or max(2, min(int(np.sqrt(n_eff)), npts // 5))
-        ybar, v_hat = weighted_moments(y, np.ones(npts) if w is None else w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ybar, v_hat = weighted_moments(y, np.ones(npts) if w is None else w)
+        if not (math.isfinite(ybar) and math.isfinite(v_hat)):
+            what = ("the sample as drawn" if w is None else
+                    f"target {target.name or 'measure'!r}, largest weight "
+                    f"{w.max():.3g}")
+            raise EstimationError("the moments of g leave the float range "
+                                  f"({what}, largest |g| "
+                                  f"{np.abs(y).max():.3g})")
         if v_hat <= 0:
             raise EstimationError("sample variance is zero; indices undefined")
         mass = npts if w is None else w.sum()

@@ -57,6 +57,8 @@ def substream(seed, *tags):
 # univariate families
 # ---------------------------------------------------------------------------
 
+DEFAULT_ORDER = 64      # Gauss nodes of a fixed-order rule; an engine's most
+
 @lru_cache(maxsize=32, typed=True)
 def _gauss_rule(family, order):
     """Nodes and weights of the standard Gauss rule with ``order`` nodes:
@@ -86,7 +88,7 @@ class UnivariateMeasure:
     def sample(self, rng, size):
         raise NotImplementedError
 
-    def quad_nodes(self, order=64):
+    def quad_nodes(self, order=DEFAULT_ORDER):
         """Nodes and probability weights so that sum(w * f(x)) ~ E[f(X)].
 
         Weights always sum to one; Gaussian rules are exact for polynomials
@@ -94,7 +96,7 @@ class UnivariateMeasure:
         """
         raise NotImplementedError
 
-    def expect(self, fn, order=64):
+    def expect(self, fn, order=DEFAULT_ORDER):
         x, w = self.quad_nodes(order)
         return float(np.dot(w, fn(x)))
 
@@ -126,7 +128,7 @@ class Uniform(UnivariateMeasure):
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size=size)
 
-    def quad_nodes(self, order=64):
+    def quad_nodes(self, order=DEFAULT_ORDER):
         t, w = _gauss_rule("legendre", order)
         x = 0.5 * (self.hi - self.lo) * t + 0.5 * (self.hi + self.lo)
         return x, w / 2.0
@@ -159,7 +161,7 @@ class Normal(UnivariateMeasure):
     def sample(self, rng, size):
         return rng.normal(self.mean_, self.sd, size=size)
 
-    def quad_nodes(self, order=64):
+    def quad_nodes(self, order=DEFAULT_ORDER):
         t, w = _gauss_rule("hermite", order)
         x = self.mean_ + self.sd * math.sqrt(2.0) * t
         return x, w / math.sqrt(math.pi)

@@ -33,11 +33,7 @@ import numpy as np
 
 from .anova import (DEFAULT_ORDER, PLOT_ROWS, AnovaEngine, _contract,
                     _mobius, _subsets_of, _tensor_points)
-from .measures import DiscreteUniform, Normal, _gauss_rule, measure_name
-
-
-# Gauss-Legendre nodes per coordinate of the support-restricted defect rules
-RESTRICTED_ORDER = 96
+from .measures import DiscreteUniform, Normal, Uniform, measure_name
 
 
 def component_engines(mset, model, order=DEFAULT_ORDER):
@@ -166,7 +162,8 @@ def _restricted_rule(component, box):
     edges are where the indicator jumps, so putting them at the ends of a
     Gauss-Legendre interval keeps the actual integrand smooth and the rule
     spectrally accurate; naive quadrature straight through the jump would
-    stall around 1e-3.
+    stall around 1e-3.  A box that holds the support takes the component's
+    own rule, any other the uniform rule on the box: both the engines'.
     """
     a, b = box
     if isinstance(component, DiscreteUniform):
@@ -177,7 +174,7 @@ def _restricted_rule(component, box):
         return pts[keep], np.full(int(keep.sum()), 1.0 / pts.size)
     lo, hi = component.support()
     if a <= lo and b >= hi:
-        return component.quad_nodes(RESTRICTED_ORDER)
+        return component.quad_nodes(DEFAULT_ORDER)
     a, b = max(a, lo), min(b, hi)
     if isinstance(component, Normal):
         # clip unbounded ends; the discarded tail mass is ~1e-17
@@ -185,9 +182,8 @@ def _restricted_rule(component, box):
         b = min(b, component.mean_ + 8.5 * component.sd)
     if not b > a:
         return None
-    t, w = _gauss_rule("legendre", RESTRICTED_ORDER)
-    x = 0.5 * (a + b) + 0.5 * (b - a) * t
-    return x, 0.5 * (b - a) * w * component.density(x)
+    x, w = Uniform(a, b).quad_nodes(DEFAULT_ORDER)
+    return x, w * (b - a) * component.density(x)
 
 
 def mixture_annihilation_defect(engines, prior, z):

@@ -319,19 +319,18 @@ def _multilinear_view(model):
                     "(or one exposing as_multilinear())")
 
 
-CORE_ORDER = 128      # Gauss nodes per factor mean of a core signature
 CORE_TOL = 1e-9       # largest signature difference of a shared core
 
 
 def core_signature(model, measure):
-    """The vector of factor means E[t_i] under ``measure``.
+    """The vector of factor means E[t_i] under ``measure``, by ``expect``.
 
     This is the only way the measure enters the model's decomposition, so it
     acts as a fingerprint: equal signatures mean identical effects, variance
-    terms and indices.
+    terms and indices.  Each mean takes the engines' Gauss rule.
     """
     mm = _multilinear_view(model)
-    return np.array([c.expect(t, CORE_ORDER)
+    return np.array([c.expect(t)
                      for t, c in zip(mm.factors, measure.components)])
 
 

@@ -250,3 +250,48 @@ def test_quadratic_ultramodularity_matches_the_sign_rule(off, d1, d2):
         lambda x: np.einsum("ni,ij,nj->n", x, a, x), [(0, 1), (0, 1)],
         grid_k=5)
     assert rep.ultramodular == (off >= 0)
+
+
+def _loop_dominance(s_lo, s_hi, se_lo=None, se_hi=None):
+    """robust_ranking's dominance matrix and most/least important inputs,
+    one pair at a time: the reference for its array comparison."""
+    n = len(s_lo)
+    dom = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                gap = 0.0 if se_lo is None else 2.0 * (se_lo[i] + se_hi[j])
+                dom[i, j] = s_lo[i] > s_hi[j] + gap
+    most = next((i + 1 for i in range(n)
+                 if all(dom[i, j] for j in range(n) if j != i)), None)
+    least = next((j + 1 for j in range(n)
+                  if all(dom[i, j] for i in range(n) if i != j)), None)
+    return dom, most, least
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.integers(1, 4), n=st.integers(1, 6),
+       with_ses=st.booleans())
+def test_robust_dominance_matches_the_pairwise_loop(data, q, n, with_ses):
+    # few distinct values, so ties and exact margins occur
+    cell = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
+    s = np.array(data.draw(st.lists(cell, min_size=q * n, max_size=q * n)))
+    s = s.reshape(q, n)
+    ses = None
+    if with_ses:
+        # a negative se is no standard error, but it is not rejected, and
+        # with it an input would dominate itself if the diagonal were kept
+        se = st.sampled_from([-0.01, 0.0, 0.01, 0.025, 0.05])
+        ses = np.array(data.draw(st.lists(se, min_size=q * n,
+                                          max_size=q * n))).reshape(q, n)
+    rep = robust_ranking(s, ses)
+    lo, hi = s.argmin(axis=0), s.argmax(axis=0)
+    cols = np.arange(n)
+    dom, most, least = _loop_dominance(
+        s[lo, cols], s[hi, cols], *(() if ses is None
+                                    else (ses[lo, cols], ses[hi, cols])))
+    assert np.array_equal(rep.dominates, dom)
+    assert (rep.most_important, rep.least_important) == (most, least)
+    assert all(type(v) is int for v in (rep.most_important,
+                                        rep.least_important)
+               if v is not None)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -170,6 +171,27 @@ class TestReweighting:
         with np.errstate(over="ignore"), pytest.raises(
                 EstimationError, match="^non-finite importance weight$"):
             reweighted_indices(sample, [TAIL_WIDE])
+
+    @pytest.mark.parametrize("target,cause", [
+        (TAIL_WIDE, r"target 'wide', largest weight 6\.03e\+307, "
+                    r"largest \|g\| 5\)$"),
+        (None, r"the sample as drawn, largest \|g\| 1e\+200\)$")],
+        ids=["reweighted", "givendata"])
+    def test_moments_beyond_the_float_range_name_their_cause(self, target,
+                                                             cause):
+        # toward wide, two weights of about 6e307 (x1 = ±37.74, their sum
+        # still finite) times g = 5 and 4 overflow; as drawn, the square
+        # of g = 1e200 does
+        sample = self.tail_sample(37.74)
+        sample.x[8, 0] = -37.74
+        sample.y[[7, 8]] = 5.0, 4.0
+        if target is None:
+            sample.y[3] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="^the moments of g "
+                               r"leave the float range \(" + cause):
+                reweighted_indices(sample, [target])
 
     @pytest.mark.parametrize("npts,block", [(2**16, None), (1000, 64)])
     def test_weights_taken_in_blocks_are_the_whole_density_ratio(self, npts,

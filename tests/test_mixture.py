@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsens import anova
+from mixsens import anova, mixture
 from mixsens.anova import AnovaEngine, all_subsets
 from mixsens.diagnostics import mixture_monotonicity_condition
-from mixsens.measures import MeasureSet, ProductMeasure, Uniform
+from mixsens.measures import (DiscreteUniform, MeasureSet, ProductMeasure,
+                              Uniform)
 from mixsens.mixture import (component_engines, mixture_annihilation_defect,
                              mixture_effect_curve,
                              mixture_effect_from_components,
@@ -150,6 +151,30 @@ class TestAnnihilationDefect:
         engines = component_engines(mset, IshigamiModel())
         assert abs(mixture_annihilation_defect(engines, mset.prior, (1,))) \
             < 1e-10
+
+    def test_a_discrete_component_sums_its_points_inside_the_gate(self):
+        # x1 on four points, two inside the other candidate's [0, 1]; the
+        # factors are polynomials, so the oracle's sums are exact
+        pts = DiscreteUniform((-0.5, 0.25, 0.5, 1.5))
+        disc = ProductMeasure((pts, Uniform(0, 1)), name="disc")
+        unit = ProductMeasure((Uniform(0, 1), Uniform(0, 1)), name="unit")
+        model = CompositeMultilinearModel(
+            factors=(lambda v: v * v + v, lambda v: 1.0 + v),
+            terms=((1, 2), (1,)), coeffs=(2.0, 1.0))
+        mset = MeasureSet((disc, unit), prior=(0.4, 0.6))
+        x, w = mixture._restricted_rule(pts, (0.0, 1.0))
+        assert x.tolist() == [0.25, 0.5] and w.tolist() == [0.25, 0.25]
+        assert mixture._restricted_rule(pts, (0.6, 1.4)) is None
+        # (disc, unit): the kept points of disc's x1 through unit's effect;
+        # (unit, disc): disc's support [-0.5, 1.5] holds all of unit's x1
+        nodes, wts = Uniform(0, 1).quad_nodes(8)
+        want = 0.4 * 0.6 * (
+            np.dot(w, model.exact_effect(unit, (1,), x[:, None]))
+            + np.dot(wts, model.exact_effect(disc, (1,), nodes[:, None])))
+        engines = component_engines(mset, model)
+        got = mixture_annihilation_defect(engines, mset.prior, (1,))
+        assert abs(want) > 0.1
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
 
     def test_one_measure_defects_exactly_zero(self, setup):
         # its only pair is k = j, zero by annihilation, so it is not integrated

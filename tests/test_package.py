@@ -71,6 +71,15 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
         assert tuple(inspect.signature(fn).parameters) == params, fn
 
 
+def test_fixed_order_integrals_take_the_engines_order():
+    # core signatures and restricted defect rules pick no Gauss order of
+    # their own, and make no rule beside the measures' own quad_nodes
+    assert not hasattr(models, "CORE_ORDER")
+    assert not hasattr(mixture, "RESTRICTED_ORDER")
+    assert not hasattr(mixture, "_gauss_rule")
+    assert anova.DEFAULT_ORDER is measures.DEFAULT_ORDER == 64
+
+
 def test_every_named_bench_span_resolves():
     # the benchmark tracer wraps these by name and skips a missing one, so a
     # renamed or deleted target would read zero instead of failing
