@@ -21,7 +21,7 @@ from .estimators import (EstimationError, EvaluatedSample, SampleFormatError,
                          SobolEstimate, brute_force_first_order,
                          generate_sample, given_data_first_order,
                          given_data_indices, pick_freeze_indices, read_sample,
-                         reweighted_indices, weighted_moments, write_sample)
+                         reweighted_indices, write_sample)
 from .measures import (ConfigError, DiscreteUniform, MeasureSet, Normal,
                        ProductMeasure, SupportError, Uniform, load_measure_set,
                        measure_set_from_dict, substream)
@@ -59,7 +59,7 @@ __all__ = [
     "monotonicity_check", "multilinear_from_dict", "pick_freeze_indices",
     "qty", "quad_qty", "read_sample", "resolve_model",
     "reweighted_indices", "robust_ranking", "substream", "subset_label",
-    "ultramodularity_check", "weighted_moments", "write_effect_curve_csv",
+    "ultramodularity_check", "write_effect_curve_csv",
     "write_indices_csv", "write_mixture_curve_csv", "write_report",
     "write_sample",
 ]

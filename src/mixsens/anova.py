@@ -54,9 +54,10 @@ object to every later call, so callers must not change it; ``_use_order``
 drops them.
 
 Effects at arbitrary points need w_v there.  ``AnovaEngine._w_at`` reads w_v
-off v's subgrid table by tensor barycentric interpolation (Berrut &
-Trefethen, SIAM Rev. 46, 2004), gated row by row by an error estimate (see
-``_Table``, each built once by ``_table``).  The direct integral over the
+off v's subgrid table as its interpolating polynomial, through the table's
+coefficients in the polynomials orthonormal under each axis's measure,
+gated row by row by an error estimate (see ``_Table``, each built once by
+``_table``).  The direct integral over the
 complement of v, ``conditional_mean``, serves the rows the gate rejects or
 that lie outside a coordinate's support, the empty and the full subset, and
 subsets with a discrete coordinate.  Every complement rule comes from
@@ -104,12 +105,12 @@ ZERO_VARIANCE_ULPS = 64
 # subset bookkeeping (inputs are 1-based everywhere in the public API)
 # ---------------------------------------------------------------------------
 
-def all_subsets(n, max_order=None, nonempty=True):
-    """All subsets of {1..n} up to ``max_order``, in canonical order."""
+def all_subsets(n, max_order=None):
+    """Nonempty subsets of {1..n} up to ``max_order``, in canonical order."""
     if max_order is None:
         max_order = n
     return [z for z in _subsets_of(tuple(range(1, n + 1)))
-            if len(z) <= max_order and (z or not nonempty)]
+            if z and len(z) <= max_order]
 
 
 def subset_label(z):
@@ -640,39 +641,30 @@ class AnovaEngine:
 
 
 class _Axis:
-    """Interpolation on one coordinate's Gauss nodes.
-
-    Holds the barycentric weights of the nodes (1 / prod_k (x_j - x_k),
-    scaled) and the map from values at the nodes to the coefficients of the
-    interpolant in the polynomials orthonormal under the coordinate's
-    measure (Legendre for a uniform, Hermite for a normal).  Gauss
-    quadrature of order s is exact for degree 2s - 1, so that map is the
-    quadrature itself: c_k = sum_j w_j phi_k(x_j) f(x_j).
+    """The polynomials orthonormal under one coordinate's measure (Legendre
+    for a uniform, Hermite for a normal), to the degree its Gauss nodes
+    interpolate, and the map from values at the nodes to the coefficients
+    of their interpolant in them.  Gauss quadrature of order s is exact for
+    degree 2s - 1, so that map is the quadrature itself:
+    c_k = sum_j w_j phi_k(x_j) f(x_j).
     """
 
     def __init__(self, comp, nodes, weights):
-        s = nodes.size
-        k = np.arange(1, s)
+        k = np.arange(1, nodes.size)
         if isinstance(comp, Uniform):
-            self.lo, self.hi = comp.lo, comp.hi
             self.center = 0.5 * (comp.lo + comp.hi)
             self.half = 0.5 * (comp.hi - comp.lo)
             self.jacobi = k / np.sqrt(4.0 * k * k - 1.0)
         else:
-            self.lo, self.hi = -np.inf, np.inf
             self.center, self.half = comp.mean_, comp.sd
             self.jacobi = np.sqrt(k)
-        d = nodes[:, None] - nodes[None, :]
-        np.fill_diagonal(d, 1.0)
-        logw = -np.log(np.abs(d)).sum(axis=1)
-        self.bary = np.prod(np.sign(d), axis=1) * np.exp(logw - logw.max())
-        self.nodes = nodes
+        self.lo, self.hi = comp.support()
         self.to_coeffs = (self.poly(nodes) * weights[:, None]).T
 
     def poly(self, x):
         """(N, s): the orthonormal polynomials of degree < s at ``x``."""
         t = (x - self.center) / self.half
-        out = np.empty((t.size, self.nodes.size))
+        out = np.empty((t.size, self.jacobi.size + 1))
         out[:, 0] = 1.0
         for k, b in enumerate(self.jacobi):     # three-term recurrence
             out[:, k + 1] = t * out[:, k] / b
@@ -680,50 +672,44 @@ class _Axis:
                 out[:, k + 1] -= self.jacobi[k - 1] / b * out[:, k - 1]
         return out
 
-    def basis(self, x):
-        """(N, s): the Lagrange basis of the nodes at ``x``, barycentric form."""
-        d = x[:, None] - self.nodes
-        hit = d == 0.0
-        c = self.bary / np.where(hit, 1.0, d)
-        basis = c / c.sum(axis=1, keepdims=True)
-        on_node = hit.any(axis=1)
-        basis[on_node] = hit[on_node]
-        return basis
-
 
 class _Table:
-    """A conditional mean on its subgrid, interpolated at points with an
-    error gate.
+    """A conditional mean on its subgrid, read at points through the
+    coefficients of its interpolant in the axes' orthonormal polynomials,
+    with an error gate.
 
-    Values come from tensor barycentric interpolation, one (N, s) basis
-    matrix per axis.  A row is accepted when it lies in every coordinate's
-    support and its estimated error is at most INTERP_TOL times the RMS of
-    the table under the measure.  The estimate adds two parts:
+    A row is accepted when it lies in every coordinate's support and its
+    estimated error is at most INTERP_TOL times the RMS of the table under
+    the measure.  The estimate is the table ``error`` evaluated at the row
+    through the absolute orthonormal polynomials, |phi_J(x)| =
+    prod_a |phi_{J_a}(x_a)|, and adds two parts:
 
     * truncation: the coefficients of the last quarter of the degrees of
-      each axis, in absolute value, evaluated at the row through the
-      absolute orthonormal polynomials; for a resolved table they are
-      rounding noise, for an unresolved one they are not small;
-    * rounding: Higham's bound for the barycentric formula,
-      (3s + 4) eps (sum_j |l_j(x) f_j| + Lambda(x) |p(x)|), with l_j the
-      Lagrange basis and Lambda = sum_j |l_j| the Lebesgue function
-      (Higham, IMA J. Numer. Anal. 24, 2004).  It grows far out in a
-      normal coordinate, where the nodes thin out.
+      each axis, in absolute value; for a resolved table they are rounding
+      noise, for an unresolved one they are not small;
+    * rounding: (3s + 4) eps F_J, where F is the table of |values| mapped
+      by |to_coeffs| along every axis, and s the most nodes on an axis.  F
+      bounds each |c_J| and the rounding made in computing it, and weighed
+      by |phi_J(x)| it grows far out in a normal coordinate, where the
+      polynomials do.
     """
 
     def __init__(self, values, axes, weights):
-        coeffs = values
+        coeffs, size = values, np.abs(values)
         tail = np.zeros(values.shape, dtype=bool)
         for ax, a in enumerate(axes):
             coeffs = np.moveaxis(np.tensordot(a.to_coeffs, coeffs,
                                               axes=([1], [ax])), 0, ax)
+            size = np.moveaxis(np.tensordot(np.abs(a.to_coeffs), size,
+                                            axes=([1], [ax])), 0, ax)
             degree = np.arange(values.shape[ax])
             tail |= (degree >= _tail(degree.size)).reshape(
                 [-1 if k == ax else 1 for k in range(values.ndim)])
         self.axes = axes
-        self.values = values
+        self.coeffs = coeffs
         self.tail = np.where(tail, np.abs(coeffs), 0.0)
-        self.rounding = (3 * max(values.shape) + 4) * np.finfo(float).eps
+        self.error = self.tail + (3 * max(values.shape) + 4) \
+            * np.finfo(float).eps * size
         self.scale = float(np.sqrt(_contract(values ** 2, weights)))
 
     @property
@@ -739,17 +725,11 @@ class _Table:
         interpolated values at the accepted rows."""
         ok = np.all([(c >= a.lo) & (c <= a.hi) for a, c in zip(self.axes, x.T)],
                     axis=0)
-        cols = x[ok].T
         with np.errstate(all="ignore"):     # far-out rows overflow; the gate drops them
-            bases = [a.basis(c) for a, c in zip(self.axes, cols)]
-            values = _tensor_eval(self.values, bases)
-            size = [np.abs(b) for b in bases]
-            lebesgue = np.prod([b.sum(axis=1) for b in size], axis=0)
-            truncation = _tensor_eval(self.tail, [np.abs(a.poly(c))
-                                                  for a, c in zip(self.axes, cols)])
-            rounding = self.rounding * (_tensor_eval(np.abs(self.values), size)
-                                        + lebesgue * np.abs(values))
-            good = truncation + rounding <= INTERP_TOL * self.scale
+            polys = [a.poly(c) for a, c in zip(self.axes, x[ok].T)]
+            values = _tensor_eval(self.coeffs, polys)
+            good = _tensor_eval(self.error, [np.abs(p) for p in polys]) \
+                <= INTERP_TOL * self.scale
         ok[np.flatnonzero(ok)[~good]] = False
         return ok, values[good]
 

@@ -27,8 +27,8 @@ or the fork.
 
 A sample of N points on n inputs is N(n + 1) doubles, and the sample path
 holds little else: in each process, the orders of its inputs, as int32
-while N < 2^31, one target's weights at a time (ones for the sample as
-drawn) and, in ``weighted_moments``, one column (y - m)^2.
+while N < 2^31, one target's weights at a time (none for the sample as
+drawn) and, in ``_moments``, one column (y - m)^2.
 Every other temporary of N values is taken one block of rows at a time,
 a block being the rows whose x holds ``anova.BLOCK_POINTS`` values: the
 density ratio divides a block's target density by its base density
@@ -483,7 +483,7 @@ def _estimate_inputs(sample, inputs, bins, targets):
         ess.append(None if w is None else n_eff)
         nb = bins or max(2, min(int(np.sqrt(n_eff)), npts // 5))
         with np.errstate(over="ignore", invalid="ignore"):
-            ybar, v_hat = weighted_moments(y, np.ones(npts) if w is None else w)
+            ybar, v_hat = _moments(y, w)
         if not (math.isfinite(ybar) and math.isfinite(v_hat)):
             what = ("the sample as drawn" if w is None else
                     f"target {target.name or 'measure'!r}, largest weight "
@@ -600,15 +600,14 @@ def _warn_ess(ess, name):
                       stacklevel=3)
 
 
-def weighted_moments(values, weights):
-    """Self-normalised mean and variance; equals the ordinary (population)
-    moments when all weights coincide."""
-    w = np.asarray(weights, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if w.shape != y.shape:
-        raise ValueError(f"{w.size} weights for {y.size} values")
+def _moments(y, w):
+    """The mean and variance of ``y``: self-normalised under weights ``w``
+    (whose sum ``_reweighted`` has checked), or of the sample as drawn
+    when ``w`` is None."""
+    if w is None:
+        m = y.sum() / y.size
+        d = y - m
+        return float(m), float(np.square(d, out=d).sum() / y.size)
     s = w.sum()
-    if s <= 0:
-        raise EstimationError("weights sum to zero")
     m = (w * y).sum() / s
     return float(m), float((w * (y - m) ** 2).sum() / s)

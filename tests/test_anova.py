@@ -171,13 +171,13 @@ class TestSubsetUtilities:
         assert subs[:3] == [(1,), (2,), (3,)]
         assert subs[-1] == (1, 2, 3)
         assert len(subs) == 7
-        assert all_subsets(2, nonempty=False)[0] == ()
+        assert [()] + all_subsets(2) == list(anova._subsets_of((1, 2)))
 
     def test_labels_round_trip(self):
         assert subset_label(()) == "const"
         assert subset_label((2,)) == "x2"
         assert subset_label((1, 3)) == "x1x3"
-        labels = [subset_label(z) for z in all_subsets(4, nonempty=False)]
+        labels = [subset_label(z) for z in [()] + all_subsets(4)]
         assert len(set(labels)) == len(labels) == 16
 
 
@@ -230,7 +230,7 @@ def test_effects_sum_to_the_model(case, seed):
     eng = AnovaEngine(model, measure, order=16)
     x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(8, model.n))
     total = sum(eng.effect(z, x[:, [i - 1 for i in z]])
-                for z in all_subsets(model.n, nonempty=False))
+                for z in [()] + all_subsets(model.n))
     assert np.allclose(total, model(x), rtol=1e-12, atol=1e-10)
 
 
@@ -1096,9 +1096,9 @@ class TestTableGate:
         assert not ok[:4].any() and ok[4:].all()
         # interpolated anyway, the corners would miss the target
         table = eng._tables[(1, 2)]
-        raw = anova._tensor_eval(table.values,
-                                 [a.basis(c) for a, c in zip(table.axes,
-                                                             corners.T)])
+        raw = anova._tensor_eval(table.coeffs,
+                                 [a.poly(c) for a, c in zip(table.axes,
+                                                            corners.T)])
         want = eng.conditional_mean((1, 2), corners)
         assert np.max(np.abs(raw - want)) > 1e-9 * np.max(np.abs(want))
 
@@ -1143,6 +1143,56 @@ class TestTableGate:
         # the settle check keeps the table of x2; none of the subsets asked
         # has one
         assert not eng._tables.keys() & set(asked)
+
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_tables_read_at_their_own_nodes(self, engines, name):
+        # a table read at its own Gauss nodes gives back its entries; on
+        # mu2 the outer Hermite nodes of x1 and x2, where the polynomials
+        # are large, go direct (x3, a quartic on 7 nodes, needs no tail)
+        eng = engines[name]
+        for v in all_subsets(3, max_order=2):
+            table = eng._table(v)
+            x = _tensor_points([eng.nodes[i - 1] for i in v])
+            ok, values = table(x)
+            want = eng._w_on_subgrid(v).ravel()[ok]
+            assert np.max(np.abs(values - want)) <= 1e-12 * table.scale, v
+            assert ok.all() == (name != "mu2" or v == (3,)), v
+
+
+# -- property: the row gate under functions the tables resolve badly ----------
+
+_GATE_FUNCTIONS = (lambda t: 1.0 / (1.0 + 25.0 * t * t),
+                   lambda t: np.abs(t) ** 3,
+                   lambda t: np.tanh(4.0 * t),
+                   lambda t: t ** 8,
+                   lambda t: np.exp(0.5 * t),
+                   lambda t: np.sin(5.0 * t))
+
+
+def test_gate_accepts_only_rows_within_the_target():
+    # g = f(x1) (1 + cos(x2) / 2) + f(x2), both inputs under one measure: a
+    # row the gate accepts is within INTERP_TOL of the direct integral, out
+    # to 12 sd on a normal axis, where the table is far from resolved
+    worst = 0.0
+    for f in _GATE_FUNCTIONS:
+        def g(x, f=f):
+            return f(x[..., 0]) * (1.0 + 0.5 * np.cos(x[..., 1])) + f(x[..., 1])
+
+        for comp in (Uniform(-1.0, 1.0), Uniform(0.0, 3.0), Normal(0.0, 1.0),
+                     Normal(1.0, 0.5)):
+            span = comp.plot_range() if isinstance(comp, Uniform) else \
+                (comp.mean_ - 12.0 * comp.sd, comp.mean_ + 12.0 * comp.sd)
+            x = np.linspace(*span, 301)[:, None]
+            for order in (8, 16, 32, 64):
+                eng = AnovaEngine(g, ProductMeasure((comp, comp)), order=order)
+                eng.variance_decomposition()
+                for v in ((1,), (2,)):
+                    table = eng._table(v)
+                    ok, values = table(x)
+                    if ok.any():
+                        err = np.abs(values - eng.conditional_mean(v, x[ok]))
+                        worst = max(worst, float(err.max()) / table.scale)
+    assert worst <= 1e-9, worst
 
 
 class TestLastCallMemo:

@@ -22,7 +22,7 @@ from mixsens.estimators import (EstimationError, EvaluatedSample,
                                 generate_sample, given_data_first_order,
                                 given_data_indices, pick_freeze_indices,
                                 read_sample, reweighted_indices,
-                                weighted_moments, write_sample)
+                                write_sample)
 from mixsens.measures import Normal, ProductMeasure, Uniform
 from mixsens.models import IshigamiModel, ishigami_measures
 
@@ -61,7 +61,7 @@ class TestKnownAnswers:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(20_000)
         w = np.exp(x - 0.5)  # N(0,1) -> N(1,1) likelihood ratio
-        mean, var = weighted_moments(x, w)
+        mean, var = estimators._moments(x, w)
         assert mean == pytest.approx(1.0, abs=0.05)
         assert var == pytest.approx(1.0, abs=0.1)
 
@@ -523,10 +523,6 @@ class TestValidationAndErrors:
             pick_freeze_indices(additive, GAUSS2, n=8)
         with pytest.raises(ValueError):
             brute_force_first_order(additive, GAUSS2, n_outer=1)
-
-    def test_weights_of_another_length(self):
-        with pytest.raises(ValueError, match="1 weights for 5 values"):
-            weighted_moments(np.arange(5.0), [1.0])
 
     def test_measures_of_another_input_count(self):
         reg = ishigami_measures()

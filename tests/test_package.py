@@ -10,6 +10,8 @@ import io
 import pathlib
 import re
 
+import numpy as np
+
 import mixsens
 from mixsens import (anova, diagnostics, estimators, measures, mixture,
                      models, report)
@@ -20,7 +22,8 @@ README = ROOT / "README.md"
 # names that no CLI path, workload or paper result used, and were removed
 REMOVED = ("MixtureMeasure", "log_pool", "first_and_total_indices",
            "parse_subset_label", "measure_set_to_dict", "same_core",
-           "outside_all_supports", "WeightedSample", "reweight")
+           "outside_all_supports", "WeightedSample", "reweight",
+           "weighted_moments")
 
 
 def test_readme_quickstart_runs_as_written():
@@ -54,6 +57,7 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     # options that no caller set are gone or module constants now
     for fn, params in ((anova.AnovaEngine,
                         ("model", "measure", "order", "seed")),
+                       (anova.all_subsets, ("n", "max_order")),
                        (report.mc_qty, ("value", "se", "reweighted")),
                        (estimators.reweighted_indices,
                         ("sample", "targets", "bins")),
@@ -78,6 +82,21 @@ def test_fixed_order_integrals_take_the_engines_order():
     assert not hasattr(mixture, "RESTRICTED_ORDER")
     assert not hasattr(mixture, "_gauss_rule")
     assert anova.DEFAULT_ORDER is measures.DEFAULT_ORDER == 64
+
+
+def test_tables_hold_one_polynomial_form():
+    # a table is read at points through its orthonormal coefficients alone:
+    # no barycentric weights, Lagrange basis or table of values beside them
+    comp = measures.Uniform(0.0, 1.0)
+    nodes, weights = (np.asarray(a) for a in comp.quad_nodes(8))
+    axis = anova._Axis(comp, nodes, weights)
+    table = anova._Table(nodes ** 3, [axis], [weights])
+    for attr in ("bary", "basis"):
+        assert not hasattr(axis, attr), attr
+    assert not hasattr(table, "values")
+    x = np.linspace(0.0, 1.0, 11)
+    ok, values = table(x[:, None])
+    assert ok.all() and np.allclose(values, x ** 3, rtol=0, atol=1e-14)
 
 
 def test_every_named_bench_span_resolves():
