@@ -70,7 +70,10 @@ holds more than ``BLOCK_POINTS`` points.  Each subset keeps its last call to
 ``_w_at``: the rows' shape and bytes and the w_v returned, at most
 N (|v| + 1) doubles, so the same rows asked again (by the other mixture
 route, or by a subset that holds v) cost no table read and no model call.
-``_use_order`` empties it.
+``_use_order`` empties it, but for the full subset, whose w is g itself
+at every order and under every measure: the engines that
+``mixture.component_engines`` builds on one model share that entry, so the
+model is evaluated once at rows that all of them are asked for.
 """
 
 from __future__ import annotations
@@ -231,6 +234,7 @@ class AnovaEngine:
         self.model = model
         self.measure = measure
         self.n = measure.n
+        self._w_full = {}     # _w_last of all inputs, kept and shared (_w_at)
         self._use_order(int(order))
         self._fits_order = _fits(self._sizes)
         # the ladder, climbed by _settle: the rungs below ``order`` from 16
@@ -477,12 +481,15 @@ class AnovaEngine:
         w_v it returned.  A call with the same key returns a copy of those
         values, with no table read and no model call.  The memo holds at
         most N (|v| + 1) doubles per subset and is emptied, with the
-        tables, by ``_use_order``.
+        tables, by ``_use_order``, but for the full subset's, the model at
+        the rows whatever the order or measure: it sits in ``_w_full``,
+        which ``_use_order`` keeps and ``mixture.component_engines`` shares.
         """
         self._settle()
         v = tuple(v)
         key = x.shape, x.tobytes()
-        last = self._w_last.get(v)
+        memo = self._w_full if len(v) == self.n else self._w_last
+        last = memo.get(v)
         if last is not None and last[0] == key:
             return last[1].copy()
         if not self._reads_table(v):
@@ -493,7 +500,7 @@ class AnovaEngine:
             out[ok] = values
             if not ok.all():
                 out[~ok] = self.conditional_mean(v, x[~ok])
-        self._w_last[v] = key, out
+        memo[v] = key, out
         return out.copy()
 
     def _reads_table(self, v):

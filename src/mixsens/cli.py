@@ -132,6 +132,7 @@ def _estimate_entry(est):
     entry = {"method": est.method, "n_evals": est.n_evals}
     if est.ess is not None:
         entry["ess"] = est.ess
+        entry["uncovered"] = est.uncovered
     for kind, raw, clamped, se in _estimate_parts(est):
         ses = [None] * raw.size if se is None else se
         entry[f"{kind}_order"] = _per_input(zip(raw, clamped, ses), cell)

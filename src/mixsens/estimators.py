@@ -61,6 +61,7 @@ import numpy as np
 
 from .anova import BLOCK_POINTS, _evaluate
 from .measures import substream
+from .mixture import _restricted_rule
 from .report import _forked, _parts, _write_table
 
 
@@ -293,7 +294,9 @@ class SobolEstimate:
     ``s``/``st`` hold the raw estimates (possibly slightly negative or above
     one, as MC noise allows); ``clamped_s``/``clamped_st`` give the views
     meant for reports, clipped to [0, 1.05].  ``ess`` is the Kish effective
-    sample size of a reweighted sample (None for every other method).
+    sample size of a reweighted sample and ``uncovered`` the target's mass
+    outside the sample's support (``_uncovered``), both None for every
+    other method.
     """
 
     s: np.ndarray
@@ -303,6 +306,7 @@ class SobolEstimate:
     method: str = ""
     n_evals: int = 0
     ess: float = None
+    uncovered: float = None
 
     @property
     def clamped_s(self):
@@ -414,17 +418,23 @@ def reweighted_indices(sample, targets, bins=None):
     f_base(x), the base being ``sample.measure`` (``reweighted``, with the
     Kish ESS of w): bin masses and moments are sums of w, and the default
     bin count is floor(sqrt(ESS)), as skewed weights inflate the between-bin
-    noise exactly as a smaller sample would.  Once every index is made,
-    this process warns of each ESS below ``ESS_FLOOR``."""
+    noise exactly as a smaller sample would.  A reweighted estimate also
+    carries the target's mass that no weight reaches (``_uncovered``).
+    Once every index is made, this process warns of each ESS below
+    ``ESS_FLOOR`` and of each such mass above rounding."""
     targets = list(targets)
     rows, ess = _binned_first_order(sample, range(1, sample.n + 1), bins,
                                     targets)
     out = []
     for target, s, e in zip(targets, rows, ess):
+        u = None
         if target is not None:
+            u = _uncovered(sample.measure, target)
             _warn_ess(e, target.name or "")
-        out.append(SobolEstimate(s=np.array(s), ess=e, method="givendata"
-                                 if target is None else "reweighted"))
+            _warn_uncovered(u, target.name or "")
+        out.append(SobolEstimate(s=np.array(s), ess=e, uncovered=u,
+                                 method="givendata" if target is None
+                                 else "reweighted"))
     return out
 
 
@@ -551,6 +561,9 @@ def _between(order, y, w, ybar, bins, block):
 # ---------------------------------------------------------------------------
 
 ESS_FLOOR = 50.0
+# an uncovered target mass above this many ulps of one is more than the
+# rounding of the per-axis rules it comes from (_uncovered)
+UNCOVERED_ULPS = 64
 
 
 def _reweighted(sample, target):
@@ -597,6 +610,30 @@ def _warn_ess(ess, name):
     if ess < ESS_FLOOR:
         warnings.warn(f"effective sample size {ess:.1f} below {ESS_FLOOR:g}; "
                       f"reweighted estimates toward {name!r} are unreliable",
+                      stacklevel=3)
+
+
+def _uncovered(base, target):
+    """1 - prod_i P_target(X_i in supp base_i): the target's mass where the
+    base measure, and so a sample drawn under it, puts none.  No weight
+    reaches it, so a reweighted estimate is that of the target cut to the
+    base's support.  Taken from the two measures alone: an axis whose base
+    support holds the target's counts exactly 1, any other the sum of the
+    weights of ``mixture._restricted_rule``, which is that probability."""
+    covered = 1.0
+    for b, t in zip(base.components, target.components):
+        box, (lo, hi) = b.support(), t.support()
+        if not box[0] <= lo <= hi <= box[1]:
+            rule = _restricted_rule(t, box)
+            covered *= 0.0 if rule is None else float(rule[1].sum())
+    return max(0.0, 1.0 - covered)
+
+
+def _warn_uncovered(uncovered, name):
+    if uncovered > UNCOVERED_ULPS * np.finfo(float).eps:
+        warnings.warn(f"target {name!r} puts {uncovered:.3g} of its mass "
+                      "outside the sample's support; reweighted estimates "
+                      "toward it are of the target cut to that support",
                       stacklevel=3)
 
 

@@ -37,8 +37,13 @@ from .measures import DiscreteUniform, Normal, Uniform, measure_name
 
 
 def component_engines(mset, model, order=DEFAULT_ORDER):
-    """One AnovaEngine per candidate measure, sharing settings."""
-    return [AnovaEngine(model, m, order=order) for m in mset.measures]
+    """One AnovaEngine per candidate measure, sharing settings and the
+    model's full-subset rows, whose w is g itself under every measure: one
+    last-call entry (``AnovaEngine._w_at``) serves them all."""
+    engines = [AnovaEngine(model, m, order=order) for m in mset.measures]
+    for eng in engines[1:]:
+        eng._w_full = engines[0]._w_full
+    return engines
 
 
 def _check(engines, prior):

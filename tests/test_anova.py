@@ -16,9 +16,10 @@ from mixsens.anova import (AnovaEngine, ZeroVarianceError, _tensor_points,
                            all_subsets, subset_label)
 from mixsens.measures import (ConfigError, DiscreteUniform, Normal,
                               ProductMeasure, Uniform)
-from mixsens.mixture import mixture_variance_decomposition
+from mixsens.mixture import component_engines, mixture_variance_decomposition
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
-                            ishigami_effect, ishigami_measures)
+                            ishigami_effect, ishigami_measure_set,
+                            ishigami_measures)
 
 import _reference as ref
 
@@ -1209,19 +1210,24 @@ class TestLastCallMemo:
             assert eng.conditional_means((), x[:n, :0])[()].shape == (n,)
 
     def test_writing_into_a_result_does_not_change_the_next(self):
-        eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu2"])
+        # across the engines of one set, which share the full subset's rows
+        model = IshigamiModel()
+        engines = component_engines(ishigami_measure_set(), model)
         x = np.random.default_rng(6).uniform(-2.0, 2.0, size=(50, 3))
-        want = eng.conditional_means((1, 2, 3), x)
-        kept = {v: w.copy() for v, w in want.items()}
+        want = [eng.conditional_means((1, 2, 3), x) for eng in engines]
+        kept = [{v: w.copy() for v, w in got.items()} for got in want]
+        assert all(np.array_equal(k[(1, 2, 3)], model(x)) for k in kept)
         for _ in range(2):
-            got = eng.conditional_means((1, 2, 3), x)
-            for v, w in got.items():
-                assert np.array_equal(w, kept[v]), v
-                w[:] = np.nan
-        for w in want.values():
-            w += 1.0
-        for v, w in eng.conditional_means((1, 2, 3), x).items():
-            assert np.array_equal(w, kept[v]), v
+            for eng, k in zip(engines, kept):
+                for v, w in eng.conditional_means((1, 2, 3), x).items():
+                    assert np.array_equal(w, k[v]), v
+                    w[:] = np.nan
+        for got in want:
+            for w in got.values():
+                w += 1.0
+        for eng, k in zip(engines, kept):
+            for v, w in eng.conditional_means((1, 2, 3), x).items():
+                assert np.array_equal(w, k[v]), v
 
     def test_a_new_order_empties_the_memo(self):
         eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu3"])
@@ -1230,6 +1236,23 @@ class TestLastCallMemo:
         assert set(eng._w_last) == {(), (1,), (3,), (1, 3)}
         eng._use_order(eng.order)
         assert not eng._w_last
+
+    def test_a_new_order_keeps_the_model_at_the_rows(self):
+        # w of all inputs is g itself at every order: no second model call
+        calls = []
+
+        def model(x):
+            calls.append(len(x))
+            return IshigamiModel()(x)
+
+        eng = AnovaEngine(model, ishigami_measures()["mu3"])
+        eng.variance_decomposition()
+        x = np.random.default_rng(8).uniform(0.0, PI, size=(20, 3))
+        want = eng.conditional_means((1, 2, 3), x)[(1, 2, 3)]
+        eng._use_order(eng.order)
+        calls.clear()
+        assert np.array_equal(eng._w_at((1, 2, 3), x), want)
+        assert not calls
 
 
 # -- direct conditional means of a settled engine: a pair of lower rules ------

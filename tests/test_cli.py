@@ -469,7 +469,12 @@ class TestEstimatorModes:
         text = (tmp_path / "a" / "report.json").read_bytes()
         assert text == (tmp_path / "b" / "report.json").read_bytes()
         measures = json.loads(text)["measures"]
-        assert "ess" not in measures["mu1"]       # the base sample, as drawn
+        # the base sample, as drawn
+        assert not {"ess", "uncovered"} & set(measures["mu1"])
+        # mu2's mass outside mu1's box; mu3's box lies inside it
+        assert measures["mu2"]["uncovered"] == pytest.approx(
+            0.005032483364918905, abs=1e-12)
+        assert measures["mu3"]["uncovered"] == 0.0
         reg = ishigami_measures()
         base = read_sample(tmp_path / "a" / "sample_mu1.csv")
         base.measure = reg["mu1"]
@@ -477,6 +482,19 @@ class TestEstimatorModes:
             w = reg[name].density(base.x) / reg["mu1"].density(base.x)
             assert measures[name]["ess"] == w.sum() ** 2 / (w ** 2).sum()
             assert 0 < measures[name]["ess"] <= 512
+
+    def test_a_read_back_sample_reports_what_the_write_run_did(
+            self, configs, tmp_path):
+        # the uncovered mass comes from the measures, the rest from the rows
+        assert run(["--model", "ishigami", "--measures", configs["noprior"],
+                    "--estimator", "reweight", "--n", "512", "--sections",
+                    "measures", "--out", str(tmp_path / "w")]) == 0
+        assert run(["--model", str(tmp_path / "w" / "sample_mu1.csv"),
+                    "--measures", configs["noprior"], "--estimator",
+                    "reweight", "--out", str(tmp_path / "r")]) == 0
+        written, read = (load_report(tmp_path / d)["measures"]
+                         for d in ("w", "r"))
+        assert read == written and read["mu2"]["uncovered"] > 0.005
 
     def test_the_reweight_loop_holds_little_beyond_the_sample(self, configs,
                                                               monkeypatch):

@@ -137,6 +137,31 @@ class TestReweighting:
         with pytest.warns(UserWarning, match="effective sample size"):
             reweighted_indices(sample, [reg["mu2"]])
 
+    def test_the_target_mass_beyond_the_sample_is_reported(self):
+        # N(0, 1)^3 puts 1 - erf(pi / sqrt 2)^3 outside U(-pi, pi)^3, and
+        # mu3's box lies inside mu1's; only the measures enter
+        reg = ishigami_measures()
+        sample = generate_sample(IshigamiModel(), reg["mu1"], 512, seed=3)
+        with pytest.warns(UserWarning, match=r"target 'mu2' puts 0\.00503 "
+                          "of its mass outside the sample's support") as caught:
+            drawn, normal, inner = reweighted_indices(
+                sample, [None, reg["mu2"], reg["mu3"]])
+        assert sum("outside" in str(w.message) for w in caught) == 1
+        assert drawn.uncovered is None
+        assert normal.uncovered == pytest.approx(
+            1 - math.erf(math.pi / math.sqrt(2)) ** 3, abs=1e-12)
+        assert normal.uncovered == pytest.approx(0.005032483364918905,
+                                                 abs=1e-12)
+        assert inner.uncovered == 0.0
+        # U(-pi, pi)^3 beyond U(0, pi)^3: half of each axis
+        assert estimators._uncovered(reg["mu3"], reg["mu1"]) == 0.875
+        # a normal base holds every support, whose rules sum to 1 only
+        # within rounding
+        for target in (reg["mu2"], TAIL_WIDE,
+                       ProductMeasure((Normal(1, 2), Uniform(0, 1)))):
+            base = reg["mu2"] if target.n == 3 else TAIL_BASE
+            assert estimators._uncovered(base, target) == 0.0
+
     def test_target_outside_base_support_fails(self):
         measure = ProductMeasure((Uniform(0, 1),))
         sample = EvaluatedSample(x=np.linspace(0.1, 0.9, 40)[:, None],
@@ -469,8 +494,11 @@ def test_a_low_ess_warns_once_from_this_process(split_tables, capfd):
     with pytest.warns(UserWarning, match="effective sample size") as caught:
         ests = reweighted_indices(sample, [None, reg["mu2"]])
     assert "effective sample size" not in capfd.readouterr().err
-    assert len(forks) == 1 and len(caught) == 1
-    assert "'mu2'" in str(caught[0].message)
+    # mu2 also has mass outside mu1's box, which warns once too
+    messages = [str(w.message) for w in caught]
+    assert len(forks) == 1 and len(messages) == 2
+    assert all("'mu2'" in m for m in messages)
+    assert sum("effective sample size" in m for m in messages) == 1
     assert ests[1].ess == _kish(_ratio(sample, reg["mu2"]))
 
 

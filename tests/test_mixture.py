@@ -257,23 +257,99 @@ def test_repeated_calls_on_shared_engines_match_fresh_engines():
                 assert np.array_equal(g, w), z
 
 
+def _c03_pairs():
+    """The three multilinear models of acceptance c03, each as (measure
+    set, its two engines at order 32, 1000 points inside both supports)."""
+    rng = np.random.default_rng(2024)
+    rng.uniform(0.0, PI, size=(1000, 3))        # the Ishigami points
+    pair = MeasureSet(measures=(
+        ProductMeasure((Uniform(-1, 1), Uniform(0, 2)), name="wide"),
+        ProductMeasure((Uniform(0, 1), Uniform(1, 2)), name="narrow")),
+        prior=(0.5, 0.5))
+    out = []
+    for _ in range(3):
+        model = CompositeMultilinearModel(
+            factors=(np.polynomial.Polynomial(rng.uniform(-1, 1, 3)),
+                     np.polynomial.Polynomial(rng.uniform(-1, 1, 3))),
+            terms=((1,), (2,), (1, 2)),
+            coeffs=tuple(rng.uniform(-1, 1, 3)))
+        inner = np.column_stack([rng.uniform(0, 1, 1000),
+                                 rng.uniform(1, 2, 1000)])
+        out.append((pair, component_engines(pair, model, order=32), inner))
+    return out
+
+
 def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
     mset = ishigami_measure_set(prior=ref.PRIOR)
-    engines = component_engines(mset, IshigamiModel())
-    for eng in engines:              # the ladders' sweeps, not counted below
-        eng.variance_decomposition()
+    cases = [(mset, component_engines(mset, IshigamiModel()), _c03_points()),
+             *_c03_pairs()]
+    for _, engines, _ in cases:     # the ladders' sweeps, not counted below
+        for eng in engines:
+            eng.variance_decomposition()
     rows = []
     evaluate = anova._evaluate
     monkeypatch.setattr(anova, "_evaluate", lambda model, x: (
         rows.append(np.shape(x)[0]), evaluate(model, x))[1])
-    pts = _c03_points()
-    for z in all_subsets(3):
-        x = pts[:, [i - 1 for i in z]]
-        mixture_effect_from_components(engines, mset.prior, z, x)
-        mixture_effect_from_pooled_conditionals(engines, mset.prior, z, x)
+    counts = []
+    for mset, engines, pts in cases:
+        for z in all_subsets(mset.n):
+            x = pts[:, [i - 1 for i in z]]
+            mixture_effect_from_components(engines, mset.prior, z, x)
+            mixture_effect_from_pooled_conditionals(engines, mset.prior, z, x)
+        counts.append(rows[:])
+        rows.clear()
     # every table row is accepted, so the only model calls are the full
-    # subset's rows: 1000 per engine, once across both routes
-    assert rows == [1000] * 3
+    # subset's rows: 1000 per measure set, once across both routes and
+    # every engine of the set
+    assert counts == [[1000]] * 4
+
+
+def test_engines_on_other_models_share_no_rows():
+    # the same rows under the same measures: each set's engines, and each
+    # engine built alone, answer with their own model and call it once
+    mset = ishigami_measure_set(prior=ref.PRIOR)
+    pts, full = _c03_points(), (1, 2, 3)
+    models = {"ishigami": IshigamiModel(), "other": IshigamiModel(2.0, 0.5),
+              **{f"alone{k}": IshigamiModel(2.0, 0.5) for k in range(3)}}
+    calls = dict.fromkeys(models, 0)
+
+    def counted(name):
+        def call(x):
+            calls[name] += x.tobytes() == pts.tobytes()
+            return models[name](x)
+        return call
+
+    sets = {name: component_engines(mset, counted(name))
+            for name in ("ishigami", "other")}
+    for k, m in enumerate(mset.measures):
+        for name, eng in (*[(nm, engines[k]) for nm, engines in sets.items()],
+                          (f"alone{k}", AnovaEngine(counted(f"alone{k}"), m))):
+            got = eng.conditional_means(full, pts)[full]
+            assert np.array_equal(got, models[name](pts)), (name, k)
+    assert calls == dict.fromkeys(models, 1)
+
+
+def test_an_engine_that_settles_after_the_rows_are_kept_matches_a_fresh_one():
+    # the first engine fills the shared entry before the others climb their
+    # ladders; their _use_order keeps it, and every value is a fresh
+    # engine's, bit for bit
+    mset = ishigami_measure_set(prior=ref.PRIOR)
+    pts, full = _c03_points(), (1, 2, 3)
+    calls = []
+
+    def model(x):
+        calls.append(x.tobytes() == pts.tobytes())
+        return IshigamiModel()(x)
+
+    engines = component_engines(mset, model)
+    engines[0].conditional_means(full, pts)
+    for eng, m in zip(engines[1:], mset.measures[1:]):
+        got = eng.conditional_means(full, pts)
+        want = AnovaEngine(IshigamiModel(), m).conditional_means(full, pts)
+        assert got.keys() == want.keys()
+        for v in want:
+            assert np.array_equal(got[v], want[v]), (m.name, v)
+    assert calls.count(True) == 1
 
 
 @settings(max_examples=20, deadline=None)
