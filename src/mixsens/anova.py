@@ -23,13 +23,13 @@ Each rung decomposes the model off its full grid (the whole subset lattice
 up to four inputs), and the order settles at the first rung whose mean,
 total and terms moved by at most ``INTERP_TOL`` (relative to sqrt(V) and V)
 from the rung below.  Gauss rules converge geometrically on smooth models,
-so that change bounds the error of the rung below.  When the grid at
-``order`` fits, a rung must also resolve every table that effects at points
-would read off it (``_Table.resolved``).
-After every rung, an axis that rung resolves is capped at the fewest nodes
-that keep it resolved (``AnovaEngine._caps``), and keeps the smallest cap it
-was given: an axis stops climbing once it no longer changes the result, the
-dimension-adaptive rule of Gerstner & Griebel (Computing 71, 2003).  A rung
+so that change bounds the error of the rung below.  Each rung also caps
+every axis it resolves at the fewest nodes that keep it resolved
+(``AnovaEngine._caps``, one coefficient-tail rule on every family), and
+each axis keeps the smallest cap it was given: an axis stops climbing once
+it no longer changes the result, the dimension-adaptive rule of Gerstner &
+Griebel (Computing 71, 2003).  When the grid at ``order`` fits, a rung
+settles only once every continuous axis has a cap.  A rung
 whose grid does not fit under the caps so far ends the climb.  A settled
 engine is an engine at that order, with its rung's caps.  With no such rung
 it keeps ``order`` on every axis when that grid fits, ``order`` under the
@@ -37,7 +37,7 @@ caps when that fits, and the last rung it climbed otherwise; an engine for
 which neither ``order`` nor any rung fits raises ``ConfigError`` when it is
 built.  A smooth 4-input model quartic in x3 costs 16^4 + (24^3 + 32^3) * 7
 evaluations, not 64^4; the Ishigami model settles at 24, 32 or 48 nodes,
-with 7 on x3 and 14, 21 or 29 on x1.
+with 7 on x3 and 14, 21 or 26 on x1.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables.  It
@@ -84,7 +84,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .measures import (DEFAULT_ORDER, ConfigError, DiscreteUniform, Normal,
+from .measures import (DEFAULT_ORDER, ConfigError, DiscreteUniform,
                        ProductMeasure, Uniform)
 
 
@@ -289,20 +289,24 @@ class AnovaEngine:
         rung where, against the rung below, the mean moved by at most
         ``INTERP_TOL`` times sqrt(V), and V and every V_z by at most
         ``INTERP_TOL`` times V; Gauss rules converge geometrically on smooth
-        models, so that change bounds the error of the rung below.  On an
-        engine whose grid fits at ``order``, the rung must also resolve every
-        table of its lattice that ``_w_at`` can read (``_Table.resolved``),
-        so that a lower order does not send the rows of an unresolved table
-        to the direct integral.  Only there: on an engine whose grid at
-        ``order`` does not fit, the test would take a smooth 4-input model
-        from 32 nodes to 48, and the row gate already sends the rows of an
-        unresolved table to the direct integral.  After each rung every axis takes the
-        smaller of its cap so far and the rung's ``_caps``, so a cap never
-        grows; the next rung, the settled engine and its direct complement
-        rules use those caps, and the climb stops at a rung whose grid does
-        not fit under them.  The settled rung's own ``_caps`` set the lower
-        rules of the direct integrals (``_halves``, see ``_direct_rules``),
-        and its decomposition is the one ``variance_decomposition`` keeps.
+        models, so that change bounds the error of the rung below.  Each
+        rung computes its ``_caps`` once, and every axis takes the smaller
+        of its cap so far and the rung's, so a cap never grows; the next
+        rung, the settled engine and its direct complement rules use those
+        caps, and the climb stops at a rung whose grid does not fit under
+        them.  On an engine whose grid fits at ``order``, a rung settles
+        only when every continuous axis has a finite cap so far, so that a
+        lower order does not send the rows of an unresolved table to the
+        direct integral.  The caps so far, not the rung's own: an axis
+        capped at c nodes sits at the edge of its own tail test there, and
+        a smooth 3-input model read unresolved at its cap would climb to
+        ``order``.  Only there: on an engine whose grid at ``order`` does
+        not fit, the test would take a smooth 4-input model from 32 nodes
+        to 48, and the row gate already sends the rows of an unresolved
+        table to the direct integral.  The settled rung's own caps set the
+        lower rules of the direct integrals (``_halves``, see
+        ``_direct_rules``), and its decomposition is the one
+        ``variance_decomposition`` keeps.
         With no such rung the engine keeps, with no lower rules, ``order``
         uncapped when that grid fits, ``order`` under the caps when that
         fits, and otherwise the last rung it climbed.  When a rung raises,
@@ -323,15 +327,16 @@ class AnovaEngine:
                 still = last is not None and abs(vd.mean - last[0]) \
                     <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
                     and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total)
+                rung_caps = self._caps()
+                caps = [min(a, b) for a, b in zip(caps, rung_caps)]
                 if still and (not self._fits_order or all(
-                        self._table(z).resolved for z in vd.terms
-                        if self._reads_table(z))):
+                        c < math.inf for c, a in zip(caps, self._axes)
+                        if a is not None)):
                     self._halves = [math.ceil(c / 2) if c < math.inf and s > 1
                                     else None
-                                    for c, s in zip(self._caps(), self._sizes)]
+                                    for c, s in zip(rung_caps, self._sizes)]
                     return
                 last = vd.mean, terms
-                caps = [min(a, b) for a, b in zip(caps, self._caps())]
         except BaseException:       # a failed rung leaves the engine as built
             self._ladder = ladder
             self._use_order(order)
@@ -350,12 +355,12 @@ class AnovaEngine:
         those from the ``_tail`` on sum to at most ``INTERP_TOL`` times the
         RMS of w_i (the least RMS of a table that holds the axis).  The axis
         is then capped at the fewest nodes whose tail starts above the last
-        degree from which they sum to more.  The row gate of ``_Table``
-        weighs each tail coefficient by |phi_k(x)|, which on a normal axis
-        reaches 10-50 at 3-4 sd, so there each coefficient is first weighed
-        by the largest |phi_k| over the axis's plot range (mean +- 4 sd, on
-        the ``PLOT_ROWS`` rows of a default effect curve).  On a uniform axis
-        |phi_k| <= sqrt(2k + 1), and the coefficients are summed as they are.
+        degree from which they sum to more.  The coefficients are summed as
+        they stand, on every family: a series judged resolved by its tail,
+        as in Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
+        43, 2017.  The row gate of ``_Table`` weighs each tail
+        coefficient by |phi_k(x)| and sends the rows it rejects to the
+        direct integral.
         """
         grid = self._w_cache[tuple(range(1, self.n + 1))]
         caps = [math.inf] * self.n
@@ -365,10 +370,6 @@ class AnovaEngine:
                 tol = INTERP_TOL * math.sqrt(float(w ** 2 @ self.weights[i]))
                 c = np.abs(np.tensordot(a.to_coeffs, grid, axes=([1], [i])))
                 c = c.reshape(s, -1).max(axis=1)
-                comp = self.measure.components[i]
-                if isinstance(comp, Normal):    # the row gate's |phi_k(x)|
-                    c *= np.abs(a.poly(np.linspace(*comp.plot_range(),
-                                                   PLOT_ROWS))).max(axis=0)
                 rest = np.cumsum(c[::-1])[::-1]
                 d = max(np.flatnonzero(rest > tol), default=-1)
                 if d < _tail(s):
@@ -714,18 +715,9 @@ class _Table:
                 [-1 if k == ax else 1 for k in range(values.ndim)])
         self.axes = axes
         self.coeffs = coeffs
-        self.tail = np.where(tail, np.abs(coeffs), 0.0)
-        self.error = self.tail + (3 * max(values.shape) + 4) \
-            * np.finfo(float).eps * size
+        self.error = np.where(tail, np.abs(coeffs), 0.0) \
+            + (3 * max(values.shape) + 4) * np.finfo(float).eps * size
         self.scale = float(np.sqrt(_contract(values ** 2, weights)))
-
-    @property
-    def resolved(self):
-        """Whether the tail coefficients sum to at most INTERP_TOL times the
-        table's RMS: the gate's truncation estimate with every polynomial at
-        unit size.  A series judged resolved by its tail, as in Aurentz &
-        Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017."""
-        return float(self.tail.sum()) <= INTERP_TOL * self.scale
 
     def __call__(self, x):
         """(accepted, values): a mask over the rows of ``x`` and the

@@ -382,7 +382,7 @@ def cmd_analyze(args):
 
     engines = vds = None
     if kind != "sample" and ({"mixture", "dimension", "trend"} & sections or
-                             args.estimator == "quad"):
+                             indexed and args.estimator == "quad"):
         engines = component_engines(mset, source)
         vds = [eng.variance_decomposition() for eng in engines]
 

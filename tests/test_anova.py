@@ -107,7 +107,8 @@ class TestEffects:
     @pytest.mark.parametrize("z, cols", [((1,), 3), ((1, 2), 1)])
     def test_points_need_one_column_per_input(self, engines, z, cols):
         x = np.zeros((4, cols))
-        for call in (engines["mu1"].effect, engines["mu1"].conditional_means):
+        eng = engines["mu1"]
+        for call in (eng.effect, eng.conditional_means, eng.conditional_mean):
             with pytest.raises(ValueError,
                                match=rf"points have {cols} columns for subset"):
                 call(z, x)
@@ -714,10 +715,10 @@ def test_nine_continuous_inputs_have_no_grid_that_fits():
 
 # each axis's nodes once settled, and the points of the rungs climbed: 16^3,
 # then x3 at 7 nodes (and mu3's x1 at 14) from 24 on, mu1's x1 at 21 from 32
-# on and mu2's x1 at 29 from 48 on
+# on and mu2's x1 at 26 from 48 on
 ISHIGAMI_SETTLED = {
     "mu1": ([21, 32, 7], 12_832),       # 16^3 + (24^2 + 21 * 32) * 7
-    "mu2": ([29, 48, 7], 25_040),       # 16^3 + (24^2 + 32^2 + 29 * 48) * 7
+    "mu2": ([26, 48, 7], 24_032),       # 16^3 + (24^2 + 32^2 + 26 * 48) * 7
     "mu3": ([14, 24, 7], 6_448)}        # 16^3 + 14 * 24 * 7
 
 
@@ -725,7 +726,7 @@ ISHIGAMI_SETTLED = {
                                           ("mu3", 24)])
 def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
                                                                   settled):
-    # the terms alone settle at 24, 32 and 24, but there the x2 tables of
+    # the terms alone settle at 24, 32 and 24, but there the x2 axes of
     # mu1 and mu2 (7 sin^2 x2) still carry tails; 16 nodes resolve x3
     # (1 + 0.1 x3^4) everywhere and x1 (sin x1) on mu3's [0, pi]
     model = _Batches(IshigamiModel())
@@ -736,11 +737,12 @@ def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
     sizes, evals = ISHIGAMI_SETTLED[name]
     assert [x.size for x in eng.nodes] == sizes
     assert sum(model.sizes) == evals
-    assert all(eng._table(z).resolved for z in all_subsets(3, 2))
+    assert all(c < math.inf for c in eng._caps())
 
 
 def test_a_settled_engine_builds_each_table_once():
-    # the tables _settle checks at the settled rung are the ones _w_at reads
+    # _settle reads the caps of each rung's full grid and builds no table;
+    # _w_at builds each table it reads once
     built = []
 
     class Counted(anova._Table):
@@ -752,7 +754,7 @@ def test_a_settled_engine_builds_each_table_once():
     x = np.random.default_rng(8).uniform(-PI, PI, size=(60, 3))
     with mock.patch.object(anova, "_Table", Counted):
         eng.variance_decomposition()
-        assert eng.order == 32
+        assert eng.order == 32 and not built
         for z in all_subsets(3, 2):
             eng.effect(z, x[:, [i - 1 for i in z]])
         eng.effect_curve((1, 2))
@@ -784,9 +786,11 @@ def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
 
 
 @pytest.mark.parametrize("name", MEASURES)
-def test_settled_tables_accept_every_row_order_64_accepts(name):
-    # the seeded points of acceptance c03; a rung that settled on its terms
-    # alone (mu1 at 24, mu2 at 32) sends every x2 row to the direct integral
+def test_settled_engines_read_what_order_64_reads(name):
+    # the seeded points of acceptance c03: on every row that order 64's
+    # table accepts, the settled engine's w_v (off its own table, or
+    # integrated directly where that table rejects the row) is the same
+    # value to the gate's standard
     measure = ishigami_measures()[name]
     eng = AnovaEngine(IshigamiModel(), measure)
     eng.mean()
@@ -795,9 +799,11 @@ def test_settled_tables_accept_every_row_order_64_accepts(name):
     pts = np.random.default_rng(2024).uniform(0.0, PI, size=(1000, 3))
     for z in all_subsets(3, max_order=2):
         x = pts[:, [i - 1 for i in z]]
-        accepted, _ = eng._table(z)(x)
-        wanted, _ = full._table(z)(x)
-        assert wanted.any() and np.all(accepted[wanted]), z
+        table = full._table(z)
+        wanted, values = table(x)
+        assert wanted.any(), z
+        assert np.all(np.abs(eng._w_at(z, x)[wanted] - values)
+                      <= anova.INTERP_TOL * table.scale), z
 
 
 @pytest.mark.parametrize("name", MEASURES)
@@ -847,6 +853,21 @@ def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
     # a settled engine keeps the caps of its rung; the fallback drops them
     assert [x.size for x in eng.nodes] == [min(eng.order, c) for c in (
         rungs[-1] if eng.order in anova.LADDER else [math.inf] * 3)]
+
+
+def test_an_axis_capped_by_an_earlier_rung_stays_resolved():
+    # x2 is capped at 25 nodes on the 32-node rung; on the 48-node rung its
+    # own tail at those 25 nodes reads unresolved, and the engine settles
+    # there on its caps so far rather than sweep 64^3 points
+    model = _Batches(_smooth3)
+    eng = AnovaEngine(model, ProductMeasure((Normal(1.0, 2.0),
+                                             Uniform(-PI, PI),
+                                             Uniform(0.0, PI))))
+    eng.mean()
+    assert eng.order == 48 and [x.size for x in eng.nodes] == [48, 25, 6]
+    assert eng._caps()[1] == math.inf
+    assert sum(model.sizes) == 16 ** 3 + (24 ** 2 + 32 ** 2) * 6 \
+        + 48 * 25 * 6 == 20_896
 
 
 def _permuted(model, measure, perm):

@@ -322,7 +322,7 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
         tmp_path, monkeypatch):
     # each engine sweeps the rungs it climbs (mu1 to 32, mu2 to 48, mu3 to
     # 24, x3 at 7 nodes from 24 on, mu3's x1 at 14, mu1's x1 at 21 from 32
-    # and mu2's at 29 from 48): 44,320 points; the mixture-curve rows
+    # and mu2's at 26 from 48): 43,312 points; the mixture-curve rows
     # outside a uniform measure's support take the direct integral by the
     # pair of lower rules, ceil(cap / 2) and one node fewer on each axis the
     # settled rung resolves, and agree there, so none takes the settled
@@ -342,9 +342,23 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     by_caller = {}
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
-    assert by_caller == {"_fill_subgrid_tables": 44_320,
+    assert by_caller == {"_fill_subgrid_tables": 43_312,
                          "conditional_mean": 31_170}
-    assert sum(by_caller.values()) == 75_490
+    assert sum(by_caller.values()) == 74_482
+
+
+def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
+                                               monkeypatch):
+    # the signatures are factor means; no section read here needs an engine
+    points = []
+    evaluate = anova._evaluate
+    monkeypatch.setattr(anova, "_evaluate", lambda model, x: (
+        points.append(len(x)), evaluate(model, x))[1])
+    out = tmp_path / "out"
+    assert run(["--model", "ishigami", "--measures", configs["noprior"],
+                "--sections", "cores", "--out", str(out)]) == 0
+    assert points == []
+    assert load_report(out)["cores"]["groups"] == [["mu1"], ["mu2"], ["mu3"]]
 
 
 class TestDeterminism:
@@ -374,7 +388,7 @@ class TestDeterminism:
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # the rungs each engine's ladder climbs (uniform mu1 to 32 and mu3 to
     # 24, normal mu2 to 48), the caps of the axes a rung resolves (x3 at 7
-    # on all three, mu3's x1 at 14, mu1's at 21, mu2's at 29), the pairs of
+    # on all three, mu3's x1 at 14, mu1's at 21, mu2's at 26), the pairs of
     # lower rules of the direct curve rows (uniform 3, 4, 6, 9, 10, 11 and
     # 13: half of mu1's and mu3's caps at the settled rung, and one fewer),
     # and the order 64 it was built at, which the core signatures and the
@@ -396,7 +410,7 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     finally:
         measures._gauss_rule.cache_clear()
     assert sorted(computed) == [("hermgauss", 7), ("hermgauss", 16),
-                                ("hermgauss", 24), ("hermgauss", 29),
+                                ("hermgauss", 24), ("hermgauss", 26),
                                 ("hermgauss", 32), ("hermgauss", 48),
                                 ("hermgauss", 64),
                                 ("leggauss", 3), ("leggauss", 4),
@@ -613,6 +627,15 @@ class TestSampleFileMode:
                     "--estimator", "reweight", "--out", str(tmp_path / "o")])
         assert code == 3
         assert "not in the measures file" in capsys.readouterr().err
+
+    def test_reweight_needs_the_sidecar(self, configs, sample_csv, tmp_path,
+                                        capsys):
+        # with no sidecar nothing names the measure the sample was drawn from
+        os.remove(sample_csv + ".meta.json")
+        code = run(["--model", sample_csv, "--measures", configs["noprior"],
+                    "--estimator", "reweight", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "needs the sidecar's measure tag" in capsys.readouterr().err
 
     def test_quad_estimator_rejects_sample_input(self, configs, sample_csv,
                                                  tmp_path, capsys):

@@ -56,6 +56,13 @@ class TestUnivariateFamilies:
         with pytest.raises(ConfigError):
             Normal(0.0, 0.0)
 
+    @pytest.mark.parametrize("mean,sd", [(0.0, math.inf), (math.nan, 1.0),
+                                         (-math.inf, 1.0), (0.0, math.nan)])
+    def test_normal_rejects_a_non_finite_parameter(self, mean, sd):
+        # an infinite sd would put Gauss nodes at +-inf, a NaN mean at NaN
+        with pytest.raises(ConfigError):
+            Normal(mean, sd)
+
     def test_quadrature_weights_are_probabilities(self):
         for m, mean in ((Uniform(0.0, 2.0), 1.0), (Normal(-1.0, 0.5), -1.0),
                         (DiscreteUniform((0.0, 1.0, 2.0)), 1.0)):
@@ -183,6 +190,12 @@ class TestMeasureSet:
             three_measure_set(prior=(-0.1, 0.6, 0.5))
         with pytest.raises(ConfigError):
             three_measure_set(prior=(0.5, 0.5))
+
+    def test_a_nan_prior_weight_is_rejected(self):
+        # every comparison with NaN is false, so no sign or sum test sees it
+        with pytest.raises(ConfigError, match="nonnegative"):
+            MeasureSet((product(Uniform(0, 1)), product(Uniform(0, 2))),
+                       prior=(math.nan, 1.0))
 
     def test_degenerate_prior_with_zero_weight_is_legal(self):
         ms = three_measure_set(prior=(1.0, 0.0, 0.0))

@@ -286,22 +286,26 @@ def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
     for _, engines, _ in cases:     # the ladders' sweeps, not counted below
         for eng in engines:
             eng.variance_decomposition()
-    rows = []
+    calls = []
     evaluate = anova._evaluate
     monkeypatch.setattr(anova, "_evaluate", lambda model, x: (
-        rows.append(np.shape(x)[0]), evaluate(model, x))[1])
-    counts = []
+        calls.append(np.array(x)), evaluate(model, x))[1])
+    full, other = [], []
     for mset, engines, pts in cases:
         for z in all_subsets(mset.n):
             x = pts[:, [i - 1 for i in z]]
             mixture_effect_from_components(engines, mset.prior, z, x)
             mixture_effect_from_pooled_conditionals(engines, mset.prior, z, x)
-        counts.append(rows[:])
-        rows.clear()
-    # every table row is accepted, so the only model calls are the full
-    # subset's rows: 1000 per measure set, once across both routes and
-    # every engine of the set
-    assert counts == [[1000]] * 4
+        full.append(sum(x.tobytes() == pts.tobytes() for x in calls))
+        other.append([len(x) for x in calls if x.tobytes() != pts.tobytes()])
+        calls.clear()
+    # the full subset's rows are evaluated once per measure set, across both
+    # routes and every engine of the set
+    assert full == [1] * 4
+    # every table row is accepted but 4 rows of mu2's (1, 3) table, which
+    # take the direct integral over x2 by the pair of lower rules, 22 and
+    # 21 nodes: 4 * (22 + 21) points in one call
+    assert other == [[172], [], [], []]
 
 
 def test_engines_on_other_models_share_no_rows():

@@ -86,14 +86,16 @@ def test_fixed_order_integrals_take_the_engines_order():
 
 def test_tables_hold_one_polynomial_form():
     # a table is read at points through its orthonormal coefficients alone:
-    # no barycentric weights, Lagrange basis or table of values beside them
+    # no barycentric weights, Lagrange basis or table of values beside them,
+    # and no resolution test of its own (the engine's is ``_caps``)
     comp = measures.Uniform(0.0, 1.0)
     nodes, weights = (np.asarray(a) for a in comp.quad_nodes(8))
     axis = anova._Axis(comp, nodes, weights)
     table = anova._Table(nodes ** 3, [axis], [weights])
     for attr in ("bary", "basis"):
         assert not hasattr(axis, attr), attr
-    assert not hasattr(table, "values")
+    for attr in ("values", "resolved", "tail"):
+        assert not hasattr(table, attr), attr
     x = np.linspace(0.0, 1.0, 11)
     ok, values = table(x[:, None])
     assert ok.all() and np.allclose(values, x ** 3, rtol=0, atol=1e-14)
