@@ -17,27 +17,28 @@ Every integral is a tensor Gauss rule (an exact finite sum on a discrete
 coordinate) over a grid of at most ``FULL_GRID_CAP`` points.  An engine's
 ``order`` is the most Gauss nodes per continuous coordinate.  Its first
 integral of any kind climbs a ladder of orders (``LADDER``,
-``AnovaEngine._settle``): from 16 nodes, or from the largest lower rung
-whose grid fits when 16 does not, up to the last rung below ``order``.
-Each rung decomposes the model off its full grid (the whole subset lattice
-up to four inputs), and the order settles at the first rung whose mean,
-total and terms moved by at most ``INTERP_TOL`` (relative to sqrt(V) and V)
-from the rung below.  Gauss rules converge geometrically on smooth models,
-so that change bounds the error of the rung below.  Each rung also caps
-every axis it resolves at the fewest nodes that keep it resolved
-(``AnovaEngine._caps``, one coefficient-tail rule on every family), and
-each axis keeps the smallest cap it was given: an axis stops climbing once
-it no longer changes the result, the dimension-adaptive rule of Gerstner &
-Griebel (Computing 71, 2003).  When the grid at ``order`` fits, a rung
-settles only once every continuous axis has a cap.  A rung
+``AnovaEngine._settle``): from a probe rung of 8 nodes and then 16, or from
+the largest lower rung whose grid fits when 16 does not, up to the last rung
+below ``order``.  Each rung decomposes the model off its full grid (the
+whole subset lattice up to four inputs), and the order settles at the first
+rung whose mean, total and terms moved by at most ``INTERP_TOL`` (relative
+to sqrt(V) and V) from the rung below.  Gauss rules converge geometrically
+on smooth models, so that change bounds the error of the rung below.  Each
+rung also caps every axis it resolves at the fewest nodes that keep it
+resolved (``AnovaEngine._caps``, one coefficient-tail rule on every family).
+The first rung's caps only size the second, whose own caps replace them;
+from there on each axis keeps the smallest cap it was given: an axis stops
+climbing once it no longer changes the result, the dimension-adaptive rule
+of Gerstner & Griebel (Computing 71, 2003).  When the grid at ``order``
+fits, a rung settles only once every continuous axis has a cap.  A rung
 whose grid does not fit under the caps so far ends the climb.  A settled
 engine is an engine at that order, with its rung's caps.  With no such rung
 it keeps ``order`` on every axis when that grid fits, ``order`` under the
 caps when that fits, and the last rung it climbed otherwise; an engine for
 which neither ``order`` nor any rung fits raises ``ConfigError`` when it is
-built.  A smooth 4-input model quartic in x3 costs 16^4 + (24^3 + 32^3) * 7
-evaluations, not 64^4; the Ishigami model settles at 24, 32 or 48 nodes,
-with 7 on x3 and 14, 21 or 26 on x1.
+built.  A smooth 4-input model quartic in x3 costs
+8^4 + (16^3 + 24^3 + 32^3) * 7 evaluations, not 64^4; the Ishigami model
+settles at 24, 32 or 48 nodes, with 7 on x3 and 14, 21 or 26 on x1.
 
 Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
 ``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables.  It
@@ -93,7 +94,7 @@ class ZeroVarianceError(ArithmeticError):
 
 
 # orders an engine tries below ``order`` (_settle); those below 16 only when
-# the grid of 16 does not fit
+# the grid of 16 does not fit, but for the probe rung of 8 before 16
 LADDER = (6, 8, 12, 16, 24, 32, 48)
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**16        # most points an engine hands the model at once
@@ -223,7 +224,8 @@ class AnovaEngine:
         Not used, since every integral is a tensor Gauss rule; kept for the
         callers that still pass it.
 
-    The ladder of orders is fixed here and climbed on the first integral.
+    The ladder of orders is fixed here, with a probe rung of 8 nodes in
+    front of a climb from 16, and climbed on the first integral.
     An engine for which neither the grid of ``order`` nor that of any rung
     fits in ``FULL_GRID_CAP`` points raises ``ConfigError`` here.
     """
@@ -240,13 +242,15 @@ class AnovaEngine:
         # the ladder, climbed by _settle: the rungs below ``order`` from 16
         # on, or from the largest rung that fits when 16 does not; kept when
         # at least two are left or the grid of ``order`` does not fit, and
-        # some coordinate is continuous
+        # some coordinate is continuous.  A climb from 16 opens with a probe
+        # rung of 8 nodes, whose caps size the sweep of 16
         first = max([r for r in LADDER if r <= 16 and _fits(self._grid(r))],
                     default=math.inf)
         rungs = [r for r in LADDER if first <= r < self.order]
         continuous = any(not isinstance(c, DiscreteUniform)
                          for c in measure.components)
-        self._ladder = rungs if continuous and (
+        probe = [8] if first == 16 else []
+        self._ladder = probe + rungs if continuous and (
             len(rungs) > 1 or not self._fits_order) else []
         if not (self._fits_order or self._ladder):
             raise ConfigError(
@@ -290,27 +294,42 @@ class AnovaEngine:
         ``INTERP_TOL`` times sqrt(V), and V and every V_z by at most
         ``INTERP_TOL`` times V; Gauss rules converge geometrically on smooth
         models, so that change bounds the error of the rung below.  Each
-        rung computes its ``_caps`` once, and every axis takes the smaller
-        of its cap so far and the rung's, so a cap never grows; the next
-        rung, the settled engine and its direct complement rules use those
-        caps, and the climb stops at a rung whose grid does not fit under
-        them.  On an engine whose grid fits at ``order``, a rung settles
-        only when every continuous axis has a finite cap so far, so that a
-        lower order does not send the rows of an unresolved table to the
-        direct integral.  The caps so far, not the rung's own: an axis
-        capped at c nodes sits at the edge of its own tail test there, and
-        a smooth 3-input model read unresolved at its cap would climb to
-        ``order``.  Only there: on an engine whose grid at ``order`` does
-        not fit, the test would take a smooth 4-input model from 32 nodes
-        to 48, and the row gate already sends the rows of an unresolved
-        table to the direct integral.  The settled rung's own caps set the
-        lower rules of the direct integrals (``_halves``, see
-        ``_direct_rules``), and its decomposition is the one
-        ``variance_decomposition`` keeps.
+        rung computes its ``_caps`` once.  The first rung's caps only size
+        the second: there the rung's own caps replace them, so every axis
+        the first rung capped is read again by the same tail test at the
+        nodes it was given, and an axis read unresolved there climbs
+        uncapped.  (Eight nodes see nothing of a degree-8 Legendre term,
+        which vanishes at all of them; at its cap of 4 the second rung sees
+        it.)  From the second rung on, every axis takes the smaller of its
+        cap so far and the rung's, so a cap never grows; the next rung, the
+        settled engine and its direct complement rules use those caps, and
+        the climb stops at a rung whose grid does not fit under them.  On
+        an engine whose grid fits at ``order``, a rung settles only when
+        every continuous axis has a finite cap so far, so that a lower
+        order does not send the rows of an unresolved table to the direct
+        integral.  The caps so far, not the rung's own: an axis capped at c
+        nodes sits at the edge of its own tail test there, and a smooth
+        3-input model read unresolved at its cap would climb to ``order``.
+        Only there: on an engine whose grid at ``order`` does not fit, the
+        test would take a smooth 4-input model from 32 nodes to 48, and the
+        row gate already sends the rows of an unresolved table to the
+        direct integral.  The settled rung's own caps set the lower rules of
+        the direct integrals (``_halves``, see ``_direct_rules``), and its
+        decomposition is the one ``variance_decomposition`` keeps.
         With no such rung the engine keeps, with no lower rules, ``order``
         uncapped when that grid fits, ``order`` under the caps when that
         fits, and otherwise the last rung it climbed.  When a rung raises,
         the engine goes back to ``order`` as built.
+
+        A climb from 16 opens with the probe rung of 8 nodes, which sizes
+        the sweep of 16: each Ishigami engine's first sweep costs
+        8^3 + 16^2 * 7 = 2,304 points, not 16^3 = 4,096.  Where the probe
+        caps nothing it costs 8^n more points and changes no result.  On
+        g = sum cos 2x_k + 0.5 x1 x2 + 0.3 sin x3 x4 under N(0, 1)^n it
+        goes 1,445,888 -> 1,449,984 evaluations at n = 4, on the same
+        32^4 grid, and 1,048,576 -> 1,081,344 (+3.1%) at n = 5; at n = 6,
+        7 and 8 the grid of 16 does not fit, the climb has no probe, and
+        nothing changes.
         """
         ladder, self._ladder = self._ladder, []
         if not ladder:
@@ -318,7 +337,7 @@ class AnovaEngine:
         order, last = self.order, None
         caps = [math.inf] * self.n
         try:
-            for rung in ladder:
+            for k, rung in enumerate(ladder):
                 if not _fits(self._grid(rung, caps)):
                     break
                 self._use_order(rung, caps)
@@ -328,7 +347,8 @@ class AnovaEngine:
                     <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
                     and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total)
                 rung_caps = self._caps()
-                caps = [min(a, b) for a, b in zip(caps, rung_caps)]
+                caps = rung_caps if k == 1 else [
+                    min(a, b) for a, b in zip(caps, rung_caps)]
                 if still and (not self._fits_order or all(
                         c < math.inf for c, a in zip(caps, self._axes)
                         if a is not None)):

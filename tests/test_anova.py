@@ -500,15 +500,16 @@ def _plan_model(x):
 
 def test_four_input_moments_come_from_the_sweep_at_default_settings():
     # the 64^4 grid does not fit, so the first integral settles the order:
-    # the degree-3 model is exact at 16 nodes, so 24 moves nothing; 16 also
-    # resolves every axis (degree 1, and 2 in x3), so 24 takes 4 or 5 nodes
+    # the degree-3 model is exact at the probe's 8 nodes, so 16 moves
+    # nothing; 8 also resolves every axis (degree 1, and 2 in x3), so 16
+    # takes 4 or 5 nodes, and reads each axis resolved there again
     model = _Batches(_plan_model)
     eng = AnovaEngine(model, PLAN_MEASURE)
-    assert eng.order == 64 and eng._ladder == [16, 24, 32, 48]
+    assert eng.order == 64 and eng._ladder == [8, 16, 24, 32, 48]
     vd = eng.variance_decomposition(max_order=2)
-    assert eng.order == 24
+    assert eng.order == 16
     assert [x.size for x in eng.nodes] == [4, 4, 5, 4]
-    assert sum(model.sizes) == 16 ** 4 + 4 * 4 * 5 * 4 == 65_856
+    assert sum(model.sizes) == 8 ** 4 + 4 * 4 * 5 * 4 == 4_416
     exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
              for z in all_subsets(4)}
     total = sum(exact.values())
@@ -551,10 +552,12 @@ def test_a_smooth_model_settles_where_the_ladder_stops_moving():
     model = _Batches(DECOMP_ORACLE)
     eng = AnovaEngine(model, NORMAL4)
     vd = eng.variance_decomposition()
-    # x3 enters as 1 + 0.1 x3^4, which 16 nodes resolve: 7 nodes from 24 on
+    # x3 enters as 1 + 0.1 x3^4, which the probe's 8 nodes resolve: 7 nodes
+    # from 16 on
     assert eng.order == 32 and len(eng.nodes[0]) == len(eng.weights[3]) == 32
     assert [x.size for x in eng.nodes] == [32, 32, 7, 32]
-    assert sum(model.sizes) == 16 ** 4 + 24 ** 3 * 7 + 32 ** 3 * 7 == 391_680
+    assert sum(model.sizes) == 8 ** 4 + (16 ** 3 + 24 ** 3 + 32 ** 3) * 7 \
+        == 358_912
     for z in all_subsets(4):
         assert abs(vd.terms[z] - DECOMP_ORACLE.exact_term_variance(NORMAL4, z)) \
             <= 1e-12, z
@@ -583,7 +586,7 @@ def test_the_settled_order_does_not_depend_on_the_first_call(first):
     eng = AnovaEngine(_plan_model, PLAN_MEASURE)
     first(eng)
     got = _every_result(eng)
-    assert got[0] == want[0] == 24
+    assert got[0] == want[0] == 16
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -602,11 +605,12 @@ def test_a_model_the_ladder_cannot_settle_keeps_its_order():
     with mock.patch.object(anova, "FULL_GRID_CAP", 24 ** 4):
         eng = AnovaEngine(model, measure, order=32)
     vd = eng.variance_decomposition(max_order=2)
-    # 16 and 24 (4 nodes on the linear x2, x3, x4) disagree; the 32^4 grid
-    # did not fit when the engine was built, so it keeps 32 under the caps
+    # 8, 16 and 24 (4 nodes on the linear x2, x3, x4 from 16 on) disagree;
+    # the 32^4 grid did not fit when the engine was built, so it keeps 32
+    # under the caps
     assert eng.order == 32
     assert [x.size for x in eng.nodes] == [32, 4, 4, 4]
-    assert sum(model.sizes) == 16 ** 4 + 24 * 4 ** 3 + 32 * 4 ** 3 == 69_120
+    assert sum(model.sizes) == 8 ** 4 + (16 + 24 + 32) * 4 ** 3 == 8_704
     # the same as the whole 32^4 grid, which the linear axes do not need
     with mock.patch.object(anova, "LADDER", ()):
         whole = AnovaEngine(model.model, measure, order=32)
@@ -622,7 +626,7 @@ def test_a_rung_that_raises_leaves_the_engine_as_built():
     for _ in range(2):      # the second call runs the ladder again
         with pytest.raises(FloatingPointError):
             eng.mean()
-        assert eng.order == 64 and eng._ladder == [16, 24, 32, 48]
+        assert eng.order == 64 and eng._ladder == [8, 16, 24, 32, 48]
         assert [x.size for x in eng.nodes] == [64] * 4 and not eng._w_cache
 
 
@@ -640,12 +644,14 @@ MIXED5 = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
 
 
 def test_a_five_input_model_ends_on_a_grid_that_fits():
-    # 64^5 does not fit and 16^5 does; 16 nodes resolve every axis
+    # 64^5 does not fit and 16^5 does; the probe's 8 nodes resolve every
+    # axis, so the sweep of 16 takes its caps and settles
     model = _Batches(MULTILINEAR5)
     eng = AnovaEngine(model, MIXED5)
     vd = eng.variance_decomposition()
     assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
-    assert sum(model.sizes) == 16 ** 5 + math.prod(eng._sizes)
+    assert eng.order == 16 and [x.size for x in eng.nodes] == [5, 4, 5, 4, 4]
+    assert sum(model.sizes) == 8 ** 5 + math.prod(eng._sizes)
     exact = {z: MULTILINEAR5.exact_term_variance(MIXED5, z)
              for z in all_subsets(5)}
     for z in all_subsets(5, max_order=2):
@@ -660,14 +666,15 @@ def _five_normal(x):
 
 
 def test_five_normal_inputs_settle_on_the_ladder():
-    # the 16^5 grid, then 24 nodes under the caps that 16 gave the
-    # polynomial axes x2, x3 and x4
+    # the probe's 8^5 grid, then 16 and 24 nodes under the caps that 8
+    # gave the polynomial axes x2, x3 and x4
     model = _Batches(_five_normal)
     eng = AnovaEngine(model, ProductMeasure((Normal(0.0, 1.0),) * 5))
     vd = eng.variance_decomposition()
     assert eng.order == 24 and eng._halves is not None
     assert [x.size for x in eng.nodes] == [24, 5, 7, 4, 24]
-    assert sum(model.sizes) == 16 ** 5 + 24 * 5 * 7 * 4 * 24 == 1_129_216
+    assert sum(model.sizes) == 8 ** 5 + (16 ** 2 + 24 ** 2) * 5 * 7 * 4 \
+        == 149_248
     # the 16^5 and 20^5 grids agree on the total to ten digits
     assert abs(vd.total - 10.72041545) <= 1e-8
 
@@ -713,13 +720,13 @@ def test_nine_continuous_inputs_have_no_grid_that_fits():
 
 # -- the ladder on a grid that fits: where the tables are resolved -----------
 
-# each axis's nodes once settled, and the points of the rungs climbed: 16^3,
-# then x3 at 7 nodes (and mu3's x1 at 14) from 24 on, mu1's x1 at 21 from 32
-# on and mu2's x1 at 26 from 48 on
+# each axis's nodes once settled, and the points of the rungs climbed: the
+# probe's 8^3, then x3 at 7 nodes from 16 on, mu3's x1 at 14 from 24 on,
+# mu1's x1 at 21 from 32 on and mu2's x1 at 26 from 48 on
 ISHIGAMI_SETTLED = {
-    "mu1": ([21, 32, 7], 12_832),       # 16^3 + (24^2 + 21 * 32) * 7
-    "mu2": ([26, 48, 7], 24_032),       # 16^3 + (24^2 + 32^2 + 26 * 48) * 7
-    "mu3": ([14, 24, 7], 6_448)}        # 16^3 + 14 * 24 * 7
+    "mu1": ([21, 32, 7], 11_040),   # 8^3 + (16^2 + 24^2 + 21 * 32) * 7
+    "mu2": ([26, 48, 7], 22_240),   # 8^3 + (16^2 + 24^2 + 32^2 + 26 * 48) * 7
+    "mu3": ([14, 24, 7], 4_656)}    # 8^3 + (16^2 + 14 * 24) * 7
 
 
 @pytest.mark.parametrize("name,settled", [("mu1", 32), ("mu2", 48),
@@ -727,11 +734,12 @@ ISHIGAMI_SETTLED = {
 def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
                                                                   settled):
     # the terms alone settle at 24, 32 and 24, but there the x2 axes of
-    # mu1 and mu2 (7 sin^2 x2) still carry tails; 16 nodes resolve x3
-    # (1 + 0.1 x3^4) everywhere and x1 (sin x1) on mu3's [0, pi]
+    # mu1 and mu2 (7 sin^2 x2) still carry tails; the probe's 8 nodes
+    # resolve x3 (1 + 0.1 x3^4) everywhere, and 16 x1 (sin x1) on mu3's
+    # [0, pi]
     model = _Batches(IshigamiModel())
     eng = AnovaEngine(model, ishigami_measures()[name])
-    assert eng._ladder == [16, 24, 32, 48]
+    assert eng._ladder == [8, 16, 24, 32, 48]
     eng.mean()
     assert eng.order == settled
     sizes, evals = ISHIGAMI_SETTLED[name]
@@ -829,10 +837,10 @@ def _smooth3(x):
 @pytest.mark.parametrize("model,comps", [
     (IshigamiModel(), ishigami_measures()["mu1"].components),
     (IshigamiModel(), ishigami_measures()["mu2"].components),
-    # no rung settles; x2 is capped at 15 on the first rung, and at 15
-    # nodes its own tail reads unresolved on the third: 48 keeps the 15
+    # no rung settles; x2 is capped at 15 on the rung of 16, and at 15
+    # nodes its own tail reads unresolved on the rung of 32: 48 keeps the 15
     (_smooth3, (Normal(0.0, 1.0), Uniform(0.0, PI), Uniform(-PI, PI))),
-    # settles at 48, with x2 capped at 25 on the third rung
+    # settles at 48, with x2 capped at 25 on the rung of 32
     (_smooth3, (Normal(1.0, 2.0), Uniform(-PI, PI), Uniform(0.0, PI)))],
     ids=["mu1", "mu2", "smooth-unsettled", "smooth"])
 def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
@@ -848,6 +856,8 @@ def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
     with mock.patch.object(AnovaEngine, "_use_order", spy):
         eng.mean()
     assert len(rungs) >= 3
+    # the rung of 16 may lift a cap of the probe's (as on _blind_at_8
+    # below); on these models none is lifted, so no cap grows at all
     for lower, upper in zip(rungs, rungs[1:]):
         assert all(b <= a for a, b in zip(lower, upper)), (lower, upper)
     # a settled engine keeps the caps of its rung; the fallback drops them
@@ -866,8 +876,53 @@ def test_an_axis_capped_by_an_earlier_rung_stays_resolved():
     eng.mean()
     assert eng.order == 48 and [x.size for x in eng.nodes] == [48, 25, 6]
     assert eng._caps()[1] == math.inf
-    assert sum(model.sizes) == 16 ** 3 + (24 ** 2 + 32 ** 2) * 6 \
-        + 48 * 25 * 6 == 20_896
+    assert sum(model.sizes) == 8 ** 3 + (16 ** 2 + 24 ** 2 + 32 ** 2) * 6 \
+        + 48 * 25 * 6 == 18_848
+
+
+# -- the probe rung: 8 nodes size the sweep of 16 -----------------------------
+
+P8 = np.polynomial.Legendre.basis(8)
+
+
+def _blind_at_8(x):
+    # P_8 vanishes at the 8 Gauss-Legendre nodes
+    return x[:, 0] + P8(x[:, 0]) + x[:, 1] * x[:, 2]
+
+
+def test_the_probe_adds_no_blind_spot():
+    # the probe's 8 nodes see x1 but not P_8, and cap x1 at 4 nodes; the
+    # rung of 16 reads x1 again at those 4, where P_8 shows, and its own
+    # caps replace the probe's, so x1 climbs on.  Kept, the probe's cap
+    # would settle the engine on [4, 4, 4] with V 11.6% off
+    measure = ProductMeasure((Uniform(-1.0, 1.0),) * 3)
+    eng = AnovaEngine(_blind_at_8, measure)
+    vd = eng.variance_decomposition()
+    assert [x.size for x in eng.nodes] == [11, 4, 4]
+    exact = 1 / 3 + 1 / 17 + 1 / 9
+    assert abs(vd.total - exact) <= 1e-12 * exact
+    for z, v in {(1,): 1 / 3 + 1 / 17, (2, 3): 1 / 9}.items():
+        assert abs(vd.terms[z] - v) <= 1e-12 * exact, z
+
+
+def _cos_sum4(x):
+    return np.cos(2.0 * x).sum(axis=1) + 0.5 * x[:, 0] * x[:, 1] \
+        + 0.3 * np.sin(x[:, 2]) * x[:, 3]
+
+
+def test_a_probe_that_caps_nothing_costs_its_own_grid():
+    # no rung caps an axis of this model, so the probe adds its 8^4 points
+    # and nothing else: the engine ends on the 32^4 grid it would end on
+    # without the probe, with the same decomposition to the bit
+    model = _Batches(_cos_sum4)
+    eng = AnovaEngine(model, NORMAL4)
+    vd = eng.variance_decomposition()
+    assert eng.order == 32 and [x.size for x in eng.nodes] == [32] * 4
+    assert sum(model.sizes) == 8 ** 4 + 16 ** 4 + 24 ** 4 + 32 ** 4 \
+        == 1_449_984
+    with mock.patch.object(anova, "LADDER", ()):
+        plain = AnovaEngine(_cos_sum4, NORMAL4, order=32)
+    assert vd == plain.variance_decomposition()
 
 
 def _permuted(model, measure, perm):

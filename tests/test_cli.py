@@ -292,7 +292,8 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
 
 
 def test_a_five_input_prior_run_matches_the_closed_form(tmp_path):
-    # the engines' 64^5 grids do not fit; each climbs the ladder from 16
+    # the engines' 64^5 grids do not fit; each climbs the ladder from a
+    # probe rung of 8 nodes, then 16
     (tmp_path / "model.yaml").write_text(MULTILINEAR5_YAML)
     (tmp_path / "measures.yaml").write_text(FIVE_MEASURES5_YAML)
     out = tmp_path / "out"
@@ -320,9 +321,10 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path):
 
 def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
         tmp_path, monkeypatch):
-    # each engine sweeps the rungs it climbs (mu1 to 32, mu2 to 48, mu3 to
-    # 24, x3 at 7 nodes from 24 on, mu3's x1 at 14, mu1's x1 at 21 from 32
-    # and mu2's at 26 from 48): 43,312 points; the mixture-curve rows
+    # each engine sweeps the rungs it climbs (the probe of 8 nodes, then
+    # mu1 to 32, mu2 to 48, mu3 to 24, x3 at 7 nodes from 16 on, mu3's x1
+    # at 14 from 24, mu1's x1 at 21 from 32 and mu2's at 26 from 48):
+    # 37,936 points; the mixture-curve rows
     # outside a uniform measure's support take the direct integral by the
     # pair of lower rules, ceil(cap / 2) and one node fewer on each axis the
     # settled rung resolves, and agree there, so none takes the settled
@@ -342,9 +344,9 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     by_caller = {}
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
-    assert by_caller == {"_fill_subgrid_tables": 43_312,
+    assert by_caller == {"_fill_subgrid_tables": 37_936,
                          "conditional_mean": 31_170}
-    assert sum(by_caller.values()) == 74_482
+    assert sum(by_caller.values()) == 69_106
 
 
 def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
@@ -386,11 +388,12 @@ class TestDeterminism:
 
 
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
-    # the rungs each engine's ladder climbs (uniform mu1 to 32 and mu3 to
-    # 24, normal mu2 to 48), the caps of the axes a rung resolves (x3 at 7
-    # on all three, mu3's x1 at 14, mu1's at 21, mu2's at 26), the pairs of
-    # lower rules of the direct curve rows (uniform 3, 4, 6, 9, 10, 11 and
-    # 13: half of mu1's and mu3's caps at the settled rung, and one fewer),
+    # the rungs each engine's ladder climbs (the probe of 8 nodes, uniform
+    # mu1 to 32 and mu3 to 24, normal mu2 to 48), the caps of the axes a
+    # rung resolves (x3 at 7 on all three, mu3's x1 at 14, mu1's at 21,
+    # mu2's at 26), the pairs of lower rules of the direct curve rows
+    # (uniform 3, 4, 6, 9, 10, 11 and 13: half of mu1's and mu3's caps at
+    # the settled rung, and one fewer),
     # and the order 64 it was built at, which the core signatures and the
     # restricted defect rules reuse: they make no rule of their own, and the
     # k = j defect terms are read off the engines' own tables
@@ -409,12 +412,14 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                      "--prior", "--out", str(tmp_path / "out")]) == 0
     finally:
         measures._gauss_rule.cache_clear()
-    assert sorted(computed) == [("hermgauss", 7), ("hermgauss", 16),
+    assert sorted(computed) == [("hermgauss", 7), ("hermgauss", 8),
+                                ("hermgauss", 16),
                                 ("hermgauss", 24), ("hermgauss", 26),
                                 ("hermgauss", 32), ("hermgauss", 48),
                                 ("hermgauss", 64),
                                 ("leggauss", 3), ("leggauss", 4),
                                 ("leggauss", 6), ("leggauss", 7),
+                                ("leggauss", 8),
                                 ("leggauss", 9), ("leggauss", 10),
                                 ("leggauss", 11), ("leggauss", 13),
                                 ("leggauss", 14),
