@@ -40,19 +40,19 @@ built.  A smooth 4-input model quartic in x3 costs
 8^4 + (16^3 + 24^3 + 32^3) * 7 evaluations, not 64^4; the Ishigami model
 settles at 24, 32 or 48 nodes, with 7 on x3 and 14, 21 or 26 on x1.
 
-Variance terms need each w_z on the subgrid of z's own Gauss nodes, and
-``AnovaEngine._fill_subgrid_tables`` is the one provider of those tables.  It
-evaluates the full grid once, in boxes of at most ``BLOCK_POINTS`` points,
-and keeps it whole.  Every integral of the decomposition is contracted from
-that one kept grid: each table, the mean (the table of the empty subset) and
-the total variance (from the grid's squared deviations from the mean), so
-the mean, the total and every term are the same whatever the size of the
-boxes.
-``variance_decomposition`` inverts the whole subset lattice in one pass of
-``_mobius``, so each g_z is built once.  The engine keeps its decomposition
-per ``max_order``, the settled rung's among them, and returns that same
-object to every later call, so callers must not change it; ``_use_order``
-drops them.
+``AnovaEngine._w_on_subgrid`` evaluates the full grid once, in boxes of at
+most ``BLOCK_POINTS`` points, and keeps it whole; the mean and each w_z on
+the subgrid of z's own nodes are contracted from it, so no result depends on
+the size of the boxes.  ``variance_decomposition`` reads every term off the
+same grid, centred on the mean, through its coefficients C_J in the
+polynomials orthonormal under each coordinate's measure (under the point
+weights on a discrete one).  Those are discretely orthonormal on an s-node
+Gauss rule to degree s - 1, so V_z is the sum of C_J^2 over the J nonzero on
+exactly the inputs of z, and V the sum over every J but 0 (Parseval): no V_z
+is negative, and they add up to V to rounding.  This is the polynomial-chaos
+reading of Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  The
+engine keeps one decomposition per ``max_order``; see
+``variance_decomposition``.
 
 Effects at arbitrary points need w_v there.  ``AnovaEngine._w_at`` reads w_v
 off v's subgrid table as its interpolating polynomial, through the table's
@@ -100,8 +100,8 @@ FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**16        # most points an engine hands the model at once
 PLOT_ROWS = 129             # rows per axis of a default effect curve
 INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
-# a total variance within this many ulps of E[g^2] = V + mean^2 admits no
-# indices (VarianceDecomposition.require_variance)
+# a model whose deviation sqrt(V) is within this many ulps of its RMS
+# sqrt(V + mean^2) admits no indices (VarianceDecomposition.require_variance)
 ZERO_VARIANCE_ULPS = 64
 
 
@@ -132,10 +132,9 @@ def subset_label(z):
 class VarianceDecomposition:
     """Variance split of one model under one measure.
 
-    ``terms`` maps each subset (1-based tuple) to its raw variance share
-    V_z; tiny negative values are quadrature noise and are clamped only in
-    the derived views.  ``residual`` holds whatever ``max_order`` truncated
-    away (zero when every order was computed).
+    ``terms`` maps each subset (1-based tuple) to its variance share V_z, a
+    sum of squares and so never negative.  ``residual`` holds whatever
+    ``max_order`` truncated away (zero when every order was computed).
     """
 
     measure: str
@@ -146,29 +145,27 @@ class VarianceDecomposition:
     n: int
     mode = "quadrature"     # always; kept for callers that read it
 
-    def clamped_terms(self):
-        return {z: max(v, 0.0) for z, v in self.terms.items()}
-
     def require_variance(self):
         """Raise ZeroVarianceError unless V is finite and above rounding noise.
 
-        The test is scale-invariant: V <= c * eps * (V + mean^2), with
-        c = ZERO_VARIANCE_ULPS.  V is centred, but each V_z comes from
-        conditional means that hold the mean, so its rounding is a few ulps
-        of E[g^2] = V + mean^2.  A subnormal E[g^2] has lost its digits, and
-        c * eps times it underflows to zero, so it counts as zero itself.
+        The test is scale-invariant: sqrt(V) <= c * eps * sqrt(V + mean^2),
+        with c = ZERO_VARIANCE_ULPS.  V is taken from the grid centred on its
+        mean, where a model constant to rounding deviates by a few ulps of
+        its RMS sqrt(V + mean^2).  A subnormal E[g^2] = V + mean^2 has lost
+        its digits, so it counts as zero itself.
         """
         v = self.total
         second = v + self.mean ** 2
         if not np.isfinite(v) or second < np.finfo(float).tiny or \
-                v <= ZERO_VARIANCE_ULPS * np.finfo(float).eps * second:
+                math.sqrt(v) <= ZERO_VARIANCE_ULPS * np.finfo(float).eps \
+                * math.sqrt(second):
             raise ZeroVarianceError(f"measure {self.measure!r}: total variance "
                                     f"{v!r} is numerically zero")
 
     def sobol_indices(self):
-        """S_z = V_z / V, clamped to [0, 1]."""
+        """S_z = V_z / V."""
         self.require_variance()
-        return {z: min(max(v / self.total, 0.0), 1.0) for z, v in self.terms.items()}
+        return {z: v / self.total for z, v in self.terms.items()}
 
     def first_order(self):
         s = self.sobol_indices()
@@ -382,11 +379,11 @@ class AnovaEngine:
         coefficient by |phi_k(x)| and sends the rows it rejects to the
         direct integral.
         """
-        grid = self._w_cache[tuple(range(1, self.n + 1))]
+        grid = self._w_on_subgrid(tuple(range(1, self.n + 1)))
         caps = [math.inf] * self.n
         for i, a in enumerate(self._axes):
             if a is not None:
-                s, w = self._sizes[i], self._w_cache[(i + 1,)]
+                s, w = self._sizes[i], self._w_on_subgrid((i + 1,))
                 tol = INTERP_TOL * math.sqrt(float(w ** 2 @ self.weights[i]))
                 c = np.abs(np.tensordot(a.to_coeffs, grid, axes=([1], [i])))
                 c = c.reshape(s, -1).max(axis=1)
@@ -562,15 +559,8 @@ class AnovaEngine:
     # -- grid-based decomposition -------------------------------------------
 
     def _w_on_subgrid(self, z):
-        """Conditional mean w_z on the tensor grid of z's own quad nodes
-        (the mean for the empty z)."""
-        z = tuple(z)
-        return self._fill_subgrid_tables([z])[z]
-
-    def _fill_subgrid_tables(self, subsets):
-        """{z: w_z on its subgrid} for every one of ``subsets`` (the mean for
-        the empty one), each table computed once and kept in ``_w_cache``.
-        The one place the engine integrates the model over its tensor grid.
+        """Conditional mean w_z on the tensor grid of z's own quad nodes (the
+        mean for the empty z), computed once and kept in ``_w_cache``.
 
         The first call evaluates the full grid once, box by box
         (``_grid_boxes``, each box's rows from ``_tensor_points``), and keeps
@@ -579,7 +569,7 @@ class AnovaEngine:
         call, so no result depends on the size of the boxes.
         """
         self._settle()
-        everything = tuple(range(1, self.n + 1))
+        z, everything = tuple(z), tuple(range(1, self.n + 1))
         if everything not in self._w_cache:
             grid = np.empty(self._sizes)
             for box in _grid_boxes(self._sizes):
@@ -587,37 +577,27 @@ class AnovaEngine:
                 grid[box] = _evaluate(self.model, _tensor_points(nodes)).reshape(
                     [x.size for x in nodes])
             self._w_cache[everything] = grid
-        for z in subsets:
-            if z not in self._w_cache:
-                w = _contract(self._w_cache[everything],
-                              [None if i in z else self.weights[i - 1]
-                               for i in range(1, self.n + 1)])
-                self._w_cache[z] = w if z else float(w)
-        return {z: self._w_cache[z] for z in subsets}
-
-    def effect_on_subgrid(self, z):
-        """g_z on the tensor grid of z's quad nodes."""
-        z = tuple(z)
-        subsets = _subsets_of(z)
-        return _mobius(subsets, self._fill_subgrid_tables(subsets),
-                       self._lift)[z]
-
-    def _lift(self, u, v, gu):
-        """g_u in the layout of g_v: size 1 on each input of v not in u."""
-        return np.reshape(gu, [self._sizes[i - 1] if i in u else 1 for i in v])
+        if z not in self._w_cache:
+            w = _contract(self._w_cache[everything],
+                          [None if i in z else self.weights[i - 1]
+                           for i in everything])
+            self._w_cache[z] = w if z else float(w)
+        return self._w_cache[z]
 
     def variance_decomposition(self, max_order=None):
         """The mean, the total and every V_z of at most ``max_order`` inputs
         (default: all of them up to four inputs, and at most two beyond).
-        The one producer of V, the integral of (g - mean)^2 over the kept
-        grid: centred, a large mean costs V no digits.
 
-        One Moebius pass over the whole subset lattice gives every g_z on its
-        subgrid, so each lower g_v is built once, not once per superset.  The
-        engine computes its decomposition once per ``max_order`` and hands
-        every later call the same object, the settled rung's among them
-        (``_settle``); a caller must not change it.  ``_use_order`` drops
-        them.
+        The kept grid, centred on the mean (so a large mean costs no term
+        any digits), goes to its orthonormal coefficients C along every
+        axis; squared, each axis is summed into its degree 0 and the rest.
+        Entry J of the (2,) * n result, J_k = 1 on exactly the inputs of z,
+        is V_z, and V is the sum of every entry but the first (Parseval),
+        which is zeroed, not subtracted, so that it rounds away no term.
+        The engine computes its decomposition once per ``max_order`` and
+        hands every later call the same object, the settled rung's among
+        them (``_settle``); a caller must not change it.  ``_use_order``
+        drops them.
         """
         self._settle()
         if max_order is None:
@@ -625,15 +605,17 @@ class AnovaEngine:
         vd = self._decompositions.get(max_order)
         if vd is not None:
             return vd
-        subsets = [()] + all_subsets(self.n, max_order)
-        g = _mobius(subsets, self._fill_subgrid_tables(subsets), self._lift)
-        # each g_z goes once integrated, so the largest is squared alone and
-        # none is left when the total squares the grid's deviations, in place
-        terms = {z: float(_contract(g.pop(z) ** 2,
-                                    [self.weights[i - 1] for i in z]))
-                 for z in subsets[1:]}
-        dev = self._w_on_subgrid(tuple(range(1, self.n + 1))) - self.mean()
-        total = float(_contract(np.square(dev, out=dev), self.weights))
+        grid = self._w_on_subgrid(tuple(range(1, self.n + 1)))
+        coeffs = _along([_discrete_basis(w) if a is None else a.to_coeffs
+                         for a, w in zip(self._axes, self.weights)],
+                        grid - self.mean())
+        power = _along([np.stack([d == 0, d > 0]) * 1.0
+                        for d in map(np.arange, self._sizes)],
+                       np.square(coeffs, out=coeffs))
+        power.flat[0] = 0.0         # the mean's, about zero once centred
+        terms = {z: float(power[tuple(int(i in z) for i in range(1, self.n + 1))])
+                 for z in all_subsets(self.n, max_order)}
+        total = float(power.sum())
         residual = total - sum(terms.values()) if max_order < self.n else 0.0
         vd = VarianceDecomposition(measure=self.measure.name or "measure",
                                    total=total, mean=self.mean(), terms=terms,
@@ -653,19 +635,6 @@ class AnovaEngine:
         vals = self.effect(z, _tensor_points(grids)).reshape([npts] * len(z))
         return EffectCurve(measure=self.measure.name or "measure",
                            subset=z, grids=grids, values=vals)
-
-    def annihilation_defect(self, z):
-        """max_i |int g_z dmu_i| over i in z — zero for an exact decomposition."""
-        z = tuple(z)
-        if not z:
-            return 0.0
-        g = self.effect_on_subgrid(z)
-        worst = 0.0
-        for i in z:
-            contracted = _contract(g, [self.weights[i - 1] if j == i else None
-                                       for j in z])
-            worst = max(worst, float(np.max(np.abs(contracted))))
-        return worst
 
 
 class _Axis:
@@ -782,22 +751,20 @@ def _subsets_of(z):
                         key=lambda v: (len(v), sum(1 << i for i in v))))
 
 
-def _mobius(subsets, w, lift=lambda u, v, gu: gu):
+def _mobius(subsets, w):
     """Moebius inversion over ``subsets``: g_v = w_v - sum_{u < v} g_u.
 
     ``subsets`` is a downward-closed family (every subset of a member is a
     member, the empty one included) in canonical order, and ``w`` maps each
-    member v to its conditional mean w_v; returns every g_v.  Each g_v is
-    built once, however many members hold v.  The lower terms are
-    subtracted one at a time in canonical order, each through
-    ``lift(u, v, g_u)``, which brings g_u to the layout of w_v (values at
-    points need none).
+    member v to its conditional mean w_v at the same points; returns every
+    g_v.  Each g_v is built once, however many members hold v.  The lower
+    terms are subtracted one at a time in canonical order.
     """
     g = {}
     for v in subsets:
         g[v] = np.array(w[v], dtype=float)
         for u in _subsets_of(v)[:-1]:
-            g[v] -= lift(u, v, g[u])
+            g[v] -= g[u]
     return g
 
 
@@ -813,6 +780,28 @@ def _contract(values, weights):
         if weights[ax] is not None:
             values = np.tensordot(values, weights[ax], axes=([ax], [0]))
     return values
+
+
+def _along(mats, values):
+    """``values`` with the matrix mats[k] applied along each axis k: one
+    batched matmul on a (pre, s, post) view per axis, the last axis one
+    matmul on rows of s."""
+    for k, m in enumerate(mats):
+        shape = values.shape
+        if k == values.ndim - 1:
+            values = values.reshape(-1, shape[k]) @ m.T
+        else:
+            values = m @ values.reshape(math.prod(shape[:k]), shape[k], -1)
+        values = values.reshape(*shape[:k], m.shape[0], *shape[k + 1:])
+    return values
+
+
+def _discrete_basis(w):
+    """(s, s): values at the s points of probability weights w to their
+    coefficients in a basis orthonormal under w, the constant first."""
+    r = np.sqrt(w)
+    q = np.linalg.qr(np.column_stack([r, np.eye(w.size)[:, 1:]]))[0]
+    return q.T * r
 
 
 def _grid_boxes(sizes):

@@ -55,17 +55,16 @@ def _distribution_from_masses(name, masses):
 def dimension_distribution(vd):
     """The mass function Pr(T = z) = V_z / V of a variance decomposition.
 
-    Masses are renormalised over the computed (clamped) terms so they sum
-    to exactly one.  When the decomposition is complete this also makes
-    D_S equal the sum of total-order indices.
+    Masses are renormalised over the computed terms so they sum to exactly
+    one.  When the decomposition is complete this also makes D_S equal the
+    sum of total-order indices.
     """
     vd.require_variance()
-    clamped = vd.clamped_terms()
-    norm = sum(clamped.values())
+    norm = sum(vd.terms.values())
     if norm <= 0.0:
         raise ZeroVarianceError(f"measure {vd.measure!r}: no variance in any "
                                 "computed term")
-    masses = {z: v / norm for z, v in clamped.items()}
+    masses = {z: v / norm for z, v in vd.terms.items()}
     return _distribution_from_masses(vd.measure, masses)
 
 

@@ -247,10 +247,11 @@ def test_c05_core_detection(capsys):
     _report(capsys, "5 core detection and effect equality", failures)
 
 
-def test_c06_orthogonality_and_mixture_defect(prior_engines, capsys):
+def test_c06_orthogonality_and_mixture_defect(prior_engines, capsys,
+                                              annihilation_defect):
     mset, engines, _ = prior_engines
     failures = []
-    worst = max(eng.annihilation_defect(z)
+    worst = max(annihilation_defect(eng, z)
                 for eng in engines for z in all_subsets(3))
     if worst > 1e-7:
         failures.append(f"per-measure annihilation defect {worst:.2e} "

@@ -84,9 +84,9 @@ class TestEffects:
         assert np.allclose(got, want, atol=1e-8), (name, z)
 
     @pytest.mark.parametrize("name", MEASURES)
-    def test_annihilation(self, engines, name):
+    def test_annihilation(self, engines, name, annihilation_defect):
         for z in all_subsets(3):
-            assert engines[name].annihilation_defect(z) < 1e-9
+            assert annihilation_defect(engines[name], z) < 1e-9
 
     def test_moebius_reconstruction(self, engines):
         model = IshigamiModel()
@@ -165,6 +165,16 @@ class TestTruncationAndModes:
         s = vd.first_order()
         assert s == pytest.approx([0.2, 0.8], abs=1e-9)
 
+    def test_a_tiny_variance_under_a_large_mean_has_indices(self):
+        # V = 1.08e-14 against E[g^2] = 0.766: the deviations from the mean
+        # are far above its rounding, and every V_z is centred
+        cube = ProductMeasure((Uniform(-1.0, 2.0),) * 3)
+        vd = AnovaEngine(lambda x: 0.875 + 9.5e-8 * x[:, 2] ** 2, cube,
+                         order=16).variance_decomposition()
+        s = vd.sobol_indices()
+        assert abs(s[(3,)] - 1.0) <= 1e-9
+        assert all(0.0 <= v <= 1e-20 for z, v in s.items() if z != (3,))
+
 
 class TestSubsetUtilities:
     def test_all_subsets_order_and_truncation(self):
@@ -236,19 +246,33 @@ def test_effects_sum_to_the_model(case, seed):
     assert np.allclose(total, model(x), rtol=1e-12, atol=1e-10)
 
 
-# -- property: effects on the quadrature subgrids equal effects at points ----
+# -- property: every V_z is the integral of its squared point effect ---------
 
 @settings(max_examples=25, deadline=None)
 @given(case=multilinear_models())
-def test_subgrid_effects_match_point_effects(case):
+def test_each_term_is_the_integral_of_its_squared_point_effect(case):
     model, measure = case
     eng = AnovaEngine(model, measure, order=12)
+    vd = eng.variance_decomposition()
+    size = np.abs(eng._w_on_subgrid(tuple(range(1, model.n + 1))))
     for z in all_subsets(model.n):
-        got = eng.effect_on_subgrid(z)
-        want = eng.effect(z, _tensor_points([eng.nodes[i - 1] for i in z]))
-        want = want.reshape(got.shape)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale, z
+        nodes = [eng.nodes[i - 1] for i in z]
+        g = eng.effect(z, _tensor_points(nodes)).reshape([a.size for a in nodes])
+        got = float(anova._contract(g ** 2, [eng.weights[i - 1] for i in z]))
+        # g_z at a node is a Moebius sum of the conditional means w_v, v in
+        # z, each a sum of g over the complement of v, so it carries the
+        # rounding of E[|g| | X_v], not of its own size nor of w_v's (an
+        # effect and a mean that cancel to zero); an error e moves the
+        # integral of g_z^2 by at most e (2 sqrt(V_z) + e); a subnormal
+        # square has lost its digits to underflow
+        e = 1e-12 * max(float(np.max(anova._contract(
+            size, [None if i in v else w for i, w in enumerate(eng.weights, 1)])))
+            for v in anova._subsets_of(z))
+        assert vd.terms[z] >= 0.0, z
+        assert abs(vd.terms[z] - got) <= max(
+            e * (2 * math.sqrt(vd.terms[z]) + e), np.finfo(float).tiny), z
+    assert abs(sum(vd.terms.values()) - vd.total) <= max(
+        2 ** model.n * np.finfo(float).eps * vd.total, np.finfo(float).tiny)
 
 
 # -- one decomposition per engine and max_order -------------------------------
@@ -257,8 +281,8 @@ def test_subgrid_effects_match_point_effects(case):
 @given(data=st.data())
 @pytest.mark.parametrize("n,max_order", [(3, None), (4, 2)])
 def test_one_lattice_pass_gives_every_term_of_its_own_pass(n, max_order, data):
-    # the decomposition inverts the whole lattice at once and keeps every
-    # term it built, in canonical order
+    # the decomposition reads every term of at most max_order inputs off
+    # its one power tensor, in canonical order
     model, measure = data.draw(multilinear_models(inputs=st.just(n)))
     eng = AnovaEngine(model, measure, order=16)
     vd = eng.variance_decomposition(max_order)
@@ -350,15 +374,15 @@ def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
                                  + (DiscreteUniform((-1.0, 0.5, 2.0)),))
     eng = AnovaEngine(model, measure, order=order)
     with mock.patch.object(anova, "BLOCK_POINTS", block):
-        eng._fill_subgrid_tables(all_subsets(4))
+        tables = {z: eng._w_on_subgrid(z) for z in all_subsets(4)}
     # each side sums m complement nodes of values at most max|g| in size, so
     # a table that cancels to zero differs by rounding of m eps max|g|
     scale = np.max(np.abs(model(_tensor_points(eng.nodes))))
-    for z in all_subsets(4):
+    for z, table in tables.items():
         want = eng.conditional_mean(z, _tensor_points(
-            [eng.nodes[i - 1] for i in z])).reshape(eng._w_cache[z].shape)
-        gap = np.max(np.abs(eng._w_cache[z] - want))
-        m = math.prod(eng._sizes) // eng._w_cache[z].size
+            [eng.nodes[i - 1] for i in z])).reshape(table.shape)
+        gap = np.max(np.abs(table - want))
+        m = math.prod(eng._sizes) // table.size
         assert gap <= max(1e-12 * np.max(np.abs(want)),
                           m * np.finfo(float).eps * scale,
                           np.finfo(float).tiny), z
@@ -451,15 +475,12 @@ def test_the_full_subset_is_the_model_at_the_rows():
     assert got.tobytes() == g(pts).tobytes()
 
 
-@pytest.mark.parametrize("ask", [lambda eng: eng.annihilation_defect((1, 2)),
-                                 lambda eng: eng.variance_decomposition()],
-                         ids=["annihilation_defect", "variance_decomposition"])
-def test_a_subset_lattice_costs_one_sweep(ask):
+def test_a_subset_lattice_costs_one_sweep():
     model = _Batches(lambda x: np.sin(x[:, 0]) * x[:, 1] + x[:, 2] * x[:, 3] ** 2)
     eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 4), order=8)
     with mock.patch.object(anova, "BLOCK_POINTS", 1000):
-        ask(eng)
-    # every table of the lattice and the mean from one sweep of the 8^4 grid
+        eng.variance_decomposition()
+    # the mean and every term of the lattice from one sweep of the 8^4 grid
     assert sum(model.sizes) == 8 ** 4 and max(model.sizes) <= 1000
 
 
@@ -1090,15 +1111,22 @@ def _tiny_model(coeff, power, n):
 @example(case=_tiny_model(1.68e-159, 1, 1), a=2.0, beta=0.0)
 # V = 7.5e-307 is normal, but a^2 V under a = 0.1 is subnormal
 @example(case=_tiny_model(1e-153, 1, 1), a=0.1, beta=0.0)
-# g = 0.875 + 9.5e-8 x3^2: V = 1.0829e-14 lies just under the zero-variance
-# gate, so g and g + b are both refused; a total rounded at the scale of
-# E[g^2] falls on either side of it
+# g = 0.875 + 9.5e-8 x3^2: V = 1.0829e-14 against E[g^2] = 0.766 once lay
+# under a zero-variance gate sized to uncentred terms; the centred gate
+# gives g and g + b their indices
 @example(case=(CompositeMultilinearModel(
     factors=(np.polynomial.Polynomial([-1.1920929e-07]),
              np.polynomial.Polynomial([0.0]),
              np.polynomial.Polynomial([0.0, 0.0, 0.53125])),
     terms=((), (), (), (1, 3)), coeffs=(0.0, 0.0, 0.875, -1.5)),
     ProductMeasure((Uniform(-1.0, 2.0),) * 3)), a=1.0, beta=1.0)
+# g = 1 + 1e-6 x3: a * g rounds at the scale of its mean, and V_3 moves by
+# 1.5e-11 a^2 V, far above a fixed 1e-12 and far below 1e-12 sqrt(cond)
+@example(case=(CompositeMultilinearModel(
+    factors=tuple(np.polynomial.Polynomial(c) for c in
+                  ([1.0], [1.0], [1.0, 1e-6])),
+    terms=((3,),), coeffs=(1.0,)),
+    ProductMeasure((Uniform(-1.0, 2.0),) * 3)), a=0.109375, beta=0.0)
 def test_affine_model_keeps_indices_and_scales_variances(case, a, beta):
     model, measure = case
     vd = AnovaEngine(model, measure, order=16).variance_decomposition()
@@ -1113,13 +1141,16 @@ def test_affine_model_keeps_indices_and_scales_variances(case, a, beta):
     vd2 = AnovaEngine(lambda x: a * model(x) + b, measure,
                       order=16).variance_decomposition()
     s2 = vd2.sobol_indices()
-    # V is centred, but the V_z come from uncentred conditional means, so
-    # they lose the digits of E[g^2] / V (1 for a centred model); the bound
-    # is 1e-12 times that condition number, the larger of the two models'
+    # every V_z is centred, but a * g + b is rounded at the scale of its
+    # mean, an error of eps |mean| that moves V_z by about 2 eps |mean|
+    # sqrt(V_z): the V_z lose the digits of sqrt(E[g^2] / V) (1 for a
+    # centred model), so the bound is 1e-12 times the square root of that
+    # condition number, the larger of the two models'
     cond = max((d.total + d.mean ** 2) / d.total for d in (vd, vd2))
     for z, v in vd.terms.items():
-        assert abs(vd2.terms[z] - a * a * v) <= 1e-12 * cond * a * a * vd.total, z
-        assert abs(s2[z] - s[z]) <= 1e-12 * cond, z
+        assert abs(vd2.terms[z] - a * a * v) \
+            <= 1e-12 * math.sqrt(cond) * a * a * vd.total, z
+        assert abs(s2[z] - s[z]) <= 1e-12 * math.sqrt(cond), z
 
 
 def test_the_total_keeps_its_digits_under_a_large_mean():

@@ -344,7 +344,7 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     by_caller = {}
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
-    assert by_caller == {"_fill_subgrid_tables": 37_936,
+    assert by_caller == {"_w_on_subgrid": 37_936,
                          "conditional_mean": 31_170}
     assert sum(by_caller.values()) == 69_106
 
