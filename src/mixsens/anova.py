@@ -40,39 +40,38 @@ built.  A smooth 4-input model quartic in x3 costs
 8^4 + (16^3 + 24^3 + 32^3) * 7 evaluations, not 64^4; the Ishigami model
 settles at 24, 32 or 48 nodes, with 7 on x3 and 14, 21 or 26 on x1.
 
-``AnovaEngine._w_on_subgrid`` evaluates the full grid once, in boxes of at
-most ``BLOCK_POINTS`` points, and keeps it whole; the mean and each w_z on
-the subgrid of z's own nodes are contracted from it, so no result depends on
-the size of the boxes.  ``variance_decomposition`` reads every term off the
-same grid, centred on the mean, through its coefficients C_J in the
+``AnovaEngine._sweep`` evaluates the full grid once, in boxes of at most
+``BLOCK_POINTS`` points, and keeps it whole with its mean and its one
+transform: the coefficients C_J of the grid centred on the mean, in the
 polynomials orthonormal under each coordinate's measure (under the point
-weights on a discrete one).  Those are discretely orthonormal on an s-node
-Gauss rule to degree s - 1, so V_z is the sum of C_J^2 over the J nonzero on
-exactly the inputs of z, and V the sum over every J but 0 (Parseval): no V_z
-is negative, and they add up to V to rounding.  This is the polynomial-chaos
-reading of Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  The
-engine keeps one decomposition per ``max_order``; see
-``variance_decomposition``.
+weights on a discrete one), so no result depends on the size of the boxes.
+Those polynomials are discretely orthonormal on an s-node Gauss rule to
+degree s - 1, so ``variance_decomposition`` takes V_z as the sum of C_J^2
+over the J nonzero on exactly the inputs of z, and V as the sum over every
+J but 0 (Parseval): no V_z is negative, and they add up to V to rounding.
+This is the polynomial-chaos reading of Sobol indices (Sudret, Reliab. Eng.
+Syst. Saf. 93, 2008).  The engine keeps one decomposition per
+``max_order``; see ``variance_decomposition``.
 
-Effects at arbitrary points need w_v there.  ``AnovaEngine._w_at`` reads w_v
-off v's subgrid table as its interpolating polynomial, through the table's
-coefficients in the polynomials orthonormal under each axis's measure,
-gated row by row by an error estimate (see ``_Table``, each built once by
-``_table``).  The direct integral over the
-complement of v, ``conditional_mean``, serves the rows the gate rejects or
-that lie outside a coordinate's support, the empty and the full subset, and
-subsets with a discrete coordinate.  Every complement rule comes from
-``_direct_rules``: on a settled engine the complement takes half the nodes
-of the cap its rung gives each axis it resolves, checked row by row against
-a second rule one node lower; a row on which the two disagree takes the
-settled nodes.  Rows times rule points, and the rows of the full subset, go
-to the model in the boxes of ``_grid_boxes``, so no model call of an engine
-holds more than ``BLOCK_POINTS`` points.  Each subset keeps its last call to
-``_w_at``: the rows' shape and bytes and the w_v returned, at most
-N (|v| + 1) doubles, so the same rows asked again (by the other mixture
-route, or by a subset that holds v) cost no table read and no model call.
-``_use_order`` empties it, but for the full subset, whose w is g itself
-at every order and under every measure: the engines that
+Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of
+C that is zero off v holds the coefficients of w_v - mean on v's subgrid,
+and its sum of squares plus mean^2 is E[w_v^2] (``_rms``).
+``AnovaEngine._w_at`` reads w_v through that slice as its interpolating
+polynomial, gated row by row by an error estimate (``_read``).  The direct
+integral over the complement of v, ``conditional_mean``, serves the rows
+the gate rejects or that lie outside a coordinate's support, the empty and
+the full subset, and subsets with a discrete coordinate.  Every complement
+rule comes from ``_direct_rules``: on a settled engine the complement takes
+half the nodes of the cap its rung gives each axis it resolves, checked row
+by row against a second rule one node lower; a row on which the two
+disagree takes the settled nodes.  Rows times rule points, and the rows of
+the full subset, go to the model in the boxes of ``_grid_boxes``, so no
+model call of an engine holds more than ``BLOCK_POINTS`` points.  Each
+subset keeps its last call to ``_w_at``: the rows' shape and bytes and the
+w_v returned, at most N (|v| + 1) doubles, so the same rows asked again (by
+the other mixture route, or by a subset that holds v) cost no read and no
+model call.  ``_use_order`` empties it, but for the full subset, whose w is
+g itself at every order and under every measure: the engines that
 ``mixture.component_engines`` builds on one model share that entry, so the
 model is evaluated once at rows that all of them are asked for.
 """
@@ -99,7 +98,7 @@ LADDER = (6, 8, 12, 16, 24, 32, 48)
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**16        # most points an engine hands the model at once
 PLOT_ROWS = 129             # rows per axis of a default effect curve
-INTERP_TOL = 1e-9           # error target of a conditional mean read off a table
+INTERP_TOL = 1e-9           # error target of a conditional mean at points
 # a model whose deviation sqrt(V) is within this many ulps of its RMS
 # sqrt(V + mean^2) admits no indices (VarianceDecomposition.require_variance)
 ZERO_VARIANCE_ULPS = 64
@@ -256,7 +255,7 @@ class AnovaEngine:
                 f"order from {LADDER[0]}")
 
     def _use_order(self, order, caps=None):
-        """Take the Gauss rule of ``order``, with no table yet.
+        """Take the Gauss rule of ``order``, with no grid swept yet.
 
         ``caps`` (from ``_caps``) holds each coordinate's most nodes.
         """
@@ -266,8 +265,8 @@ class AnovaEngine:
         self.nodes = [np.asarray(x) for x, _ in nodes]
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
-        self._w_cache = {}        # subset -> conditional mean on its subgrid
-        self._tables = {}         # subset -> its interpolation _Table (_table)
+        self._kept = None         # the full grid, its mean and C (_sweep)
+        self._error = None        # C's error tensor E, built once (_read)
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
         self._halves = None       # per axis, h nodes or None (_direct_rules)
         self._decompositions = {}  # max_order -> its VarianceDecomposition
@@ -303,14 +302,14 @@ class AnovaEngine:
         the climb stops at a rung whose grid does not fit under them.  On
         an engine whose grid fits at ``order``, a rung settles only when
         every continuous axis has a finite cap so far, so that a lower
-        order does not send the rows of an unresolved table to the direct
+        order does not send the rows of an unresolved axis to the direct
         integral.  The caps so far, not the rung's own: an axis capped at c
         nodes sits at the edge of its own tail test there, and a smooth
         3-input model read unresolved at its cap would climb to ``order``.
         Only there: on an engine whose grid at ``order`` does not fit, the
         test would take a smooth 4-input model from 32 nodes to 48, and the
-        row gate already sends the rows of an unresolved table to the
-        direct integral.  The settled rung's own caps set the lower rules of
+        row gate already sends the rows of an unresolved axis to the direct
+        integral.  The settled rung's own caps set the lower rules of
         the direct integrals (``_halves``, see ``_direct_rules``), and its
         decomposition is the one ``variance_decomposition`` keeps.
         With no such rung the engine keeps, with no lower rules, ``order``
@@ -368,25 +367,26 @@ class AnovaEngine:
         (inf on a discrete axis and on one the grid leaves unresolved).
 
         Along a continuous axis, g's orthonormal-polynomial coefficients on
-        the grid, each the largest over the other axes, are resolved when
-        those from the ``_tail`` on sum to at most ``INTERP_TOL`` times the
-        RMS of w_i (the least RMS of a table that holds the axis).  The axis
+        the grid (taken along that axis alone, by ``_along``), each the
+        largest over the other axes, are resolved when those from the
+        ``_tail`` on sum to at most ``INTERP_TOL`` times rms(w_i) (``_rms``,
+        the least RMS of a conditional mean that holds the axis).  The axis
         is then capped at the fewest nodes whose tail starts above the last
         degree from which they sum to more.  The coefficients are summed as
         they stand, on every family: a series judged resolved by its tail,
         as in Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
-        43, 2017.  The row gate of ``_Table`` weighs each tail
-        coefficient by |phi_k(x)| and sends the rows it rejects to the
-        direct integral.
+        43, 2017.  The row gate of ``_read`` weighs each tail coefficient
+        by |phi_k(x)| and sends the rows it rejects to the direct integral.
         """
-        grid = self._w_on_subgrid(tuple(range(1, self.n + 1)))
+        grid = self._sweep()[0]
         caps = [math.inf] * self.n
         for i, a in enumerate(self._axes):
             if a is not None:
-                s, w = self._sizes[i], self._w_on_subgrid((i + 1,))
-                tol = INTERP_TOL * math.sqrt(float(w ** 2 @ self.weights[i]))
-                c = np.abs(np.tensordot(a.to_coeffs, grid, axes=([1], [i])))
-                c = c.reshape(s, -1).max(axis=1)
+                s, tol = self._sizes[i], INTERP_TOL * self._rms((i + 1,))
+                c = _along([a.to_coeffs if k == i else None
+                            for k in range(self.n)], grid)
+                c = np.abs(c, out=c).max(
+                    axis=tuple(k for k in range(self.n) if k != i))
                 rest = np.cumsum(c[::-1])[::-1]
                 d = max(np.flatnonzero(rest > tol), default=-1)
                 if d < _tail(s):
@@ -453,8 +453,8 @@ class AnovaEngine:
         and every other axis its settled nodes.  A Gauss rule of h
         nodes is exact to degree 2h - 1, so it integrates all that c nodes
         interpolate; a row keeps the h-node value when the two agree within
-        ``INTERP_TOL`` times the RMS of z's subgrid table, the row gate's
-        standard, and goes on to the settled rule otherwise.
+        ``INTERP_TOL`` times rms(w_z) (``_rms``), the row gate's standard,
+        and goes on to the settled rule otherwise.
         """
         comp = [i for i in range(1, self.n + 1) if i not in z]
         halves = [self._halves[i - 1] if self._halves else None for i in comp]
@@ -470,10 +470,7 @@ class AnovaEngine:
                 [h and max(h - 1, 1) for h in halves])
             weights = np.zeros((whi.size + wlo.size, 2))
             weights[:whi.size, 0], weights[whi.size:, 1] = whi, wlo
-            v = tuple(sorted(z))
-            rms = math.sqrt(float(_contract(self._w_on_subgrid(v) ** 2,
-                                            [self.weights[i - 1] for i in v])))
-            yield np.vstack([hi, lo]), weights, INTERP_TOL * rms
+            yield np.vstack([hi, lo]), weights, INTERP_TOL * self._rms(z)
         yield *rule([None] * len(comp)), None
 
     def conditional_means(self, z, x):
@@ -488,20 +485,19 @@ class AnovaEngine:
                 for v in _subsets_of(tuple(sorted(z)))}
 
     def _w_at(self, v, x):
-        """w_v at the rows of ``x`` (N, |v|), read off v's quadrature table.
-
-        The table is ``_w_on_subgrid(v)``, interpolated by ``_Table``; rows
-        it does not accept, and every row when v is empty or all inputs or
-        when a coordinate of v is discrete, come from ``conditional_mean``.
+        """w_v at the rows of ``x`` (N, |v|), read off the kept grid's
+        coefficients by ``_read``; rows it does not accept, and every row
+        when v is empty or all inputs or when a coordinate of v is
+        discrete, come from ``conditional_mean``.
 
         Each subset keeps its last call: the key ``(x.shape, x.tobytes())``
         (the shape, since an (N, 0) array has no bytes for any N) and the
         w_v it returned.  A call with the same key returns a copy of those
-        values, with no table read and no model call.  The memo holds at
-        most N (|v| + 1) doubles per subset and is emptied, with the
-        tables, by ``_use_order``, but for the full subset's, the model at
-        the rows whatever the order or measure: it sits in ``_w_full``,
-        which ``_use_order`` keeps and ``mixture.component_engines`` shares.
+        values, with no read and no model call.  The memo holds at most
+        N (|v| + 1) doubles per subset and is emptied by ``_use_order``,
+        but for the full subset's, the model at the rows whatever the order
+        or measure: it sits in ``_w_full``, which ``_use_order`` keeps and
+        ``mixture.component_engines`` shares.
         """
         self._settle()
         v = tuple(v)
@@ -510,30 +506,73 @@ class AnovaEngine:
         last = memo.get(v)
         if last is not None and last[0] == key:
             return last[1].copy()
-        if not self._reads_table(v):
+        if not self._reads_grid(v):
             out = self.conditional_mean(v, x)
         else:
-            ok, values = self._table(v)(x)
-            out = np.empty(x.shape[0])
-            out[ok] = values
+            ok, out = self._read(v, x)
             if not ok.all():
                 out[~ok] = self.conditional_mean(v, x[~ok])
         memo[v] = key, out
         return out.copy()
 
-    def _reads_table(self, v):
-        """Whether v has a table to read: it is neither empty nor all
-        inputs, and no coordinate of it is discrete."""
+    def _reads_grid(self, v):
+        """Whether w_v can be read off the kept grid: v is neither empty nor
+        all inputs, and no coordinate of it is discrete."""
         return 0 < len(v) < self.n and None not in [self._axes[i - 1] for i in v]
 
-    def _table(self, v):
-        """The interpolation ``_Table`` of ``_w_on_subgrid(v)``, built once
-        and kept in ``_tables`` until ``_use_order`` empties it."""
-        if v not in self._tables:
-            self._tables[v] = _Table(self._w_on_subgrid(v),
-                                     [self._axes[i - 1] for i in v],
-                                     [self.weights[i - 1] for i in v])
-        return self._tables[v]
+    def _read(self, v, x):
+        """(accepted, values): w_v at every row of ``x`` (N, |v|, v sorted
+        as C's axes are) as its interpolating polynomial on the grid, and a
+        mask of the rows whose value passes the gate.
+
+        phi_0 = 1, so row 0 of every axis's map to coefficients is its
+        weights, and the slice C[at] of the kept coefficients that is zero
+        off v (``at`` picks degree 0 on every other axis) is exactly the
+        coefficients of w_v - mean on v's subgrid:
+        w_v(x) = mean + sum_J C[at]_J phi_J(x).  A row is accepted when it
+        lies in every coordinate's support and E[at] read through the
+        absolute polynomials, |phi_J(x)| = prod_a |phi_{J_a}(x_a)|, is at
+        most ``INTERP_TOL`` times rms(w_v) (``_rms``).  The error tensor E,
+        built on the first read and kept until ``_use_order``, adds two
+        parts:
+
+        * truncation: |C_J| on the last quarter of the degrees (``_tail``)
+          of any continuous axis; for a resolved axis they are rounding
+          noise, for an unresolved one they are not small;
+        * rounding: (3s + 4) eps F_J, where F is |grid| mapped by the
+          absolute maps to coefficients along every axis, and s the most
+          nodes on an axis.  F bounds each |C_J| and the rounding made in
+          computing it, and weighed by |phi_J(x)| it grows far out in a
+          normal coordinate, where the polynomials do.
+        """
+        grid, mean, coeffs = self._sweep()
+        if self._error is None:
+            tail = np.zeros(self._sizes, dtype=bool)
+            for k, (a, s) in enumerate(zip(self._axes, self._sizes)):
+                if a is not None:
+                    tail |= (np.arange(s) >= _tail(s)).reshape(
+                        [-1 if j == k else 1 for j in range(self.n)])
+            self._error = np.where(tail, np.abs(coeffs), 0.0) \
+                + (3 * max(self._sizes) + 4) * np.finfo(float).eps * _along(
+                    [np.abs(b) for b in self._bases()], np.abs(grid))
+        at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
+        axes = [self._axes[i - 1] for i in v]
+        ok = np.all([(c >= a.lo) & (c <= a.hi) for a, c in zip(axes, x.T)],
+                    axis=0)
+        with np.errstate(all="ignore"):     # far-out rows overflow; the gate drops them
+            polys = [a.poly(c) for a, c in zip(axes, x.T)]
+            values = mean + _tensor_eval(coeffs[at], polys)
+            ok &= _tensor_eval(self._error[at], [np.abs(p) for p in polys]) \
+                <= INTERP_TOL * self._rms(v)
+        return ok, values
+
+    def _rms(self, v):
+        """rms(w_v), the square root of E[w_v^2]: by Parseval, of mean^2
+        plus the sum of squares of the slice of C that is zero off v.  Where
+        those squares underflow it is 0, and ``_read`` accepts no row."""
+        _, mean, coeffs = self._sweep()
+        at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
+        return math.sqrt(mean ** 2 + float(np.sum(np.square(coeffs[at]))))
 
     @cached_property
     def _axes(self):
@@ -542,8 +581,14 @@ class AnovaEngine:
                 for c, x, w in zip(self.measure.components, self.nodes,
                                    self.weights)]
 
+    def _bases(self):
+        """Per coordinate, the (s, s) map from values at its nodes to
+        coefficients in polynomials orthonormal under its measure."""
+        return [_discrete_basis(w) if a is None else a.to_coeffs
+                for a, w in zip(self._axes, self.weights)]
+
     def mean(self):
-        return self._w_on_subgrid(())
+        return self._sweep()[1]
 
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
@@ -558,39 +603,39 @@ class AnovaEngine:
 
     # -- grid-based decomposition -------------------------------------------
 
-    def _w_on_subgrid(self, z):
-        """Conditional mean w_z on the tensor grid of z's own quad nodes (the
-        mean for the empty z), computed once and kept in ``_w_cache``.
+    def _sweep(self):
+        """(grid, mean, C): the model on the full grid, its mean and C, the
+        orthonormal coefficients of grid - mean along every axis, computed
+        once and kept until ``_use_order``.
 
-        The first call evaluates the full grid once, box by box
-        (``_grid_boxes``, each box's rows from ``_tensor_points``), and keeps
-        it whole as the table of all inputs.  Every table, the mean among
-        them, is contracted from it, then and later, with no further model
+        The grid is evaluated box by box (``_grid_boxes``, each box's rows
+        from ``_tensor_points``) and kept whole; the mean is its
+        contraction with the weights, the last axis first, and C its one
+        transform (``_along``), centred so that a large mean costs no
+        coefficient any digits.  Every later integral reads them with no further model
         call, so no result depends on the size of the boxes.
         """
         self._settle()
-        z, everything = tuple(z), tuple(range(1, self.n + 1))
-        if everything not in self._w_cache:
+        if self._kept is None:
             grid = np.empty(self._sizes)
             for box in _grid_boxes(self._sizes):
                 nodes = [x[s] for x, s in zip(self.nodes, box)]
                 grid[box] = _evaluate(self.model, _tensor_points(nodes)).reshape(
                     [x.size for x in nodes])
-            self._w_cache[everything] = grid
-        if z not in self._w_cache:
-            w = _contract(self._w_cache[everything],
-                          [None if i in z else self.weights[i - 1]
-                           for i in everything])
-            self._w_cache[z] = w if z else float(w)
-        return self._w_cache[z]
+            mean = grid.ravel()
+            for w in reversed(self.weights):    # last axis first, by rows
+                mean = mean.reshape(-1, w.size) @ w
+            mean = mean.item()
+            self._kept = grid, mean, _along(self._bases(), grid - mean)
+        return self._kept
 
     def variance_decomposition(self, max_order=None):
         """The mean, the total and every V_z of at most ``max_order`` inputs
         (default: all of them up to four inputs, and at most two beyond).
 
-        The kept grid, centred on the mean (so a large mean costs no term
-        any digits), goes to its orthonormal coefficients C along every
-        axis; squared, each axis is summed into its degree 0 and the rest.
+        The kept coefficients C of the grid centred on its mean
+        (``_sweep``) are squared, and each axis is summed into its degree 0
+        and the rest.
         Entry J of the (2,) * n result, J_k = 1 on exactly the inputs of z,
         is V_z, and V is the sum of every entry but the first (Parseval),
         which is zeroed, not subtracted, so that it rounds away no term.
@@ -605,13 +650,9 @@ class AnovaEngine:
         vd = self._decompositions.get(max_order)
         if vd is not None:
             return vd
-        grid = self._w_on_subgrid(tuple(range(1, self.n + 1)))
-        coeffs = _along([_discrete_basis(w) if a is None else a.to_coeffs
-                         for a, w in zip(self._axes, self.weights)],
-                        grid - self.mean())
         power = _along([np.stack([d == 0, d > 0]) * 1.0
                         for d in map(np.arange, self._sizes)],
-                       np.square(coeffs, out=coeffs))
+                       np.square(self._sweep()[2]))
         power.flat[0] = 0.0         # the mean's, about zero once centred
         terms = {z: float(power[tuple(int(i in z) for i in range(1, self.n + 1))])
                  for z in all_subsets(self.n, max_order)}
@@ -670,58 +711,6 @@ class _Axis:
         return out
 
 
-class _Table:
-    """A conditional mean on its subgrid, read at points through the
-    coefficients of its interpolant in the axes' orthonormal polynomials,
-    with an error gate.
-
-    A row is accepted when it lies in every coordinate's support and its
-    estimated error is at most INTERP_TOL times the RMS of the table under
-    the measure.  The estimate is the table ``error`` evaluated at the row
-    through the absolute orthonormal polynomials, |phi_J(x)| =
-    prod_a |phi_{J_a}(x_a)|, and adds two parts:
-
-    * truncation: the coefficients of the last quarter of the degrees of
-      each axis, in absolute value; for a resolved table they are rounding
-      noise, for an unresolved one they are not small;
-    * rounding: (3s + 4) eps F_J, where F is the table of |values| mapped
-      by |to_coeffs| along every axis, and s the most nodes on an axis.  F
-      bounds each |c_J| and the rounding made in computing it, and weighed
-      by |phi_J(x)| it grows far out in a normal coordinate, where the
-      polynomials do.
-    """
-
-    def __init__(self, values, axes, weights):
-        coeffs, size = values, np.abs(values)
-        tail = np.zeros(values.shape, dtype=bool)
-        for ax, a in enumerate(axes):
-            coeffs = np.moveaxis(np.tensordot(a.to_coeffs, coeffs,
-                                              axes=([1], [ax])), 0, ax)
-            size = np.moveaxis(np.tensordot(np.abs(a.to_coeffs), size,
-                                            axes=([1], [ax])), 0, ax)
-            degree = np.arange(values.shape[ax])
-            tail |= (degree >= _tail(degree.size)).reshape(
-                [-1 if k == ax else 1 for k in range(values.ndim)])
-        self.axes = axes
-        self.coeffs = coeffs
-        self.error = np.where(tail, np.abs(coeffs), 0.0) \
-            + (3 * max(values.shape) + 4) * np.finfo(float).eps * size
-        self.scale = float(np.sqrt(_contract(values ** 2, weights)))
-
-    def __call__(self, x):
-        """(accepted, values): a mask over the rows of ``x`` and the
-        interpolated values at the accepted rows."""
-        ok = np.all([(c >= a.lo) & (c <= a.hi) for a, c in zip(self.axes, x.T)],
-                    axis=0)
-        with np.errstate(all="ignore"):     # far-out rows overflow; the gate drops them
-            polys = [a.poly(c) for a, c in zip(self.axes, x[ok].T)]
-            values = _tensor_eval(self.coeffs, polys)
-            good = _tensor_eval(self.error, [np.abs(p) for p in polys]) \
-                <= INTERP_TOL * self.scale
-        ok[np.flatnonzero(ok)[~good]] = False
-        return ok, values[good]
-
-
 def _tail(s):
     """First degree of the coefficient tail of s nodes (last quarter, >= 2)."""
     return s - max(2, s // 4)
@@ -773,20 +762,13 @@ def _fits(sizes):
     return math.prod(sizes) <= FULL_GRID_CAP and len(sizes) <= 16
 
 
-def _contract(values, weights):
-    """Integrate ``values`` along each axis k against ``weights[k]``, last
-    axis first; an axis whose entry is None is kept."""
-    for ax in reversed(range(len(weights))):
-        if weights[ax] is not None:
-            values = np.tensordot(values, weights[ax], axes=([ax], [0]))
-    return values
-
-
 def _along(mats, values):
-    """``values`` with the matrix mats[k] applied along each axis k: one
-    batched matmul on a (pre, s, post) view per axis, the last axis one
-    matmul on rows of s."""
+    """``values`` with the matrix mats[k] applied along each axis k (an
+    axis whose entry is None is kept): one batched matmul on a
+    (pre, s, post) view per axis, the last axis one matmul on rows of s."""
     for k, m in enumerate(mats):
+        if m is None:
+            continue
         shape = values.shape
         if k == values.ndim - 1:
             values = values.reshape(-1, shape[k]) @ m.T
@@ -798,10 +780,11 @@ def _along(mats, values):
 
 def _discrete_basis(w):
     """(s, s): values at the s points of probability weights w to their
-    coefficients in a basis orthonormal under w, the constant first."""
+    coefficients in a basis orthonormal under w, the constant 1 first (so
+    that row 0 is w, as on a continuous axis)."""
     r = np.sqrt(w)
     q = np.linalg.qr(np.column_stack([r, np.eye(w.size)[:, 1:]]))[0]
-    return q.T * r
+    return q.T * r * np.sign(q[0, 0])
 
 
 def _grid_boxes(sizes):

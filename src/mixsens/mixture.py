@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import (DEFAULT_ORDER, PLOT_ROWS, AnovaEngine, _contract,
+from .anova import (DEFAULT_ORDER, PLOT_ROWS, AnovaEngine, _along,
                     _mobius, _subsets_of, _tensor_points)
 from .measures import DiscreteUniform, Normal, Uniform, measure_name
 
@@ -230,7 +230,7 @@ def mixture_annihilation_defect(engines, prior, z):
             else:
                 pts = _tensor_points([x for x, _ in rules])
                 g = j_eng.effect(z, pts).reshape([x.size for x, _ in rules])
-                total += pk * pj * float(_contract(g, [w for _, w in rules]))
+                total += pk * pj * _along([w[None] for _, w in rules], g).item()
     return total
 
 

@@ -327,11 +327,17 @@ def core_signature(model, measure):
 
     This is the only way the measure enters the model's decomposition, so it
     acts as a fingerprint: equal signatures mean identical effects, variance
-    terms and indices.  Each mean takes the engines' Gauss rule.
+    terms and indices.  Each mean takes the engines' Gauss rule.  A mean
+    that overflows raises FloatingPointError, naming the measure.
     """
     mm = _multilinear_view(model)
-    return np.array([c.expect(t)
-                     for t, c in zip(mm.factors, measure.components)])
+    with np.errstate(all="ignore"):     # reported below, with the measure
+        sig = np.array([c.expect(t)
+                        for t, c in zip(mm.factors, measure.components)])
+    if not np.isfinite(sig).all():
+        raise FloatingPointError(f"core signature under {measure.name!r} is "
+                                 f"non-finite: {sig.tolist()}")
+    return sig
 
 
 def core_partition(model, mset):

@@ -131,6 +131,19 @@ def two_stage_sample(mset, count, seed):
     return out
 
 
+def contract(values, weights):
+    """Integrate the tensor ``values`` along each axis k against the rule
+    weights ``weights[k]``, the last axis first; an axis whose entry is None
+    is kept.  A weighted sum by ``np.tensordot``, apart from the package's
+    own transforms, so that the tests can check those against it."""
+    import numpy as np
+
+    for ax in reversed(range(len(weights))):
+        if weights[ax] is not None:
+            values = np.tensordot(values, weights[ax], axes=([ax], [0]))
+    return values
+
+
 def defect_reduction(nodes=64):
     """DEFECT[(1,)] and DEFECT[(2,)] reduced pair by pair.
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mixsens import report
-from mixsens.anova import _contract, _tensor_points
+from mixsens.anova import _tensor_points
+
+import _reference as ref
 
 
 @pytest.fixture()
@@ -43,7 +45,7 @@ def annihilation_defect():
     def defect(eng, z):
         nodes = [eng.nodes[i - 1] for i in z]
         g = eng.effect(z, _tensor_points(nodes)).reshape([x.size for x in nodes])
-        return max(float(np.max(np.abs(_contract(
+        return max(float(np.max(np.abs(ref.contract(
             g, [eng.weights[i - 1] if j == i else None for j in z]))))
             for i in z)
     return defect

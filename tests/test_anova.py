@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -254,18 +255,18 @@ def test_each_term_is_the_integral_of_its_squared_point_effect(case):
     model, measure = case
     eng = AnovaEngine(model, measure, order=12)
     vd = eng.variance_decomposition()
-    size = np.abs(eng._w_on_subgrid(tuple(range(1, model.n + 1))))
+    size = np.abs(model(_tensor_points(eng.nodes))).reshape(eng._sizes)
     for z in all_subsets(model.n):
         nodes = [eng.nodes[i - 1] for i in z]
         g = eng.effect(z, _tensor_points(nodes)).reshape([a.size for a in nodes])
-        got = float(anova._contract(g ** 2, [eng.weights[i - 1] for i in z]))
+        got = float(ref.contract(g ** 2, [eng.weights[i - 1] for i in z]))
         # g_z at a node is a Moebius sum of the conditional means w_v, v in
         # z, each a sum of g over the complement of v, so it carries the
         # rounding of E[|g| | X_v], not of its own size nor of w_v's (an
         # effect and a mean that cancel to zero); an error e moves the
         # integral of g_z^2 by at most e (2 sqrt(V_z) + e); a subnormal
         # square has lost its digits to underflow
-        e = 1e-12 * max(float(np.max(anova._contract(
+        e = 1e-12 * max(float(np.max(ref.contract(
             size, [None if i in v else w for i, w in enumerate(eng.weights, 1)])))
             for v in anova._subsets_of(z))
         assert vd.terms[z] >= 0.0, z
@@ -307,8 +308,8 @@ def _settled(name):
 
 def test_a_settled_engine_keeps_its_rungs_decomposition():
     (e1, vd1), (e3, vd3) = _settled("mu1"), _settled("mu3")
-    with mock.patch.object(anova, "_contract",
-                           side_effect=AssertionError("contracted again")):
+    with mock.patch.object(anova, "_along",
+                           side_effect=AssertionError("transformed again")):
         assert e1.variance_decomposition() is vd1
         assert e3.variance_decomposition(3) is vd3
         md = mixture_variance_decomposition([e1, e3], [0.5, 0.5])
@@ -374,7 +375,12 @@ def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
                                  + (DiscreteUniform((-1.0, 0.5, 2.0)),))
     eng = AnovaEngine(model, measure, order=order)
     with mock.patch.object(anova, "BLOCK_POINTS", block):
-        tables = {z: eng._w_on_subgrid(z) for z in all_subsets(4)}
+        grid, _, _ = eng._sweep()
+    # w_z at z's own nodes: the kept grid for all inputs, and for every
+    # subset read off the grid the slice of its coefficients zero off z
+    tables = {z: eng._read(z, _tensor_points([eng.nodes[i - 1] for i in z]))[1]
+              for z in all_subsets(4) if eng._reads_grid(z)}
+    tables[(1, 2, 3, 4)] = grid
     # each side sums m complement nodes of values at most max|g| in size, so
     # a table that cancels to zero differs by rounding of m eps max|g|
     scale = np.max(np.abs(model(_tensor_points(eng.nodes))))
@@ -586,6 +592,21 @@ def test_a_smooth_model_settles_where_the_ladder_stops_moving():
                               for z in all_subsets(4))) <= 1e-12
 
 
+def test_a_decomposition_holds_at_most_four_grids():
+    # the kept grid and its coefficients, one transform's output beside
+    # them (each axis a batched matmul on a view, with no transposed copy),
+    # and one box of points: 3.1 grids of 32 x 32 x 7 x 32 doubles
+    eng = AnovaEngine(DECOMP_ORACLE, NORMAL4)
+    tracemalloc.start()
+    try:
+        eng.variance_decomposition(max_order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eng._sizes == [32, 32, 7, 32]
+    assert peak <= 4 * math.prod(eng._sizes) * 8
+
+
 def _every_result(eng):
     x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 4))
     vd = eng.variance_decomposition(max_order=2)
@@ -648,7 +669,7 @@ def test_a_rung_that_raises_leaves_the_engine_as_built():
         with pytest.raises(FloatingPointError):
             eng.mean()
         assert eng.order == 64 and eng._ladder == [8, 16, 24, 32, 48]
-        assert [x.size for x in eng.nodes] == [64] * 4 and not eng._w_cache
+        assert [x.size for x in eng.nodes] == [64] * 4 and eng._kept is None
 
 
 # -- five to nine inputs: every engine ends on a grid that fits ---------------
@@ -769,27 +790,38 @@ def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
     assert all(c < math.inf for c in eng._caps())
 
 
-def test_a_settled_engine_builds_each_table_once():
-    # _settle reads the caps of each rung's full grid and builds no table;
-    # _w_at builds each table it reads once
-    built = []
+def test_a_settled_engine_transforms_each_grid_once():
+    # _settle transforms the grid of each rung it sweeps once and builds no
+    # error tensor; the first read at points builds it, once, and no read
+    # transforms the grid again
+    transforms, orders = [], []
+    along, use = anova._along, AnovaEngine._use_order
 
-    class Counted(anova._Table):
-        def __init__(self, values, axes, weights):
-            built.append(values)
-            super().__init__(values, axes, weights)
+    def spy(mats, values):
+        if all(m is not None and m.shape == (s, s)
+               for m, s in zip(mats, values.shape)):
+            transforms.append(values.shape)
+        return along(mats, values)
+
+    def used(self, order, caps=None):
+        orders.append(order)
+        use(self, order, caps)
 
     eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu1"])
     x = np.random.default_rng(8).uniform(-PI, PI, size=(60, 3))
-    with mock.patch.object(anova, "_Table", Counted):
+    with mock.patch.object(anova, "_along", spy), \
+            mock.patch.object(AnovaEngine, "_use_order", used):
         eng.variance_decomposition()
-        assert eng.order == 32 and not built
+        assert eng.order == 32 and eng._error is None
+        assert orders == [8, 16, 24, 32] and len(transforms) == 4
+        kept = eng._kept
         for z in all_subsets(3, 2):
             eng.effect(z, x[:, [i - 1 for i in z]])
         eng.effect_curve((1, 2))
-    assert set(eng._tables) == set(all_subsets(3, 2))
-    for v in eng._tables:
-        assert sum(t is eng._w_cache[v] for t in built) == 1, v
+        error = eng._error
+        assert error is not None and len(transforms) == 5
+        eng.effect((1, 3), x[:, [0, 2]] / 2)
+    assert len(transforms) == 5 and eng._kept is kept and eng._error is error
 
 
 def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
@@ -811,7 +843,7 @@ def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
         cols = [i - 1 for i in z]
         assert np.array_equal(eng.effect(z, x[:, cols]),
                               plain.effect(z, x[:, cols])), z
-    assert eng._tables and eng._tables.keys() == plain._tables.keys()
+    assert eng._error is not None and plain._error is not None
 
 
 @pytest.mark.parametrize("name", MEASURES)
@@ -828,11 +860,10 @@ def test_settled_engines_read_what_order_64_reads(name):
     pts = np.random.default_rng(2024).uniform(0.0, PI, size=(1000, 3))
     for z in all_subsets(3, max_order=2):
         x = pts[:, [i - 1 for i in z]]
-        table = full._table(z)
-        wanted, values = table(x)
+        wanted, values = full._read(z, x)
         assert wanted.any(), z
-        assert np.all(np.abs(eng._w_at(z, x)[wanted] - values)
-                      <= anova.INTERP_TOL * table.scale), z
+        assert np.all(np.abs(eng._w_at(z, x)[wanted] - values[wanted])
+                      <= anova.INTERP_TOL * full._rms(z)), z
 
 
 @pytest.mark.parametrize("name", MEASURES)
@@ -846,8 +877,8 @@ def test_settled_tables_accept_every_plot_row_order_64_accepts(name):
         full = AnovaEngine(IshigamiModel(), measure)
     for i, comp in enumerate(measure.components, 1):
         x = np.linspace(*comp.plot_range(), 129)[:, None]
-        accepted, _ = eng._table((i,))(x)
-        wanted, _ = full._table((i,))(x)
+        accepted, _ = eng._read((i,), x)
+        wanted, _ = full._read((i,), x)
         assert wanted.any() and np.all(accepted[wanted]), i
 
 
@@ -1191,6 +1222,40 @@ def test_table_means_match_direct_means(case, order, seed):
         assert _direct_gap(eng, v, x[:, [i - 1 for i in v]]) <= 1e-9, v
 
 
+@settings(max_examples=25, deadline=None)
+@given(case=multilinear_models(inputs=st.integers(2, 4)), data=st.data())
+def test_each_conditional_mean_is_a_slice_of_the_grids_coefficients(case, data):
+    # one discrete axis: no subset that holds it is read off the grid, but
+    # the direct rules take their tolerance from its rms; every other proper
+    # subset is read at its own Gauss nodes, where the gate accepts.  w_v
+    # carries the rounding of E[|g| | X_v], not of its own size (a mean or
+    # an effect that cancels); an error e moves E[w_v^2] by at most
+    # e (2 rms + e); a subnormal value or square has lost its digits
+    model, measure = case
+    comps = list(measure.components)
+    comps[data.draw(st.integers(0, model.n - 1))] = DiscreteUniform(
+        (-1.0, 0.5, 2.0))
+    eng = AnovaEngine(model, ProductMeasure(tuple(comps)))
+    eng.mean()
+    grid = model(_tensor_points(eng.nodes)).reshape(eng._sizes)
+    for v in all_subsets(model.n)[:-1]:
+        off = [None if i in v else x for i, x in enumerate(eng.weights, 1)]
+        w = ref.contract(grid, off)
+        size = float(np.max(ref.contract(np.abs(grid), off)))
+        second = float(ref.contract(w ** 2, [eng.weights[i - 1] for i in v]))
+        rms, e = math.sqrt(second), 1e-13 * size
+        assert abs(eng._rms(v) ** 2 - second) <= max(e * (2 * rms + e),
+                                                     np.finfo(float).tiny), v
+        *pair, _ = eng._direct_rules(v)
+        for _, _, tol in pair:
+            assert tol == anova.INTERP_TOL * eng._rms(v), v
+        if eng._reads_grid(v):
+            ok, values = eng._read(v, _tensor_points([eng.nodes[i - 1]
+                                                      for i in v]))
+            assert np.all(np.abs(values - w.ravel())[ok] <= max(
+                1e-12 * size, np.finfo(float).tiny)), v
+
+
 class TestTableGate:
     """Rows the tables do not resolve take the direct path."""
 
@@ -1200,13 +1265,10 @@ class TestTableGate:
         inner = np.random.default_rng(1).uniform(-4.0, 4.0, size=(50, 2))
         x = np.vstack([corners, inner])
         assert _direct_gap(eng, (1, 2), x) <= 1e-9
-        ok, _ = eng._tables[(1, 2)](x)
+        ok, values = eng._read((1, 2), x)
         assert not ok[:4].any() and ok[4:].all()
         # interpolated anyway, the corners would miss the target
-        table = eng._tables[(1, 2)]
-        raw = anova._tensor_eval(table.coeffs,
-                                 [a.poly(c) for a, c in zip(table.axes,
-                                                            corners.T)])
+        raw = values[:4]
         want = eng.conditional_mean((1, 2), corners)
         assert np.max(np.abs(raw - want)) > 1e-9 * np.max(np.abs(want))
 
@@ -1216,10 +1278,10 @@ class TestTableGate:
                           order=32)
         x = np.linspace(-4.0, 4.0, 41)[:, None]
         assert _direct_gap(eng, (2,), x) <= 1e-9
-        ok, _ = eng._tables[(2,)](x)
+        ok, _ = eng._read((2,), x)
         assert not ok.any()
-        eng._w_at((1,), x)          # sin x1 is resolved at the same order
-        assert eng._tables[(1,)](x)[0].all()
+        # sin x1 is resolved at the same order
+        assert eng._read((1,), x)[0].all()
 
     def test_three_axis_tables(self):
         model = CompositeMultilinearModel(
@@ -1233,7 +1295,9 @@ class TestTableGate:
         x = np.random.default_rng(4).uniform(-0.5, 1.0, size=(30, 4))
         for v in all_subsets(4, max_order=3):
             assert _direct_gap(eng, v, x[:, [i - 1 for i in v]]) <= 1e-9, v
-        assert (1, 3, 4) in eng._tables
+        # the three-axis read accepts every row in x3's support [0, 1]
+        ok, _ = eng._read((1, 3, 4), x[:, [0, 2, 3]])
+        assert ok.any() and np.array_equal(ok, x[:, 2] >= 0.0)
 
     def test_direct_path_is_bit_identical_where_no_table_applies(self):
         def g(x):
@@ -1248,9 +1312,8 @@ class TestTableGate:
             xv = x[:, [i - 1 for i in v]]
             assert np.array_equal(eng._w_at(v, xv),
                                   eng.conditional_mean(v, xv)), v
-        # the settle check keeps the table of x2; none of the subsets asked
-        # has one
-        assert not eng._tables.keys() & set(asked)
+        # none of the subsets asked is read off the grid
+        assert not any(eng._reads_grid(v) for v in asked)
 
     @pytest.mark.parametrize("name", MEASURES)
     def test_tables_read_at_their_own_nodes(self, engines, name):
@@ -1258,12 +1321,14 @@ class TestTableGate:
         # mu2 the outer Hermite nodes of x1 and x2, where the polynomials
         # are large, go direct (x3, a quartic on 7 nodes, needs no tail)
         eng = engines[name]
+        eng.mean()
+        grid = IshigamiModel()(_tensor_points(eng.nodes)).reshape(eng._sizes)
         for v in all_subsets(3, max_order=2):
-            table = eng._table(v)
             x = _tensor_points([eng.nodes[i - 1] for i in v])
-            ok, values = table(x)
-            want = eng._w_on_subgrid(v).ravel()[ok]
-            assert np.max(np.abs(values - want)) <= 1e-12 * table.scale, v
+            ok, values = eng._read(v, x)
+            want = ref.contract(grid, [None if i in v else w for i, w in
+                                       enumerate(eng.weights, 1)]).ravel()
+            assert np.max(np.abs(values - want)[ok]) <= 1e-12 * eng._rms(v), v
             assert ok.all() == (name != "mu2" or v == (3,)), v
 
 
@@ -1295,11 +1360,10 @@ def test_gate_accepts_only_rows_within_the_target():
                 eng = AnovaEngine(g, ProductMeasure((comp, comp)), order=order)
                 eng.variance_decomposition()
                 for v in ((1,), (2,)):
-                    table = eng._table(v)
-                    ok, values = table(x)
+                    ok, values = eng._read(v, x)
                     if ok.any():
-                        err = np.abs(values - eng.conditional_mean(v, x[ok]))
-                        worst = max(worst, float(err.max()) / table.scale)
+                        err = np.abs(values[ok] - eng.conditional_mean(v, x[ok]))
+                        worst = max(worst, float(err.max()) / eng._rms(v))
     assert worst <= 1e-9, worst
 
 
@@ -1382,12 +1446,6 @@ def _reference_mean(model, measure, v, x, order=160):
     return g @ w, np.abs(g) @ w
 
 
-def _table_rms(eng, v):
-    w = eng._w_on_subgrid(v)
-    return math.sqrt(float(anova._contract(w ** 2, [eng.weights[i - 1]
-                                                    for i in v])))
-
-
 MIXED = (Uniform(-1.0, 2.0), Normal(0.5, 0.8), Uniform(0.0, PI),
          Normal(0.5, 0.7))
 
@@ -1420,7 +1478,7 @@ def test_direct_means_of_a_settled_engine_match_a_reference_rule(cases, data):
                             (measure.components[i - 1].plot_range() for i in v)])
         want, size = _reference_mean(model, measure, v, x)
         gap = np.abs(eng.conditional_mean(v, x) - want)
-        assert np.all(gap <= anova.INTERP_TOL * _table_rms(eng, v)
+        assert np.all(gap <= anova.INTERP_TOL * eng._rms(v)
                       + 1e-12 * size + np.finfo(float).tiny), v
 
 
@@ -1436,8 +1494,7 @@ def test_a_row_the_lower_rules_disagree_on_takes_the_settled_nodes():
     assert eng.order in anova.LADDER and eng._halves is not None
     near, far = np.array([[PI + 0.5]]), np.array([[PI + 2.0]])
     (pts, weights, tol), _ = eng._direct_rules((1,))
-    tol_rms = anova.INTERP_TOL * _table_rms(eng, (1,))
-    assert tol == tol_rms
+    assert tol == anova.INTERP_TOL * eng._rms((1,))
     pair = {}
     for name, x in (("near", near), ("far", far)):
         block = np.column_stack([np.full(len(pts), x[0, 0]), pts])
@@ -1472,4 +1529,4 @@ def test_a_direct_row_costs_the_pair_of_lower_rules():
     model.sizes.clear()
     want = eng.conditional_mean((3,), x)
     assert sum(model.sizes) == 3 * 21 * 32 == 3 * 672
-    assert np.all(np.abs(got - want) <= anova.INTERP_TOL * _table_rms(eng, (3,)))
+    assert np.all(np.abs(got - want) <= anova.INTERP_TOL * eng._rms((3,)))

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixsens import anova, cli, measures, report
 from mixsens.anova import VarianceDecomposition, all_subsets, subset_label
@@ -344,7 +346,7 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     by_caller = {}
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
-    assert by_caller == {"_w_on_subgrid": 37_936,
+    assert by_caller == {"_sweep": 37_936,
                          "conditional_mean": 31_170}
     assert sum(by_caller.values()) == 69_106
 
@@ -982,3 +984,74 @@ class TestFailureModes:
             run(["--model", "ishigami", "--measures", configs["noprior"],
                  "--sections", "vibes", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+# -- fuzz: no YAML tree of measures ends in a traceback -----------------------
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.sampled_from(["uniform", "normal", "mu1", "lo", "hi", "1e999", ""]))
+_KEYS = st.sampled_from(["n", "prior", "measures", "name", "components",
+                         "family", "params", "lo", "hi", "mean", "sd"])
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.dictionaries(st.one_of(_KEYS, st.text(max_size=3)), kids, max_size=4)),
+    max_leaves=12)
+def _mostly(valid):
+    """``valid`` nine times in ten, and any tree in its place otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: _TREES if k == 9 else valid)
+
+
+def _numbers(lo, hi):
+    """Floats in [lo, hi] mostly, any float or int or tree otherwise."""
+    return _mostly(st.one_of(st.floats(lo, hi), st.integers(-3, 3), st.floats(
+        allow_nan=True, allow_infinity=True)))
+
+
+_COMPONENTS = _mostly(st.one_of(
+    st.fixed_dictionaries({"family": st.just("uniform"), "params":
+                           st.fixed_dictionaries({"lo": _numbers(-9.0, 0.0),
+                                                  "hi": _numbers(1.0, 9.0)})}),
+    st.fixed_dictionaries({"family": st.just("normal"), "params":
+                           st.fixed_dictionaries({"mean": _numbers(-9.0, 9.0),
+                                                  "sd": _numbers(0.5, 9.0)})})))
+_MEASURES = _mostly(st.fixed_dictionaries({
+    "name": st.one_of(st.sampled_from(["mu1", "mu2", "mu3"]), _LEAVES),
+    "components": _mostly(st.lists(_COMPONENTS, min_size=3, max_size=3))}))
+_CONFIGS = _mostly(st.fixed_dictionaries(
+    {"n": _mostly(st.just(3)),
+     "measures": _mostly(st.lists(_MEASURES, min_size=1, max_size=3))},
+    optional={"prior": _mostly(st.lists(_numbers(0.0, 1.0), max_size=4))}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_CONFIGS)
+@example(tree={"n": 3, "measures": [{"name": "wide", "components": [
+    {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
+    {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
+    {"family": "uniform", "params": {"lo": -1.2e77, "hi": 1.0}}]}]})
+def test_no_yaml_tree_of_measures_ends_in_a_traceback(tree):
+    # the measures config as any YAML document: a cores run exits 0, or 2, 3
+    # or 4 with its message and no report.  The example's core signature
+    # overflows (E[1 + 0.1 x3^4] on a width of 1e77)
+    import contextlib
+    import io
+    import tempfile
+
+    import yaml
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "measures.yaml")
+        with open(path, "w", encoding="utf8") as fh:
+            yaml.safe_dump(tree, fh, allow_unicode=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run(["--model", "ishigami", "--measures", path,
+                        "--sections", "cores", "--out",
+                        os.path.join(tmp, "out")])
+        assert code in (0, 2, 3, 4), code
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert not os.path.exists(os.path.join(tmp, "out", "report.json"))

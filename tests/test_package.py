@@ -85,20 +85,24 @@ def test_fixed_order_integrals_take_the_engines_order():
 
 
 def test_tables_hold_one_polynomial_form():
-    # a table is read at points through its orthonormal coefficients alone:
-    # no barycentric weights, Lagrange basis or table of values beside them,
-    # and no resolution test of its own (the engine's is ``_caps``)
+    # a conditional mean is read at points through the slice of the kept
+    # grid's orthonormal coefficients that is zero off its subset: no table
+    # per subset, no second transform, and no barycentric weights, Lagrange
+    # basis or table of values beside them
+    for name in ("_Table", "_contract", "_w_on_subgrid"):
+        assert not hasattr(anova, name), name
     comp = measures.Uniform(0.0, 1.0)
     nodes, weights = (np.asarray(a) for a in comp.quad_nodes(8))
     axis = anova._Axis(comp, nodes, weights)
-    table = anova._Table(nodes ** 3, [axis], [weights])
     for attr in ("bary", "basis"):
         assert not hasattr(axis, attr), attr
-    for attr in ("values", "resolved", "tail"):
-        assert not hasattr(table, attr), attr
+    eng = anova.AnovaEngine(lambda x: x[:, 0] ** 3,
+                            measures.ProductMeasure((comp, comp)), order=8)
     x = np.linspace(0.0, 1.0, 11)
-    ok, values = table(x[:, None])
+    ok, values = eng._read((1,), x[:, None])
     assert ok.all() and np.allclose(values, x ** 3, rtol=0, atol=1e-14)
+    for attr in ("_tables", "_w_cache"):
+        assert not hasattr(eng, attr), attr
 
 
 def test_every_named_bench_span_resolves():
