@@ -19,13 +19,12 @@ coordinate) over a grid of at most ``FULL_GRID_CAP`` points.  An engine's
 integral of any kind climbs a ladder of orders (``LADDER``,
 ``AnovaEngine._settle``): from a probe rung of 8 nodes and then 16, or from
 the largest lower rung whose grid fits when 16 does not, up to the last rung
-below ``order``.  Each rung decomposes the model off its full grid (the
-whole subset lattice up to four inputs), and the order settles at the first
-rung whose mean, total and terms moved by at most ``INTERP_TOL`` (relative
-to sqrt(V) and V) from the rung below.  Gauss rules converge geometrically
-on smooth models, so that change bounds the error of the rung below.  Each
-rung also caps every axis it resolves at the fewest nodes that keep it
-resolved (``AnovaEngine._caps``, one coefficient-tail rule on every family).
+below ``order``.  The order settles at the first rung whose mean, V and
+every V_z moved by at most ``INTERP_TOL`` (relative to sqrt(V) and V) from
+the rung below.  Gauss rules converge geometrically on smooth models, so
+that change bounds the error of the rung below.  Each rung also caps every
+axis it resolves at the fewest nodes that keep it resolved
+(``AnovaEngine._caps``, one coefficient-tail rule on every family).
 The first rung's caps only size the second, whose own caps replace them;
 from there on each axis keeps the smallest cap it was given: an axis stops
 climbing once it no longer changes the result, the dimension-adaptive rule
@@ -41,21 +40,21 @@ built.  A smooth 4-input model quartic in x3 costs
 settles at 24, 32 or 48 nodes, with 7 on x3 and 14, 21 or 26 on x1.
 
 ``AnovaEngine._sweep`` evaluates the full grid once, in boxes of at most
-``BLOCK_POINTS`` points, and keeps it whole with its mean and its one
-transform: the coefficients C_J of the grid centred on the mean, in the
-polynomials orthonormal under each coordinate's measure (under the point
-weights on a discrete one), so no result depends on the size of the boxes.
-Those polynomials are discretely orthonormal on an s-node Gauss rule to
-degree s - 1, so ``variance_decomposition`` takes V_z as the sum of C_J^2
-over the J nonzero on exactly the inputs of z, and V as the sum over every
-J but 0 (Parseval): no V_z is negative, and they add up to V to rounding.
-This is the polynomial-chaos reading of Sobol indices (Sudret, Reliab. Eng.
-Syst. Saf. 93, 2008).  The engine keeps one decomposition per
-``max_order``; see ``variance_decomposition``.
+``BLOCK_POINTS`` points, and keeps it whole with its mean, its coefficients
+C_J centred on the mean in the polynomials orthonormal under each
+coordinate's measure (under the point weights on a discrete one), and their
+power P, so no result depends on the size of the boxes.  Those polynomials
+are discretely orthonormal on an s-node Gauss rule to degree s - 1, so V_z,
+an entry of the (2,) * n tensor P, is the sum of C_J^2 over the J nonzero
+on exactly the inputs of z, and V the sum of P (Parseval): no V_z is
+negative, and they add up to V to rounding.  This is the polynomial-chaos
+reading of Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  Each
+decomposition (a new value on every call), each rms(w_v) and the ladder's
+test of a rung read P.
 
 Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of
 C that is zero off v holds the coefficients of w_v - mean on v's subgrid,
-and its sum of squares plus mean^2 is E[w_v^2] (``_rms``).
+so E[w_v^2] is mean^2 plus V_u for every subset u of v (``_rms``).
 ``AnovaEngine._w_at`` reads w_v through that slice as its interpolating
 polynomial, gated row by row by an error estimate (``_read``).  The direct
 integral over the complement of v, ``conditional_mean``, serves the rows
@@ -80,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +113,16 @@ def all_subsets(n, max_order=None):
         max_order = n
     return [z for z in _subsets_of(tuple(range(1, n + 1)))
             if z and len(z) <= max_order]
+
+
+def _subset(z, n):
+    """z as a tuple, once each of its inputs is an integer in 1..n and none
+    repeats."""
+    z = tuple(z)
+    if len(set(z)) < len(z) or not all(
+            isinstance(i, (int, np.integer)) and 1 <= i <= n for i in z):
+        raise ValueError(f"subset {z} must hold distinct integers in 1..{n}")
+    return z
 
 
 def subset_label(z):
@@ -265,12 +274,19 @@ class AnovaEngine:
         self.nodes = [np.asarray(x) for x, _ in nodes]
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
-        self._kept = None         # the full grid, its mean and C (_sweep)
+        # per coordinate, its interpolation data (None when discrete), and
+        # the (s, s) map from values at its nodes to coefficients in
+        # polynomials orthonormal under its measure
+        self._axes = [
+            None if isinstance(c, DiscreteUniform) else _Axis(c, x, w)
+            for c, x, w in zip(self.measure.components, self.nodes,
+                               self.weights)]
+        self._bases = [_discrete_basis(w) if a is None else a.to_coeffs
+                       for a, w in zip(self._axes, self.weights)]
+        self._kept = None         # the full grid, its mean, C and P (_sweep)
         self._error = None        # C's error tensor E, built once (_read)
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
         self._halves = None       # per axis, h nodes or None (_direct_rules)
-        self._decompositions = {}  # max_order -> its VarianceDecomposition
-        vars(self).pop("_axes", None)   # the cached axes hold the old nodes
 
     def _grid(self, order, caps=None):
         """The axis sizes of the grid of ``order`` under ``caps``, counted,
@@ -282,36 +298,34 @@ class AnovaEngine:
     def _settle(self):
         """Climb the ladder, once, before the engine's first integral.
 
-        Each rung decomposes the model off its full grid, to the default
-        ``max_order`` of ``variance_decomposition``: the whole subset lattice
-        up to four inputs; beyond, where the lattice grows as 2^n, the terms
-        of at most two inputs and the total.  The engine keeps the first
-        rung where, against the rung below, the mean moved by at most
-        ``INTERP_TOL`` times sqrt(V), and V and every V_z by at most
-        ``INTERP_TOL`` times V; Gauss rules converge geometrically on smooth
-        models, so that change bounds the error of the rung below.  Each
-        rung computes its ``_caps`` once.  The first rung's caps only size
-        the second: there the rung's own caps replace them, so every axis
-        the first rung capped is read again by the same tail test at the
-        nodes it was given, and an axis read unresolved there climbs
-        uncapped.  (Eight nodes see nothing of a degree-8 Legendre term,
-        which vanishes at all of them; at its cap of 4 the second rung sees
-        it.)  From the second rung on, every axis takes the smaller of its
-        cap so far and the rung's, so a cap never grows; the next rung, the
-        settled engine and its direct complement rules use those caps, and
-        the climb stops at a rung whose grid does not fit under them.  On
-        an engine whose grid fits at ``order``, a rung settles only when
-        every continuous axis has a finite cap so far, so that a lower
-        order does not send the rows of an unresolved axis to the direct
-        integral.  The caps so far, not the rung's own: an axis capped at c
-        nodes sits at the edge of its own tail test there, and a smooth
-        3-input model read unresolved at its cap would climb to ``order``.
-        Only there: on an engine whose grid at ``order`` does not fit, the
-        test would take a smooth 4-input model from 32 nodes to 48, and the
-        row gate already sends the rows of an unresolved axis to the direct
-        integral.  The settled rung's own caps set the lower rules of
-        the direct integrals (``_halves``, see ``_direct_rules``), and its
-        decomposition is the one ``variance_decomposition`` keeps.
+        Each rung sweeps its full grid (``_sweep``) and holds on only to
+        its mean and power P, so its C is freed before the next sweep.  The
+        engine keeps the first rung where, against the rung below, the mean
+        moved by at most ``INTERP_TOL`` times sqrt(V), and V and every
+        entry V_z of P by at most ``INTERP_TOL`` times V; Gauss rules
+        converge geometrically on smooth models, so that change bounds the
+        error of the rung below.  Each rung computes its ``_caps`` once.
+        The first rung's caps only size the second: there the rung's own
+        caps replace them, so every axis the first rung capped is read
+        again by the same tail test at the nodes it was given, and an axis
+        read unresolved there climbs uncapped.  (Eight nodes see nothing of
+        a degree-8 Legendre term, which vanishes at all of them; at its cap
+        of 4 the second rung sees it.)  From the second rung on, every axis
+        takes the smaller of its cap so far and the rung's, so a cap never
+        grows; the next rung, the settled engine and its direct complement
+        rules use those caps, and the climb stops at a rung whose grid does
+        not fit under them.  On an engine whose grid fits at ``order``, a
+        rung settles only when every continuous axis has a finite cap so
+        far, so that a lower order does not send the rows of an unresolved
+        axis to the direct integral.  The caps so far, not the rung's own:
+        an axis capped at c nodes sits at the edge of its own tail test
+        there, and a smooth 3-input model read unresolved at its cap would
+        climb to ``order``.  Only there: on an engine whose grid at
+        ``order`` does not fit, the test would take a smooth 4-input model
+        from 32 nodes to 48, and the row gate already sends the rows of an
+        unresolved axis to the direct integral.  The settled rung's own
+        caps set the lower rules of the direct integrals (``_halves``, see
+        ``_direct_rules``), and its sweep is the one the engine keeps.
         With no such rung the engine keeps, with no lower rules, ``order``
         uncapped when that grid fits, ``order`` under the caps when that
         fits, and otherwise the last rung it climbed.  When a rung raises,
@@ -337,11 +351,12 @@ class AnovaEngine:
                 if not _fits(self._grid(rung, caps)):
                     break
                 self._use_order(rung, caps)
-                vd = self.variance_decomposition()
-                terms = np.array([vd.total, *vd.terms.values()])
-                still = last is not None and abs(vd.mean - last[0]) \
-                    <= INTERP_TOL * math.sqrt(max(vd.total, 0.0)) \
-                    and np.all(np.abs(terms - last[1]) <= INTERP_TOL * vd.total)
+                # the mean and P, not C, which the next rung's sweep frees
+                mean, power = self._sweep()[1::2]
+                terms = np.append(power, power.sum())   # every V_z, then V
+                still = last is not None and abs(mean - last[0]) \
+                    <= INTERP_TOL * math.sqrt(terms[-1]) and np.all(
+                        np.abs(terms - last[1]) <= INTERP_TOL * terms[-1])
                 rung_caps = self._caps()
                 caps = rung_caps if k == 1 else [
                     min(a, b) for a, b in zip(caps, rung_caps)]
@@ -352,7 +367,7 @@ class AnovaEngine:
                                     else None
                                     for c, s in zip(rung_caps, self._sizes)]
                     return
-                last = vd.mean, terms
+                last = mean, terms
         except BaseException:       # a failed rung leaves the engine as built
             self._ladder = ladder
             self._use_order(order)
@@ -404,8 +419,8 @@ class AnovaEngine:
         the first value it accepts.  Each model call takes one box of rows
         times rule points from ``_grid_boxes``, at most ``BLOCK_POINTS``.
         """
+        z = _subset(z, self.n)
         self._settle()
-        z = tuple(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if len(z) == 0:
             return np.full(x.shape[0], self.mean())
@@ -477,7 +492,7 @@ class AnovaEngine:
         """{v: w_v at the rows of ``x``} for every subset v of z, the empty
         one included, each v sorted; the columns of ``x`` follow the order
         of z, which need not be sorted."""
-        z = tuple(z)
+        z = _subset(z, self.n)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(z):
             raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
@@ -545,7 +560,7 @@ class AnovaEngine:
           computing it, and weighed by |phi_J(x)| it grows far out in a
           normal coordinate, where the polynomials do.
         """
-        grid, mean, coeffs = self._sweep()
+        grid, mean, coeffs, _ = self._sweep()
         if self._error is None:
             tail = np.zeros(self._sizes, dtype=bool)
             for k, (a, s) in enumerate(zip(self._axes, self._sizes)):
@@ -554,7 +569,7 @@ class AnovaEngine:
                         [-1 if j == k else 1 for j in range(self.n)])
             self._error = np.where(tail, np.abs(coeffs), 0.0) \
                 + (3 * max(self._sizes) + 4) * np.finfo(float).eps * _along(
-                    [np.abs(b) for b in self._bases()], np.abs(grid))
+                    [np.abs(b) for b in self._bases], np.abs(grid))
         at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
         axes = [self._axes[i - 1] for i in v]
         ok = np.all([(c >= a.lo) & (c <= a.hi) for a, c in zip(axes, x.T)],
@@ -568,24 +583,12 @@ class AnovaEngine:
 
     def _rms(self, v):
         """rms(w_v), the square root of E[w_v^2]: by Parseval, of mean^2
-        plus the sum of squares of the slice of C that is zero off v.  Where
-        those squares underflow it is 0, and ``_read`` accepts no row."""
-        _, mean, coeffs = self._sweep()
+        plus V_u for every subset u of v, the entries of P zero off v.
+        Where those squares underflow it is 0, and ``_read`` accepts no
+        row."""
+        _, mean, _, power = self._sweep()
         at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
-        return math.sqrt(mean ** 2 + float(np.sum(np.square(coeffs[at]))))
-
-    @cached_property
-    def _axes(self):
-        """Per coordinate, its interpolation data (None when discrete)."""
-        return [None if isinstance(c, DiscreteUniform) else _Axis(c, x, w)
-                for c, x, w in zip(self.measure.components, self.nodes,
-                                   self.weights)]
-
-    def _bases(self):
-        """Per coordinate, the (s, s) map from values at its nodes to
-        coefficients in polynomials orthonormal under its measure."""
-        return [_discrete_basis(w) if a is None else a.to_coeffs
-                for a, w in zip(self._axes, self.weights)]
+        return math.sqrt(mean ** 2 + float(np.sum(power[at])))
 
     def mean(self):
         return self._sweep()[1]
@@ -597,23 +600,27 @@ class AnovaEngine:
         subsets of z, each evaluated once at the projected points.  The
         columns of ``x`` follow the order of z, as in ``conditional_means``.
         """
-        z = tuple(z)
+        z = _subset(z, self.n)
         key = tuple(sorted(z))
         return _mobius(_subsets_of(key), self.conditional_means(z, x))[key]
 
     # -- grid-based decomposition -------------------------------------------
 
     def _sweep(self):
-        """(grid, mean, C): the model on the full grid, its mean and C, the
-        orthonormal coefficients of grid - mean along every axis, computed
-        once and kept until ``_use_order``.
+        """(grid, mean, C, P): the model on the full grid, its mean, C, the
+        orthonormal coefficients of grid - mean along every axis, and P, its
+        power, computed once and kept until ``_use_order``.
 
         The grid is evaluated box by box (``_grid_boxes``, each box's rows
         from ``_tensor_points``) and kept whole; the mean is its
         contraction with the weights, the last axis first, and C its one
         transform (``_along``), centred so that a large mean costs no
-        coefficient any digits.  Every later integral reads them with no further model
-        call, so no result depends on the size of the boxes.
+        coefficient any digits.  P is C^2 with each axis summed into its
+        degree 0 and the rest: entry J of the (2,) * n result, J_k = 1 on
+        exactly the inputs of z, is V_z.  Its first entry, the mean's, is
+        zeroed, not subtracted, so that it rounds away no term.  Every later
+        integral reads them with no further model call, so no result
+        depends on the size of the boxes.
         """
         self._settle()
         if self._kept is None:
@@ -626,49 +633,38 @@ class AnovaEngine:
             for w in reversed(self.weights):    # last axis first, by rows
                 mean = mean.reshape(-1, w.size) @ w
             mean = mean.item()
-            self._kept = grid, mean, _along(self._bases(), grid - mean)
+            coeffs = _along(self._bases, grid - mean)
+            power = _along([np.stack([d == 0, d > 0]) * 1.0
+                            for d in map(np.arange, self._sizes)],
+                           np.square(coeffs))
+            power.flat[0] = 0.0     # the mean's, about zero once centred
+            self._kept = grid, mean, coeffs, power
         return self._kept
 
     def variance_decomposition(self, max_order=None):
         """The mean, the total and every V_z of at most ``max_order`` inputs
         (default: all of them up to four inputs, and at most two beyond).
 
-        The kept coefficients C of the grid centred on its mean
-        (``_sweep``) are squared, and each axis is summed into its degree 0
-        and the rest.
-        Entry J of the (2,) * n result, J_k = 1 on exactly the inputs of z,
-        is V_z, and V is the sum of every entry but the first (Parseval),
-        which is zeroed, not subtracted, so that it rounds away no term.
-        The engine computes its decomposition once per ``max_order`` and
-        hands every later call the same object, the settled rung's among
-        them (``_settle``); a caller must not change it.  ``_use_order``
-        drops them.
+        Each V_z is an entry of the kept power P (``_sweep``) and V the sum
+        of them all (Parseval).  Every call returns a new value, which the
+        caller may change.
         """
-        self._settle()
         if max_order is None:
             max_order = self.n if self.n <= 4 else 2
-        vd = self._decompositions.get(max_order)
-        if vd is not None:
-            return vd
-        power = _along([np.stack([d == 0, d > 0]) * 1.0
-                        for d in map(np.arange, self._sizes)],
-                       np.square(self._sweep()[2]))
-        power.flat[0] = 0.0         # the mean's, about zero once centred
+        _, mean, _, power = self._sweep()
         terms = {z: float(power[tuple(int(i in z) for i in range(1, self.n + 1))])
                  for z in all_subsets(self.n, max_order)}
         total = float(power.sum())
         residual = total - sum(terms.values()) if max_order < self.n else 0.0
-        vd = VarianceDecomposition(measure=self.measure.name or "measure",
-                                   total=total, mean=self.mean(), terms=terms,
-                                   residual=residual, n=self.n)
-        self._decompositions[max_order] = vd
-        return vd
+        return VarianceDecomposition(measure=self.measure.name or "measure",
+                                     total=total, mean=mean, terms=terms,
+                                     residual=residual, n=self.n)
 
     # -- plotting-oriented output -------------------------------------------
 
     def effect_curve(self, z, npts=PLOT_ROWS):
         """g_z tabulated on an even grid over the measure's plotting range."""
-        z = tuple(sorted(z))
+        z = tuple(sorted(_subset(z, self.n)))
         if not 1 <= len(z) <= 2:
             raise ValueError("effect curves are for singletons and pairs")
         grids = [np.linspace(*self.measure.components[i - 1].plot_range(), npts)

@@ -248,9 +248,7 @@ class CompositeMultilinearModel:
         """
         z = tuple(z)
         m, _ = self.factor_stats(measure, order)
-        coef = sum(c * math.prod(m[i - 1] for i in u if i not in z)
-                   for c, u in zip(self.coeffs, self.terms)
-                   if set(z) <= set(u))
+        coef = self._coef(m, z)
         if not z:
             return float(coef)
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -265,10 +263,13 @@ class CompositeMultilinearModel:
         if not z:
             return 0.0
         m, s2 = self.factor_stats(measure, order)
-        coef = sum(c * math.prod(m[i - 1] for i in u if i not in z)
+        return float(self._coef(m, z)**2 * math.prod(s2[i - 1] for i in z))
+
+    def _coef(self, m, z):
+        """sum_{u contains z} c_u * prod_{i in u \\ z} m_i (factor means m)."""
+        return sum(c * math.prod(m[i - 1] for i in u if i not in z)
                    for c, u in zip(self.coeffs, self.terms)
                    if set(z) <= set(u))
-        return float(coef**2 * math.prod(s2[i - 1] for i in z))
 
 
 def multilinear_from_dict(doc):

@@ -1,7 +1,9 @@
 """Quadrature ANOVA engine against closed forms and frozen references."""
 
+import copy
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -113,6 +115,18 @@ class TestEffects:
             with pytest.raises(ValueError,
                                match=rf"points have {cols} columns for subset"):
                 call(z, x)
+
+    @pytest.mark.parametrize("call", ["conditional_mean", "conditional_means",
+                                      "effect", "effect_curve"])
+    @pytest.mark.parametrize("z", [(1, 1), (0,), (4,), (2, 0), (1, 2, 3, 4),
+                                   (1.0,)])
+    def test_a_subset_holds_distinct_inputs_of_the_model(self, engines, call,
+                                                         z):
+        # a repeated input, or one that is not an integer in 1..3, is
+        # named, not read as another input or left to fail as an index
+        args = () if call == "effect_curve" else (np.zeros((2, len(z))),)
+        with pytest.raises(ValueError, match=re.escape(f"subset {z} ")):
+            getattr(engines["mu1"], call)(z, *args)
 
     def test_effect_curves_use_plotting_grids(self, engines):
         curve = engines["mu3"].effect_curve((1,), npts=65)
@@ -291,39 +305,50 @@ def test_one_lattice_pass_gives_every_term_of_its_own_pass(n, max_order, data):
 
 
 def _settled(name):
-    """An Ishigami engine after its climb, and the settled rung's own
-    decomposition."""
-    eng = AnovaEngine(IshigamiModel(), ishigami_measures()[name])
-    made, decompose = [], AnovaEngine.variance_decomposition
-
-    def spy(self, max_order=None):
-        made.append(decompose(self, max_order))
-        return made[-1]
-
-    with mock.patch.object(AnovaEngine, "variance_decomposition", spy):
-        eng.mean()
-    assert len(made) >= 2 and eng.order < anova.DEFAULT_ORDER
-    return eng, made[-1]
+    """An Ishigami engine, its model counting its points, after its climb
+    settled on a rung below the default order."""
+    eng = AnovaEngine(_Batches(IshigamiModel()), ishigami_measures()[name])
+    eng.mean()
+    assert eng.order < anova.DEFAULT_ORDER
+    return eng
 
 
 def test_a_settled_engine_keeps_its_rungs_decomposition():
-    (e1, vd1), (e3, vd3) = _settled("mu1"), _settled("mu3")
+    # every later decomposition, its own and the mixture's, is read off the
+    # settled rung's power tensor: no transform and no model call
+    e1, e3 = _settled("mu1"), _settled("mu3")
+    calls = [len(e.model.sizes) for e in (e1, e3)]
     with mock.patch.object(anova, "_along",
                            side_effect=AssertionError("transformed again")):
-        assert e1.variance_decomposition() is vd1
-        assert e3.variance_decomposition(3) is vd3
+        vd1, vd3 = e1.variance_decomposition(), e3.variance_decomposition(3)
+        assert e1.variance_decomposition() == vd1
+        assert e3.variance_decomposition(3) == vd3
         md = mixture_variance_decomposition([e1, e3], [0.5, 0.5])
-    assert md.components[0] is vd1 and md.components[1] is vd3
+    assert md.components == [vd1, vd3]
+    assert [len(e.model.sizes) for e in (e1, e3)] == calls
 
 
 def test_a_new_order_drops_the_kept_decomposition():
     eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu2"], order=16)
     vd = eng.variance_decomposition()
-    assert eng.variance_decomposition() is vd
+    assert eng.variance_decomposition() == vd
     eng._use_order(16)
-    assert not eng._decompositions
+    assert eng._kept is None
     again = eng.variance_decomposition()
     assert again is not vd and again == vd
+
+
+def test_a_changed_decomposition_changes_nothing_downstream():
+    # each call returns a value of its own: changing one reaches neither
+    # the engine's next decomposition nor the mixture's components
+    engines = [AnovaEngine(IshigamiModel(), ishigami_measures()[name])
+               for name in ("mu1", "mu3")]
+    vd = engines[0].variance_decomposition()
+    want = copy.deepcopy(vd)
+    vd.terms[(1,)] = 0.0
+    assert engines[0].variance_decomposition() == want
+    md = mixture_variance_decomposition(engines, [0.5, 0.5])
+    assert md.components[0] == want
 
 
 # -- subgrid tables from one sweep of the full grid in boxes -----------------
@@ -375,7 +400,7 @@ def test_one_sweep_fills_the_tables_of_the_point_kernel(case, order, discrete,
                                  + (DiscreteUniform((-1.0, 0.5, 2.0)),))
     eng = AnovaEngine(model, measure, order=order)
     with mock.patch.object(anova, "BLOCK_POINTS", block):
-        grid, _, _ = eng._sweep()
+        grid = eng._sweep()[0]
     # w_z at z's own nodes: the kept grid for all inputs, and for every
     # subset read off the grid the slice of its coefficients zero off z
     tables = {z: eng._read(z, _tensor_points([eng.nodes[i - 1] for i in z]))[1]
@@ -1246,6 +1271,11 @@ def test_each_conditional_mean_is_a_slice_of_the_grids_coefficients(case, data):
         rms, e = math.sqrt(second), 1e-13 * size
         assert abs(eng._rms(v) ** 2 - second) <= max(e * (2 * rms + e),
                                                      np.finfo(float).tiny), v
+        # the same as mean^2 plus the sum of squares of C's slice zero off v
+        _, mean, coeffs, _ = eng._sweep()
+        at = tuple(slice(None) if i in v else 0 for i in range(1, model.n + 1))
+        assert abs(eng._rms(v) ** 2 - mean ** 2 - float(np.sum(np.square(
+            coeffs[at])))) <= max(e * (2 * rms + e), np.finfo(float).tiny), v
         *pair, _ = eng._direct_rules(v)
         for _, _, tol in pair:
             assert tol == anova.INTERP_TOL * eng._rms(v), v
