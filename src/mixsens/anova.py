@@ -42,37 +42,38 @@ settles at 24, 32 or 48 nodes, with 7 on x3 and 14, 21 or 26 on x1.
 ``AnovaEngine._sweep`` evaluates the full grid once, in boxes of at most
 ``BLOCK_POINTS`` points, and keeps it whole with its mean, its coefficients
 C_J centred on the mean in the polynomials orthonormal under each
-coordinate's measure (under the point weights on a discrete one), and their
-power P, so no result depends on the size of the boxes.  Those polynomials
-are discretely orthonormal on an s-node Gauss rule to degree s - 1, so V_z,
-an entry of the (2,) * n tensor P, is the sum of C_J^2 over the J nonzero
-on exactly the inputs of z, and V the sum of P (Parseval): no V_z is
-negative, and they add up to V to rounding.  This is the polynomial-chaos
-reading of Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  Each
+coordinate's measure (its ``poly``; under the point weights on a discrete
+one), taken by that measure's ``to_coeffs``, and their power P, so no
+result depends on the size of the boxes.  Those polynomials are discretely
+orthonormal on an s-node Gauss rule to degree s - 1, so V_z, an entry of
+the (2,) * n tensor P, is the sum of C_J^2 over the J nonzero on exactly
+the inputs of z, and V the sum of P (Parseval): no V_z is negative, and
+they add up to V to rounding.  This is the polynomial-chaos reading of
+Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  Each
 decomposition (a new value on every call), each rms(w_v) and the ladder's
 test of a rung read P.
 
-Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of
-C that is zero off v holds the coefficients of w_v - mean on v's subgrid,
-so E[w_v^2] is mean^2 plus V_u for every subset u of v (``_rms``).
-``AnovaEngine._w_at`` reads w_v through that slice as its interpolating
-polynomial, gated row by row by an error estimate (``_read``).  The direct
-integral over the complement of v, ``conditional_mean``, serves the rows
-the gate rejects or that lie outside a coordinate's support, the empty and
-the full subset, and subsets with a discrete coordinate.  Every complement
-rule comes from ``_direct_rules``: on a settled engine the complement takes
-half the nodes of the cap its rung gives each axis it resolves, checked row
-by row against a second rule one node lower; a row on which the two
-disagree takes the settled nodes.  Rows times rule points, and the rows of
-the full subset, go to the model in the boxes of ``_grid_boxes``, so no
-model call of an engine holds more than ``BLOCK_POINTS`` points.  Each
-subset keeps its last call to ``_w_at``: the rows' shape and bytes and the
-w_v returned, at most N (|v| + 1) doubles, so the same rows asked again (by
-the other mixture route, or by a subset that holds v) cost no read and no
-model call.  ``_use_order`` empties it, but for the full subset, whose w is
-g itself at every order and under every measure: the engines that
-``mixture.component_engines`` builds on one model share that entry, so the
-model is evaluated once at rows that all of them are asked for.
+Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of C
+that is zero off v holds the coefficients of w_v - mean on v's subgrid, so
+E[w_v^2] is mean^2 plus V_u for every subset u of v (``_rms``).
+``AnovaEngine._w_at`` reads w_v through that slice and each coordinate's
+``poly`` as its interpolating polynomial, gated row by row by an error
+estimate (``_read``).  The direct integral over the complement of v,
+``conditional_mean``, serves the rows the gate rejects or that lie outside a
+coordinate's support, the empty and the full subset, and subsets with a
+discrete coordinate.  Every complement rule comes from ``_direct_rules``: on
+a settled engine the complement takes half the nodes of the cap its rung
+gives each axis it resolves, checked row by row against a second rule one
+node lower; a row on which the two disagree takes the settled nodes.  Rows
+times rule points, and the rows of the full subset, go to the model in the
+boxes of ``_grid_boxes``, so no model call of an engine holds more than
+``BLOCK_POINTS`` points.  Each subset keeps its last call to ``_w_at``: the
+rows' shape and bytes and the w_v returned, at most N (|v| + 1) doubles, so
+the same rows asked again (by the other mixture route, or by a subset that
+holds v) cost no read and no model call.  ``_use_order`` empties it, but for
+the full subset, whose w is g itself at every order and under every measure:
+the engines that ``mixture.component_engines`` builds on one model share that
+entry, so the model is evaluated once at rows that all of them are asked for.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from functools import lru_cache
 import numpy as np
 
 from .measures import (DEFAULT_ORDER, ConfigError, DiscreteUniform,
-                       ProductMeasure, Uniform)
+                       ProductMeasure)
 
 
 class ZeroVarianceError(ArithmeticError):
@@ -241,6 +242,8 @@ class AnovaEngine:
         self.model = model
         self.measure = measure
         self.n = measure.n
+        self._continuous = [not isinstance(c, DiscreteUniform)  # has poly
+                            for c in measure.components]
         self._w_full = {}     # _w_last of all inputs, kept and shared (_w_at)
         self._use_order(int(order))
         self._fits_order = _fits(self._sizes)
@@ -252,10 +255,8 @@ class AnovaEngine:
         first = max([r for r in LADDER if r <= 16 and _fits(self._grid(r))],
                     default=math.inf)
         rungs = [r for r in LADDER if first <= r < self.order]
-        continuous = any(not isinstance(c, DiscreteUniform)
-                         for c in measure.components)
         probe = [8] if first == 16 else []
-        self._ladder = probe + rungs if continuous and (
+        self._ladder = probe + rungs if any(self._continuous) and (
             len(rungs) > 1 or not self._fits_order) else []
         if not (self._fits_order or self._ladder):
             raise ConfigError(
@@ -274,15 +275,6 @@ class AnovaEngine:
         self.nodes = [np.asarray(x) for x, _ in nodes]
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
-        # per coordinate, its interpolation data (None when discrete), and
-        # the (s, s) map from values at its nodes to coefficients in
-        # polynomials orthonormal under its measure
-        self._axes = [
-            None if isinstance(c, DiscreteUniform) else _Axis(c, x, w)
-            for c, x, w in zip(self.measure.components, self.nodes,
-                               self.weights)]
-        self._bases = [_discrete_basis(w) if a is None else a.to_coeffs
-                       for a, w in zip(self._axes, self.weights)]
         self._kept = None         # the full grid, its mean, C and P (_sweep)
         self._error = None        # C's error tensor E, built once (_read)
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
@@ -292,8 +284,8 @@ class AnovaEngine:
         """The axis sizes of the grid of ``order`` under ``caps``, counted,
         not built: min(order, cap) nodes on a continuous coordinate, its own
         points on a discrete one."""
-        return [len(c.points) if isinstance(c, DiscreteUniform) else min(order, k)
-                for c, k in zip(self.measure.components, caps or [order] * self.n)]
+        return [min(order, k) if cont else len(c.points) for c, cont, k in zip(
+            self.measure.components, self._continuous, caps or [order] * self.n)]
 
     def _settle(self):
         """Climb the ladder, once, before the engine's first integral.
@@ -361,8 +353,8 @@ class AnovaEngine:
                 caps = rung_caps if k == 1 else [
                     min(a, b) for a, b in zip(caps, rung_caps)]
                 if still and (not self._fits_order or all(
-                        c < math.inf for c, a in zip(caps, self._axes)
-                        if a is not None)):
+                        c < math.inf for c, cont in zip(caps, self._continuous)
+                        if cont)):
                     self._halves = [math.ceil(c / 2) if c < math.inf and s > 1
                                     else None
                                     for c, s in zip(rung_caps, self._sizes)]
@@ -382,8 +374,8 @@ class AnovaEngine:
         (inf on a discrete axis and on one the grid leaves unresolved).
 
         Along a continuous axis, g's orthonormal-polynomial coefficients on
-        the grid (taken along that axis alone, by ``_along``), each the
-        largest over the other axes, are resolved when those from the
+        the grid (its component's ``to_coeffs`` along that axis alone), each
+        the largest over the other axes, are resolved when those from the
         ``_tail`` on sum to at most ``INTERP_TOL`` times rms(w_i) (``_rms``,
         the least RMS of a conditional mean that holds the axis).  The axis
         is then capped at the fewest nodes whose tail starts above the last
@@ -395,10 +387,10 @@ class AnovaEngine:
         """
         grid = self._sweep()[0]
         caps = [math.inf] * self.n
-        for i, a in enumerate(self._axes):
-            if a is not None:
-                s, tol = self._sizes[i], INTERP_TOL * self._rms((i + 1,))
-                c = _along([a.to_coeffs if k == i else None
+        for i, (comp, s) in enumerate(zip(self.measure.components, self._sizes)):
+            if self._continuous[i]:
+                tol = INTERP_TOL * self._rms((i + 1,))
+                c = _along([comp.to_coeffs(s) if k == i else None
                             for k in range(self.n)], grid)
                 c = np.abs(c, out=c).max(
                     axis=tuple(k for k in range(self.n) if k != i))
@@ -475,10 +467,8 @@ class AnovaEngine:
         halves = [self._halves[i - 1] if self._halves else None for i in comp]
 
         def rule(counts):       # k nodes on a halved axis, settled elsewhere
-            return _tensor_rule([
-                self.measure.components[i - 1].quad_nodes(k) if k else
-                (self.nodes[i - 1], self.weights[i - 1])
-                for i, k in zip(comp, counts)])
+            return _tensor_rule([self.measure.components[i - 1].quad_nodes(
+                k or self._sizes[i - 1]) for i, k in zip(comp, counts)])
 
         if any(halves):
             (hi, whi), (lo, wlo) = rule(halves), rule(
@@ -533,20 +523,20 @@ class AnovaEngine:
     def _reads_grid(self, v):
         """Whether w_v can be read off the kept grid: v is neither empty nor
         all inputs, and no coordinate of it is discrete."""
-        return 0 < len(v) < self.n and None not in [self._axes[i - 1] for i in v]
+        return 0 < len(v) < self.n and all(self._continuous[i - 1] for i in v)
 
     def _read(self, v, x):
         """(accepted, values): w_v at every row of ``x`` (N, |v|, v sorted
         as C's axes are) as its interpolating polynomial on the grid, and a
         mask of the rows whose value passes the gate.
 
-        phi_0 = 1, so row 0 of every axis's map to coefficients is its
+        phi_0 = 1, so row 0 of every component's ``to_coeffs`` is its
         weights, and the slice C[at] of the kept coefficients that is zero
         off v (``at`` picks degree 0 on every other axis) is exactly the
         coefficients of w_v - mean on v's subgrid:
         w_v(x) = mean + sum_J C[at]_J phi_J(x).  A row is accepted when it
-        lies in every coordinate's support and E[at] read through the
-        absolute polynomials, |phi_J(x)| = prod_a |phi_{J_a}(x_a)|, is at
+        lies in every coordinate's ``support()`` and E[at] read through the
+        absolute ``poly`` values, |phi_J(x)| = prod_a |phi_{J_a}(x_a)|, is at
         most ``INTERP_TOL`` times rms(w_v) (``_rms``).  The error tensor E,
         built on the first read and kept until ``_use_order``, adds two
         parts:
@@ -555,7 +545,7 @@ class AnovaEngine:
           of any continuous axis; for a resolved axis they are rounding
           noise, for an unresolved one they are not small;
         * rounding: (3s + 4) eps F_J, where F is |grid| mapped by the
-          absolute maps to coefficients along every axis, and s the most
+          absolute ``to_coeffs`` along every axis, and s the most
           nodes on an axis.  F bounds each |C_J| and the rounding made in
           computing it, and weighed by |phi_J(x)| it grows far out in a
           normal coordinate, where the polynomials do.
@@ -563,19 +553,21 @@ class AnovaEngine:
         grid, mean, coeffs, _ = self._sweep()
         if self._error is None:
             tail = np.zeros(self._sizes, dtype=bool)
-            for k, (a, s) in enumerate(zip(self._axes, self._sizes)):
-                if a is not None:
+            for k, (cont, s) in enumerate(zip(self._continuous, self._sizes)):
+                if cont:
                     tail |= (np.arange(s) >= _tail(s)).reshape(
                         [-1 if j == k else 1 for j in range(self.n)])
             self._error = np.where(tail, np.abs(coeffs), 0.0) \
                 + (3 * max(self._sizes) + 4) * np.finfo(float).eps * _along(
-                    [np.abs(b) for b in self._bases], np.abs(grid))
+                    [np.abs(c.to_coeffs(s)) for c, s in zip(
+                        self.measure.components, self._sizes)], np.abs(grid))
         at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
-        axes = [self._axes[i - 1] for i in v]
-        ok = np.all([(c >= a.lo) & (c <= a.hi) for a, c in zip(axes, x.T)],
-                    axis=0)
+        comps = [self.measure.components[i - 1] for i in v]
+        ok = np.all([(c >= lo) & (c <= hi) for (lo, hi), c in
+                     zip((a.support() for a in comps), x.T)], axis=0)
         with np.errstate(all="ignore"):     # far-out rows overflow; the gate drops them
-            polys = [a.poly(c) for a, c in zip(axes, x.T)]
+            polys = [a.poly(c, self._sizes[i - 1])
+                     for a, i, c in zip(comps, v, x.T)]
             values = mean + _tensor_eval(coeffs[at], polys)
             ok &= _tensor_eval(self._error[at], [np.abs(p) for p in polys]) \
                 <= INTERP_TOL * self._rms(v)
@@ -608,8 +600,9 @@ class AnovaEngine:
 
     def _sweep(self):
         """(grid, mean, C, P): the model on the full grid, its mean, C, the
-        orthonormal coefficients of grid - mean along every axis, and P, its
-        power, computed once and kept until ``_use_order``.
+        orthonormal coefficients of grid - mean (each component's
+        ``to_coeffs`` along its axis), and P, its power, computed once and
+        kept until ``_use_order``.
 
         The grid is evaluated box by box (``_grid_boxes``, each box's rows
         from ``_tensor_points``) and kept whole; the mean is its
@@ -633,7 +626,8 @@ class AnovaEngine:
             for w in reversed(self.weights):    # last axis first, by rows
                 mean = mean.reshape(-1, w.size) @ w
             mean = mean.item()
-            coeffs = _along(self._bases, grid - mean)
+            coeffs = _along([c.to_coeffs(s) for c, s in zip(
+                self.measure.components, self._sizes)], grid - mean)
             power = _along([np.stack([d == 0, d > 0]) * 1.0
                             for d in map(np.arange, self._sizes)],
                            np.square(coeffs))
@@ -672,39 +666,6 @@ class AnovaEngine:
         vals = self.effect(z, _tensor_points(grids)).reshape([npts] * len(z))
         return EffectCurve(measure=self.measure.name or "measure",
                            subset=z, grids=grids, values=vals)
-
-
-class _Axis:
-    """The polynomials orthonormal under one coordinate's measure (Legendre
-    for a uniform, Hermite for a normal), to the degree its Gauss nodes
-    interpolate, and the map from values at the nodes to the coefficients
-    of their interpolant in them.  Gauss quadrature of order s is exact for
-    degree 2s - 1, so that map is the quadrature itself:
-    c_k = sum_j w_j phi_k(x_j) f(x_j).
-    """
-
-    def __init__(self, comp, nodes, weights):
-        k = np.arange(1, nodes.size)
-        if isinstance(comp, Uniform):
-            self.center = 0.5 * (comp.lo + comp.hi)
-            self.half = 0.5 * (comp.hi - comp.lo)
-            self.jacobi = k / np.sqrt(4.0 * k * k - 1.0)
-        else:
-            self.center, self.half = comp.mean_, comp.sd
-            self.jacobi = np.sqrt(k)
-        self.lo, self.hi = comp.support()
-        self.to_coeffs = (self.poly(nodes) * weights[:, None]).T
-
-    def poly(self, x):
-        """(N, s): the orthonormal polynomials of degree < s at ``x``."""
-        t = (x - self.center) / self.half
-        out = np.empty((t.size, self.jacobi.size + 1))
-        out[:, 0] = 1.0
-        for k, b in enumerate(self.jacobi):     # three-term recurrence
-            out[:, k + 1] = t * out[:, k] / b
-            if k:
-                out[:, k + 1] -= self.jacobi[k - 1] / b * out[:, k - 1]
-        return out
 
 
 def _tail(s):
@@ -772,15 +733,6 @@ def _along(mats, values):
             values = m @ values.reshape(math.prod(shape[:k]), shape[k], -1)
         values = values.reshape(*shape[:k], m.shape[0], *shape[k + 1:])
     return values
-
-
-def _discrete_basis(w):
-    """(s, s): values at the s points of probability weights w to their
-    coefficients in a basis orthonormal under w, the constant 1 first (so
-    that row 0 is w, as on a continuous axis)."""
-    r = np.sqrt(w)
-    q = np.linalg.qr(np.column_stack([r, np.eye(w.size)[:, 1:]]))[0]
-    return q.T * r * np.sign(q[0, 0])
 
 
 def _grid_boxes(sizes):

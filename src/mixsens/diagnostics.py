@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import (AnovaEngine, EffectCurve, ZeroVarianceError, _evaluate,
-                    _tensor_points)
+                    _subset, _tensor_points)
 from .measures import ProductMeasure, SupportError, Uniform, measure_name
 from .models import _connected_groups
 
@@ -336,7 +336,7 @@ def mixture_monotonicity_condition(engines, z):
     True means every first- and higher-order mixture effect on z built from
     these candidates is nondecreasing on the grid, for any prior.
     """
-    z = tuple(sorted(z))
+    z = tuple(sorted(_subset(z, engines[0].n)))
     if not z:
         raise ValueError("z must be nonempty")
     lo = {i: max(eng.measure.components[i - 1].plot_range()[0] for eng in engines)

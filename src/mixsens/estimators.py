@@ -61,7 +61,6 @@ import numpy as np
 
 from .anova import BLOCK_POINTS, _evaluate
 from .measures import substream
-from .mixture import _restricted_rule
 from .report import _forked, _parts, _write_table
 
 
@@ -619,12 +618,13 @@ def _uncovered(base, target):
     reaches it, so a reweighted estimate is that of the target cut to the
     base's support.  Taken from the two measures alone: an axis whose base
     support holds the target's counts exactly 1, any other the sum of the
-    weights of ``mixture._restricted_rule``, which is that probability."""
+    weights of its ``restricted_rule`` to that support, which is that
+    probability."""
     covered = 1.0
     for b, t in zip(base.components, target.components):
         box, (lo, hi) = b.support(), t.support()
         if not box[0] <= lo <= hi <= box[1]:
-            rule = _restricted_rule(t, box)
+            rule = t.restricted_rule(box)
             covered *= 0.0 if rule is None else float(rule[1].sum())
     return max(0.0, 1.0 - covered)
 

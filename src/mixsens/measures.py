@@ -10,8 +10,11 @@ Quadrature starts from the standard Gauss-Legendre and Gauss-Hermite rules.
 Each is an eigenproblem (Golub & Welsch, Math. Comp. 23, 1969), and a run
 over a measure set asks for the same few (family, order) pairs many times,
 so ``_gauss_rule`` computes each pair once and hands every caller the same
-read-only arrays; each measure maps them to its own support.  This module
-loads no scipy.
+read-only arrays; each measure maps them to its own support.  Each family
+also owns its orthonormal polynomials (``poly``), the map from values at
+its s Gauss nodes to coefficients in them (``to_coeffs``, read-only and
+computed once per (measure, s)) and its rule cut to a box
+(``restricted_rule``).  This module loads no scipy.
 """
 
 from __future__ import annotations
@@ -105,6 +108,56 @@ class UnivariateMeasure:
         lo, hi = self.support()
         return float(lo), float(hi)
 
+    def _recurrence(self, s):
+        """(center, half, b): t = (x - center) / half maps x to the standard
+        family, whose b_k phi_k = t phi_{k-1} - b_{k-1} phi_{k-2}, 0 < k < s."""
+        raise NotImplementedError
+
+    def poly(self, x, s):
+        """(N, s): the orthonormal polynomials of degree < s at ``x`` (N,)."""
+        center, half, b = self._recurrence(s)
+        t = (x - center) / half
+        out = np.ones((t.size, s))
+        for k in range(1, s):               # three-term recurrence
+            out[:, k] = t * out[:, k - 1] / b[k - 1]
+            if k > 1:
+                out[:, k] -= b[k - 2] / b[k - 1] * out[:, k - 2]
+        return out
+
+    @lru_cache(maxsize=64, typed=True)
+    def to_coeffs(self, s):
+        """(s, s): values at ``quad_nodes(s)`` to their interpolant's
+        coefficients in ``poly``: the rule itself, exact to degree 2s - 1,
+        c_k = sum_j w_j phi_k(x_j) f(x_j).  Shared, so read-only."""
+        x, w = self.quad_nodes(s)
+        out = (self.poly(x, s) * w[:, None]).T
+        out.flags.writeable = False
+        return out
+
+    def _bounded_support(self):
+        """A finite interval holding the support but a negligible mass."""
+        return self.support()
+
+    def restricted_rule(self, box):
+        """Quadrature for E[f(X) 1{a <= X <= b}] with f smooth, box = (a, b):
+        (nodes, weights), the weights absorbing the density (they sum to
+        P(a <= X <= b)), or None when the restriction carries no mass.  The
+        box edges are where the indicator jumps, so putting them at the ends
+        of a Gauss-Legendre interval keeps the integrand smooth and the rule
+        spectrally accurate; naive quadrature through the jump would stall
+        around 1e-3.  A box that holds the support takes the measure's own
+        rule, any other the uniform rule on the box cut to
+        ``_bounded_support``: both the engines'."""
+        (a, b), (lo, hi) = box, self.support()
+        if a <= lo and b >= hi:
+            return self.quad_nodes(DEFAULT_ORDER)
+        lo, hi = self._bounded_support()
+        a, b = max(a, lo), min(b, hi)
+        if not b > a:
+            return None
+        x, w = Uniform(a, b).quad_nodes(DEFAULT_ORDER)
+        return x, w * (b - a) * self.density(x)
+
 
 @dataclass(frozen=True)
 class Uniform(UnivariateMeasure):
@@ -132,6 +185,11 @@ class Uniform(UnivariateMeasure):
         t, w = _gauss_rule("legendre", order)
         x = 0.5 * (self.hi - self.lo) * t + 0.5 * (self.hi + self.lo)
         return x, w / 2.0
+
+    def _recurrence(self, s):               # Legendre
+        k = np.arange(1, s)
+        return (0.5 * (self.lo + self.hi), 0.5 * (self.hi - self.lo),
+                k / np.sqrt(4.0 * k * k - 1.0))
 
 
 @dataclass(frozen=True)
@@ -175,6 +233,13 @@ class Normal(UnivariateMeasure):
     def plot_range(self):
         return (self.mean_ - 4.0 * self.sd, self.mean_ + 4.0 * self.sd)
 
+    def _recurrence(self, s):               # probabilists' Hermite
+        return self.mean_, self.sd, np.sqrt(np.arange(1, s))
+
+    def _bounded_support(self):
+        # clip unbounded ends; the discarded tail mass is ~1e-17
+        return self.mean_ - 8.5 * self.sd, self.mean_ + 8.5 * self.sd
+
 
 @dataclass(frozen=True)
 class DiscreteUniform(UnivariateMeasure):
@@ -207,6 +272,23 @@ class DiscreteUniform(UnivariateMeasure):
     def quad_nodes(self, order=None):
         pts = np.asarray(self.points)
         return pts, np.full(pts.size, 1.0 / pts.size)
+
+    @lru_cache(maxsize=64, typed=True)
+    def to_coeffs(self, s):
+        """(s, s), s the point count: values at the points to coefficients
+        in a basis orthonormal under their weights w, by a Householder QR;
+        the constant 1 first, so row 0 is w as on a continuous family."""
+        r = np.sqrt(self.quad_nodes()[1])
+        q = np.linalg.qr(np.column_stack([r, np.eye(r.size)[:, 1:]]))[0]
+        out = q.T * r * np.sign(q[0, 0])
+        out.flags.writeable = False
+        return out
+
+    def restricted_rule(self, box):
+        """The points in ``box`` with their weights, or None if it has none."""
+        pts, w = self.quad_nodes()
+        keep = (pts >= box[0]) & (pts <= box[1])
+        return (pts[keep], w[keep]) if keep.any() else None
 
 
 # config-file families: the class and its parameter names, in constructor

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import (DEFAULT_ORDER, PLOT_ROWS, AnovaEngine, _along,
-                    _mobius, _subsets_of, _tensor_points)
-from .measures import DiscreteUniform, Normal, Uniform, measure_name
+                    _mobius, _subset, _subsets_of, _tensor_points)
+from .measures import measure_name
 
 
 def component_engines(mset, model, order=DEFAULT_ORDER):
@@ -61,6 +61,7 @@ def _weighted(engines, prior):
 
 def support_indicator(measure, z, x):
     """Boolean mask: which rows of ``x`` lie in the measure's z-marginal support."""
+    z = _subset(z, measure.n)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     inside = np.ones(x.shape[0], dtype=bool)
     for j, i in enumerate(z):
@@ -159,38 +160,6 @@ def mixture_variance_decomposition(engines, prior, max_order=None):
         mixture_mean=mbar, components=vds, n=vds[0].n)
 
 
-def _restricted_rule(component, box):
-    """Quadrature for E[f(X) 1{a <= X <= b}] with f smooth.
-
-    Returns (nodes, weights) with weights absorbing the density (they sum to
-    P(a <= X <= b)), or None when the restriction carries no mass.  The box
-    edges are where the indicator jumps, so putting them at the ends of a
-    Gauss-Legendre interval keeps the actual integrand smooth and the rule
-    spectrally accurate; naive quadrature straight through the jump would
-    stall around 1e-3.  A box that holds the support takes the component's
-    own rule, any other the uniform rule on the box: both the engines'.
-    """
-    a, b = box
-    if isinstance(component, DiscreteUniform):
-        pts = np.asarray(component.points, dtype=float)
-        keep = (pts >= a) & (pts <= b)
-        if not keep.any():
-            return None
-        return pts[keep], np.full(int(keep.sum()), 1.0 / pts.size)
-    lo, hi = component.support()
-    if a <= lo and b >= hi:
-        return component.quad_nodes(DEFAULT_ORDER)
-    a, b = max(a, lo), min(b, hi)
-    if isinstance(component, Normal):
-        # clip unbounded ends; the discarded tail mass is ~1e-17
-        a = max(a, component.mean_ - 8.5 * component.sd)
-        b = min(b, component.mean_ + 8.5 * component.sd)
-    if not b > a:
-        return None
-    x, w = Uniform(a, b).quad_nodes(DEFAULT_ORDER)
-    return x, w * (b - a) * component.density(x)
-
-
 def mixture_annihilation_defect(engines, prior, z):
     """Integral of the mixture effect g_z against the mixture's z-marginal.
 
@@ -207,12 +176,13 @@ def mixture_annihilation_defect(engines, prior, z):
         sum_{k,j} p_k p_j E_{mu^k_z}[ 1{supp_j,z} g_z^j ],
 
     each integrable by a smooth rule over the box intersection of the two
-    supports.  A k = j term is skipped: it is the integral of g_z^k against
-    its own marginal (the gate is one on its own support), zero by
-    annihilation, so a single measure gives exactly 0.0.
+    supports (``restricted_rule`` of mu^k's components).  A k = j term is
+    skipped: it is the integral of g_z^k against its own marginal (the gate
+    is one on its own support), zero by annihilation, so a single measure
+    gives exactly 0.0.
     """
     pairs = _weighted(engines, prior)
-    z = tuple(sorted(z))
+    z = tuple(sorted(_subset(z, engines[0].n)))
     if not z:
         return 0.0
     total = 0.0
@@ -220,14 +190,9 @@ def mixture_annihilation_defect(engines, prior, z):
         for pj, j_eng in pairs:                  # effect term and its gate
             if j_eng is k_eng:
                 continue
-            rules = []
-            for i in z:
-                box = j_eng.measure.components[i - 1].support()
-                rule = _restricted_rule(k_eng.measure.components[i - 1], box)
-                if rule is None:
-                    break
-                rules.append(rule)
-            else:
+            rules = [k_eng.measure.components[i - 1].restricted_rule(
+                j_eng.measure.components[i - 1].support()) for i in z]
+            if None not in rules:
                 pts = _tensor_points([x for x, _ in rules])
                 g = j_eng.effect(z, pts).reshape([x.size for x, _ in rules])
                 total += pk * pj * _along([w[None] for _, w in rules], g).item()
@@ -253,6 +218,7 @@ class MixtureEffectCurve:
 
 def mixture_effect_curve(engines, prior, i, npts=PLOT_ROWS):
     p = _check(engines, prior)
+    i, = _subset((i,), engines[0].n)
     ranges = [eng.measure.components[i - 1].plot_range() for eng in engines]
     lo = min(r[0] for r in ranges)
     hi = max(r[1] for r in ranges)

@@ -1560,3 +1560,36 @@ def test_a_direct_row_costs_the_pair_of_lower_rules():
     want = eng.conditional_mean((3,), x)
     assert sum(model.sizes) == 3 * 21 * 32 == 3 * 672
     assert np.all(np.abs(got - want) <= anova.INTERP_TOL * eng._rms((3,)))
+
+
+def test_building_an_engine_computes_no_polynomials(monkeypatch):
+    # an engine asks its input families for their polynomials and maps to
+    # coefficients only once it sweeps a grid, never while it is built
+    def refuse(*args):
+        raise AssertionError("polynomials computed while building an engine")
+
+    for cls in (Uniform, Normal, DiscreteUniform):
+        for name in ("poly", "to_coeffs"):
+            monkeypatch.setattr(cls, name, refuse)
+    discrete = ProductMeasure((DiscreteUniform((0.0, 1.0, 2.0)),
+                               Uniform(0.0, 1.0), Normal(0.0, 1.0)))
+    for measure in (*ishigami_measures().values(), discrete):
+        AnovaEngine(IshigamiModel(), measure)
+    monkeypatch.undo()
+    # two engines on equal measures read the same read-only maps, each
+    # computed once per (measure, nodes)
+    calls = {}
+    real = Uniform.to_coeffs
+
+    def spy(self, s):
+        calls[owner].append(real(self, s))
+        return calls[owner][-1]
+
+    monkeypatch.setattr(Uniform, "to_coeffs", spy)
+    for owner in ("first", "second"):
+        calls[owner] = []
+        AnovaEngine(IshigamiModel(), ishigami_measures()["mu1"]).effect(
+            (1,), np.array([[0.3]]))
+    assert calls["first"] and len(calls["first"]) == len(calls["second"])
+    for a, b in zip(calls["first"], calls["second"]):
+        assert a is b and not a.flags.writeable

@@ -1,5 +1,6 @@
 """Measure objects, the two-stage mixture draw and the config-file schema."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -111,6 +112,44 @@ class TestGaussRuleCache:
                 got = measure.quad_nodes(order)
                 assert [a.tobytes() for a in got] == \
                     [a.tobytes() for a in want], (measure, order)
+
+
+class TestOrthonormalPolynomials:
+    """Each family's own polynomials and its maps to their coefficients,
+    against numpy's Legendre and Hermite_e series as oracles."""
+
+    @pytest.mark.parametrize("s", [2, 7, 16, 24, 32, 48, 64])
+    def test_polynomials_and_maps_match_the_oracles(self, s):
+        k = np.arange(s)
+        norm = np.sqrt([float(math.factorial(j)) for j in k])
+        for measure, oracle in (
+                (Uniform(-1.0, 2.0), lambda x: np.sqrt(2 * k + 1)
+                 * np.polynomial.legendre.legval((x - 0.5) / 1.5,
+                                                 np.eye(s)).T),
+                (Normal(0.5, 0.8), lambda x: np.polynomial.hermite_e.hermeval(
+                    (x - 0.5) / 0.8, np.eye(s)).T / norm)):
+            nodes = measure.quad_nodes(s)[0]
+            for x in (nodes, np.linspace(*measure.plot_range(), 129)):
+                want = oracle(x)
+                assert np.all(np.abs(measure.poly(x, s) - want)
+                              <= 1e-12 * np.abs(want).max(axis=0)), measure
+            got = measure.to_coeffs(s) @ measure.poly(nodes, s)
+            assert np.all(np.abs(got - np.eye(s)) <= 1e-12), measure
+        # a discrete family's basis is orthonormal under its point weights,
+        # the constant first
+        d = DiscreteUniform(tuple(np.linspace(-1.0, 3.0, s) ** 3))
+        b, w = d.to_coeffs(s), d.quad_nodes()[1]
+        assert np.all(np.abs(b / w @ b.T - np.eye(s)) <= 1e-12)
+        assert np.all(np.abs(b[0] - w) <= 1e-12 * w.max())
+
+    def test_maps_are_computed_once_per_measure_and_read_only(self):
+        for measure in (Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                        DiscreteUniform((0.0, 1.0, 5.0))):
+            b = measure.to_coeffs(3)
+            assert type(measure)(*dataclasses.astuple(measure)).to_coeffs(3) \
+                is b
+            with pytest.raises(ValueError):
+                b[0, 0] = 0.0
 
 
 class TestProductMeasure:

@@ -1,6 +1,7 @@
 """Mixture-of-measures ANOVA: two routes, variance split, defect sizes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mixsens.mixture import (component_engines, mixture_annihilation_defect,
                              mixture_effect_curve,
                              mixture_effect_from_components,
                              mixture_effect_from_pooled_conditionals,
-                             mixture_variance_decomposition)
+                             mixture_variance_decomposition, support_indicator)
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
                             ishigami_measure_set, ishigami_mixture_effect)
 
@@ -83,6 +84,25 @@ class TestTwoRoutes:
         x = np.array([[9.0], [0.5]])        # outside both supports, inside both
         vals = mixture_effect_from_components(engines, mset.prior, (1,), x)
         assert vals[0] == 0.0
+
+
+@pytest.mark.parametrize("call, z", [
+    (lambda mset, engines: mixture_effect_curve(engines, mset.prior, 4), (4,)),
+    (lambda mset, engines: mixture_effect_curve(engines, mset.prior, 1.0),
+     (1.0,)),
+    (lambda mset, engines: mixture_annihilation_defect(engines, mset.prior,
+                                                       (4,)), (4,)),
+    (lambda mset, engines: mixture_monotonicity_condition(engines, (4,)),
+     (4,)),
+    (lambda mset, engines: support_indicator(mset.measures[0], (0,),
+                                             np.zeros((2, 1))), (0,)),
+], ids=["curve-4", "curve-float", "defect", "condition", "indicator-0"])
+def test_mixture_entry_points_check_their_subset(setup, call, z):
+    # an input that is not an integer in 1..3 is named, not left to fail as
+    # an index or read as another input (input 0 as the last one)
+    mset, engines = setup
+    with pytest.raises(ValueError, match=re.escape(f"subset {z} ")):
+        call(mset, engines)
 
 
 class TestVarianceSplit:
@@ -162,9 +182,9 @@ class TestAnnihilationDefect:
             factors=(lambda v: v * v + v, lambda v: 1.0 + v),
             terms=((1, 2), (1,)), coeffs=(2.0, 1.0))
         mset = MeasureSet((disc, unit), prior=(0.4, 0.6))
-        x, w = mixture._restricted_rule(pts, (0.0, 1.0))
+        x, w = pts.restricted_rule((0.0, 1.0))
         assert x.tolist() == [0.25, 0.5] and w.tolist() == [0.25, 0.25]
-        assert mixture._restricted_rule(pts, (0.6, 1.4)) is None
+        assert pts.restricted_rule((0.6, 1.4)) is None
         # (disc, unit): the kept points of disc's x1 through unit's effect;
         # (unit, disc): disc's support [-0.5, 1.5] holds all of unit's x1
         nodes, wts = Uniform(0, 1).quad_nodes(8)

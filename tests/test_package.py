@@ -88,20 +88,24 @@ def test_tables_hold_one_polynomial_form():
     # a conditional mean is read at points through the slice of the kept
     # grid's orthonormal coefficients that is zero off its subset: no table
     # per subset, no second transform, and no barycentric weights, Lagrange
-    # basis or table of values beside them
-    for name in ("_Table", "_contract", "_w_on_subgrid"):
+    # basis or table of values beside them; the polynomials and the maps to
+    # their coefficients are the input families' own, not the engine's
+    for name in ("_Table", "_contract", "_w_on_subgrid", "_Axis",
+                 "_discrete_basis"):
         assert not hasattr(anova, name), name
+    # each family cuts its own rule to a box: neither the mixture defects
+    # nor the reweighting reach names a family or a module-level rule
+    assert not {"Uniform", "Normal", "DiscreteUniform",
+                "_restricted_rule"} & set(vars(mixture))
+    assert not re.search(r"from \.mixture |import mixture\b",
+                         inspect.getsource(estimators))
     comp = measures.Uniform(0.0, 1.0)
-    nodes, weights = (np.asarray(a) for a in comp.quad_nodes(8))
-    axis = anova._Axis(comp, nodes, weights)
-    for attr in ("bary", "basis"):
-        assert not hasattr(axis, attr), attr
     eng = anova.AnovaEngine(lambda x: x[:, 0] ** 3,
                             measures.ProductMeasure((comp, comp)), order=8)
     x = np.linspace(0.0, 1.0, 11)
     ok, values = eng._read((1,), x[:, None])
     assert ok.all() and np.allclose(values, x ** 3, rtol=0, atol=1e-14)
-    for attr in ("_tables", "_w_cache"):
+    for attr in ("_tables", "_w_cache", "_axes", "_bases"):
         assert not hasattr(eng, attr), attr
 
 
