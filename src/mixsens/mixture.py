@@ -48,6 +48,8 @@ def component_engines(mset, model, order=DEFAULT_ORDER):
 
 def _check(engines, prior):
     p = np.asarray(prior, dtype=float)
+    if not engines:
+        raise ValueError("a mixture needs at least one engine")
     if p.size != len(engines):
         raise ValueError("one prior weight per engine required")
     return p

@@ -164,10 +164,15 @@ class TestTruncationAndModes:
         unit = ProductMeasure((Uniform(0, 1),))
         square = ProductMeasure((Uniform(0, 1),) * 2)
         mu1 = ishigami_measures()["mu1"]
-        # constants: rounding leaves V = 0 or, for 0.7 under mu1, 5.55e-17
-        for g, measure in ((lambda x: np.full(len(x), 4.0), unit),
-                           (lambda x: np.full(len(x), 0.7), mu1)):
-            vd = AnovaEngine(g, measure).variance_decomposition()
+        # constants: rounding leaves V = 0 or, for 0.7 under mu1, 5.55e-17;
+        # a grid with no variance has nothing to resolve, so after the
+        # probe each settles on 2 nodes per axis
+        for g, measure, evals in (
+                (lambda x: np.full(len(x), 4.0), unit, 8 + 2),
+                (lambda x: np.full(len(x), 0.7), mu1, 8 ** 3 + 2 ** 3)):
+            counted = _Batches(g)
+            vd = AnovaEngine(counted, measure).variance_decomposition()
+            assert sum(counted.sizes) == evals
             with pytest.raises(ZeroVarianceError):
                 vd.sobol_indices()
             with pytest.raises(ZeroVarianceError):
@@ -787,32 +792,33 @@ def test_nine_continuous_inputs_have_no_grid_that_fits():
 
 # -- the ladder on a grid that fits: where the tables are resolved -----------
 
-# each axis's nodes once settled, and the points of the rungs climbed: the
-# probe's 8^3, then x3 at 7 nodes from 16 on, mu3's x1 at 14 from 24 on,
-# mu1's x1 at 21 from 32 on and mu2's x1 at 26 from 48 on
+# each axis's nodes once settled, and the points of the rungs swept: the
+# probe's 8^3, then 16 with x3 at 7 nodes, then the one rung that each axis
+# the rung of 16 leaves unresolved takes from its coefficient decay, x1 of
+# mu3 (resolved at 16) at its cap of 14
 ISHIGAMI_SETTLED = {
-    "mu1": ([21, 32, 7], 11_040),   # 8^3 + (16^2 + 24^2 + 21 * 32) * 7
-    "mu2": ([26, 48, 7], 22_240),   # 8^3 + (16^2 + 24^2 + 32^2 + 26 * 48) * 7
-    "mu3": ([14, 24, 7], 4_656)}    # 8^3 + (16^2 + 14 * 24) * 7
+    "mu1": ([21, 33, 7], 7_155),    # 8^3 + (16^2 + 21 * 33) * 7
+    "mu2": ([30, 62, 7], 15_324),   # 8^3 + (16^2 + 30 * 62) * 7
+    "mu3": ([14, 21, 7], 4_362)}    # 8^3 + (16^2 + 14 * 21) * 7
 
 
-@pytest.mark.parametrize("name,settled", [("mu1", 32), ("mu2", 48),
-                                          ("mu3", 24)])
+@pytest.mark.parametrize("name,settled", [("mu1", 33), ("mu2", 62),
+                                          ("mu3", 21)])
 def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
                                                                   settled):
-    # the terms alone settle at 24, 32 and 24, but there the x2 axes of
-    # mu1 and mu2 (7 sin^2 x2) still carry tails; the probe's 8 nodes
-    # resolve x3 (1 + 0.1 x3^4) everywhere, and 16 x1 (sin x1) on mu3's
-    # [0, pi]
+    # the probe's 8 nodes resolve x3 (1 + 0.1 x3^4) everywhere, and 16 x1
+    # (sin x1) on mu3's [0, pi]; the x2 axes (7 sin^2 x2) and the other x1
+    # axes go from 16 to the nodes their decay predicts, where every axis
+    # is resolved
     model = _Batches(IshigamiModel())
     eng = AnovaEngine(model, ishigami_measures()[name])
-    assert eng._ladder == [8, 16, 24, 32, 48]
+    assert eng._ladder == [8, 16]
     eng.mean()
     assert eng.order == settled
     sizes, evals = ISHIGAMI_SETTLED[name]
     assert [x.size for x in eng.nodes] == sizes
     assert sum(model.sizes) == evals
-    assert all(c < math.inf for c in eng._caps())
+    assert all(c < math.inf for c in eng._caps()[0])
 
 
 def test_a_settled_engine_transforms_each_grid_once():
@@ -837,21 +843,22 @@ def test_a_settled_engine_transforms_each_grid_once():
     with mock.patch.object(anova, "_along", spy), \
             mock.patch.object(AnovaEngine, "_use_order", used):
         eng.variance_decomposition()
-        assert eng.order == 32 and eng._error is None
-        assert orders == [8, 16, 24, 32] and len(transforms) == 4
+        assert eng.order == 33 and eng._error is None
+        assert orders == [8, 16, 33] and len(transforms) == 3
         kept = eng._kept
         for z in all_subsets(3, 2):
             eng.effect(z, x[:, [i - 1 for i in z]])
         eng.effect_curve((1, 2))
         error = eng._error
-        assert error is not None and len(transforms) == 5
+        assert error is not None and len(transforms) == 4
         eng.effect((1, 3), x[:, [0, 2]] / 2)
-    assert len(transforms) == 5 and eng._kept is kept and eng._error is error
+    assert len(transforms) == 4 and eng._kept is kept and eng._error is error
 
 
 def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
+    # sin(150 x1) on [0, 1] is still unresolved at 64 nodes
     def g(x):
-        return np.sin(40.0 * x[:, 0]) + x[:, 1] * x[:, 2]
+        return np.sin(150.0 * x[:, 0]) + x[:, 1] * x[:, 2]
 
     measure = ProductMeasure((Uniform(0.0, 1.0),) * 3)
     eng = AnovaEngine(g, measure)
@@ -859,8 +866,8 @@ def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
         plain = AnovaEngine(g, measure)
     assert plain._ladder == []
     vd = eng.variance_decomposition()
-    # no rung settles, so the engine reads its tables at 64, where it was
-    # built, as one with no ladder does
+    # x1 climbs to 64 and is still unresolved there, so the engine reads
+    # its tables at 64, where it was built, as one with no ladder does
     assert eng.order == 64
     assert vd == plain.variance_decomposition()
     x = np.random.default_rng(6).uniform(-0.2, 1.2, size=(50, 3))
@@ -914,47 +921,58 @@ def _smooth3(x):
 @pytest.mark.parametrize("model,comps", [
     (IshigamiModel(), ishigami_measures()["mu1"].components),
     (IshigamiModel(), ishigami_measures()["mu2"].components),
-    # no rung settles; x2 is capped at 15 on the rung of 16, and at 15
-    # nodes its own tail reads unresolved on the rung of 32: 48 keeps the 15
+    # x2 is capped at 15 on the rung of 16; x1 takes 29 nodes from its
+    # decay, and that rung settles on [29, 15, 6]
     (_smooth3, (Normal(0.0, 1.0), Uniform(0.0, PI), Uniform(-PI, PI))),
-    # settles at 48, with x2 capped at 25 on the rung of 32
+    # x1 goes to 64 and x2 to 25, where x2 reads unresolved; the next rung
+    # caps x2 at 25, at the count read unresolved, so x2 climbs to 30 once
+    # more, where its cap of 25 stands: [45, 30, 6]
     (_smooth3, (Normal(1.0, 2.0), Uniform(-PI, PI), Uniform(0.0, PI)))],
     ids=["mu1", "mu2", "smooth-unsettled", "smooth"])
 def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
-    rungs = []
-    use = AnovaEngine._use_order
+    rungs = []          # the nodes and own caps of every rung swept
+    caps_of = AnovaEngine._caps
 
-    def spy(self, order, caps=None):
-        if order in anova.LADDER:
-            rungs.append(caps)
-        return use(self, order, caps)
+    def spy(self):
+        out = caps_of(self)
+        rungs.append(([x.size for x in self.nodes], out[0]))
+        return out
 
     eng = AnovaEngine(model, ProductMeasure(tuple(comps)))
-    with mock.patch.object(AnovaEngine, "_use_order", spy):
+    with mock.patch.object(AnovaEngine, "_caps", spy):
         eng.mean()
     assert len(rungs) >= 3
-    # the rung of 16 may lift a cap of the probe's (as on _blind_at_8
-    # below); on these models none is lifted, so no cap grows at all
-    for lower, upper in zip(rungs, rungs[1:]):
-        assert all(b <= a for a, b in zip(lower, upper)), (lower, upper)
-    # a settled engine keeps the caps of its rung; the fallback drops them
-    assert [x.size for x in eng.nodes] == [min(eng.order, c) for c in (
-        rungs[-1] if eng.order in anova.LADDER else [math.inf] * 3)]
+    # an axis a rung caps takes at most that cap on the next rung, unless
+    # the cap lies at or below the nodes at which an earlier rung read the
+    # axis unresolved (the probe's 8 on _blind_at_8 below): that cap is
+    # lifted, and the axis climbs
+    seen = [0] * 3
+    for (nodes, caps), (upper, _) in zip(rungs, rungs[1:]):
+        seen = [max(u, k) if c == math.inf else u
+                for u, k, c in zip(seen, nodes, caps)]
+        assert all(b <= c or c <= u for b, c, u in zip(upper, caps, seen)), \
+            (nodes, caps, upper)
+    # a settled engine keeps the nodes of its last rung, whose caps are
+    # all finite
+    assert [x.size for x in eng.nodes] == rungs[-1][0]
+    assert all(c < math.inf for c in rungs[-1][1])
 
 
 def test_an_axis_capped_by_an_earlier_rung_stays_resolved():
-    # x2 is capped at 25 nodes on the 32-node rung; on the 48-node rung its
-    # own tail at those 25 nodes reads unresolved, and the engine settles
-    # there on its caps so far rather than sweep 64^3 points
+    # on a grid that does not fit at ``order`` the engine climbs the
+    # ladder: x2 is capped at 22 nodes on the 24-node rung; on the 32-node
+    # rung its own tail at those 22 nodes reads unresolved, and the engine
+    # settles there on its caps so far rather than climb on
     model = _Batches(_smooth3)
-    eng = AnovaEngine(model, ProductMeasure((Normal(1.0, 2.0),
-                                             Uniform(-PI, PI),
-                                             Uniform(0.0, PI))))
-    eng.mean()
-    assert eng.order == 48 and [x.size for x in eng.nodes] == [48, 25, 6]
-    assert eng._caps()[1] == math.inf
-    assert sum(model.sizes) == 8 ** 3 + (16 ** 2 + 24 ** 2 + 32 ** 2) * 6 \
-        + 48 * 25 * 6 == 18_848
+    with mock.patch.object(anova, "FULL_GRID_CAP", 48 ** 3):
+        eng = AnovaEngine(model, ProductMeasure((Normal(1.0, 2.0),
+                                                 Uniform(-PI, PI),
+                                                 Uniform(0.0, PI))))
+        eng.mean()
+    assert eng.order == 32 and [x.size for x in eng.nodes] == [32, 22, 6]
+    assert eng._caps()[0][1] == math.inf
+    assert sum(model.sizes) == 8 ** 3 + (16 ** 2 + 24 ** 2) * 6 \
+        + 32 * 22 * 6 == 9_728
 
 
 # -- the probe rung: 8 nodes size the sweep of 16 -----------------------------
@@ -980,6 +998,66 @@ def test_the_probe_adds_no_blind_spot():
     assert abs(vd.total - exact) <= 1e-12 * exact
     for z, v in {(1,): 1 / 3 + 1 / 17, (2, 3): 1 / 9}.items():
         assert abs(vd.terms[z] - v) <= 1e-12 * exact, z
+
+
+P16 = np.polynomial.Legendre.basis(16)
+CUBE = ProductMeasure((Uniform(-1.0, 1.0),) * 3)
+
+
+def _blind_at_16(x):
+    # P_16 vanishes at the 16 Gauss-Legendre nodes
+    return x[:, 0] + P16(x[:, 0]) + x[:, 1] * x[:, 2]
+
+
+def test_a_term_the_rung_of_16_cannot_see_is_resolved():
+    # V = 1/3 + 1/33 + 1/9 = 47/99; the rung of 16 caps x1 at 4, at or
+    # below the probe's 8 nodes that read it unresolved, so x1 climbs to
+    # 17, where P_16 shows, and from there to 64, where its cap is 22
+    model = _Batches(_blind_at_16)
+    eng = AnovaEngine(model, CUBE)
+    vd = eng.variance_decomposition()
+    assert [x.size for x in eng.nodes] == [64, 4, 4]
+    assert sum(model.sizes) == 8 ** 3 + (16 + 17 + 64) * 4 * 4 == 2_064
+    assert abs(vd.total - 47 / 99) <= 1e-12
+    for z, v in {(1,): 1 / 3 + 1 / 33, (2, 3): 1 / 9}.items():
+        assert abs(vd.terms[z] - v) <= 1e-12, z
+
+
+def test_a_cap_at_a_count_read_unresolved_is_no_cap():
+    # the blind spot itself: the probe reads x1 unresolved at 8 nodes, and
+    # the rung of 16, blind to P_16, caps it at 4; the engine does not
+    # settle there, and x1 gets more nodes on the next rung
+    rungs = []
+    caps_of = AnovaEngine._caps
+
+    def spy(self):
+        out = caps_of(self)
+        rungs.append(([x.size for x in self.nodes], out[0]))
+        return out
+
+    with mock.patch.object(AnovaEngine, "_caps", spy):
+        AnovaEngine(_blind_at_16, CUBE).mean()
+    (probe, probe_caps), (sixteen, caps16), (upper, _) = rungs[:3]
+    assert probe == [8] * 3 and probe_caps[0] == math.inf
+    assert sixteen == [16, 4, 4] and caps16[0] <= 8
+    assert all(c < math.inf for c in caps16) and upper[0] > 16
+
+
+@pytest.mark.parametrize("model", [
+    lambda x: 1.0 + x[:, 0] * x[:, 1] * x[:, 2],
+    lambda x: x[:, 0] * x[:, 1] * x[:, 2],
+    lambda x: x[:, 0] + x[:, 1] * x[:, 2],
+    lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1] * x[:, 2]],
+    ids=["1+x1x2x3", "x1x2x3", "x1+x2x3", "sin3x1-x2x3"])
+def test_a_model_of_mean_zero_settles_as_cheaply_as_a_shifted_one(model):
+    # the caps judge each axis against sqrt(V), not against an rms that
+    # holds the mean: a zero-mean product has no first-order effect, and
+    # under rms(w_i) it climbed to 64^3 points
+    counted = _Batches(model)
+    eng = AnovaEngine(counted, CUBE)
+    eng.variance_decomposition()
+    assert sum(counted.sizes) <= 1_152
+    assert eng._halves is not None
 
 
 def _cos_sum4(x):
@@ -1056,22 +1134,29 @@ def test_permuting_four_inputs_permutes_the_node_counts(perm):
 # the fewest nodes whose coefficient tail (the last quarter of the degrees,
 # at least two) starts above degree d
 CAPPED_NODES = {1: 4, 2: 5, 3: 6, 4: 7, 5: 8, 6: 9}
+# the nodes that cos x2 takes from its decay: the same on a uniform x1, and
+# more as p grows at the far Hermite nodes of a normal x1, over which each
+# of x2's coefficients is the largest
+COS_NODES = {"uniform": {d: 30 for d in CAPPED_NODES},
+             "normal": {1: 30, 2: 30, 3: 31, 4: 33, 5: 33, 6: 37}}
 
 
 @pytest.mark.parametrize("comp", [Uniform(-1.0, 2.0), Normal(0.5, 0.8)],
                          ids=["uniform", "normal"])
 @pytest.mark.parametrize("d", sorted(CAPPED_NODES))
 def test_a_polynomial_axis_takes_the_nodes_its_degree_needs(d, comp):
-    # g = p(x1) cos x2 + sin x3 with p = 1 + t + ... + t^d: x2 and x3 climb
-    # the ladder, x1 stops at the fewest nodes whose tables stay resolved
+    # g = p(x1) cos x2 + sin x3 with p = 1 + t + ... + t^d: x2 and x3 go
+    # from 16 to the nodes their decay predicts, x1 stops at the fewest
+    # nodes whose tables stay resolved
     model = CompositeMultilinearModel(
         factors=(np.polynomial.Polynomial(np.ones(d + 1)), np.cos, np.sin),
         terms=((1, 2), (3,)))
     measure = ProductMeasure((comp, Normal(0.0, 1.0), Uniform(-1.0, 2.0)))
     eng = AnovaEngine(model, measure)
     vd = eng.variance_decomposition()
-    assert eng.order == 32 and eng.nodes[0].size == CAPPED_NODES[d]
-    assert eng.nodes[1].size == 32
+    family = "normal" if isinstance(comp, Normal) else "uniform"
+    assert eng.nodes[0].size == CAPPED_NODES[d]
+    assert eng.order == eng.nodes[1].size == COS_NODES[family][d]
     for z in all_subsets(3):
         assert abs(vd.terms[z] - model.exact_term_variance(measure, z)) \
             <= 1e-12 * vd.total, z
@@ -1082,7 +1167,7 @@ def test_a_smooth_axis_is_capped_by_its_coefficient_tail():
     # coefficients fall below the tolerance past degree 10: x1 takes 14
     eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu3"])
     vd = eng.variance_decomposition()
-    assert eng.order == 24 and [x.size for x in eng.nodes] == [14, 24, 7]
+    assert eng.order == 21 and [x.size for x in eng.nodes] == [14, 21, 7]
     mean, total, terms = ref.exact_decomposition("mu3")
     assert abs(vd.mean - mean) <= 1e-12 * mean
     assert abs(vd.total - total) <= 1e-12 * total
@@ -1209,6 +1294,67 @@ def test_affine_model_keeps_indices_and_scales_variances(case, a, beta):
         assert abs(s2[z] - s[z]) <= 1e-12 * math.sqrt(cond), z
 
 
+def _product(*factors):
+    """The zero-mean product of ``factors`` (callables), one per input."""
+    return CompositeMultilinearModel(factors=factors,
+                                     terms=(tuple(range(1, len(factors) + 1)),))
+
+
+LINEAR = np.polynomial.Polynomial([0.0, 1.0])
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=multilinear_models())
+@example(case=(_product(LINEAR, LINEAR, LINEAR), CUBE))
+@example(case=(_product(lambda t: np.sin(3.0 * t), LINEAR, LINEAR), CUBE))
+@example(case=(CompositeMultilinearModel(factors=(LINEAR,) * 3,
+                                         terms=((1,), (2, 3))), CUBE))
+def test_a_power_of_two_times_the_model_keeps_every_decision(case):
+    # 2^k g has the centred grid of g times 2^k, which _sweep scales back
+    # exactly: the same caps, the same nodes, the same model calls, and
+    # every S_z to the bit, while V and every V_z scale by 4^k
+    model, measure = case
+    runs = {}
+    for k in (-500, -200, 0, 200, 500):
+        counted = _Batches(lambda x, k=k: np.ldexp(model(x), k))
+        eng = AnovaEngine(counted, measure)
+        got = eng.variance_decomposition()
+        runs[k] = [x.size for x in eng.nodes], counted.sizes, got
+    vd = runs[0][2]
+    try:
+        vd.sobol_indices()
+    except ZeroVarianceError:
+        assume(False)
+    # 4^k V stays in the float range
+    assume(1e-3 <= vd.total <= 1e6)
+    want = {z: v.hex() for z, v in vd.sobol_indices().items()}
+    for k, (nodes, sizes, got) in runs.items():
+        assert nodes == runs[0][0] and sizes == runs[0][1], k
+        assert {z: v.hex() for z, v in got.sobol_indices().items()} == want, k
+        assert got.total == math.ldexp(vd.total, 2 * k), k
+
+
+def test_a_variance_beyond_the_float_range_is_named():
+    # s (x1 + x2 x3) on U(0, 1)^3: at s = 1e160 V overflows, at 1e-200 it
+    # underflows; both settle on the grid of s = 1, and neither warns
+    model = CompositeMultilinearModel(factors=(LINEAR,) * 3,
+                                      terms=((1,), (2, 3)))
+    cube = ProductMeasure((Uniform(0.0, 1.0),) * 3)
+    plans = []
+    for s in (1.0, 1e160, 1e-200):
+        counted = _Batches(lambda x, s=s: s * model(x))
+        eng = AnovaEngine(counted, cube)
+        eng.mean()
+        plans.append(([x.size for x in eng.nodes], sum(counted.sizes)))
+        if s > 1.0:
+            with pytest.raises(OverflowError, match="total variance V = "):
+                eng.variance_decomposition()
+        elif s < 1.0:
+            with pytest.raises(ZeroVarianceError, match="V = 0.0 is "):
+                eng.variance_decomposition().sobol_indices()
+    assert plans == [([4, 4, 4], 576)] * 3
+
+
 def test_the_total_keeps_its_digits_under_a_large_mean():
     # mean -2.02 against V = 1.9e-8: a total taken as E[g^2] - mean^2 loses
     # 8 of V's digits; centred, it keeps all but rounding
@@ -1272,10 +1418,12 @@ def test_each_conditional_mean_is_a_slice_of_the_grids_coefficients(case, data):
         assert abs(eng._rms(v) ** 2 - second) <= max(e * (2 * rms + e),
                                                      np.finfo(float).tiny), v
         # the same as mean^2 plus the sum of squares of C's slice zero off v
-        _, mean, coeffs, _ = eng._sweep()
+        # (C holds the coefficients of the grid scaled by 2^-scale)
+        _, mean, coeffs, _, scale = eng._sweep()
         at = tuple(slice(None) if i in v else 0 for i in range(1, model.n + 1))
         assert abs(eng._rms(v) ** 2 - mean ** 2 - float(np.sum(np.square(
-            coeffs[at])))) <= max(e * (2 * rms + e), np.finfo(float).tiny), v
+            np.ldexp(coeffs[at], scale))))) <= max(e * (2 * rms + e),
+                                                   np.finfo(float).tiny), v
         *pair, _ = eng._direct_rules(v)
         for _, _, tol in pair:
             assert tol == anova.INTERP_TOL * eng._rms(v), v
@@ -1517,12 +1665,12 @@ COUPLED_MEASURE = ProductMeasure((Uniform(0.0, PI), Normal(0.5, 0.7),
 
 
 def test_a_row_the_lower_rules_disagree_on_takes_the_settled_nodes():
-    # 2 units past x1's support cos(x1 x3) oscillates faster in x3 than on
-    # the grid, and the h-node rule alone misses the reference
+    # 2.5 units past x1's support cos(x1 x3) oscillates faster in x3 than
+    # on the grid, and the h-node rule alone misses the reference
     eng = AnovaEngine(_coupled, COUPLED_MEASURE)
     eng.mean()
-    assert eng.order in anova.LADDER and eng._halves is not None
-    near, far = np.array([[PI + 0.5]]), np.array([[PI + 2.0]])
+    assert eng.order < anova.DEFAULT_ORDER and eng._halves is not None
+    near, far = np.array([[PI + 0.5]]), np.array([[PI + 2.5]])
     (pts, weights, tol), _ = eng._direct_rules((1,))
     assert tol == anova.INTERP_TOL * eng._rms((1,))
     pair = {}
@@ -1543,13 +1691,13 @@ def test_a_row_the_lower_rules_disagree_on_takes_the_settled_nodes():
 
 
 def test_a_direct_row_costs_the_pair_of_lower_rules():
-    # mu1 settles at 32 with nodes (21, 32, 7); at that rung x1 is capped
-    # at 21 and x2 at 28, so a row of x3 outside [-pi, pi] takes 11 x 14
-    # plus 10 x 13 points, where the settled nodes take 21 x 32 = 672
+    # mu1 settles with nodes (21, 33, 7); at that rung x1 is capped at 21
+    # and x2 at 27, so a row of x3 outside [-pi, pi] takes 11 x 14 plus
+    # 10 x 13 points, where the settled nodes take 21 x 33 = 693
     model = _Batches(IshigamiModel())
     eng = AnovaEngine(model, ishigami_measures()["mu1"])
     eng.mean()
-    assert [x.size for x in eng.nodes] == [21, 32, 7]
+    assert [x.size for x in eng.nodes] == [21, 33, 7]
     assert eng._halves == [11, 14, 4]
     x = np.array([[-4.0], [3.5], [4.0]])
     model.sizes.clear()
@@ -1558,7 +1706,7 @@ def test_a_direct_row_costs_the_pair_of_lower_rules():
     eng._halves = None
     model.sizes.clear()
     want = eng.conditional_mean((3,), x)
-    assert sum(model.sizes) == 3 * 21 * 32 == 3 * 672
+    assert sum(model.sizes) == 3 * 21 * 33 == 3 * 693
     assert np.all(np.abs(got - want) <= anova.INTERP_TOL * eng._rms((3,)))
 
 

@@ -323,10 +323,10 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path):
 
 def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
         tmp_path, monkeypatch):
-    # each engine sweeps the rungs it climbs (the probe of 8 nodes, then
-    # mu1 to 32, mu2 to 48, mu3 to 24, x3 at 7 nodes from 16 on, mu3's x1
-    # at 14 from 24, mu1's x1 at 21 from 32 and mu2's at 26 from 48):
-    # 37,936 points; the mixture-curve rows
+    # each engine sweeps the probe of 8 nodes, 16 with x3 at 7 nodes, and
+    # the rung its coefficient decay predicts (mu1 21 x 33 x 7, mu2
+    # 30 x 62 x 7, mu3 14 x 21 x 7, x1 of mu3 at its cap of 14 from 16):
+    # 26,841 points; the mixture-curve rows
     # outside a uniform measure's support take the direct integral by the
     # pair of lower rules, ceil(cap / 2) and one node fewer on each axis the
     # settled rung resolves, and agree there, so none takes the settled
@@ -346,9 +346,9 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     by_caller = {}
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
-    assert by_caller == {"_sweep": 37_936,
+    assert by_caller == {"_sweep": 26_841,
                          "conditional_mean": 31_170}
-    assert sum(by_caller.values()) == 69_106
+    assert sum(by_caller.values()) == 58_011
 
 
 def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
@@ -390,10 +390,11 @@ class TestDeterminism:
 
 
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
-    # the rungs each engine's ladder climbs (the probe of 8 nodes, uniform
-    # mu1 to 32 and mu3 to 24, normal mu2 to 48), the caps of the axes a
-    # rung resolves (x3 at 7 on all three, mu3's x1 at 14, mu1's at 21,
-    # mu2's at 26), the pairs of lower rules of the direct curve rows
+    # the rungs each engine sweeps (the probe of 8 nodes, 16, and the
+    # counts its coefficient decay predicts: uniform mu1 21 and 33, normal
+    # mu2 30 and 62, uniform mu3 21), the caps of the axes a rung resolves
+    # (x3 at 7 on all three, mu3's x1 at 14), the pairs of lower rules of
+    # the direct curve rows
     # (uniform 3, 4, 6, 9, 10, 11 and 13: half of mu1's and mu3's caps at
     # the settled rung, and one fewer),
     # and the order 64 it was built at, which the core signatures and the
@@ -416,8 +417,7 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
         measures._gauss_rule.cache_clear()
     assert sorted(computed) == [("hermgauss", 7), ("hermgauss", 8),
                                 ("hermgauss", 16),
-                                ("hermgauss", 24), ("hermgauss", 26),
-                                ("hermgauss", 32), ("hermgauss", 48),
+                                ("hermgauss", 30), ("hermgauss", 62),
                                 ("hermgauss", 64),
                                 ("leggauss", 3), ("leggauss", 4),
                                 ("leggauss", 6), ("leggauss", 7),
@@ -426,8 +426,7 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                                 ("leggauss", 11), ("leggauss", 13),
                                 ("leggauss", 14),
                                 ("leggauss", 16), ("leggauss", 21),
-                                ("leggauss", 24), ("leggauss", 32),
-                                ("leggauss", 64)]
+                                ("leggauss", 33), ("leggauss", 64)]
     assert len(computed) <= measures._gauss_rule.cache_info().maxsize
 
 
@@ -771,6 +770,29 @@ class TestFailureModes:
                 "effective sample size 1.0 below 50")
             assert load_report(tmp_path / "o")["measures"]["wide"]["ess"] \
                 == 1.0
+
+    @pytest.mark.parametrize("scale,cause", [
+        (1e160, "total variance V = 0.06675375837143942 * 2**1064 overflows "
+                "a float"),
+        (1e-200, "total variance V = 0.0 is numerically zero or below the "
+                 "float range")], ids=["overflow", "underflow"])
+    def test_a_variance_beyond_the_float_range_is_a_numeric_error(
+            self, tmp_path, capsys, scale, cause):
+        # s (x1 + x2 x3) on U(0, 1)^3: the engine settles on the grid of
+        # s = 1 and decomposes it; only V itself leaves the float range
+        (tmp_path / "g.yaml").write_text(
+            "n: 3\nfactors: [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]\n"
+            f"terms: [[1], [2, 3]]\ncoeffs: [{scale!r}, {scale!r}]\n")
+        (tmp_path / "m.yaml").write_text(
+            "n: 3\nmeasures:\n  - name: cube\n    components:\n"
+            + "      - {family: uniform, params: {lo: 0.0, hi: 1.0}}\n" * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(["--model", str(tmp_path / "g.yaml"), "--measures",
+                       str(tmp_path / "m.yaml"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert got == 4
+        assert err == f"numeric error: measure 'cube': {cause}\n"
 
     @pytest.mark.parametrize("estimator,cause", [
         ("reweight", "target 'wide', largest weight 6.03e+307, largest |g| 5"),

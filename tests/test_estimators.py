@@ -254,7 +254,10 @@ def _ratio(sample, target):
 
 
 def _kish(w):
-    return w.sum() ** 2 / (w ** 2).sum()
+    # s * s as the package squares: a scalar power of two may differ by an
+    # ulp
+    s = w.sum()
+    return s * s / (w ** 2).sum()
 
 
 def _array_split_first_order(x, y, i, bins=None, w=None):

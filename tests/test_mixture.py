@@ -218,6 +218,15 @@ def test_a_one_hot_prior_reproduces_its_measure():
             <= 1e-12, z
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mixture_variance_decomposition([], []),
+    lambda: mixture_annihilation_defect([], [], (1,))],
+    ids=["variance_decomposition", "annihilation_defect"])
+def test_a_mixture_of_no_engines_is_rejected(call):
+    with pytest.raises(ValueError, match="at least one engine"):
+        call()
+
+
 def test_the_pooled_route_skips_a_candidate_of_zero_weight():
     mset = ishigami_measure_set(prior=(1.0, 0.0, 0.0))
     engines = component_engines(mset, IshigamiModel())
@@ -322,10 +331,8 @@ def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
     # the full subset's rows are evaluated once per measure set, across both
     # routes and every engine of the set
     assert full == [1] * 4
-    # every table row is accepted but 4 rows of mu2's (1, 3) table, which
-    # take the direct integral over x2 by the pair of lower rules, 22 and
-    # 21 nodes: 4 * (22 + 21) points in one call
-    assert other == [[172], [], [], []]
+    # every table row is accepted, so no other row is evaluated
+    assert other == [[], [], [], []]
 
 
 def test_engines_on_other_models_share_no_rows():
