@@ -16,34 +16,27 @@ the entire point of this package: change the measure and every term changes.
 Every integral is a tensor Gauss rule (an exact finite sum on a discrete
 coordinate) over a grid of at most ``FULL_GRID_CAP`` points.  An engine's
 ``order`` is the most Gauss nodes per continuous coordinate.  Its first
-integral of any kind settles the grid it sweeps (``AnovaEngine._settle``),
-from a probe rung of 8 nodes and then 16 where the grid of 16 fits.  Each
-rung caps every axis it resolves at the fewest nodes that keep it resolved
-(``AnovaEngine._caps``, one coefficient-tail rule on every family, judged
-against sqrt(V)); the probe's caps only size the rung of 16, whose own caps
-replace them.  When the grid at ``order`` fits, each axis that the rung of
-16 or a later rung leaves unresolved goes to the nodes at which a
-straight-line fit of its log coefficients crosses the tolerance
-(``AnovaEngine._predict``), the next rung sweeps at those counts, and a
-rung settles once its own caps are all finite: the Ishigami model settles
-after one predicted rung, on 21 x 33, 30 x 62 or 14 x 21 nodes with 7 on
-x3, and a model multilinear in its inputs on 4 nodes per axis after
-8^3 + 4^3 = 576 evaluations.  Otherwise the engine climbs a ladder of
-orders (``LADDER``, ``AnovaEngine._climb``), from 16 or from the largest
-lower rung whose grid fits, up to the last rung below ``order``, and
-settles at the first rung whose mean, V and every V_z moved by at most
-``INTERP_TOL`` (relative to sqrt(V) and V) from the rung below.  Gauss
-rules converge geometrically on smooth models, so that change bounds the
-error of the rung below.  There each axis keeps the smallest cap it was
-given: an axis stops climbing once it no longer changes the result, the
-dimension-adaptive rule of Gerstner & Griebel (Computing 71, 2003), and a
-rung whose grid does not fit under the caps so far ends the climb.  A
-settled engine keeps its rung's nodes, with its rung's caps.  With no such
-rung it keeps ``order`` on every axis when that grid fits, ``order`` under
-the caps when that fits, and the last rung it climbed otherwise; an engine
-for which neither ``order`` nor any rung fits raises ``ConfigError`` when it
-is built.  A smooth 4-input model quartic in x3 costs
-8^4 + (16^3 + 24^3 + 32^3) * 7 evaluations, not 64^4.
+integral of any kind settles the grid it sweeps (``AnovaEngine._settle``) in
+one loop over rungs, from a probe rung of 8 nodes and then 16 where the grid
+of 16 fits.  Each rung caps every axis it resolves at the fewest nodes that
+keep it resolved (``AnovaEngine._caps``, one coefficient-tail rule on every
+family, judged against sqrt(V)), and the next rung sweeps each resolved axis
+at its cap.  An unresolved axis takes the next rung of the ladder
+(``LADDER``): the probe and 16 where the grid at ``order`` fits, and every
+rung below ``order`` where it does not.  Past the ladder it takes the nodes
+at which a straight-line fit of its log coefficients crosses the tolerance.
+A rung after the first settles once its own caps are all finite, or once
+its mean, V and every V_z moved by at most ``INTERP_TOL`` (relative to
+sqrt(V) and V) from the rung before; Gauss rules converge geometrically on
+smooth models, so that change bounds the error of the rung before.  The
+Ishigami model settles after one predicted rung, on 21 x 33, 30 x 62 or
+14 x 21 nodes with 7 on x3, and a model multilinear in its inputs on 4
+nodes per axis after 8^3 + 4^3 = 576 evaluations.  A smooth 4-input model
+quartic in x3 costs 8^4 + (16^3 + 24^3 + 32^3) * 7 evaluations, not 64^4.
+A settled engine keeps its rung's nodes, with its rung's caps.  With an
+axis unresolved at ``order``, or with no next rung that is new and fits, it
+keeps the last rung it swept; an engine for which neither ``order`` nor any
+rung fits raises ``ConfigError`` when it is built.
 
 ``AnovaEngine._sweep`` evaluates the full grid once, in boxes of at most
 ``BLOCK_POINTS`` points, and keeps it whole with its mean, its coefficients
@@ -100,9 +93,9 @@ class ZeroVarianceError(ArithmeticError):
     """Total variance is (numerically) zero, so indices are undefined."""
 
 
-# orders an engine climbs below ``order`` (_climb); those below 16 only when
-# the grid of 16 does not fit, but for the probe rung of 8 before 16, and
-# only 8 and 16 where the grid of ``order`` fits (_predict)
+# the rungs of _settle below ``order``: those below 16 only when the grid
+# of 16 does not fit, but for the probe rung of 8 before 16, and only 8 and
+# 16 where the grid of ``order`` fits
 LADDER = (6, 8, 12, 16, 24, 32, 48)
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**16        # most points an engine hands the model at once
@@ -251,22 +244,23 @@ class AnovaEngine:
         self._continuous = [not isinstance(c, DiscreteUniform)  # has poly
                             for c in measure.components]
         self._w_full = {}     # _w_last of all inputs, kept and shared (_w_at)
+        if not isinstance(order, (int, np.integer)) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, not {order!r}")
         self._use_order(int(order))
-        self._fits_order = _fits(self._sizes)
+        fits = _fits(self._sizes)
         # the ladder of _settle: the rungs below ``order`` from 16 on, or
-        # from the largest rung that fits when 16 does not; kept when at
-        # least two are left or the grid of ``order`` does not fit, and some
-        # coordinate is continuous.  A climb from 16 opens with a probe rung
-        # of 8 nodes, whose caps size the sweep of 16; where the grid of
-        # ``order`` fits, those two are all, and _predict sizes the rest
+        # from the largest rung that fits when 16 does not, opened by a
+        # probe rung of 8 nodes before 16; only the probe and 16 where the
+        # grid of ``order`` fits, the rest sized by the coefficient decay.
+        # Kept when some coordinate is continuous, and at least two rungs
+        # are left or the grid of ``order`` does not fit
         first = max([r for r in LADDER if r <= 16 and _fits(self._grid(r))],
                     default=math.inf)
         rungs = [r for r in LADDER if first <= r < self.order]
         probe = [8] if first == 16 else []
-        self._ladder = (probe + rungs)[:2 if self._fits_order else None] \
-            if any(self._continuous) and (
-                len(rungs) > 1 or not self._fits_order) else []
-        if not (self._fits_order or self._ladder):
+        self._ladder = (probe + rungs)[:2 if fits else None] \
+            if any(self._continuous) and (len(rungs) > 1 or not fits) else []
+        if not (fits or self._ladder):
             raise ConfigError(
                 f"no tensor grid of the {self.n} inputs fits in "
                 f"{FULL_GRID_CAP} points, at order {self.order} or at any "
@@ -275,7 +269,8 @@ class AnovaEngine:
     def _use_order(self, order, caps=None):
         """Take the Gauss rule of ``order``, with no grid swept yet.
 
-        ``caps`` (from ``_caps``) holds each coordinate's most nodes.
+        ``caps`` (a rung's counts in ``_settle``) holds each coordinate's
+        most nodes.
         """
         self.order = order
         nodes = [c.quad_nodes(k) for c, k in
@@ -298,128 +293,87 @@ class AnovaEngine:
     def _settle(self):
         """Settle the grid, once, before the engine's first integral.
 
-        Each rung sweeps its full grid (``_sweep``) and reads its own
-        ``_caps`` once; the rung before frees its C.  Both routes open with
-        the probe rung of 8 nodes where the grid of 16 fits, and the probe's
-        caps only size the sweep of 16, whose own caps replace them, so an
-        axis the probe capped is read again at the nodes it was given.
-        (Eight nodes see nothing of a degree-8 Legendre term, which
-        vanishes at all of them; at its cap of 4 the rung of 16 sees it.)
-        An engine whose grid at ``order`` fits sizes each later rung from
-        its coefficient decay (``_predict``); any other climbs the ladder
-        (``_climb``).  The settled rung's own caps set the lower rules of
-        the direct integrals (``_halves``, see ``_direct_rules``), and its
-        sweep is the one the engine keeps.  When a rung raises, the engine
-        goes back to ``order`` as built.
-        """
-        ladder, self._ladder = self._ladder, []
-        if not ladder:
-            return
-        order = self.order
-        try:
-            (self._predict if self._fits_order else self._climb)(order, ladder)
-        except BaseException:       # a failed rung leaves the engine as built
-            self._ladder = ladder
-            self._use_order(order)
-            raise
+        One loop over rungs, from the first of ``_ladder``: each rung sweeps
+        its full grid (``_sweep``) and reads its own ``_caps`` once, and the
+        rung before frees its C.  On the next rung every continuous axis
+        that this one resolves takes its cap, and every other one the next
+        rung of the ladder while it has rungs, and past it the nodes at
+        which its coefficients, by their geometric decay, fall to the
+        tolerance of ``_caps`` (``_crossing``): at least one node more than
+        it had and at most ``order``.  On an analytic model they fall like
+        rho^-k (Trefethen, Approximation Theory and Approximation Practice,
+        SIAM 2013, ch. 8), so one predicted rung mostly settles, as it does
+        on the Ishigami engines.
 
-    def _keep(self, caps):
-        """Settle on the rung swept last, whose own caps are ``caps``."""
-        self._halves = [math.ceil(c / 2) if c < math.inf and s > 1 else None
-                        for c, s in zip(caps, self._sizes)]
-
-    def _predict(self, order, ladder):
-        """Settle an engine whose grid at ``order`` fits: after the probe
-        and the rung of 16 (``ladder``), every continuous axis a rung reads
-        unresolved goes to the nodes at which its coefficients, by their
-        geometric decay, fall to the tolerance of ``_caps`` (``_crossing``),
-        at least one node more than it had and at most ``order``; every
-        other axis takes its own cap, and the next rung sweeps at those
-        counts.  A rung settles as soon as its own caps are all finite.
+        A rung after the first settles when its own caps are all finite, or
+        when, against the rung before, the mean moved by at most
+        ``INTERP_TOL`` times sqrt(V), and V and every entry V_z of P by at
+        most ``INTERP_TOL`` times V: Gauss rules converge geometrically on
+        smooth models, so that change bounds the error of the rung before.
+        The engine keeps the settled rung's sweep, and its caps set the
+        lower rules of the direct integrals (``_halves``, see
+        ``_direct_rules``).  With an axis at ``order`` still unresolved,
+        with counts already swept, or with a next grid that does not fit,
+        the engine keeps the last rung it swept, with no lower rules.  When
+        a rung raises, the engine goes back to ``order`` as built.
 
         A cap at or below the most nodes at which an earlier rung read that
         axis unresolved is no cap: those nodes may be blind to a term, as
-        16 are to a degree-16 Legendre term, so the axis climbs.  That read
+        the probe's 8 are to a degree-8 Legendre term, which vanishes at all
+        of them, and 16 to a degree-16 one, so the axis climbs.  That read
         is then spent, and the cap of the next rung stands: an axis read
         unresolved at c nodes only by the rounding of far normal nodes
         would otherwise climb one node a rung (a smooth 3-input model took
-        13 rungs and 102,098 evaluations, against 5 and 27,578).  With an
-        axis at ``order`` still unresolved, or with counts already swept,
-        the engine keeps ``order`` on every axis.  On an analytic model the
-        coefficients fall like rho^-k (Trefethen, Approximation Theory and
-        Approximation Practice, SIAM 2013, ch. 8), so one predicted rung
-        mostly settles, as it does on the Ishigami engines.
-        """
-        probe, first = ladder
-        cont = self._continuous
-        self._use_order(probe)
-        caps, _ = self._caps()
-        seen = [probe if c == math.inf else 0 for c in caps]
-        counts, swept = self._grid(first, caps), set()
-        while tuple(counts) not in swept:
-            swept.add(tuple(counts))
-            self._use_order(max(k for k, c in zip(counts, cont) if c), counts)
-            caps, ends = self._caps()
-            blind = [c <= u for c, u in zip(caps, seen)]
-            seen = [0 if b else s if c == math.inf else u
-                    for c, u, s, b in zip(caps, seen, self._sizes, blind)]
-            open_ = [i for i, (c, b) in enumerate(zip(caps, blind))
-                     if cont[i] and (b or c == math.inf)]
-            if not open_:
-                return self._keep(caps)
-            if any(self._sizes[i] >= order for i in open_):
-                break
-            counts = [min(order, max(_nodes_past(d, order), s + 1))
-                      if i in open_ else c if cont[i] else s
-                      for i, (c, d, s) in enumerate(zip(caps, ends, self._sizes))]
-        self._use_order(order)
-
-    def _climb(self, order, ladder):
-        """Settle an engine whose grid at ``order`` does not fit, on the
-        ladder: from 16 after the probe, or from the largest rung whose
-        grid fits when 16 does not.
-
-        The engine keeps the first rung where, against the rung below, the
-        mean moved by at most ``INTERP_TOL`` times sqrt(V), and V and every
-        entry V_z of P by at most ``INTERP_TOL`` times V; Gauss rules
-        converge geometrically on smooth models, so that change bounds the
-        error of the rung below.  The first rung's caps only size the
-        second, whose own caps replace them; from there on every axis takes
-        the smaller of its cap so far and the rung's, so a cap never grows;
-        the next rung and the settled engine use those caps, and the climb
-        stops at a rung whose grid does not fit under them.
-        The row gate sends the rows of an axis left unresolved to the
-        direct integral.  With no such rung the engine keeps ``order``
-        under the caps when that grid fits, and otherwise the last rung it
-        climbed, with no lower rules.
+        13 rungs and 102,098 evaluations, against 5 and 27,578).
 
         Where the probe caps nothing it costs 8^n more points and changes
         no result.  On g = sum cos 2x_k + 0.5 x1 x2 + 0.3 sin x3 x4 under
         N(0, 1)^n it goes 1,445,888 -> 1,449,984 evaluations at n = 4, on
         the same 32^4 grid, and 1,048,576 -> 1,081,344 (+3.1%) at n = 5; at
-        n = 6, 7 and 8 the grid of 16 does not fit, the climb has no probe,
-        and nothing changes.
+        n = 6, 7 and 8 the grid of 16 does not fit, the ladder has no
+        probe, and nothing changes.
         """
-        last, caps = None, [math.inf] * self.n
-        for k, rung in enumerate(ladder):
-            if not _fits(self._grid(rung, caps)):
-                break
-            self._use_order(rung, caps)
-            # the mean, P and scale, not C, which the next rung's sweep frees
-            mean, power, e = (self._sweep()[k] for k in (1, 3, 4))
-            terms = np.append(power, power.sum())   # every V_z, then V
-            still = last is not None and abs(mean - last[0]) <= math.ldexp(
-                INTERP_TOL * math.sqrt(terms[-1]), e) and np.all(np.abs(
-                    terms - np.ldexp(last[1], 2 * (last[2] - e)))
-                    <= INTERP_TOL * terms[-1])
-            rung_caps, _ = self._caps()
-            caps = rung_caps if k == 1 else [
-                min(a, b) for a, b in zip(caps, rung_caps)]
-            if still:
-                return self._keep(rung_caps)
-            last = mean, terms, e
-        if _fits(self._grid(order, caps)):
-            self._use_order(order, caps)
+        ladder, self._ladder = self._ladder, []
+        if not ladder:
+            return
+        order, cont = self.order, self._continuous
+        counts, seen, swept, last = self._grid(ladder[0]), [0] * self.n, \
+            [], None
+        try:
+            while counts not in swept and _fits(counts):
+                swept.append(counts)
+                self._use_order(max(k for k, c in zip(counts, cont) if c),
+                                counts)
+                # the mean, P and scale, not C, which the next sweep frees
+                mean, power, e = (self._sweep()[k] for k in (1, 3, 4))
+                terms = np.append(power, power.sum())   # every V_z, then V
+                caps, ends = self._caps()
+                blind = [c <= u for c, u in zip(caps, seen)]
+                seen = [0 if b else s if c == math.inf else u
+                        for c, u, s, b in zip(caps, seen, self._sizes, blind)]
+                caps = [math.inf if b else c for c, b in zip(caps, blind)]
+                open_ = [i for i, c in enumerate(caps)
+                         if cont[i] and c == math.inf]
+                still = last is not None and abs(mean - last[0]) <= math.ldexp(
+                    INTERP_TOL * math.sqrt(terms[-1]), e) and np.all(np.abs(
+                        terms - np.ldexp(last[1], 2 * (last[2] - e)))
+                        <= INTERP_TOL * terms[-1])
+                if last is not None and not open_ or still:
+                    self._halves = [
+                        math.ceil(c / 2) if c < math.inf and s > 1 else None
+                        for c, s in zip(caps, self._sizes)]
+                    return
+                if any(self._sizes[i] >= order for i in open_):
+                    return
+                last = mean, terms, e
+                rung = ladder[len(swept)] if len(swept) < len(ladder) else None
+                counts = [c if c < math.inf else rung or min(
+                    order, max(_nodes_past(d, order), s + 1)) if f else s
+                    for f, c, d, s in zip(cont, caps, ends, self._sizes)]
+        except BaseException:       # a failed rung leaves the engine as built
+            self._ladder = ladder
+            self._use_order(order)
+            raise
 
     def _caps(self):
         """(caps, ends): per coordinate, the most nodes this rung's full grid

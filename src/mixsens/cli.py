@@ -342,6 +342,8 @@ def cmd_analyze(args):
     if args.n < min_n:
         raise ConfigError(f"--n {args.n} is below {min_n}, the smallest "
                           f"budget estimator {args.estimator!r} accepts")
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed} is negative")
     kind, source = _resolve_source(args.model)
     mset = load_measure_set(args.measures)
     sections = set(args.sections) if args.sections is not None else \

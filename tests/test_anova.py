@@ -538,6 +538,16 @@ def test_tensor_moments_come_from_the_same_sweep():
     assert vd.terms == full.terms
 
 
+def test_an_order_is_an_integer_of_at_least_one():
+    # leggauss rejected 0 and -3 as a "deg", and int() made 2.5 into 2
+    measure = ProductMeasure((Uniform(0.0, 1.0),))
+    for order in (0, -3, 2.5, np.float64(8.0), "8", None):
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
+            AnovaEngine(lambda x: x[:, 0], measure, order=order)
+    eng = AnovaEngine(lambda x: x[:, 0], measure, order=np.int64(8))
+    assert eng.order == 8 and type(eng.order) is int
+
+
 # -- the integration plan, fixed when the engine is built ---------------------
 
 # g = x3^2 (x1 + x4) + x2 (1 + x1 x4), written out for speed, and its
@@ -556,15 +566,15 @@ def _plan_model(x):
 
 
 def test_four_input_moments_come_from_the_sweep_at_default_settings():
-    # the 64^4 grid does not fit, so the first integral settles the order:
-    # the degree-3 model is exact at the probe's 8 nodes, so 16 moves
-    # nothing; 8 also resolves every axis (degree 1, and 2 in x3), so 16
-    # takes 4 or 5 nodes, and reads each axis resolved there again
+    # the 64^4 grid does not fit, so the first integral settles the grid:
+    # the probe's 8 nodes resolve every axis (degree 1, and 2 in x3), so
+    # the rung after it takes 4 or 5 nodes, and reads each axis resolved
+    # there again; ``order`` is then the most nodes kept, 5
     model = _Batches(_plan_model)
     eng = AnovaEngine(model, PLAN_MEASURE)
     assert eng.order == 64 and eng._ladder == [8, 16, 24, 32, 48]
     vd = eng.variance_decomposition(max_order=2)
-    assert eng.order == 16
+    assert eng.order == 5
     assert [x.size for x in eng.nodes] == [4, 4, 5, 4]
     assert sum(model.sizes) == 8 ** 4 + 4 * 4 * 5 * 4 == 4_416
     exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
@@ -658,7 +668,7 @@ def test_the_settled_order_does_not_depend_on_the_first_call(first):
     eng = AnovaEngine(_plan_model, PLAN_MEASURE)
     first(eng)
     got = _every_result(eng)
-    assert got[0] == want[0] == 16
+    assert got[0] == want[0] == 5
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -678,8 +688,8 @@ def test_a_model_the_ladder_cannot_settle_keeps_its_order():
         eng = AnovaEngine(model, measure, order=32)
     vd = eng.variance_decomposition(max_order=2)
     # 8, 16 and 24 (4 nodes on the linear x2, x3, x4 from 16 on) disagree;
-    # the 32^4 grid did not fit when the engine was built, so it keeps 32
-    # under the caps
+    # past the ladder x1 takes the 32 nodes of ``order``, where it is still
+    # unresolved, so the engine keeps that rung
     assert eng.order == 32
     assert [x.size for x in eng.nodes] == [32, 4, 4, 4]
     assert sum(model.sizes) == 8 ** 4 + (16 + 24 + 32) * 4 ** 3 == 8_704
@@ -717,12 +727,12 @@ MIXED5 = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
 
 def test_a_five_input_model_ends_on_a_grid_that_fits():
     # 64^5 does not fit and 16^5 does; the probe's 8 nodes resolve every
-    # axis, so the sweep of 16 takes its caps and settles
+    # axis, so the rung after it takes their caps and settles
     model = _Batches(MULTILINEAR5)
     eng = AnovaEngine(model, MIXED5)
     vd = eng.variance_decomposition()
     assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
-    assert eng.order == 16 and [x.size for x in eng.nodes] == [5, 4, 5, 4, 4]
+    assert eng.order == 5 and [x.size for x in eng.nodes] == [5, 4, 5, 4, 4]
     assert sum(model.sizes) == 8 ** 5 + math.prod(eng._sizes)
     exact = {z: MULTILINEAR5.exact_term_variance(MIXED5, z)
              for z in all_subsets(5)}
@@ -767,8 +777,7 @@ def test_an_eight_input_engine_ends_on_a_grid_that_fits():
     # 16^8 does not fit and 6^8 does, so the climb starts at 6; from 8 on
     # the polynomial axes take 4 or 5 nodes, and 16 does not fit under
     # those caps: no rung settles, and the engine keeps 12, the last rung
-    # it climbed, since 64 does not fit under the caps either.  The default
-    # boxes of 2^16 points keep its memory small.
+    # it swept.  The default boxes of 2^16 points keep its memory small.
     model = _Batches(MULTILINEAR8)
     eng = AnovaEngine(model, MIXED8)
     assert eng._ladder == [6, 8, 12, 16, 24, 32, 48]
@@ -861,14 +870,20 @@ def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
         return np.sin(150.0 * x[:, 0]) + x[:, 1] * x[:, 2]
 
     measure = ProductMeasure((Uniform(0.0, 1.0),) * 3)
-    eng = AnovaEngine(g, measure)
+    model = _Batches(g)
+    eng = AnovaEngine(model, measure)
+    vd = eng.variance_decomposition()
+    # x1 goes from 16 to 64 and is still unresolved there, so the engine
+    # keeps that last rung, with x2 and x3 at their caps of 4 and no lower
+    # rules, and reads its tables there as an engine with no ladder that
+    # sweeps the same grid does
+    assert eng.order == 64 and [x.size for x in eng.nodes] == [64, 4, 4]
+    assert eng._halves is None
+    assert sum(model.sizes) == 8 ** 3 + (16 + 64) * 4 * 4 == 1_792
     with mock.patch.object(anova, "LADDER", ()):
         plain = AnovaEngine(g, measure)
     assert plain._ladder == []
-    vd = eng.variance_decomposition()
-    # x1 climbs to 64 and is still unresolved there, so the engine reads
-    # its tables at 64, where it was built, as one with no ladder does
-    assert eng.order == 64
+    plain._use_order(64, [64, 4, 4])
     assert vd == plain.variance_decomposition()
     x = np.random.default_rng(6).uniform(-0.2, 1.2, size=(50, 3))
     for z in all_subsets(3):
@@ -961,8 +976,8 @@ def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
 def test_an_axis_capped_by_an_earlier_rung_stays_resolved():
     # on a grid that does not fit at ``order`` the engine climbs the
     # ladder: x2 is capped at 22 nodes on the 24-node rung; on the 32-node
-    # rung its own tail at those 22 nodes reads unresolved, and the engine
-    # settles there on its caps so far rather than climb on
+    # rung its own tail at those 22 nodes reads unresolved, but the mean, V
+    # and every V_z moved by at most INTERP_TOL, and the engine settles
     model = _Batches(_smooth3)
     with mock.patch.object(anova, "FULL_GRID_CAP", 48 ** 3):
         eng = AnovaEngine(model, ProductMeasure((Normal(1.0, 2.0),

@@ -268,15 +268,33 @@ prior: [0.3, 0.2, 0.2, 0.2, 0.1]
 """
 
 
-def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
-    # the engines' 64^4 grids do not fit: each settles its order on the
-    # ladder, and its effects at points are read off its tables
+def _counted_evaluations(monkeypatch):
+    """A list that gets (caller, points) for every model call from now on."""
+    points = []
+    evaluate = anova._evaluate
+
+    def counted(model, x):
+        points.append((sys._getframe(1).f_code.co_name, len(x)))
+        return evaluate(model, x)
+
+    monkeypatch.setattr(anova, "_evaluate", counted)
+    return points
+
+
+def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
+                                                        monkeypatch):
+    # the engines' 64^4 grids do not fit: each settles on the ladder, and
+    # its effects at points are read off its tables
     (tmp_path / "model.yaml").write_text(MULTILINEAR4_YAML)
     (tmp_path / "measures.yaml").write_text(TWO_MEASURES4_YAML)
     out = tmp_path / "out"
+    points = _counted_evaluations(monkeypatch)
     assert run(["--model", str(tmp_path / "model.yaml"), "--measures",
                 str(tmp_path / "measures.yaml"), "--prior",
                 "--out", str(out)]) == 0
+    # each engine sweeps the probe's 8^4 points, then its caps: 4 x 5 x 4 x 5
+    assert sum(k for c, k in points if c == "_sweep") == 2 * (8**4 + 400)
+    assert sum(k for _, k in points) == 13_856
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -293,15 +311,21 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path):
                 == pytest.approx(v / total, abs=1e-9)
 
 
-def test_a_five_input_prior_run_matches_the_closed_form(tmp_path):
-    # the engines' 64^5 grids do not fit; each climbs the ladder from a
-    # probe rung of 8 nodes, then 16
+def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
+                                                        monkeypatch):
+    # the engines' 64^5 grids do not fit; each settles on the ladder from
+    # a probe rung of 8 nodes, then 16
     (tmp_path / "model.yaml").write_text(MULTILINEAR5_YAML)
     (tmp_path / "measures.yaml").write_text(FIVE_MEASURES5_YAML)
     out = tmp_path / "out"
+    points = _counted_evaluations(monkeypatch)
     assert run(["--model", str(tmp_path / "model.yaml"), "--measures",
                 str(tmp_path / "measures.yaml"), "--prior",
                 "--out", str(out)]) == 0
+    # each engine sweeps the probe's 8^5 points, then its caps:
+    # 4 x 5 x 4 x 5 x 4
+    assert sum(k for c, k in points if c == "_sweep") == 5 * (8**5 + 1600)
+    assert sum(k for _, k in points) == 207_106
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -333,14 +357,7 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     # nodes: 31,170
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
-    points = []
-    evaluate = anova._evaluate
-
-    def counted(model, x):
-        points.append((sys._getframe(1).f_code.co_name, len(x)))
-        return evaluate(model, x)
-
-    monkeypatch.setattr(anova, "_evaluate", counted)
+    points = _counted_evaluations(monkeypatch)
     assert main(["analyze", "--model", "ishigami", "--measures", str(cfg),
                  "--prior", "--out", str(tmp_path / "out")]) == 0
     by_caller = {}
@@ -950,6 +967,21 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())    # rejected before any work
+
+    @pytest.mark.parametrize("estimator", cli.ESTIMATORS)
+    def test_a_negative_seed_is_a_config_error(self, configs, tmp_path,
+                                               capsys, estimator):
+        # numpy's SeedSequence takes no negative entropy; quad uses no seed
+        # but wrote -1 into the report
+        out = tmp_path / "o"
+        code = run(["--model", "ishigami", "--measures", configs["noprior"],
+                    "--estimator", estimator, "--n", "64", "--seed", "-1",
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("measures,model", [
         pytest.param(MEASURES_YAML.replace("lo: 0.0", "lo: abc", 1), None,

@@ -109,6 +109,18 @@ def test_tables_hold_one_polynomial_form():
         assert not hasattr(eng, attr), attr
 
 
+def test_one_loop_settles_every_engine():
+    # the decay prediction and the ladder climb are one loop in _settle,
+    # with no flag for the route and no caps-so-far rule
+    for name in ("_predict", "_climb", "_keep"):
+        assert not hasattr(anova.AnovaEngine, name), name
+    comp = measures.Uniform(0.0, 1.0)
+    eng = anova.AnovaEngine(lambda x: x[:, 0] * x[:, 1],
+                            measures.ProductMeasure((comp, comp)))
+    eng.mean()
+    assert not hasattr(eng, "_fits_order")
+
+
 def test_every_named_bench_span_resolves():
     # the benchmark tracer wraps these by name and skips a missing one, so a
     # renamed or deleted target would read zero instead of failing
