@@ -59,10 +59,17 @@ that is zero off v holds the coefficients of w_v - mean on v's subgrid, so
 E[w_v^2] is mean^2 plus V_u for every subset u of v (``_rms``).
 ``AnovaEngine._w_at`` reads w_v through that slice and each coordinate's
 ``poly`` as its interpolating polynomial, gated row by row by an error
-estimate (``_read``).  The direct integral over the complement of v,
-``conditional_mean``, serves the rows the gate rejects or that lie outside a
-coordinate's support, the empty and the full subset, and subsets with a
-discrete coordinate.  Every complement rule comes from ``_direct_rules``: on
+estimate (``_read``).  Rows of a single input outside its support, more
+than 8 on a side, are read off a Legendre table of w_v over their span
+(``_read_outside``): the direct integral at the table's 8 Gauss nodes, and
+once more at the nodes their coefficients' decay predicts where those do not
+resolve it, gated row by row as ``_read`` gates.  The direct integral over
+the complement of v, ``conditional_mean``, serves the rows either gate
+rejects and the other rows outside a coordinate's support, the empty and the
+full subset, and subsets with a discrete coordinate.  On the reference
+measure set the mixture curves' rows outside a uniform support cost 19,759
+model evaluations this way, 31,170 with each of them integrated directly.
+Every complement rule comes from ``_direct_rules``: on
 a settled engine the complement takes half the nodes of the cap its rung
 gives each axis it resolves, checked row by row against a second rule one
 node lower; a row on which the two disagree takes the settled nodes.  Rows
@@ -86,7 +93,7 @@ from functools import lru_cache
 import numpy as np
 
 from .measures import (DEFAULT_ORDER, ConfigError, DiscreteUniform,
-                       ProductMeasure)
+                       ProductMeasure, Uniform)
 
 
 class ZeroVarianceError(ArithmeticError):
@@ -246,7 +253,8 @@ class AnovaEngine:
         self._w_full = {}     # _w_last of all inputs, kept and shared (_w_at)
         if not isinstance(order, (int, np.integer)) or order < 1:
             raise ValueError(f"order must be an integer >= 1, not {order!r}")
-        self._use_order(int(order))
+        self._most = int(order)     # as built: caps _read_outside too
+        self._use_order(self._most)
         fits = _fits(self._sizes)
         # the ladder of _settle: the rungs below ``order`` from 16 on, or
         # from the largest rung that fits when 16 does not, opened by a
@@ -506,9 +514,12 @@ class AnovaEngine:
 
     def _w_at(self, v, x):
         """w_v at the rows of ``x`` (N, |v|), read off the kept grid's
-        coefficients by ``_read``; rows it does not accept, and every row
-        when v is empty or all inputs or when a coordinate of v is
-        discrete, come from ``conditional_mean``.
+        coefficients by ``_read``.  For a single input, its rows outside
+        its support, when more than the probe's 8 lie on one side, are read
+        off a Legendre table over that side's span (``_read_outside``).
+        Rows neither accepts, and every row when v is empty or all inputs
+        or when a coordinate of v is discrete, come from
+        ``conditional_mean``.
 
         Each subset keeps its last call: the key ``(x.shape, x.tobytes())``
         (the shape, since an (N, 0) array has no bytes for any N) and the
@@ -530,10 +541,75 @@ class AnovaEngine:
             out = self.conditional_mean(v, x)
         else:
             ok, out = self._read(v, x)
+            if len(v) == 1:
+                lo, hi = self.measure.components[v[0] - 1].support()
+                sides = [side for side in (x[:, 0] < lo, x[:, 0] > hi)
+                         if np.count_nonzero(side) > 8]     # the probe's
+                read = self._read_outside(v, [x[side, 0] for side in sides])
+                for side, (accepted, values) in zip(sides, read):
+                    ok[side], out[side] = accepted, values
             if not ok.all():
                 out[~ok] = self.conditional_mean(v, x[~ok])
         memo[v] = key, out
         return out.copy()
+
+    def _read_outside(self, v, sides):
+        """[(accepted, values)]: w_v, v one continuous input, at each array
+        of rows in ``sides`` (N,), all on one side outside its support,
+        read off a Legendre table over the span [a, b] of those rows.
+
+        w_v there is an integral over the complement of an analytic model,
+        so its Legendre coefficients on [a, b] decay geometrically
+        (Trefethen, Approximation Theory and Approximation Practice, SIAM
+        2013, ch. 8).  A table takes ``conditional_mean`` at the 8 Gauss
+        nodes of ``Uniform(a, b)``, the probe, and their coefficients by
+        the family's ``to_coeffs``, one matrix per node count on every
+        interval.  When the ``_tail`` of those sums above ``INTERP_TOL``
+        times rms(w_v) (``_rms``), it is taken once more at the nodes that
+        their decay predicts (``_crossing``), at most the order the engine
+        was built with, if fewer than its rows.  A row is accepted by
+        ``_read``'s test: the tail coefficients and the rounding
+        (3s + 4) eps |to_coeffs| |w|, read through the absolute ``poly``
+        values, sum to at most ``INTERP_TOL`` times rms(w_v).  Each round
+        asks ``conditional_mean`` once, for the nodes of every table in
+        it; rows of no span (one value, or a width beyond the float range)
+        make no table and accept no row.
+        """
+        if not sides:
+            return []
+        tol = INTERP_TOL * self._rms(v)
+        spans = [Uniform(x.min(), x.max()) if x.min() < x.max() and
+                 math.isfinite(x.max() - x.min()) else None for x in sides]
+        to_coeffs = Uniform(-1.0, 1.0).to_coeffs    # shared by every span
+        tables = [None] * len(sides)    # each side's (nodes, w, coeffs)
+        counts = {k: 8 for k, span in enumerate(spans) if span}
+        for probe in (True, False):
+            if not counts:
+                break
+            nodes = [spans[k].quad_nodes(c)[0] for k, c in counts.items()]
+            w = self.conditional_mean(v, np.concatenate(nodes)[:, None])
+            swept, counts = counts, {}
+            for (k, c), wk in zip(swept.items(), np.split(w, np.cumsum(
+                    list(swept.values()))[:-1])):
+                coeffs = to_coeffs(c) @ wk
+                tables[k] = c, wk, coeffs
+                if probe and np.abs(coeffs[_tail(c):]).sum() > tol:
+                    more = min(self._most, max(c + 1, _nodes_past(
+                        _crossing(np.abs(coeffs), tol), self._most)))
+                    if c < more < sides[k].size:
+                        counts[k] = more
+        out = []
+        for x, span, table in zip(sides, spans, tables):
+            if table is None:
+                out.append((np.zeros(x.size, dtype=bool), np.empty(x.size)))
+                continue
+            c, w, coeffs = table
+            error = np.where(np.arange(c) >= _tail(c), np.abs(coeffs), 0.0) \
+                + (3 * c + 4) * np.finfo(float).eps * (
+                    np.abs(to_coeffs(c)) @ np.abs(w))
+            polys = span.poly(x, c)
+            out.append((np.abs(polys) @ error <= tol, polys @ coeffs))
+        return out
 
     def _reads_grid(self, v):
         """Whether w_v can be read off the kept grid: v is neither empty nor

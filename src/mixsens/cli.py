@@ -14,13 +14,14 @@ report plus CSV plot data into the output directory.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .anova import ZeroVarianceError, subset_label
+from .anova import INTERP_TOL, ZeroVarianceError, subset_label
 from .diagnostics import (dimension_bounds, dimension_distribution,
                           mixture_dimension_distribution, monotonicity_check,
                           robust_ranking)
@@ -227,8 +228,8 @@ def _robust_section(names, s_matrix, ses, cell, vds=None):
     return section
 
 
-def _verdict_entry(values):
-    verdict = monotonicity_check(values)
+def _verdict_entry(values, floor):
+    verdict = monotonicity_check(values, floor)
     return {
         "verdict": verdict.verdict,
         "nondecreasing": verdict.nondecreasing,
@@ -238,21 +239,27 @@ def _verdict_entry(values):
 
 
 def _trend_section(engines, mset, outdir, mix_curves):
-    """Monotonicity verdicts per measure, and of the mixture curves if any."""
+    """Monotonicity verdicts per measure, and of the mixture curves if any,
+    each to at least the error its values carry: ``INTERP_TOL`` sqrt(V) of
+    its engine, or of the mixture."""
     section = {"per_measure": {}}
     files = []
     for eng in engines:
+        floor = INTERP_TOL * math.sqrt(eng.variance_decomposition().total)
         per = {}
         for i in range(1, mset.n + 1):
             curve = eng.effect_curve((i,))
-            per[f"x{i}"] = _verdict_entry(curve.values)
+            per[f"x{i}"] = _verdict_entry(curve.values, floor)
             path = os.path.join(
                 outdir, f"effect_{eng.measure.name}_{subset_label((i,))}.csv")
             files.append(write_effect_curve_csv(curve, path))
         section["per_measure"][eng.measure.name] = per
     if mix_curves is not None:      # tabulated for inputs 1..n in order
+        floor = INTERP_TOL * math.sqrt(mixture_variance_decomposition(
+            engines, np.asarray(mset.prior)).total)
         section["mixture"] = _per_input(
-            [mcurve.mixture_values for mcurve in mix_curves], _verdict_entry)
+            [mcurve.mixture_values for mcurve in mix_curves],
+            lambda values: _verdict_entry(values, floor))
     return section, files
 
 

@@ -190,15 +190,18 @@ class MonotonicityVerdict:
     tol: float
 
 
-def monotonicity_check(curve):
+def monotonicity_check(curve, floor=0.0):
     """Classify a tabulated effect curve by its consecutive differences.
 
     ``curve`` is an EffectCurve or a plain array of values on a sorted grid;
     for two-dimensional effects, differences are scanned along each axis
     (consistent with the componentwise partial order).  The tolerance is
     1e-6 of the curve's value range (1e-12 when it is flat), which makes
-    verdicts grid-relative: they certify the tabulation, not the continuum.  A
-    constant curve is both nondecreasing and nonincreasing.
+    verdicts grid-relative: they certify the tabulation, not the continuum,
+    and at least ``floor``, the error the values carry: a curve that is
+    rounding noise about a constant is judged against its error, not
+    against that noise.  A constant curve is both nondecreasing and
+    nonincreasing.
     """
     values = curve.values if isinstance(curve, EffectCurve) else np.asarray(curve, dtype=float)
     if values.ndim <= 1 and values.size < 2:
@@ -206,7 +209,7 @@ def monotonicity_check(curve):
     if values.ndim > 1 and min(values.shape) < 2:
         raise ValueError("need at least 2 grid points per axis")
     span = float(np.max(values) - np.min(values))
-    tol = 1e-6 * span if span > 0 else 1e-12
+    tol = max(1e-6 * span if span > 0 else 1e-12, floor)
     up_viol = _max_drop(values)        # violation of "nondecreasing"
     down_viol = _max_drop(-values)     # violation of "nonincreasing"
     nondec = up_viol <= tol

@@ -241,7 +241,9 @@ def test_engine_matches_multilinear_closed_form(c1, c2, w):
 # -- property: the effects of all subsets add back up to the model -----------
 
 @st.composite
-def multilinear_models(draw, inputs=st.integers(min_value=1, max_value=3)):
+def multilinear_models(draw, inputs=st.integers(min_value=1, max_value=3),
+                       families=st.sampled_from((Uniform(-1.0, 2.0),
+                                                 Normal(0.5, 0.8)))):
     n = draw(inputs)
     factors = tuple(np.polynomial.Polynomial(draw(st.lists(coef, min_size=1,
                                                            max_size=3)))
@@ -249,8 +251,7 @@ def multilinear_models(draw, inputs=st.integers(min_value=1, max_value=3)):
     terms = draw(st.lists(st.sets(st.integers(1, n), max_size=n),
                           min_size=1, max_size=4))
     coeffs = draw(st.lists(coef, min_size=len(terms), max_size=len(terms)))
-    comps = tuple(draw(st.sampled_from((Uniform(-1.0, 2.0), Normal(0.5, 0.8))))
-                  for _ in range(n))
+    comps = tuple(draw(families) for _ in range(n))
     return CompositeMultilinearModel(factors=factors, terms=terms,
                                      coeffs=coeffs), ProductMeasure(comps)
 
@@ -1756,3 +1757,99 @@ def test_building_an_engine_computes_no_polynomials(monkeypatch):
     assert calls["first"] and len(calls["first"]) == len(calls["second"])
     for a, b in zip(calls["first"], calls["second"]):
         assert a is b and not a.flags.writeable
+
+
+# -- rows outside a uniform support: a Legendre table over their span --------
+
+UNIFORMS = (Uniform(-1.0, 2.0), Uniform(0.0, PI), Uniform(-PI, PI),
+            Uniform(0.0, 1.0))
+
+
+def _polynomial(coeffs, powers):
+    """g(x) = sum_t coeffs[t] prod_i x_i^powers[t][i]."""
+    coeffs, powers = np.asarray(coeffs), np.asarray(powers)
+    return lambda x: np.prod(x[:, None, :] ** powers, axis=-1) @ coeffs
+
+
+@st.composite
+def uniform_polynomial_models(draw):
+    # up to degree 12 in an input: its tables need more than the probe's 8
+    # nodes, and a table of fewer nodes leaves a tail the gate sees; far
+    # higher degrees can defeat the tail bound (x1^19 on rows across its
+    # root, where every coefficient sits below the target, reads 1.5
+    # targets off)
+    n = draw(st.integers(2, 3))
+    powers = draw(st.lists(st.lists(st.integers(0, 12), min_size=n,
+                                    max_size=n), min_size=1, max_size=4))
+    coeffs = draw(st.lists(coef, min_size=len(powers), max_size=len(powers)))
+    comps = tuple(draw(st.sampled_from(UNIFORMS)) for _ in range(n))
+    return _polynomial(coeffs, powers), ProductMeasure(comps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.one_of(uniform_polynomial_models(), multilinear_models(
+    inputs=st.integers(2, 3), families=st.sampled_from(UNIFORMS))),
+       data=st.data())
+def test_rows_read_off_a_table_match_their_direct_means(case, data):
+    # rows on both sides of every support, 9 to 40 a side, out to two
+    # widths past it; each row a table accepts is within INTERP_TOL
+    # rms(w_i) of its direct integral, with 1e-12 of the row's absolute
+    # integral for the rounding of the direct value far out, where w_i is
+    # far larger than its rms, and a floor at the smallest normal double
+    # for a subnormal model
+    model, measure = case
+    eng = AnovaEngine(model, measure)
+    eng.mean()
+    for i, comp in enumerate(measure.components, 1):
+        lo, hi = comp.support()
+        reach = [data.draw(st.floats(0.05, 2.0)) * (hi - lo) for _ in "lr"]
+        count = [data.draw(st.integers(9, 40)) for _ in "lr"]
+        sides = [np.linspace(lo - reach[0], lo, count[0], endpoint=False),
+                 np.linspace(hi, hi + reach[1], count[1] + 1)[1:]]
+        for x, (ok, values) in zip(sides, eng._read_outside((i,), sides)):
+            if ok.any():
+                rows = x[ok, None]
+                _, size = _reference_mean(model, measure, (i,), rows, order=16)
+                gap = np.abs(values[ok] - eng.conditional_mean((i,), rows))
+                assert np.all(gap <= anova.INTERP_TOL * eng._rms((i,))
+                              + 1e-12 * size + np.finfo(float).tiny), i
+
+
+def _fast_x1(x):
+    return np.sin(40.0 * x[:, 0]) + x[:, 1] * x[:, 2]
+
+
+def test_a_table_that_does_not_resolve_costs_its_probe():
+    # sin 40 x1 over [1.05, 3] needs more nodes than its 40 rows: the
+    # probe's 8 direct rows are spent, no sweep follows, and every row
+    # takes its direct integral, bit for bit
+    model = _Batches(_fast_x1)
+    eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 3))
+    eng.mean()
+    x = np.linspace(1.05, 3.0, 40)[:, None]
+    model.sizes.clear()
+    want = eng.conditional_mean((1,), x)
+    direct = sum(model.sizes)
+    model.sizes.clear()
+    got = eng._w_at((1,), x)
+    assert np.array_equal(got, want)
+    assert sum(model.sizes) == direct + 8 * direct // 40
+    (ok, _), = eng._read_outside((1,), [x[:, 0]])
+    assert not ok.any()
+
+
+@pytest.mark.parametrize("count,tables", [(8, 0), (9, 2)])
+def test_a_side_of_at_most_eight_rows_makes_no_table(count, tables):
+    # mu3 is uniform on [0, pi]: rows below 0 and past pi, ``count`` a side
+    eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu3"])
+    eng.mean()
+    x = np.concatenate([np.linspace(-1.0, -0.1, count), np.linspace(
+        PI + 0.1, PI + 1.0, count), np.linspace(0.0, PI, 5)])[:, None]
+    made = []
+    real = AnovaEngine._read_outside
+    with mock.patch.object(AnovaEngine, "_read_outside", lambda self, v, sides: (
+            made.extend(rows.size for rows in sides), real(self, v, sides))[1]):
+        got = eng._w_at((3,), x)
+    assert made == [count] * tables
+    assert np.all(np.abs(got - eng.conditional_mean((3,), x))
+                  <= anova.INTERP_TOL * eng._rms((3,)))

@@ -144,6 +144,19 @@ class TestQuadraturePriorRun:
         assert rep["trend"]["mixture"]["x2"]["verdict"] == "nonmonotone"
         assert rep["cores"]["groups"] == [["mu1"], ["mu2"], ["mu3"]]
 
+    @pytest.mark.parametrize("name", ["mu1", "mu2"])
+    def test_a_curve_of_rounding_noise_is_flat(self, outdir, name):
+        # g_3 = 0.1 (x3^4 - E x3^4) E[sin x1] vanishes under mu1 and mu2,
+        # so their x3 curves hold rounding noise; the verdict is judged to
+        # the error the values carry, INTERP_TOL sqrt(V) of the engine
+        cell = load_report(outdir)["trend"]["per_measure"][name]["x3"]
+        assert cell["nondecreasing"] and cell["nonincreasing"]
+        assert cell["max_violation"]["tol"] == pytest.approx(
+            anova.INTERP_TOL * math.sqrt(ref.TOTAL[name]), rel=1e-9)
+        values = np.loadtxt(outdir / f"effect_{name}_x3.csv", delimiter=",",
+                            skiprows=1)[:, 1]
+        assert np.all(np.abs(values) <= 1e-14)
+
     def test_effect_csv_matches_the_closed_form(self, outdir):
         data = np.loadtxt(outdir / "effect_mu1_x1.csv", delimiter=",",
                           skiprows=1)
@@ -284,7 +297,9 @@ def _counted_evaluations(monkeypatch):
 def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
                                                         monkeypatch):
     # the engines' 64^4 grids do not fit: each settles on the ladder, and
-    # its effects at points are read off its tables
+    # its effects at points are read off its tables; the mixture-curve rows
+    # outside flat's supports, 32 to 38 a side, are read off a Legendre
+    # table of 8 direct rows a side (8 tables, 1,152 points)
     (tmp_path / "model.yaml").write_text(MULTILINEAR4_YAML)
     (tmp_path / "measures.yaml").write_text(TWO_MEASURES4_YAML)
     out = tmp_path / "out"
@@ -294,7 +309,7 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
                 "--out", str(out)]) == 0
     # each engine sweeps the probe's 8^4 points, then its caps: 4 x 5 x 4 x 5
     assert sum(k for c, k in points if c == "_sweep") == 2 * (8**4 + 400)
-    assert sum(k for _, k in points) == 13_856
+    assert sum(k for _, k in points) == 10_144
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -314,7 +329,9 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
 def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
                                                         monkeypatch):
     # the engines' 64^5 grids do not fit; each settles on the ladder from
-    # a probe rung of 8 nodes, then 16
+    # a probe rung of 8 nodes, then 16; the mixture-curve rows outside a
+    # uniform support, 14 to 72 a side, are read off a Legendre table of 8
+    # direct rows a side (23 tables, 6,352 points)
     (tmp_path / "model.yaml").write_text(MULTILINEAR5_YAML)
     (tmp_path / "measures.yaml").write_text(FIVE_MEASURES5_YAML)
     out = tmp_path / "out"
@@ -325,7 +342,7 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
     # each engine sweeps the probe's 8^5 points, then its caps:
     # 4 x 5 x 4 x 5 x 4
     assert sum(k for c, k in points if c == "_sweep") == 5 * (8**5 + 1600)
-    assert sum(k for _, k in points) == 207_106
+    assert sum(k for _, k in points) == 178_192
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -350,11 +367,16 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     # each engine sweeps the probe of 8 nodes, 16 with x3 at 7 nodes, and
     # the rung its coefficient decay predicts (mu1 21 x 33 x 7, mu2
     # 30 x 62 x 7, mu3 14 x 21 x 7, x1 of mu3 at its cap of 14 from 16):
-    # 26,841 points; the mixture-curve rows
-    # outside a uniform measure's support take the direct integral by the
-    # pair of lower rules, ceil(cap / 2) and one node fewer on each axis the
-    # settled rung resolves, and agree there, so none takes the settled
-    # nodes: 31,170
+    # 26,841 points; the mixture-curve rows outside a uniform measure's
+    # support, 14 or 64 on a side, are read off a Legendre table over the
+    # side's rows (``_read_outside``), from a probe of 8 direct rows and, where its
+    # tail is not resolved and its decay predicts fewer rows than the side
+    # has, one more sweep at that count (11 on mu1's x1 and on mu3's x1 past
+    # pi, 22 on mu3's x1 and 37 on mu3's x2 below 0); the rows a table
+    # rejects (all 14 of mu1's x2 on either side and of mu3's x2 past pi)
+    # and the table nodes take the direct integral by the pair of lower
+    # rules, ceil(cap / 2) and one node fewer on each axis the settled rung
+    # resolves, and agree there, so none takes the settled nodes: 19,759
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = _counted_evaluations(monkeypatch)
@@ -364,8 +386,8 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
     assert by_caller == {"_sweep": 26_841,
-                         "conditional_mean": 31_170}
-    assert sum(by_caller.values()) == 58_011
+                         "conditional_mean": 19_759}
+    assert sum(by_caller.values()) == 46_600
 
 
 def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
@@ -413,7 +435,9 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # (x3 at 7 on all three, mu3's x1 at 14), the pairs of lower rules of
     # the direct curve rows
     # (uniform 3, 4, 6, 9, 10, 11 and 13: half of mu1's and mu3's caps at
-    # the settled rung, and one fewer),
+    # the settled rung, and one fewer), the tables of the curve rows outside
+    # a uniform support (their probe of 8, and 11, 22 and 37 nodes where the
+    # probe's decay predicts them),
     # and the order 64 it was built at, which the core signatures and the
     # restricted defect rules reuse: they make no rule of their own, and the
     # k = j defect terms are read off the engines' own tables
@@ -443,7 +467,8 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                                 ("leggauss", 11), ("leggauss", 13),
                                 ("leggauss", 14),
                                 ("leggauss", 16), ("leggauss", 21),
-                                ("leggauss", 33), ("leggauss", 64)]
+                                ("leggauss", 22), ("leggauss", 33),
+                                ("leggauss", 37), ("leggauss", 64)]
     assert len(computed) <= measures._gauss_rule.cache_info().maxsize
 
 

@@ -138,6 +138,19 @@ class TestMonotonicityCheck:
         flat = monotonicity_check([2.0, 2.0, 2.0])
         assert flat.nondecreasing and flat.nonincreasing
 
+    def test_the_tolerance_is_at_least_the_floor(self):
+        # rounding noise about a constant: judged against its own span it
+        # is nonmonotone, against the error the values carry it is flat
+        noise = [0.0, 4.4e-16, 0.0, 4.4e-16]
+        assert monotonicity_check(noise).verdict == "nonmonotone"
+        flat = monotonicity_check(noise, floor=1e-9)
+        assert flat.nondecreasing and flat.nonincreasing
+        assert flat.tol == 1e-9
+        # a floor below 1e-6 of the span leaves the tolerance as it was
+        wave = np.sin(np.linspace(0.0, 6.0, 50))
+        assert monotonicity_check(wave, floor=1e-9) \
+            == monotonicity_check(wave)
+
     def test_two_dimensional_scan(self):
         x = np.linspace(0, 1, 11)
         surf = x[:, None] + x[None, :] ** 2

@@ -67,7 +67,7 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
                        (diagnostics.robust_ranking, ("s_matrix", "ses")),
                        (models.core_signature, ("model", "measure")),
                        (models.core_partition, ("model", "mset")),
-                       (diagnostics.monotonicity_check, ("curve",)),
+                       (diagnostics.monotonicity_check, ("curve", "floor")),
                        (diagnostics.mixture_monotonicity_condition,
                         ("engines", "z")),
                        (diagnostics.ultramodularity_check,
