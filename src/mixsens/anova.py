@@ -24,14 +24,17 @@ family, judged against sqrt(V)), and the next rung sweeps each resolved axis
 at its cap.  An unresolved axis takes the next rung of the ladder
 (``LADDER``): the probe and 16 where the grid at ``order`` fits, and every
 rung below ``order`` where it does not.  Past the ladder it takes the nodes
-at which a straight-line fit of its log coefficients crosses the tolerance.
+at which a fit of its log coefficients crosses the tolerance: a line plus
+a log Gamma term (``_crossing``), since an entire model's coefficients
+fall faster than geometrically.
 A rung after the first settles once its own caps are all finite, or once
 its mean, V and every V_z moved by at most ``INTERP_TOL`` (relative to
 sqrt(V) and V) from the rung before; Gauss rules converge geometrically on
 smooth models, so that change bounds the error of the rung before.  The
-Ishigami model settles after one predicted rung, on 21 x 33, 30 x 62 or
-14 x 21 nodes with 7 on x3, and a model multilinear in its inputs on 4
-nodes per axis after 8^3 + 4^3 = 576 evaluations.  A smooth 4-input model
+Ishigami model settles after one predicted rung, on 21 x 29, 27 x 45 or
+14 x 21 nodes with 7 on x3, each axis within two nodes of that rung's own
+caps, and a model multilinear in its inputs on 4 nodes per axis after
+8^3 + 4^3 = 576 evaluations.  A smooth 4-input model
 quartic in x3 costs 8^4 + (16^3 + 24^3 + 32^3) * 7 evaluations, not 64^4.
 A settled engine keeps its rung's nodes, with its rung's caps.  With an
 axis unresolved at ``order``, or with no next rung that is new and fits, it
@@ -67,8 +70,9 @@ resolve it, gated row by row as ``_read`` gates.  The direct integral over
 the complement of v, ``conditional_mean``, serves the rows either gate
 rejects and the other rows outside a coordinate's support, the empty and the
 full subset, and subsets with a discrete coordinate.  On the reference
-measure set the mixture curves' rows outside a uniform support cost 19,759
-model evaluations this way, 31,170 with each of them integrated directly.
+measure set the direct integrals of the canonical prior run cost 20,585
+model evaluations this way, 33,282 with each row outside a uniform support
+integrated directly.
 Every complement rule comes from ``_direct_rules``: on
 a settled engine the complement takes half the nodes of the cap its rung
 gives each axis it resolves, checked row by row against a second rule one
@@ -306,12 +310,12 @@ class AnovaEngine:
         rung before frees its C.  On the next rung every continuous axis
         that this one resolves takes its cap, and every other one the next
         rung of the ladder while it has rungs, and past it the nodes at
-        which its coefficients, by their geometric decay, fall to the
+        which its coefficients, by their fitted decay, fall to the
         tolerance of ``_caps`` (``_crossing``): at least one node more than
         it had and at most ``order``.  On an analytic model they fall like
-        rho^-k (Trefethen, Approximation Theory and Approximation Practice,
-        SIAM 2013, ch. 8), so one predicted rung mostly settles, as it does
-        on the Ishigami engines.
+        rho^-k, on an entire one like tau^k / Gamma(k+1)^gamma, so one
+        predicted rung mostly settles, as it does on the Ishigami engines,
+        within two nodes of its own caps.
 
         A rung after the first settles when its own caps are all finite, or
         when, against the rung before, the mean moved by at most
@@ -420,7 +424,7 @@ class AnovaEngine:
                 d = max(np.flatnonzero(rest > tol), default=-1)
                 if d < _tail(s):
                     caps[i] = _nodes_past(d, s)
-                ends[i] = _crossing(c, tol)
+                ends[i] = _crossing(c, tol, self._most)
         return caps, ends
 
     # -- conditional means and effects at arbitrary points -------------------
@@ -559,15 +563,18 @@ class AnovaEngine:
         read off a Legendre table over the span [a, b] of those rows.
 
         w_v there is an integral over the complement of an analytic model,
-        so its Legendre coefficients on [a, b] decay geometrically
-        (Trefethen, Approximation Theory and Approximation Practice, SIAM
-        2013, ch. 8).  A table takes ``conditional_mean`` at the 8 Gauss
+        so its Legendre coefficients on [a, b] decay at least geometrically
+        (``_crossing``).  A table takes ``conditional_mean`` at the 8 Gauss
         nodes of ``Uniform(a, b)``, the probe, and their coefficients by
         the family's ``to_coeffs``, one matrix per node count on every
         interval.  When the ``_tail`` of those sums above ``INTERP_TOL``
         times rms(w_v) (``_rms``), it is taken once more at the nodes that
         their decay predicts (``_crossing``), at most the order the engine
-        was built with, if fewer than its rows.  A row is accepted by
+        was built with, if fewer than its rows.  A table whose largest
+        tail coefficient exceeds 1e-3 of its largest coefficient has not
+        decayed, and accepts no row: its tail then bounds nothing (on rows
+        across the root of x1^19 every coefficient lies below the target,
+        and a row read 1.46 targets off).  Otherwise a row is accepted by
         ``_read``'s test: the tail coefficients and the rounding
         (3s + 4) eps |to_coeffs| |w|, read through the absolute ``poly``
         values, sum to at most ``INTERP_TOL`` times rms(w_v).  Each round
@@ -594,8 +601,9 @@ class AnovaEngine:
                 coeffs = to_coeffs(c) @ wk
                 tables[k] = c, wk, coeffs
                 if probe and np.abs(coeffs[_tail(c):]).sum() > tol:
-                    more = min(self._most, max(c + 1, _nodes_past(
-                        _crossing(np.abs(coeffs), tol), self._most)))
+                    d = _crossing(np.abs(coeffs), tol, self._most)
+                    more = min(self._most,
+                               max(c + 1, _nodes_past(d, self._most)))
                     if c < more < sides[k].size:
                         counts[k] = more
         out = []
@@ -608,7 +616,10 @@ class AnovaEngine:
                 + (3 * c + 4) * np.finfo(float).eps * (
                     np.abs(to_coeffs(c)) @ np.abs(w))
             polys = span.poly(x, c)
-            out.append((np.abs(polys) @ error <= tol, polys @ coeffs))
+            decays = np.abs(coeffs[_tail(c):]).max() \
+                <= 1e-3 * np.abs(coeffs).max()
+            out.append((decays & (np.abs(polys) @ error <= tol),
+                        polys @ coeffs))
         return out
 
     def _reads_grid(self, v):
@@ -803,22 +814,51 @@ def _nodes_past(d, most):
     return next((k for k in range(1, most) if _tail(k) > d), most)
 
 
-def _crossing(c, tol):
-    """The degree at which coefficients ``c`` fall to ``tol``, by their
-    geometric decay: a least-squares line through log e_k, with e_k =
-    max(c_{k-1}, c_k), over the upper half of the degrees; inf when the
-    line does not fall.  The pair envelope bridges a coefficient that
-    parity zeroes; a running maximum from the top would let a last zero
-    (as of 7 sin^2 x2) anchor the line and predict too few nodes."""
+def _crossing(c, tol, most):
+    """The degree at which coefficients ``c`` fall to ``tol`` by their
+    decay, fitted by least squares to log e_k, with e_k = max(c_{k-1},
+    c_k), over the upper half of the degrees: a + b k - gamma log Gamma(k+1).
+
+    An entire function's coefficients decay like tau^k / Gamma(k+1)^gamma,
+    gamma about 1 on a Legendre axis and 1/2 on a Hermite one (Boyd,
+    Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch. 2), and
+    an analytic one's geometrically, like rho^-k (Trefethen, Approximation
+    Theory and Approximation Practice, SIAM 2013, ch. 8).  With gamma > 0
+    the fit is concave in k, so it crosses ``tol`` once past the last
+    degree, where bisection finds it up to degree ``most``: inf when the
+    fit is still above ``tol`` there, the last degree when it is already
+    below.  With gamma <= 0, or only two degrees to fit, it is the
+    least-squares line, gamma = 0: inf when the line does not fall.  The
+    pair envelope bridges a coefficient that parity zeroes; a running
+    maximum from the top would let a last zero (as of 7 sin^2 x2) anchor
+    the fit and predict too few nodes."""
     k = np.arange(max(c.size // 2, 1), c.size)
     if k.size < 2:
         return math.inf
     y = np.log(np.maximum(np.maximum(c[k - 1], c[k]), np.finfo(float).tiny))
+    target = math.log(tol) if tol > 0 else -math.inf    # no fit falls to 0
+    if k.size > 2:
+        (a, b, gamma), *_ = np.linalg.lstsq(np.stack(
+            [np.ones(k.size), k, [-math.lgamma(j + 1.0) for j in k]], axis=1),
+            y, rcond=None)
+        if gamma > 0:
+            def above(t):
+                return a + b * t - gamma * math.lgamma(t + 1.0) > target
+
+            lo, hi = float(k[-1]), max(float(most), float(k[-1]))
+            if above(hi):
+                return math.inf
+            if not above(lo):
+                return lo
+            for _ in range(64):     # to the spacing of doubles near hi
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if above(mid) else (lo, mid)
+            return hi
     at, level = k.mean(), y.mean()
     slope = float((k - at) @ (y - level)) / float((k - at) @ (k - at))
     if not slope < 0:
         return math.inf
-    return at + (math.log(tol) - level) / slope
+    return at + (target - level) / slope
 
 
 def _tensor_eval(table, mats):

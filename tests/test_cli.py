@@ -365,18 +365,19 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
 def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
         tmp_path, monkeypatch):
     # each engine sweeps the probe of 8 nodes, 16 with x3 at 7 nodes, and
-    # the rung its coefficient decay predicts (mu1 21 x 33 x 7, mu2
-    # 30 x 62 x 7, mu3 14 x 21 x 7, x1 of mu3 at its cap of 14 from 16):
-    # 26,841 points; the mixture-curve rows outside a uniform measure's
+    # the rung its coefficient decay predicts (mu1 21 x 29 x 7, mu2
+    # 27 x 45 x 7, mu3 14 x 21 x 7, x1 of mu3 at its cap of 14 from 16):
+    # 21,738 points; the mixture-curve rows outside a uniform measure's
     # support, 14 or 64 on a side, are read off a Legendre table over the
     # side's rows (``_read_outside``), from a probe of 8 direct rows and, where its
     # tail is not resolved and its decay predicts fewer rows than the side
-    # has, one more sweep at that count (11 on mu1's x1 and on mu3's x1 past
-    # pi, 22 on mu3's x1 and 37 on mu3's x2 below 0); the rows a table
-    # rejects (all 14 of mu1's x2 on either side and of mu3's x2 past pi)
-    # and the table nodes take the direct integral by the pair of lower
-    # rules, ceil(cap / 2) and one node fewer on each axis the settled rung
-    # resolves, and agree there, so none takes the settled nodes: 19,759
+    # has, one more sweep at that count (11 on mu1's x1, 13 on mu1's x2, 10
+    # on mu3's x1 and 13 on its x2 past pi, 17 on mu3's x1 and 22 on its x2
+    # below 0), and every table accepts all its rows; the table nodes, and
+    # the 6 outer rows a side of mu2's x2 curve that its settled table
+    # rejects, take the direct integral by the pair of lower rules,
+    # ceil(cap / 2) and one node fewer on each axis the settled rung
+    # resolves, and agree there, so none takes the settled nodes: 20,585
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = _counted_evaluations(monkeypatch)
@@ -385,9 +386,9 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     by_caller = {}
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
-    assert by_caller == {"_sweep": 26_841,
-                         "conditional_mean": 19_759}
-    assert sum(by_caller.values()) == 46_600
+    assert by_caller == {"_sweep": 21_738,
+                         "conditional_mean": 20_585}
+    assert sum(by_caller.values()) == 42_323
 
 
 def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
@@ -430,14 +431,15 @@ class TestDeterminism:
 
 def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # the rungs each engine sweeps (the probe of 8 nodes, 16, and the
-    # counts its coefficient decay predicts: uniform mu1 21 and 33, normal
-    # mu2 30 and 62, uniform mu3 21), the caps of the axes a rung resolves
+    # counts its coefficient decay predicts: uniform mu1 21 and 29, normal
+    # mu2 27 and 45, uniform mu3 21), the caps of the axes a rung resolves
     # (x3 at 7 on all three, mu3's x1 at 14), the pairs of lower rules of
     # the direct curve rows
     # (uniform 3, 4, 6, 9, 10, 11 and 13: half of mu1's and mu3's caps at
-    # the settled rung, and one fewer), the tables of the curve rows outside
-    # a uniform support (their probe of 8, and 11, 22 and 37 nodes where the
-    # probe's decay predicts them),
+    # the settled rung, and one fewer; normal 3, 4, 12 and 13 for mu2's
+    # outer x2 rows, from its caps of 26 on x1 and 7 on x3), the tables of
+    # the curve rows outside a uniform support (their probe of 8, and 10,
+    # 11, 13, 17 and 22 nodes where the probe's decay predicts them),
     # and the order 64 it was built at, which the core signatures and the
     # restricted defect rules reuse: they make no rule of their own, and the
     # k = j defect terms are read off the engines' own tables
@@ -456,9 +458,11 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                      "--prior", "--out", str(tmp_path / "out")]) == 0
     finally:
         measures._gauss_rule.cache_clear()
-    assert sorted(computed) == [("hermgauss", 7), ("hermgauss", 8),
+    assert sorted(computed) == [("hermgauss", 3), ("hermgauss", 4),
+                                ("hermgauss", 7), ("hermgauss", 8),
+                                ("hermgauss", 12), ("hermgauss", 13),
                                 ("hermgauss", 16),
-                                ("hermgauss", 30), ("hermgauss", 62),
+                                ("hermgauss", 27), ("hermgauss", 45),
                                 ("hermgauss", 64),
                                 ("leggauss", 3), ("leggauss", 4),
                                 ("leggauss", 6), ("leggauss", 7),
@@ -466,9 +470,9 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                                 ("leggauss", 9), ("leggauss", 10),
                                 ("leggauss", 11), ("leggauss", 13),
                                 ("leggauss", 14),
-                                ("leggauss", 16), ("leggauss", 21),
-                                ("leggauss", 22), ("leggauss", 33),
-                                ("leggauss", 37), ("leggauss", 64)]
+                                ("leggauss", 16), ("leggauss", 17),
+                                ("leggauss", 21), ("leggauss", 22),
+                                ("leggauss", 29), ("leggauss", 64)]
     assert len(computed) <= measures._gauss_rule.cache_info().maxsize
 
 

@@ -331,8 +331,10 @@ def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
     # the full subset's rows are evaluated once per measure set, across both
     # routes and every engine of the set
     assert full == [1] * 4
-    # every table row is accepted, so no other row is evaluated
-    assert other == [[], [], [], []]
+    # every other row is read off a table, but for 4 rows of x1x3 near
+    # (pi, pi) that mu2's table rejects: each takes the pair of lower rules
+    # over x2, 22 + 21 nodes (ceil(43 / 2) and one fewer), in one call
+    assert other == [[4 * (22 + 21)], [], [], []]
 
 
 def test_engines_on_other_models_share_no_rows():
