@@ -19,13 +19,13 @@ coordinate) over a grid of at most ``FULL_GRID_CAP`` points.  An engine's
 integral of any kind settles the grid it sweeps (``AnovaEngine._settle``) in
 one loop over rungs, from a probe rung of 8 nodes and then 16 where the grid
 of 16 fits.  Each rung caps every axis it resolves at the fewest nodes that
-keep it resolved (``AnovaEngine._caps``, one coefficient-tail rule on every
-family, judged against sqrt(V)), and the next rung sweeps each resolved axis
-at its cap.  An unresolved axis takes the next rung of the ladder
-(``LADDER``): the probe and 16 where the grid at ``order`` fits, and every
-rung below ``order`` where it does not.  Past the ladder it takes the nodes
-at which a fit of its log coefficients crosses the tolerance: a line plus
-a log Gamma term (``_crossing``), since an entire model's coefficients
+keep it resolved (``AnovaEngine._caps``, by the one coefficient-tail rule
+of ``_resolve``, judged against sqrt(V)), and the next rung sweeps each
+resolved axis at its cap.  An unresolved axis takes the next rung of the
+ladder (``LADDER``): the probe and 16 where the grid at ``order`` fits, and
+every rung below ``order`` where it does not.  Past the ladder it takes the
+nodes at which a fit of its log coefficients crosses the tolerance: a line
+plus a log Gamma term (``_crossing``), since an entire model's coefficients
 fall faster than geometrically.
 A rung after the first settles once its own caps are all finite, or once
 its mean, V and every V_z moved by at most ``INTERP_TOL`` (relative to
@@ -61,12 +61,12 @@ Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of C
 that is zero off v holds the coefficients of w_v - mean on v's subgrid, so
 E[w_v^2] is mean^2 plus V_u for every subset u of v (``_rms``).
 ``AnovaEngine._w_at`` reads w_v through that slice and each coordinate's
-``poly`` as its interpolating polynomial, gated row by row by an error
-estimate (``_read``).  Rows of a single input outside its support, more
-than 8 on a side, are read off a Legendre table of w_v over their span
-(``_read_outside``): the direct integral at the table's 8 Gauss nodes, and
-once more at the nodes their coefficients' decay predicts where those do not
-resolve it, gated row by row as ``_read`` gates.  The direct integral over
+``poly`` as its interpolating polynomial (``_read``).  Rows of a single
+input outside its support, more than 8 on a side, are read off a Legendre
+table of w_v over their span (``_read_outside``): the direct integral at
+the table's 8 Gauss nodes, and once more at its next count (``_resolve``)
+where those do not resolve it.  Both gate each row (``_gate``) by one error
+bound of their coefficients (``_bound``).  The direct integral over
 the complement of v, ``conditional_mean``, serves the rows either gate
 rejects and the other rows outside a coordinate's support, the empty and the
 full subset, and subsets with a discrete coordinate.  On the reference
@@ -240,10 +240,8 @@ class AnovaEngine:
         Not used, since every integral is a tensor Gauss rule; kept for the
         callers that still pass it.
 
-    The fixed rungs of ``_settle`` are chosen here: the probe of 8 nodes
-    and 16 where the grid of ``order`` fits, and the whole ladder where it
-    does not.  An engine for which neither the grid of ``order`` nor that of any rung
-    fits in ``FULL_GRID_CAP`` points raises ``ConfigError`` here.
+    An engine for which neither the grid of ``order`` nor that of any rung
+    of its ladder fits in ``FULL_GRID_CAP`` points raises ``ConfigError``.
     """
 
     def __init__(self, model, measure, order=DEFAULT_ORDER, seed=0):
@@ -309,11 +307,8 @@ class AnovaEngine:
         its full grid (``_sweep``) and reads its own ``_caps`` once, and the
         rung before frees its C.  On the next rung every continuous axis
         that this one resolves takes its cap, and every other one the next
-        rung of the ladder while it has rungs, and past it the nodes at
-        which its coefficients, by their fitted decay, fall to the
-        tolerance of ``_caps`` (``_crossing``): at least one node more than
-        it had and at most ``order``.  On an analytic model they fall like
-        rho^-k, on an entire one like tau^k / Gamma(k+1)^gamma, so one
+        rung of the ladder while it has rungs, and past it the next count
+        of ``_caps`` (``_resolve``), which its fitted decay predicts.  One
         predicted rung mostly settles, as it does on the Ishigami engines,
         within two nodes of its own caps.
 
@@ -335,8 +330,8 @@ class AnovaEngine:
         of them, and 16 to a degree-16 one, so the axis climbs.  That read
         is then spent, and the cap of the next rung stands: an axis read
         unresolved at c nodes only by the rounding of far normal nodes
-        would otherwise climb one node a rung (a smooth 3-input model took
-        13 rungs and 102,098 evaluations, against 5 and 27,578).
+        would otherwise climb one node a rung (a smooth 3-input model once
+        took 13 rungs and 102,098 evaluations, against 5 and 27,578).
 
         Where the probe caps nothing it costs 8^n more points and changes
         no result.  On g = sum cos 2x_k + 0.5 x1 x2 + 0.3 sin x3 x4 under
@@ -359,7 +354,7 @@ class AnovaEngine:
                 # the mean, P and scale, not C, which the next sweep frees
                 mean, power, e = (self._sweep()[k] for k in (1, 3, 4))
                 terms = np.append(power, power.sum())   # every V_z, then V
-                caps, ends = self._caps()
+                caps, nexts = self._caps()
                 blind = [c <= u for c, u in zip(caps, seen)]
                 seen = [0 if b else s if c == math.inf else u
                         for c, u, s, b in zip(caps, seen, self._sizes, blind)]
@@ -379,53 +374,40 @@ class AnovaEngine:
                     return
                 last = mean, terms, e
                 rung = ladder[len(swept)] if len(swept) < len(ladder) else None
-                counts = [c if c < math.inf else rung or min(
-                    order, max(_nodes_past(d, order), s + 1)) if f else s
-                    for f, c, d, s in zip(cont, caps, ends, self._sizes)]
+                counts = [c if c < math.inf else rung if rung and f else k
+                          for f, c, k in zip(cont, caps, nexts)]
         except BaseException:       # a failed rung leaves the engine as built
             self._ladder = ladder
             self._use_order(order)
             raise
 
     def _caps(self):
-        """(caps, ends): per coordinate, the most nodes this rung's full grid
-        says it needs (inf on a discrete axis and on one the grid leaves
-        unresolved), and the degree at which its coefficients fall to the
-        tolerance by their decay (``_crossing``; nan on a discrete axis).
+        """(caps, nexts): per coordinate, the most nodes this rung's full
+        grid says it needs and the count it takes next unresolved, by
+        ``_resolve`` (inf and its own points on a discrete axis).
 
-        Along a continuous axis, g's orthonormal-polynomial coefficients on
-        the grid (its component's ``to_coeffs`` along that axis alone), each
-        the largest over the other axes, are resolved when those from the
-        ``_tail`` on sum to at most ``INTERP_TOL`` times sqrt(V), V the sum
-        of P: the same for g and a g + b.  The axis is then capped at the
-        fewest nodes whose tail starts above the last degree from which
-        they sum to more.  The coefficients are summed as they stand, on
-        every family: a series judged resolved by its tail against its own
-        scale, as in Aurentz & Trefethen, "Chopping a Chebyshev series",
-        ACM TOMS 43, 2017.  A grid whose V is numerically zero
-        (``_no_variance``) has nothing to resolve: every axis takes its
-        fewest nodes.  The row gate of ``_read`` weighs each tail
-        coefficient by |phi_k(x)| and sends the rows it rejects to the
-        direct integral.
+        Along a continuous axis, ``_resolve`` reads g's orthonormal-polynomial
+        coefficients on the grid (its component's ``to_coeffs`` along that
+        axis alone), each the largest over the other axes, against
+        ``INTERP_TOL`` times sqrt(V), V the sum of P: the same for g and
+        a g + b.  Each axis's transform is dropped before the next is taken.
+        A grid whose V is numerically zero (``_no_variance``) has nothing to
+        resolve: every axis takes its fewest nodes.
         """
         grid, mean, _, power, e = self._sweep()
         v = float(power.sum())
         with np.errstate(over="ignore"):    # a mean far above V is no V
             flat = _no_variance(v, float(np.ldexp(mean, -e)))
         tol = math.inf if flat else INTERP_TOL * math.sqrt(v)
-        caps, ends = [math.inf] * self.n, [math.nan] * self.n
+        caps, nexts = [math.inf] * self.n, list(self._sizes)
         for i, (comp, s) in enumerate(zip(self.measure.components, self._sizes)):
             if self._continuous[i]:
                 c = _along([comp.to_coeffs(s) if k == i else None
                             for k in range(self.n)], grid)
                 c = np.ldexp(np.abs(c, out=c).max(
                     axis=tuple(k for k in range(self.n) if k != i)), -e)
-                rest = np.cumsum(c[::-1])[::-1]
-                d = max(np.flatnonzero(rest > tol), default=-1)
-                if d < _tail(s):
-                    caps[i] = _nodes_past(d, s)
-                ends[i] = _crossing(c, tol, self._most)
-        return caps, ends
+                caps[i], nexts[i] = _resolve(c, tol, self._most)
+        return caps, nexts
 
     # -- conditional means and effects at arbitrary points -------------------
 
@@ -563,24 +545,21 @@ class AnovaEngine:
         read off a Legendre table over the span [a, b] of those rows.
 
         w_v there is an integral over the complement of an analytic model,
-        so its Legendre coefficients on [a, b] decay at least geometrically
-        (``_crossing``).  A table takes ``conditional_mean`` at the 8 Gauss
-        nodes of ``Uniform(a, b)``, the probe, and their coefficients by
-        the family's ``to_coeffs``, one matrix per node count on every
-        interval.  When the ``_tail`` of those sums above ``INTERP_TOL``
-        times rms(w_v) (``_rms``), it is taken once more at the nodes that
-        their decay predicts (``_crossing``), at most the order the engine
-        was built with, if fewer than its rows.  A table whose largest
-        tail coefficient exceeds 1e-3 of its largest coefficient has not
-        decayed, and accepts no row: its tail then bounds nothing (on rows
-        across the root of x1^19 every coefficient lies below the target,
-        and a row read 1.46 targets off).  Otherwise a row is accepted by
-        ``_read``'s test: the tail coefficients and the rounding
-        (3s + 4) eps |to_coeffs| |w|, read through the absolute ``poly``
-        values, sum to at most ``INTERP_TOL`` times rms(w_v).  Each round
-        asks ``conditional_mean`` once, for the nodes of every table in
-        it; rows of no span (one value, or a width beyond the float range)
-        make no table and accept no row.
+        so its Legendre coefficients on [a, b] decay at least geometrically.
+        A table takes ``conditional_mean`` at the 8 Gauss nodes of
+        ``Uniform(a, b)``, the probe, and their coefficients by the family's
+        ``to_coeffs``, one matrix per node count on every interval.  Where
+        ``_resolve`` reads them unresolved against ``INTERP_TOL`` times
+        rms(w_v) (``_rms``), the table is taken once more at its next count,
+        at most the order the engine was built with, if fewer than its rows.
+        Each round asks ``conditional_mean`` once, for the nodes of every
+        table in it; rows of no span (one value, or a width beyond the float
+        range) make no table and accept no row.  A row is accepted by
+        ``_gate`` on the table's ``_bound``, and only off a table that has
+        decayed: one whose largest tail coefficient exceeds 1e-3 of its
+        largest coefficient accepts no row, since its tail then bounds
+        nothing (on rows across the root of x1^19 every coefficient lies
+        below the target, and a row read 1.46 targets off).
         """
         if not sides:
             return []
@@ -600,26 +579,16 @@ class AnovaEngine:
                     list(swept.values()))[:-1])):
                 coeffs = to_coeffs(c) @ wk
                 tables[k] = c, wk, coeffs
-                if probe and np.abs(coeffs[_tail(c):]).sum() > tol:
-                    d = _crossing(np.abs(coeffs), tol, self._most)
-                    more = min(self._most,
-                               max(c + 1, _nodes_past(d, self._most)))
-                    if c < more < sides[k].size:
+                if probe:
+                    cap, more = _resolve(np.abs(coeffs), tol, self._most)
+                    if cap == math.inf and c < more < sides[k].size:
                         counts[k] = more
-        out = []
-        for x, span, table in zip(sides, spans, tables):
-            if table is None:
-                out.append((np.zeros(x.size, dtype=bool), np.empty(x.size)))
-                continue
-            c, w, coeffs = table
-            error = np.where(np.arange(c) >= _tail(c), np.abs(coeffs), 0.0) \
-                + (3 * c + 4) * np.finfo(float).eps * (
-                    np.abs(to_coeffs(c)) @ np.abs(w))
-            polys = span.poly(x, c)
-            decays = np.abs(coeffs[_tail(c):]).max() \
-                <= 1e-3 * np.abs(coeffs).max()
-            out.append((decays & (np.abs(polys) @ error <= tol),
-                        polys @ coeffs))
+        out = [(np.zeros(x.size, dtype=bool), np.empty(x.size)) for x in sides]
+        for k, (c, w, coeffs) in ((k, t) for k, t in enumerate(tables) if t):
+            ok, values = _gate(coeffs, _bound(coeffs, w, [to_coeffs(c)], [True]),
+                               [spans[k]], sides[k][:, None], tol)
+            out[k] = ok & (np.abs(coeffs[_tail(c):]).max()
+                           <= 1e-3 * np.abs(coeffs).max()), values
         return out
 
     def _reads_grid(self, v):
@@ -630,51 +599,28 @@ class AnovaEngine:
     def _read(self, v, x):
         """(accepted, values): w_v at every row of ``x`` (N, |v|, v sorted
         as C's axes are) as its interpolating polynomial on the grid, and a
-        mask of the rows whose value passes the gate.
+        mask of the rows whose value passes ``_gate``.
 
         phi_0 = 1, so row 0 of every component's ``to_coeffs`` is its
         weights, and the slice C[at] of the kept coefficients that is zero
         off v (``at`` picks degree 0 on every other axis) is exactly the
         coefficients of w_v - mean on v's subgrid:
-        w_v(x) = mean + sum_J C[at]_J phi_J(x).  A row is accepted when it
-        lies in every coordinate's ``support()`` and E[at] read through the
-        absolute ``poly`` values, |phi_J(x)| = prod_a |phi_{J_a}(x_a)|, is at
-        most ``INTERP_TOL`` times rms(w_v) (``_rms``).  The error tensor E,
-        built on the first read and kept until ``_use_order``, adds two
-        parts:
-
-        * truncation: |C_J| on the last quarter of the degrees (``_tail``)
-          of any continuous axis; for a resolved axis they are rounding
-          noise, for an unresolved one they are not small;
-        * rounding: (3s + 4) eps F_J, where F is |grid| mapped by the
-          absolute ``to_coeffs`` along every axis, and s the most
-          nodes on an axis.  F bounds each |C_J| and the rounding made in
-          computing it, and weighed by |phi_J(x)| it grows far out in a
-          normal coordinate, where the polynomials do.
+        w_v(x) = mean + sum_J C[at]_J phi_J(x).  Its error is E[at], of the
+        ``_bound`` of C on the grid scaled as C is, by 2^-e, built on the
+        first read and kept until ``_use_order``; the gate's tolerance,
+        ``INTERP_TOL`` times rms(w_v) (``_rms``), is scaled alike.
         """
         grid, mean, coeffs, _, e = self._sweep()
         if self._error is None:
-            tail = np.zeros(self._sizes, dtype=bool)
-            for k, (cont, s) in enumerate(zip(self._continuous, self._sizes)):
-                if cont:
-                    tail |= (np.arange(s) >= _tail(s)).reshape(
-                        [-1 if j == k else 1 for j in range(self.n)])
-            error = np.where(tail, np.abs(coeffs), 0.0)
-            self._error = np.ldexp(error, e, out=error) \
-                + (3 * max(self._sizes) + 4) * np.finfo(float).eps * _along(
-                    [np.abs(c.to_coeffs(s)) for c, s in zip(
-                        self.measure.components, self._sizes)], np.abs(grid))
+            self._error = _bound(coeffs, np.ldexp(grid, -e), [
+                c.to_coeffs(s) for c, s in zip(self.measure.components,
+                                               self._sizes)], self._continuous)
         at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
-        comps = [self.measure.components[i - 1] for i in v]
-        ok = np.all([(c >= lo) & (c <= hi) for (lo, hi), c in
-                     zip((a.support() for a in comps), x.T)], axis=0)
-        with np.errstate(all="ignore"):     # far-out rows overflow; the gate drops them
-            polys = [a.poly(c, self._sizes[i - 1])
-                     for a, i, c in zip(comps, v, x.T)]
-            values = mean + np.ldexp(_tensor_eval(coeffs[at], polys), e)
-            ok &= _tensor_eval(self._error[at], [np.abs(p) for p in polys]) \
-                <= INTERP_TOL * self._rms(v)
-        return ok, values
+        ok, values = _gate(coeffs[at], self._error[at],
+                           [self.measure.components[i - 1] for i in v], x,
+                           math.ldexp(INTERP_TOL * self._rms(v), -e))
+        with np.errstate(all="ignore"):     # far-out rows; the gate drops them
+            return ok, mean + np.ldexp(values, e)
 
     def _rms(self, v):
         """rms(w_v), the square root of E[w_v^2]: by Parseval, of mean^2
@@ -814,6 +760,25 @@ def _nodes_past(d, most):
     return next((k for k in range(1, most) if _tail(k) > d), most)
 
 
+def _resolve(c, tol, most):
+    """(cap, next): the fewest nodes that resolve coefficients ``c`` (s of
+    them, absolute) against ``tol``, and the count to take them at next.
+
+    The series is resolved when those from the ``_tail`` on sum to at most
+    ``tol``, and then capped at the fewest nodes whose tail starts past the
+    last degree from which they sum to more; cap is inf otherwise.  The
+    coefficients are summed as they stand, on every family: a series judged
+    resolved by its tail against its own scale, as in Aurentz & Trefethen,
+    "Chopping a Chebyshev series", ACM TOMS 43, 2017.  next is the fewest
+    nodes whose tail starts past the degree at which ``c`` falls to ``tol``
+    by its decay (``_crossing``): at least s + 1 and at most ``most``.
+    """
+    d = max(np.flatnonzero(np.cumsum(c[::-1])[::-1] > tol), default=-1)
+    cap = _nodes_past(d, c.size) if d < _tail(c.size) else math.inf
+    return cap, min(most, max(_nodes_past(_crossing(c, tol, most), most),
+                              c.size + 1))
+
+
 def _crossing(c, tol, most):
     """The degree at which coefficients ``c`` fall to ``tol`` by their
     decay, fitted by least squares to log e_k, with e_k = max(c_{k-1},
@@ -825,13 +790,14 @@ def _crossing(c, tol, most):
     an analytic one's geometrically, like rho^-k (Trefethen, Approximation
     Theory and Approximation Practice, SIAM 2013, ch. 8).  With gamma > 0
     the fit is concave in k, so it crosses ``tol`` once past the last
-    degree, where bisection finds it up to degree ``most``: inf when the
-    fit is still above ``tol`` there, the last degree when it is already
-    below.  With gamma <= 0, or only two degrees to fit, it is the
-    least-squares line, gamma = 0: inf when the line does not fall.  The
-    pair envelope bridges a coefficient that parity zeroes; a running
-    maximum from the top would let a last zero (as of 7 sin^2 x2) anchor
-    the fit and predict too few nodes."""
+    degree, and a scan of the degrees from there finds the last one above
+    ``tol``, which has the crossing's ``_nodes_past``: inf when the fit is
+    still above ``tol`` at ``most``, the last degree when it is already
+    below there.  With gamma <= 0, or only two degrees to fit, it is the
+    least-squares line's crossing, gamma = 0: inf when the line does not
+    fall.  The pair envelope bridges a coefficient that parity zeroes; a
+    running maximum from the top would let a last zero (as of 7 sin^2 x2)
+    anchor the fit and predict too few nodes."""
     k = np.arange(max(c.size // 2, 1), c.size)
     if k.size < 2:
         return math.inf
@@ -845,20 +811,51 @@ def _crossing(c, tol, most):
             def above(t):
                 return a + b * t - gamma * math.lgamma(t + 1.0) > target
 
-            lo, hi = float(k[-1]), max(float(most), float(k[-1]))
-            if above(hi):
-                return math.inf
-            if not above(lo):
-                return lo
-            for _ in range(64):     # to the spacing of doubles near hi
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if above(mid) else (lo, mid)
-            return hi
+            last = int(k[-1])
+            if not above(last):
+                return last
+            return next((t - 1 for t in range(last + 1, max(most, last) + 1)
+                         if not above(t)), math.inf)
     at, level = k.mean(), y.mean()
     slope = float((k - at) @ (y - level)) / float((k - at) @ (k - at))
     if not slope < 0:
         return math.inf
     return at + (target - level) / slope
+
+
+def _bound(coeffs, values, mats, tails):
+    """The error tensor E of ``coeffs``, the series of ``values`` by the
+    matrix mats[k] along each axis k, in two parts:
+
+    * truncation: |C_J| on the last quarter of the degrees (``_tail``) of
+      any axis k with tails[k] true; for a resolved axis they are rounding
+      noise, for an unresolved one they are not small;
+    * rounding: (3s + 4) eps F_J, where F is |values| mapped by the
+      absolute matrices along every axis, and s the most nodes on an axis.
+      F bounds each |C_J| and the rounding made in computing it, and
+      weighed by |phi_J(x)| it grows far out in a normal coordinate, where
+      the polynomials do.
+    """
+    error = (3 * max(coeffs.shape) + 4) * np.finfo(float).eps * _along(
+        [np.abs(m) for m in mats], np.abs(values))
+    tail = np.abs(coeffs)
+    tail[tuple(slice(_tail(s) if cut else s)        # all but the tail
+               for cut, s in zip(tails, coeffs.shape))] = 0.0
+    return np.add(error, tail, out=error)
+
+
+def _gate(coeffs, error, comps, x, tol):
+    """(accepted, values): the series ``coeffs`` in the ``poly`` of each
+    of ``comps`` at every row of ``x`` (N, len(comps)), and a mask of the
+    rows that lie in every component's ``support()`` and whose ``error``,
+    read through the absolute polynomial values, |phi_J(x)| =
+    prod_a |phi_{J_a}(x_a)|, is at most ``tol``."""
+    ok = np.all([(c >= lo) & (c <= hi) for (lo, hi), c in
+                 zip((a.support() for a in comps), x.T)], axis=0)
+    with np.errstate(all="ignore"):     # far-out rows overflow; the gate drops them
+        polys = [a.poly(c, s) for a, c, s in zip(comps, x.T, coeffs.shape)]
+        return ok & (_tensor_eval(error, [np.abs(p) for p in polys]) <= tol), \
+            _tensor_eval(coeffs, polys)
 
 
 def _tensor_eval(table, mats):
@@ -962,9 +959,10 @@ def _evaluate(model, x):
 
     Every model call of the package goes through here, so a NaN or an
     overflow is reported where it arises instead of as a zero variance or a
-    value the report cannot hold.
+    value the report cannot hold, with no numpy warning before it.
     """
-    y = np.asarray(model(x), dtype=float)
+    with np.errstate(all="ignore"):
+        y = np.asarray(model(x), dtype=float)
     finite = np.isfinite(y)
     if not finite.all():
         bad = np.flatnonzero(~finite)

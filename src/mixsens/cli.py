@@ -111,14 +111,6 @@ def _quad_measures_section(vds):
     return out
 
 
-def _estimate_parts(est):
-    """(kind, raw, clamped, se) for each kind of index an estimate carries."""
-    parts = [("first", est.s, est.clamped_s, est.s_se)]
-    if est.st is not None:
-        parts.append(("total", est.st, est.clamped_st, est.st_se))
-    return parts
-
-
 def _estimate_entry(est):
     reweighted = est.method == "reweighted"
 
@@ -134,31 +126,26 @@ def _estimate_entry(est):
     if est.ess is not None:
         entry["ess"] = est.ess
         entry["uncovered"] = est.uncovered
-    for kind, raw, clamped, se in _estimate_parts(est):
+    parts = [("first", est.s, est.clamped_s, est.s_se)]
+    if est.st is not None:
+        parts.append(("total", est.st, est.clamped_st, est.st_se))
+    for kind, raw, clamped, se in parts:
         ses = [None] * raw.size if se is None else se
         entry[f"{kind}_order"] = _per_input(zip(raw, clamped, ses), cell)
     return entry
 
 
-def _indices_rows_from_vds(vds):
+def _indices_rows(section):
+    """The rows of ``indices_long.csv``, one per index cell of the measures
+    ``section``: by measure, then by input, first order before total."""
     rows = []
-    for vd in vds:
-        s, st = vd.first_order(), vd.total_order()
-        for i in range(vd.n):
-            for kind, v in (("first", s[i]), ("total", st[i])):
-                rows.append((vd.measure, i + 1, kind, float(v), None,
-                             "quadrature"))
-    return rows
-
-
-def _indices_rows_from_estimates(names, estimates):
-    rows = []
-    for name, est in zip(names, estimates):
-        mode = "reweighted" if est.method == "reweighted" else "MC"
-        for kind, _, clamped, se in _estimate_parts(est):
-            for i, v in enumerate(clamped):
-                rows.append((name, i + 1, kind, v,
-                             None if se is None else se[i], mode))
+    for name, entry in section.items():
+        for i, label in enumerate(entry["first_order"], 1):
+            for kind in ("first", "total"):
+                cell = entry.get(f"{kind}_order", {}).get(label)
+                if cell is not None:
+                    rows.append((name, i, kind, cell["value"], cell.get("se"),
+                                 cell["mode"]))
     return rows
 
 
@@ -353,6 +340,9 @@ def cmd_analyze(args):
         raise ConfigError(f"--seed {args.seed} is negative")
     kind, source = _resolve_source(args.model)
     mset = load_measure_set(args.measures)
+    if kind == "model" and source.n != mset.n:
+        raise ConfigError(f"model {args.model!r} has {source.n} inputs, "
+                          f"measures file declares {mset.n}")
     sections = set(args.sections) if args.sections is not None else \
         _default_sections(kind, args.estimator)
     if args.prior:
@@ -401,15 +391,12 @@ def cmd_analyze(args):
         est_names, est_list, est_files = _estimates(kind, source, mset, args)
         files += est_files
     if "measures" in sections:
-        if est_list is None:
-            report["measures"] = _quad_measures_section(vds)
-            rows = _indices_rows_from_vds(vds)
-        else:
-            report["measures"] = {nm: _estimate_entry(est)
-                                  for nm, est in zip(est_names, est_list)}
-            rows = _indices_rows_from_estimates(est_names, est_list)
-        files.append(write_indices_csv(
-            rows, os.path.join(args.out, "indices_long.csv")))
+        report["measures"] = _quad_measures_section(vds) \
+            if est_list is None else {nm: _estimate_entry(est) for nm, est
+                                      in zip(est_names, est_list)}
+        files.append(write_indices_csv(_indices_rows(report["measures"]),
+                                       os.path.join(args.out,
+                                                    "indices_long.csv")))
 
     # -- dimension -----------------------------------------------------------
     if "dimension" in sections:

@@ -586,7 +586,8 @@ def _reweighted(sample, target):
             raise EstimationError("base measure has zero density at an "
                                   "observed point; importance weights are "
                                   "undefined")
-        np.divide(target.density(x[a:a + step]), base, out=w[a:a + step])
+        with np.errstate(over="ignore"):    # a non-finite weight raises
+            np.divide(target.density(x[a:a + step]), base, out=w[a:a + step])
     if not np.all(np.isfinite(w)):
         raise EstimationError("non-finite importance weight")
     if w.sum() <= 0:

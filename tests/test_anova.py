@@ -971,12 +971,12 @@ def _smooth3(x):
 @pytest.mark.parametrize("model,comps", [
     (IshigamiModel(), ishigami_measures()["mu1"].components),
     (IshigamiModel(), ishigami_measures()["mu2"].components),
-    # x2 is capped at 15 on the rung of 16; x1 takes 29 nodes from its
-    # decay, and that rung settles on [29, 15, 6]
+    # x2 is capped at 15 on the rung of 16; x1 takes 27 nodes from its
+    # decay, and that rung settles on [27, 15, 6]
     (_smooth3, (Normal(0.0, 1.0), Uniform(0.0, PI), Uniform(-PI, PI))),
-    # x1 goes to 64 and x2 to 25, where x2 reads unresolved; the next rung
-    # caps x2 at 25, at the count read unresolved, so x2 climbs to 30 once
-    # more, where its cap of 25 stands: [45, 30, 6]
+    # x1 goes to 46 and x2 to 23 from their decay, where x2 reads
+    # unresolved; the next rung caps x1 at 45 and takes x2 to 27, where its
+    # cap of 25 stands: [45, 27, 6]
     (_smooth3, (Normal(1.0, 2.0), Uniform(-PI, PI), Uniform(0.0, PI)))],
     ids=["mu1", "mu2", "smooth-unsettled", "smooth"])
 def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
@@ -1223,6 +1223,60 @@ def test_the_crossing_falls_at_or_past_the_true_degree(parity):
                 assert last <= got, (tau, gamma, scale, got, last)
                 over.append(got - last)
     assert max(over) <= {"no-zeros": 2, "even": 17}[parity]
+
+
+def _bisected_crossing(c, tol, most):
+    """The crossing as ``anova._crossing`` found it before its scan: with
+    gamma > 0, 64 bisections of [last degree, most] to the spacing of
+    doubles, the rest as there."""
+    k = np.arange(max(c.size // 2, 1), c.size)
+    if k.size < 2:
+        return math.inf
+    y = np.log(np.maximum(np.maximum(c[k - 1], c[k]), np.finfo(float).tiny))
+    target = math.log(tol) if tol > 0 else -math.inf
+    if k.size > 2:
+        (a, b, gamma), *_ = np.linalg.lstsq(np.stack(
+            [np.ones(k.size), k, [-math.lgamma(j + 1.0) for j in k]], axis=1),
+            y, rcond=None)
+        if gamma > 0:
+            def above(t):
+                return a + b * t - gamma * math.lgamma(t + 1.0) > target
+
+            lo, hi = float(k[-1]), max(float(most), float(k[-1]))
+            if above(hi):
+                return math.inf
+            if not above(lo):
+                return lo
+            for _ in range(64):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if above(mid) else (lo, mid)
+            return hi
+    at, level = k.mean(), y.mean()
+    slope = float((k - at) @ (y - level)) / float((k - at) @ (k - at))
+    if not slope < 0:
+        return math.inf
+    return at + (target - level) / slope
+
+
+@pytest.mark.parametrize("parity", list(PARITY_ZEROS))
+def test_the_scan_gives_the_nodes_of_the_bisection(parity):
+    # the grid of test_the_crossing_falls_at_or_past_the_true_degree, at
+    # the engine's default order and at its own: the integer scan and the
+    # bisection it replaced give the same nodes past the crossing
+    for tau in (0.3, 1.0, 2.0, 4.0):
+        for gamma in (0.0, 0.5, 1.0):
+            logs = _log_decay(tau, gamma, 4000)
+            if PARITY_ZEROS[parity]:
+                logs[PARITY_ZEROS[parity]] = -np.inf
+            c = np.exp(logs[:16])
+            for scale in (1e-3, 1e-6, 1e-9, 1e-12):
+                tol = scale * c[-2:].max()
+                for most in (64, logs.size):
+                    want = _bisected_crossing(c, tol, most)
+                    got = anova._crossing(c, tol, most)
+                    assert anova._nodes_past(got, most) \
+                        == anova._nodes_past(want, most), \
+                        (tau, gamma, scale, most, got, want)
 
 
 def test_no_decay_reaches_a_zero_tolerance():

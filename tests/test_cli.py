@@ -1,5 +1,6 @@
 """End-to-end command line runs: report contents, files, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -91,6 +92,29 @@ def outdir(configs, tmp_path_factory):
                 "--prior", "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.mark.parametrize("estimator", ["quad", "pickfreeze", "reweight"])
+def test_every_index_row_is_its_report_cell(configs, tmp_path, estimator):
+    # indices_long.csv holds each first- and total-order cell of the
+    # measures section once: by measure, then by input, first before total
+    code = run(["--model", "ishigami", "--measures", configs["noprior"],
+                "--estimator", estimator, "--n", "1024", "--seed", "1",
+                "--sections", "measures", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "indices_long.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = [(name, i, kind, entry[f"{kind}_order"][f"x{i}"])
+             for name, entry in load_report(tmp_path)["measures"].items()
+             for i in (1, 2, 3) for kind in ("first", "total")
+             if f"{kind}_order" in entry]
+    assert len(rows) == len(cells) == (18 if estimator != "reweight" else 9)
+    for row, (name, i, kind, cell) in zip(rows, cells):
+        assert (row["measure"], int(row["input"]), row["index"]) \
+            == (name, i, kind)
+        assert float(row["value"]) == cell["value"]
+        assert row["mode"] == cell["mode"]
+        assert (float(row["se"]) if row["se"] else None) == cell.get("se")
 
 
 class TestQuadraturePriorRun:
@@ -801,15 +825,15 @@ class TestFailureModes:
         path = write_sample(EvaluatedSample(x=x, y=x[:, 0] + x[:, 1] ** 2,
                                             measure_name="base"),
                             tmp_path / "s.csv")
-        with np.errstate(over="ignore"), \
-                warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = run(["--model", path, "--measures", str(tmp_path / "m.yaml"),
                        "--estimator", "reweight", "--out",
                        str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert got == code and "Traceback" not in err
-        if code:
+        if code:    # the ratio's overflow is the error, not a warning too
+            assert not caught
             assert "numeric error: non-finite importance weight" in err
         else:
             assert len(caught) == 1 and str(caught[0].message).startswith(
@@ -975,14 +999,49 @@ class TestFailureModes:
         model.write_text("n: 3\nfactors: [[0.0, 1.0e300], [0.0, 1.0e300], "
                          "[1.0]]\nterms: [[1, 2]]\n")
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["--model", str(model), "--measures", configs["noprior"],
-                        "--estimator", estimator, "--n", "64",
-                        "--sections", "measures", "--out", str(out)])
+        code = run(["--model", str(model), "--measures", configs["noprior"],
+                    "--estimator", estimator, "--n", "64",
+                    "--sections", "measures", "--out", str(out)])
         assert code == 4
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
         assert not any(out.iterdir())     # rejected before any file
+
+    def test_an_input_beyond_the_float_range_is_one_numeric_error(
+            self, tmp_path, capsys):
+        # x3^4 overflows at every node of U(-1e100, 1e100): the model's
+        # overflow is reported once, with no numpy warning before it
+        (tmp_path / "wide.yaml").write_text(
+            MEASURES_YAML.split("  - name: mu2")[0].rsplit("      - ", 1)[0]
+            + "      - {family: uniform, params: {lo: -1.0e100, hi: 1.0e100}}\n")
+        code = run(["--model", "ishigami", "--measures",
+                    str(tmp_path / "wide.yaml"), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "numeric error: model output is non-finite at 512 of 512 points")
+
+    @pytest.mark.parametrize("model,measures,inputs", [
+        ("ishigami", "n: 1\nmeasures:\n  - name: unit\n    components:\n"
+         "      - {family: uniform, params: {lo: 0.0, hi: 1.0}}\n", (3, 1)),
+        ("n: 2\nfactors: [[0.0, 1.0], [0.0, 1.0]]\nterms: [[1, 2]]\n",
+         MEASURES_YAML, (2, 3)),
+        ("n: 2\nfactors: [[0.0, 1.0], [0.0, 1.0]]\nterms: [[1, 2]]\n",
+         TWO_MEASURES4_YAML, (2, 4))], ids=["3-on-1", "2-on-3", "2-on-4"])
+    def test_a_model_of_another_input_count_is_a_config_error(
+            self, tmp_path, capsys, model, measures, inputs):
+        (tmp_path / "measures.yaml").write_text(measures)
+        if model != "ishigami":
+            (tmp_path / "model.yaml").write_text(model)
+            model = str(tmp_path / "model.yaml")
+        out = tmp_path / "o"
+        code = run(["--model", model, "--measures",
+                    str(tmp_path / "measures.yaml"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"has {inputs[0]} inputs, measures file declares {inputs[1]}" \
+            in err and "config error" in err and "Traceback" not in err
+        assert not out.exists()     # rejected before any work
 
     @pytest.mark.parametrize("estimator,n", [
         ("pickfreeze", 0), ("pickfreeze", 15), ("bruteforce", -5),
