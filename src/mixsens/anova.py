@@ -16,30 +16,23 @@ the entire point of this package: change the measure and every term changes.
 Every integral is a tensor Gauss rule (an exact finite sum on a discrete
 coordinate) over a grid of at most ``FULL_GRID_CAP`` points.  An engine's
 ``order`` is the most Gauss nodes per continuous coordinate.  Its first
-integral of any kind settles the grid it sweeps (``AnovaEngine._settle``) in
-one loop over rungs, from a probe rung of 8 nodes and then 16 where the grid
-of 16 fits.  Each rung caps every axis it resolves at the fewest nodes that
-keep it resolved (``AnovaEngine._caps``, by the one coefficient-tail rule
-of ``_resolve``, judged against sqrt(V)), and the next rung sweeps each
-resolved axis at its cap.  An unresolved axis takes the next rung of the
-ladder (``LADDER``): the probe and 16 where the grid at ``order`` fits, and
-every rung below ``order`` where it does not.  Past the ladder it takes the
-nodes at which a fit of its log coefficients crosses the tolerance: a line
-plus a log Gamma term (``_crossing``), since an entire model's coefficients
-fall faster than geometrically.
-A rung after the first settles once its own caps are all finite, or once
-its mean, V and every V_z moved by at most ``INTERP_TOL`` (relative to
-sqrt(V) and V) from the rung before; Gauss rules converge geometrically on
-smooth models, so that change bounds the error of the rung before.  The
-Ishigami model settles after one predicted rung, on 21 x 29, 27 x 45 or
-14 x 21 nodes with 7 on x3, each axis within two nodes of that rung's own
-caps, and a model multilinear in its inputs on 4 nodes per axis after
-8^3 + 4^3 = 576 evaluations.  A smooth 4-input model
-quartic in x3 costs 8^4 + (16^3 + 24^3 + 32^3) * 7 evaluations, not 64^4.
-A settled engine keeps its rung's nodes, with its rung's caps.  With an
-axis unresolved at ``order``, or with no next rung that is new and fits, it
-keeps the last rung it swept; an engine for which neither ``order`` nor any
-rung fits raises ``ConfigError`` when it is built.
+integral of any kind settles the grid it sweeps (``AnovaEngine._settle``)
+in one loop over rungs, the same route for every engine: it opens on 8
+nodes and then 16, each rung cut to the most common nodes at which its
+grid fits (``AnovaEngine._fitted``); an engine whose rung of 16, so cut,
+is the grid of ``order`` itself sweeps that grid alone.  Each rung caps
+every axis it resolves at the fewest nodes that keep it resolved
+(``AnovaEngine._caps``, by the one coefficient-tail rule of ``_resolve``,
+judged against sqrt(V)), and the next rung sweeps each resolved axis at
+its cap.  An unresolved axis takes 16 after the probe of 8, and after
+that the nodes at which a fit of its log coefficients crosses the
+tolerance: a line plus a log Gamma term (``_crossing``), since an entire
+model's coefficients fall faster than geometrically.  A rung after the
+first settles once its own caps are all finite, and the engine keeps its
+nodes, with its caps.  With an axis unresolved at ``order``, or with no
+next rung that is new and fits, it keeps the last rung it swept; an
+engine whose grid does not fit at ``FEWEST_NODES`` per continuous
+coordinate raises ``ConfigError`` when it is built.
 
 ``AnovaEngine._sweep`` evaluates the full grid once, in boxes of at most
 ``BLOCK_POINTS`` points, and keeps it whole with its mean, its coefficients
@@ -52,8 +45,8 @@ the (2,) * n tensor P, is the sum of C_J^2 over the J nonzero on exactly
 the inputs of z, and V the sum of P (Parseval): no V_z is negative, and
 they add up to V to rounding.  This is the polynomial-chaos reading of
 Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  Each
-decomposition (a new value on every call), each rms(w_v) and the ladder's
-test of a rung read P.  The centred grid is scaled by a power of two before
+decomposition (a new value on every call), each rms(w_v) and the caps of
+a rung read P.  The centred grid is scaled by a power of two before
 its transform, so every decision and every S_z is the same for g and 2^k g,
 and V and each V_z are scaled back at the end.
 
@@ -69,14 +62,11 @@ where those do not resolve it.  Both gate each row (``_gate``) by one error
 bound of their coefficients (``_bound``).  The direct integral over
 the complement of v, ``conditional_mean``, serves the rows either gate
 rejects and the other rows outside a coordinate's support, the empty and the
-full subset, and subsets with a discrete coordinate.  On the reference
-measure set the direct integrals of the canonical prior run cost 20,585
-model evaluations this way, 33,282 with each row outside a uniform support
-integrated directly.
-Every complement rule comes from ``_direct_rules``: on
-a settled engine the complement takes half the nodes of the cap its rung
-gives each axis it resolves, checked row by row against a second rule one
-node lower; a row on which the two disagree takes the settled nodes.  Rows
+full subset, and subsets with a discrete coordinate.  Every complement
+rule comes from ``_direct_rules``: on a settled engine the complement
+takes half the nodes of the cap its rung gives each axis it resolves,
+checked row by row against a second rule one node lower; a row on which
+the two disagree takes the settled nodes.  Rows
 times rule points, and the rows of the full subset, go to the model in the
 boxes of ``_grid_boxes``, so no model call of an engine holds more than
 ``BLOCK_POINTS`` points.  Each subset keeps its last call to ``_w_at``: the
@@ -104,12 +94,9 @@ class ZeroVarianceError(ArithmeticError):
     """Total variance is (numerically) zero, so indices are undefined."""
 
 
-# the rungs of _settle below ``order``: those below 16 only when the grid
-# of 16 does not fit, but for the probe rung of 8 before 16, and only 8 and
-# 16 where the grid of ``order`` fits
-LADDER = (6, 8, 12, 16, 24, 32, 48)
 FULL_GRID_CAP = 2**22       # largest full tensor grid we will materialise
 BLOCK_POINTS = 2**16        # most points an engine hands the model at once
+FEWEST_NODES = 6            # the fewest continuous nodes an opening rung keeps
 PLOT_ROWS = 129             # rows per axis of a default effect curve
 INTERP_TOL = 1e-9           # error target of a conditional mean at points
 # a model whose deviation sqrt(V) is within this many ulps of its RMS
@@ -240,8 +227,9 @@ class AnovaEngine:
         Not used, since every integral is a tensor Gauss rule; kept for the
         callers that still pass it.
 
-    An engine for which neither the grid of ``order`` nor that of any rung
-    of its ladder fits in ``FULL_GRID_CAP`` points raises ``ConfigError``.
+    An engine whose grid does not fit in ``FULL_GRID_CAP`` points with at
+    most ``FEWEST_NODES`` nodes on each continuous coordinate raises
+    ``ConfigError``.
     """
 
     def __init__(self, model, measure, order=DEFAULT_ORDER, seed=0):
@@ -257,24 +245,11 @@ class AnovaEngine:
             raise ValueError(f"order must be an integer >= 1, not {order!r}")
         self._most = int(order)     # as built: caps _read_outside too
         self._use_order(self._most)
-        fits = _fits(self._sizes)
-        # the ladder of _settle: the rungs below ``order`` from 16 on, or
-        # from the largest rung that fits when 16 does not, opened by a
-        # probe rung of 8 nodes before 16; only the probe and 16 where the
-        # grid of ``order`` fits, the rest sized by the coefficient decay.
-        # Kept when some coordinate is continuous, and at least two rungs
-        # are left or the grid of ``order`` does not fit
-        first = max([r for r in LADDER if r <= 16 and _fits(self._grid(r))],
-                    default=math.inf)
-        rungs = [r for r in LADDER if first <= r < self.order]
-        probe = [8] if first == 16 else []
-        self._ladder = (probe + rungs)[:2 if fits else None] \
-            if any(self._continuous) and (len(rungs) > 1 or not fits) else []
-        if not (fits or self._ladder):
-            raise ConfigError(
-                f"no tensor grid of the {self.n} inputs fits in "
-                f"{FULL_GRID_CAP} points, at order {self.order} or at any "
-                f"order from {LADDER[0]}")
+        if not _fits(self._grid(min(self._most, FEWEST_NODES))):
+            raise ConfigError(f"no tensor grid of the {self.n} inputs fits in "
+                              f"{FULL_GRID_CAP} points, at order {order} or "
+                              f"at any order from {FEWEST_NODES}")
+        self._opening = (8, 16)     # the rungs _settle opens on
 
     def _use_order(self, order, caps=None):
         """Take the Gauss rule of ``order``, with no grid swept yet.
@@ -283,8 +258,8 @@ class AnovaEngine:
         most nodes.
         """
         self.order = order
-        nodes = [c.quad_nodes(k) for c, k in
-                 zip(self.measure.components, self._grid(order, caps))]
+        nodes = [c.quad_nodes(k) for c, k in   # a discrete one: its points
+                 zip(self.measure.components, caps or [order] * self.n)]
         self.nodes = [np.asarray(x) for x, _ in nodes]
         self.weights = [np.asarray(w) for _, w in nodes]
         self._sizes = [x.size for x in self.nodes]
@@ -293,30 +268,35 @@ class AnovaEngine:
         self._w_last = {}         # subset -> (key, w_v) of its last _w_at call
         self._halves = None       # per axis, h nodes or None (_direct_rules)
 
-    def _grid(self, order, caps=None):
-        """The axis sizes of the grid of ``order`` under ``caps``, counted,
-        not built: min(order, cap) nodes on a continuous coordinate, its own
-        points on a discrete one."""
-        return [min(order, k) if cont else len(c.points) for c, cont, k in zip(
-            self.measure.components, self._continuous, caps or [order] * self.n)]
+    def _grid(self, k):
+        """The axis sizes of the grid of k nodes, counted, not built: k on a
+        continuous coordinate, its own points on a discrete one."""
+        return [k if cont else len(c.points)
+                for c, cont in zip(self.measure.components, self._continuous)]
+
+    def _fitted(self, counts):
+        """``counts`` with every continuous axis cut to m, the most common
+        nodes, at most ``order``, at which the grid fits: no count rises,
+        and a discrete axis keeps its points."""
+        cuts = (list(map(min, counts, self._grid(m)))
+                for m in range(self._most, 0, -1))
+        return next(c for c in cuts if _fits(c))
 
     def _settle(self):
         """Settle the grid, once, before the engine's first integral.
 
-        One loop over rungs, from the first of ``_ladder``: each rung sweeps
-        its full grid (``_sweep``) and reads its own ``_caps`` once, and the
-        rung before frees its C.  On the next rung every continuous axis
-        that this one resolves takes its cap, and every other one the next
-        rung of the ladder while it has rungs, and past it the next count
-        of ``_caps`` (``_resolve``), which its fitted decay predicts.  One
-        predicted rung mostly settles, as it does on the Ishigami engines,
-        within two nodes of its own caps.
+        One loop over rungs: the opening rungs of 8 and then 16 nodes,
+        each ``_fitted``, and after them the counts that ``_caps`` predicts.
+        Each rung sweeps its full grid (``_sweep``) and reads its own
+        ``_caps`` once, and the rung before frees its C.  On the next rung
+        every continuous axis that this one resolves takes its cap, and
+        every other one the next opening rung while there is one, and past
+        them the next count of ``_caps`` (``_resolve``), which its fitted
+        decay predicts; a predicted grid is swept only where it fits.  An
+        engine whose rung of 16, cut to fit, is the grid of ``order`` (at
+        most 16 nodes on a grid that fits) sweeps that grid alone.
 
-        A rung after the first settles when its own caps are all finite, or
-        when, against the rung before, the mean moved by at most
-        ``INTERP_TOL`` times sqrt(V), and V and every entry V_z of P by at
-        most ``INTERP_TOL`` times V: Gauss rules converge geometrically on
-        smooth models, so that change bounds the error of the rung before.
+        A rung after the first settles when its own caps are all finite.
         The engine keeps the settled rung's sweep, and its caps set the
         lower rules of the direct integrals (``_halves``, see
         ``_direct_rules``).  With an axis at ``order`` still unresolved,
@@ -326,34 +306,22 @@ class AnovaEngine:
 
         A cap at or below the most nodes at which an earlier rung read that
         axis unresolved is no cap: those nodes may be blind to a term, as
-        the probe's 8 are to a degree-8 Legendre term, which vanishes at all
-        of them, and 16 to a degree-16 one, so the axis climbs.  That read
-        is then spent, and the cap of the next rung stands: an axis read
-        unresolved at c nodes only by the rounding of far normal nodes
-        would otherwise climb one node a rung (a smooth 3-input model once
-        took 13 rungs and 102,098 evaluations, against 5 and 27,578).
-
-        Where the probe caps nothing it costs 8^n more points and changes
-        no result.  On g = sum cos 2x_k + 0.5 x1 x2 + 0.3 sin x3 x4 under
-        N(0, 1)^n it goes 1,445,888 -> 1,449,984 evaluations at n = 4, on
-        the same 32^4 grid, and 1,048,576 -> 1,081,344 (+3.1%) at n = 5; at
-        n = 6, 7 and 8 the grid of 16 does not fit, the ladder has no
-        probe, and nothing changes.
+        the opening's 8 are to a degree-8 Legendre term, which vanishes at
+        all of them, and 16 to a degree-16 one, so the axis climbs.  That
+        read is then spent, and the cap of the next rung stands: an axis
+        read unresolved at c nodes only by the rounding of far normal nodes
+        would otherwise climb one node a rung.
         """
-        ladder, self._ladder = self._ladder, []
-        if not ladder:
-            return
-        order, cont = self.order, self._continuous
-        counts, seen, swept, last = self._grid(ladder[0]), [0] * self.n, \
-            [], None
+        rungs, self._opening = self._opening, ()
+        if not rungs or self._fitted(self._grid(rungs[-1])) == self._sizes:
+            return      # settled, or the opening ends on the grid of order
+        cont, seen, swept = self._continuous, [0] * self.n, []
+        counts = self._fitted(self._grid(rungs[0]))
         try:
             while counts not in swept and _fits(counts):
                 swept.append(counts)
                 self._use_order(max(k for k, c in zip(counts, cont) if c),
                                 counts)
-                # the mean, P and scale, not C, which the next sweep frees
-                mean, power, e = (self._sweep()[k] for k in (1, 3, 4))
-                terms = np.append(power, power.sum())   # every V_z, then V
                 caps, nexts = self._caps()
                 blind = [c <= u for c, u in zip(caps, seen)]
                 seen = [0 if b else s if c == math.inf else u
@@ -361,24 +329,20 @@ class AnovaEngine:
                 caps = [math.inf if b else c for c, b in zip(caps, blind)]
                 open_ = [i for i, c in enumerate(caps)
                          if cont[i] and c == math.inf]
-                still = last is not None and abs(mean - last[0]) <= math.ldexp(
-                    INTERP_TOL * math.sqrt(terms[-1]), e) and np.all(np.abs(
-                        terms - np.ldexp(last[1], 2 * (last[2] - e)))
-                        <= INTERP_TOL * terms[-1])
-                if last is not None and not open_ or still:
+                if len(swept) > 1 and not open_:
                     self._halves = [
                         math.ceil(c / 2) if c < math.inf and s > 1 else None
                         for c, s in zip(caps, self._sizes)]
                     return
-                if any(self._sizes[i] >= order for i in open_):
+                if any(self._sizes[i] >= self._most for i in open_):
                     return
-                last = mean, terms, e
-                rung = ladder[len(swept)] if len(swept) < len(ladder) else None
-                counts = [c if c < math.inf else rung if rung and f else k
-                          for f, c, k in zip(cont, caps, nexts)]
+                counts = list(map(min, caps, nexts))    # a cap < its next
+                if len(swept) < len(rungs):     # the next opening rung
+                    counts = self._fitted(list(map(
+                        min, caps, self._grid(rungs[len(swept)]))))
         except BaseException:       # a failed rung leaves the engine as built
-            self._ladder = ladder
-            self._use_order(order)
+            self._opening = rungs
+            self._use_order(self._most)
             raise
 
     def _caps(self):

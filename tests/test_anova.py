@@ -370,6 +370,14 @@ class _Batches:
         return self.model(x)
 
 
+def _unsettled(model, measure, order=64):
+    """An engine with no opening: its first integral sweeps the whole grid
+    of ``order``, which a settled engine is checked against."""
+    eng = AnovaEngine(model, measure, order=order)
+    eng._opening = ()
+    return eng
+
+
 # every value of this model's tables is subnormal (about 1e-317), where a
 # double holds fewer than 12 digits: the two summation orders differ by a
 # few of the smallest subnormals, so the bound has an absolute floor at the
@@ -573,7 +581,7 @@ def test_four_input_moments_come_from_the_sweep_at_default_settings():
     # there again; ``order`` is then the most nodes kept, 5
     model = _Batches(_plan_model)
     eng = AnovaEngine(model, PLAN_MEASURE)
-    assert eng.order == 64 and eng._ladder == [8, 16, 24, 32, 48]
+    assert eng.order == 64 and eng._opening == (8, 16)
     vd = eng.variance_decomposition(max_order=2)
     assert eng.order == 5
     assert [x.size for x in eng.nodes] == [4, 4, 5, 4]
@@ -606,7 +614,7 @@ def test_the_moments_do_not_depend_on_the_order_of_the_calls():
     assert abs(seen[0][0] - want) <= 1e-12 * abs(want)
 
 
-# -- the ladder: the order of a grid that does not fit ------------------------
+# -- the settle route on a grid that does not fit at ``order`` ---------------
 
 # sin x1 (1 + 0.1 x3^4) + 7 sin^2 x2 + (1 + 0.1 x3^4) cos x4 under N(0, 1)^4
 DECOMP_ORACLE = CompositeMultilinearModel(
@@ -616,16 +624,19 @@ DECOMP_ORACLE = CompositeMultilinearModel(
 NORMAL4 = ProductMeasure((Normal(0.0, 1.0),) * 4)
 
 
-def test_a_smooth_model_settles_where_the_ladder_stops_moving():
+def test_a_smooth_model_settles_on_its_predicted_counts():
+    # 64^4 does not fit, and 16^4 does.  x3 enters as 1 + 0.1 x3^4, which
+    # the opening's 8 nodes resolve: 7 nodes from 16 on.  The other axes
+    # take the counts their decay at 16 predicts, where every axis is
+    # resolved (own caps 26, 43, 7 and 27)
     model = _Batches(DECOMP_ORACLE)
     eng = AnovaEngine(model, NORMAL4)
     vd = eng.variance_decomposition()
-    # x3 enters as 1 + 0.1 x3^4, which the probe's 8 nodes resolve: 7 nodes
-    # from 16 on
-    assert eng.order == 32 and len(eng.nodes[0]) == len(eng.weights[3]) == 32
-    assert [x.size for x in eng.nodes] == [32, 32, 7, 32]
-    assert sum(model.sizes) == 8 ** 4 + (16 ** 3 + 24 ** 3 + 32 ** 3) * 7 \
-        == 358_912
+    assert eng.order == 45 and len(eng.nodes[0]) == 27
+    assert len(eng.weights[3]) == 29
+    assert [x.size for x in eng.nodes] == [27, 45, 7, 29]
+    assert sum(model.sizes) == 8 ** 4 + 16 ** 3 * 7 + 27 * 45 * 7 * 29 \
+        == 279_413
     for z in all_subsets(4):
         assert abs(vd.terms[z] - DECOMP_ORACLE.exact_term_variance(NORMAL4, z)) \
             <= 1e-12, z
@@ -636,7 +647,7 @@ def test_a_smooth_model_settles_where_the_ladder_stops_moving():
 def test_a_decomposition_holds_at_most_four_grids():
     # the kept grid and its coefficients, one transform's output beside
     # them (each axis a batched matmul on a view, with no transposed copy),
-    # and one box of points: 3.1 grids of 32 x 32 x 7 x 32 doubles
+    # and one box of points: 3.1 grids of 27 x 45 x 7 x 29 doubles
     eng = AnovaEngine(DECOMP_ORACLE, NORMAL4)
     tracemalloc.start()
     try:
@@ -644,7 +655,7 @@ def test_a_decomposition_holds_at_most_four_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert eng._sizes == [32, 32, 7, 32]
+    assert eng._sizes == [27, 45, 7, 29]
     assert peak <= 4 * math.prod(eng._sizes) * 8
 
 
@@ -679,24 +690,23 @@ def test_an_affine_map_of_the_model_settles_at_the_same_order(a, b):
     # the test is relative to V and sqrt(V), and the mean takes b's shift
     eng = AnovaEngine(lambda x: a * DECOMP_ORACLE(x) + b, NORMAL4)
     eng.mean()
-    assert eng.order == 32
+    assert eng.order == 45
 
 
-def test_a_model_the_ladder_cannot_settle_keeps_its_order():
+def test_a_model_no_rung_settles_keeps_its_order():
     model = _Batches(lambda x: np.sin(40.0 * x[:, 0]) + x[:, 1] * x[:, 2] * x[:, 3])
     measure = ProductMeasure((Uniform(0.0, 1.0),) * 4)
     with mock.patch.object(anova, "FULL_GRID_CAP", 24 ** 4):
         eng = AnovaEngine(model, measure, order=32)
     vd = eng.variance_decomposition(max_order=2)
-    # 8, 16 and 24 (4 nodes on the linear x2, x3, x4 from 16 on) disagree;
-    # past the ladder x1 takes the 32 nodes of ``order``, where it is still
-    # unresolved, so the engine keeps that rung
+    # 8 and 16 leave x1 unresolved (4 nodes on the linear x2, x3, x4 from
+    # 16 on); its decay predicts the 32 nodes of ``order``, where it is
+    # still unresolved, so the engine keeps that rung
     assert eng.order == 32
     assert [x.size for x in eng.nodes] == [32, 4, 4, 4]
-    assert sum(model.sizes) == 8 ** 4 + (16 + 24 + 32) * 4 ** 3 == 8_704
+    assert sum(model.sizes) == 8 ** 4 + (16 + 32) * 4 ** 3 == 7_168
     # the same as the whole 32^4 grid, which the linear axes do not need
-    with mock.patch.object(anova, "LADDER", ()):
-        whole = AnovaEngine(model.model, measure, order=32)
+    whole = _unsettled(model.model, measure, order=32)
     want = whole.variance_decomposition(max_order=2)
     for got, value in ((vd.mean, want.mean), (vd.total, want.total),
                        (vd.residual, want.residual),
@@ -706,10 +716,10 @@ def test_a_model_the_ladder_cannot_settle_keeps_its_order():
 
 def test_a_rung_that_raises_leaves_the_engine_as_built():
     eng = AnovaEngine(lambda x: np.where(x[:, 0] > 0.5, np.inf, 0.0), NORMAL4)
-    for _ in range(2):      # the second call runs the ladder again
+    for _ in range(2):      # the second call opens again
         with pytest.raises(FloatingPointError):
             eng.mean()
-        assert eng.order == 64 and eng._ladder == [8, 16, 24, 32, 48]
+        assert eng.order == 64 and eng._opening == (8, 16)
         assert [x.size for x in eng.nodes] == [64] * 4 and eng._kept is None
 
 
@@ -748,16 +758,17 @@ def _five_normal(x):
         + 0.2 * x1 * x3 * x4 + 0.5 * np.sin(x5) * x4
 
 
-def test_five_normal_inputs_settle_on_the_ladder():
-    # the probe's 8^5 grid, then 16 and 24 nodes under the caps that 8
-    # gave the polynomial axes x2, x3 and x4
+def test_five_normal_inputs_settle_on_their_predicted_counts():
+    # the opening's 8^5 grid, then 16 nodes under the caps that 8 gave the
+    # polynomial axes x2, x3 and x4, then the counts that the decay of x1
+    # and x5 at 16 predicts, where every axis is resolved
     model = _Batches(_five_normal)
     eng = AnovaEngine(model, ProductMeasure((Normal(0.0, 1.0),) * 5))
     vd = eng.variance_decomposition()
-    assert eng.order == 24 and eng._halves is not None
-    assert [x.size for x in eng.nodes] == [24, 5, 7, 4, 24]
-    assert sum(model.sizes) == 8 ** 5 + (16 ** 2 + 24 ** 2) * 5 * 7 * 4 \
-        == 149_248
+    assert eng.order == 26 and eng._halves is not None
+    assert [x.size for x in eng.nodes] == [26, 5, 7, 4, 25]
+    assert sum(model.sizes) == 8 ** 5 + (16 * 16 + 26 * 25) * 5 * 7 * 4 \
+        == 159_608
     # the 16^5 and 20^5 grids agree on the total to ten digits
     assert abs(vd.total - 10.72041545) <= 1e-8
 
@@ -775,22 +786,51 @@ MIXED8 = ProductMeasure(tuple(Normal(0.5, 0.8) if i % 2 else Uniform(-1.0, 2.0)
 
 
 def test_an_eight_input_engine_ends_on_a_grid_that_fits():
-    # 16^8 does not fit and 6^8 does, so the climb starts at 6; from 8 on
-    # the polynomial axes take 4 or 5 nodes, and 16 does not fit under
-    # those caps: no rung settles, and the engine keeps 12, the last rung
-    # it swept.  The default boxes of 2^16 points keep its memory small.
+    # 8^8 does not fit, so the opening's first rung is cut to 6^8; there
+    # the polynomial axes take 4 or 5 nodes, and the rung of 16 is cut to
+    # the 14 nodes that fit under those caps.  The counts that sin, cos
+    # and exp predict past 14 do not fit: no rung settles, and the engine
+    # keeps 14, the last rung it swept.  The default boxes of 2^16 points
+    # keep its memory small.
     model = _Batches(MULTILINEAR8)
     eng = AnovaEngine(model, MIXED8)
-    assert eng._ladder == [6, 8, 12, 16, 24, 32, 48]
+    assert eng._opening == (8, 16)
     vd = eng.variance_decomposition()
     assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
-    assert eng.order == 12 and eng._halves is None
-    assert [x.size for x in eng.nodes] == [12, 4, 5, 4, 12, 4, 4, 12]
+    assert eng.order == 14 and eng._halves is None
+    assert [x.size for x in eng.nodes] == [14, 4, 5, 4, 14, 4, 4, 14]
+    assert sum(model.sizes) == 6 ** 8 + 14 ** 3 * 4 ** 4 * 5 == 5_191_936
     assert max(model.sizes) <= anova.BLOCK_POINTS == 2 ** 16
-    # 12 Gauss nodes leave sin, cos and exp about 1e-11 off
+    # 14 Gauss nodes leave sin, cos and exp about 2e-14 off
     for z in all_subsets(8, max_order=2):
         assert abs(vd.terms[z] - MULTILINEAR8.exact_term_variance(MIXED8, z)) \
-            <= 1e-10, z
+            <= 1e-12, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order=st.integers(1, 64),
+       axes=st.lists(st.one_of(st.none(), st.integers(1, 40)), min_size=1,
+                     max_size=9))
+def test_a_fitted_rung_fits_with_no_node_to_spare(data, order, axes):
+    # each axis continuous (None) or discrete on that many points; the
+    # counts are any a rung could ask for, at most ``order``
+    comps = tuple(Uniform(0.0, 1.0) if k is None else
+                  DiscreteUniform(tuple(range(k))) for k in axes)
+    try:
+        eng = AnovaEngine(lambda x: x.sum(axis=-1), ProductMeasure(comps),
+                          order=order)
+    except ConfigError:
+        assume(False)
+    counts = [data.draw(st.integers(1, order)) if k is None else k
+              for k in axes]
+    got = eng._fitted(counts)
+    assert anova._fits(got)
+    assert all(g <= k for g, k in zip(got, counts))
+    assert all(g == k for g, k in zip(got, axes) if k is not None)
+    lowered = [g < k for g, k in zip(got, counts)]
+    assert len({g for g, low in zip(got, lowered) if low}) <= 1
+    if any(lowered):
+        assert not anova._fits([g + low for g, low in zip(got, lowered)])
 
 
 def test_nine_continuous_inputs_have_no_grid_that_fits():
@@ -800,7 +840,7 @@ def test_nine_continuous_inputs_have_no_grid_that_fits():
                     ProductMeasure((Uniform(0.0, 1.0),) * 9))
 
 
-# -- the ladder on a grid that fits: where the tables are resolved -----------
+# -- the opening on a grid that fits: where the tables are resolved ----------
 
 # each axis's nodes once settled, and the points of the rungs swept: the
 # probe's 8^3, then 16 with x3 at 7 nodes, then the one rung that each axis
@@ -822,7 +862,7 @@ def test_an_ishigami_engine_settles_where_its_tables_are_resolved(name,
     # is resolved
     model = _Batches(IshigamiModel())
     eng = AnovaEngine(model, ishigami_measures()[name])
-    assert eng._ladder == [8, 16]
+    assert eng._opening == (8, 16)
     eng.mean()
     assert eng.order == settled
     sizes, evals = ISHIGAMI_SETTLED[name]
@@ -888,7 +928,7 @@ def test_a_settled_engine_transforms_each_grid_once():
     assert len(transforms) == 4 and eng._kept is kept and eng._error is error
 
 
-def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
+def test_a_fitting_model_no_rung_settles_keeps_its_order():
     # sin(150 x1) on [0, 1] is still unresolved at 64 nodes
     def g(x):
         return np.sin(150.0 * x[:, 0]) + x[:, 1] * x[:, 2]
@@ -899,14 +939,12 @@ def test_a_fitting_model_the_ladder_cannot_settle_keeps_its_order():
     vd = eng.variance_decomposition()
     # x1 goes from 16 to 64 and is still unresolved there, so the engine
     # keeps that last rung, with x2 and x3 at their caps of 4 and no lower
-    # rules, and reads its tables there as an engine with no ladder that
+    # rules, and reads its tables there as an engine with no opening that
     # sweeps the same grid does
     assert eng.order == 64 and [x.size for x in eng.nodes] == [64, 4, 4]
     assert eng._halves is None
     assert sum(model.sizes) == 8 ** 3 + (16 + 64) * 4 * 4 == 1_792
-    with mock.patch.object(anova, "LADDER", ()):
-        plain = AnovaEngine(g, measure)
-    assert plain._ladder == []
+    plain = _unsettled(g, measure)
     plain._use_order(64, [64, 4, 4])
     assert vd == plain.variance_decomposition()
     x = np.random.default_rng(6).uniform(-0.2, 1.2, size=(50, 3))
@@ -926,8 +964,7 @@ def test_settled_engines_read_what_order_64_reads(name):
     measure = ishigami_measures()[name]
     eng = AnovaEngine(IshigamiModel(), measure)
     eng.mean()
-    with mock.patch.object(anova, "LADDER", ()):
-        full = AnovaEngine(IshigamiModel(), measure)
+    full = _unsettled(IshigamiModel(), measure)
     pts = np.random.default_rng(2024).uniform(0.0, PI, size=(1000, 3))
     for z in all_subsets(3, max_order=2):
         x = pts[:, [i - 1 for i in z]]
@@ -948,8 +985,7 @@ def test_settled_tables_accept_every_plot_row_order_64_accepts(name):
     measure = ishigami_measures()[name]
     eng = AnovaEngine(IshigamiModel(), measure)
     eng.mean()
-    with mock.patch.object(anova, "LADDER", ()):
-        full = AnovaEngine(IshigamiModel(), measure)
+    full = _unsettled(IshigamiModel(), measure)
     for i, comp in enumerate(measure.components, 1):
         x = np.linspace(*comp.plot_range(), 129)[:, None]
         accepted, _ = eng._read((i,), x)
@@ -1009,20 +1045,21 @@ def test_caps_never_grow_from_one_rung_to_the_next(model, comps):
 
 
 def test_an_axis_capped_by_an_earlier_rung_stays_resolved():
-    # on a grid that does not fit at ``order`` the engine climbs the
-    # ladder: x2 is capped at 22 nodes on the 24-node rung; on the 32-node
-    # rung its own tail at those 22 nodes reads unresolved, but the mean, V
-    # and every V_z moved by at most INTERP_TOL, and the engine settles
+    # the grid at ``order`` does not fit under this cap, and the engine
+    # takes the route of one that fits: 8, then 16 with x3 at its cap of
+    # 6, then [46, 23, 6] from the decay at 16.  That rung caps x1 at 45
+    # and reads x2 unresolved at 23; on the next, [45, 27, 6], x1 stays
+    # resolved at its cap of 45, x2 is capped at 25, and the engine settles
     model = _Batches(_smooth3)
     with mock.patch.object(anova, "FULL_GRID_CAP", 48 ** 3):
         eng = AnovaEngine(model, ProductMeasure((Normal(1.0, 2.0),
                                                  Uniform(-PI, PI),
                                                  Uniform(0.0, PI))))
         eng.mean()
-    assert eng.order == 32 and [x.size for x in eng.nodes] == [32, 22, 6]
-    assert eng._caps()[0][1] == math.inf
-    assert sum(model.sizes) == 8 ** 3 + (16 ** 2 + 24 ** 2) * 6 \
-        + 32 * 22 * 6 == 9_728
+    assert eng.order == 45 and [x.size for x in eng.nodes] == [45, 27, 6]
+    assert eng._caps()[0] == [45, 25, 6] and eng._halves is not None
+    assert sum(model.sizes) == 8 ** 3 + (16 ** 2 + 46 * 23 + 45 * 27) * 6 \
+        == 15_686
 
 
 # -- the probe rung: 8 nodes size the sweep of 16 -----------------------------
@@ -1118,18 +1155,32 @@ def _cos_sum4(x):
 
 
 def test_a_probe_that_caps_nothing_costs_its_own_grid():
-    # no rung caps an axis of this model, so the probe adds its 8^4 points
-    # and nothing else: the engine ends on the 32^4 grid it would end on
-    # without the probe, with the same decomposition to the bit
+    # neither opening rung caps an axis of this model, so they add their
+    # 8^4 and 16^4 points and nothing else: the engine ends on the 43^4
+    # grid that the decay at 16 predicts (own caps 41), with the
+    # decomposition of an engine that sweeps that grid alone, to the bit
     model = _Batches(_cos_sum4)
     eng = AnovaEngine(model, NORMAL4)
     vd = eng.variance_decomposition()
-    assert eng.order == 32 and [x.size for x in eng.nodes] == [32] * 4
-    assert sum(model.sizes) == 8 ** 4 + 16 ** 4 + 24 ** 4 + 32 ** 4 \
-        == 1_449_984
-    with mock.patch.object(anova, "LADDER", ()):
-        plain = AnovaEngine(_cos_sum4, NORMAL4, order=32)
+    assert eng.order == 43 and [x.size for x in eng.nodes] == [43] * 4
+    assert sum(model.sizes) == 8 ** 4 + 16 ** 4 + 43 ** 4 == 3_488_433
+    plain = _unsettled(_cos_sum4, NORMAL4, order=43)
     assert vd == plain.variance_decomposition()
+
+
+def test_four_cosine_curves_stay_within_their_settled_plan():
+    # the settled 43^4 grid resolves every axis: 117 rows of each curve
+    # are read off its table, and the outer 12 take the pair of halved
+    # rules, 21^3 + 20^3 points a row, 828,528 evaluations in all
+    model = _Batches(_cos_sum4)
+    eng = AnovaEngine(model, NORMAL4)
+    eng.variance_decomposition()
+    for i in range(1, 5):
+        curve = eng.effect_curve((i,))
+        x = curve.grids[0]
+        assert np.all(np.abs(curve.values - (np.cos(2.0 * x) - math.exp(-2.0)))
+                      <= 1e-12), i
+    assert sum(model.sizes) <= 4_316_961
 
 
 def _permuted(model, measure, perm):
@@ -1158,10 +1209,11 @@ def test_permuting_the_inputs_permutes_every_term(perm, comps):
 
 
 def test_permuting_four_inputs_keeps_the_settled_order():
-    # a grid that does not fit settles on its terms alone
+    # a grid that does not fit at ``order`` settles on the counts its
+    # axes predict, wherever they sit
     eng = AnovaEngine(*_permuted(DECOMP_ORACLE, NORMAL4, (3, 1, 0, 2)))
     vd = eng.variance_decomposition()
-    assert eng.order == 32
+    assert eng.order == 45
     for z, v in vd.terms.items():
         old = tuple(sorted((3, 1, 0, 2)[i - 1] + 1 for i in z))
         assert abs(v - DECOMP_ORACLE.exact_term_variance(NORMAL4, old)) \
@@ -1364,7 +1416,7 @@ def test_no_scipy_module_is_loaded_by_the_package_or_a_tensor_run(tmp_path):
         f"'--measures', {str(cfg)!r}, '--prior', "
         f"'--out', {str(tmp_path / 'out')!r}]) == 0",
         "assert not scipy(), scipy()",
-        # five inputs, on the ladder's grid
+        # five inputs, on a settled grid
         "eng = AnovaEngine(lambda x: x.sum(axis=-1) + 1.0,",
         "                  ProductMeasure((Normal(0.0, 1.0),) * 5))",
         "vd = eng.variance_decomposition()",

@@ -320,8 +320,8 @@ def _counted_evaluations(monkeypatch):
 
 def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
                                                         monkeypatch):
-    # the engines' 64^4 grids do not fit: each settles on the ladder, and
-    # its effects at points are read off its tables; the mixture-curve rows
+    # the engines' 64^4 grids do not fit: each settles on one that does,
+    # and its effects at points are read off its tables; the mixture-curve rows
     # outside flat's supports, 32 to 38 a side, are read off a Legendre
     # table of 8 direct rows a side (8 tables, 1,152 points)
     (tmp_path / "model.yaml").write_text(MULTILINEAR4_YAML)
@@ -352,8 +352,8 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
 
 def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
                                                         monkeypatch):
-    # the engines' 64^5 grids do not fit; each settles on the ladder from
-    # a probe rung of 8 nodes, then 16; the mixture-curve rows outside a
+    # the engines' 64^5 grids do not fit; each settles from the opening
+    # rungs of 8 nodes, then 16; the mixture-curve rows outside a
     # uniform support, 14 to 72 a side, are read off a Legendre table of 8
     # direct rows a side (23 tables, 6,352 points)
     (tmp_path / "model.yaml").write_text(MULTILINEAR5_YAML)

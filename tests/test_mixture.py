@@ -236,8 +236,8 @@ def test_the_pooled_route_skips_a_candidate_of_zero_weight():
         got = mixture_effect_from_pooled_conditionals(engines, mset.prior, z,
                                                       xz)
         assert np.array_equal(got, engines[0].effect(z, xz)), z
-    # no integral ran on the other two: their ladders have not run
-    assert all(eng._ladder for eng in engines[1:])
+    # no integral ran on the other two: they have not opened
+    assert all(eng._opening for eng in engines[1:])
 
 
 def test_a_model_non_finite_only_under_a_zero_weight_candidate():
@@ -312,7 +312,7 @@ def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
     mset = ishigami_measure_set(prior=ref.PRIOR)
     cases = [(mset, component_engines(mset, IshigamiModel()), _c03_points()),
              *_c03_pairs()]
-    for _, engines, _ in cases:     # the ladders' sweeps, not counted below
+    for _, engines, _ in cases:     # the settling sweeps, not counted below
         for eng in engines:
             eng.variance_decomposition()
     calls = []
@@ -363,8 +363,8 @@ def test_engines_on_other_models_share_no_rows():
 
 
 def test_an_engine_that_settles_after_the_rows_are_kept_matches_a_fresh_one():
-    # the first engine fills the shared entry before the others climb their
-    # ladders; their _use_order keeps it, and every value is a fresh
+    # the first engine fills the shared entry before the others settle
+    # their grids; their _use_order keeps it, and every value is a fresh
     # engine's, bit for bit
     mset = ishigami_measure_set(prior=ref.PRIOR)
     pts, full = _c03_points(), (1, 2, 3)

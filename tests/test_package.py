@@ -110,10 +110,12 @@ def test_tables_hold_one_polynomial_form():
 
 
 def test_one_loop_settles_every_engine():
-    # the decay prediction and the ladder climb are one loop in _settle,
-    # with no flag for the route and no caps-so-far rule
+    # one route for every engine: the opening, then the decay prediction,
+    # in one loop in _settle, with no flag for the route, no caps-so-far
+    # rule and no ladder of fixed rungs
     for name in ("_predict", "_climb", "_keep"):
         assert not hasattr(anova.AnovaEngine, name), name
+    assert not hasattr(anova, "LADDER")
     comp = measures.Uniform(0.0, 1.0)
     eng = anova.AnovaEngine(lambda x: x[:, 0] * x[:, 1],
                             measures.ProductMeasure((comp, comp)))
