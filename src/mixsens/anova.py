@@ -14,9 +14,10 @@ sensitivity indices.  All of it depends on the chosen input measure, which is
 the entire point of this package: change the measure and every term changes.
 
 Every integral is a tensor Gauss rule (an exact finite sum on a discrete
-coordinate) over a grid of at most ``FULL_GRID_CAP`` points.  An engine's
-``order`` is the most Gauss nodes per continuous coordinate.  Its first
-integral of any kind settles the grid it sweeps (``AnovaEngine._settle``)
+coordinate) over a grid of at most ``FULL_GRID_CAP`` points, but for the
+moments of an engine whose grid at ``order`` does not fit (below).  An
+engine's ``order`` is the most Gauss nodes per continuous coordinate.  Its
+first integral settles the grid it sweeps (``AnovaEngine._settle``)
 in one loop over rungs, the same route for every engine: it opens on 8
 nodes and then 16, each rung cut to the most common nodes at which its
 grid fits (``AnovaEngine._fitted``); an engine whose rung of 16, so cut,
@@ -48,7 +49,11 @@ Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  Each
 decomposition (a new value on every call), each rms(w_v) and the caps of
 a rung read P.  The centred grid is scaled by a power of two before
 its transform, so every decision and every S_z is the same for g and 2^k g,
-and V and each V_z are scaled back at the end.
+and V and each V_z are scaled back at the end.  An engine whose grid at
+``order`` does not fit takes its mean and P, once, from an adaptive sparse
+pseudo-spectral projection (``_smolyak``) in place of a sweep
+(``AnovaEngine._moments``), so a decomposition alone sweeps no full grid;
+reads at points still settle one.
 
 Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of C
 that is zero off v holds the coefficients of w_v - mean on v's subgrid, so
@@ -144,8 +149,8 @@ class VarianceDecomposition:
     ``terms`` maps each subset (1-based tuple) to its variance share V_z, a
     sum of squares and so never negative.  ``residual`` holds whatever
     ``max_order`` truncated away (zero when every order was computed).
-    ``indices`` holds each S_z as the engine took it off its scaled grid
-    (``AnovaEngine._sweep``), the same for g and 2^k g even where a V_z
+    ``indices`` holds each S_z as the engine took it off its scaled P
+    (``AnovaEngine._moments``), the same for g and 2^k g even where a V_z
     underflows; without it, S_z is V_z / V.
     """
 
@@ -241,6 +246,7 @@ class AnovaEngine:
         self._continuous = [not isinstance(c, DiscreteUniform)  # has poly
                             for c in measure.components]
         self._w_full = {}     # _w_last of all inputs, kept and shared (_w_at)
+        self._sparse = None   # (mean, P, e) of _smolyak, kept (_moments)
         if not isinstance(order, (int, np.integer)) or order < 1:
             raise ValueError(f"order must be an integer >= 1, not {order!r}")
         self._most = int(order)     # as built: caps _read_outside too
@@ -596,7 +602,17 @@ class AnovaEngine:
         return math.hypot(mean, math.ldexp(math.sqrt(np.sum(power[at])), e))
 
     def mean(self):
-        return self._sweep()[1]
+        return self._moments()[0]
+
+    def _moments(self):
+        """(mean, P, e): the kept sweep's, or, where the grid at the order
+        the engine was built with does not fit, ``_smolyak``'s, kept."""
+        if _fits(self._grid(self._most)):
+            _, mean, _, power, e = self._sweep()
+            return mean, power, e
+        if self._sparse is None:
+            self._sparse = _smolyak(self.model, self.measure, self._most)
+        return self._sparse
 
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
@@ -617,27 +633,22 @@ class AnovaEngine:
         ``to_coeffs`` along its axis), and P, its power, computed once and
         kept until ``_use_order``.
 
-        The grid is evaluated box by box (``_grid_boxes``, each box's rows
-        from ``_tensor_points``) and kept whole; the mean is its
-        contraction with the weights, the last axis first, and C its one
-        transform (``_along``), centred so that a large mean costs no
-        coefficient any digits.  e is the exponent of the centred grid's
-        largest entry, so C is the same for g and 2^k g, and no square in P
-        overflows or underflows however large or small g is; each V_z is
-        its entry of P times 4^e.  P is C^2 with each axis summed into its
-        degree 0 and the rest: entry J of the (2,) * n result, J_k = 1 on
-        exactly the inputs of z, stands for V_z.  Its first entry, the
-        mean's, is zeroed, not subtracted, so that it rounds away no term.
+        The grid is evaluated box by box (``_on_grid``) and kept whole;
+        the mean is its contraction with the weights, the last axis first,
+        and C its one transform (``_along``), centred so that a large mean
+        costs no coefficient any digits.  e is the exponent of the centred
+        grid's largest entry, so C is the same for g and 2^k g, and no
+        square in P overflows or underflows however large or small g is;
+        each V_z is its entry of P times 4^e.  P is ``_power`` of C: entry
+        J of the (2,) * n tensor, J_k = 1 on exactly the inputs of z, stands
+        for V_z.  Its first entry, the mean's, is zeroed, not subtracted, so
+        that it rounds away no term.
         Every later integral reads them with no further model call, so no
         result depends on the size of the boxes.
         """
         self._settle()
         if self._kept is None:
-            grid = np.empty(self._sizes)
-            for box in _grid_boxes(self._sizes):
-                nodes = [x[s] for x, s in zip(self.nodes, box)]
-                grid[box] = _evaluate(self.model, _tensor_points(nodes)).reshape(
-                    [x.size for x in nodes])
+            grid = _on_grid(self.model, self.nodes)
             mean = grid.ravel()
             for w in reversed(self.weights):    # last axis first, by rows
                 mean = mean.reshape(-1, w.size) @ w
@@ -647,9 +658,7 @@ class AnovaEngine:
             coeffs = _along([c.to_coeffs(s) for c, s in zip(
                 self.measure.components, self._sizes)],
                 np.ldexp(grid - mean, -e))
-            power = _along([np.stack([d == 0, d > 0]) * 1.0
-                            for d in map(np.arange, self._sizes)],
-                           np.square(coeffs))
+            power = _power(coeffs, [0] * self.n)
             power.flat[0] = 0.0     # the mean's, about zero once centred
             self._kept = grid, mean, coeffs, power, e
         return self._kept
@@ -658,7 +667,7 @@ class AnovaEngine:
         """The mean, the total and every V_z of at most ``max_order`` inputs
         (default: all of them up to four inputs, and at most two beyond).
 
-        Each V_z is an entry of the kept power P (``_sweep``) and V the sum
+        Each V_z is an entry of the kept power P (``_moments``) and V the sum
         of them all (Parseval), each scaled back by 4^e; every S_z is read
         off P itself, so it is the same for g and 2^k g.  A V that overflows
         raises OverflowError; one that underflows fails
@@ -667,7 +676,7 @@ class AnovaEngine:
         """
         if max_order is None:
             max_order = self.n if self.n <= 4 else 2
-        _, mean, _, power, e = self._sweep()
+        mean, power, e = self._moments()
         name = self.measure.name or "measure"
         shares = {z: float(power[tuple(int(i in z)
                                        for i in range(1, self.n + 1))])
@@ -712,6 +721,99 @@ def _no_variance(v, mean):
     rms = math.hypot(mean, math.sqrt(v))
     return rms < math.sqrt(np.finfo(float).tiny) or \
         math.sqrt(v) <= ZERO_VARIANCE_ULPS * np.finfo(float).eps * rms
+
+
+def _smolyak(model, measure, most):
+    """(mean, P, e) as ``_sweep`` keeps them, from an adaptive sparse
+    pseudo-spectral projection of the model, with no full grid: Smolyak's
+    in the combination form, which aliases no term inside its index set
+    (Conrad & Marzouk, SIAM J. Sci. Comput. 35, 2013), grown by the
+    indicator of Gerstner & Griebel (Computing 71, 2003).
+
+    Level 0 of a continuous axis is one node, off the centre of its
+    ``plot_range`` by 0.618 of a quarter of its width, where a product of
+    odd factors does not vanish; level l >= 1 is its Gauss rule of
+    2^(l+1) - 1 nodes, at most ``most``.  A discrete axis has one level,
+    its points.  An index's tensor grid goes to the model in the boxes of
+    ``_grid_boxes``; centred on the root's value and scaled by 2^-e (e set
+    by the root and its forward neighbours), it is projected by ``_along``
+    with each axis's ``to_coeffs``.  Its surplus, the inclusion-exclusion
+    of its projection and those one level below it on any set of its axes,
+    adds to C, one block per index (degrees [2^l - 1, 2^(l+1) - 1) at
+    level l), whose squares fold into P.  The active index of the largest
+    surplus norm is marked old, and each forward neighbour whose backward
+    ones are all old is added, until the active norms sum to at most
+    ``INTERP_TOL`` times sqrt(V), no index is left, or the next would pass
+    ``FULL_GRID_CAP`` evaluations.
+    """
+    comps, n = measure.components, measure.n
+    cont = [not isinstance(c, DiscreteUniform) for c in comps]
+    ends = [[2 ** (l + 1) - 1 for l in range((most + 1).bit_length() - 1)]
+            if k else [len(c.points)] for c, k in zip(comps, cont)]
+
+    def up(index, k, d=1):
+        return index[:k] + (index[k] + d,) + index[k + 1:]
+
+    def span(block):        # C's degrees in the block of an index
+        return tuple(slice(ends[k][b - 1] if b else 0, ends[k][b])
+                     for k, b in enumerate(block))
+
+    @lru_cache(maxsize=None)
+    def rule(k, l):     # axis k's (nodes, to_coeffs) at level l
+        if cont[k] and l == 0:
+            lo, hi = comps[k].plot_range()
+            return np.array([(lo + hi) / 2 + 0.618 * (hi - lo) / 4]), \
+                np.ones((1, 1))
+        comp, s = comps[k], ends[k][l]
+        return comp.quad_nodes(s)[0], comp.to_coeffs(s)
+
+    def values(index):      # the model on the tensor grid of index
+        return _on_grid(model, [rule(k, l)[0] for k, l in enumerate(index)])
+
+    proj, coeffs, power = {}, {}, {}    # per index: projection, C, sum C^2
+
+    def take(index, grid):  # its surplus into C, and the surplus's norm
+        proj[index] = _along([rule(k, l)[1] for k, l in enumerate(index)],
+                             np.ldexp(grid - centre, -e))
+        surplus = np.zeros(proj[index].shape)
+        for back in np.ndindex(*(min(l, 1) + 1 for l in index)):
+            p = proj[tuple(np.subtract(index, back))]
+            surplus[tuple(map(slice, p.shape))] += (-1) ** sum(back) * p
+        for block in np.ndindex(*(l + 1 for l in index)):
+            c = coeffs[block] = coeffs.get(block, 0.0) + surplus[span(block)]
+            c = c.ravel()[0 if any(block) else 1:]      # no mean's entry
+            power[block] = float(c @ c)
+        return math.sqrt(np.vdot(surplus, surplus))
+
+    root = (0,) * n
+    grids = {index: values(index) for index in [root] + [
+        up(root, k) for k in range(n) if len(ends[k]) > 1]}
+    centre = float(grids[root].flat[0])
+    e = math.frexp(max(np.max(np.abs(g - centre)) for g in grids.values()))[1]
+    active = {index: take(index, g) for index, g in grids.items()}
+    old, evals = {root}, sum(g.size for g in grids.values())
+    del active[root]
+    while active:
+        v = sum(power.values())
+        with np.errstate(over="ignore"):    # a mean far above V is no V
+            flat = _no_variance(v, np.ldexp(centre, -e) + coeffs[root].flat[0])
+        if flat or sum(active.values()) <= INTERP_TOL * math.sqrt(v):
+            break
+        index = max(active, key=active.get)
+        old.add(index)
+        del active[index]
+        nexts = [f for f in (up(index, k) for k in range(n)
+                             if index[k] + 1 < len(ends[k]))
+                 if all(up(f, j, -1) in old for j in range(n) if f[j])]
+        evals += sum(math.prod(ends[k][l] for k, l in enumerate(f))
+                     for f in nexts)
+        if evals > FULL_GRID_CAP:
+            break
+        active.update((f, take(f, values(f))) for f in nexts)
+    p = sum(_power(c, [d.start for d in span(block)])
+            for block, c in coeffs.items())
+    p.flat[0] = 0.0
+    return centre + math.ldexp(coeffs[root].flat[0], e), p, e
 
 
 def _tail(s):
@@ -896,6 +998,24 @@ def _grid_boxes(sizes):
         for a in range(0, sizes[k - 1], run):
             yield tuple(slice(i, i + 1) for i in head) + (slice(a, a + run),) \
                 + (slice(None),) * (len(sizes) - k)
+
+
+def _power(coeffs, starts):
+    """The (2,) * n power of ``coeffs``, whose degrees on axis k start at
+    starts[k]: C^2 with each axis summed into its degree 0 and the rest."""
+    return _along([np.stack([d == 0, d > 0]) * 1.0 for d in map(
+        np.arange, starts, np.add(starts, coeffs.shape))], np.square(coeffs))
+
+
+def _on_grid(model, axes):
+    """The model on the tensor grid of the 1-d ``axes``, evaluated in the
+    boxes of ``_grid_boxes``, each box's rows from ``_tensor_points``."""
+    grid = np.empty([x.size for x in axes])
+    for box in _grid_boxes(grid.shape):
+        nodes = [x[s] for x, s in zip(axes, box)]
+        grid[box] = _evaluate(model, _tensor_points(nodes)).reshape(
+            [x.size for x in nodes])
+    return grid
 
 
 def _tensor_points(axes):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -574,18 +575,29 @@ def _plan_model(x):
     return x3 * x3 * (x1 + x4) + x2 * (1.0 + x1 * x4)
 
 
+def _read_at_zero(eng):
+    """Read w_1 at x1 = 0, which settles the grid; where the settled grid
+    resolves x1 its table accepts the row with no model call of its own."""
+    eng._w_at((1,), np.zeros((1, 1)))
+
+
 def test_four_input_moments_come_from_the_sweep_at_default_settings():
-    # the 64^4 grid does not fit, so the first integral settles the grid:
-    # the probe's 8 nodes resolve every axis (degree 1, and 2 in x3), so
-    # the rung after it takes 4 or 5 nodes, and reads each axis resolved
-    # there again; ``order`` is then the most nodes kept, 5
+    # the 64^4 grid does not fit, so the first read settles the grid: the
+    # probe's 8 nodes resolve every axis (degree 1, and 2 in x3), so the
+    # rung after it takes 4 or 5 nodes, and reads each axis resolved there
+    # again; ``order`` is then the most nodes kept, 5
     model = _Batches(_plan_model)
     eng = AnovaEngine(model, PLAN_MEASURE)
     assert eng.order == 64 and eng._opening == (8, 16)
-    vd = eng.variance_decomposition(max_order=2)
+    _read_at_zero(eng)
     assert eng.order == 5
     assert [x.size for x in eng.nodes] == [4, 4, 5, 4]
     assert sum(model.sizes) == 8 ** 4 + 4 * 4 * 5 * 4 == 4_416
+    # the moments come from the sparse rule (``anova._smolyak``), which
+    # sweeps no full grid
+    model.sizes = []
+    vd = eng.variance_decomposition(max_order=2)
+    assert sum(model.sizes) == 149
     exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
              for z in all_subsets(4)}
     total = sum(exact.values())
@@ -628,15 +640,19 @@ def test_a_smooth_model_settles_on_its_predicted_counts():
     # 64^4 does not fit, and 16^4 does.  x3 enters as 1 + 0.1 x3^4, which
     # the opening's 8 nodes resolve: 7 nodes from 16 on.  The other axes
     # take the counts their decay at 16 predicts, where every axis is
-    # resolved (own caps 26, 43, 7 and 27)
+    # resolved (own caps 26, 43, 7 and 27).  A read settles the grid; the
+    # decomposition takes the sparse rule's own 1,539 points
     model = _Batches(DECOMP_ORACLE)
     eng = AnovaEngine(model, NORMAL4)
-    vd = eng.variance_decomposition()
+    _read_at_zero(eng)
     assert eng.order == 45 and len(eng.nodes[0]) == 27
     assert len(eng.weights[3]) == 29
     assert [x.size for x in eng.nodes] == [27, 45, 7, 29]
     assert sum(model.sizes) == 8 ** 4 + 16 ** 3 * 7 + 27 * 45 * 7 * 29 \
         == 279_413
+    model.sizes = []
+    vd = eng.variance_decomposition()
+    assert sum(model.sizes) == 1_539
     for z in all_subsets(4):
         assert abs(vd.terms[z] - DECOMP_ORACLE.exact_term_variance(NORMAL4, z)) \
             <= 1e-12, z
@@ -645,28 +661,34 @@ def test_a_smooth_model_settles_on_its_predicted_counts():
 
 
 def test_a_decomposition_holds_at_most_four_grids():
-    # the kept grid and its coefficients, one transform's output beside
-    # them (each axis a batched matmul on a view, with no transposed copy),
-    # and one box of points: 3.1 grids of 27 x 45 x 7 x 29 doubles
+    # the sweep that a read settles keeps the grid and its coefficients,
+    # with one transform's output beside them (each axis a batched matmul
+    # on a view, with no transposed copy), and one box of points: 3.1
+    # grids of 27 x 45 x 7 x 29 doubles.  The decomposition sweeps no grid:
+    # the sparse rule's projections and coefficients take about 78 kB
     eng = AnovaEngine(DECOMP_ORACLE, NORMAL4)
-    tracemalloc.start()
-    try:
-        eng.variance_decomposition(max_order=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for step in (eng._sweep, lambda: eng.variance_decomposition(max_order=2)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert eng._sizes == [27, 45, 7, 29]
-    assert peak <= 4 * math.prod(eng._sizes) * 8
+    assert peaks[0] <= 4 * math.prod(eng._sizes) * 8
+    assert peaks[1] <= 0.1 * math.prod(eng._sizes) * 8
 
 
 def _every_result(eng):
     x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 4))
     vd = eng.variance_decomposition(max_order=2)
-    return [eng.order, eng.mean(), eng.variance_decomposition().total, vd.total,
-            vd.residual, *vd.terms.values(),
-            *(eng.effect(z, x[:, :len(z)]) for z in ((1,), (2, 4), (1, 2, 3))),
-            eng.conditional_mean((3,), x[:, :1]),
-            eng.effect_curve((1, 2), npts=9).values]
+    out = [eng.mean(), eng.variance_decomposition().total, vd.total,
+           vd.residual, *vd.terms.values(),
+           *(eng.effect(z, x[:, :len(z)]) for z in ((1,), (2, 4), (1, 2, 3))),
+           eng.conditional_mean((3,), x[:, :1]),
+           eng.effect_curve((1, 2), npts=9).values]
+    return [eng.order] + out    # settled by the reads, not the decomposition
 
 
 @pytest.mark.parametrize("first", [
@@ -689,7 +711,9 @@ def test_the_settled_order_does_not_depend_on_the_first_call(first):
 def test_an_affine_map_of_the_model_settles_at_the_same_order(a, b):
     # the test is relative to V and sqrt(V), and the mean takes b's shift
     eng = AnovaEngine(lambda x: a * DECOMP_ORACLE(x) + b, NORMAL4)
-    eng.mean()
+    eng.mean()      # the sparse rule's: it settles no grid
+    assert eng.order == 64
+    _read_at_zero(eng)
     assert eng.order == 45
 
 
@@ -723,6 +747,210 @@ def test_a_rung_that_raises_leaves_the_engine_as_built():
         assert [x.size for x in eng.nodes] == [64] * 4 and eng._kept is None
 
 
+# -- the sparse rule: a decomposition where the grid at ``order`` does not fit
+
+def _sparse_only(model, measure, **kwargs):
+    """An engine's decomposition with ``_sweep`` barred: the sparse rule's."""
+    eng = AnovaEngine(model, measure, **kwargs)
+    with mock.patch.object(AnovaEngine, "_sweep",
+                           side_effect=AssertionError("swept a full grid")):
+        vd = eng.variance_decomposition()
+    assert eng.order == 64 and eng._kept is None
+    return vd
+
+
+ODD = np.polynomial.Polynomial([0.0, 1.0])
+HE2 = np.polynomial.Polynomial([-1.0, 0.0, 1.0])
+UNIT4 = ProductMeasure((Uniform(-1.0, 1.0),) * 4)
+
+
+@pytest.mark.parametrize("model,measure", [
+    (CompositeMultilinearModel(factors=(ODD,) * 4, terms=((1, 2, 3, 4),)),
+     NORMAL4),
+    (CompositeMultilinearModel(factors=(ODD,) * 4, terms=((1, 2), (3, 4))),
+     NORMAL4),
+    (CompositeMultilinearModel(
+        factors=(HE2, HE2, lambda t: np.sin(3.0 * t), ODD),
+        terms=((1, 2), (3, 4))), NORMAL4),
+    (CompositeMultilinearModel(factors=(ODD,) * 4, terms=((1, 2, 3, 4),)),
+     UNIT4),
+    (CompositeMultilinearModel(factors=(ODD,) * 4, terms=((1, 2), (3, 4))),
+     UNIT4)], ids=["x1x2x3x4-normal", "x1x2+x3x4-normal",
+                   "He2He2+sin3x3x4-normal", "x1x2x3x4-unit",
+                   "x1x2+x3x4-unit"])
+def test_the_sparse_rule_sees_pure_interactions(model, measure):
+    # every first-level surplus of these models vanishes at the centre of
+    # each axis, and He_2 at the nodes +-1 of a two-node root; the root at
+    # the off-centre anchor sees every term
+    vd = _sparse_only(model, measure)
+    for z in all_subsets(4):
+        assert abs(vd.terms[z] - model.exact_term_variance(measure, z)) \
+            <= 1e-12, z
+
+
+def test_a_discrete_axis_takes_all_its_points_on_every_sparse_grid():
+    # 64^4 x 3 points do not fit; the discrete axis has one level, its
+    # points, and enters the interactions of x1 and x4
+    measure = ProductMeasure((Normal(0.0, 1.0),) * 4
+                             + (DiscreteUniform((-1.0, 0.5, 2.0)),))
+    model = CompositeMultilinearModel(
+        factors=(np.sin, ODD, HE2 + 2.0, np.cos, HE2 + 1.5),
+        terms=((1, 5), (2, 3), (4, 5), (5,)))
+    vd = _sparse_only(model, measure)
+    exact = {z: model.exact_term_variance(measure, z) for z in all_subsets(5)}
+    for z in all_subsets(5, max_order=2):
+        assert abs(vd.terms[z] - exact[z]) <= 1e-12 * vd.total, z
+    assert abs(vd.total - sum(exact.values())) <= 1e-12 * vd.total
+    assert abs(vd.mean - model.exact_effect(measure, (), None)) <= 1e-12
+
+
+def test_a_term_below_the_tolerance_leaves_the_anchor_in_another():
+    # x1 (1.5 + 1e-9 x4) on U(-1, 2)^4: the surplus of x4 at x1's anchor
+    # is below the tolerance, so the rule never refines x1 and x4
+    # together, and V_1 holds x4 at its anchor, not at its mean: 6.2e-10 V
+    # off, within INTERP_TOL V
+    model = CompositeMultilinearModel(
+        factors=(ODD, ODD, ODD, np.polynomial.Polynomial([1.5, 1e-9])),
+        terms=((1, 4),))
+    vd = _sparse_only(model, UNIT4)
+    exact = {z: model.exact_term_variance(UNIT4, z) for z in all_subsets(4)}
+    total = sum(exact.values())
+    for z, v in exact.items():
+        assert abs(vd.terms[z] - v) <= anova.INTERP_TOL * total, z
+    assert abs(vd.terms[(1,)] - exact[(1,)]) > 1e-10 * total
+
+
+def _baseline(n):
+    """The model sum_k cos 2x_k + 0.5 x1 x2 + 0.3 sin x3 x4 on N(0, 1)^n,
+    its mean and every V_z by closed form (those not named are zero)."""
+    def g(x):
+        return np.cos(2.0 * x).sum(axis=1) + 0.5 * x[:, 0] * x[:, 1] \
+            + 0.3 * np.sin(x[:, 2]) * x[:, 3]
+
+    terms = {(k,): (1.0 + math.exp(-8.0)) / 2.0 - math.exp(-4.0)
+             for k in range(1, n + 1)}
+    terms[(1, 2)], terms[(3, 4)] = 0.25, 0.09 * (1.0 - math.exp(-2.0)) / 2.0
+    return g, n * math.exp(-2.0), terms
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_past_four_inputs_the_decomposition_matches_the_closed_form(n):
+    # full grids that fit left V 2.8e-5 (n = 5) to 56% (n = 8) off
+    g, mean, terms = _baseline(n)
+    model = _Batches(g)
+    start = time.perf_counter()
+    vd = _sparse_only(model, ProductMeasure((Normal(0.0, 1.0),) * n))
+    seconds = time.perf_counter() - start
+    total = sum(terms.values())
+    assert abs(vd.total - total) <= 1e-9 * total
+    assert abs(vd.mean - mean) <= 1e-9 * math.sqrt(total)
+    for z in all_subsets(n, 4 if n == 4 else 2):
+        assert abs(vd.terms[z] - terms.get(z, 0.0)) <= 1e-9 * total, z
+    if n == 4:      # a full grid of 32^4 gives V to 8e-16
+        assert sum(model.sizes) <= 1_449_984
+    if n == 8:
+        assert seconds < 2.0
+
+
+def _pairs4(x):
+    return x[:, 0] + x[:, 1] * x[:, 2] + x[:, 3]
+
+
+def test_a_power_of_two_times_a_sparse_model_keeps_every_decision():
+    # 2^k g has every projection of g times 2^k, which the rule's scale
+    # takes back exactly: the same model calls and every S_z to the bit
+    runs = {}
+    for k in (-30, 0, 40):
+        counted = _Batches(lambda x, k=k: np.ldexp(DECOMP_ORACLE(x), k))
+        runs[k] = counted.sizes, _sparse_only(counted, NORMAL4)
+    sizes, vd = runs[0]
+    want = {z: v.hex() for z, v in vd.sobol_indices().items()}
+    for k, (got_sizes, got) in runs.items():
+        assert got_sizes == sizes, k
+        assert {z: v.hex() for z, v in got.sobol_indices().items()} == want, k
+        assert got.total == math.ldexp(vd.total, 2 * k), k
+
+
+@pytest.mark.parametrize("a,b", [(-3.7, 0.25), (1e-3, 5e-3), (250.0, -40.0)])
+def test_an_affine_map_of_a_sparse_model_keeps_its_indices(a, b):
+    vd = _sparse_only(DECOMP_ORACLE, NORMAL4)
+    got = _sparse_only(lambda x: a * DECOMP_ORACLE(x) + b, NORMAL4)
+    s, s2 = vd.sobol_indices(), got.sobol_indices()
+    assert abs(got.mean - (a * vd.mean + b)) <= 1e-12 * abs(a) * math.sqrt(
+        vd.total)
+    for z, v in vd.terms.items():
+        assert abs(got.terms[z] - a * a * v) <= 1e-12 * a * a * vd.total, z
+        assert abs(s2[z] - s[z]) <= 1e-12, z
+
+
+def test_a_sparse_variance_beyond_the_float_range_is_named():
+    cube = ProductMeasure((Uniform(0.0, 1.0),) * 4)
+    with pytest.raises(OverflowError, match="total variance V = "):
+        _sparse_only(lambda x: 1e160 * _pairs4(x), cube)
+    with pytest.raises(ZeroVarianceError, match="V = 0.0 is "):
+        _sparse_only(lambda x: 1e-200 * _pairs4(x), cube).sobol_indices()
+
+
+def test_a_constant_sparse_model_has_no_indices():
+    # the root and its four neighbours of 3 nodes show no variance, so the
+    # rule stops there
+    counted = _Batches(lambda x: np.full(len(x), 0.7))
+    vd = _sparse_only(counted, NORMAL4)
+    assert sum(counted.sizes) == 1 + 4 * 3
+    with pytest.raises(ZeroVarianceError):
+        vd.sobol_indices()
+
+
+def test_the_sparse_rule_keeps_its_model_calls_within_the_block():
+    # every index's grid goes to the model in boxes of at most
+    # ``BLOCK_POINTS``, and the boxes change no bit of the result
+    counted = _Batches(DECOMP_ORACLE)
+    with mock.patch.object(anova, "BLOCK_POINTS", 20):
+        vd = _sparse_only(counted, NORMAL4)
+    assert max(counted.sizes) <= 20
+    assert vd == _sparse_only(DECOMP_ORACLE, NORMAL4)
+
+
+def test_an_unresolved_sparse_model_stops_within_its_budget():
+    # sin 150 x1 needs more than the 63 nodes of the top level on [0, 1]
+    counted = _Batches(lambda x: np.sin(150.0 * x[:, 0])
+                       + x[:, 1] * x[:, 2] * x[:, 3])
+    start = time.perf_counter()
+    _sparse_only(counted, ProductMeasure((Uniform(0.0, 1.0),) * 4))
+    assert time.perf_counter() - start < 1.0
+    assert sum(counted.sizes) <= anova.FULL_GRID_CAP
+
+
+@pytest.mark.parametrize("shift,tol", [(1e4, 1e-11), (1e8, 1e-9)])
+def test_the_sparse_rule_keeps_its_terms_under_a_large_mean(shift, tol):
+    # every grid is centred on the root's value; the model's own rounding,
+    # eps times the shift at each point, is what remains
+    vd = _sparse_only(lambda x: DECOMP_ORACLE(x) + shift, NORMAL4)
+    exact = {z: DECOMP_ORACLE.exact_term_variance(NORMAL4, z)
+             for z in all_subsets(4)}
+    total = sum(exact.values())
+    for z, v in exact.items():
+        assert abs(vd.terms[z] - v) <= tol * total, z
+
+
+def test_the_sparse_total_keeps_its_digits_under_a_large_mean():
+    # the model of the three-input test, with x4 in a term of its own:
+    # mean -2.02 against V = 1.9e-8
+    model = CompositeMultilinearModel(
+        factors=(np.polynomial.Polynomial([-0.49945981]),
+                 np.polynomial.Polynomial([1e-4, 1e-12]),
+                 np.polynomial.Polynomial([-0.86854202, 1.14158557,
+                                           1.10796981]),
+                 np.polynomial.Polynomial([0.0, 1e-5])),
+        terms=((), (1,), (2, 3), (2, 3), (4,)),
+        coeffs=(-1.383, 1.279, 1.449, -0.781, 1.0))
+    measure = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
+                              Uniform(-1.0, 2.0), Normal(0.0, 1.0)))
+    vd = _sparse_only(model, measure)
+    exact = sum(model.exact_term_variance(measure, z) for z in all_subsets(4))
+    assert abs(vd.total - exact) <= 1e-11 * exact
+
+
 # -- five to nine inputs: every engine ends on a grid that fits ---------------
 
 # each factor a polynomial of degree 2 at most
@@ -738,13 +966,17 @@ MIXED5 = ProductMeasure((Uniform(-1.0, 2.0), Normal(0.5, 0.8),
 
 def test_a_five_input_model_ends_on_a_grid_that_fits():
     # 64^5 does not fit and 16^5 does; the probe's 8 nodes resolve every
-    # axis, so the rung after it takes their caps and settles
+    # axis, so the rung after it takes their caps and settles.  A read
+    # settles the grid; the decomposition takes the sparse rule's points
     model = _Batches(MULTILINEAR5)
     eng = AnovaEngine(model, MIXED5)
-    vd = eng.variance_decomposition()
+    _read_at_zero(eng)
     assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
     assert eng.order == 5 and [x.size for x in eng.nodes] == [5, 4, 5, 4, 4]
     assert sum(model.sizes) == 8 ** 5 + math.prod(eng._sizes)
+    model.sizes = []
+    vd = eng.variance_decomposition()
+    assert sum(model.sizes) == 195
     exact = {z: MULTILINEAR5.exact_term_variance(MIXED5, z)
              for z in all_subsets(5)}
     for z in all_subsets(5, max_order=2):
@@ -761,14 +993,18 @@ def _five_normal(x):
 def test_five_normal_inputs_settle_on_their_predicted_counts():
     # the opening's 8^5 grid, then 16 nodes under the caps that 8 gave the
     # polynomial axes x2, x3 and x4, then the counts that the decay of x1
-    # and x5 at 16 predicts, where every axis is resolved
+    # and x5 at 16 predicts, where every axis is resolved.  A read settles
+    # the grid; the decomposition takes the sparse rule's points
     model = _Batches(_five_normal)
     eng = AnovaEngine(model, ProductMeasure((Normal(0.0, 1.0),) * 5))
-    vd = eng.variance_decomposition()
+    _read_at_zero(eng)
     assert eng.order == 26 and eng._halves is not None
     assert [x.size for x in eng.nodes] == [26, 5, 7, 4, 25]
     assert sum(model.sizes) == 8 ** 5 + (16 * 16 + 26 * 25) * 5 * 7 * 4 \
         == 159_608
+    model.sizes = []
+    vd = eng.variance_decomposition()
+    assert sum(model.sizes) == 803
     # the 16^5 and 20^5 grids agree on the total to ten digits
     assert abs(vd.total - 10.72041545) <= 1e-8
 
@@ -791,17 +1027,23 @@ def test_an_eight_input_engine_ends_on_a_grid_that_fits():
     # the 14 nodes that fit under those caps.  The counts that sin, cos
     # and exp predict past 14 do not fit: no rung settles, and the engine
     # keeps 14, the last rung it swept.  The default boxes of 2^16 points
-    # keep its memory small.
+    # keep its memory small.  A read settles the grid: with x1 unresolved
+    # its row goes to the direct integral over the settled complement,
+    # 4 x 5 x 4 x 14 x 4 x 4 x 14 points.  The decomposition takes the
+    # sparse rule's points
     model = _Batches(MULTILINEAR8)
     eng = AnovaEngine(model, MIXED8)
     assert eng._opening == (8, 16)
-    vd = eng.variance_decomposition()
+    _read_at_zero(eng)
     assert math.prod(eng._sizes) <= anova.FULL_GRID_CAP
     assert eng.order == 14 and eng._halves is None
     assert [x.size for x in eng.nodes] == [14, 4, 5, 4, 14, 4, 4, 14]
-    assert sum(model.sizes) == 6 ** 8 + 14 ** 3 * 4 ** 4 * 5 == 5_191_936
+    assert sum(model.sizes) == 6 ** 8 + 14 ** 3 * 4 ** 4 * 5 \
+        + 14 ** 2 * 4 ** 4 * 5 == 5_442_816
     assert max(model.sizes) <= anova.BLOCK_POINTS == 2 ** 16
-    # 14 Gauss nodes leave sin, cos and exp about 2e-14 off
+    model.sizes = []
+    vd = eng.variance_decomposition()
+    assert sum(model.sizes) == 822
     for z in all_subsets(8, max_order=2):
         assert abs(vd.terms[z] - MULTILINEAR8.exact_term_variance(MIXED8, z)) \
             <= 1e-12, z
@@ -1055,7 +1297,7 @@ def test_an_axis_capped_by_an_earlier_rung_stays_resolved():
         eng = AnovaEngine(model, ProductMeasure((Normal(1.0, 2.0),
                                                  Uniform(-PI, PI),
                                                  Uniform(0.0, PI))))
-        eng.mean()
+        _read_at_zero(eng)
     assert eng.order == 45 and [x.size for x in eng.nodes] == [45, 27, 6]
     assert eng._caps()[0] == [45, 25, 6] and eng._halves is not None
     assert sum(model.sizes) == 8 ** 3 + (16 ** 2 + 46 * 23 + 45 * 27) * 6 \
@@ -1158,29 +1400,39 @@ def test_a_probe_that_caps_nothing_costs_its_own_grid():
     # neither opening rung caps an axis of this model, so they add their
     # 8^4 and 16^4 points and nothing else: the engine ends on the 43^4
     # grid that the decay at 16 predicts (own caps 41), with the
-    # decomposition of an engine that sweeps that grid alone, to the bit
+    # sweep of an engine that sweeps that grid alone, to the bit.  A read
+    # settles the grid; the decomposition is the sparse rule's, 942 points
     model = _Batches(_cos_sum4)
     eng = AnovaEngine(model, NORMAL4)
-    vd = eng.variance_decomposition()
+    _read_at_zero(eng)
     assert eng.order == 43 and [x.size for x in eng.nodes] == [43] * 4
     assert sum(model.sizes) == 8 ** 4 + 16 ** 4 + 43 ** 4 == 3_488_433
     plain = _unsettled(_cos_sum4, NORMAL4, order=43)
-    assert vd == plain.variance_decomposition()
+    for got, want in zip(eng._sweep()[1:], plain._sweep()[1:]):
+        assert np.array_equal(got, want)
+    model.sizes = []
+    vd, want = eng.variance_decomposition(), plain.variance_decomposition()
+    assert sum(model.sizes) == 942
+    assert abs(vd.mean - want.mean) <= 1e-14 * math.sqrt(want.total)
+    for z in all_subsets(4):
+        assert abs(vd.terms[z] - want.terms[z]) <= 1e-14 * want.total, z
 
 
 def test_four_cosine_curves_stay_within_their_settled_plan():
     # the settled 43^4 grid resolves every axis: 117 rows of each curve
     # are read off its table, and the outer 12 take the pair of halved
-    # rules, 21^3 + 20^3 points a row, 828,528 evaluations in all
+    # rules, 21^3 + 20^3 points a row, 828,528 evaluations in all; the
+    # decomposition takes the sparse rule's 942, and sweeps no grid
     model = _Batches(_cos_sum4)
     eng = AnovaEngine(model, NORMAL4)
     eng.variance_decomposition()
+    assert sum(model.sizes) == 942
     for i in range(1, 5):
         curve = eng.effect_curve((i,))
         x = curve.grids[0]
         assert np.all(np.abs(curve.values - (np.cos(2.0 * x) - math.exp(-2.0)))
                       <= 1e-12), i
-    assert sum(model.sizes) <= 4_316_961
+    assert sum(model.sizes) <= 942 + 4_316_961
 
 
 def _permuted(model, measure, perm):
@@ -1210,10 +1462,12 @@ def test_permuting_the_inputs_permutes_every_term(perm, comps):
 
 def test_permuting_four_inputs_keeps_the_settled_order():
     # a grid that does not fit at ``order`` settles on the counts its
-    # axes predict, wherever they sit
+    # axes predict, wherever they sit; a read settles it, and the
+    # decomposition is the sparse rule's
     eng = AnovaEngine(*_permuted(DECOMP_ORACLE, NORMAL4, (3, 1, 0, 2)))
-    vd = eng.variance_decomposition()
+    _read_at_zero(eng)
     assert eng.order == 45
+    vd = eng.variance_decomposition()
     for z, v in vd.terms.items():
         old = tuple(sorted((3, 1, 0, 2)[i - 1] + 1 for i in z))
         assert abs(v - DECOMP_ORACLE.exact_term_variance(NORMAL4, old)) \

@@ -1,6 +1,7 @@
 """End-to-end command line runs: report contents, files, exit codes."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -306,12 +307,18 @@ prior: [0.3, 0.2, 0.2, 0.2, 0.1]
 
 
 def _counted_evaluations(monkeypatch):
-    """A list that gets (caller, points) for every model call from now on."""
+    """A list that gets (caller, points) for every model call from now on:
+    the function that asked for the points, past ``anova._on_grid``, which
+    evaluates every tensor grid, and any function nested in the asker."""
     points = []
     evaluate = anova._evaluate
 
     def counted(model, x):
-        points.append((sys._getframe(1).f_code.co_name, len(x)))
+        frame = sys._getframe(1)
+        while frame.f_code is anova._on_grid.__code__ or \
+                frame.f_code.co_flags & inspect.CO_NESTED:
+            frame = frame.f_back
+        points.append((frame.f_code.co_name, len(x)))
         return evaluate(model, x)
 
     monkeypatch.setattr(anova, "_evaluate", counted)
@@ -331,9 +338,12 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
     assert run(["--model", str(tmp_path / "model.yaml"), "--measures",
                 str(tmp_path / "measures.yaml"), "--prior",
                 "--out", str(out)]) == 0
-    # each engine sweeps the probe's 8^4 points, then its caps: 4 x 5 x 4 x 5
+    # each engine sweeps the probe's 8^4 points, then its caps: 4 x 5 x 4 x
+    # 5; its decomposition takes the sparse rule's own points
+    # (``anova._smolyak``), 298 for the two engines
     assert sum(k for c, k in points if c == "_sweep") == 2 * (8**4 + 400)
-    assert sum(k for _, k in points) == 10_144
+    assert sum(k for c, k in points if c == "_smolyak") == 298
+    assert sum(k for _, k in points) == 10_144 + 298
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -364,9 +374,11 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
                 str(tmp_path / "measures.yaml"), "--prior",
                 "--out", str(out)]) == 0
     # each engine sweeps the probe's 8^5 points, then its caps:
-    # 4 x 5 x 4 x 5 x 4
+    # 4 x 5 x 4 x 5 x 4; its decomposition takes the sparse rule's own
+    # points (``anova._smolyak``), 975 for the five engines
     assert sum(k for c, k in points if c == "_sweep") == 5 * (8**5 + 1600)
-    assert sum(k for _, k in points) == 178_192
+    assert sum(k for c, k in points if c == "_smolyak") == 975
+    assert sum(k for _, k in points) == 178_192 + 975
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
