@@ -53,7 +53,10 @@ and V and each V_z are scaled back at the end.  An engine whose grid at
 ``order`` does not fit takes its mean and P, once, from an adaptive sparse
 pseudo-spectral projection (``_smolyak``) in place of a sweep
 (``AnovaEngine._moments``), so a decomposition alone sweeps no full grid;
-reads at points still settle one.
+the rule hands over to the sweep where the model at a few points off its
+grids is not its series there, or where it would pass the points of the
+settle's first rung.  Reads at points, the mean of an effect included,
+settle and read the sweep on every engine.
 
 Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of C
 that is zero off v holds the coefficients of w_v - mean on v's subgrid, so
@@ -107,6 +110,7 @@ INTERP_TOL = 1e-9           # error target of a conditional mean at points
 # a model whose deviation sqrt(V) is within this many ulps of its RMS
 # sqrt(V + mean^2) admits no indices (VarianceDecomposition.require_variance)
 ZERO_VARIANCE_ULPS = 64
+_OPENING = (8, 16)          # the rungs of nodes an engine's settle opens on
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,7 @@ class AnovaEngine:
         self._continuous = [not isinstance(c, DiscreteUniform)  # has poly
                             for c in measure.components]
         self._w_full = {}     # _w_last of all inputs, kept and shared (_w_at)
-        self._sparse = None   # (mean, P, e) of _smolyak, kept (_moments)
+        self._sparse = None   # _smolyak's (mean, P, e), or () (_moments)
         if not isinstance(order, (int, np.integer)) or order < 1:
             raise ValueError(f"order must be an integer >= 1, not {order!r}")
         self._most = int(order)     # as built: caps _read_outside too
@@ -255,7 +259,7 @@ class AnovaEngine:
             raise ConfigError(f"no tensor grid of the {self.n} inputs fits in "
                               f"{FULL_GRID_CAP} points, at order {order} or "
                               f"at any order from {FEWEST_NODES}")
-        self._opening = (8, 16)     # the rungs _settle opens on
+        self._opening = _OPENING    # the rungs _settle opens on
 
     def _use_order(self, order, caps=None):
         """Take the Gauss rule of ``order``, with no grid swept yet.
@@ -393,8 +397,8 @@ class AnovaEngine:
         z = _subset(z, self.n)
         self._settle()
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if len(z) == 0:
-            return np.full(x.shape[0], self.mean())
+        if len(z) == 0:     # the mean of the sweep that the reads read
+            return np.full(x.shape[0], self._sweep()[1])
         if x.shape[1] != len(z):
             raise ValueError(f"points have {x.shape[1]} columns for subset {z}")
         out = np.empty(x.shape[0])
@@ -605,14 +609,17 @@ class AnovaEngine:
         return self._moments()[0]
 
     def _moments(self):
-        """(mean, P, e): the kept sweep's, or, where the grid at the order
-        the engine was built with does not fit, ``_smolyak``'s, kept."""
-        if _fits(self._grid(self._most)):
-            _, mean, _, power, e = self._sweep()
-            return mean, power, e
+        """(mean, P, e): where the grid at the order the engine was built
+        with does not fit, ``_smolyak``'s, kept, when it passes its check
+        within the points of the settle's first rung; else the sweep's."""
         if self._sparse is None:
-            self._sparse = _smolyak(self.model, self.measure, self._most)
-        return self._sparse
+            self._sparse = not _fits(self._grid(self._most)) and _smolyak(
+                self.model, self.measure, self._most,
+                math.prod(self._fitted(self._grid(_OPENING[0])))) or ()
+        if self._sparse:
+            return self._sparse
+        _, mean, _, power, e = self._sweep()
+        return mean, power, e
 
     def effect(self, z, x):
         """The ANOVA term g_z at arbitrary points ``x`` of shape (N, |z|).
@@ -723,28 +730,31 @@ def _no_variance(v, mean):
         math.sqrt(v) <= ZERO_VARIANCE_ULPS * np.finfo(float).eps * rms
 
 
-def _smolyak(model, measure, most):
+def _smolyak(model, measure, most, budget):
     """(mean, P, e) as ``_sweep`` keeps them, from an adaptive sparse
-    pseudo-spectral projection of the model, with no full grid: Smolyak's
-    in the combination form, which aliases no term inside its index set
-    (Conrad & Marzouk, SIAM J. Sci. Comput. 35, 2013), grown by the
-    indicator of Gerstner & Griebel (Computing 71, 2003).
+    pseudo-spectral projection with no full grid, Smolyak's in the
+    combination form, which aliases no term inside its index set (Conrad &
+    Marzouk, SIAM J. Sci. Comput. 35, 2013), grown by the indicator of
+    Gerstner & Griebel (Computing 71, 2003); or None, to hand over to it.
 
-    Level 0 of a continuous axis is one node, off the centre of its
-    ``plot_range`` by 0.618 of a quarter of its width, where a product of
-    odd factors does not vanish; level l >= 1 is its Gauss rule of
-    2^(l+1) - 1 nodes, at most ``most``.  A discrete axis has one level,
-    its points.  An index's tensor grid goes to the model in the boxes of
-    ``_grid_boxes``; centred on the root's value and scaled by 2^-e (e set
-    by the root and its forward neighbours), it is projected by ``_along``
-    with each axis's ``to_coeffs``.  Its surplus, the inclusion-exclusion
-    of its projection and those one level below it on any set of its axes,
-    adds to C, one block per index (degrees [2^l - 1, 2^(l+1) - 1) at
-    level l), whose squares fold into P.  The active index of the largest
-    surplus norm is marked old, and each forward neighbour whose backward
-    ones are all old is added, until the active norms sum to at most
-    ``INTERP_TOL`` times sqrt(V), no index is left, or the next would pass
-    ``FULL_GRID_CAP`` evaluations.
+    Level 0 of a continuous axis is one node, its anchor, 0.618 of a
+    quarter of its ``plot_range``'s width off the centre; level l >= 1 is
+    its Gauss rule of 2^(l+1) - 1 nodes, at most ``most``; a discrete axis
+    has one level, its points.  An index's grid (``_on_grid``), centred on
+    the root's value and scaled by 2^-e, is projected by ``_along`` with
+    each axis's ``to_coeffs``; its surplus, the inclusion-exclusion of the
+    projections one level below it on any set of its axes, adds to C block
+    by block (degrees [2^l - 1, 2^(l+1) - 1) at level l), and its squares
+    to P.  The active index of the largest surplus norm turns old, and
+    each forward neighbour whose backward ones are all old turns active,
+    until the active norms sum to at most ``INTERP_TOL`` sqrt(V) or none
+    is left.  A surplus is taken with the axes at level 0 on their
+    anchors, so a factor that vanishes at one hides the terms it
+    multiplies: the rule hands over unless the model at 4 points off every
+    rule, each coordinate in the middle half of its ``plot_range`` (a
+    point on a discrete axis), lies within sqrt(``INTERP_TOL`` V), the rms
+    of a term of that share of V, of C's series there; and before the
+    next indices would take it past ``budget`` points.
     """
     comps, n = measure.components, measure.n
     cont = [not isinstance(c, DiscreteUniform) for c in comps]
@@ -758,7 +768,6 @@ def _smolyak(model, measure, most):
         return tuple(slice(ends[k][b - 1] if b else 0, ends[k][b])
                      for k, b in enumerate(block))
 
-    @lru_cache(maxsize=None)
     def rule(k, l):     # axis k's (nodes, to_coeffs) at level l
         if cont[k] and l == 0:
             lo, hi = comps[k].plot_range()
@@ -794,10 +803,7 @@ def _smolyak(model, measure, most):
     old, evals = {root}, sum(g.size for g in grids.values())
     del active[root]
     while active:
-        v = sum(power.values())
-        with np.errstate(over="ignore"):    # a mean far above V is no V
-            flat = _no_variance(v, np.ldexp(centre, -e) + coeffs[root].flat[0])
-        if flat or sum(active.values()) <= INTERP_TOL * math.sqrt(v):
+        if sum(active.values()) <= INTERP_TOL * math.sqrt(sum(power.values())):
             break
         index = max(active, key=active.get)
         old.add(index)
@@ -807,12 +813,28 @@ def _smolyak(model, measure, most):
                  if all(up(f, j, -1) in old for j in range(n) if f[j])]
         evals += sum(math.prod(ends[k][l] for k, l in enumerate(f))
                      for f in nexts)
-        if evals > FULL_GRID_CAP:
-            break
+        if evals > budget:
+            return None
         active.update((f, take(f, values(f))) for f in nexts)
+    u = np.modf(np.arange(1, 4 * n + 1) * 0.6180339887498949)[0]
+    x, mats = u.reshape(4, n), []
+    for k, (c, s) in enumerate(zip(comps, (a[-1] for a in ends))):
+        if cont[k]:
+            lo, hi = c.plot_range()
+            x[:, k] = (lo + hi) / 2 + (x[:, k] - 0.5) * (hi - lo) / 2
+            mats.append(c.poly(x[:, k], s))
+        else:       # phi_d at point j is to_coeffs[d, j] / w_j, w_j = 1 / s
+            j = (x[:, k] * s).astype(int)
+            x[:, k] = np.asarray(c.points)[j]
+            mats.append(c.to_coeffs(s).T[j] * s)
+    miss = np.ldexp(_evaluate(model, x) - centre, -e) - sum(
+        _tensor_eval(c, [m[:, d] for m, d in zip(mats, span(block))])
+        for block, c in coeffs.items())
     p = sum(_power(c, [d.start for d in span(block)])
             for block, c in coeffs.items())
     p.flat[0] = 0.0
+    if not np.abs(miss).max() <= math.sqrt(INTERP_TOL * p.sum()):
+        return None
     return centre + math.ldexp(coeffs[root].flat[0], e), p, e
 
 

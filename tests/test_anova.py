@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
 from unittest import mock
 
@@ -581,6 +580,9 @@ def _read_at_zero(eng):
     eng._w_at((1,), np.zeros((1, 1)))
 
 
+CHECK = 4   # the points at which the sparse rule checks its series
+
+
 def test_four_input_moments_come_from_the_sweep_at_default_settings():
     # the 64^4 grid does not fit, so the first read settles the grid: the
     # probe's 8 nodes resolve every axis (degree 1, and 2 in x3), so the
@@ -597,7 +599,7 @@ def test_four_input_moments_come_from_the_sweep_at_default_settings():
     # sweeps no full grid
     model.sizes = []
     vd = eng.variance_decomposition(max_order=2)
-    assert sum(model.sizes) == 149
+    assert sum(model.sizes) == 149 + CHECK
     exact = {z: PLAN_ORACLE.exact_term_variance(PLAN_MEASURE, z)
              for z in all_subsets(4)}
     total = sum(exact.values())
@@ -641,7 +643,7 @@ def test_a_smooth_model_settles_on_its_predicted_counts():
     # the opening's 8 nodes resolve: 7 nodes from 16 on.  The other axes
     # take the counts their decay at 16 predicts, where every axis is
     # resolved (own caps 26, 43, 7 and 27).  A read settles the grid; the
-    # decomposition takes the sparse rule's own 1,539 points
+    # decomposition takes the sparse rule's own 1,539 points and its check
     model = _Batches(DECOMP_ORACLE)
     eng = AnovaEngine(model, NORMAL4)
     _read_at_zero(eng)
@@ -652,7 +654,7 @@ def test_a_smooth_model_settles_on_its_predicted_counts():
         == 279_413
     model.sizes = []
     vd = eng.variance_decomposition()
-    assert sum(model.sizes) == 1_539
+    assert sum(model.sizes) == 1_539 + CHECK
     for z in all_subsets(4):
         assert abs(vd.terms[z] - DECOMP_ORACLE.exact_term_variance(NORMAL4, z)) \
             <= 1e-12, z
@@ -759,6 +761,15 @@ def _sparse_only(model, measure, **kwargs):
     return vd
 
 
+def _handed_over(model, measure):
+    """An engine's decomposition where the sparse rule hands over: the
+    full grid's, which the engine settles."""
+    eng = AnovaEngine(model, measure)
+    vd = eng.variance_decomposition()
+    assert eng._sparse == () and eng._kept is not None
+    return vd
+
+
 ODD = np.polynomial.Polynomial([0.0, 1.0])
 HE2 = np.polynomial.Polynomial([-1.0, 0.0, 1.0])
 UNIT4 = ProductMeasure((Uniform(-1.0, 1.0),) * 4)
@@ -820,6 +831,51 @@ def test_a_term_below_the_tolerance_leaves_the_anchor_in_another():
     assert abs(vd.terms[(1,)] - exact[(1,)]) > 1e-10 * total
 
 
+def test_reads_alone_run_no_sparse_rule():
+    # every w_v of an effect, w_empty the mean, comes from the sweep that
+    # the reads settle: a curve alone costs the parent route's 4,416
+    # points, and the sparse rule makes no model call
+    model = _Batches(_plan_model)
+    eng = AnovaEngine(model, PLAN_MEASURE)
+    with mock.patch.object(anova, "_smolyak",
+                           side_effect=AssertionError("ran the sparse rule")):
+        curve = eng.effect_curve((1,))
+        mean = eng.conditional_mean((), np.zeros((1, 0)))
+    assert sum(model.sizes) == 4_416 and eng._sparse is None
+    assert mean[0] == eng._sweep()[1]
+    want = PLAN_ORACLE.exact_effect(PLAN_MEASURE, (1,), curve.grids[0][:, None])
+    assert np.all(np.abs(curve.values - want) <= 1e-12)
+
+
+# the anchor of a U(-1, 2) axis, to the bit
+ANCHOR = (-1.0 + 2.0) / 2 + 0.618 * (2.0 - -1.0) / 4
+
+
+@pytest.mark.parametrize("factors,terms,sparse,full", [
+    (((1.0, 1.0), (-ANCHOR, 1.0)), ((1, 2),), 20, 4_240),
+    (((-ANCHOR, 1.0),) * 4, ((1, 2, 3, 4),), 13, 4_352)],
+    ids=["(1+x1)(x2-a)", "prod(xk-a)"])
+def test_a_factor_that_vanishes_at_an_anchor_hands_over(factors, terms,
+                                                       sparse, full):
+    # x2 - a vanishes at x2's anchor, so every surplus along x1, taken
+    # there, is zero: the rule refines no axis with x2 and stops on a
+    # series that leaves out (x1 - a1)(x2 - a): V_1 = V_12 = 0, and for
+    # prod(xk - a) V = 0.  The model at the check's points is far from
+    # that series, so the engine settles the full grid, the parent's
+    # route, which holds these polynomials exactly
+    model = CompositeMultilinearModel(
+        factors=tuple(np.polynomial.Polynomial(f) for f in factors)
+        + (ODD,) * (4 - len(factors)), terms=terms)
+    measure, counted = ProductMeasure((Uniform(-1.0, 2.0),) * 4), \
+        _Batches(model)
+    vd = _handed_over(counted, measure)
+    assert sum(counted.sizes) == sparse + CHECK + full
+    for z in all_subsets(4):
+        want = model.exact_term_variance(measure, z)
+        assert abs(vd.terms[z] - want) <= 1e-12 * vd.total, z
+    assert vd.terms[(1, 2)] > 0.02
+
+
 def _baseline(n):
     """The model sum_k cos 2x_k + 0.5 x1 x2 + 0.3 sin x3 x4 on N(0, 1)^n,
     its mean and every V_z by closed form (those not named are zero)."""
@@ -833,23 +889,22 @@ def _baseline(n):
     return g, n * math.exp(-2.0), terms
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_past_four_inputs_the_decomposition_matches_the_closed_form(n):
-    # full grids that fit left V 2.8e-5 (n = 5) to 56% (n = 8) off
+@pytest.mark.parametrize("n,points", [(4, 942), (5, 908), (6, 1_261),
+                                      (7, 1_434), (8, 1_616)])
+def test_past_four_inputs_the_decomposition_matches_the_closed_form(n,
+                                                                    points):
+    # full grids that fit left V 2.8e-5 (n = 5) to 56% (n = 8) off, and
+    # took 3,488,433 (n = 4) to 1,679,616 (n = 8) points; a count, not a
+    # clock, pins the cost.  At n = 4 a full grid of 32^4 gives V to 8e-16
     g, mean, terms = _baseline(n)
     model = _Batches(g)
-    start = time.perf_counter()
     vd = _sparse_only(model, ProductMeasure((Normal(0.0, 1.0),) * n))
-    seconds = time.perf_counter() - start
     total = sum(terms.values())
     assert abs(vd.total - total) <= 1e-9 * total
     assert abs(vd.mean - mean) <= 1e-9 * math.sqrt(total)
     for z in all_subsets(n, 4 if n == 4 else 2):
         assert abs(vd.terms[z] - terms.get(z, 0.0)) <= 1e-9 * total, z
-    if n == 4:      # a full grid of 32^4 gives V to 8e-16
-        assert sum(model.sizes) <= 1_449_984
-    if n == 8:
-        assert seconds < 2.0
+    assert sum(model.sizes) == points + CHECK <= 1_449_984
 
 
 def _pairs4(x):
@@ -893,10 +948,10 @@ def test_a_sparse_variance_beyond_the_float_range_is_named():
 
 def test_a_constant_sparse_model_has_no_indices():
     # the root and its four neighbours of 3 nodes show no variance, so the
-    # rule stops there
+    # rule stops there, and the check finds the model on its series
     counted = _Batches(lambda x: np.full(len(x), 0.7))
     vd = _sparse_only(counted, NORMAL4)
-    assert sum(counted.sizes) == 1 + 4 * 3
+    assert sum(counted.sizes) == 1 + 4 * 3 + CHECK
     with pytest.raises(ZeroVarianceError):
         vd.sobol_indices()
 
@@ -912,20 +967,31 @@ def test_the_sparse_rule_keeps_its_model_calls_within_the_block():
 
 
 def test_an_unresolved_sparse_model_stops_within_its_budget():
-    # sin 150 x1 needs more than the 63 nodes of the top level on [0, 1]
+    # sin 150 x1 needs more than the 63 nodes of the top level on [0, 1]:
+    # the rule runs out of levels after 231 points, its check finds the
+    # model off its series, and the engine settles the full grid as the
+    # parent route did, on 9,216 points with x1 unresolved at 64
     counted = _Batches(lambda x: np.sin(150.0 * x[:, 0])
                        + x[:, 1] * x[:, 2] * x[:, 3])
-    start = time.perf_counter()
-    _sparse_only(counted, ProductMeasure((Uniform(0.0, 1.0),) * 4))
-    assert time.perf_counter() - start < 1.0
-    assert sum(counted.sizes) <= anova.FULL_GRID_CAP
+    _handed_over(counted, ProductMeasure((Uniform(0.0, 1.0),) * 4))
+    assert sum(counted.sizes) == 231 + CHECK + 9_216
 
 
 @pytest.mark.parametrize("shift,tol", [(1e4, 1e-11), (1e8, 1e-9)])
 def test_the_sparse_rule_keeps_its_terms_under_a_large_mean(shift, tol):
     # every grid is centred on the root's value; the model's own rounding,
-    # eps times the shift at each point, is what remains
-    vd = _sparse_only(lambda x: DECOMP_ORACLE(x) + shift, NORMAL4)
+    # eps times the shift at each point, is what remains.  At 1e8 it is
+    # above INTERP_TOL sqrt(V), so the surpluses never sum to the
+    # tolerance: the rule stops at its budget, the 8^4 points of the
+    # settle's first rung, after 4,050, and the engine settles the full
+    # grid, as the parent route did on 3,727,814 points
+    model = _Batches(lambda x: DECOMP_ORACLE(x) + shift)
+    if shift < 1e8:
+        vd = _sparse_only(model, NORMAL4)
+        assert sum(model.sizes) == 1_539 + CHECK
+    else:
+        vd = _handed_over(model, NORMAL4)
+        assert sum(model.sizes) == 4_050 + 3_727_814
     exact = {z: DECOMP_ORACLE.exact_term_variance(NORMAL4, z)
              for z in all_subsets(4)}
     total = sum(exact.values())
@@ -976,7 +1042,7 @@ def test_a_five_input_model_ends_on_a_grid_that_fits():
     assert sum(model.sizes) == 8 ** 5 + math.prod(eng._sizes)
     model.sizes = []
     vd = eng.variance_decomposition()
-    assert sum(model.sizes) == 195
+    assert sum(model.sizes) == 195 + CHECK
     exact = {z: MULTILINEAR5.exact_term_variance(MIXED5, z)
              for z in all_subsets(5)}
     for z in all_subsets(5, max_order=2):
@@ -1004,7 +1070,7 @@ def test_five_normal_inputs_settle_on_their_predicted_counts():
         == 159_608
     model.sizes = []
     vd = eng.variance_decomposition()
-    assert sum(model.sizes) == 803
+    assert sum(model.sizes) == 803 + CHECK
     # the 16^5 and 20^5 grids agree on the total to ten digits
     assert abs(vd.total - 10.72041545) <= 1e-8
 
@@ -1043,7 +1109,7 @@ def test_an_eight_input_engine_ends_on_a_grid_that_fits():
     assert max(model.sizes) <= anova.BLOCK_POINTS == 2 ** 16
     model.sizes = []
     vd = eng.variance_decomposition()
-    assert sum(model.sizes) == 822
+    assert sum(model.sizes) == 822 + CHECK
     for z in all_subsets(8, max_order=2):
         assert abs(vd.terms[z] - MULTILINEAR8.exact_term_variance(MIXED8, z)) \
             <= 1e-12, z
@@ -1402,6 +1468,7 @@ def test_a_probe_that_caps_nothing_costs_its_own_grid():
     # grid that the decay at 16 predicts (own caps 41), with the
     # sweep of an engine that sweeps that grid alone, to the bit.  A read
     # settles the grid; the decomposition is the sparse rule's, 942 points
+    # and its check
     model = _Batches(_cos_sum4)
     eng = AnovaEngine(model, NORMAL4)
     _read_at_zero(eng)
@@ -1412,7 +1479,7 @@ def test_a_probe_that_caps_nothing_costs_its_own_grid():
         assert np.array_equal(got, want)
     model.sizes = []
     vd, want = eng.variance_decomposition(), plain.variance_decomposition()
-    assert sum(model.sizes) == 942
+    assert sum(model.sizes) == 942 + CHECK
     assert abs(vd.mean - want.mean) <= 1e-14 * math.sqrt(want.total)
     for z in all_subsets(4):
         assert abs(vd.terms[z] - want.terms[z]) <= 1e-14 * want.total, z
@@ -1422,17 +1489,18 @@ def test_four_cosine_curves_stay_within_their_settled_plan():
     # the settled 43^4 grid resolves every axis: 117 rows of each curve
     # are read off its table, and the outer 12 take the pair of halved
     # rules, 21^3 + 20^3 points a row, 828,528 evaluations in all; the
-    # decomposition takes the sparse rule's 942, and sweeps no grid
+    # decomposition takes the sparse rule's 942 and its check, and sweeps
+    # no grid
     model = _Batches(_cos_sum4)
     eng = AnovaEngine(model, NORMAL4)
     eng.variance_decomposition()
-    assert sum(model.sizes) == 942
+    assert sum(model.sizes) == 942 + CHECK
     for i in range(1, 5):
         curve = eng.effect_curve((i,))
         x = curve.grids[0]
         assert np.all(np.abs(curve.values - (np.cos(2.0 * x) - math.exp(-2.0)))
                       <= 1e-12), i
-    assert sum(model.sizes) <= 942 + 4_316_961
+    assert sum(model.sizes) <= 942 + CHECK + 4_316_961
 
 
 def _permuted(model, measure, perm):

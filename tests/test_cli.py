@@ -340,10 +340,11 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
                 "--out", str(out)]) == 0
     # each engine sweeps the probe's 8^4 points, then its caps: 4 x 5 x 4 x
     # 5; its decomposition takes the sparse rule's own points
-    # (``anova._smolyak``), 298 for the two engines
+    # (``anova._smolyak``), 298 for the two engines, and the 4 of each
+    # one's check
     assert sum(k for c, k in points if c == "_sweep") == 2 * (8**4 + 400)
-    assert sum(k for c, k in points if c == "_smolyak") == 298
-    assert sum(k for _, k in points) == 10_144 + 298
+    assert sum(k for c, k in points if c == "_smolyak") == 298 + 2 * 4
+    assert sum(k for _, k in points) == 10_144 + 298 + 2 * 4
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -375,10 +376,11 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
                 "--out", str(out)]) == 0
     # each engine sweeps the probe's 8^5 points, then its caps:
     # 4 x 5 x 4 x 5 x 4; its decomposition takes the sparse rule's own
-    # points (``anova._smolyak``), 975 for the five engines
+    # points (``anova._smolyak``), 975 for the five engines, and the 4 of
+    # each one's check
     assert sum(k for c, k in points if c == "_sweep") == 5 * (8**5 + 1600)
-    assert sum(k for c, k in points if c == "_smolyak") == 975
-    assert sum(k for _, k in points) == 178_192 + 975
+    assert sum(k for c, k in points if c == "_smolyak") == 975 + 5 * 4
+    assert sum(k for _, k in points) == 178_192 + 975 + 5 * 4
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
