@@ -63,14 +63,15 @@ that is zero off v holds the coefficients of w_v - mean on v's subgrid, so
 E[w_v^2] is mean^2 plus V_u for every subset u of v (``_rms``).
 ``AnovaEngine._w_at`` reads w_v through that slice and each coordinate's
 ``poly`` as its interpolating polynomial (``_read``).  Rows of a single
-input outside its support, more than 8 on a side, are read off a Legendre
-table of w_v over their span (``_read_outside``): the direct integral at
-the table's 8 Gauss nodes, and once more at its next count (``_resolve``)
-where those do not resolve it.  Both gate each row (``_gate``) by one error
-bound of their coefficients (``_bound``).  The direct integral over
-the complement of v, ``conditional_mean``, serves the rows either gate
-rejects and the other rows outside a coordinate's support, the empty and the
-full subset, and subsets with a discrete coordinate.  Every complement
+input outside its support, more than 8 of them on both sides together, are
+read off one Legendre table of w_v over their span (``_read_outside``),
+whose 8 Gauss nodes are read as any point is, and once more at its next
+count (``_resolve``) where those do not resolve it.  Both gate each row
+(``_gate``) by one error bound of their coefficients (``_bound``).  The
+direct integral over the complement of v, ``conditional_mean``, serves
+the rows either gate rejects and the other rows outside a coordinate's
+support, the empty and the full subset, and subsets with a discrete
+coordinate.  Every complement
 rule comes from ``_direct_rules``: on a settled engine the complement
 takes half the nodes of the cap its rung gives each axis it resolves,
 checked row by row against a second rule one node lower; a row on which
@@ -475,8 +476,9 @@ class AnovaEngine:
     def _w_at(self, v, x):
         """w_v at the rows of ``x`` (N, |v|), read off the kept grid's
         coefficients by ``_read``.  For a single input, its rows outside
-        its support, when more than the probe's 8 lie on one side, are read
-        off a Legendre table over that side's span (``_read_outside``).
+        its support, when more than the probe's 8 lie there on both sides
+        together, are read off one Legendre table over their span
+        (``_read_outside``).
         Rows neither accepts, and every row when v is empty or all inputs
         or when a coordinate of v is discrete, come from
         ``conditional_mean``.
@@ -503,67 +505,58 @@ class AnovaEngine:
             ok, out = self._read(v, x)
             if len(v) == 1:
                 lo, hi = self.measure.components[v[0] - 1].support()
-                sides = [side for side in (x[:, 0] < lo, x[:, 0] > hi)
-                         if np.count_nonzero(side) > 8]     # the probe's
-                read = self._read_outside(v, [x[side, 0] for side in sides])
-                for side, (accepted, values) in zip(sides, read):
-                    ok[side], out[side] = accepted, values
+                off = (x[:, 0] < lo) | (x[:, 0] > hi)
+                if np.count_nonzero(off) > 8:       # the probe's
+                    ok[off], out[off] = self._read_outside(v, x[off, 0])
             if not ok.all():
                 out[~ok] = self.conditional_mean(v, x[~ok])
         memo[v] = key, out
         return out.copy()
 
-    def _read_outside(self, v, sides):
-        """[(accepted, values)]: w_v, v one continuous input, at each array
-        of rows in ``sides`` (N,), all on one side outside its support,
-        read off a Legendre table over the span [a, b] of those rows.
+    def _read_outside(self, v, x):
+        """(accepted, values): w_v, v one continuous input, at the rows
+        ``x`` (N,) outside its support, on either side, read off one
+        Legendre table over the span [a, b] of those rows.
 
         w_v there is an integral over the complement of an analytic model,
         so its Legendre coefficients on [a, b] decay at least geometrically.
-        A table takes ``conditional_mean`` at the 8 Gauss nodes of
-        ``Uniform(a, b)``, the probe, and their coefficients by the family's
-        ``to_coeffs``, one matrix per node count on every interval.  Where
-        ``_resolve`` reads them unresolved against ``INTERP_TOL`` times
-        rms(w_v) (``_rms``), the table is taken once more at its next count,
-        at most the order the engine was built with, if fewer than its rows.
-        Each round asks ``conditional_mean`` once, for the nodes of every
-        table in it; rows of no span (one value, or a width beyond the float
-        range) make no table and accept no row.  A row is accepted by
-        ``_gate`` on the table's ``_bound``, and only off a table that has
-        decayed: one whose largest tail coefficient exceeds 1e-3 of its
-        largest coefficient accepts no row, since its tail then bounds
-        nothing (on rows across the root of x1^19 every coefficient lies
-        below the target, and a row read 1.46 targets off).
+        The table reads w_v at the 8 Gauss nodes of ``Uniform(a, b)``, the
+        probe, as any point is read: off the kept grid (``_read``) where its
+        gate accepts the node, and by ``conditional_mean`` elsewhere; their
+        coefficients come from the family's ``to_coeffs``, one matrix per
+        node count on every interval.  Where ``_resolve`` reads them
+        unresolved against ``INTERP_TOL`` times rms(w_v) (``_rms``), the
+        table is read once more at its next count, at most the order the
+        engine was built with, if fewer than its rows.  Rows of no span
+        (one value, or a width beyond the float range) make no table and
+        accept no row.  A row is accepted by ``_gate`` on the table's
+        ``_bound``, and only off a table that has decayed: one whose largest
+        tail coefficient exceeds 1e-3 of its largest coefficient accepts no
+        row, since its tail then bounds nothing (on rows across the root of
+        x1^19 every coefficient lies below the target, and a row read 1.46
+        targets off).
         """
-        if not sides:
-            return []
+        if not (x.min() < x.max() and math.isfinite(x.max() - x.min())):
+            return np.zeros(x.size, dtype=bool), np.empty(x.size)
         tol = INTERP_TOL * self._rms(v)
-        spans = [Uniform(x.min(), x.max()) if x.min() < x.max() and
-                 math.isfinite(x.max() - x.min()) else None for x in sides]
+        span = Uniform(x.min(), x.max())
         to_coeffs = Uniform(-1.0, 1.0).to_coeffs    # shared by every span
-        tables = [None] * len(sides)    # each side's (nodes, w, coeffs)
-        counts = {k: 8 for k, span in enumerate(spans) if span}
-        for probe in (True, False):
-            if not counts:
-                break
-            nodes = [spans[k].quad_nodes(c)[0] for k, c in counts.items()]
-            w = self.conditional_mean(v, np.concatenate(nodes)[:, None])
-            swept, counts = counts, {}
-            for (k, c), wk in zip(swept.items(), np.split(w, np.cumsum(
-                    list(swept.values()))[:-1])):
-                coeffs = to_coeffs(c) @ wk
-                tables[k] = c, wk, coeffs
-                if probe:
-                    cap, more = _resolve(np.abs(coeffs), tol, self._most)
-                    if cap == math.inf and c < more < sides[k].size:
-                        counts[k] = more
-        out = [(np.zeros(x.size, dtype=bool), np.empty(x.size)) for x in sides]
-        for k, (c, w, coeffs) in ((k, t) for k, t in enumerate(tables) if t):
-            ok, values = _gate(coeffs, _bound(coeffs, w, [to_coeffs(c)], [True]),
-                               [spans[k]], sides[k][:, None], tol)
-            out[k] = ok & (np.abs(coeffs[_tail(c):]).max()
-                           <= 1e-3 * np.abs(coeffs).max()), values
-        return out
+
+        def table(c):           # (c, w, coeffs): w_v read at c nodes
+            nodes = span.quad_nodes(c)[0][:, None]
+            read, w = self._read(v, nodes)
+            if not read.all():
+                w[~read] = self.conditional_mean(v, nodes[~read])
+            return c, w, to_coeffs(c) @ w
+
+        c, w, coeffs = table(8)
+        cap, more = _resolve(np.abs(coeffs), tol, self._most)
+        if cap == math.inf and c < more < x.size:
+            c, w, coeffs = table(more)
+        ok, values = _gate(coeffs, _bound(coeffs, w, [to_coeffs(c)], [True]),
+                           [span], x[:, None], tol)
+        return ok & (np.abs(coeffs[_tail(c):]).max()
+                     <= 1e-3 * np.abs(coeffs).max()), values
 
     def _reads_grid(self, v):
         """Whether w_v can be read off the kept grid: v is neither empty nor

@@ -168,9 +168,8 @@ def _dimension_section(vds):
     }
 
 
-def _mixture_section(engines, mset, vds, curves, outdir):
+def _mixture_section(engines, mset, vds, md, curves, outdir):
     prior = np.asarray(mset.prior)
-    md = mixture_variance_decomposition(engines, prior)
     defects = [mixture_annihilation_defect(engines, prior, (i,))
                for i in range(1, mset.n + 1)]
     dd = mixture_dimension_distribution(prior, vds)
@@ -225,14 +224,14 @@ def _verdict_entry(values, floor):
     }
 
 
-def _trend_section(engines, mset, outdir, mix_curves):
+def _trend_section(engines, mset, vds, md, outdir, mix_curves):
     """Monotonicity verdicts per measure, and of the mixture curves if any,
     each to at least the error its values carry: ``INTERP_TOL`` sqrt(V) of
-    its engine, or of the mixture."""
+    its engine's decomposition in ``vds``, or of the mixture's ``md``."""
     section = {"per_measure": {}}
     files = []
-    for eng in engines:
-        floor = INTERP_TOL * math.sqrt(eng.variance_decomposition().total)
+    for eng, vd in zip(engines, vds):
+        floor = INTERP_TOL * math.sqrt(vd.total)
         per = {}
         for i in range(1, mset.n + 1):
             curve = eng.effect_curve((i,))
@@ -242,8 +241,7 @@ def _trend_section(engines, mset, outdir, mix_curves):
             files.append(write_effect_curve_csv(curve, path))
         section["per_measure"][eng.measure.name] = per
     if mix_curves is not None:      # tabulated for inputs 1..n in order
-        floor = INTERP_TOL * math.sqrt(mixture_variance_decomposition(
-            engines, np.asarray(mset.prior)).total)
+        floor = INTERP_TOL * math.sqrt(md.total)
         section["mixture"] = _per_input(
             [mcurve.mixture_values for mcurve in mix_curves],
             lambda values: _verdict_entry(values, floor))
@@ -403,13 +401,15 @@ def cmd_analyze(args):
         report["dimension"] = _dimension_section(vds)
 
     # -- mixture -------------------------------------------------------------
-    mix_curves = None
+    mix_curves = md = None
     if "mixture" in sections:
-        # tabulated once: the CSVs here, the trend verdicts below
-        mix_curves = [mixture_effect_curve(engines, np.asarray(mset.prior), i)
+        # each made once: the CSVs and the section here, the trend below
+        prior = np.asarray(mset.prior)
+        md = mixture_variance_decomposition(engines, prior)
+        mix_curves = [mixture_effect_curve(engines, prior, i)
                       for i in range(1, mset.n + 1)]
         section, mix_files = _mixture_section(
-            engines, mset, vds, mix_curves, args.out)
+            engines, mset, vds, md, mix_curves, args.out)
         report["mixture"] = section
         files += mix_files
 
@@ -429,8 +429,8 @@ def cmd_analyze(args):
 
     # -- trend ---------------------------------------------------------------
     if "trend" in sections:
-        section, trend_files = _trend_section(engines, mset, args.out,
-                                              mix_curves)
+        section, trend_files = _trend_section(engines, mset, vds, md,
+                                              args.out, mix_curves)
         report["trend"] = section
         files += trend_files
 

@@ -2318,11 +2318,11 @@ def uniform_polynomial_models(draw):
        data=st.data())
 def test_rows_read_off_a_table_match_their_direct_means(case, data):
     # rows on both sides of every support, 9 to 40 a side, out to two
-    # widths past it; each row a table accepts is within INTERP_TOL
-    # rms(w_i) of its direct integral, with 1e-12 of the row's absolute
-    # integral for the rounding of the direct value far out, where w_i is
-    # far larger than its rms, and a floor at the smallest normal double
-    # for a subnormal model
+    # widths past it, read off one table; each row it accepts is within
+    # INTERP_TOL rms(w_i) of its direct integral, with 1e-12 of the row's
+    # absolute integral for the rounding of the direct value far out, where
+    # w_i is far larger than its rms, and a floor at the smallest normal
+    # double for a subnormal model
     model, measure = case
     eng = AnovaEngine(model, measure)
     eng.mean()
@@ -2330,15 +2330,16 @@ def test_rows_read_off_a_table_match_their_direct_means(case, data):
         lo, hi = comp.support()
         reach = [data.draw(st.floats(0.05, 2.0)) * (hi - lo) for _ in "lr"]
         count = [data.draw(st.integers(9, 40)) for _ in "lr"]
-        sides = [np.linspace(lo - reach[0], lo, count[0], endpoint=False),
-                 np.linspace(hi, hi + reach[1], count[1] + 1)[1:]]
-        for x, (ok, values) in zip(sides, eng._read_outside((i,), sides)):
-            if ok.any():
-                rows = x[ok, None]
-                _, size = _reference_mean(model, measure, (i,), rows, order=16)
-                gap = np.abs(values[ok] - eng.conditional_mean((i,), rows))
-                assert np.all(gap <= anova.INTERP_TOL * eng._rms((i,))
-                              + 1e-12 * size + np.finfo(float).tiny), i
+        x = np.concatenate([
+            np.linspace(lo - reach[0], lo, count[0], endpoint=False),
+            np.linspace(hi, hi + reach[1], count[1] + 1)[1:]])
+        ok, values = eng._read_outside((i,), x)
+        if ok.any():
+            rows = x[ok, None]
+            _, size = _reference_mean(model, measure, (i,), rows, order=16)
+            gap = np.abs(values[ok] - eng.conditional_mean((i,), rows))
+            assert np.all(gap <= anova.INTERP_TOL * eng._rms((i,))
+                          + 1e-12 * size + np.finfo(float).tiny), i
 
 
 def _fast_x1(x):
@@ -2360,24 +2361,53 @@ def test_a_table_that_does_not_resolve_costs_its_probe():
     got = eng._w_at((1,), x)
     assert np.array_equal(got, want)
     assert sum(model.sizes) == direct + 8 * direct // 40
-    (ok, _), = eng._read_outside((1,), [x[:, 0]])
+    ok, _ = eng._read_outside((1,), x[:, 0])
     assert not ok.any()
 
 
-@pytest.mark.parametrize("count,tables", [(8, 0), (9, 2)])
-def test_a_side_of_at_most_eight_rows_makes_no_table(count, tables):
-    # mu3 is uniform on [0, pi]: rows below 0 and past pi, ``count`` a side
+@pytest.mark.parametrize("below,above,tables", [(4, 4, 0), (5, 4, 1)])
+def test_at_most_eight_rows_outside_the_support_make_no_table(below, above,
+                                                               tables):
+    # mu3 is uniform on [0, pi]: ``below`` rows below 0 and ``above`` past
+    # pi, counted together; more than the probe's 8 make one table of them
     eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu3"])
     eng.mean()
-    x = np.concatenate([np.linspace(-1.0, -0.1, count), np.linspace(
-        PI + 0.1, PI + 1.0, count), np.linspace(0.0, PI, 5)])[:, None]
+    x = np.concatenate([np.linspace(-1.0, -0.1, below), np.linspace(
+        PI + 0.1, PI + 1.0, above), np.linspace(0.0, PI, 5)])[:, None]
     made = []
     real = AnovaEngine._read_outside
-    with mock.patch.object(AnovaEngine, "_read_outside", lambda self, v, sides: (
-            made.extend(rows.size for rows in sides), real(self, v, sides))[1]):
+    with mock.patch.object(AnovaEngine, "_read_outside", lambda self, v, y: (
+            made.append(y.size), real(self, v, y))[1]):
         got = eng._w_at((3,), x)
-    assert made == [count] * tables
+    assert made == [below + above] * tables
     assert np.all(np.abs(got - eng.conditional_mean((3,), x))
+                  <= anova.INTERP_TOL * eng._rms((3,)))
+
+
+def test_a_table_reads_its_nodes_inside_the_support_off_the_grid():
+    # mu3's x3 is uniform on [0, pi], and rows on both sides of it make one
+    # table over [-1, pi + 1]: its nodes inside [0, pi] are read off the
+    # kept grid, so the model sees only the nodes outside it and the rows
+    # the table rejects
+    seen = []
+
+    def model(p):
+        seen.extend(p[:, 2])
+        return IshigamiModel()(p)
+
+    eng = AnovaEngine(model, ishigami_measures()["mu3"])
+    eng.mean()
+    x = np.concatenate([np.linspace(-1.0, -0.1, 12),
+                        np.linspace(PI + 0.1, PI + 1.0, 12)])
+    seen.clear()
+    got = eng._w_at((3,), x[:, None])
+    read = set(seen)
+    ok, _ = eng._read_outside((3,), x)
+    nodes = Uniform(x.min(), x.max()).quad_nodes(8)[0]
+    inside = (nodes >= 0.0) & (nodes <= PI)
+    assert inside.any() and ok.any()
+    assert read == set(nodes[~inside]) | set(x[~ok])
+    assert np.all(np.abs(got - eng.conditional_mean((3,), x[:, None]))
                   <= anova.INTERP_TOL * eng._rms((3,)))
 
 
@@ -2396,7 +2426,7 @@ def test_a_table_whose_coefficients_do_not_decay_accepts_no_row():
     eng = AnovaEngine(_tall_powers, ProductMeasure(comps))
     eng.mean()
     x = np.linspace(-0.2741, 0.2987, 56)
-    (ok, _), = eng._read_outside((1,), [x])
+    ok, _ = eng._read_outside((1,), x)
     assert not ok.any()
 
     def moment(u, p):

@@ -329,8 +329,9 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
                                                         monkeypatch):
     # the engines' 64^4 grids do not fit: each settles on one that does,
     # and its effects at points are read off its tables; the mixture-curve rows
-    # outside flat's supports, 32 to 38 a side, are read off a Legendre
-    # table of 8 direct rows a side (8 tables, 1,152 points)
+    # outside flat's supports, 64 to 76 an input over both sides, are read
+    # off one Legendre table an input whose probe of 8 nodes resolves, the
+    # nodes inside the support read off the grid (4 tables, 432 points)
     (tmp_path / "model.yaml").write_text(MULTILINEAR4_YAML)
     (tmp_path / "measures.yaml").write_text(TWO_MEASURES4_YAML)
     out = tmp_path / "out"
@@ -344,7 +345,7 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
     # one's check
     assert sum(k for c, k in points if c == "_sweep") == 2 * (8**4 + 400)
     assert sum(k for c, k in points if c == "_smolyak") == 298 + 2 * 4
-    assert sum(k for _, k in points) == 10_144 + 298 + 2 * 4
+    assert sum(k for _, k in points) == 9_424 + 298 + 2 * 4
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -365,8 +366,9 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
                                                         monkeypatch):
     # the engines' 64^5 grids do not fit; each settles from the opening
     # rungs of 8 nodes, then 16; the mixture-curve rows outside a
-    # uniform support, 14 to 72 a side, are read off a Legendre table of 8
-    # direct rows a side (23 tables, 6,352 points)
+    # uniform support, 15 to 120 an input over both sides, are read off one
+    # Legendre table an input whose probe of 8 nodes resolves, the nodes
+    # inside the support read off the grid (12 tables, 2,672 points)
     (tmp_path / "model.yaml").write_text(MULTILINEAR5_YAML)
     (tmp_path / "measures.yaml").write_text(FIVE_MEASURES5_YAML)
     out = tmp_path / "out"
@@ -380,7 +382,7 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
     # each one's check
     assert sum(k for c, k in points if c == "_sweep") == 5 * (8**5 + 1600)
     assert sum(k for c, k in points if c == "_smolyak") == 975 + 5 * 4
-    assert sum(k for _, k in points) == 178_192 + 975 + 5 * 4
+    assert sum(k for _, k in points) == 174_512 + 975 + 5 * 4
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -406,16 +408,18 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     # the rung its coefficient decay predicts (mu1 21 x 29 x 7, mu2
     # 27 x 45 x 7, mu3 14 x 21 x 7, x1 of mu3 at its cap of 14 from 16):
     # 21,738 points; the mixture-curve rows outside a uniform measure's
-    # support, 14 or 64 on a side, are read off a Legendre table over the
-    # side's rows (``_read_outside``), from a probe of 8 direct rows and, where its
-    # tail is not resolved and its decay predicts fewer rows than the side
-    # has, one more sweep at that count (11 on mu1's x1, 13 on mu1's x2, 10
-    # on mu3's x1 and 13 on its x2 past pi, 17 on mu3's x1 and 22 on its x2
-    # below 0), and every table accepts all its rows; the table nodes, and
-    # the 6 outer rows a side of mu2's x2 curve that its settled table
-    # rejects, take the direct integral by the pair of lower rules,
-    # ceil(cap / 2) and one node fewer on each axis the settled rung
-    # resolves, and agree there, so none takes the settled nodes: 20,585
+    # support, 28 (mu1) or 78 (mu3) an input over both sides, are read off
+    # one Legendre table over their span (``_read_outside``), its nodes
+    # inside the support read off the grid: a probe of 8 nodes and, where
+    # its tail is not resolved and its decay predicts fewer nodes than
+    # rows, one more read at that count (18 on x1 of both, 64 on mu3's
+    # x2); x3's probes resolve, and the tables of x3 and of mu3's x2 accept
+    # every row, those of x1 2 and 3 rows, mu1's x2 probe none; the table
+    # nodes outside the support, the rows the tables reject, and the 6
+    # outer rows a side of mu2's x2 curve that its settled table rejects,
+    # take the direct integral by the pair of lower rules, ceil(cap / 2)
+    # and one node fewer on each axis the settled rung resolves, and agree
+    # there, so none takes the settled nodes: 18,614
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = _counted_evaluations(monkeypatch)
@@ -425,8 +429,8 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
     assert by_caller == {"_sweep": 21_738,
-                         "conditional_mean": 20_585}
-    assert sum(by_caller.values()) == 42_323
+                         "conditional_mean": 18_614}
+    assert sum(by_caller.values()) == 40_352
 
 
 def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
@@ -476,8 +480,8 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # (uniform 3, 4, 6, 9, 10, 11 and 13: half of mu1's and mu3's caps at
     # the settled rung, and one fewer; normal 3, 4, 12 and 13 for mu2's
     # outer x2 rows, from its caps of 26 on x1 and 7 on x3), the tables of
-    # the curve rows outside a uniform support (their probe of 8, and 10,
-    # 11, 13, 17 and 22 nodes where the probe's decay predicts them),
+    # the curve rows outside a uniform support (their probe of 8, and 18
+    # and 64 nodes where the probe's decay predicts them),
     # and the order 64 it was built at, which the core signatures and the
     # restricted defect rules reuse: they make no rule of their own, and the
     # k = j defect terms are read off the engines' own tables
@@ -508,8 +512,8 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                                 ("leggauss", 9), ("leggauss", 10),
                                 ("leggauss", 11), ("leggauss", 13),
                                 ("leggauss", 14),
-                                ("leggauss", 16), ("leggauss", 17),
-                                ("leggauss", 21), ("leggauss", 22),
+                                ("leggauss", 16), ("leggauss", 18),
+                                ("leggauss", 21),
                                 ("leggauss", 29), ("leggauss", 64)]
     assert len(computed) <= measures._gauss_rule.cache_info().maxsize
 

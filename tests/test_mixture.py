@@ -12,14 +12,15 @@ from mixsens import anova, mixture
 from mixsens.anova import AnovaEngine, all_subsets
 from mixsens.diagnostics import mixture_monotonicity_condition
 from mixsens.measures import (DiscreteUniform, MeasureSet, ProductMeasure,
-                              Uniform)
+                              Uniform, load_measure_set)
 from mixsens.mixture import (component_engines, mixture_annihilation_defect,
                              mixture_effect_curve,
                              mixture_effect_from_components,
                              mixture_effect_from_pooled_conditionals,
                              mixture_variance_decomposition, support_indicator)
 from mixsens.models import (CompositeMultilinearModel, IshigamiModel,
-                            ishigami_measure_set, ishigami_mixture_effect)
+                            ishigami_effect, ishigami_measure_set,
+                            ishigami_mixture_effect)
 
 import _reference as ref
 
@@ -434,6 +435,26 @@ class TestEffectCurves:
         assert curve.grid[k] == pytest.approx(0.0, abs=0.05)
         want = ishigami_mixture_effect(mset, (2,), curve.grid[[k]])
         assert curve.mixture_values[k] == pytest.approx(want[0], abs=1e-8)
+
+    def test_the_canonical_curves_match_the_closed_form(self, tmp_path):
+        # the reference measure set of ``analyze --prior``: every row of
+        # each candidate's curve, those outside its support included (read
+        # off a table, or direct), is within INTERP_TOL rms(w_i) of the
+        # closed-form effect, which holds off the support too
+        cfg = tmp_path / "measures.yaml"
+        cfg.write_text(ref.MEASURES_YAML)
+        mset = load_measure_set(str(cfg))
+        engines = component_engines(mset, IshigamiModel())
+        outside = 0
+        for i in (1, 2, 3):
+            curve = mixture_effect_curve(engines, mset.prior, i)
+            for name, eng in zip(mset.names, engines):
+                outside += np.count_nonzero(~support_indicator(
+                    eng.measure, (i,), curve.grid[:, None]))
+                want = ishigami_effect(eng.measure, (i,), curve.grid)
+                assert np.all(np.abs(curve.component_values[name] - want)
+                              <= anova.INTERP_TOL * eng._rms((i,))), (name, i)
+        assert outside == 3 * (28 + 78)
 
     def test_singleton_mixture_collapses_to_the_component(self):
         mset = ishigami_measure_set(("mu2",), prior=(1.0,))
