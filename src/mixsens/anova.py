@@ -46,8 +46,8 @@ the (2,) * n tensor P, is the sum of C_J^2 over the J nonzero on exactly
 the inputs of z, and V the sum of P (Parseval): no V_z is negative, and
 they add up to V to rounding.  This is the polynomial-chaos reading of
 Sobol indices (Sudret, Reliab. Eng. Syst. Saf. 93, 2008).  Each
-decomposition (a new value on every call), each rms(w_v) and the caps of
-a rung read P.  The centred grid is scaled by a power of two before
+decomposition (a new value on every call), the read tolerance and the caps
+of a rung read P.  The centred grid is scaled by a power of two before
 its transform, so every decision and every S_z is the same for g and 2^k g,
 and V and each V_z are scaled back at the end.  An engine whose grid at
 ``order`` does not fit takes its mean and P, once, from an adaptive sparse
@@ -59,8 +59,7 @@ settle's first rung.  Reads at points, the mean of an effect included,
 settle and read the sweep on every engine.
 
 Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of C
-that is zero off v holds the coefficients of w_v - mean on v's subgrid, so
-E[w_v^2] is mean^2 plus V_u for every subset u of v (``_rms``).
+that is zero off v holds the coefficients of w_v - mean on v's subgrid.
 ``AnovaEngine._w_at`` reads w_v through that slice and each coordinate's
 ``poly`` as its interpolating polynomial (``_read``).  Rows of a single
 input outside its support, more than 8 of them on both sides together, are
@@ -68,16 +67,18 @@ read off one Legendre table of w_v over their span (``_read_outside``),
 whose 8 Gauss nodes are read as any point is, and once more at its next
 count (``_resolve``) where those do not resolve it.  Both gate each row
 (``_gate``) by one error bound of their coefficients (``_bound``).  The
-direct integral over the complement of v, ``conditional_mean``, serves
-the rows either gate rejects and the other rows outside a coordinate's
-support, the empty and the full subset, and subsets with a discrete
-coordinate.  Every complement
-rule comes from ``_direct_rules``: on a settled engine the complement
-takes half the nodes of the cap its rung gives each axis it resolves,
-checked row by row against a second rule one node lower; a row on which
-the two disagree takes the settled nodes.  Rows
-times rule points, and the rows of the full subset, go to the model in the
-boxes of ``_grid_boxes``, so no model call of an engine holds more than
+direct integral over the complement of v, ``conditional_mean``, serves the
+rows either gate rejects and the other rows outside a coordinate's support,
+the empty and the full subset, and subsets with a discrete coordinate.
+Every complement rule comes from ``_direct_rules``: on a settled engine the
+complement takes half the nodes of the cap its rung gives each axis it
+resolves, checked row by row against a second rule one node lower; a row on
+which the two disagree takes the settled nodes.  Each of these reads is
+judged against the engine's one tolerance, ``INTERP_TOL`` times rms(g)
+(``_tol``), which no rms(w_v) exceeds, so a w_v of zero mean, as are the
+interaction terms of a product of centred factors, is judged on g's scale.
+Rows times rule points, and the rows of the full subset, go to the model in
+the boxes of ``_grid_boxes``, so no model call of an engine holds more than
 ``BLOCK_POINTS`` points.  Each subset keeps its last call to ``_w_at``: the
 rows' shape and bytes and the w_v returned, at most N (|v| + 1) doubles, so
 the same rows asked again (by the other mixture route, or by a subset that
@@ -444,8 +445,8 @@ class AnovaEngine:
         and every other axis its settled nodes.  A Gauss rule of h
         nodes is exact to degree 2h - 1, so it integrates all that c nodes
         interpolate; a row keeps the h-node value when the two agree within
-        ``INTERP_TOL`` times rms(w_z) (``_rms``), the row gate's standard,
-        and goes on to the settled rule otherwise.
+        the engine's read tolerance (``_tol``), the row gate's standard, and
+        goes on to the settled rule otherwise.
         """
         comp = [i for i in range(1, self.n + 1) if i not in z]
         halves = [self._halves[i - 1] if self._halves else None for i in comp]
@@ -459,7 +460,7 @@ class AnovaEngine:
                 [h and max(h - 1, 1) for h in halves])
             weights = np.zeros((whi.size + wlo.size, 2))
             weights[:whi.size, 0], weights[whi.size:, 1] = whi, wlo
-            yield np.vstack([hi, lo]), weights, INTERP_TOL * self._rms(z)
+            yield np.vstack([hi, lo]), weights, self._tol()
         yield *rule([None] * len(comp)), None
 
     def conditional_means(self, z, x):
@@ -525,7 +526,7 @@ class AnovaEngine:
         gate accepts the node, and by ``conditional_mean`` elsewhere; their
         coefficients come from the family's ``to_coeffs``, one matrix per
         node count on every interval.  Where ``_resolve`` reads them
-        unresolved against ``INTERP_TOL`` times rms(w_v) (``_rms``), the
+        unresolved against the engine's read tolerance (``_tol``), the
         table is read once more at its next count, at most the order the
         engine was built with, if fewer than its rows.  Rows of no span
         (one value, or a width beyond the float range) make no table and
@@ -538,7 +539,7 @@ class AnovaEngine:
         """
         if not (x.min() < x.max() and math.isfinite(x.max() - x.min())):
             return np.zeros(x.size, dtype=bool), np.empty(x.size)
-        tol = INTERP_TOL * self._rms(v)
+        tol = self._tol()
         span = Uniform(x.min(), x.max())
         to_coeffs = Uniform(-1.0, 1.0).to_coeffs    # shared by every span
 
@@ -574,8 +575,8 @@ class AnovaEngine:
         coefficients of w_v - mean on v's subgrid:
         w_v(x) = mean + sum_J C[at]_J phi_J(x).  Its error is E[at], of the
         ``_bound`` of C on the grid scaled as C is, by 2^-e, built on the
-        first read and kept until ``_use_order``; the gate's tolerance,
-        ``INTERP_TOL`` times rms(w_v) (``_rms``), is scaled alike.
+        first read and kept until ``_use_order``; the gate's tolerance, the
+        engine's one ``_tol`` whatever v is, is scaled alike.
         """
         grid, mean, coeffs, _, e = self._sweep()
         if self._error is None:
@@ -585,18 +586,18 @@ class AnovaEngine:
         at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
         ok, values = _gate(coeffs[at], self._error[at],
                            [self.measure.components[i - 1] for i in v], x,
-                           math.ldexp(INTERP_TOL * self._rms(v), -e))
+                           math.ldexp(self._tol(), -e))
         with np.errstate(all="ignore"):     # far-out rows; the gate drops them
             return ok, mean + np.ldexp(values, e)
 
-    def _rms(self, v):
-        """rms(w_v), the square root of E[w_v^2]: by Parseval, of mean^2
-        plus V_u for every subset u of v, the entries of P zero off v,
-        taken without squaring the mean.  Where it underflows it is 0, and
-        ``_read`` accepts no row."""
+    def _tol(self):
+        """The tolerance of every read at points, of any subset:
+        ``INTERP_TOL`` times rms(g) = hypot(sqrt(V), mean) of the kept
+        sweep, taken without squaring the mean; 0, accepting no row, where
+        it underflows."""
         _, mean, _, power, e = self._sweep()
-        at = tuple(slice(None) if i in v else 0 for i in range(1, self.n + 1))
-        return math.hypot(mean, math.ldexp(math.sqrt(np.sum(power[at])), e))
+        return INTERP_TOL * math.hypot(
+            mean, math.ldexp(math.sqrt(power.sum()), e))
 
     def mean(self):
         return self._moments()[0]

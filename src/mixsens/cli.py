@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import mmap
 import os
 import sys
 
@@ -306,7 +307,7 @@ def _estimates(kind, source, mset, args):
                 f"{source}: base measure {sample.measure_name!r} is not in "
                 "the measures file") from None
     elif estimator in ("bruteforce", "pickfreeze"):
-        loop = max(2, int(np.sqrt(args.n)))
+        loop = max(2, math.isqrt(args.n))
         return names, [brute_force_first_order(source, m, loop, loop, args.seed)
                        if estimator == "bruteforce"
                        else pick_freeze_indices(source, m, args.n, args.seed)
@@ -338,6 +339,15 @@ def cmd_analyze(args):
         raise ConfigError(f"--seed {args.seed} is negative")
     kind, source = _resolve_source(args.model)
     mset = load_measure_set(args.measures)
+    try:        # an MC estimator's ~n input rows, mapped: malloc is untouched
+        mmap.mmap(-1, args.n * mset.n * 8).close()
+    except (OverflowError, OSError):
+        raise ConfigError(f"--n {args.n}: no memory for a sample of that many "
+                          "rows") from None
+    for name in mset.names:     # each names output files, as "mixture" does
+        if name == "mixture" or set(name) & {"\0", os.sep, os.altsep}:
+            raise ConfigError(f"measure name {name!r} cannot name output "
+                              "files (NUL, a path separator, or 'mixture')")
     if kind == "model" and source.n != mset.n:
         raise ConfigError(f"model {args.model!r} has {source.n} inputs, "
                           f"measures file declares {mset.n}")

@@ -95,9 +95,7 @@ def mixture_dimension_distribution(prior, vds):
 
 def dimension_bounds(vds):
     """(inf D_S, sup D_S, inf D_T, sup D_T) across the per-measure results."""
-    dists = [dimension_distribution(vd) for vd in vds]
-    ds = [dd.d_s for dd in dists]
-    dt = [dd.d_t for dd in dists]
+    ds, dt = zip(*((dd.d_s, dd.d_t) for dd in map(dimension_distribution, vds)))
     return min(ds), max(ds), min(dt), max(dt)
 
 
@@ -212,14 +210,9 @@ def monotonicity_check(curve, floor=0.0):
     tol = max(1e-6 * span if span > 0 else 1e-12, floor)
     up_viol = _max_drop(values)        # violation of "nondecreasing"
     down_viol = _max_drop(-values)     # violation of "nonincreasing"
-    nondec = up_viol <= tol
-    noninc = down_viol <= tol
-    if nondec:
-        verdict = "nondecreasing"
-    elif noninc:
-        verdict = "nonincreasing"
-    else:
-        verdict = "nonmonotone"
+    nondec, noninc = up_viol <= tol, down_viol <= tol
+    verdict = "nondecreasing" if nondec else \
+        "nonincreasing" if noninc else "nonmonotone"
     return MonotonicityVerdict(verdict=verdict, nondecreasing=nondec,
                                nonincreasing=noninc,
                                max_violation=float(min(up_viol, down_viol)),
@@ -282,8 +275,7 @@ def ultramodularity_check(model, box, grid_k=7, measure=None):
     g = _evaluate(model, _tensor_points(grids)).reshape([grid_k] * n)
     tol = 1e-9 * max(1.0, float(np.max(g) - np.min(g)))
 
-    worst = 0.0
-    n_checks = 0
+    worst, n_checks = 0.0, 0
     for step in np.ndindex(*([grid_k] * n)):
         if not any(step):
             continue
@@ -351,8 +343,7 @@ def mixture_monotonicity_condition(engines, z):
             raise SupportError(f"coordinate {i}: no common range to grid over")
     pts = _tensor_points([np.linspace(lo[i], hi[i], CONDITION_NPTS) for i in z])
 
-    per_measure = {}
-    worst = 0.0
+    per_measure, worst = {}, 0.0
     for k, eng in enumerate(engines):
         viol = _max_drop(eng.effect(z, pts).reshape([CONDITION_NPTS] * len(z)))
         per_measure[measure_name(eng.measure, k)] = viol

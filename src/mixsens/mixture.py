@@ -221,12 +221,10 @@ class MixtureEffectCurve:
 def mixture_effect_curve(engines, prior, i, npts=PLOT_ROWS):
     p = _check(engines, prior)
     i, = _subset((i,), engines[0].n)
-    ranges = [eng.measure.components[i - 1].plot_range() for eng in engines]
-    lo = min(r[0] for r in ranges)
-    hi = max(r[1] for r in ranges)
-    grid = np.linspace(lo, hi, npts)
-    comp = {}
-    mix = np.zeros(npts)
+    lo, hi = zip(*(eng.measure.components[i - 1].plot_range()
+                   for eng in engines))
+    grid = np.linspace(min(lo), max(hi), npts)
+    comp, mix = {}, np.zeros(npts)
     for k, (pk, eng) in enumerate(zip(p, engines)):
         vals = eng.effect((i,), grid[:, None])
         comp[measure_name(eng.measure, k)] = vals

@@ -51,9 +51,8 @@ def quad_qty(value, engine_mode=None):
 
 def mc_qty(value, se=None, reweighted=False):
     """Tag an MC estimate; tolerance is 2 standard errors when known."""
-    mode = "reweighted" if reweighted else "MC"
-    tol = MC_TOL if se is None else 2.0 * float(se)
-    return qty(value, mode, tol)
+    return qty(value, "reweighted" if reweighted else "MC",
+               MC_TOL if se is None else 2.0 * float(se))
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,18 @@ def contract(values, weights):
     return values
 
 
+def rms_w(eng, v):
+    """rms(w_v), the square root of E[w_v^2], of a swept engine, off its kept
+    power P: by Parseval, mean^2 plus V_u for every subset u of v, the
+    entries of P zero off v, taken without squaring the mean.  The scale
+    that a test bounds a read of w_v by; v of every input gives rms(g)."""
+    import numpy as np
+
+    _, mean, _, power, e = eng._sweep()
+    at = tuple(slice(None) if i in v else 0 for i in range(1, eng.n + 1))
+    return math.hypot(mean, math.ldexp(math.sqrt(np.sum(power[at])), e))
+
+
 def defect_reduction(nodes=64):
     """DEFECT[(1,)] and DEFECT[(2,)] reduced pair by pair.
 

@@ -1279,7 +1279,7 @@ def test_settled_engines_read_what_order_64_reads(name):
         wanted, values = full._read(z, x)
         assert wanted.any(), z
         assert np.all(np.abs(eng._w_at(z, x)[wanted] - values[wanted])
-                      <= anova.INTERP_TOL * full._rms(z)), z
+                      <= anova.INTERP_TOL * ref.rms_w(full, z)), z
 
 
 @pytest.mark.parametrize("name", MEASURES)
@@ -1305,7 +1305,7 @@ def test_settled_tables_accept_every_plot_row_order_64_accepts(name):
         exact = ishigami_effect(measure, (), None) \
             + ishigami_effect(measure, (i,), x)
         assert np.all(np.abs(eng._w_at((i,), x) - exact)[wanted]
-                      <= anova.INTERP_TOL * eng._rms((i,))), i
+                      <= anova.INTERP_TOL * ref.rms_w(eng, (i,))), i
 
 
 def _smooth3(x):
@@ -1929,8 +1929,10 @@ def test_table_means_match_direct_means(case, order, seed):
 @given(case=multilinear_models(inputs=st.integers(2, 4)), data=st.data())
 def test_each_conditional_mean_is_a_slice_of_the_grids_coefficients(case, data):
     # one discrete axis: no subset that holds it is read off the grid, but
-    # the direct rules take their tolerance from its rms; every other proper
-    # subset is read at its own Gauss nodes, where the gate accepts.  w_v
+    # the direct rules of every subset take the engine's one tolerance,
+    # INTERP_TOL rms(g); every other proper subset is read at its own Gauss
+    # nodes, where the gate accepts.  rms(w_v), off the slice of P, is
+    # E[w_v^2] of the reference grid to rounding.  w_v
     # carries the rounding of E[|g| | X_v], not of its own size (a mean or
     # an effect that cancels); an error e moves E[w_v^2] by at most
     # e (2 rms + e); a subnormal value or square has lost its digits
@@ -1941,24 +1943,25 @@ def test_each_conditional_mean_is_a_slice_of_the_grids_coefficients(case, data):
     eng = AnovaEngine(model, ProductMeasure(tuple(comps)))
     eng.mean()
     grid = model(_tensor_points(eng.nodes)).reshape(eng._sizes)
+    every = tuple(range(1, model.n + 1))
     for v in all_subsets(model.n)[:-1]:
         off = [None if i in v else x for i, x in enumerate(eng.weights, 1)]
         w = ref.contract(grid, off)
         size = float(np.max(ref.contract(np.abs(grid), off)))
         second = float(ref.contract(w ** 2, [eng.weights[i - 1] for i in v]))
         rms, e = math.sqrt(second), 1e-13 * size
-        assert abs(eng._rms(v) ** 2 - second) <= max(e * (2 * rms + e),
-                                                     np.finfo(float).tiny), v
+        assert abs(ref.rms_w(eng, v) ** 2 - second) <= max(
+            e * (2 * rms + e), np.finfo(float).tiny), v
         # the same as mean^2 plus the sum of squares of C's slice zero off v
         # (C holds the coefficients of the grid scaled by 2^-scale)
         _, mean, coeffs, _, scale = eng._sweep()
         at = tuple(slice(None) if i in v else 0 for i in range(1, model.n + 1))
-        assert abs(eng._rms(v) ** 2 - mean ** 2 - float(np.sum(np.square(
-            np.ldexp(coeffs[at], scale))))) <= max(e * (2 * rms + e),
-                                                   np.finfo(float).tiny), v
+        assert abs(ref.rms_w(eng, v) ** 2 - mean ** 2 - float(np.sum(
+            np.square(np.ldexp(coeffs[at], scale))))) <= max(
+                e * (2 * rms + e), np.finfo(float).tiny), v
         *pair, _ = eng._direct_rules(v)
         for _, _, tol in pair:
-            assert tol == anova.INTERP_TOL * eng._rms(v), v
+            assert tol == anova.INTERP_TOL * ref.rms_w(eng, every), v
         if eng._reads_grid(v):
             ok, values = eng._read(v, _tensor_points([eng.nodes[i - 1]
                                                       for i in v]))
@@ -1986,7 +1989,7 @@ class TestTableGate:
         exact = sum(ishigami_effect(measure, z, x[:, [i - 1 for i in z]])
                     for z in ((), (1,), (2,), (1, 2)))
         assert np.all(np.abs(eng._w_at((1, 2), x) - exact)
-                      <= anova.INTERP_TOL * eng._rms((1, 2)))
+                      <= anova.INTERP_TOL * ref.rms_w(eng, (1, 2)))
         # interpolated anyway, the corners would miss the target
         raw = values[:4]
         want = eng.conditional_mean((1, 2), corners)
@@ -2048,7 +2051,8 @@ class TestTableGate:
             ok, values = eng._read(v, x)
             want = ref.contract(grid, [None if i in v else w for i, w in
                                        enumerate(eng.weights, 1)]).ravel()
-            assert np.max(np.abs(values - want)[ok]) <= 1e-12 * eng._rms(v), v
+            assert np.max(np.abs(values - want)[ok]) \
+                <= 1e-12 * ref.rms_w(eng, v), v
             assert ok.all() == (name != "mu2" or v == (3,)), v
 
 
@@ -2083,8 +2087,86 @@ def test_gate_accepts_only_rows_within_the_target():
                     ok, values = eng._read(v, x)
                     if ok.any():
                         err = np.abs(values[ok] - eng.conditional_mean(v, x[ok]))
-                        worst = max(worst, float(err.max()) / eng._rms(v))
+                        worst = max(worst,
+                                    float(err.max()) / ref.rms_w(eng, v))
     assert worst <= 1e-9, worst
+
+
+# -- zero-mean terms: every read is judged on g's scale ----------------------
+
+def _identity(t):
+    return t
+
+
+def _sin3(t):
+    return np.sin(3.0 * t)
+
+
+# the Baseline models on U(-1, 1)^3: each w_v of x1 x2 x3 has zero mean,
+# and so had zero rms, which no row can be read within
+ZERO_MEAN_BASELINE = {
+    "1+x1x2x3": ((_identity,) * 3, ((), (1, 2, 3))),
+    "x1x2x3": ((_identity,) * 3, ((1, 2, 3),)),
+    "x1+x2x3": ((_identity,) * 3, ((1,), (2, 3))),
+    "sin(3x1)x2x3": ((_sin3, _identity, _identity), ((1, 2, 3),))}
+
+
+def _curves_cost(model, measure):
+    """The model evaluations of every singleton and pair curve after the
+    decomposition, and the worst gap of a curve to its closed form in
+    units of INTERP_TOL rms(g), over the 2^|z| conditional means of its
+    Moebius sum."""
+    counted = _Batches(model)
+    eng = AnovaEngine(counted, measure)
+    eng.variance_decomposition()
+    counted.sizes.clear()
+    worst = 0.0
+    for z in all_subsets(measure.n, max_order=2):
+        curve = eng.effect_curve(z)
+        want = model.exact_effect(measure, z, _tensor_points(curve.grids))
+        worst = max(worst, float(np.max(np.abs(curve.values.ravel() - want)))
+                    / (2 ** len(z) * anova.INTERP_TOL
+                       * ref.rms_w(eng, tuple(range(1, measure.n + 1)))))
+    return sum(counted.sizes), worst
+
+
+@pytest.mark.parametrize("name", ZERO_MEAN_BASELINE)
+def test_zero_mean_terms_read_their_curves_off_the_grid(name):
+    factors, terms = ZERO_MEAN_BASELINE[name]
+    model = CompositeMultilinearModel(factors=factors, terms=terms)
+    cost, worst = _curves_cost(model,
+                               ProductMeasure((Uniform(-1.0, 1.0),) * 3))
+    assert cost == 0 and worst <= 1.0, (cost, worst)
+
+
+@st.composite
+def centred_models(draw):
+    # three inputs, two uniform boxes and one normal axis; each factor a
+    # polynomial of degree 1 to 3 less its mean under its own coordinate,
+    # and every term of two or three inputs
+    comps = [draw(st.sampled_from(UNIFORMS)) for _ in range(2)]
+    comps.insert(draw(st.integers(0, 2)), Normal(0.5, 0.8))
+    factors = []
+    for comp in comps:
+        c = draw(st.lists(coef, min_size=2, max_size=4))
+        assume(max(map(abs, c[1:])) >= 0.1)
+        p = np.polynomial.Polynomial(c)
+        factors.append(p - comp.expect(p))
+    terms = draw(st.lists(st.sets(st.integers(1, 3), min_size=2, max_size=3),
+                          min_size=1, max_size=3))
+    coeffs = draw(st.lists(st.floats(0.25, 1.5), min_size=len(terms),
+                           max_size=len(terms)))
+    return CompositeMultilinearModel(factors=tuple(factors), terms=terms,
+                                     coeffs=coeffs), ProductMeasure(tuple(comps))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=centred_models())
+def test_curves_of_centred_factors_cost_no_model_call(case):
+    # every w_v of a singleton has zero mean here, as has every w_v of a
+    # pair that no term holds
+    cost, worst = _curves_cost(*case)
+    assert cost == 0 and worst <= 1.0, (cost, worst)
 
 
 class TestLastCallMemo:
@@ -2198,7 +2280,7 @@ def test_direct_means_of_a_settled_engine_match_a_reference_rule(cases, data):
                             (measure.components[i - 1].plot_range() for i in v)])
         want, size = _reference_mean(model, measure, v, x)
         gap = np.abs(eng.conditional_mean(v, x) - want)
-        assert np.all(gap <= anova.INTERP_TOL * eng._rms(v)
+        assert np.all(gap <= anova.INTERP_TOL * ref.rms_w(eng, v)
                       + 1e-12 * size + np.finfo(float).tiny), v
 
 
@@ -2214,7 +2296,7 @@ def test_a_row_the_lower_rules_disagree_on_takes_the_settled_nodes():
     assert eng.order < anova.DEFAULT_ORDER and eng._halves is not None
     near, far = np.array([[PI + 0.5]]), np.array([[PI + 2.5]])
     (pts, weights, tol), _ = eng._direct_rules((1,))
-    assert tol == anova.INTERP_TOL * eng._rms((1,))
+    assert tol == anova.INTERP_TOL * ref.rms_w(eng, (1, 2, 3))
     pair = {}
     for name, x in (("near", near), ("far", far)):
         block = np.column_stack([np.full(len(pts), x[0, 0]), pts])
@@ -2249,7 +2331,8 @@ def test_a_direct_row_costs_the_pair_of_lower_rules():
     model.sizes.clear()
     want = eng.conditional_mean((3,), x)
     assert sum(model.sizes) == 3 * 21 * 29 == 3 * 609
-    assert np.all(np.abs(got - want) <= anova.INTERP_TOL * eng._rms((3,)))
+    assert np.all(np.abs(got - want)
+                  <= anova.INTERP_TOL * ref.rms_w(eng, (3,)))
 
 
 def test_building_an_engine_computes_no_polynomials(monkeypatch):
@@ -2338,7 +2421,7 @@ def test_rows_read_off_a_table_match_their_direct_means(case, data):
             rows = x[ok, None]
             _, size = _reference_mean(model, measure, (i,), rows, order=16)
             gap = np.abs(values[ok] - eng.conditional_mean((i,), rows))
-            assert np.all(gap <= anova.INTERP_TOL * eng._rms((i,))
+            assert np.all(gap <= anova.INTERP_TOL * ref.rms_w(eng, (i,))
                           + 1e-12 * size + np.finfo(float).tiny), i
 
 
@@ -2381,7 +2464,7 @@ def test_at_most_eight_rows_outside_the_support_make_no_table(below, above,
         got = eng._w_at((3,), x)
     assert made == [below + above] * tables
     assert np.all(np.abs(got - eng.conditional_mean((3,), x))
-                  <= anova.INTERP_TOL * eng._rms((3,)))
+                  <= anova.INTERP_TOL * ref.rms_w(eng, (3,)))
 
 
 def test_a_table_reads_its_nodes_inside_the_support_off_the_grid():
@@ -2408,7 +2491,7 @@ def test_a_table_reads_its_nodes_inside_the_support_off_the_grid():
     assert inside.any() and ok.any()
     assert read == set(nodes[~inside]) | set(x[~ok])
     assert np.all(np.abs(got - eng.conditional_mean((3,), x[:, None]))
-                  <= anova.INTERP_TOL * eng._rms((3,)))
+                  <= anova.INTERP_TOL * ref.rms_w(eng, (3,)))
 
 
 def _tall_powers(x):
@@ -2434,4 +2517,4 @@ def test_a_table_whose_coefficients_do_not_decay_accepts_no_row():
 
     exact = x ** 19 * moment(comps[1], 10) * moment(comps[2], 19)
     assert np.all(np.abs(eng._w_at((1,), x[:, None]) - exact)
-                  <= anova.INTERP_TOL * eng._rms((1,)))
+                  <= anova.INTERP_TOL * ref.rms_w(eng, (1,)))

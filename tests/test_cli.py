@@ -414,12 +414,12 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     # its tail is not resolved and its decay predicts fewer nodes than
     # rows, one more read at that count (18 on x1 of both, 64 on mu3's
     # x2); x3's probes resolve, and the tables of x3 and of mu3's x2 accept
-    # every row, those of x1 2 and 3 rows, mu1's x2 probe none; the table
+    # every row, those of x1 2 and 4 rows, mu1's x2 probe none; the table
     # nodes outside the support, the rows the tables reject, and the 6
     # outer rows a side of mu2's x2 curve that its settled table rejects,
     # take the direct integral by the pair of lower rules, ceil(cap / 2)
     # and one node fewer on each axis the settled rung resolves, and agree
-    # there, so none takes the settled nodes: 18,614
+    # there, so none takes the settled nodes: 18,547
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = _counted_evaluations(monkeypatch)
@@ -429,8 +429,8 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
     assert by_caller == {"_sweep": 21_738,
-                         "conditional_mean": 18_614}
-    assert sum(by_caller.values()) == 40_352
+                         "conditional_mean": 18_547}
+    assert sum(by_caller.values()) == 40_285
 
 
 def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
@@ -1073,6 +1073,40 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())    # rejected before any work
+
+    @pytest.mark.parametrize("estimator,n", [
+        ("bruteforce", 2**64), ("pickfreeze", 2**64), ("pickfreeze", 2**62),
+        ("pickfreeze", 10**15), ("givendata", 10**15), ("reweight", 10**15)])
+    def test_a_budget_past_memory_is_a_config_error(self, configs, tmp_path,
+                                                    capsys, estimator, n):
+        # 2^64 and 2^62 rows of 3 doubles are past what an array can
+        # address; 10^15 rows fail at their first allocation. A bruteforce
+        # budget of 10^15 is not run: it fills a column of sqrt(10^15)
+        # draws before its first block fails
+        code = run(["--model", "ishigami", "--measures", configs["noprior"],
+                    "--estimator", estimator, "--n", str(n),
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --n {n}") \
+            and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["a\0b", "a/b", "mixture"])
+    def test_a_measure_name_that_cannot_name_a_file_is_a_config_error(
+            self, tmp_path, capsys, name):
+        # a NUL or a separator in effect_<name>_x1.csv, or the curves of a
+        # measure named mixture written over the mixture's own
+        cfg = tmp_path / "measures.yaml"
+        cfg.write_text(MEASURES_YAML.replace(
+            "name: mu3", f"name: {json.dumps(name)}") + PRIOR_LINE)
+        out = tmp_path / "o"
+        code = run(["--model", "ishigami", "--measures", str(cfg), "--prior",
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: measure name {name!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()     # rejected before anything is written
 
     @pytest.mark.parametrize("estimator", cli.ESTIMATORS)
     def test_a_negative_seed_is_a_config_error(self, configs, tmp_path,

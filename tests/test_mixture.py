@@ -332,10 +332,10 @@ def test_both_routes_evaluate_each_full_subset_row_once(monkeypatch):
     # the full subset's rows are evaluated once per measure set, across both
     # routes and every engine of the set
     assert full == [1] * 4
-    # every other row is read off a table, but for 4 rows of x1x3 near
+    # every other row is read off a table, but for 2 rows of x1x3 near
     # (pi, pi) that mu2's table rejects: each takes the pair of lower rules
     # over x2, 22 + 21 nodes (ceil(43 / 2) and one fewer), in one call
-    assert other == [[4 * (22 + 21)], [], [], []]
+    assert other == [[2 * (22 + 21)], [], [], []]
 
 
 def test_engines_on_other_models_share_no_rows():
@@ -453,7 +453,8 @@ class TestEffectCurves:
                     eng.measure, (i,), curve.grid[:, None]))
                 want = ishigami_effect(eng.measure, (i,), curve.grid)
                 assert np.all(np.abs(curve.component_values[name] - want)
-                              <= anova.INTERP_TOL * eng._rms((i,))), (name, i)
+                              <= anova.INTERP_TOL * ref.rms_w(eng, (i,))), \
+                    (name, i)
         assert outside == 3 * (28 + 78)
 
     def test_singleton_mixture_collapses_to_the_component(self):
