@@ -61,15 +61,16 @@ settle and read the sweep on every engine.
 Effects at arbitrary points need w_v there.  Since phi_0 = 1, the slice of C
 that is zero off v holds the coefficients of w_v - mean on v's subgrid.
 ``AnovaEngine._w_at`` reads w_v through that slice and each coordinate's
-``poly`` as its interpolating polynomial (``_read``).  Rows of a single
-input outside its support, more than 8 of them on both sides together, are
-read off one Legendre table of w_v over their span (``_read_outside``),
-whose 8 Gauss nodes are read as any point is, and once more at its next
-count (``_resolve``) where those do not resolve it.  Both gate each row
-(``_gate``) by one error bound of their coefficients (``_bound``).  The
-direct integral over the complement of v, ``conditional_mean``, serves the
-rows either gate rejects and the other rows outside a coordinate's support,
-the empty and the full subset, and subsets with a discrete coordinate.
+``poly`` as its interpolating polynomial (``_read``).  The rows of a single
+input that its gate rejects, outside the support or far out in a normal
+tail, are read off one Legendre table of w_v over their span
+(``_read_table``) when they outnumber the nodes the grid keeps on that
+axis: its Gauss nodes, as many, are read as any point is, and once more at
+its next count (``_resolve``) where those do not resolve it.  Both gate
+each row (``_gate``) by one error bound of their coefficients (``_bound``).
+The direct integral over the complement of v, ``conditional_mean``, serves
+the rows both gates reject, the empty and the full subset, and subsets
+with a discrete coordinate.
 Every complement rule comes from ``_direct_rules``: on a settled engine the
 complement takes half the nodes of the cap its rung gives each axis it
 resolves, checked row by row against a second rule one node lower; a row on
@@ -255,7 +256,7 @@ class AnovaEngine:
         self._sparse = None   # _smolyak's (mean, P, e), or () (_moments)
         if not isinstance(order, (int, np.integer)) or order < 1:
             raise ValueError(f"order must be an integer >= 1, not {order!r}")
-        self._most = int(order)     # as built: caps _read_outside too
+        self._most = int(order)     # as built: caps _read_table too
         self._use_order(self._most)
         if not _fits(self._grid(min(self._most, FEWEST_NODES))):
             raise ConfigError(f"no tensor grid of the {self.n} inputs fits in "
@@ -476,13 +477,11 @@ class AnovaEngine:
 
     def _w_at(self, v, x):
         """w_v at the rows of ``x`` (N, |v|), read off the kept grid's
-        coefficients by ``_read``.  For a single input, its rows outside
-        its support, when more than the probe's 8 lie there on both sides
-        together, are read off one Legendre table over their span
-        (``_read_outside``).
-        Rows neither accepts, and every row when v is empty or all inputs
-        or when a coordinate of v is discrete, come from
-        ``conditional_mean``.
+        coefficients by ``_read``.  For a single input, the rows its gate
+        rejects are read off one Legendre table over their span
+        (``_read_table``).  Rows neither accepts, and every row when v is
+        empty or all inputs or when a coordinate of v is discrete, come
+        from ``conditional_mean``.
 
         Each subset keeps its last call: the key ``(x.shape, x.tobytes())``
         (the shape, since an (N, 0) array has no bytes for any N) and the
@@ -497,50 +496,49 @@ class AnovaEngine:
         v = tuple(v)
         key = x.shape, x.tobytes()
         memo = self._w_full if len(v) == self.n else self._w_last
-        last = memo.get(v)
-        if last is not None and last[0] == key:
-            return last[1].copy()
+        if memo.get(v, (None,))[0] == key:
+            return memo[v][1].copy()
         if not self._reads_grid(v):
             out = self.conditional_mean(v, x)
         else:
             ok, out = self._read(v, x)
             if len(v) == 1:
-                lo, hi = self.measure.components[v[0] - 1].support()
-                off = (x[:, 0] < lo) | (x[:, 0] > hi)
-                if np.count_nonzero(off) > 8:       # the probe's
-                    ok[off], out[off] = self._read_outside(v, x[off, 0])
+                off = ~ok
+                ok[off], out[off] = self._read_table(v, x[off, 0])
             if not ok.all():
                 out[~ok] = self.conditional_mean(v, x[~ok])
         memo[v] = key, out
         return out.copy()
 
-    def _read_outside(self, v, x):
+    def _read_table(self, v, x):
         """(accepted, values): w_v, v one continuous input, at the rows
-        ``x`` (N,) outside its support, on either side, read off one
-        Legendre table over the span [a, b] of those rows.
+        ``x`` (N,) that ``_read``'s gate rejects, outside its support or far
+        out in a normal tail, read off one Legendre table over their span
+        [a, b].
 
         w_v there is an integral over the complement of an analytic model,
         so its Legendre coefficients on [a, b] decay at least geometrically.
-        The table reads w_v at the 8 Gauss nodes of ``Uniform(a, b)``, the
-        probe, as any point is read: off the kept grid (``_read``) where its
-        gate accepts the node, and by ``conditional_mean`` elsewhere; their
-        coefficients come from the family's ``to_coeffs``, one matrix per
-        node count on every interval.  Where ``_resolve`` reads them
-        unresolved against the engine's read tolerance (``_tol``), the
-        table is read once more at its next count, at most the order the
-        engine was built with, if fewer than its rows.  Rows of no span
-        (one value, or a width beyond the float range) make no table and
-        accept no row.  A row is accepted by ``_gate`` on the table's
-        ``_bound``, and only off a table that has decayed: one whose largest
-        tail coefficient exceeds 1e-3 of its largest coefficient accepts no
-        row, since its tail then bounds nothing (on rows across the root of
-        x1^19 every coefficient lies below the target, and a row read 1.46
-        targets off).
+        The table reads w_v at the Gauss nodes of ``Uniform(a, b)``, as many
+        as the settled grid keeps on that axis, as any point is read: off
+        the kept grid (``_read``) where its gate accepts the node, and by
+        ``conditional_mean`` elsewhere; their coefficients come from the
+        family's ``to_coeffs``, one matrix per node count on every interval.
+        Where ``_resolve`` reads them unresolved against the engine's read
+        tolerance (``_tol``), the table is read once more at its next count,
+        at most the order the engine was built with.  A table is made only
+        at a count below N; rows of no span (one value, or a width beyond
+        the float range) make none, and a row off no table is not accepted.
+        A row is accepted by ``_gate`` on the table's ``_bound``, and only
+        off a table that has decayed: one whose largest tail coefficient
+        exceeds 1e-3 of its largest coefficient accepts no row, since its
+        tail then bounds nothing (on rows across the root of x1^19 every
+        coefficient lies below the target, and a row read 1.46 targets off).
         """
-        if not (x.min() < x.max() and math.isfinite(x.max() - x.min())):
+        self._settle()
+        size = self._sizes[v[0] - 1]
+        if not (size < x.size and 0 < np.ptp(x) < math.inf):
             return np.zeros(x.size, dtype=bool), np.empty(x.size)
-        tol = self._tol()
-        span = Uniform(x.min(), x.max())
+        tol, span = self._tol(), Uniform(x.min(), x.max())
         to_coeffs = Uniform(-1.0, 1.0).to_coeffs    # shared by every span
 
         def table(c):           # (c, w, coeffs): w_v read at c nodes
@@ -550,7 +548,7 @@ class AnovaEngine:
                 w[~read] = self.conditional_mean(v, nodes[~read])
             return c, w, to_coeffs(c) @ w
 
-        c, w, coeffs = table(8)
+        c, w, coeffs = table(size)
         cap, more = _resolve(np.abs(coeffs), tol, self._most)
         if cap == math.inf and c < more < x.size:
             c, w, coeffs = table(more)

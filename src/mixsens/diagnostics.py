@@ -331,6 +331,8 @@ def mixture_monotonicity_condition(engines, z):
     True means every first- and higher-order mixture effect on z built from
     these candidates is nondecreasing on the grid, for any prior.
     """
+    if not engines:
+        raise ValueError("a mixture needs at least one engine")
     z = tuple(sorted(_subset(z, engines[0].n)))
     if not z:
         raise ValueError("z must be nonempty")

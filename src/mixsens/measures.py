@@ -418,9 +418,10 @@ def _reject_extras(mapping, allowed, where):
 
 def _read_number(value, where, integer=False):
     """A config field as a finite float (an int with ``integer``); any other
-    value raises a ConfigError naming the field."""
-    try:
-        x = float(value)
+    value, a YAML boolean among them, raises a ConfigError naming the
+    field."""
+    try:        # float(True) is 1.0, but a boolean is no number
+        x = float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
     if not math.isfinite(x):

@@ -2382,8 +2382,8 @@ def _polynomial(coeffs, powers):
 
 @st.composite
 def uniform_polynomial_models(draw):
-    # up to degree 12 in an input: its tables need more than the probe's 8
-    # nodes, and a table of fewer nodes leaves a tail the gate sees; far
+    # up to degree 12 in an input: a table of fewer nodes than its degree
+    # leaves a tail the gate sees; far
     # higher degrees can defeat the tail bound alone (x1^19 on rows across
     # its root, where every coefficient sits below the target: see
     # test_a_table_whose_coefficients_do_not_decay_accepts_no_row)
@@ -2410,32 +2410,112 @@ def test_rows_read_off_a_table_match_their_direct_means(case, data):
     eng = AnovaEngine(model, measure)
     eng.mean()
     for i, comp in enumerate(measure.components, 1):
-        lo, hi = comp.support()
-        reach = [data.draw(st.floats(0.05, 2.0)) * (hi - lo) for _ in "lr"]
-        count = [data.draw(st.integers(9, 40)) for _ in "lr"]
-        x = np.concatenate([
-            np.linspace(lo - reach[0], lo, count[0], endpoint=False),
-            np.linspace(hi, hi + reach[1], count[1] + 1)[1:]])
-        ok, values = eng._read_outside((i,), x)
-        if ok.any():
-            rows = x[ok, None]
-            _, size = _reference_mean(model, measure, (i,), rows, order=16)
-            gap = np.abs(values[ok] - eng.conditional_mean((i,), rows))
-            assert np.all(gap <= anova.INTERP_TOL * ref.rms_w(eng, (i,))
-                          + 1e-12 * size + np.finfo(float).tiny), i
+        gap, size = _table_gaps(eng, i, _rows_past(data, comp.support(), 2.0))
+        assert np.all(gap <= anova.INTERP_TOL * ref.rms_w(eng, (i,))
+                      + 1e-12 * size + np.finfo(float).tiny), i
+
+
+def _rows_past(data, ends, widths):
+    """9 to 40 rows a side of [lo, hi] = ``ends``, out to a drawn share,
+    at most ``widths``, of its width past it."""
+    lo, hi = ends
+    reach = [data.draw(st.floats(0.05, widths)) * (hi - lo) for _ in "lr"]
+    count = [data.draw(st.integers(9, 40)) for _ in "lr"]
+    return np.concatenate([
+        np.linspace(lo - reach[0], lo, count[0], endpoint=False),
+        np.linspace(hi, hi + reach[1], count[1] + 1)[1:]])
+
+
+def _table_gaps(eng, i, x):
+    """(gap, size) at the rows of ``x`` that input i's table accepts: each
+    one's distance to its direct integral, and its absolute integral."""
+    ok, values = eng._read_table((i,), x)
+    if not ok.any():
+        return np.empty(0), np.empty(0)
+    rows = x[ok, None]
+    _, size = _reference_mean(eng.model, eng.measure, (i,), rows, order=16)
+    return np.abs(values[ok] - eng.conditional_mean((i,), rows)), size
+
+
+ENTIRE_AXES = (Uniform(-1.0, 2.0), Uniform(0.0, PI), Normal(0.5, 0.8),
+               Normal(0.0, 1.0))
+
+
+@st.composite
+def entire_factor_models(draw):
+    # products of factors sin(a x + b) and exp(b x), entire in every input,
+    # on uniform and normal axes
+    n = draw(st.integers(2, 3))
+    factors = []
+    for _ in range(n):
+        a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0))
+        factors.append(draw(st.sampled_from((
+            lambda t, a=a, b=b: np.sin(a * t + b),
+            lambda t, b=b: np.exp(b * t)))))
+    terms = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=n),
+                          min_size=1, max_size=4))
+    coeffs = draw(st.lists(coef, min_size=len(terms), max_size=len(terms)))
+    comps = tuple(draw(st.sampled_from(ENTIRE_AXES)) for _ in range(n))
+    return CompositeMultilinearModel(factors=tuple(factors), terms=terms,
+                                     coeffs=coeffs), ProductMeasure(comps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=entire_factor_models(), data=st.data())
+def test_rows_read_off_a_table_of_an_entire_model_match_their_direct_means(
+        case, data):
+    # rows on both sides of every plot range, 9 to 40 a side, out to 1.5
+    # of its widths past it, read off one table at the nodes the grid keeps
+    # on that axis; each row it accepts is within the engine's read
+    # tolerance of its direct integral, with the rounding allowance of
+    # test_rows_read_off_a_table_match_their_direct_means
+    eng = AnovaEngine(*case)
+    eng.mean()
+    for i, comp in enumerate(eng.measure.components, 1):
+        gap, size = _table_gaps(eng, i, _rows_past(data, comp.plot_range(),
+                                                   1.5))
+        assert np.all(gap <= eng._tol() + 1e-12 * size
+                      + np.finfo(float).tiny), i
+
+
+def test_far_tail_rows_of_a_normal_input_are_read_off_one_table():
+    # mu2's x1 is normal and keeps 27 nodes; of 60 rows 4.5 to 6 sd out on
+    # both sides, the row gate rejects more than 27, past what those nodes
+    # read, and they are read off one table of 27 nodes over their span,
+    # its nodes in the middle read off the grid: fewer evaluations than
+    # their direct integrals, and each row within the read tolerance
+    model = _Batches(IshigamiModel())
+    eng = AnovaEngine(model, ishigami_measures()["mu2"])
+    eng.mean()
+    side = np.linspace(4.5, 6.0, 30)
+    x = np.concatenate([-side[::-1], side])[:, None]
+    ok, _ = eng._read((1,), x)
+    assert np.count_nonzero(~ok) > eng._sizes[0] == 27
+    model.sizes.clear()
+    want = eng.conditional_mean((1,), x)
+    direct = sum(model.sizes)
+    model.sizes.clear()
+    made, resolve = [], anova._resolve
+    with mock.patch.object(anova, "_resolve", lambda *a: (
+            made.append(a[0].size), resolve(*a))[1]):
+        got = eng._w_at((1,), x)
+    assert made == [27] and eng._read_table((1,), x[~ok, 0])[0].all()
+    assert sum(model.sizes) < direct
+    assert np.all(np.abs(got - want) <= eng._tol())
 
 
 def _fast_x1(x):
     return np.sin(40.0 * x[:, 0]) + x[:, 1] * x[:, 2]
 
 
-def test_a_table_that_does_not_resolve_costs_its_probe():
-    # sin 40 x1 over [1.05, 3] needs more nodes than its 40 rows: the
-    # probe's 8 direct rows are spent, no sweep follows, and every row
-    # takes its direct integral, bit for bit
+def test_rows_no_more_than_the_axis_nodes_cost_their_direct_integrals():
+    # sin 40 x1 keeps 64 nodes on x1, more than the 40 rows over [1.05, 3]:
+    # they make no table, and every row takes its direct integral, bit for
+    # bit and at exactly its cost
     model = _Batches(_fast_x1)
     eng = AnovaEngine(model, ProductMeasure((Uniform(0.0, 1.0),) * 3))
     eng.mean()
+    assert eng._sizes[0] == 64
     x = np.linspace(1.05, 3.0, 40)[:, None]
     model.sizes.clear()
     want = eng.conditional_mean((1,), x)
@@ -2443,26 +2523,30 @@ def test_a_table_that_does_not_resolve_costs_its_probe():
     model.sizes.clear()
     got = eng._w_at((1,), x)
     assert np.array_equal(got, want)
-    assert sum(model.sizes) == direct + 8 * direct // 40
-    ok, _ = eng._read_outside((1,), x[:, 0])
+    assert sum(model.sizes) == direct
+    ok, _ = eng._read_table((1,), x[:, 0])
     assert not ok.any()
 
 
-@pytest.mark.parametrize("below,above,tables", [(4, 4, 0), (5, 4, 1)])
-def test_at_most_eight_rows_outside_the_support_make_no_table(below, above,
-                                                               tables):
-    # mu3 is uniform on [0, pi]: ``below`` rows below 0 and ``above`` past
-    # pi, counted together; more than the probe's 8 make one table of them
+@pytest.mark.parametrize("below,above,tables", [(4, 3, 0), (4, 4, 1)])
+def test_a_table_takes_more_rows_than_the_axis_nodes(below, above, tables):
+    # mu3 is uniform on [0, pi] and keeps 7 nodes on x3: ``below`` rows
+    # below 0 and ``above`` past pi, the rows the gate rejects, counted
+    # together; more than those 7 make one table of them
     eng = AnovaEngine(IshigamiModel(), ishigami_measures()["mu3"])
     eng.mean()
+    assert eng._sizes[2] == 7
     x = np.concatenate([np.linspace(-1.0, -0.1, below), np.linspace(
         PI + 0.1, PI + 1.0, above), np.linspace(0.0, PI, 5)])[:, None]
-    made = []
-    real = AnovaEngine._read_outside
-    with mock.patch.object(AnovaEngine, "_read_outside", lambda self, v, y: (
-            made.append(y.size), real(self, v, y))[1]):
+    rejected, made = [], []
+    read, resolve = AnovaEngine._read_table, anova._resolve
+    with mock.patch.object(AnovaEngine, "_read_table", lambda self, v, y: (
+            rejected.append(y.size), read(self, v, y))[1]), \
+            mock.patch.object(anova, "_resolve", lambda *a: (
+                made.append(a[0].size), resolve(*a))[1]):
         got = eng._w_at((3,), x)
-    assert made == [below + above] * tables
+    assert rejected == [below + above]
+    assert made == [7] * tables
     assert np.all(np.abs(got - eng.conditional_mean((3,), x))
                   <= anova.INTERP_TOL * ref.rms_w(eng, (3,)))
 
@@ -2485,8 +2569,8 @@ def test_a_table_reads_its_nodes_inside_the_support_off_the_grid():
     seen.clear()
     got = eng._w_at((3,), x[:, None])
     read = set(seen)
-    ok, _ = eng._read_outside((3,), x)
-    nodes = Uniform(x.min(), x.max()).quad_nodes(8)[0]
+    ok, _ = eng._read_table((3,), x)
+    nodes = Uniform(x.min(), x.max()).quad_nodes(eng._sizes[2])[0]
     inside = (nodes >= 0.0) & (nodes <= PI)
     assert inside.any() and ok.any()
     assert read == set(nodes[~inside]) | set(x[~ok])
@@ -2499,17 +2583,19 @@ def _tall_powers(x):
 
 
 def test_a_table_whose_coefficients_do_not_decay_accepts_no_row():
-    # x1^19 on rows across its root, left of x1's support: every coefficient
-    # of the table sits below the target, so its tail does too, yet a row
-    # read off it was 1.46 targets from the exact x1^19 E[x2^10] E[x3^19].
-    # Its tail is not well below its largest coefficient: the rows go
-    # direct, and each is within the target
+    # x1^19 on rows across its root, left of x1's support, off the table of
+    # the 8 nodes an order-8 engine keeps on x1: every coefficient of the
+    # table sits below the target, so its tail does too, yet a row read off
+    # it is 1.46 targets from the exact x1^19 E[x2^10] E[x3^19].  Its tail
+    # is not well below its largest coefficient: the rows go direct, and
+    # each is within the target
     comps = (Uniform(0.3091, 0.8835), Uniform(-1.8658, 0.5572),
              Uniform(0.0198, 2.8767))
-    eng = AnovaEngine(_tall_powers, ProductMeasure(comps))
+    eng = AnovaEngine(_tall_powers, ProductMeasure(comps), order=8)
     eng.mean()
+    assert eng._sizes[0] == 8
     x = np.linspace(-0.2741, 0.2987, 56)
-    ok, _ = eng._read_outside((1,), x)
+    ok, _ = eng._read_table((1,), x)
     assert not ok.any()
 
     def moment(u, p):

@@ -330,8 +330,9 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
     # the engines' 64^4 grids do not fit: each settles on one that does,
     # and its effects at points are read off its tables; the mixture-curve rows
     # outside flat's supports, 64 to 76 an input over both sides, are read
-    # off one Legendre table an input whose probe of 8 nodes resolves, the
-    # nodes inside the support read off the grid (4 tables, 432 points)
+    # off one Legendre table an input at the 4 or 5 nodes its grid keeps on
+    # that axis, the nodes inside the support read off the grid (4 tables,
+    # each accepting every row)
     (tmp_path / "model.yaml").write_text(MULTILINEAR4_YAML)
     (tmp_path / "measures.yaml").write_text(TWO_MEASURES4_YAML)
     out = tmp_path / "out"
@@ -345,7 +346,7 @@ def test_a_four_input_prior_run_matches_the_closed_form(tmp_path,
     # one's check
     assert sum(k for c, k in points if c == "_sweep") == 2 * (8**4 + 400)
     assert sum(k for c, k in points if c == "_smolyak") == 298 + 2 * 4
-    assert sum(k for _, k in points) == 9_424 + 298 + 2 * 4
+    assert sum(k for _, k in points) == 9_192 + 298 + 2 * 4
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -367,8 +368,9 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
     # the engines' 64^5 grids do not fit; each settles from the opening
     # rungs of 8 nodes, then 16; the mixture-curve rows outside a
     # uniform support, 15 to 120 an input over both sides, are read off one
-    # Legendre table an input whose probe of 8 nodes resolves, the nodes
-    # inside the support read off the grid (12 tables, 2,672 points)
+    # Legendre table an input at the 4 or 5 nodes its grid keeps on that
+    # axis, the nodes inside the support read off the grid (12 tables, each
+    # accepting every row)
     (tmp_path / "model.yaml").write_text(MULTILINEAR5_YAML)
     (tmp_path / "measures.yaml").write_text(FIVE_MEASURES5_YAML)
     out = tmp_path / "out"
@@ -382,7 +384,7 @@ def test_a_five_input_prior_run_matches_the_closed_form(tmp_path,
     # each one's check
     assert sum(k for c, k in points if c == "_sweep") == 5 * (8**5 + 1600)
     assert sum(k for c, k in points if c == "_smolyak") == 975 + 5 * 4
-    assert sum(k for _, k in points) == 174_512 + 975 + 5 * 4
+    assert sum(k for _, k in points) == 173_280 + 975 + 5 * 4
     rep = load_report(out)
     model = resolve_model(str(tmp_path / "model.yaml"))
     mset = load_measure_set(str(tmp_path / "measures.yaml"))
@@ -407,19 +409,19 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     # each engine sweeps the probe of 8 nodes, 16 with x3 at 7 nodes, and
     # the rung its coefficient decay predicts (mu1 21 x 29 x 7, mu2
     # 27 x 45 x 7, mu3 14 x 21 x 7, x1 of mu3 at its cap of 14 from 16):
-    # 21,738 points; the mixture-curve rows outside a uniform measure's
-    # support, 28 (mu1) or 78 (mu3) an input over both sides, are read off
-    # one Legendre table over their span (``_read_outside``), its nodes
-    # inside the support read off the grid: a probe of 8 nodes and, where
-    # its tail is not resolved and its decay predicts fewer nodes than
-    # rows, one more read at that count (18 on x1 of both, 64 on mu3's
-    # x2); x3's probes resolve, and the tables of x3 and of mu3's x2 accept
-    # every row, those of x1 2 and 4 rows, mu1's x2 probe none; the table
-    # nodes outside the support, the rows the tables reject, and the 6
-    # outer rows a side of mu2's x2 curve that its settled table rejects,
-    # take the direct integral by the pair of lower rules, ceil(cap / 2)
-    # and one node fewer on each axis the settled rung resolves, and agree
-    # there, so none takes the settled nodes: 18,547
+    # 21,738 points; the mixture-curve rows that the row gate rejects, 28
+    # (mu1) or 78 (mu3) an input outside a uniform support, are read off
+    # one Legendre table over their span (``_read_table``) where the grid
+    # keeps fewer nodes on that axis than there are rows, its nodes inside
+    # the support read off the grid: at those nodes and, where its tail is
+    # not resolved and its decay predicts fewer nodes than rows, once more
+    # at that count (mu3's x1 at 14 then 21, x2 at 21 then 31); the tables
+    # of x3 accept every row, mu1's of x1 26 and mu3's of x1 and x2 76, and
+    # mu1's x2 (29 nodes) and the 6 outer rows a side of mu2's x2 curve
+    # (45 nodes) make none; the table nodes outside the support and the
+    # rows no table accepts take the direct integral by the pair of lower
+    # rules, ceil(cap / 2) and one node fewer on each axis the settled rung
+    # resolves, and agree there, so none takes the settled nodes: 9,642
     cfg = tmp_path / "measures.yaml"
     cfg.write_text(ref.MEASURES_YAML)
     points = _counted_evaluations(monkeypatch)
@@ -429,8 +431,8 @@ def test_a_prior_run_makes_the_measured_number_of_model_evaluations(
     for caller, size in points:
         by_caller[caller] = by_caller.get(caller, 0) + size
     assert by_caller == {"_sweep": 21_738,
-                         "conditional_mean": 18_547}
-    assert sum(by_caller.values()) == 40_285
+                         "conditional_mean": 9_642}
+    assert sum(by_caller.values()) == 31_380
 
 
 def test_a_cores_run_makes_no_model_evaluation(configs, tmp_path,
@@ -480,8 +482,8 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
     # (uniform 3, 4, 6, 9, 10, 11 and 13: half of mu1's and mu3's caps at
     # the settled rung, and one fewer; normal 3, 4, 12 and 13 for mu2's
     # outer x2 rows, from its caps of 26 on x1 and 7 on x3), the tables of
-    # the curve rows outside a uniform support (their probe of 8, and 18
-    # and 64 nodes where the probe's decay predicts them),
+    # the curve rows outside a uniform support (at their axis's settled
+    # nodes, and 21 and 31 where that table's decay predicts them),
     # and the order 64 it was built at, which the core signatures and the
     # restricted defect rules reuse: they make no rule of their own, and the
     # k = j defect terms are read off the engines' own tables
@@ -512,9 +514,9 @@ def test_a_prior_run_computes_each_gauss_rule_once(tmp_path, monkeypatch):
                                 ("leggauss", 9), ("leggauss", 10),
                                 ("leggauss", 11), ("leggauss", 13),
                                 ("leggauss", 14),
-                                ("leggauss", 16), ("leggauss", 18),
-                                ("leggauss", 21),
-                                ("leggauss", 29), ("leggauss", 64)]
+                                ("leggauss", 16), ("leggauss", 21),
+                                ("leggauss", 29), ("leggauss", 31),
+                                ("leggauss", 64)]
     assert len(computed) <= measures._gauss_rule.cache_info().maxsize
 
 
@@ -1143,6 +1145,15 @@ class TestFailureModes:
                      "terms: 5\n", id="terms-5"),
         pytest.param(MEASURES_YAML.replace("name: mu2", 'name: ""'), None,
                      id="empty-measure-name"),
+        # YAML booleans are no numbers, though float(True) is 1.0
+        pytest.param(MEASURES_YAML.replace("sd: 1.0", "sd: true", 1), None,
+                     id="sd-true"),
+        pytest.param(MEASURES_YAML.replace("n: 3", "n: true"), None,
+                     id="n-true"),
+        pytest.param(MEASURES_YAML + "prior: [true, 0.0, 0.0]\n", None,
+                     id="prior-true"),
+        pytest.param(MEASURES_YAML, "n: 3\nfactors: [[1.0], [1.0], [1.0]]\n"
+                     "terms: [[1]]\ncoeffs: [false]\n", id="coeffs-false"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
                                                 measures, model):

@@ -237,6 +237,11 @@ class TestMixtureMonotonicityCondition:
         with pytest.raises(ValueError):
             mixture_monotonicity_condition(engines, ())
 
+    def test_no_engine_raises(self):
+        # as every entry point of mixture.py does
+        with pytest.raises(ValueError, match="at least one engine"):
+            mixture_monotonicity_condition([], (1,))
+
 
 # -- properties ---------------------------------------------------------------
 

@@ -318,6 +318,19 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="missing"):
             measure_set_from_dict(d)
 
+    def test_a_boolean_is_no_number(self):
+        # float(True) is 1.0, so a YAML ``true`` would read as a number
+        for mutate, field in (
+            (lambda d: d["measures"][0]["components"][1]["params"].update(
+                sd=True), r"measures\[0\].*sd"),
+            (lambda d: d.update(n=True), "n"),
+            (lambda d: d.update(prior=[True, 0.0]), r"prior\[0\]"),
+        ):
+            d = self.doc()
+            mutate(d)
+            with pytest.raises(ConfigError, match=field + ": expected a number"):
+                measure_set_from_dict(d)
+
     def test_component_count_must_match_n(self):
         d = self.doc()
         d["measures"][0]["components"].pop()
